@@ -55,18 +55,9 @@ pub struct CampaignConfig {
     /// Coverage-directed mode: features the current database's cases have
     /// not exercised yet get a seed-stable weight boost in generation (the
     /// boost derives from the case seed — no wall clock), re-aiming the
-    /// generator at cold regions. Off by default; the A/B knob the bench
-    /// uses to compare directed vs. uniform time-to-coverage.
+    /// generator at cold regions. Off by default; the A/B knob that compares
+    /// directed vs. uniform time-to-coverage.
     pub coverage_directed: bool,
-    /// Coverage-atlas accounting: per-case feature observation, engine
-    /// polls and the saturation curve. On by default; the off position
-    /// exists so the bench can price the accounting itself against an
-    /// otherwise byte-identical campaign (the atlas observes, never
-    /// perturbs — it touches no RNG, so the generated workload is the
-    /// same either way). Ignored — treated as on — when
-    /// [`coverage_directed`](Self::coverage_directed) is set, which needs
-    /// the atlas to know what is cold.
-    pub coverage_atlas: bool,
 }
 
 impl Default for CampaignConfig {
@@ -81,7 +72,6 @@ impl Default for CampaignConfig {
             reduce_bugs: true,
             max_reduction_checks: 64,
             coverage_directed: false,
-            coverage_atlas: true,
         }
     }
 }
@@ -161,14 +151,6 @@ impl CampaignConfigBuilder {
     /// [`CampaignConfig::coverage_directed`]).
     pub fn coverage_directed(mut self, directed: bool) -> Self {
         self.config.coverage_directed = directed;
-        self
-    }
-
-    /// Coverage-atlas accounting on/off (see
-    /// [`CampaignConfig::coverage_atlas`]). The off position is a bench
-    /// instrument, not an operating mode.
-    pub fn coverage_atlas(mut self, atlas: bool) -> Self {
-        self.config.coverage_atlas = atlas;
         self
     }
 
@@ -627,9 +609,6 @@ impl Campaign {
         } else {
             Vec::new()
         };
-        // Directed mode needs the atlas to know what is cold, so it
-        // overrides the accounting knob (see `CampaignConfig::coverage_atlas`).
-        let atlas_enabled = self.config.coverage_atlas || self.config.coverage_directed;
 
         'campaign: for db in start_db..self.config.databases {
             // Phase 1: build the database state (skipped when resuming
@@ -642,9 +621,7 @@ impl Campaign {
                     // A fresh database starts a fresh novelty stream in the
                     // atlas (the resumed branch above restored the stream's
                     // mid-database state from the checkpoint instead).
-                    if atlas_enabled {
-                        report.coverage.begin_database();
-                    }
+                    report.coverage.begin_database();
                     // Database boundary: the connection layer resets its
                     // breaker ledger (so breaker state is a pure function of
                     // this database's case schedule, not of pool history) and
@@ -817,18 +794,16 @@ impl Campaign {
                         if matches!(payload, CasePayload::Schedule(_)) {
                             report.metrics.conflict_aborts += conflict_aborts;
                         }
-                        if atlas_enabled {
-                            report.coverage.observe_case(
-                                oracle,
-                                match &outcome {
-                                    OracleOutcome::Passed => TraceVerdict::Pass,
-                                    OracleOutcome::Invalid(_) => TraceVerdict::Invalid,
-                                    OracleOutcome::Bug(_) => TraceVerdict::Bug,
-                                },
-                                payload.features(),
-                                case_no as u64,
-                            );
-                        }
+                        report.coverage.observe_case(
+                            oracle,
+                            match &outcome {
+                                OracleOutcome::Passed => TraceVerdict::Pass,
+                                OracleOutcome::Invalid(_) => TraceVerdict::Invalid,
+                                OracleOutcome::Bug(_) => TraceVerdict::Bug,
+                            },
+                            payload.features(),
+                            case_no as u64,
+                        );
                         let valid = outcome.is_valid();
                         if valid {
                             report.metrics.valid_test_cases += 1;
@@ -843,32 +818,49 @@ impl Campaign {
                         }
                         if let OracleOutcome::Bug(bug) = outcome {
                             report.metrics.detected_bug_cases += 1;
+                            let features = payload.features();
                             match &payload {
                                 CasePayload::Query(query, oracle) => self.handle_bug(
                                     conn,
                                     *bug,
-                                    &query.features,
+                                    features,
                                     &setup_log,
-                                    query,
-                                    *oracle,
                                     case_seed,
                                     &mut report,
+                                    || ReducibleCase {
+                                        setup: setup_log.clone(),
+                                        query: query.select.clone(),
+                                        predicate: query.predicate.clone(),
+                                        oracle: *oracle,
+                                        features: features.clone(),
+                                    },
                                 ),
-                                CasePayload::Txn(session) => self.handle_txn_bug(
+                                CasePayload::Txn(session) => self.handle_bug(
                                     conn,
                                     *bug,
-                                    session,
+                                    features,
                                     &setup_log,
                                     case_seed,
                                     &mut report,
+                                    || TxnCase {
+                                        setup: setup_log.clone(),
+                                        table: session.table.clone(),
+                                        statements: session.statements.clone(),
+                                        features: features.clone(),
+                                    },
                                 ),
-                                CasePayload::Schedule(schedule) => self.handle_schedule_bug(
+                                CasePayload::Schedule(schedule) => self.handle_bug(
                                     conn,
                                     *bug,
-                                    schedule,
+                                    features,
                                     &setup_log,
                                     case_seed,
                                     &mut report,
+                                    || ScheduleCase {
+                                        setup: setup_log.clone(),
+                                        schedule: schedule.schedule.clone(),
+                                        features: features.clone(),
+                                    },
                                 ),
                             }
                         }
@@ -880,28 +872,17 @@ impl Campaign {
                     // payload's features: they were generated, and counting
                     // them keeps the novelty stream identical across
                     // configurations that retry differently.
-                    SupervisedCase::InfraFailed => {
-                        if atlas_enabled {
-                            report.coverage.observe_case(
-                                oracle,
-                                TraceVerdict::InfraFailed,
-                                payload.features(),
-                                case_no as u64,
-                            );
-                        }
-                        if report.metrics.test_cases.is_multiple_of(sample_every) {
-                            report.validity_series.push(report.metrics.validity_rate());
-                        }
-                    }
-                    SupervisedCase::Panicked => {
-                        if atlas_enabled {
-                            report.coverage.observe_case(
-                                oracle,
-                                TraceVerdict::Panicked,
-                                payload.features(),
-                                case_no as u64,
-                            );
-                        }
+                    abandoned @ (SupervisedCase::InfraFailed | SupervisedCase::Panicked) => {
+                        report.coverage.observe_case(
+                            oracle,
+                            if matches!(abandoned, SupervisedCase::InfraFailed) {
+                                TraceVerdict::InfraFailed
+                            } else {
+                                TraceVerdict::Panicked
+                            },
+                            payload.features(),
+                            case_no as u64,
+                        );
                         if report.metrics.test_cases.is_multiple_of(sample_every) {
                             report.validity_series.push(report.metrics.validity_rate());
                         }
@@ -943,10 +924,8 @@ impl Campaign {
                         // replayed setup's points) would under-report.
                         // Reported sets are monotone, so the union is
                         // idempotent across polls.
-                        if atlas_enabled {
-                            if let Some(coverage) = conn.engine_coverage() {
-                                report.coverage.absorb_engine(&coverage);
-                            }
+                        if let Some(coverage) = conn.engine_coverage() {
+                            report.coverage.absorb_engine(&coverage);
                         }
                         let checkpoint = self.make_checkpoint(
                             &report,
@@ -970,9 +949,7 @@ impl Campaign {
                         // file.
                         if let Some(sink) = &trace {
                             let mut sink = sink.borrow_mut();
-                            if atlas_enabled {
-                                sink.coverage(&report.dbms_name, &report.coverage);
-                            }
+                            sink.coverage(&report.dbms_name, &report.coverage);
                             sink.flush(FlushReason::Checkpoint);
                         }
                     }
@@ -1010,18 +987,14 @@ impl Campaign {
         // Final atlas accounting: the engine-point union (monotone sets, so
         // this one poll sees everything this process reached) and the last
         // database's trailing dry run.
-        if atlas_enabled {
-            if let Some(coverage) = conn.engine_coverage() {
-                report.coverage.absorb_engine(&coverage);
-            }
-            report.coverage.finish();
+        if let Some(coverage) = conn.engine_coverage() {
+            report.coverage.absorb_engine(&coverage);
         }
+        report.coverage.finish();
         emit_backend(&trace, conn);
         if let Some(sink) = &trace {
             let mut sink = sink.borrow_mut();
-            if atlas_enabled {
-                sink.coverage(&report.dbms_name, &report.coverage);
-            }
+            sink.coverage(&report.dbms_name, &report.coverage);
             sink.flush(FlushReason::CampaignEnd);
         }
         report
@@ -1110,220 +1083,132 @@ impl Campaign {
         }
     }
 
-    /// Handles a rollback-oracle bug: prioritization, optional reduction,
-    /// and state rebuild — the same treatment the single-query oracles get.
+    /// The treatment every detected bug gets, whichever oracle found it:
+    /// the prioritizer rules on its feature set (traced), and a kept bug is
+    /// built into its replayable case, reduced when configured — its report
+    /// re-rendered from the reduced case and the campaign's database state
+    /// rebuilt, since reduction leaves the DBMS at a reduced setup — and
+    /// recorded.
     #[allow(clippy::too_many_arguments)]
-    fn handle_txn_bug(
+    fn handle_bug<C: KeptCase>(
         &mut self,
         conn: &mut dyn DbmsConnection,
-        bug: BugReport,
-        session: &GeneratedTxnSession,
-        setup_log: &[String],
-        case_seed: u64,
-        report: &mut CampaignReport,
-    ) {
-        match self.prioritizer.classify(&session.features) {
-            PriorityDecision::PotentialDuplicate => {
-                emit(
-                    &self.trace,
-                    case_seed,
-                    0,
-                    TraceEventKind::Prioritized { kept: false },
-                );
-            }
-            PriorityDecision::New => {
-                emit(
-                    &self.trace,
-                    case_seed,
-                    0,
-                    TraceEventKind::Prioritized { kept: true },
-                );
-                let mut case = TxnCase {
-                    setup: setup_log.to_vec(),
-                    table: session.table.clone(),
-                    statements: session.statements.clone(),
-                    features: session.features.clone(),
-                };
-                let mut final_bug = bug;
-                if self.config.reduce_bugs {
-                    let statements_before = case.setup.len() + case.statements.len();
-                    let (reduced, _stats) = {
-                        let mut reducer = BugReducer::new(conn, self.config.max_reduction_checks);
-                        reducer.reduce_txn(&case)
-                    };
-                    case = reduced;
-                    emit(
-                        &self.trace,
-                        case_seed,
-                        0,
-                        TraceEventKind::Reduced {
-                            statements_before,
-                            statements_after: case.setup.len() + case.statements.len(),
-                        },
-                    );
-                    final_bug.setup = case.setup.clone();
-                    // Re-render the reduced session with the oracle's
-                    // transaction bracketing and probes, so the report stays
-                    // replayable verbatim.
-                    final_bug.queries = case.replay_script();
-                    // Reduction left the DBMS in a reduced-setup state;
-                    // rebuild the campaign's current state.
-                    conn.reset();
-                    for sql in setup_log {
-                        let _ = conn.execute(sql);
-                    }
-                }
-                report.reports.push(final_bug);
-                report.txn_cases.push(case);
-            }
-        }
-    }
-
-    /// Handles an isolation-oracle bug: prioritization, optional reduction,
-    /// and state rebuild. Conflict-aborted commits were already folded into
-    /// the conflict-abort rate by the caller — they never reach this path.
-    #[allow(clippy::too_many_arguments)]
-    fn handle_schedule_bug(
-        &mut self,
-        conn: &mut dyn DbmsConnection,
-        bug: BugReport,
-        schedule: &GeneratedSchedule,
-        setup_log: &[String],
-        case_seed: u64,
-        report: &mut CampaignReport,
-    ) {
-        match self.prioritizer.classify(&schedule.features) {
-            PriorityDecision::PotentialDuplicate => {
-                emit(
-                    &self.trace,
-                    case_seed,
-                    0,
-                    TraceEventKind::Prioritized { kept: false },
-                );
-            }
-            PriorityDecision::New => {
-                emit(
-                    &self.trace,
-                    case_seed,
-                    0,
-                    TraceEventKind::Prioritized { kept: true },
-                );
-                let mut case = ScheduleCase {
-                    setup: setup_log.to_vec(),
-                    schedule: schedule.schedule.clone(),
-                    features: schedule.features.clone(),
-                };
-                let mut final_bug = bug;
-                if self.config.reduce_bugs {
-                    let statements_before = schedule_statement_count(&case);
-                    let (reduced, _stats) = {
-                        let mut reducer = BugReducer::new(conn, self.config.max_reduction_checks);
-                        reducer.reduce_schedule(&case)
-                    };
-                    case = reduced;
-                    emit(
-                        &self.trace,
-                        case_seed,
-                        0,
-                        TraceEventKind::Reduced {
-                            statements_before,
-                            statements_after: schedule_statement_count(&case),
-                        },
-                    );
-                    final_bug.setup = case.setup.clone();
-                    final_bug.queries = case.schedule.replay_script();
-                    // Reduction left the DBMS in a reduced-setup state;
-                    // rebuild the campaign's current state.
-                    conn.reset();
-                    for sql in setup_log {
-                        let _ = conn.execute(sql);
-                    }
-                }
-                report.reports.push(final_bug);
-                report.schedule_cases.push(case);
-            }
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn handle_bug(
-        &mut self,
-        conn: &mut dyn DbmsConnection,
-        bug: BugReport,
+        mut bug: BugReport,
         features: &FeatureSet,
         setup_log: &[String],
-        query: &crate::generator::GeneratedQuery,
-        oracle: OracleKind,
         case_seed: u64,
         report: &mut CampaignReport,
+        make_case: impl FnOnce() -> C,
     ) {
-        match self.prioritizer.classify(features) {
-            PriorityDecision::PotentialDuplicate => {
-                emit(
-                    &self.trace,
-                    case_seed,
-                    0,
-                    TraceEventKind::Prioritized { kept: false },
-                );
-            }
-            PriorityDecision::New => {
-                emit(
-                    &self.trace,
-                    case_seed,
-                    0,
-                    TraceEventKind::Prioritized { kept: true },
-                );
-                let mut case = ReducibleCase {
-                    setup: setup_log.to_vec(),
-                    query: query.select.clone(),
-                    predicate: query.predicate.clone(),
-                    oracle,
-                    features: features.clone(),
-                };
-                let mut final_bug = bug;
-                if self.config.reduce_bugs {
-                    let statements_before = case.setup.len() + 1;
-                    let (reduced, _stats) = {
-                        let mut reducer = BugReducer::new(conn, self.config.max_reduction_checks);
-                        reducer.reduce(&case)
-                    };
-                    case = reduced;
-                    emit(
-                        &self.trace,
-                        case_seed,
-                        0,
-                        TraceEventKind::Reduced {
-                            statements_before,
-                            statements_after: case.setup.len() + 1,
-                        },
-                    );
-                    final_bug.setup = case.setup.clone();
-                    // Re-render the (possibly reduced) queries for the report.
-                    final_bug.queries = vec![case.query.to_string()];
-                    // Reduction resets the DBMS; rebuild the current state so
-                    // subsequent test cases keep running against it.
-                    conn.reset();
-                    for sql in setup_log {
-                        let _ = conn.execute(sql);
-                    }
-                }
-                report.reports.push(final_bug);
-                report.prioritized_cases.push(case);
+        let kept = self.prioritizer.classify(features) == PriorityDecision::New;
+        emit(
+            &self.trace,
+            case_seed,
+            0,
+            TraceEventKind::Prioritized { kept },
+        );
+        if !kept {
+            return;
+        }
+        let mut case = make_case();
+        if self.config.reduce_bugs {
+            let statements_before = case.statement_count();
+            case = case.reduce(&mut BugReducer::new(conn, self.config.max_reduction_checks));
+            emit(
+                &self.trace,
+                case_seed,
+                0,
+                TraceEventKind::Reduced {
+                    statements_before,
+                    statements_after: case.statement_count(),
+                },
+            );
+            bug.setup = case.setup().to_vec();
+            bug.queries = case.replay_queries();
+            conn.reset();
+            for sql in setup_log {
+                let _ = conn.execute(sql);
             }
         }
+        report.reports.push(bug);
+        case.record(report);
     }
 }
 
-/// Statement count of a schedule case, for reduction telemetry: the setup
-/// plus every session's body statements.
-fn schedule_statement_count(case: &ScheduleCase) -> usize {
-    case.setup.len()
-        + case
-            .schedule
-            .sessions
-            .iter()
-            .map(|session| session.statements.len())
-            .sum::<usize>()
+/// A kept bug case in replayable form: what [`Campaign::handle_bug`] needs
+/// from each oracle's case type.
+trait KeptCase: Sized {
+    /// Setup plus case statements, for reduction telemetry.
+    fn statement_count(&self) -> usize;
+    /// The case's setup log.
+    fn setup(&self) -> &[String];
+    /// Minimises the case.
+    fn reduce(&self, reducer: &mut BugReducer<'_>) -> Self;
+    /// The report's queries, re-rendered (with any oracle bracketing and
+    /// probes) so the report stays replayable verbatim.
+    fn replay_queries(&self) -> Vec<String>;
+    /// Files the case in the report's list for its oracle.
+    fn record(self, report: &mut CampaignReport);
+}
+
+impl KeptCase for ReducibleCase {
+    fn statement_count(&self) -> usize {
+        self.setup.len() + 1
+    }
+    fn setup(&self) -> &[String] {
+        &self.setup
+    }
+    fn reduce(&self, reducer: &mut BugReducer<'_>) -> Self {
+        reducer.reduce(self).0
+    }
+    fn replay_queries(&self) -> Vec<String> {
+        vec![self.query.to_string()]
+    }
+    fn record(self, report: &mut CampaignReport) {
+        report.prioritized_cases.push(self);
+    }
+}
+
+impl KeptCase for TxnCase {
+    fn statement_count(&self) -> usize {
+        self.setup.len() + self.statements.len()
+    }
+    fn setup(&self) -> &[String] {
+        &self.setup
+    }
+    fn reduce(&self, reducer: &mut BugReducer<'_>) -> Self {
+        reducer.reduce_txn(self).0
+    }
+    fn replay_queries(&self) -> Vec<String> {
+        self.replay_script()
+    }
+    fn record(self, report: &mut CampaignReport) {
+        report.txn_cases.push(self);
+    }
+}
+
+impl KeptCase for ScheduleCase {
+    fn statement_count(&self) -> usize {
+        self.setup.len()
+            + self
+                .schedule
+                .sessions
+                .iter()
+                .map(|session| session.statements.len())
+                .sum::<usize>()
+    }
+    fn setup(&self) -> &[String] {
+        &self.setup
+    }
+    fn reduce(&self, reducer: &mut BugReducer<'_>) -> Self {
+        reducer.reduce_schedule(self).0
+    }
+    fn replay_queries(&self) -> Vec<String> {
+        self.schedule.replay_script()
+    }
+    fn record(self, report: &mut CampaignReport) {
+        report.schedule_cases.push(self);
+    }
 }
 
 /// Replays a bug-inducing test case's statements on another DBMS and returns

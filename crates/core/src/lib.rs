@@ -89,7 +89,6 @@ pub use supervisor::{
 };
 pub use trace::{
     render_trace_summary, validate_jsonl, BackendEvent, BackendTelemetry, CaseRecord, DialectTrace,
-    FlightRecorder, FlushReason, LatencyHistogram, NoopSink, ProgressSnapshot, TraceCounters,
-    TraceEvent, TraceEventKind, TraceHandle, TraceSink, TraceSummary, TraceVerdict,
-    TracedConnection, Tracer,
+    FlightRecorder, FlushReason, LatencyHistogram, ProgressSnapshot, TraceCounters, TraceEvent,
+    TraceEventKind, TraceHandle, TraceSink, TraceSummary, TraceVerdict, TracedConnection, Tracer,
 };

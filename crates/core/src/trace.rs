@@ -30,9 +30,9 @@
 //!   forensics survive a crash.
 //!
 //! The [`TraceSink`] trait is the seam: campaigns and supervisors emit
-//! into any sink ([`NoopSink`] for zero-cost untraced runs, [`Tracer`]
-//! for the batteries-included implementation) through a shared
-//! [`TraceHandle`].
+//! into any sink ([`Tracer`] is the batteries-included implementation)
+//! through a shared [`TraceHandle`]; an untraced campaign holds no handle
+//! at all.
 
 use crate::dbms::{
     DbmsConnection, DialectQuirks, QueryResult, StateCheckpoint, StatementOutcome, StorageMetrics,
@@ -197,15 +197,6 @@ pub trait TraceSink {
     fn flush(&mut self, reason: FlushReason) {
         let _ = reason;
     }
-}
-
-/// The zero-cost sink: discards everything. The tracing-overhead
-/// benchmark gate compares full tracing against this baseline.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoopSink;
-
-impl TraceSink for NoopSink {
-    fn event(&mut self, _event: &TraceEvent) {}
 }
 
 /// A shared, cloneable handle to a trace sink. Campaigns, supervisors and
@@ -812,8 +803,8 @@ fn write_record_json(out: &mut String, dialect: &str, record: &CaseRecord) {
 }
 
 /// Validates that every non-empty line of `text` is one syntactically
-/// well-formed JSON value (the flight recorder's self-check, also used by
-/// the CI `--trace-check` gate). Returns the number of validated lines.
+/// well-formed JSON value (the flight recorder's self-check). Returns the
+/// number of validated lines.
 ///
 /// # Errors
 ///

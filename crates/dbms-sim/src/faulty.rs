@@ -138,7 +138,7 @@ impl FaultyConfig {
         }
     }
 
-    /// The flaky-backend storm used by the `--flaky-check` gate: a
+    /// The flaky-backend storm the resilience tests run against: a
     /// capability lie on top of probe-time crashes and post-respawn
     /// flapping — everything the self-healing connection layer exists to
     /// absorb, and nothing else (no hangs/garbles, so every incident in
@@ -882,29 +882,33 @@ mod tests {
 
     #[test]
     fn storm_campaign_completes_with_zero_false_positive_bugs() {
-        let preset = preset_by_name("sqlite")
-            .unwrap()
-            .with_infra_faults(FaultyConfig::storm());
-        let mut conn = preset.instantiate_for_path(ExecutionPath::Ast);
-        let mut campaign = Campaign::new(
-            CampaignConfig::builder()
-                .seed(0xFA17)
-                .databases(2)
-                .ddl_per_database(6)
-                .queries_per_database(40)
-                .oracles(vec![OracleKind::Tlp, OracleKind::NoRec])
-                .reduce_bugs(false)
-                .build(),
-        );
-        let report = campaign.run_supervised(&mut conn, &SupervisorConfig::default());
-        // The storm actually hit the campaign...
+        let run = |faults: FaultyConfig| {
+            let preset = preset_by_name("sqlite").unwrap().with_infra_faults(faults);
+            let mut conn = preset.instantiate_for_path(ExecutionPath::Ast);
+            let mut campaign = Campaign::new(
+                CampaignConfig::builder()
+                    .seed(0xFA17)
+                    .databases(2)
+                    .ddl_per_database(6)
+                    .queries_per_database(40)
+                    .oracles(vec![OracleKind::Tlp, OracleKind::NoRec])
+                    .reduce_bugs(false)
+                    .build(),
+            );
+            campaign.run_supervised(&mut conn, &SupervisorConfig::default())
+        };
+        let report = run(FaultyConfig::storm());
+        // The storm actually hit the campaign, with every armed kind...
         assert!(
             report.robustness.incidents > 0,
             "the storm must land faults"
         );
         assert!(report.robustness.retries > 0);
+        let all: Vec<&str> = InfraFaultKind::all().iter().map(|k| k.id()).collect();
+        assert_eq!(crate::observed_infra_kinds(&report), all);
         // ...every fault cleared within the retry budget...
         assert_eq!(report.robustness.infra_failures, 0);
+        assert_eq!(report.robustness.quarantines, 0);
         assert!(!report.degraded);
         // ...and no infrastructure fault leaked into the bug reports.
         for bug in &report.reports {
@@ -912,6 +916,16 @@ mod tests {
                 !bug.description.contains(INFRA_MARKER),
                 "infra fault surfaced as a logic bug: {}",
                 bug.description
+            );
+        }
+        // Ground-truth bisection at campaign level: disarming a kind
+        // removes its incidents.
+        for kind in InfraFaultKind::all() {
+            let without = run(FaultyConfig::storm().without(kind));
+            assert!(
+                !crate::observed_infra_kinds(&without).contains(&kind.id()),
+                "disarming {} left its incidents behind",
+                kind.id()
             );
         }
     }

@@ -68,8 +68,6 @@ pub fn derive_dialect_seed(campaign_seed: u64, dialect: &str) -> u64 {
     sql_ast::mix_seed(campaign_seed, dialect)
 }
 
-/// Runs one dialect's campaign with its derived seed over the given
-/// execution path.
 /// Runs one backend's campaign through the Driver/Pool connection layer:
 /// per-backend seed derivation, a fixed-size pool with seed-ordered
 /// checkout, and the driver's capability report applied to the generator.

@@ -7,13 +7,13 @@
 
 use sqlancerpp::core::{
     load_checkpoint, render_report, Campaign, CampaignConfig, CampaignReport, DbmsConnection,
-    DialectQuirks, OracleKind, QueryResult, StateCheckpoint, StatementOutcome, StorageMetrics,
-    SupervisorConfig,
+    DialectQuirks, IncidentKind, OracleKind, QueryResult, StateCheckpoint, StatementOutcome,
+    StorageMetrics, SupervisorConfig, INFRA_MARKER,
 };
 use sqlancerpp::sim::{
-    preset_by_name, run_campaign_partitioned, run_campaign_partitioned_pooled,
-    run_campaign_partitioned_supervised, shard_checkpoint_path, DialectPreset, ExecutionPath,
-    FaultyConfig,
+    observed_infra_kinds, preset_by_name, run_campaign_partitioned,
+    run_campaign_partitioned_pooled, run_campaign_partitioned_supervised, shard_checkpoint_path,
+    DialectPreset, ExecutionPath, FaultyConfig,
 };
 use std::path::PathBuf;
 
@@ -266,6 +266,58 @@ fn killed_pooled_flaky_campaign_resumes_with_breaker_state() {
         reference.report.robustness.breaker_trips > 0,
         "the flaky storm should trip at least one breaker in this campaign"
     );
+    // The self-healing layer absorbs the whole storm: exactly the armed
+    // kinds are ledgered, every breaker trip and recovery is an incident,
+    // nothing degrades or surfaces as a logic bug, and neither the pool
+    // size nor the execution path is observable while breakers trip and
+    // recover.
+    let robustness = reference.report.robustness;
+    assert_eq!(
+        observed_infra_kinds(&reference.report),
+        ["infra_probe", "infra_flap", "infra_capability_lie"]
+    );
+    assert!(robustness.capability_drifts > 0 && robustness.breaker_recoveries > 0);
+    let ledgered = |kind: IncidentKind| {
+        reference
+            .report
+            .incidents
+            .iter()
+            .filter(|incident| incident.kind == kind)
+            .count() as u64
+    };
+    assert_eq!(
+        ledgered(IncidentKind::BreakerTrip),
+        robustness.breaker_trips
+    );
+    assert_eq!(
+        ledgered(IncidentKind::BreakerRecovery),
+        robustness.breaker_recoveries
+    );
+    assert!(!reference.report.degraded);
+    assert_eq!((robustness.quarantines, robustness.infra_failures), (0, 0));
+    assert!(reference
+        .report
+        .reports
+        .iter()
+        .all(|bug| !bug.description.contains(INFRA_MARKER)));
+    for (path, pool_size) in [
+        (ExecutionPath::Ast, 1usize),
+        (ExecutionPath::Ast, 4),
+        (ExecutionPath::Text, 2),
+    ] {
+        let run = run_campaign_partitioned_pooled(
+            &preset.driver(path),
+            &config,
+            1,
+            pool_size,
+            &SupervisorConfig::default(),
+        );
+        assert_eq!(
+            render_report(&run.report),
+            reference_text,
+            "{path:?} flaky report drifted at pool size {pool_size}"
+        );
+    }
 
     for threads in [1usize, 3usize] {
         let path = scratch(&format!("pooled_flaky_{threads}"));

@@ -296,5 +296,30 @@ fn every_detected_bug_has_a_complete_jsonl_history() {
         tracer.jsonl().unwrap(),
         "file matches the in-memory document"
     );
+    // The last coverage-atlas line flushed is the final report's atlas.
+    let atlas_line = text
+        .lines()
+        .rfind(|line| line.starts_with("{\"type\":\"coverage_atlas\""))
+        .expect("the campaign-end flush carries the atlas");
+    assert_eq!(
+        atlas_line,
+        report.coverage.to_json_line(&report.dbms_name).trim_end()
+    );
     let _ = std::fs::remove_file(&jsonl_path);
+
+    // Tracing observes, never perturbs: the summary accounts for every
+    // case, and the untraced campaign renders the same report.
+    let traced_cases: u64 = tracer
+        .summary()
+        .dialects
+        .values()
+        .map(|dialect| dialect.counters.cases)
+        .sum();
+    assert_eq!(traced_cases, report.metrics.test_cases);
+    let mut conn = preset.instantiate_for_path(ExecutionPath::Ast);
+    let untraced = Campaign::new(config).run_supervised(&mut conn, &SupervisorConfig::default());
+    assert_eq!(
+        sqlancerpp::core::render_report(&untraced),
+        sqlancerpp::core::render_report(&report)
+    );
 }
