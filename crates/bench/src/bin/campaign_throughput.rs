@@ -33,7 +33,8 @@
 //! `BEGIN`/`ROLLBACK` churn over a row-heavy engine database, which
 //! copy-on-write storage keeps at O(1) per table with zero row clones.
 //!
-//! Writes `BENCH_campaign.json` as JSON Lines (`schema_version` 10): a
+//! Writes `BENCH_campaign.json` as JSON Lines (`schema_version` 10,
+//! written by the core's one JSON codec): a
 //! header, one record per ratio, the snapshot micro-workload and the
 //! concurrency workload's copy-on-write counters, checked with
 //! [`validate_jsonl`] before it is written.
@@ -45,8 +46,8 @@ use dbms_sim::{
     run_campaign_partitioned_pooled, run_fleet_serial, DialectPreset, ExecutionPath, FaultyConfig,
 };
 use sqlancer_core::{
-    silence_infra_panics, validate_jsonl, Campaign, CampaignConfig, CampaignMetrics, OracleKind,
-    SupervisorConfig, TraceHandle, Tracer,
+    silence_infra_panics, validate_jsonl, Campaign, CampaignConfig, CampaignMetrics, Json,
+    OracleKind, SupervisorConfig, TraceHandle, Tracer,
 };
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -190,23 +191,28 @@ impl Ratio {
         self.gated && (self.median.is_nan() || self.median < self.floor)
     }
 
-    fn json(&self) -> String {
-        format!(
-            "{{\"type\": \"ratio\", \"name\": \"{}\", \"base\": \"{}\", \"arm\": \"{}\", \
-             \"base_s\": {:.4}, \"arm_s\": {:.4}, \"median\": {:.3}, \"q1\": {:.3}, \
-             \"q3\": {:.3}, \"floor\": {}, \"gated\": {}}}",
-            self.name,
-            self.base,
-            self.arm,
-            self.base_s,
-            self.arm_s,
-            self.median,
-            self.q1,
-            self.q3,
-            self.floor,
-            self.gated,
-        )
+    fn json(&self) -> Json {
+        Json::obj([
+            ("type", "ratio".into()),
+            ("name", self.name.into()),
+            ("base", self.base.into()),
+            ("arm", self.arm.into()),
+            ("base_s", fixed(self.base_s, 4)),
+            ("arm_s", fixed(self.arm_s, 4)),
+            ("median", fixed(self.median, 3)),
+            ("q1", fixed(self.q1, 3)),
+            ("q3", fixed(self.q3, 3)),
+            ("floor", self.floor.into()),
+            ("gated", self.gated.into()),
+        ])
     }
+}
+
+/// `x` rounded to `decimals` places, so the artifact carries only the
+/// digits the measurement supports.
+fn fixed(x: f64, decimals: i32) -> Json {
+    let scale = 10f64.powi(decimals);
+    Json::F64((x * scale).round() / scale)
 }
 
 impl Rounds {
@@ -502,41 +508,37 @@ fn main() {
     ratios.push(partitioned_ratio(threads));
     let snapshot = snapshot_micro();
 
-    let mut artifact = format!(
-        "{{\"type\": \"header\", \"schema_version\": {SCHEMA_VERSION}, \"seed\": {}, \
-         \"dialects\": {}, \"queries_per_database\": {queries}, \"rounds\": {ROUNDS}, \
-         \"threads\": {threads}}}\n",
-        base_config(queries).seed,
-        fleet().len(),
-    );
-    for ratio in &ratios {
-        artifact.push_str(&ratio.json());
-        artifact.push('\n');
-    }
-    artifact.push_str(&format!(
-        "{{\"type\": \"snapshot\", \"tables\": {}, \"rows_per_table\": {}, \
-         \"begin_rollback_iters\": {}, \"begin_ns_per_table\": {:.1}, \
-         \"tables_snapshotted\": {}, \"tables_cow_cloned\": {}}}\n",
-        snapshot.tables,
-        snapshot.rows_per_table,
-        snapshot.iterations,
-        snapshot.begin_ns_per_table,
-        snapshot.tables_snapshotted,
-        snapshot.tables_cow_cloned,
-    ));
-    artifact.push_str(&format!(
-        "{{\"type\": \"cow\", \"workload\": \"concurrency\", \"txn_begins\": {}, \
-         \"tables_snapshotted\": {}, \"tables_cow_cloned\": {}, \"cow_clone_rate\": {:.4}, \
-         \"conflicts_avoided\": {}, \"isolation_schedules\": {}, \
-         \"conflict_abort_rate\": {:.3}}}\n",
-        cow.txn_begins,
-        cow.tables_snapshotted,
-        cow.tables_cow_cloned,
-        cow.cow_clone_rate(),
-        cow.conflicts_avoided,
-        cow.isolation_schedules,
-        cow.conflict_abort_rate(),
-    ));
+    let mut records = vec![Json::obj([
+        ("type", "header".into()),
+        ("schema_version", SCHEMA_VERSION.into()),
+        ("seed", base_config(queries).seed.into()),
+        ("dialects", fleet().len().into()),
+        ("queries_per_database", queries.into()),
+        ("rounds", ROUNDS.into()),
+        ("threads", threads.into()),
+    ])];
+    records.extend(ratios.iter().map(Ratio::json));
+    records.push(Json::obj([
+        ("type", "snapshot".into()),
+        ("tables", snapshot.tables.into()),
+        ("rows_per_table", snapshot.rows_per_table.into()),
+        ("begin_rollback_iters", snapshot.iterations.into()),
+        ("begin_ns_per_table", fixed(snapshot.begin_ns_per_table, 1)),
+        ("tables_snapshotted", snapshot.tables_snapshotted.into()),
+        ("tables_cow_cloned", snapshot.tables_cow_cloned.into()),
+    ]));
+    records.push(Json::obj([
+        ("type", "cow".into()),
+        ("workload", "concurrency".into()),
+        ("txn_begins", cow.txn_begins.into()),
+        ("tables_snapshotted", cow.tables_snapshotted.into()),
+        ("tables_cow_cloned", cow.tables_cow_cloned.into()),
+        ("cow_clone_rate", fixed(cow.cow_clone_rate(), 4)),
+        ("conflicts_avoided", cow.conflicts_avoided.into()),
+        ("isolation_schedules", cow.isolation_schedules.into()),
+        ("conflict_abort_rate", fixed(cow.conflict_abort_rate(), 3)),
+    ]));
+    let artifact: String = records.iter().map(Json::line).collect();
     if let Err(why) = validate_jsonl(&artifact) {
         eprintln!("{output}: artifact is not valid JSON Lines: {why}");
         std::process::exit(2);

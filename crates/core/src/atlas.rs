@@ -46,8 +46,9 @@ use std::hash::{BuildHasherDefault, Hasher};
 use crate::dbms::EngineCoverage;
 use crate::feature::{Feature, FeatureSet};
 use crate::hist::Log2Histogram;
+use crate::json::{json_record, Codec, Json};
 use crate::oracle::OracleKind;
-use crate::trace::{json_escape, TraceVerdict};
+use crate::trace::TraceVerdict;
 
 /// Cases per saturation window: novel-feature counts aggregate over
 /// fixed windows of this many cases (indexed within a database), so the
@@ -118,6 +119,8 @@ impl OracleCoverage {
     }
 }
 
+json_record!(struct OracleCoverage { cases, verdicts, features });
+
 /// The windowed saturation curve: how much *new* feature coverage each
 /// window of cases discovered, and how dry the tail of the campaign ran.
 /// Novelty is counted per database (see the module docs), so every field
@@ -165,6 +168,23 @@ impl SaturationCurve {
     }
 }
 
+json_record!(struct SaturationCurve {
+    novel_features: "novel", trailing_dry_cases: "trailing_dry", longest_dry_run: "longest_dry",
+    windows, window_cases, gaps
+});
+
+/// The seen map travels sorted by feature, so equal maps write equal bytes.
+impl Codec for SeenMap {
+    fn encode(&self) -> Json {
+        let sorted: BTreeMap<Feature, u8> = self.iter().map(|(f, m)| (f.clone(), *m)).collect();
+        sorted.encode()
+    }
+
+    fn decode(json: &Json) -> Result<SeenMap, String> {
+        BTreeMap::<Feature, u8>::decode(json).map(|seen| seen.into_iter().collect())
+    }
+}
+
 /// The coverage atlas of one campaign (or a merged fleet of shards):
 /// per-oracle feature coverage, the engine-plane point union, and the
 /// saturation curve. Lives inside `CampaignReport`, so checkpoints carry
@@ -190,6 +210,10 @@ pub struct CampaignCoverage {
     /// database. Checkpointed, not rendered.
     pub dry_run: u64,
 }
+
+// The checkpoint's coverage object; the atlas line is the same object
+// without the working state (`seen`, `dry_run`).
+json_record!(struct CampaignCoverage { oracles, engine, saturation, seen, dry_run });
 
 impl CampaignCoverage {
     /// Starts a new database: flushes the previous database's trailing
@@ -393,91 +417,19 @@ impl CampaignCoverage {
         out
     }
 
-    /// One self-validating JSON line describing the atlas — the payload
-    /// the tracer appends to the flight-recorder JSONL at every
-    /// checkpoint flush.
+    /// The atlas as one JSON line — the payload the tracer appends to
+    /// the flight-recorder JSONL at every checkpoint flush: the
+    /// checkpoint's coverage object minus its resume-only working state.
     pub fn to_json_line(&self, dialect: &str) -> String {
-        let mut out = String::from("{\"type\":\"coverage_atlas\",\"dialect\":\"");
-        json_escape(&mut out, dialect);
-        out.push_str("\",\"oracles\":{");
-        for (index, (oracle, coverage)) in self.oracles.iter().enumerate() {
-            if index > 0 {
-                out.push(',');
-            }
-            out.push('"');
-            json_escape(&mut out, oracle);
-            let _ = write!(out, "\":{{\"cases\":{},\"verdicts\":{{", coverage.cases);
-            for (vi, (verdict, count)) in coverage.verdicts.iter().enumerate() {
-                if vi > 0 {
-                    out.push(',');
-                }
-                out.push('"');
-                json_escape(&mut out, verdict);
-                let _ = write!(out, "\":{count}");
-            }
-            out.push_str("},\"features\":[");
-            for (fi, feature) in coverage.features.iter().enumerate() {
-                if fi > 0 {
-                    out.push(',');
-                }
-                out.push('"');
-                json_escape(&mut out, feature.name());
-                out.push('"');
-            }
-            out.push_str("]}");
-        }
-        out.push_str("},\"engine\":{");
-        for (index, (plane, points)) in self.engine.planes.iter().enumerate() {
-            if index > 0 {
-                out.push(',');
-            }
-            out.push('"');
-            json_escape(&mut out, plane);
-            out.push_str("\":[");
-            for (pi, point) in points.iter().enumerate() {
-                if pi > 0 {
-                    out.push(',');
-                }
-                out.push('"');
-                json_escape(&mut out, point);
-                out.push('"');
-            }
-            out.push(']');
-        }
-        let curve = &self.saturation;
-        let _ = write!(
-            out,
-            "}},\"saturation\":{{\"novel\":{},\"trailing_dry\":{},\"longest_dry\":{},\"windows\":[",
-            curve.novel_features, curve.trailing_dry_cases, curve.longest_dry_run
-        );
-        for (index, novel) in curve.windows.iter().enumerate() {
-            if index > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{novel}");
-        }
-        out.push_str("],\"window_cases\":[");
-        for (index, cases) in curve.window_cases.iter().enumerate() {
-            if index > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{cases}");
-        }
-        let _ = write!(
-            out,
-            "],\"gaps\":{{\"count\":{},\"sum\":{},\"max\":{},\"buckets\":[",
-            curve.gaps.count(),
-            curve.gaps.sum(),
-            curve.gaps.max()
-        );
-        for (index, (bucket, _, count)) in curve.gaps.nonzero_buckets().enumerate() {
-            if index > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "[{bucket},{count}]");
-        }
-        out.push_str("]}}}\n");
-        out
+        let Json::Obj(mut fields) = self.encode() else {
+            unreachable!("a record encodes as an object")
+        };
+        fields.retain(|(key, _)| key != "seen" && key != "dry_run");
+        let head = [
+            ("type", "coverage_atlas".into()),
+            ("dialect", dialect.into()),
+        ];
+        Json::Obj(fields).prefixed(head).line()
     }
 }
 
@@ -495,7 +447,7 @@ pub fn render_atlas_report(report: &crate::campaign::CampaignReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::validate_jsonl;
+    use crate::json::validate_jsonl;
 
     fn features(names: &[&str]) -> FeatureSet {
         names.iter().map(|name| Feature::new(*name)).collect()

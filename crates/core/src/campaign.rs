@@ -11,6 +11,7 @@ use crate::feature::FeatureSet;
 use crate::generator::{
     AdaptiveGenerator, GeneratedQuery, GeneratedSchedule, GeneratedTxnSession, GeneratorConfig,
 };
+use crate::json::json_record;
 use crate::oracle::{
     check_isolation, check_norec, check_rollback, check_tlp, BugReport, OracleKind, OracleOutcome,
 };
@@ -197,6 +198,12 @@ pub struct CampaignMetrics {
     pub conflicts_avoided: u64,
 }
 
+json_record!(struct CampaignMetrics {
+    ddl_statements, ddl_successes, test_cases, valid_test_cases, detected_bug_cases,
+    prioritized_bugs, deduplicated_bugs, isolation_schedules, conflict_aborts, txn_begins,
+    tables_snapshotted, tables_cow_cloned, conflicts_avoided
+});
+
 impl CampaignMetrics {
     /// Validity rate of oracle test cases (Table 4).
     pub fn validity_rate(&self) -> f64 {
@@ -291,6 +298,12 @@ pub struct CampaignReport {
     /// size and execution path, and across kill-and-resume.
     pub coverage: crate::atlas::CampaignCoverage,
 }
+
+// The report's scalars. Its lists are records of their own in
+// `render_report`; the coverage atlas travels in the checkpoint only.
+json_record!(struct CampaignReport {
+    dbms_name: "dialect", degraded, metrics, robustness, validity_series: "validity", ..
+});
 
 /// Derives the per-case fault/supervision seed from the campaign seed and
 /// the case's position. Deterministic, stable across resume (the position is
@@ -493,8 +506,8 @@ impl Campaign {
             checkpoint.rng_state,
             checkpoint.recorded,
             checkpoint.current_depth,
-            checkpoint.suppressed_query.iter().cloned().collect(),
-            checkpoint.suppressed_ddl.iter().cloned().collect(),
+            checkpoint.suppressed_query,
+            checkpoint.suppressed_ddl,
         );
         self.prioritizer =
             BugPrioritizer::restore(checkpoint.kept_sets, checkpoint.prioritizer_stats);
@@ -1061,18 +1074,8 @@ impl Campaign {
             current_depth: self.generator.current_depth(),
             schema: self.generator.schema.clone(),
             stats: self.generator.stats.clone(),
-            suppressed_query: self
-                .generator
-                .suppressed_query_features()
-                .iter()
-                .cloned()
-                .collect(),
-            suppressed_ddl: self
-                .generator
-                .suppressed_ddl_features()
-                .iter()
-                .cloned()
-                .collect(),
+            suppressed_query: self.generator.suppressed_query_features().clone(),
+            suppressed_ddl: self.generator.suppressed_ddl_features().clone(),
             kept_sets: self.prioritizer.kept_sets().to_vec(),
             prioritizer_stats: self.prioritizer.stats(),
             setup_log: setup_log.to_vec(),

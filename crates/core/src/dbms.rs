@@ -7,6 +7,7 @@
 //! [`DbmsConnection`] trait captures exactly that interface; the paper's
 //! ~16-lines-per-DBMS "manual effort" corresponds to [`DialectQuirks`].
 
+use crate::json::json_record;
 use sql_ast::{row_fingerprint, Select, Statement, Value};
 
 /// The marker substring by which the platform recognises a commit rejected
@@ -99,6 +100,10 @@ pub struct StorageMetrics {
     pub conflicts_avoided: u64,
 }
 
+json_record!(struct StorageMetrics {
+    txn_begins, tables_snapshotted, tables_cow_cloned, conflicts_avoided
+});
+
 impl StorageMetrics {
     /// Accumulates another counter set into this one.
     pub fn merge(&mut self, other: &StorageMetrics) {
@@ -142,6 +147,9 @@ pub struct EngineCoverage {
     /// Plane name → distinct points reached on that plane.
     pub planes: std::collections::BTreeMap<String, std::collections::BTreeSet<String>>,
 }
+
+// Engine coverage travels as its plane map: `{"plane":["point",..]}`.
+json_record!(struct EngineCoverage(planes));
 
 impl EngineCoverage {
     /// Adds every point of `other` (pure set union, order-independent).

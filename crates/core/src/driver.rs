@@ -40,6 +40,7 @@ use crate::dbms::{
     DbmsConnection, DialectQuirks, QueryResult, StateCheckpoint, StatementOutcome, StorageMetrics,
 };
 use crate::feature::Feature;
+use crate::json::{self, json_record, Codec, Json};
 use crate::supervisor::INFRA_MARKER;
 use sql_ast::Statement;
 
@@ -268,9 +269,10 @@ pub const BREAKER_BACKOFF_BASE: u64 = 8;
 pub const BREAKER_MAX_BACKOFF_LEVEL: u32 = 6;
 
 /// Circuit-breaker state of one virtual slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 enum BreakerState {
     /// Healthy: cases route to the slot normally.
+    #[default]
     Closed,
     /// Tripped: checkout detours around the slot until the clock reaches
     /// `until`.
@@ -281,7 +283,7 @@ enum BreakerState {
 }
 
 /// One virtual slot's breaker.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct Breaker {
     state: BreakerState,
     /// Consecutive infra-classified case failures while closed.
@@ -294,17 +296,39 @@ struct Breaker {
     recoveries: u64,
 }
 
-impl Breaker {
-    fn new() -> Breaker {
-        Breaker {
-            state: BreakerState::Closed,
-            consecutive: 0,
-            backoff_level: 0,
-            trips: 0,
-            recoveries: 0,
+/// The ledger form of a breaker state: `"closed"`, `"half"`, or an open
+/// breaker's half-open tick.
+impl Codec for BreakerState {
+    fn encode(&self) -> Json {
+        match self {
+            BreakerState::Closed => "closed".into(),
+            BreakerState::HalfOpen => "half".into(),
+            BreakerState::Open { until } => (*until).into(),
         }
     }
 
+    fn decode(json: &Json) -> Result<BreakerState, String> {
+        match json {
+            Json::U64(until) => Ok(BreakerState::Open { until: *until }),
+            _ if json.as_str()? == "closed" => Ok(BreakerState::Closed),
+            _ if json.as_str()? == "half" => Ok(BreakerState::HalfOpen),
+            _ => Err(format!("unknown breaker state {json}")),
+        }
+    }
+}
+
+// The deterministic fields only: trips/recoveries are wall-plane telemetry.
+json_record!(struct Breaker [consecutive, state, backoff_level, ..]);
+
+/// The pool's resilience ledger, as checkpointed: the breaker clock and
+/// every virtual slot's breaker.
+struct Ledger {
+    clock: u64,
+    breakers: Vec<Breaker>,
+}
+json_record!(struct Ledger { clock, breakers });
+
+impl Breaker {
     /// Resets the deterministic fields at a database boundary, keeping the
     /// wall-plane telemetry counters for the next drain.
     fn reset_deterministic(&mut self) {
@@ -523,7 +547,7 @@ impl Pool {
             sync_log: Vec::new(),
             epoch: 0,
             in_case: false,
-            breakers: (0..BREAKER_SLOTS).map(|_| Breaker::new()).collect(),
+            breakers: vec![Breaker::default(); BREAKER_SLOTS],
             resilience_clock: 0,
             pending_case: None,
             resilience_events: Vec::new(),
@@ -1005,72 +1029,24 @@ impl DbmsConnection for Pool {
     }
 
     fn resilience_checkpoint(&self) -> Option<String> {
-        use std::fmt::Write as _;
-        let mut out = format!("v1 clock {}", self.resilience_clock);
-        for breaker in &self.breakers {
-            let (state, until) = match breaker.state {
-                BreakerState::Closed => ("closed", 0),
-                BreakerState::HalfOpen => ("half", 0),
-                BreakerState::Open { until } => ("open", until),
-            };
-            let _ = write!(
-                out,
-                " | {} {state} {until} {}",
-                breaker.consecutive, breaker.backoff_level
-            );
-        }
-        Some(out)
+        let breakers = self.breakers.clone();
+        let ledger = Ledger {
+            clock: self.resilience_clock,
+            breakers,
+        };
+        Some(ledger.encode().to_string())
     }
 
     fn restore_resilience(&mut self, data: &str) -> bool {
-        let mut parts = data.split(" | ");
-        let Some(head) = parts.next() else {
-            return false;
-        };
-        let head: Vec<&str> = head.split_whitespace().collect();
-        let [version, tag, clock] = head.as_slice() else {
-            return false;
-        };
-        if *version != "v1" || *tag != "clock" {
-            return false;
+        match json::parse(data).and_then(|json| Ledger::decode(&json)) {
+            Ok(ledger) if ledger.breakers.len() == BREAKER_SLOTS => {
+                self.resilience_clock = ledger.clock;
+                self.breakers = ledger.breakers;
+                self.pending_case = None;
+                true
+            }
+            _ => false,
         }
-        let Ok(clock) = clock.parse::<u64>() else {
-            return false;
-        };
-        let mut breakers = Vec::with_capacity(BREAKER_SLOTS);
-        for part in parts {
-            let fields: Vec<&str> = part.split_whitespace().collect();
-            let [consecutive, state, until, backoff_level] = fields.as_slice() else {
-                return false;
-            };
-            let (Ok(consecutive), Ok(until), Ok(backoff_level)) = (
-                consecutive.parse::<u32>(),
-                until.parse::<u64>(),
-                backoff_level.parse::<u32>(),
-            ) else {
-                return false;
-            };
-            let state = match *state {
-                "closed" => BreakerState::Closed,
-                "half" => BreakerState::HalfOpen,
-                "open" => BreakerState::Open { until },
-                _ => return false,
-            };
-            breakers.push(Breaker {
-                state,
-                consecutive,
-                backoff_level,
-                trips: 0,
-                recoveries: 0,
-            });
-        }
-        if breakers.len() != BREAKER_SLOTS {
-            return false;
-        }
-        self.resilience_clock = clock;
-        self.breakers = breakers;
-        self.pending_case = None;
-        true
     }
 
     fn note_database_boundary(&mut self) {
@@ -1360,7 +1336,8 @@ mod tests {
         fresh.begin_case(vslot1_seed(9));
         assert_eq!(fresh.active_slot(), 0);
         assert!(!fresh.restore_resilience("garbage"));
-        assert!(!fresh.restore_resilience("v1 clock x | nope"));
+        assert!(!fresh.restore_resilience(r#"{"clock":1,"breakers":[]}"#));
+        assert!(!fresh.restore_resilience(r#"{"clock":1,"breakers":[[4294967296,"closed",0]]}"#));
     }
 
     #[test]
@@ -1380,7 +1357,7 @@ mod tests {
         assert_eq!(pool.active_slot(), 1);
         let snapshot = pool.resilience_checkpoint().expect("pool snapshots");
         assert!(
-            snapshot.contains("clock 1"),
+            snapshot.starts_with(r#"{"clock":1,"#),
             "boundary resets the clock: {snapshot}"
         );
     }

@@ -14,6 +14,7 @@
 //! *abstract properties* (typing discipline) and *composite* features such
 //! as `SIN1INT` ("the first argument of `SIN` had type INTEGER").
 
+use crate::json::{json_name, json_record};
 use sql_ast::{AggregateFunction, BinaryOp, DataType, JoinType, ScalarFunction, UnaryOp};
 use std::borrow::Cow;
 use std::collections::BTreeSet;
@@ -215,6 +216,10 @@ impl FromIterator<Feature> for FeatureSet {
         }
     }
 }
+
+json_name!(Feature: Feature::name, |name: &str| Some(Feature::new(name)));
+
+json_record!(struct FeatureSet(features));
 
 impl fmt::Display for FeatureSet {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

@@ -7,6 +7,8 @@
 //! commutative and associative — the property that makes partitioned
 //! summaries byte-identical to serial ones.
 
+use crate::json::{Codec, Json};
+
 /// A log2-bucket histogram of non-negative integer samples. Bucket `k`
 /// (k ≥ 1) counts samples in `[2^(k-1), 2^k)`; bucket 0 counts exact
 /// zeros. All fields are integers, so merging (bucket-wise summation) is
@@ -69,25 +71,6 @@ impl Log2Histogram {
         self.count == 0
     }
 
-    /// Restores one bucket from serialized state: adds `count` samples to
-    /// bucket `index` without touching `sum`/`max` (those travel separately
-    /// through [`Log2Histogram::restore_stats`]). Out-of-range indices are
-    /// ignored — the checkpoint parser rejects them before calling this.
-    pub fn restore_bucket(&mut self, index: usize, count: u64) {
-        if index < self.buckets.len() {
-            self.buckets[index] += count;
-            self.count += count;
-        }
-    }
-
-    /// Restores the serialized `sum`/`max` aggregates (summation and max —
-    /// the same combination [`Log2Histogram::merge`] uses, so restoring
-    /// into an empty histogram reproduces the saved one exactly).
-    pub fn restore_stats(&mut self, sum: u64, max: u64) {
-        self.sum = self.sum.saturating_add(sum);
-        self.max = self.max.max(max);
-    }
-
     /// The non-empty buckets, as `(bucket index, lower bound, count)` in
     /// ascending order.
     pub fn nonzero_buckets(&self) -> impl Iterator<Item = (usize, u64, u64)> + '_ {
@@ -96,6 +79,40 @@ impl Log2Histogram {
             .enumerate()
             .filter(|(_, count)| **count > 0)
             .map(|(index, count)| (index, bucket_lower_bound(index), *count))
+    }
+}
+
+/// A histogram travels as `{"count","sum","max","buckets":[[index,count],..]}`
+/// with only the non-empty buckets. The decoder accepts exactly that: in-range,
+/// strictly ascending, non-zero buckets whose counts sum to `count`.
+impl Codec for Log2Histogram {
+    fn encode(&self) -> Json {
+        let buckets: Vec<(usize, u64)> = self.nonzero_buckets().map(|(i, _, n)| (i, n)).collect();
+        let stats = [("count", self.count), ("sum", self.sum), ("max", self.max)];
+        let stats = stats.into_iter().map(|(key, n)| (key, n.into()));
+        Json::obj(stats.chain([("buckets", buckets.encode())]))
+    }
+
+    fn decode(json: &Json) -> Result<Log2Histogram, String> {
+        let mut hist = Log2Histogram {
+            sum: json.field("sum")?.as_u64()?,
+            max: json.field("max")?.as_u64()?,
+            ..Log2Histogram::default()
+        };
+        let mut next = 0;
+        for (index, count) in Vec::<(usize, u64)>::decode(json.field("buckets")?)? {
+            if index < next || index >= hist.buckets.len() || count == 0 {
+                return Err(format!("bucket [{index},{count}] out of order or range"));
+            }
+            hist.buckets[index] = count;
+            let total = hist.count.checked_add(count);
+            hist.count = total.ok_or("bucket counts overflow")?;
+            next = index + 1;
+        }
+        if hist.count != json.field("count")?.as_u64()? {
+            return Err("bucket counts do not sum to count".to_string());
+        }
+        Ok(hist)
     }
 }
 

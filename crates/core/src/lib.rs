@@ -39,6 +39,7 @@ pub mod driver;
 pub mod feature;
 pub mod generator;
 pub mod hist;
+pub mod json;
 pub mod oracle;
 pub mod prioritizer;
 pub mod profile;
@@ -68,6 +69,7 @@ pub use generator::{
     GeneratorConfig,
 };
 pub use hist::Log2Histogram;
+pub use json::{validate_jsonl, Json};
 pub use oracle::{
     check_isolation, check_norec, check_rollback, check_tlp, BugReport, IsolationVerdict,
     OracleKind, OracleOutcome, Schedule, SessionScript,
@@ -88,7 +90,7 @@ pub use supervisor::{
     RobustnessCounters, SupervisedCase, Supervisor, SupervisorConfig, INFRA_MARKER,
 };
 pub use trace::{
-    render_trace_summary, validate_jsonl, BackendEvent, BackendTelemetry, CaseRecord, DialectTrace,
-    FlightRecorder, FlushReason, LatencyHistogram, ProgressSnapshot, TraceCounters, TraceEvent,
-    TraceEventKind, TraceHandle, TraceSink, TraceSummary, TraceVerdict, TracedConnection, Tracer,
+    render_trace_summary, BackendEvent, BackendTelemetry, CaseRecord, DialectTrace, FlightRecorder,
+    FlushReason, LatencyHistogram, ProgressSnapshot, TraceCounters, TraceEvent, TraceEventKind,
+    TraceHandle, TraceSink, TraceSummary, TraceVerdict, TracedConnection, Tracer,
 };

@@ -17,6 +17,7 @@
 
 use crate::dbms::{DbmsConnection, SERIALIZATION_FAILURE_MARKER};
 use crate::feature::FeatureSet;
+use crate::json::{json_name, json_record};
 use sql_ast::{BeginMode, Expr, Select, SelectItem, Statement, TableWithJoins, Value};
 use std::fmt;
 
@@ -52,6 +53,14 @@ impl OracleKind {
         }
     }
 }
+
+json_name!(OracleKind: |kind: &OracleKind| kind.name(), |name: &str| {
+    use OracleKind::{Isolation, NoRec, Rollback, Tlp};
+    [Tlp, NoRec, Rollback, Isolation].into_iter().find(|kind| kind.name() == name)
+});
+// SQL travels as its canonical rendering and is re-parsed on load.
+json_name!(Statement: Statement::to_string, |sql: &str| sql_parser::parse_statement(sql).ok());
+json_record!(struct BugReport { oracle, description, setup, queries, features });
 
 impl fmt::Display for OracleKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -535,6 +544,13 @@ pub struct SessionScript {
     pub commit: bool,
 }
 
+// A session's `BEGIN` travels as the statement it renders to.
+json_name!(BeginMode: |mode: &BeginMode| Statement::Begin(*mode).to_string(), |sql: &str| {
+    let Ok(Statement::Begin(mode)) = sql_parser::parse_statement(sql) else { return None };
+    Some(mode)
+});
+json_record!(struct SessionScript { begin, commit, statements });
+
 impl SessionScript {
     /// Total steps this session contributes to an interleaving: `BEGIN`,
     /// every body statement, and the closer.
@@ -571,6 +587,8 @@ pub struct Schedule {
     /// [`SessionScript::step_count`] occurrences of each session index.
     pub interleaving: Vec<u8>,
 }
+
+json_record!(struct Schedule { tables, sessions, interleaving });
 
 impl Schedule {
     /// Whether the interleaving covers every session's steps exactly once.

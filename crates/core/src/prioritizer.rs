@@ -9,6 +9,7 @@
 //! the same root cause.
 
 use crate::feature::FeatureSet;
+use crate::json::json_record;
 
 /// The prioritizer's verdict for one bug-inducing test case.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,6 +31,8 @@ pub struct PrioritizerStats {
     /// Test cases marked as potential duplicates.
     pub deduplicated: usize,
 }
+
+json_record!(struct PrioritizerStats { seen, prioritized, deduplicated });
 
 /// The bug prioritizer.
 #[derive(Debug, Clone, Default)]

@@ -1,81 +1,32 @@
 //! Persistence of the learned feature profile.
 //!
 //! Figure 5 notes that the probabilities learned in step ④ "can be persisted
-//! in a file and loaded in step ① of future executions". The profile format
-//! here is a small line-based text format (no external dependencies):
+//! in a file and loaded in step ① of future executions". A profile file is
+//! one JSON record written by the codec in [`crate::json`], with the same
+//! encoding as a checkpoint's `stats` field:
 //!
 //! ```text
-//! # sqlancer++ learned profile v1
-//! Q <feature> <attempts> <successes> <consecutive_failures>
-//! D <feature> <attempts> <successes> <consecutive_failures>
+//! {"profile":{"query":{"<feature>":[attempts,successes,consecutive_failures],..},"ddl":{..}}}
 //! ```
+//!
+//! The decoder rejects counts whose successes exceed their attempts.
 
-use crate::feature::Feature;
-use crate::stats::{FeatureCounts, FeatureKind, FeatureStats};
-use std::fmt::Write as _;
+use crate::json::{self, Codec};
+use crate::stats::FeatureStats;
 use std::path::Path;
 
-/// Serialises learned feature statistics to the profile text format.
+/// Serialises learned feature statistics to a profile record.
 pub fn profile_to_string(stats: &FeatureStats) -> String {
-    let mut out = String::from("# sqlancer++ learned profile v1\n");
-    for (kind_tag, iter) in [
-        ("Q", stats.iter_query().collect::<Vec<_>>()),
-        ("D", stats.iter_ddl().collect::<Vec<_>>()),
-    ] {
-        for (feature, counts) in iter {
-            let _ = writeln!(
-                out,
-                "{kind_tag} {} {} {} {}",
-                feature.name(),
-                counts.attempts,
-                counts.successes,
-                counts.consecutive_failures
-            );
-        }
-    }
-    out
+    json::record("profile", stats.encode()).line()
 }
 
 /// Parses a profile produced by [`profile_to_string`].
 ///
 /// # Errors
 ///
-/// Returns a description of the first malformed line.
+/// Returns what is malformed.
 pub fn profile_from_string(text: &str) -> Result<FeatureStats, String> {
-    let mut stats = FeatureStats::new();
-    for (line_no, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let parts: Vec<&str> = line.split_whitespace().collect();
-        if parts.len() != 5 {
-            return Err(format!(
-                "line {}: expected 5 fields, got {}",
-                line_no + 1,
-                parts.len()
-            ));
-        }
-        let kind = match parts[0] {
-            "Q" => FeatureKind::Query,
-            "D" => FeatureKind::DdlDml,
-            other => return Err(format!("line {}: unknown category '{other}'", line_no + 1)),
-        };
-        let parse = |s: &str| -> Result<u64, String> {
-            s.parse::<u64>()
-                .map_err(|_| format!("line {}: malformed number '{s}'", line_no + 1))
-        };
-        let counts = FeatureCounts {
-            attempts: parse(parts[2])?,
-            successes: parse(parts[3])?,
-            consecutive_failures: parse(parts[4])?,
-        };
-        if counts.successes > counts.attempts {
-            return Err(format!("line {}: successes exceed attempts", line_no + 1));
-        }
-        stats.load_counts(Feature::new(parts[1]), kind, counts);
-    }
-    Ok(stats)
+    FeatureStats::decode(json::parse(text)?.field("profile")?)
 }
 
 /// Saves a profile to a file.
@@ -100,7 +51,8 @@ pub fn load_profile(path: &Path) -> Result<FeatureStats, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::feature::FeatureSet;
+    use crate::feature::{Feature, FeatureSet};
+    use crate::stats::FeatureKind;
 
     #[test]
     fn profile_round_trips() {
@@ -114,6 +66,7 @@ mod tests {
         stats.record(&features, FeatureKind::DdlDml, false);
         let text = profile_to_string(&stats);
         let loaded = profile_from_string(&text).unwrap();
+        assert_eq!(profile_to_string(&loaded), text);
         assert_eq!(
             loaded.counts(&Feature::new("OP_EQ"), FeatureKind::Query),
             stats.counts(&Feature::new("OP_EQ"), FeatureKind::Query)
@@ -126,13 +79,16 @@ mod tests {
 
     #[test]
     fn malformed_profiles_are_rejected() {
-        assert!(profile_from_string("Q OP_EQ 1 2").is_err());
-        assert!(profile_from_string("X OP_EQ 1 1 0").is_err());
-        assert!(profile_from_string("Q OP_EQ one 1 0").is_err());
-        assert!(
-            profile_from_string("Q OP_EQ 1 2 0").is_err(),
-            "successes > attempts"
-        );
-        assert!(profile_from_string("# only a comment\n").is_ok());
+        let ok = r#"{"profile":{"query":{"OP_EQ":[2,1,0]},"ddl":{}}}"#;
+        assert!(profile_from_string(ok).is_ok());
+        for (bad, why) in [
+            (ok.replace("[2,1,0]", "[2,1]"), "arity"),
+            (ok.replace("[2,1,0]", r#"["two",1,0]"#), "not a number"),
+            (ok.replace("[2,1,0]", "[1,2,0]"), "successes > attempts"),
+            (ok.replace("profile", "stats"), "not a profile"),
+            ("# sqlancer++ learned profile v1\n".to_string(), "v1 text"),
+        ] {
+            assert!(profile_from_string(&bad).is_err(), "{why}");
+        }
     }
 }

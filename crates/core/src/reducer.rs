@@ -28,6 +28,7 @@
 
 use crate::dbms::DbmsConnection;
 use crate::feature::FeatureSet;
+use crate::json::{json_name, json_record};
 use crate::oracle::{
     check_isolation, check_norec, check_rollback, check_tlp, OracleKind, OracleOutcome, Schedule,
 };
@@ -49,6 +50,13 @@ pub struct ReducibleCase {
     pub features: FeatureSet,
 }
 
+json_name!(Select: Select::to_string, |sql: &str| match sql_parser::parse_statement(sql) {
+    Ok(Statement::Select(select)) => Some(*select),
+    _ => None,
+});
+json_name!(Expr: Expr::to_string, |sql: &str| sql_parser::parse_expression(sql).ok());
+json_record!(struct ReducibleCase { oracle, setup, query, predicate, features });
+
 /// A reducible transactional test case: the setup plus the mutation session
 /// the rollback oracle flagged (the oracle re-adds the outer transaction
 /// bracketing on every re-validation).
@@ -63,6 +71,8 @@ pub struct TxnCase {
     /// The feature set recorded at generation time.
     pub features: FeatureSet,
 }
+
+json_record!(struct TxnCase { table, setup, statements, features });
 
 impl TxnCase {
     /// Renders the full replay script of the rollback oracle's transactional
@@ -95,6 +105,8 @@ pub struct ScheduleCase {
     /// The feature set recorded at generation time.
     pub features: FeatureSet,
 }
+
+json_record!(struct ScheduleCase { setup, schedule, features });
 
 /// Statistics about a reduction run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

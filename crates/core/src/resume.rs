@@ -10,41 +10,47 @@
 //! the file is written atomically (temp file + rename) so a crash during a
 //! checkpoint leaves the previous one intact.
 //!
-//! The format follows the learned-profile convention ([`crate::profile`]):
-//! a line-oriented text file with a `#` header, space-separated fields,
-//! rest-of-line payloads for SQL (escaped `\\`, `\n`, `\r`), and `f64`
-//! values stored as `to_bits` hex so they round-trip exactly. SQL
-//! statements and expressions are serialised through their canonical
-//! [`std::fmt::Display`] rendering and re-parsed with `sql-parser` on load
-//! — the same text round-trip the platform's replay tooling already
-//! guarantees.
+//! # Checkpoint v5
+//!
+//! The file is JSON Lines written and read by the one codec in
+//! [`crate::json`]; each line is a record `{"<kind>":<value>}`:
+//!
+//! 1. `{"checkpoint":5}` — the header;
+//! 2. `{"state":..}` — cursor, RNG, schema model, learned `stats` (the
+//!    learned-profile encoding), suppression sets, prioritizer, storage
+//!    delta, resilience ledger and setup log;
+//! 3. `{"coverage":..}` — the coverage-atlas line's object plus the
+//!    resume-only `seen` masks and `dry_run`;
+//! 4. the report's records, exactly as [`render_report`] writes them;
+//! 5. `{"end":{"records":N,"fnv":H}}` — the number of records before it
+//!    and the [`sql_ast::fnv1a64`] hash of their bytes.
+//!
+//! The end record is mandatory and must match, so a truncated or
+//! bit-flipped file fails to load instead of resuming with defaulted or
+//! wrong state. A file of another version (v4 and older were line-oriented
+//! text) fails to load too, and the campaign starts fresh — safe, just
+//! slower than resuming. SQL travels as its canonical
+//! [`std::fmt::Display`] rendering and is re-parsed with `sql-parser` on
+//! load; `f64` samples travel as their bits.
 
-use crate::campaign::{CampaignMetrics, CampaignReport};
+use crate::campaign::CampaignReport;
 use crate::dbms::StorageMetrics;
 use crate::feature::{Feature, FeatureSet};
-use crate::oracle::{BugReport, OracleKind, Schedule, SessionScript};
+use crate::json::{self, json_record, Codec, Json};
 use crate::prioritizer::PrioritizerStats;
-use crate::reducer::{ReducibleCase, ScheduleCase, TxnCase};
-use crate::schema::{ModelColumn, ModelIndex, ModelTable, SchemaModel};
-use crate::stats::{FeatureCounts, FeatureKind, FeatureStats};
-use crate::supervisor::{CampaignIncident, IncidentKind, RobustnessCounters};
-use sql_ast::{BeginMode, DataType, Expr, Select, Statement};
-use sql_parser::{parse_expression, parse_statement};
+use crate::schema::SchemaModel;
+use crate::stats::FeatureStats;
+use sql_ast::fnv1a64;
+use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use std::path::Path;
 
-/// The header line every checkpoint file starts with. v4 added the
-/// connection-layer resilience ledger (`resil` tag) and the
-/// breaker/probe robustness counters; v3 added the coverage-atlas block
-/// (`cov*` tags); v2 added the watchdog deadline/observed virtual-tick
-/// fields to incident lines. Older versions are rejected (a
-/// version-mismatch load fails, and the campaign starts fresh — safe,
-/// just slower than resuming).
-const HEADER: &str = "# sqlancer++ campaign checkpoint v4";
+/// The checkpoint format version this build writes and accepts.
+const VERSION: u64 = 5;
 
 /// A complete snapshot of a running campaign: everything needed to resume
 /// it to a byte-identical final report.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct CampaignCheckpoint {
     /// The campaign seed (sanity-checked against the resuming config).
     pub config_seed: u64,
@@ -68,9 +74,9 @@ pub struct CampaignCheckpoint {
     pub stats: FeatureStats,
     /// The suppressed query features, verbatim (suppression only refreshes
     /// at update-interval boundaries, so it is state, not derived data).
-    pub suppressed_query: Vec<Feature>,
+    pub suppressed_query: BTreeSet<Feature>,
     /// The suppressed DDL/DML features, verbatim.
-    pub suppressed_ddl: Vec<Feature>,
+    pub suppressed_ddl: BTreeSet<Feature>,
     /// The prioritizer's kept feature sets, in insertion order.
     pub kept_sets: Vec<FeatureSet>,
     /// The prioritizer's statistics (not recomputable from the kept sets).
@@ -92,960 +98,73 @@ pub struct CampaignCheckpoint {
     pub report: CampaignReport,
 }
 
-// ------------------------------------------------------------ escaping ----
+// The `state` record; the report travels as its own records.
+json_record!(struct CampaignCheckpoint {
+    config_seed: "seed", database, next_case, oracle_index, rng_state, recorded, current_depth,
+    consecutive_infra, schema, stats, suppressed_query, suppressed_ddl, kept_sets,
+    prioritizer_stats, storage_delta, resilience, setup_log, ..
+});
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            _ => out.push(ch),
-        }
-    }
-    out
+fn header() -> Json {
+    json::record("checkpoint", VERSION.into())
 }
 
-fn unescape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(ch) = chars.next() {
-        if ch != '\\' {
-            out.push(ch);
-            continue;
-        }
-        match chars.next() {
-            Some('n') => out.push('\n'),
-            Some('r') => out.push('\r'),
-            Some(other) => out.push(other),
-            None => out.push('\\'),
-        }
-    }
-    out
+/// The end record sealing `body`: its record count and FNV-1a hash.
+fn end_record(body: &str) -> Json {
+    let records = body.bytes().filter(|&byte| byte == b'\n').count();
+    let fnv = fnv1a64(body.as_bytes());
+    let end = Json::obj([("records", records.into()), ("fnv", fnv.into())]);
+    json::record("end", end)
 }
 
-// ----------------------------------------------------------- rendering ----
-
-fn oracle_name(kind: OracleKind) -> &'static str {
-    kind.name()
+/// Splits a checkpoint into its body and its last line.
+fn split_end(text: &str) -> (&str, &str) {
+    let last = text
+        .strip_suffix('\n')
+        .and_then(|rest| rest.rfind('\n'))
+        .map_or(0, |at| at + 1);
+    text.split_at(last)
 }
 
-fn oracle_from_name(name: &str) -> Result<OracleKind, String> {
-    Ok(match name {
-        "TLP" => OracleKind::Tlp,
-        "NoREC" => OracleKind::NoRec,
-        "ROLLBACK" => OracleKind::Rollback,
-        "ISOLATION" => OracleKind::Isolation,
-        other => return Err(format!("unknown oracle '{other}'")),
-    })
-}
-
-fn begin_mode_name(mode: BeginMode) -> &'static str {
-    match mode {
-        BeginMode::Plain => "plain",
-        BeginMode::Deferred => "deferred",
-        BeginMode::Immediate => "immediate",
-    }
-}
-
-fn begin_mode_from_name(name: &str) -> Result<BeginMode, String> {
-    Ok(match name {
-        "plain" => BeginMode::Plain,
-        "deferred" => BeginMode::Deferred,
-        "immediate" => BeginMode::Immediate,
-        other => return Err(format!("unknown begin mode '{other}'")),
-    })
-}
-
-fn write_features(out: &mut String, tag: &str, features: &FeatureSet) {
-    out.push_str(tag);
-    for feature in features.iter() {
-        out.push(' ');
-        out.push_str(feature.name());
-    }
-    out.push('\n');
-}
-
-fn features_from(rest: &str) -> FeatureSet {
-    rest.split_whitespace().map(Feature::new).collect()
-}
-
-fn write_metrics(out: &mut String, metrics: &CampaignMetrics) {
-    let _ = writeln!(
-        out,
-        "metrics {} {} {} {} {} {} {} {} {} {} {} {} {}",
-        metrics.ddl_statements,
-        metrics.ddl_successes,
-        metrics.test_cases,
-        metrics.valid_test_cases,
-        metrics.detected_bug_cases,
-        metrics.prioritized_bugs,
-        metrics.deduplicated_bugs,
-        metrics.isolation_schedules,
-        metrics.conflict_aborts,
-        metrics.txn_begins,
-        metrics.tables_snapshotted,
-        metrics.tables_cow_cloned,
-        metrics.conflicts_avoided,
-    );
-}
-
-fn write_counters(out: &mut String, counters: &RobustnessCounters) {
-    let _ = writeln!(
-        out,
-        "counters {} {} {} {} {} {} {} {} {} {} {} {} {}",
-        counters.incidents,
-        counters.retries,
-        counters.watchdog_trips,
-        counters.backoff_ticks,
-        counters.quarantines,
-        counters.oracle_panics,
-        counters.infra_failures,
-        counters.storage_metric_errors,
-        counters.recovered_workers,
-        counters.breaker_trips,
-        counters.breaker_recoveries,
-        counters.probe_failures,
-        counters.capability_drifts,
-    );
-}
-
-fn write_incident(out: &mut String, incident: &CampaignIncident) {
-    let _ = writeln!(
-        out,
-        "incident {} {} {} {} {} {} {}",
-        incident.kind.name(),
-        incident.database,
-        incident.case_index,
-        incident.attempt,
-        incident.deadline_ticks,
-        incident.observed_ticks,
-        escape(&incident.detail),
-    );
-}
-
-fn write_coverage(out: &mut String, coverage: &crate::atlas::CampaignCoverage) {
-    for (oracle, per_oracle) in &coverage.oracles {
-        let _ = writeln!(out, "covo {oracle} {}", per_oracle.cases);
-        for (verdict, count) in &per_oracle.verdicts {
-            let _ = writeln!(out, "covv {oracle} {verdict} {count}");
-        }
-        write_features(out, &format!("covf {oracle}"), &per_oracle.features);
-    }
-    for (plane, points) in &coverage.engine.planes {
-        for point in points {
-            let _ = writeln!(out, "cove {plane} {}", escape(point));
-        }
-    }
-    let curve = &coverage.saturation;
-    let _ = writeln!(
-        out,
-        "covs {} {} {} {}",
-        curve.novel_features, curve.trailing_dry_cases, curve.longest_dry_run, coverage.dry_run
-    );
-    if !curve.windows.is_empty() {
-        out.push_str("covw");
-        for count in &curve.windows {
-            let _ = write!(out, " {count}");
-        }
-        out.push('\n');
-        out.push_str("covc");
-        for count in &curve.window_cases {
-            let _ = write!(out, " {count}");
-        }
-        out.push('\n');
-    }
-    if !curve.gaps.is_empty() {
-        let _ = writeln!(out, "covg {} {}", curve.gaps.sum(), curve.gaps.max());
-        for (index, _, count) in curve.gaps.nonzero_buckets() {
-            let _ = writeln!(out, "covgb {index} {count}");
-        }
-    }
-    if !coverage.seen.is_empty() {
-        // Feature names never contain whitespace or ':', so `name:mask`
-        // tokens round-trip the per-database novelty map exactly,
-        // including the oracle-membership hint bits. The map is hashed
-        // for probe speed; sorting here keeps checkpoint files
-        // byte-stable.
-        let mut seen: Vec<_> = coverage.seen.iter().collect();
-        seen.sort_by(|a, b| a.0.cmp(b.0));
-        out.push_str("covn");
-        for (feature, mask) in seen {
-            let _ = write!(out, " {}:{mask}", feature.name());
-        }
-        out.push('\n');
-    }
-}
-
-fn write_bug(out: &mut String, bug: &BugReport) {
-    let _ = writeln!(out, "bug {}", oracle_name(bug.oracle));
-    let _ = writeln!(out, "bd {}", escape(&bug.description));
-    for sql in &bug.setup {
-        let _ = writeln!(out, "bs {}", escape(sql));
-    }
-    for sql in &bug.queries {
-        let _ = writeln!(out, "bq {}", escape(sql));
-    }
-    write_features(out, "bf", &bug.features);
-    out.push_str("end\n");
-}
-
-fn write_case(out: &mut String, case: &ReducibleCase) {
-    let _ = writeln!(out, "case {}", oracle_name(case.oracle));
-    for sql in &case.setup {
-        let _ = writeln!(out, "cs {}", escape(sql));
-    }
-    let _ = writeln!(out, "cq {}", escape(&case.query.to_string()));
-    let _ = writeln!(out, "cp {}", escape(&case.predicate.to_string()));
-    write_features(out, "cf", &case.features);
-    out.push_str("end\n");
-}
-
-fn write_txn_case(out: &mut String, case: &TxnCase) {
-    let _ = writeln!(out, "txn {}", case.table);
-    for sql in &case.setup {
-        let _ = writeln!(out, "ts {}", escape(sql));
-    }
-    for stmt in &case.statements {
-        let _ = writeln!(out, "tm {}", escape(&stmt.to_string()));
-    }
-    write_features(out, "tf", &case.features);
-    out.push_str("end\n");
-}
-
-fn write_schedule_case(out: &mut String, case: &ScheduleCase) {
-    out.push_str("sched\n");
-    for sql in &case.setup {
-        let _ = writeln!(out, "ss {}", escape(sql));
-    }
-    out.push_str("st");
-    for table in &case.schedule.tables {
-        out.push(' ');
-        out.push_str(table);
-    }
-    out.push('\n');
-    for session in &case.schedule.sessions {
-        let _ = writeln!(
-            out,
-            "sn {} {}",
-            begin_mode_name(session.begin),
-            u8::from(session.commit)
-        );
-        for stmt in &session.statements {
-            let _ = writeln!(out, "sm {}", escape(&stmt.to_string()));
-        }
-    }
-    out.push_str("si");
-    for &step in &case.schedule.interleaving {
-        let _ = write!(out, " {step}");
-    }
-    out.push('\n');
-    write_features(out, "sf", &case.features);
-    out.push_str("end\n");
-}
-
-/// Serialises a checkpoint to the resume-file text format.
+/// Serialises a checkpoint to the v5 JSON Lines format.
 pub fn checkpoint_to_string(checkpoint: &CampaignCheckpoint) -> String {
-    let mut out = String::new();
-    out.push_str(HEADER);
-    out.push('\n');
-    let _ = writeln!(out, "dialect {}", escape(&checkpoint.report.dbms_name));
-    let _ = writeln!(out, "seed {}", checkpoint.config_seed);
-    let _ = writeln!(
-        out,
-        "cursor {} {} {}",
-        checkpoint.database, checkpoint.next_case, checkpoint.oracle_index
-    );
-    let _ = writeln!(
-        out,
-        "rng {} {} {}",
-        checkpoint.rng_state, checkpoint.recorded, checkpoint.current_depth
-    );
-    let _ = writeln!(
-        out,
-        "super {} {}",
-        checkpoint.consecutive_infra,
-        u8::from(checkpoint.report.degraded)
-    );
-    // Schema model. Object and column names are generator-produced
-    // (`t0`, `c3`, ...) and contain no whitespace.
-    let _ = writeln!(out, "schema_counter {}", checkpoint.schema.name_counter());
-    for table in checkpoint.schema.tables() {
-        let _ = writeln!(
-            out,
-            "table {} {} {}",
-            u8::from(table.is_view),
-            table.approx_rows,
-            table.name
-        );
-        for col in &table.columns {
-            let _ = writeln!(
-                out,
-                "col {} {} {} {} {}",
-                u8::from(col.not_null),
-                u8::from(col.primary_key),
-                col.data_type.sql_keyword(),
-                table.name,
-                col.name
-            );
-        }
-    }
-    for index in checkpoint.schema.indexes() {
-        let _ = write!(
-            out,
-            "index {} {} {}",
-            u8::from(index.unique),
-            index.name,
-            index.table
-        );
-        for col in &index.columns {
-            out.push(' ');
-            out.push_str(col);
-        }
-        out.push('\n');
-    }
-    // Learned statistics and suppression sets.
-    for (tag, entries) in [
-        ("Q", checkpoint.stats.iter_query().collect::<Vec<_>>()),
-        ("D", checkpoint.stats.iter_ddl().collect::<Vec<_>>()),
-    ] {
-        for (feature, counts) in entries {
-            let _ = writeln!(
-                out,
-                "stat {tag} {} {} {} {}",
-                feature.name(),
-                counts.attempts,
-                counts.successes,
-                counts.consecutive_failures
-            );
-        }
-    }
-    for feature in &checkpoint.suppressed_query {
-        let _ = writeln!(out, "supq {}", feature.name());
-    }
-    for feature in &checkpoint.suppressed_ddl {
-        let _ = writeln!(out, "supd {}", feature.name());
-    }
-    // Prioritizer.
-    for set in &checkpoint.kept_sets {
-        write_features(&mut out, "kept", set);
-    }
-    let _ = writeln!(
-        out,
-        "pstats {} {} {}",
-        checkpoint.prioritizer_stats.seen,
-        checkpoint.prioritizer_stats.prioritized,
-        checkpoint.prioritizer_stats.deduplicated
-    );
-    // Report scalars.
-    write_metrics(&mut out, &checkpoint.report.metrics);
-    let _ = writeln!(
-        out,
-        "storage {} {} {} {}",
-        checkpoint.storage_delta.txn_begins,
-        checkpoint.storage_delta.tables_snapshotted,
-        checkpoint.storage_delta.tables_cow_cloned,
-        checkpoint.storage_delta.conflicts_avoided
-    );
-    write_counters(&mut out, &checkpoint.report.robustness);
-    if let Some(resilience) = &checkpoint.resilience {
-        let _ = writeln!(out, "resil {}", escape(resilience));
-    }
-    write_coverage(&mut out, &checkpoint.report.coverage);
-    for sample in &checkpoint.report.validity_series {
-        let _ = writeln!(out, "v {:016x}", sample.to_bits());
-    }
-    for sql in &checkpoint.setup_log {
-        let _ = writeln!(out, "setup {}", escape(sql));
-    }
-    for incident in &checkpoint.report.incidents {
-        write_incident(&mut out, incident);
-    }
-    for bug in &checkpoint.report.reports {
-        write_bug(&mut out, bug);
-    }
-    for case in &checkpoint.report.prioritized_cases {
-        write_case(&mut out, case);
-    }
-    for case in &checkpoint.report.txn_cases {
-        write_txn_case(&mut out, case);
-    }
-    for case in &checkpoint.report.schedule_cases {
-        write_schedule_case(&mut out, case);
-    }
+    let state = json::record("state", checkpoint.encode());
+    let coverage = json::record("coverage", checkpoint.report.coverage.encode());
+    let mut out = format!("{}\n{state}\n{coverage}\n", header());
+    out.push_str(&render_report(&checkpoint.report));
+    let end = end_record(&out);
+    let _ = writeln!(out, "{end}");
     out
-}
-
-// ------------------------------------------------------------- parsing ----
-
-// One in-flight block per parse, so the variant size spread is irrelevant.
-#[allow(clippy::large_enum_variant)]
-enum Block {
-    None,
-    Bug(BugReport),
-    Case(ReducibleCase),
-    Txn(TxnCase),
-    Sched(ScheduleCase),
-}
-
-fn err(line_no: usize, message: impl std::fmt::Display) -> String {
-    format!("checkpoint line {}: {message}", line_no + 1)
-}
-
-fn parse_u64(line_no: usize, s: &str) -> Result<u64, String> {
-    s.parse::<u64>()
-        .map_err(|_| err(line_no, format_args!("malformed number '{s}'")))
-}
-
-fn parse_usize(line_no: usize, s: &str) -> Result<usize, String> {
-    s.parse::<usize>()
-        .map_err(|_| err(line_no, format_args!("malformed number '{s}'")))
-}
-
-fn parse_flag(line_no: usize, s: &str) -> Result<bool, String> {
-    match s {
-        "0" => Ok(false),
-        "1" => Ok(true),
-        other => Err(err(line_no, format_args!("malformed flag '{other}'"))),
-    }
-}
-
-fn parse_u64_list(line_no: usize, rest: &str) -> Result<Vec<u64>, String> {
-    rest.split_whitespace()
-        .map(|s| parse_u64(line_no, s))
-        .collect()
-}
-
-fn fields(line_no: usize, rest: &str, want: usize) -> Result<Vec<&str>, String> {
-    let parts: Vec<&str> = rest.split_whitespace().collect();
-    if parts.len() != want {
-        return Err(err(
-            line_no,
-            format_args!("expected {want} fields, got {}", parts.len()),
-        ));
-    }
-    Ok(parts)
-}
-
-fn parse_stmt(line_no: usize, sql: &str) -> Result<Statement, String> {
-    parse_statement(sql).map_err(|e| err(line_no, e))
 }
 
 /// Parses a checkpoint produced by [`checkpoint_to_string`].
 ///
 /// # Errors
 ///
-/// Returns a description of the first malformed line.
-#[allow(clippy::too_many_lines)]
+/// Returns what is wrong: another format version, a missing or mismatched
+/// end record (truncation, corruption), or the first malformed record.
 pub fn checkpoint_from_string(text: &str) -> Result<CampaignCheckpoint, String> {
-    let mut checkpoint = CampaignCheckpoint {
-        config_seed: 0,
-        database: 0,
-        next_case: 0,
-        oracle_index: 0,
-        rng_state: 0,
-        recorded: 0,
-        current_depth: 0,
-        schema: SchemaModel::new(),
-        stats: FeatureStats::new(),
-        suppressed_query: Vec::new(),
-        suppressed_ddl: Vec::new(),
-        kept_sets: Vec::new(),
-        prioritizer_stats: PrioritizerStats::default(),
-        setup_log: Vec::new(),
-        storage_delta: StorageMetrics::default(),
-        consecutive_infra: 0,
-        resilience: None,
-        report: CampaignReport::default(),
+    if !text.starts_with(&header().line()) {
+        return Err(format!(
+            "not a campaign checkpoint v{VERSION} (another version starts fresh)"
+        ));
+    }
+    let (body, end) = split_end(text);
+    if end != end_record(body).line() {
+        return Err("checkpoint is truncated or corrupted: its end record does not match".into());
+    }
+    let mut records = Vec::new();
+    for (index, line) in body.lines().enumerate() {
+        let record = json::parse(line).map_err(|e| format!("checkpoint line {}: {e}", index + 1));
+        records.push(record?);
+    }
+    let [_, state, coverage, report @ ..] = records.as_slice() else {
+        return Err("checkpoint lacks its state and coverage records".into());
     };
-    let mut saw_header = false;
-    let mut tables: Vec<ModelTable> = Vec::new();
-    let mut indexes: Vec<ModelIndex> = Vec::new();
-    let mut name_counter = 0usize;
-    let mut block = Block::None;
-
-    for (line_no, raw) in text.lines().enumerate() {
-        let line = raw.trim_end_matches(['\n', '\r']);
-        if line.is_empty() {
-            continue;
-        }
-        if line.starts_with('#') {
-            if line == HEADER {
-                saw_header = true;
-            }
-            continue;
-        }
-        let (tag, rest) = match line.split_once(' ') {
-            Some((tag, rest)) => (tag, rest),
-            None => (line, ""),
-        };
-        // Block-scoped tags first.
-        match &mut block {
-            Block::Bug(bug) => match tag {
-                "bd" => {
-                    bug.description = unescape(rest);
-                    continue;
-                }
-                "bs" => {
-                    bug.setup.push(unescape(rest));
-                    continue;
-                }
-                "bq" => {
-                    bug.queries.push(unescape(rest));
-                    continue;
-                }
-                "bf" => {
-                    bug.features = features_from(rest);
-                    continue;
-                }
-                "end" => {
-                    let done = std::mem::replace(&mut block, Block::None);
-                    if let Block::Bug(bug) = done {
-                        checkpoint.report.reports.push(bug);
-                    }
-                    continue;
-                }
-                _ => {
-                    return Err(err(
-                        line_no,
-                        format_args!("unexpected '{tag}' in bug block"),
-                    ))
-                }
-            },
-            Block::Case(case) => match tag {
-                "cs" => {
-                    case.setup.push(unescape(rest));
-                    continue;
-                }
-                "cq" => {
-                    let stmt = parse_stmt(line_no, &unescape(rest))?;
-                    let Statement::Select(select) = stmt else {
-                        return Err(err(line_no, "case query is not a SELECT"));
-                    };
-                    case.query = *select;
-                    continue;
-                }
-                "cp" => {
-                    case.predicate =
-                        parse_expression(&unescape(rest)).map_err(|e| err(line_no, e))?;
-                    continue;
-                }
-                "cf" => {
-                    case.features = features_from(rest);
-                    continue;
-                }
-                "end" => {
-                    let done = std::mem::replace(&mut block, Block::None);
-                    if let Block::Case(case) = done {
-                        checkpoint.report.prioritized_cases.push(case);
-                    }
-                    continue;
-                }
-                _ => {
-                    return Err(err(
-                        line_no,
-                        format_args!("unexpected '{tag}' in case block"),
-                    ))
-                }
-            },
-            Block::Txn(case) => match tag {
-                "ts" => {
-                    case.setup.push(unescape(rest));
-                    continue;
-                }
-                "tm" => {
-                    case.statements.push(parse_stmt(line_no, &unescape(rest))?);
-                    continue;
-                }
-                "tf" => {
-                    case.features = features_from(rest);
-                    continue;
-                }
-                "end" => {
-                    let done = std::mem::replace(&mut block, Block::None);
-                    if let Block::Txn(case) = done {
-                        checkpoint.report.txn_cases.push(case);
-                    }
-                    continue;
-                }
-                _ => {
-                    return Err(err(
-                        line_no,
-                        format_args!("unexpected '{tag}' in txn block"),
-                    ))
-                }
-            },
-            Block::Sched(case) => match tag {
-                "ss" => {
-                    case.setup.push(unescape(rest));
-                    continue;
-                }
-                "st" => {
-                    case.schedule.tables = rest.split_whitespace().map(str::to_string).collect();
-                    continue;
-                }
-                "sn" => {
-                    let parts = fields(line_no, rest, 2)?;
-                    case.schedule.sessions.push(SessionScript {
-                        begin: begin_mode_from_name(parts[0]).map_err(|e| err(line_no, e))?,
-                        statements: Vec::new(),
-                        commit: parse_flag(line_no, parts[1])?,
-                    });
-                    continue;
-                }
-                "sm" => {
-                    let stmt = parse_stmt(line_no, &unescape(rest))?;
-                    let Some(session) = case.schedule.sessions.last_mut() else {
-                        return Err(err(line_no, "session statement before any session"));
-                    };
-                    session.statements.push(stmt);
-                    continue;
-                }
-                "si" => {
-                    case.schedule.interleaving = rest
-                        .split_whitespace()
-                        .map(|s| {
-                            s.parse::<u8>()
-                                .map_err(|_| err(line_no, format_args!("malformed step '{s}'")))
-                        })
-                        .collect::<Result<Vec<u8>, String>>()?;
-                    continue;
-                }
-                "sf" => {
-                    case.features = features_from(rest);
-                    continue;
-                }
-                "end" => {
-                    let done = std::mem::replace(&mut block, Block::None);
-                    if let Block::Sched(case) = done {
-                        checkpoint.report.schedule_cases.push(case);
-                    }
-                    continue;
-                }
-                _ => {
-                    return Err(err(
-                        line_no,
-                        format_args!("unexpected '{tag}' in schedule block"),
-                    ))
-                }
-            },
-            Block::None => {}
-        }
-        match tag {
-            "dialect" => checkpoint.report.dbms_name = unescape(rest),
-            "seed" => checkpoint.config_seed = parse_u64(line_no, rest.trim())?,
-            "cursor" => {
-                let parts = fields(line_no, rest, 3)?;
-                checkpoint.database = parse_usize(line_no, parts[0])?;
-                checkpoint.next_case = parse_usize(line_no, parts[1])?;
-                checkpoint.oracle_index = parse_usize(line_no, parts[2])?;
-            }
-            "rng" => {
-                let parts = fields(line_no, rest, 3)?;
-                checkpoint.rng_state = parse_u64(line_no, parts[0])?;
-                checkpoint.recorded = parse_u64(line_no, parts[1])?;
-                checkpoint.current_depth = parse_usize(line_no, parts[2])?;
-            }
-            "super" => {
-                let parts = fields(line_no, rest, 2)?;
-                checkpoint.consecutive_infra = parse_u64(line_no, parts[0])? as u32;
-                checkpoint.report.degraded = parse_flag(line_no, parts[1])?;
-            }
-            "schema_counter" => name_counter = parse_usize(line_no, rest.trim())?,
-            "table" => {
-                let parts = fields(line_no, rest, 3)?;
-                tables.push(ModelTable {
-                    name: parts[2].to_string(),
-                    columns: Vec::new(),
-                    is_view: parse_flag(line_no, parts[0])?,
-                    approx_rows: parse_usize(line_no, parts[1])?,
-                });
-            }
-            "col" => {
-                let parts = fields(line_no, rest, 5)?;
-                let data_type = DataType::from_keyword(parts[2])
-                    .ok_or_else(|| err(line_no, format_args!("unknown type '{}'", parts[2])))?;
-                let table = tables
-                    .iter_mut()
-                    .find(|t| t.name == parts[3])
-                    .ok_or_else(|| {
-                        err(
-                            line_no,
-                            format_args!("column for unknown table '{}'", parts[3]),
-                        )
-                    })?;
-                table.columns.push(ModelColumn {
-                    name: parts[4].to_string(),
-                    data_type,
-                    not_null: parse_flag(line_no, parts[0])?,
-                    primary_key: parse_flag(line_no, parts[1])?,
-                });
-            }
-            "index" => {
-                let parts: Vec<&str> = rest.split_whitespace().collect();
-                if parts.len() < 3 {
-                    return Err(err(line_no, "index needs unique, name, table"));
-                }
-                indexes.push(ModelIndex {
-                    name: parts[1].to_string(),
-                    table: parts[2].to_string(),
-                    columns: parts[3..].iter().map(|s| s.to_string()).collect(),
-                    unique: parse_flag(line_no, parts[0])?,
-                });
-            }
-            "stat" => {
-                let parts = fields(line_no, rest, 5)?;
-                let kind = match parts[0] {
-                    "Q" => FeatureKind::Query,
-                    "D" => FeatureKind::DdlDml,
-                    other => return Err(err(line_no, format_args!("unknown category '{other}'"))),
-                };
-                checkpoint.stats.load_counts(
-                    Feature::new(parts[1].to_string()),
-                    kind,
-                    FeatureCounts {
-                        attempts: parse_u64(line_no, parts[2])?,
-                        successes: parse_u64(line_no, parts[3])?,
-                        consecutive_failures: parse_u64(line_no, parts[4])?,
-                    },
-                );
-            }
-            "supq" => checkpoint
-                .suppressed_query
-                .push(Feature::new(rest.trim().to_string())),
-            "supd" => checkpoint
-                .suppressed_ddl
-                .push(Feature::new(rest.trim().to_string())),
-            "kept" => checkpoint.kept_sets.push(features_from(rest)),
-            "pstats" => {
-                let parts = fields(line_no, rest, 3)?;
-                checkpoint.prioritizer_stats = PrioritizerStats {
-                    seen: parse_usize(line_no, parts[0])?,
-                    prioritized: parse_usize(line_no, parts[1])?,
-                    deduplicated: parse_usize(line_no, parts[2])?,
-                };
-            }
-            "metrics" => {
-                let parts = fields(line_no, rest, 13)?;
-                let n = |i: usize| parse_u64(line_no, parts[i]);
-                checkpoint.report.metrics = CampaignMetrics {
-                    ddl_statements: n(0)?,
-                    ddl_successes: n(1)?,
-                    test_cases: n(2)?,
-                    valid_test_cases: n(3)?,
-                    detected_bug_cases: n(4)?,
-                    prioritized_bugs: n(5)?,
-                    deduplicated_bugs: n(6)?,
-                    isolation_schedules: n(7)?,
-                    conflict_aborts: n(8)?,
-                    txn_begins: n(9)?,
-                    tables_snapshotted: n(10)?,
-                    tables_cow_cloned: n(11)?,
-                    conflicts_avoided: n(12)?,
-                };
-            }
-            "storage" => {
-                let parts = fields(line_no, rest, 4)?;
-                checkpoint.storage_delta = StorageMetrics {
-                    txn_begins: parse_u64(line_no, parts[0])?,
-                    tables_snapshotted: parse_u64(line_no, parts[1])?,
-                    tables_cow_cloned: parse_u64(line_no, parts[2])?,
-                    conflicts_avoided: parse_u64(line_no, parts[3])?,
-                };
-            }
-            "counters" => {
-                let parts = fields(line_no, rest, 13)?;
-                let n = |i: usize| parse_u64(line_no, parts[i]);
-                checkpoint.report.robustness = RobustnessCounters {
-                    incidents: n(0)?,
-                    retries: n(1)?,
-                    watchdog_trips: n(2)?,
-                    backoff_ticks: n(3)?,
-                    quarantines: n(4)?,
-                    oracle_panics: n(5)?,
-                    infra_failures: n(6)?,
-                    storage_metric_errors: n(7)?,
-                    recovered_workers: n(8)?,
-                    breaker_trips: n(9)?,
-                    breaker_recoveries: n(10)?,
-                    probe_failures: n(11)?,
-                    capability_drifts: n(12)?,
-                };
-            }
-            "resil" => {
-                checkpoint.resilience = Some(unescape(rest));
-            }
-            "covo" => {
-                let parts = fields(line_no, rest, 2)?;
-                let entry = checkpoint
-                    .report
-                    .coverage
-                    .oracles
-                    .entry(parts[0].to_string())
-                    .or_default();
-                entry.cases = parse_u64(line_no, parts[1])?;
-            }
-            "covv" => {
-                let parts = fields(line_no, rest, 3)?;
-                let entry = checkpoint
-                    .report
-                    .coverage
-                    .oracles
-                    .entry(parts[0].to_string())
-                    .or_default();
-                entry
-                    .verdicts
-                    .insert(parts[1].to_string(), parse_u64(line_no, parts[2])?);
-            }
-            "covf" => {
-                let (oracle, names) = rest.split_once(' ').unwrap_or((rest, ""));
-                if oracle.is_empty() {
-                    return Err(err(line_no, "coverage features need an oracle"));
-                }
-                checkpoint
-                    .report
-                    .coverage
-                    .oracles
-                    .entry(oracle.to_string())
-                    .or_default()
-                    .features = features_from(names);
-            }
-            "cove" => {
-                let (plane, point) = rest
-                    .split_once(' ')
-                    .ok_or_else(|| err(line_no, "engine point needs plane and point"))?;
-                checkpoint
-                    .report
-                    .coverage
-                    .engine
-                    .record(plane, &unescape(point));
-            }
-            "covs" => {
-                let parts = fields(line_no, rest, 4)?;
-                let coverage = &mut checkpoint.report.coverage;
-                coverage.saturation.novel_features = parse_u64(line_no, parts[0])?;
-                coverage.saturation.trailing_dry_cases = parse_u64(line_no, parts[1])?;
-                coverage.saturation.longest_dry_run = parse_u64(line_no, parts[2])?;
-                coverage.dry_run = parse_u64(line_no, parts[3])?;
-            }
-            "covw" => {
-                checkpoint.report.coverage.saturation.windows = parse_u64_list(line_no, rest)?;
-            }
-            "covc" => {
-                checkpoint.report.coverage.saturation.window_cases = parse_u64_list(line_no, rest)?;
-            }
-            "covg" => {
-                let parts = fields(line_no, rest, 2)?;
-                checkpoint
-                    .report
-                    .coverage
-                    .saturation
-                    .gaps
-                    .restore_stats(parse_u64(line_no, parts[0])?, parse_u64(line_no, parts[1])?);
-            }
-            "covgb" => {
-                let parts = fields(line_no, rest, 2)?;
-                checkpoint.report.coverage.saturation.gaps.restore_bucket(
-                    parse_usize(line_no, parts[0])?,
-                    parse_u64(line_no, parts[1])?,
-                );
-            }
-            "covn" => {
-                for token in rest.split_whitespace() {
-                    let (name, mask) = token.split_once(':').ok_or_else(|| {
-                        err(line_no, format_args!("malformed seen-feature '{token}'"))
-                    })?;
-                    let mask = mask.parse::<u8>().map_err(|_| {
-                        err(line_no, format_args!("malformed seen-feature '{token}'"))
-                    })?;
-                    checkpoint
-                        .report
-                        .coverage
-                        .seen
-                        .insert(Feature::new(name), mask);
-                }
-            }
-            "v" => {
-                let bits = u64::from_str_radix(rest.trim(), 16)
-                    .map_err(|_| err(line_no, format_args!("malformed sample '{rest}'")))?;
-                checkpoint.report.validity_series.push(f64::from_bits(bits));
-            }
-            "setup" => checkpoint.setup_log.push(unescape(rest)),
-            "incident" => {
-                let (head, detail) = {
-                    let mut parts = rest.splitn(7, ' ');
-                    let kind = parts.next().unwrap_or("");
-                    let database = parts.next().unwrap_or("");
-                    let case_index = parts.next().unwrap_or("");
-                    let attempt = parts.next().unwrap_or("");
-                    let deadline = parts.next().unwrap_or("");
-                    let observed = parts.next().unwrap_or("");
-                    let detail = parts.next().unwrap_or("");
-                    (
-                        [kind, database, case_index, attempt, deadline, observed],
-                        detail,
-                    )
-                };
-                let kind = IncidentKind::parse(head[0])
-                    .ok_or_else(|| err(line_no, format_args!("unknown incident '{}'", head[0])))?;
-                checkpoint.report.incidents.push(CampaignIncident {
-                    kind,
-                    database: parse_usize(line_no, head[1])?,
-                    case_index: parse_u64(line_no, head[2])?,
-                    attempt: parse_u64(line_no, head[3])? as u32,
-                    deadline_ticks: parse_u64(line_no, head[4])?,
-                    observed_ticks: parse_u64(line_no, head[5])?,
-                    detail: unescape(detail),
-                });
-            }
-            "bug" => {
-                block = Block::Bug(BugReport {
-                    oracle: oracle_from_name(rest.trim()).map_err(|e| err(line_no, e))?,
-                    description: String::new(),
-                    setup: Vec::new(),
-                    queries: Vec::new(),
-                    features: FeatureSet::new(),
-                });
-            }
-            "case" => {
-                block = Block::Case(ReducibleCase {
-                    setup: Vec::new(),
-                    query: Select::new(),
-                    predicate: Expr::boolean(true),
-                    oracle: oracle_from_name(rest.trim()).map_err(|e| err(line_no, e))?,
-                    features: FeatureSet::new(),
-                });
-            }
-            "txn" => {
-                block = Block::Txn(TxnCase {
-                    setup: Vec::new(),
-                    table: rest.trim().to_string(),
-                    statements: Vec::new(),
-                    features: FeatureSet::new(),
-                });
-            }
-            "sched" => {
-                block = Block::Sched(ScheduleCase {
-                    setup: Vec::new(),
-                    schedule: Schedule {
-                        tables: Vec::new(),
-                        sessions: Vec::new(),
-                        interleaving: Vec::new(),
-                    },
-                    features: FeatureSet::new(),
-                });
-            }
-            other => return Err(err(line_no, format_args!("unknown tag '{other}'"))),
-        }
-    }
-    if !saw_header {
-        return Err("not a campaign checkpoint (missing header)".to_string());
-    }
-    if !matches!(block, Block::None) {
-        return Err("unterminated block at end of checkpoint".to_string());
-    }
-    checkpoint.schema = SchemaModel::restore(tables, indexes, name_counter);
+    let mut checkpoint = CampaignCheckpoint::decode(state.field("state")?)?;
+    checkpoint.report = report_from_records(report)?;
+    checkpoint.report.coverage =
+        Codec::decode(coverage.field("coverage")?).map_err(|e| format!("coverage: {e}"))?;
     Ok(checkpoint)
 }
 
@@ -1078,42 +197,60 @@ pub fn load_checkpoint(path: &Path) -> Result<CampaignCheckpoint, String> {
 
 // ---------------------------------------------------- report rendering ----
 
-/// Renders a campaign report to a canonical text form. Two reports render
-/// identically **iff** every reported quantity — metrics, robustness
-/// counters, incidents, bug reports, replayable cases and the validity
-/// series (bit-exact) — is identical, which is how the resume-determinism
-/// tests and the CI fault-storm gate state their byte-identity claims.
+/// Renders a campaign report as JSON Lines records: `{"report":..}` with
+/// the scalars (dialect, degraded flag, metrics, robustness counters,
+/// validity series as `f64` bits), then one record per incident, bug
+/// report, replayable case, transactional case and schedule, in report
+/// order. Two reports render identically **iff** every reported quantity
+/// is identical, which is how the resume-determinism tests state their
+/// byte-identity claims; checkpoints embed these very records.
 pub fn render_report(report: &CampaignReport) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "# campaign report: {}", report.dbms_name);
-    let _ = writeln!(out, "degraded {}", u8::from(report.degraded));
-    write_metrics(&mut out, &report.metrics);
-    write_counters(&mut out, &report.robustness);
-    for sample in &report.validity_series {
-        let _ = writeln!(out, "v {:016x}", sample.to_bits());
-    }
-    for incident in &report.incidents {
-        write_incident(&mut out, incident);
-    }
-    for bug in &report.reports {
-        write_bug(&mut out, bug);
-    }
-    for case in &report.prioritized_cases {
-        write_case(&mut out, case);
-    }
-    for case in &report.txn_cases {
-        write_txn_case(&mut out, case);
-    }
-    for case in &report.schedule_cases {
-        write_schedule_case(&mut out, case);
-    }
+    let mut out = json::record("report", report.encode()).line();
+    push_records(&mut out, "incident", &report.incidents);
+    push_records(&mut out, "bug", &report.reports);
+    push_records(&mut out, "case", &report.prioritized_cases);
+    push_records(&mut out, "txn", &report.txn_cases);
+    push_records(&mut out, "schedule", &report.schedule_cases);
     out
+}
+
+fn push_records<T: Codec>(out: &mut String, kind: &str, items: &[T]) {
+    for item in items {
+        let _ = writeln!(out, "{}", json::record(kind, item.encode()));
+    }
+}
+
+/// Rebuilds a report (coverage aside) from its [`render_report`] records.
+fn report_from_records(records: &[Json]) -> Result<CampaignReport, String> {
+    let (first, items) = records.split_first().ok_or("missing report record")?;
+    let mut report = CampaignReport::decode(first.field("report")?)?;
+    for record in items {
+        let [(kind, value)] = record.as_obj()? else {
+            return Err(format!("expected a one-field record, got {record}"));
+        };
+        let decoded = match kind.as_str() {
+            "incident" => Codec::decode(value).map(|i| report.incidents.push(i)),
+            "bug" => Codec::decode(value).map(|b| report.reports.push(b)),
+            "case" => Codec::decode(value).map(|c| report.prioritized_cases.push(c)),
+            "txn" => Codec::decode(value).map(|c| report.txn_cases.push(c)),
+            "schedule" => Codec::decode(value).map(|c| report.schedule_cases.push(c)),
+            other => Err(format!("unknown record '{other}'")),
+        };
+        decoded.map_err(|e| format!("{kind} record: {e}"))?;
+    }
+    Ok(report)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sql_ast::SelectItem;
+    use crate::campaign::CampaignReport;
+    use crate::oracle::{BugReport, OracleKind, Schedule, SessionScript};
+    use crate::reducer::{ReducibleCase, ScheduleCase, TxnCase};
+    use crate::stats::FeatureKind;
+    use crate::supervisor::{CampaignIncident, IncidentKind};
+    use sql_ast::{BeginMode, Expr, Select, SelectItem};
+    use sql_parser::parse_statement;
 
     fn feature_set(names: &[&str]) -> FeatureSet {
         names.iter().map(|n| Feature::new(n.to_string())).collect()
@@ -1237,8 +374,8 @@ mod tests {
             current_depth: 4,
             schema,
             stats,
-            suppressed_query: vec![Feature::new("OP_NULLSAFE_EQ")],
-            suppressed_ddl: vec![Feature::new("TYPE_BOOLEAN")],
+            suppressed_query: [Feature::new("OP_NULLSAFE_EQ")].into(),
+            suppressed_ddl: [Feature::new("TYPE_BOOLEAN")].into(),
             kept_sets: vec![feature_set(&["OP_EQ"]), FeatureSet::new()],
             prioritizer_stats: PrioritizerStats {
                 seen: 5,
@@ -1256,11 +393,17 @@ mod tests {
                 conflicts_avoided: 1,
             },
             consecutive_infra: 2,
-            resilience: Some(
-                "v1 clock 42 | 1 closed 0 0 | 0 open 50 2 | 0 half 0 1 | 0 closed 0 0".to_string(),
-            ),
+            resilience: Some(r#"{"clock":42,"breakers":[[1,"closed",0],[0,50,2]]}"#.to_string()),
             report,
         }
+    }
+
+    /// Re-seals an edited checkpoint, so only the edit itself is tested.
+    fn reseal(text: &str, from: &str, to: &str) -> String {
+        let edited = text.replacen(from, to, 1);
+        assert_ne!(edited, text, "edit {from:?} must apply");
+        let (body, _) = split_end(&edited);
+        format!("{body}{}", end_record(body).line())
     }
 
     #[test]
@@ -1288,21 +431,15 @@ mod tests {
         // The atlas — including the per-database working state that keeps
         // a resumed novelty stream exact — is carried verbatim.
         assert_eq!(loaded.report.coverage, original.report.coverage);
-        // f64 samples round-trip bit-exactly through the hex encoding.
-        assert_eq!(
-            loaded
-                .report
+        // f64 samples round-trip bit-exactly.
+        let bits = |c: &CampaignCheckpoint| -> Vec<u64> {
+            c.report
                 .validity_series
                 .iter()
                 .map(|s| s.to_bits())
-                .collect::<Vec<_>>(),
-            original
-                .report
-                .validity_series
-                .iter()
-                .map(|s| s.to_bits())
-                .collect::<Vec<_>>()
-        );
+                .collect()
+        };
+        assert_eq!(bits(&loaded), bits(&original));
     }
 
     #[test]
@@ -1334,45 +471,82 @@ mod tests {
 
     #[test]
     fn malformed_checkpoints_are_rejected() {
-        assert!(checkpoint_from_string("").is_err(), "missing header");
-        assert!(
-            checkpoint_from_string("seed 1\n").is_err(),
-            "missing header"
-        );
-        assert!(
-            checkpoint_from_string(&format!("{HEADER}\nwhatisthis 1\n")).is_err(),
-            "unknown tag"
-        );
-        assert!(
-            checkpoint_from_string(&format!("{HEADER}\nbug TLP\nbd x\n")).is_err(),
-            "unterminated block"
-        );
-        assert!(
-            checkpoint_from_string(&format!("{HEADER}\ncursor 1 2\n")).is_err(),
-            "wrong arity"
-        );
-        assert!(
-            checkpoint_from_string(&format!("{HEADER}\nbug NOPE\nend\n")).is_err(),
-            "unknown oracle"
-        );
-        // A valid minimal checkpoint parses.
-        assert!(checkpoint_from_string(&format!("{HEADER}\nseed 7\n")).is_ok());
+        let text = checkpoint_to_string(&sample_checkpoint());
+        let v4 = "# sqlancer++ campaign checkpoint v4\nseed 7\n";
+        assert!(checkpoint_from_string(v4).is_err(), "v4 starts fresh");
+        let v6 = text.replacen(r#"{"checkpoint":5}"#, r#"{"checkpoint":6}"#, 1);
+        assert!(checkpoint_from_string(&v6).is_err(), "other version");
+        for (from, to, why) in [
+            (r#"{"bug":"#, r#"{"bugz":"#, "unknown record"),
+            (r#""oracle":"TLP""#, r#""oracle":"NOPE""#, "unknown oracle"),
+            (r#""next_case":17,"#, "", "missing field"),
+            (r#"["t0"]"#, r#"["t0",,]"#, "malformed JSON"),
+        ] {
+            assert!(
+                checkpoint_from_string(&reseal(&text, from, to)).is_err(),
+                "{why}"
+            );
+        }
+        // Header and end alone do not make a checkpoint: the state,
+        // coverage and report records are mandatory.
+        let header = header().line();
+        let bare = format!("{header}{}", end_record(&header).line());
+        assert!(checkpoint_from_string(&bare).is_err());
     }
 
     #[test]
-    fn escaping_round_trips_hostile_strings() {
-        for hostile in [
-            "plain",
-            "back\\slash",
-            "new\nline",
-            "carriage\rreturn",
-            "\\n literal",
-            "trailing\\",
-            "mix\\\n\r\\r",
+    fn every_strict_prefix_is_rejected() {
+        let text = checkpoint_to_string(&sample_checkpoint());
+        for len in 0..text.len() {
+            if let Some(prefix) = text.get(..len) {
+                assert!(checkpoint_from_string(prefix).is_err(), "prefix of {len} B");
+            }
+        }
+    }
+
+    #[test]
+    fn bit_flips_are_rejected() {
+        let text = checkpoint_to_string(&sample_checkpoint());
+        let mut state = 0x5EED_u64;
+        for _ in 0..3_000 {
+            state = sql_ast::splitmix64(state);
+            let mut bytes = text.clone().into_bytes();
+            bytes[(state % text.len() as u64) as usize] ^= 1 << (state >> 61);
+            // Invalid UTF-8 never reaches the decoder (`load_checkpoint`
+            // fails to read it).
+            if let Ok(flipped) = String::from_utf8(bytes) {
+                assert!(checkpoint_from_string(&flipped).is_err(), "{state:#x}");
+            }
+        }
+    }
+
+    #[test]
+    fn out_of_range_fields_are_rejected() {
+        let text = checkpoint_to_string(&sample_checkpoint());
+        for (from, to, why) in [
+            (
+                r#"["backend_crash",1,17,0,"#,
+                r#"["backend_crash",1,17,4294967296,"#,
+                "incident attempt beyond u32",
+            ),
+            (
+                r#""consecutive_infra":2,"#,
+                r#""consecutive_infra":4294967296,"#,
+                "consecutive_infra beyond u32",
+            ),
+            (
+                r#""OP_EQ":[2,1,1]"#,
+                r#""OP_EQ":[2,3,1]"#,
+                "successes > attempts",
+            ),
+            (
+                r#""count":1,"sum":0,"max":0,"buckets":[[0,1]]"#,
+                r#""count":0,"sum":0,"max":0,"buckets":[[0,9223372036854775808],[1,9223372036854775808]]"#,
+                "gap bucket counts overflow (their wrapped sum matches)",
+            ),
         ] {
-            assert_eq!(unescape(&escape(hostile)), hostile, "{hostile:?}");
-            assert!(!escape(hostile).contains('\n'));
-            assert!(!escape(hostile).contains('\r'));
+            let edited = reseal(&text, from, to);
+            assert!(checkpoint_from_string(&edited).is_err(), "{why}");
         }
     }
 
@@ -1380,7 +554,7 @@ mod tests {
     fn render_report_distinguishes_differing_reports() {
         let base = sample_checkpoint().report;
         let rendered = render_report(&base);
-        assert!(rendered.contains("degraded 1"));
+        assert!(rendered.contains(r#""degraded":true"#));
         let mut tweaked = base.clone();
         tweaked.metrics.valid_test_cases += 1;
         assert_ne!(render_report(&tweaked), rendered);

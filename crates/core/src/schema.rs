@@ -7,6 +7,7 @@
 //! is added to the model (Figure 3); when it fails, the model is left
 //! untouched.
 
+use crate::json::{json_name, json_record};
 use rand::seq::SliceRandom;
 use rand::Rng;
 use sql_ast::{DataType, Statement};
@@ -65,26 +66,19 @@ pub struct SchemaModel {
     name_counter: usize,
 }
 
+json_name!(DataType: |t: &DataType| t.sql_keyword(), DataType::from_keyword);
+json_record!(struct ModelColumn { name, data_type, not_null, primary_key });
+json_record!(struct ModelTable { name, is_view, approx_rows, columns });
+json_record!(struct ModelIndex { name, table, columns, unique });
+// The name counter is carried verbatim: it advances even for DDL the DBMS
+// rejected and for query-time subquery aliases, so it cannot be
+// recomputed from the surviving objects.
+json_record!(struct SchemaModel { name_counter, tables, indexes });
+
 impl SchemaModel {
     /// Creates an empty model.
     pub fn new() -> SchemaModel {
         SchemaModel::default()
-    }
-
-    /// Reconstructs a model from previously captured parts (a campaign
-    /// checkpoint). The `name_counter` must be carried verbatim: it advances
-    /// even for DDL the DBMS rejected and for query-time subquery aliases,
-    /// so it cannot be recomputed from the surviving objects.
-    pub fn restore(
-        tables: Vec<ModelTable>,
-        indexes: Vec<ModelIndex>,
-        name_counter: usize,
-    ) -> SchemaModel {
-        SchemaModel {
-            tables,
-            indexes,
-            name_counter,
-        }
     }
 
     /// The monotone counter behind [`SchemaModel::free_name`].

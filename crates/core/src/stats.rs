@@ -11,6 +11,7 @@
 //! than a fixed number of consecutive times is deemed unsupported.
 
 use crate::feature::{Feature, FeatureSet};
+use crate::json::{json_record, Codec, Json};
 use std::collections::BTreeMap;
 
 /// Tuning knobs of the feedback mechanism.
@@ -79,11 +80,34 @@ pub enum FeatureKind {
     Query,
 }
 
+// Counts travel as `[attempts, successes, consecutive_failures]`.
+json_record!(struct FeatureCounts [attempts, successes, consecutive_failures]);
+
 /// Aggregated validity feedback across all features.
 #[derive(Debug, Clone, Default)]
 pub struct FeatureStats {
     query: BTreeMap<Feature, FeatureCounts>,
     ddl: BTreeMap<Feature, FeatureCounts>,
+}
+
+/// The learned profile's one encoding, shared by profile files and
+/// checkpoints: `{"query":{feature:counts},"ddl":{..}}`. The decoder
+/// rejects counts with more successes than attempts.
+impl Codec for FeatureStats {
+    fn encode(&self) -> Json {
+        Json::obj([("query", self.query.encode()), ("ddl", self.ddl.encode())])
+    }
+
+    fn decode(json: &Json) -> Result<FeatureStats, String> {
+        let query = BTreeMap::decode(json.field("query")?)?;
+        let ddl = BTreeMap::decode(json.field("ddl")?)?;
+        let stats = FeatureStats { query, ddl };
+        let mut counts = stats.query.iter().chain(&stats.ddl);
+        if let Some((feature, _)) = counts.find(|(_, c)| c.successes > c.attempts) {
+            return Err(format!("{feature}: successes exceed attempts"));
+        }
+        Ok(stats)
+    }
 }
 
 impl FeatureStats {
@@ -167,14 +191,6 @@ impl FeatureStats {
     /// Iterates over all DDL/DML-feature counts (for persistence).
     pub fn iter_ddl(&self) -> impl Iterator<Item = (&Feature, &FeatureCounts)> {
         self.ddl.iter()
-    }
-
-    /// Inserts raw counts (used when loading a persisted profile).
-    pub fn load_counts(&mut self, feature: Feature, kind: FeatureKind, counts: FeatureCounts) {
-        match kind {
-            FeatureKind::Query => self.query.insert(feature, counts),
-            FeatureKind::DdlDml => self.ddl.insert(feature, counts),
-        };
     }
 
     /// Merges another profile's observations into this one, reading as if

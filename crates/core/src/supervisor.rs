@@ -30,6 +30,7 @@
 
 use crate::dbms::DbmsConnection;
 use crate::driver::ResilienceEvent;
+use crate::json::{json_name, json_record};
 use crate::oracle::OracleOutcome;
 use crate::trace::{emit, TraceEventKind, TraceHandle, TraceVerdict};
 use std::cell::Cell;
@@ -98,7 +99,7 @@ impl IncidentKind {
         }
     }
 
-    /// Parses a canonical name back (checkpoint loading).
+    /// Parses a canonical name back.
     pub fn parse(name: &str) -> Option<IncidentKind> {
         Some(match name {
             "backend_crash" => IncidentKind::BackendCrash,
@@ -182,6 +183,12 @@ pub struct CampaignIncident {
     pub detail: String,
 }
 
+json_name!(IncidentKind: IncidentKind::name, IncidentKind::parse);
+// Incidents are the bulk of a fault-storm checkpoint: positional rows.
+json_record!(struct CampaignIncident [
+    kind, database, case_index, attempt, deadline_ticks, observed_ticks, detail
+]);
+
 /// Aggregate robustness counters for a supervised campaign. Reported next
 /// to [`crate::CampaignMetrics`]; like them, they merge across shards and
 /// dialects.
@@ -216,6 +223,12 @@ pub struct RobustnessCounters {
     /// downgrade was re-announced for).
     pub capability_drifts: u64,
 }
+
+json_record!(struct RobustnessCounters {
+    incidents, retries, watchdog_trips, backoff_ticks, quarantines, oracle_panics, infra_failures,
+    storage_metric_errors, recovered_workers, breaker_trips, breaker_recoveries, probe_failures,
+    capability_drifts
+});
 
 impl RobustnessCounters {
     /// Accumulates another counter set into this one.

@@ -37,6 +37,7 @@
 use crate::dbms::{
     DbmsConnection, DialectQuirks, QueryResult, StateCheckpoint, StatementOutcome, StorageMetrics,
 };
+use crate::json::{json_record, Codec, Json};
 use crate::oracle::OracleKind;
 use crate::supervisor::IncidentKind;
 use sql_ast::{Select, Statement};
@@ -518,6 +519,13 @@ pub struct BackendTelemetry {
     pub breaker_recoveries: u64,
 }
 
+// The flight recorder's telemetry footer (the breaker and probe counters
+// are summary material).
+json_record!(struct BackendTelemetry {
+    slot_checkouts, slot_resyncs, resync_statements, wire_bytes_written, wire_bytes_read,
+    sentinel_frames, respawns, ..
+});
+
 impl BackendTelemetry {
     /// Folds one drained event into the totals.
     pub fn absorb(&mut self, event: &BackendEvent) {
@@ -700,293 +708,67 @@ impl FlightRecorder {
 
 // ------------------------------------------------------------------ JSONL ----
 
-pub(crate) fn json_escape(out: &mut String, s: &str) {
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
-
-fn write_event_json(out: &mut String, event: &TraceEvent) {
-    let _ = write!(
-        out,
-        "{{\"seed\":{},\"ticks\":{}",
-        event.case_seed, event.ticks
-    );
-    match &event.kind {
+fn event_json(event: &TraceEvent) -> Json {
+    let (kind, fields): (&str, Vec<(&str, Json)>) = match &event.kind {
         TraceEventKind::CaseStarted {
             database,
             case_index,
             oracle,
-        } => {
-            let _ = write!(
-                out,
-                ",\"kind\":\"case_started\",\"database\":{database},\"case_index\":{case_index},\"oracle\":\"{}\"",
-                oracle.name()
-            );
-        }
-        TraceEventKind::SetupStatement { ok } => {
-            let _ = write!(out, ",\"kind\":\"setup_statement\",\"ok\":{ok}");
-        }
-        TraceEventKind::Statement { ok } => {
-            let _ = write!(out, ",\"kind\":\"statement\",\"ok\":{ok}");
-        }
+        } => (
+            "case_started",
+            vec![
+                ("database", (*database).into()),
+                ("case_index", (*case_index).into()),
+                ("oracle", oracle.name().into()),
+            ],
+        ),
+        TraceEventKind::SetupStatement { ok } => ("setup_statement", vec![("ok", (*ok).into())]),
+        TraceEventKind::Statement { ok } => ("statement", vec![("ok", (*ok).into())]),
         TraceEventKind::Verdict { verdict } => {
-            let _ = write!(
-                out,
-                ",\"kind\":\"verdict\",\"verdict\":\"{}\"",
-                verdict.name()
-            );
+            ("verdict", vec![("verdict", verdict.name().into())])
         }
-        TraceEventKind::Retry { attempt, kind } => {
-            let _ = write!(
-                out,
-                ",\"kind\":\"retry\",\"attempt\":{attempt},\"incident\":\"{}\"",
-                kind.name()
-            );
-        }
-        TraceEventKind::Incident { kind } => {
-            let _ = write!(
-                out,
-                ",\"kind\":\"incident\",\"incident\":\"{}\"",
-                kind.name()
-            );
-        }
-        TraceEventKind::Quarantined => {
-            let _ = write!(out, ",\"kind\":\"quarantined\"");
-        }
+        TraceEventKind::Retry { attempt, kind } => (
+            "retry",
+            vec![
+                ("attempt", (*attempt).into()),
+                ("incident", kind.name().into()),
+            ],
+        ),
+        TraceEventKind::Incident { kind } => ("incident", vec![("incident", kind.name().into())]),
+        TraceEventKind::Quarantined => ("quarantined", vec![]),
         TraceEventKind::Reduced {
             statements_before,
             statements_after,
-        } => {
-            let _ = write!(
-                out,
-                ",\"kind\":\"reduced\",\"before\":{statements_before},\"after\":{statements_after}"
-            );
-        }
-        TraceEventKind::Prioritized { kept } => {
-            let _ = write!(out, ",\"kind\":\"prioritized\",\"kept\":{kept}");
-        }
-    }
-    out.push('}');
+        } => (
+            "reduced",
+            vec![
+                ("before", (*statements_before).into()),
+                ("after", (*statements_after).into()),
+            ],
+        ),
+        TraceEventKind::Prioritized { kept } => ("prioritized", vec![("kept", (*kept).into())]),
+    };
+    let head = [
+        ("seed", event.case_seed.into()),
+        ("ticks", event.ticks.into()),
+        ("kind", kind.into()),
+    ];
+    Json::obj(head.into_iter().chain(fields))
 }
 
-fn write_record_json(out: &mut String, dialect: &str, record: &CaseRecord) {
-    out.push_str("{\"type\":\"case\",\"dialect\":\"");
-    json_escape(out, dialect);
-    let _ = write!(
-        out,
-        "\",\"database\":{},\"case_index\":{},\"case_seed\":{},\"oracle\":\"{}\",\"outcome\":\"{}\",\"pinned\":{},\"events\":[",
-        record.database,
-        record.case_index,
-        record.case_seed,
-        record.oracle.name(),
-        record.outcome(),
-        record.pinned()
-    );
-    for (index, event) in record.events.iter().enumerate() {
-        if index > 0 {
-            out.push(',');
-        }
-        write_event_json(out, event);
-    }
-    out.push_str("]}\n");
-}
-
-/// Validates that every non-empty line of `text` is one syntactically
-/// well-formed JSON value (the flight recorder's self-check). Returns the
-/// number of validated lines.
-///
-/// # Errors
-///
-/// Returns a message naming the first offending line.
-pub fn validate_jsonl(text: &str) -> Result<usize, String> {
-    let mut validated = 0;
-    for (index, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        validate_json(line).map_err(|err| format!("line {}: {err}", index + 1))?;
-        validated += 1;
-    }
-    Ok(validated)
-}
-
-/// Validates one JSON value (syntax only; hand-rolled, no dependencies).
-fn validate_json(text: &str) -> Result<(), String> {
-    let bytes = text.as_bytes();
-    let mut pos = 0usize;
-    skip_ws(bytes, &mut pos);
-    json_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing garbage at byte {pos}"));
-    }
-    Ok(())
-}
-
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn json_value(bytes: &[u8], pos: &mut usize) -> Result<(), String> {
-    match bytes.get(*pos) {
-        Some(b'{') => json_object(bytes, pos),
-        Some(b'[') => json_array(bytes, pos),
-        Some(b'"') => json_string(bytes, pos),
-        Some(b't') => json_literal(bytes, pos, "true"),
-        Some(b'f') => json_literal(bytes, pos, "false"),
-        Some(b'n') => json_literal(bytes, pos, "null"),
-        Some(b'-' | b'0'..=b'9') => json_number(bytes, pos),
-        Some(other) => Err(format!("unexpected byte {other:#04x} at {pos}", pos = *pos)),
-        None => Err("unexpected end of input".to_string()),
-    }
-}
-
-fn json_object(bytes: &[u8], pos: &mut usize) -> Result<(), String> {
-    *pos += 1; // '{'
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(());
-    }
-    loop {
-        skip_ws(bytes, pos);
-        json_string(bytes, pos)?;
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) != Some(&b':') {
-            return Err(format!("expected ':' at byte {}", *pos));
-        }
-        *pos += 1;
-        skip_ws(bytes, pos);
-        json_value(bytes, pos)?;
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(());
-            }
-            _ => return Err(format!("expected ',' or '}}' at byte {}", *pos)),
-        }
-    }
-}
-
-fn json_array(bytes: &[u8], pos: &mut usize) -> Result<(), String> {
-    *pos += 1; // '['
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(());
-    }
-    loop {
-        skip_ws(bytes, pos);
-        json_value(bytes, pos)?;
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(());
-            }
-            _ => return Err(format!("expected ',' or ']' at byte {}", *pos)),
-        }
-    }
-}
-
-fn json_string(bytes: &[u8], pos: &mut usize) -> Result<(), String> {
-    if bytes.get(*pos) != Some(&b'"') {
-        return Err(format!("expected string at byte {}", *pos));
-    }
-    *pos += 1;
-    while let Some(&byte) = bytes.get(*pos) {
-        match byte {
-            b'"' => {
-                *pos += 1;
-                return Ok(());
-            }
-            b'\\' => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => *pos += 1,
-                    Some(b'u') => {
-                        *pos += 1;
-                        for _ in 0..4 {
-                            if !bytes.get(*pos).map(u8::is_ascii_hexdigit).unwrap_or(false) {
-                                return Err(format!("bad \\u escape at byte {}", *pos));
-                            }
-                            *pos += 1;
-                        }
-                    }
-                    _ => return Err(format!("bad escape at byte {}", *pos)),
-                }
-            }
-            0x00..=0x1F => return Err(format!("raw control byte in string at {}", *pos)),
-            _ => *pos += 1,
-        }
-    }
-    Err("unterminated string".to_string())
-}
-
-fn json_number(bytes: &[u8], pos: &mut usize) -> Result<(), String> {
-    let start = *pos;
-    if bytes.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    let mut digits = 0;
-    while bytes.get(*pos).map(u8::is_ascii_digit).unwrap_or(false) {
-        *pos += 1;
-        digits += 1;
-    }
-    if digits == 0 {
-        return Err(format!("malformed number at byte {start}"));
-    }
-    if bytes.get(*pos) == Some(&b'.') {
-        *pos += 1;
-        let mut frac = 0;
-        while bytes.get(*pos).map(u8::is_ascii_digit).unwrap_or(false) {
-            *pos += 1;
-            frac += 1;
-        }
-        if frac == 0 {
-            return Err(format!("malformed fraction at byte {start}"));
-        }
-    }
-    if matches!(bytes.get(*pos), Some(b'e' | b'E')) {
-        *pos += 1;
-        if matches!(bytes.get(*pos), Some(b'+' | b'-')) {
-            *pos += 1;
-        }
-        let mut exp = 0;
-        while bytes.get(*pos).map(u8::is_ascii_digit).unwrap_or(false) {
-            *pos += 1;
-            exp += 1;
-        }
-        if exp == 0 {
-            return Err(format!("malformed exponent at byte {start}"));
-        }
-    }
-    Ok(())
-}
-
-fn json_literal(bytes: &[u8], pos: &mut usize, literal: &str) -> Result<(), String> {
-    if bytes[*pos..].starts_with(literal.as_bytes()) {
-        *pos += literal.len();
-        Ok(())
-    } else {
-        Err(format!("malformed literal at byte {}", *pos))
-    }
+fn record_json(dialect: &str, record: &CaseRecord) -> Json {
+    let events: Vec<Json> = record.events.iter().map(event_json).collect();
+    Json::obj([
+        ("type", "case".into()),
+        ("dialect", dialect.into()),
+        ("database", record.database.into()),
+        ("case_index", record.case_index.into()),
+        ("case_seed", record.case_seed.into()),
+        ("oracle", record.oracle.name().into()),
+        ("outcome", record.outcome().into()),
+        ("pinned", record.pinned().into()),
+        ("events", events.into()),
+    ])
 }
 
 // ----------------------------------------------------------------- tracer ----
@@ -1102,32 +884,25 @@ impl Tracer {
     /// sealed case, telemetry footer), if a recorder is configured.
     pub fn jsonl(&self) -> Option<String> {
         let recorder = self.recorder.as_ref()?;
-        let mut out = String::new();
-        out.push_str("{\"type\":\"flight_recorder\",\"version\":1,\"dialect\":\"");
-        json_escape(&mut out, &self.dialect);
-        let _ = writeln!(
-            out,
-            "\",\"pinned\":{},\"recent\":{}}}",
-            recorder.pinned.len(),
-            recorder.ring.len()
-        );
+        let mut out = Json::obj([
+            ("type", "flight_recorder".into()),
+            ("version", 1u64.into()),
+            ("dialect", self.dialect.as_str().into()),
+            ("pinned", recorder.pinned.len().into()),
+            ("recent", recorder.ring.len().into()),
+        ])
+        .line();
         for record in recorder.records() {
-            write_record_json(&mut out, &self.dialect, record);
+            let _ = writeln!(out, "{}", record_json(&self.dialect, record));
         }
         if let Some(atlas) = &self.atlas_line {
             out.push_str(atlas);
         }
-        let t = &self.telemetry;
-        let _ = writeln!(
-            out,
-            "{{\"type\":\"backend_telemetry\",\"slot_checkouts\":{},\"slot_resyncs\":{},\"resync_statements\":{},\"wire_bytes_written\":{},\"wire_bytes_read\":{},\"sentinel_frames\":{},\"respawns\":{}}}",
-            t.slot_checkouts,
-            t.slot_resyncs,
-            t.resync_statements,
-            t.wire_bytes_written,
-            t.wire_bytes_read,
-            t.sentinel_frames,
-            t.respawns
+        let telemetry = self.telemetry.encode();
+        out.push_str(
+            &telemetry
+                .prefixed([("type", "backend_telemetry".into())])
+                .line(),
         );
         Some(out)
     }
@@ -1433,6 +1208,7 @@ impl DbmsConnection for TracedConnection<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::validate_jsonl;
 
     #[test]
     fn histogram_buckets_by_bit_width() {
@@ -1614,16 +1390,6 @@ mod tests {
         assert_eq!(lines, 3); // header + 1 pinned case + telemetry footer
         assert!(jsonl.contains("\"outcome\":\"infra_failed\""));
         assert!(jsonl.contains("\"wire_bytes_written\":128"));
-    }
-
-    #[test]
-    fn jsonl_validator_rejects_garbage() {
-        assert!(validate_jsonl("{\"ok\":true}").is_ok());
-        assert!(validate_jsonl("{\"ok\":true,}").is_err());
-        assert!(validate_jsonl("{'single':1}").is_err());
-        assert!(validate_jsonl("{\"x\":1} trailing").is_err());
-        assert!(validate_jsonl("{\"x\":01e}").is_err());
-        assert!(validate_jsonl("[1, 2, {\"y\":-3.5e+2}, null, \"s\\u00e9\"]").is_ok());
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Randomized property tests over the whole stack: SQL rendering/parsing
 //! round-trips, three-valued-logic invariants, optimizer semantics
-//! preservation, result-fingerprint equivalence, and prioritizer
-//! monotonicity.
+//! preservation, result-fingerprint equivalence, prioritizer
+//! monotonicity, and robustness of the owned decoders against mutated
+//! checkpoints and flight-recorder JSONL.
 //!
 //! The offline build environment has no `proptest`, so these tests drive the
 //! same properties with a seeded RNG and explicit case loops: every run
@@ -12,11 +13,16 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sqlancerpp::ast::{row_fingerprint, BinaryOp, Expr, TruthValue, Value};
 use sqlancerpp::core::{
-    regularized_incomplete_beta, AdaptiveGenerator, BugPrioritizer, Feature, FeatureSet,
-    GeneratorConfig, PriorityDecision,
+    checkpoint_from_string, checkpoint_to_string, regularized_incomplete_beta,
+    silence_infra_panics, validate_jsonl, AdaptiveGenerator, BugPrioritizer, Campaign,
+    CampaignConfig, Feature, FeatureSet, GeneratorConfig, OracleKind, PriorityDecision,
+    SupervisorConfig, TraceHandle, Tracer,
 };
 use sqlancerpp::engine::{Database, EngineConfig, Evaluator, ExecutionMode, Scope};
 use sqlancerpp::parser::{parse_expression, parse_statement};
+use sqlancerpp::sim::{preset_by_name, ExecutionPath, FaultyConfig};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 fn arb_value(rng: &mut StdRng) -> Value {
     match rng.gen_range(0..5u8) {
@@ -296,5 +302,84 @@ fn generated_queries_round_trip_to_a_fixpoint() {
                 );
             }
         }
+    }
+}
+
+/// A real checkpoint and flight-recorder JSONL document, from a traced
+/// fault-storm campaign that checkpoints every 10 cases.
+fn real_checkpoint_and_jsonl() -> (String, String) {
+    silence_infra_panics();
+    let dir = std::env::temp_dir().join(format!("sqlancerpp-mutation-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (checkpoint, jsonl) = (dir.join("campaign.ckpt"), dir.join("recorder.jsonl"));
+    let tracer = Rc::new(RefCell::new(
+        Tracer::new()
+            .with_flight_recorder(8)
+            .with_jsonl_path(jsonl.clone()),
+    ));
+    let handle: TraceHandle = tracer.clone();
+    let preset = preset_by_name("sqlite")
+        .unwrap()
+        .with_infra_faults(FaultyConfig::storm());
+    let config = CampaignConfig::builder()
+        .seed(0xC0DEC)
+        .databases(2)
+        .queries_per_database(40)
+        .oracles(vec![
+            OracleKind::Tlp,
+            OracleKind::NoRec,
+            OracleKind::Rollback,
+        ])
+        .reduce_bugs(true)
+        .build();
+    let mut campaign = Campaign::new(config);
+    campaign.set_trace(Some(handle));
+    let supervision = SupervisorConfig {
+        checkpoint_every: 10,
+        checkpoint_path: Some(checkpoint.clone()),
+        ..SupervisorConfig::default()
+    };
+    let mut conn = preset.instantiate_for_path(ExecutionPath::Ast);
+    campaign.run_supervised(&mut conn, &supervision);
+    let texts = (
+        std::fs::read_to_string(&checkpoint).unwrap(),
+        std::fs::read_to_string(&jsonl).unwrap(),
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+    texts
+}
+
+/// One seeded mutation: truncate, flip one bit, or insert one byte.
+fn mutate(rng: &mut StdRng, text: &str) -> String {
+    let mut bytes = text.as_bytes().to_vec();
+    let at = rng.gen_range(0..bytes.len());
+    match rng.gen_range(0..3u8) {
+        0 => bytes.truncate(at),
+        1 => bytes[at] ^= 1 << rng.gen_range(0..8u32),
+        _ => bytes.insert(at, rng.gen_range(0..=255u8)),
+    }
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
+/// The owned decoders never panic on damaged input, and a damaged
+/// checkpoint never loads as anything but the original: every decode that
+/// succeeds re-encodes to the exact original text.
+#[test]
+fn owned_decoders_survive_seeded_mutation() {
+    let (checkpoint, jsonl) = real_checkpoint_and_jsonl();
+    let loaded = checkpoint_from_string(&checkpoint).expect("the real checkpoint loads");
+    assert_eq!(checkpoint_to_string(&loaded), checkpoint);
+    assert!(validate_jsonl(&jsonl).expect("the real JSONL validates") > 2);
+    let mut rng = StdRng::seed_from_u64(0xBADB17);
+    for round in 0..1_500 {
+        let damaged = mutate(&mut rng, &checkpoint);
+        if let Ok(decoded) = checkpoint_from_string(&damaged) {
+            assert_eq!(
+                checkpoint_to_string(&decoded),
+                checkpoint,
+                "mutation {round} loaded as a different checkpoint"
+            );
+        }
+        let _ = validate_jsonl(&mutate(&mut rng, &jsonl));
     }
 }
