@@ -2,7 +2,7 @@
 # CI gate for the SQLancer++ reproduction workspace.
 #
 #   ./ci.sh          # full gate: fmt, clippy, release build, tests,
-#                    # perf-regression gate
+#                    # perf-regression gate, benchmark smoke test
 #
 # Every step must pass; the script stops at the first failure. The perf
 # gate compares timed throughput ratios against the floors in
@@ -36,5 +36,18 @@ echo "==> perf-regression gate (~30s)"
 # Properties (parity, determinism, zero false positives, the real-sqlite3
 # campaign) are asserted by `cargo test` above.
 ./target/release/campaign_throughput --gate 100 /tmp/ci_smoke_bench.json | tee /tmp/ci_gate.txt
+
+echo "==> repository benchmark smoke test (fault-storm, 1 s, traced)"
+# Runs the benchmark declared in BENCHMARK.json once, as a correctness
+# check of the whole stack under every infrastructure fault kind: the run
+# must exit 0 and every one of its output checks (report byte-identity,
+# statement reconciliation, incident ledger, ...) must print `ok`. Its
+# timing figures are not gated here.
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+    --workload fault-storm --seed 1 --seconds 1 --trace 1 | tee /tmp/ci_benchmark_smoke.txt
+if grep -q '^check .*: FAILED' /tmp/ci_benchmark_smoke.txt; then
+    echo "benchmark smoke test: an output check FAILED" >&2
+    exit 1
+fi
 
 echo "CI OK"

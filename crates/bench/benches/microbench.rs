@@ -83,7 +83,7 @@ fn bench_oracle() {
             &query.select,
             &query.predicate,
             &query.features,
-            &[],
+            &[] as &[String],
         ));
     });
     let mut text_dbms = TextOnlyConnection::new(preset_by_name("sqlite").unwrap().instantiate());
@@ -95,7 +95,7 @@ fn bench_oracle() {
             &query.select,
             &query.predicate,
             &query.features,
-            &[],
+            &[] as &[String],
         ));
     });
 }

@@ -6,7 +6,7 @@
 //! test cases, and (6) reports metrics — the same pipeline the paper runs
 //! against each DBMS.
 
-use crate::dbms::{DbmsConnection, StorageMetrics};
+use crate::dbms::{setup_sql, DbmsConnection, StorageMetrics};
 use crate::feature::FeatureSet;
 use crate::generator::{
     AdaptiveGenerator, GeneratedQuery, GeneratedSchedule, GeneratedTxnSession, GeneratorConfig,
@@ -349,7 +349,7 @@ struct ResumePoint {
     database: usize,
     next_case: usize,
     oracle_index: usize,
-    setup_log: Vec<String>,
+    setup_log: Vec<Statement>,
     storage_accum: StorageMetrics,
     report: CampaignReport,
 }
@@ -518,16 +518,12 @@ impl Campaign {
             checkpoint.consecutive_infra,
         );
         supervisor.set_trace(self.trace.clone());
-        // Rebuild the backend to the state the checkpoint describes: safe
-        // mode (no fault arming), full reset, setup-log replay. The storage
-        // baseline is sampled *after* this replay inside `run_inner`, so
-        // replayed setup work never double-counts into the accumulated
-        // delta.
-        conn.begin_case(0);
-        conn.reset();
-        for sql in &checkpoint.setup_log {
-            let _ = conn.execute(sql);
-        }
+        // Rebuild the backend to the state the checkpoint describes (its
+        // setup log was parsed once, when the checkpoint loaded). The
+        // storage baseline is sampled *after* this replay inside
+        // `run_inner`, so replayed setup work never double-counts into the
+        // accumulated delta.
+        supervisor.recover(conn, &checkpoint.setup_log);
         // Restore the connection layer's breaker/backoff ledger so the
         // resumed run routes checkouts exactly like the uninterrupted one
         // would have. A connection without resilience state (unpooled)
@@ -628,7 +624,7 @@ impl Campaign {
             // mid-database — the resume path already replayed the
             // checkpointed setup log and the generator's schema model and
             // RNG carry the phase's effects).
-            let setup_log: Vec<String> = match resumed_setup.take() {
+            let setup_log: Vec<Statement> = match resumed_setup.take() {
                 Some(log) => log,
                 None => {
                     // A fresh database starts a fresh novelty stream in the
@@ -648,31 +644,34 @@ impl Campaign {
                         self.generator.apply_capability(&capability);
                     }
                     conn.reset();
+                    // The fresh database replaces whatever a cut-short
+                    // rebuild left behind.
+                    supervisor.half_built = None;
                     self.generator.reset_schema();
-                    let mut setup_log: Vec<String> = Vec::new();
+                    let mut setup_log: Vec<Statement> = Vec::new();
                     for _ in 0..self.config.ddl_per_database {
                         let generated = self.generator.generate_ddl_statement();
                         // AST fast path: the generator already holds the
                         // typed statement, so backends that can consume it
-                        // skip the render→lex→parse round-trip.
-                        // `generated.sql` is still used for the replayable
-                        // setup log.
+                        // skip the render→lex→parse round-trip. The setup
+                        // log keeps the same typed statement, so every
+                        // rebuild replays it without re-parsing either.
                         let outcome = conn.execute_ast(&generated.statement);
                         let success = outcome.is_success();
                         report.metrics.ddl_statements += 1;
                         if success {
                             report.metrics.ddl_successes += 1;
                             self.generator.apply_success(&generated.statement);
-                            setup_log.push(generated.sql.clone());
-                            if let Statement::Insert(insert) = &generated.statement {
+                            setup_log.push(generated.statement);
+                            if let Some(Statement::Insert(insert)) = setup_log.last() {
                                 if quirks.requires_refresh {
-                                    let refresh = format!("REFRESH TABLE {}", insert.table);
-                                    if conn.execute(&refresh).is_success() {
+                                    let refresh = Statement::Refresh(insert.table.clone());
+                                    if conn.execute_ast(&refresh).is_success() {
                                         setup_log.push(refresh);
                                     }
                                 }
                                 if quirks.requires_commit {
-                                    let _ = conn.execute("COMMIT");
+                                    let _ = conn.execute_ast(&Statement::Commit);
                                 }
                             }
                         }
@@ -835,13 +834,14 @@ impl Campaign {
                             match &payload {
                                 CasePayload::Query(query, oracle) => self.handle_bug(
                                     conn,
+                                    supervisor,
                                     *bug,
                                     features,
                                     &setup_log,
                                     case_seed,
                                     &mut report,
                                     || ReducibleCase {
-                                        setup: setup_log.clone(),
+                                        setup: setup_sql(&setup_log),
                                         query: query.select.clone(),
                                         predicate: query.predicate.clone(),
                                         oracle: *oracle,
@@ -850,13 +850,14 @@ impl Campaign {
                                 ),
                                 CasePayload::Txn(session) => self.handle_bug(
                                     conn,
+                                    supervisor,
                                     *bug,
                                     features,
                                     &setup_log,
                                     case_seed,
                                     &mut report,
                                     || TxnCase {
-                                        setup: setup_log.clone(),
+                                        setup: setup_sql(&setup_log),
                                         table: session.table.clone(),
                                         statements: session.statements.clone(),
                                         features: features.clone(),
@@ -864,13 +865,14 @@ impl Campaign {
                                 ),
                                 CasePayload::Schedule(schedule) => self.handle_bug(
                                     conn,
+                                    supervisor,
                                     *bug,
                                     features,
                                     &setup_log,
                                     case_seed,
                                     &mut report,
                                     || ScheduleCase {
-                                        setup: setup_log.clone(),
+                                        setup: setup_sql(&setup_log),
                                         schedule: schedule.schedule.clone(),
                                         features: features.clone(),
                                     },
@@ -1057,7 +1059,7 @@ impl Campaign {
         database: usize,
         next_case: usize,
         oracle_index: usize,
-        setup_log: &[String],
+        setup_log: &[Statement],
         storage_accum: StorageMetrics,
         resilience: Option<String>,
     ) -> CampaignCheckpoint {
@@ -1096,9 +1098,10 @@ impl Campaign {
     fn handle_bug<C: KeptCase>(
         &mut self,
         conn: &mut dyn DbmsConnection,
+        supervisor: &mut Supervisor,
         mut bug: BugReport,
         features: &FeatureSet,
-        setup_log: &[String],
+        setup_log: &[Statement],
         case_seed: u64,
         report: &mut CampaignReport,
         make_case: impl FnOnce() -> C,
@@ -1128,10 +1131,7 @@ impl Campaign {
             );
             bug.setup = case.setup().to_vec();
             bug.queries = case.replay_queries();
-            conn.reset();
-            for sql in setup_log {
-                let _ = conn.execute(sql);
-            }
+            supervisor.recover(conn, setup_log);
         }
         report.reports.push(bug);
         case.record(report);

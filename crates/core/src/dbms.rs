@@ -292,8 +292,8 @@ pub trait DbmsConnection {
     /// Oracles use this as a fast path for their reset-to-setup-state
     /// bookkeeping: the simulated fleet backs it with an O(tables)
     /// copy-on-write engine clone, while wire-protocol backends fall back
-    /// to the SQL-text setup replay — the testing contract itself never
-    /// depends on checkpoints, and a restored state is observably
+    /// to the setup replay ([`replay_setup`]) — the testing contract itself
+    /// never depends on checkpoints, and a restored state is observably
     /// identical to a replayed one.
     fn checkpoint(&mut self) -> Option<StateCheckpoint> {
         None
@@ -383,6 +383,79 @@ pub trait DbmsConnection {
     /// downgrade, so drift lands in the incident ledger once per database.
     /// The default is a no-op.
     fn note_database_boundary(&mut self) {}
+}
+
+/// One entry of a setup log: a statement that built the database state and
+/// can be replayed to rebuild it.
+///
+/// Campaigns keep their setup logs typed ([`Statement`]): a rebuild hands
+/// the backend the AST it already executed once, so backends with the AST
+/// fast path skip the render → lex → parse round trip, and text-only
+/// backends receive exactly the rendering they received the first time.
+/// Text entries (`String`) serve the places where SQL has left the
+/// program: bug reports, the reducer's input and hand-written scripts.
+pub trait SetupStatement {
+    /// Executes the entry on `conn`: typed entries take the AST fast path,
+    /// text entries the text path.
+    fn replay_on(&self, conn: &mut dyn DbmsConnection) -> StatementOutcome;
+
+    /// The entry's SQL text.
+    fn sql(&self) -> String;
+}
+
+impl SetupStatement for Statement {
+    fn replay_on(&self, conn: &mut dyn DbmsConnection) -> StatementOutcome {
+        conn.execute_ast(self)
+    }
+
+    fn sql(&self) -> String {
+        self.to_string()
+    }
+}
+
+impl SetupStatement for String {
+    fn replay_on(&self, conn: &mut dyn DbmsConnection) -> StatementOutcome {
+        conn.execute(self)
+    }
+
+    fn sql(&self) -> String {
+        self.clone()
+    }
+}
+
+/// Renders a setup log to SQL text, the form it takes in bug reports and
+/// reducer input.
+pub fn setup_sql<S: SetupStatement>(setup: &[S]) -> Vec<String> {
+    setup.iter().map(SetupStatement::sql).collect()
+}
+
+/// Rebuilds the database state a setup log describes: reset, then replay
+/// every entry in order. This is the one replay helper behind every
+/// rebuild (oracle setup capture, supervisor recovery, pool re-sync,
+/// resume and post-reduction rebuilds), and it applies one rule.
+///
+/// Ordinary replay failures are tolerated: they mirror the original
+/// outcomes, which the log recorded too. An *infrastructure* failure
+/// ([`crate::INFRA_MARKER`]) aborts the replay: the statement it hit was
+/// skipped, so the state no longer matches the log and any verdict or
+/// checkpoint taken from it would bake the corruption in.
+///
+/// # Errors
+///
+/// Returns the marked failure message; the connection is then half-built.
+pub fn replay_setup<S: SetupStatement>(
+    conn: &mut dyn DbmsConnection,
+    setup: &[S],
+) -> Result<(), String> {
+    conn.reset();
+    for entry in setup {
+        if let StatementOutcome::Failure(message) = entry.replay_on(conn) {
+            if message.contains(crate::supervisor::INFRA_MARKER) {
+                return Err(message);
+            }
+        }
+    }
+    Ok(())
 }
 
 /// An opaque committed-state snapshot produced by

@@ -26,10 +26,14 @@
 //! campaign invariant: **between test cases the backend state is exactly
 //! the replayed setup log** — the stateful oracles capture setup state on
 //! entry and restore it on exit, and the read-only oracles never mutate.
-//! The pool records every safe-mode statement into a *sync log*; when a
-//! case checks out a slot that has not observed the latest log, the slot
-//! is first re-synced (reset + SQL-text replay — the same checkpoint
-//! fallback the resume path uses). Re-syncs only ever replay setup DDL/DML
+//! The pool records every safe-mode statement into a *sync log*, as the
+//! typed [`Statement`] it was handed (or the SQL text, for statements that
+//! arrived as text); when a case checks out a slot that has not observed
+//! the latest log, the slot is first re-synced by reset + replay through
+//! [`replay_setup`], the helper every rebuild uses. Typed entries replay
+//! through [`DbmsConnection::execute_ast`], so a backend with the AST fast
+//! path never re-parses them and a text-only backend receives exactly the
+//! SQL it received the first time. Re-syncs only ever replay setup DDL/DML
 //! onto a freshly reset connection, so they contribute no storage-counter
 //! drift and no verdict-relevant state differences.
 
@@ -37,7 +41,8 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use crate::dbms::{
-    DbmsConnection, DialectQuirks, QueryResult, StateCheckpoint, StatementOutcome, StorageMetrics,
+    replay_setup, DbmsConnection, DialectQuirks, QueryResult, SetupStatement, StateCheckpoint,
+    StatementOutcome, StorageMetrics,
 };
 use crate::feature::Feature;
 use crate::json::{self, json_record, Codec, Json};
@@ -68,7 +73,7 @@ pub struct Capability {
     pub ast_statements: bool,
     /// The backend supports O(1) state checkpoints
     /// ([`DbmsConnection::checkpoint`]). When `false` the stateful oracles
-    /// use the SQL-replay fallback.
+    /// use the setup-replay fallback.
     pub state_checkpoints: bool,
     /// The backend reports storage-layer metrics
     /// ([`DbmsConnection::storage_metrics`]).
@@ -354,6 +359,9 @@ struct PendingCase {
     noted: bool,
 }
 
+/// The savepoint name the capability probe takes and releases.
+const PROBE_SAVEPOINT: &str = "pool_probe";
+
 /// Runs the deterministic capability probe script against a connection and
 /// returns the downgraded capability plus one drift detail per family the
 /// backend rejected at runtime. Statements run directly on the slot
@@ -368,8 +376,8 @@ fn run_probe(
     conn: &mut dyn DbmsConnection,
     claimed: &Capability,
 ) -> Result<(Capability, Vec<String>), String> {
-    fn exec(conn: &mut dyn DbmsConnection, sql: &str) -> Result<Result<(), String>, String> {
-        match conn.execute(sql) {
+    fn exec(conn: &mut dyn DbmsConnection, stmt: Statement) -> Result<Result<(), String>, String> {
+        match conn.execute_ast(&stmt) {
             StatementOutcome::Success => Ok(Ok(())),
             StatementOutcome::Failure(msg) if msg.contains(INFRA_MARKER) => Err(msg),
             StatementOutcome::Failure(msg) => Ok(Err(msg)),
@@ -378,9 +386,9 @@ fn run_probe(
     let mut probed = claimed.clone();
     let mut drift: Vec<String> = Vec::new();
     if claimed.transactions {
-        match exec(conn, "BEGIN")? {
+        match exec(conn, Statement::begin())? {
             Ok(()) => {
-                if let Err(msg) = exec(conn, "ROLLBACK")? {
+                if let Err(msg) = exec(conn, Statement::Rollback)? {
                     probed.transactions = false;
                     drift.push(format!(
                         "transactions: static capability claims support but the probe's ROLLBACK was rejected: {msg}"
@@ -398,10 +406,10 @@ fn run_probe(
     // Savepoints are probed inside a transaction, exactly as the oracles
     // use them; without transaction support there is no portable probe, so
     // the claim stands and validity feedback handles the rest.
-    if claimed.savepoints && probed.transactions && exec(conn, "BEGIN")?.is_ok() {
-        match exec(conn, "SAVEPOINT pool_probe")? {
+    if claimed.savepoints && probed.transactions && exec(conn, Statement::begin())?.is_ok() {
+        match exec(conn, Statement::Savepoint(PROBE_SAVEPOINT.into()))? {
             Ok(()) => {
-                if let Err(msg) = exec(conn, "RELEASE SAVEPOINT pool_probe")? {
+                if let Err(msg) = exec(conn, Statement::ReleaseSavepoint(PROBE_SAVEPOINT.into()))? {
                     probed.savepoints = false;
                     drift.push(format!(
                         "savepoints: static capability claims support but the probe's RELEASE SAVEPOINT was rejected: {msg}"
@@ -415,7 +423,7 @@ fn run_probe(
                 ));
             }
         }
-        let _ = exec(conn, "ROLLBACK")?;
+        let _ = exec(conn, Statement::Rollback)?;
     }
     if claimed.state_checkpoints && conn.checkpoint().is_none() {
         probed.state_checkpoints = false;
@@ -432,6 +440,31 @@ fn run_probe(
         );
     }
     Ok((probed, drift))
+}
+
+/// One entry of the pool's sync log: a safe-mode statement as the pool was
+/// handed it, replayed through the same entry point.
+enum SyncEntry {
+    /// Arrived through [`DbmsConnection::execute_ast`].
+    Typed(Statement),
+    /// Arrived as SQL text through [`DbmsConnection::execute`].
+    Text(String),
+}
+
+impl SetupStatement for SyncEntry {
+    fn replay_on(&self, conn: &mut dyn DbmsConnection) -> StatementOutcome {
+        match self {
+            SyncEntry::Typed(stmt) => conn.execute_ast(stmt),
+            SyncEntry::Text(sql) => conn.execute(sql),
+        }
+    }
+
+    fn sql(&self) -> String {
+        match self {
+            SyncEntry::Typed(stmt) => stmt.to_string(),
+            SyncEntry::Text(sql) => sql.clone(),
+        }
+    }
 }
 
 /// One pooled connection slot.
@@ -483,9 +516,9 @@ pub struct Pool {
     name: String,
     slots: Vec<Slot>,
     active: usize,
-    /// Safe-mode statement log: the SQL text that, replayed onto a fresh
-    /// connection, reproduces the between-cases backend state.
-    sync_log: Vec<String>,
+    /// Safe-mode statement log: the statements that, replayed onto a fresh
+    /// connection, reproduce the between-cases backend state.
+    sync_log: Vec<SyncEntry>,
     /// Bumped on every safe-mode reset; slots with an older epoch are
     /// stale and re-sync on checkout.
     epoch: u64,
@@ -595,9 +628,9 @@ impl Pool {
             .expect("slot connected above")
     }
 
-    /// Brings slot `index` up to date with the sync log: re-probe the
-    /// connection's capabilities, then reset and replay the recorded setup
-    /// SQL (the checkpoint fallback path).
+    /// Brings slot `index` up to date with the sync log: probe the
+    /// connection's capabilities if it was just connected, then reset and
+    /// replay the recorded setup statements (the checkpoint fallback path).
     ///
     /// The sync stamp is only written after a fully successful replay: a
     /// replay statement failing with an [`INFRA_MARKER`] outcome panics
@@ -611,60 +644,52 @@ impl Pool {
         if !stale && !fresh {
             return;
         }
-        let log: Vec<String> = self.sync_log.clone();
-        let claimed = self.capability.clone();
         self.connected(index);
-        // Re-probe after every (re-)connect and re-sync: probe results here
-        // feed the wall-clock telemetry plane only — the *applied*
-        // capability is fixed at construction, because how often slots are
-        // probed depends on the pool size. A transport failure inside the
-        // probe is still a marked panic (deterministically absent for the
-        // in-process backends, whose faults stay dormant in safe mode).
-        let (probe_result, overhead) = {
-            let conn = self.slots[index].conn.as_mut().expect("connected above");
-            conn.begin_case(0);
-            let before = conn.storage_metrics().ok().flatten();
-            let result = run_probe(conn.as_mut(), &claimed);
-            let after = conn.storage_metrics().ok().flatten();
-            let overhead = match (before, after) {
-                (Some(b), Some(a)) => Some(a.since(&b)),
-                _ => None,
-            };
-            (result, overhead)
-        };
-        if let Some(delta) = overhead {
-            self.slots[index].probe_overhead.merge(&delta);
+        if fresh {
+            self.probe_fresh_slot(index);
+        }
+        let Pool {
+            slots, sync_log, ..
+        } = self;
+        let slot = &mut slots[index];
+        let conn = slot.conn.as_mut().expect("connected above");
+        // Safe mode for the replay: an armed fault must not fire mid-sync.
+        conn.begin_case(0);
+        // Replay outcomes mirror the original safe-mode outcomes; ordinary
+        // failures were recorded too and fail identically here. A *marked*
+        // outcome is a garbled/dropped frame inside the replay itself —
+        // infrastructure, not history.
+        if let Err(msg) = replay_setup(conn.as_mut(), sync_log) {
+            panic!("{INFRA_MARKER} pool re-sync replay failed: {msg}");
+        }
+        slot.epoch = self.epoch;
+        slot.synced = sync_log.len();
+        slot.resyncs += 1;
+        slot.replayed += sync_log.len() as u64;
+    }
+
+    /// Probes a just-connected slot. Probe results here feed the wall-clock
+    /// telemetry plane only — the *applied* capability is fixed at
+    /// construction, because how often slots connect depends on the pool
+    /// size — so a slot that merely fell behind the sync log is not
+    /// re-probed. A transport failure inside the probe is still a marked
+    /// panic (deterministically absent for the in-process backends, whose
+    /// faults stay dormant in safe mode).
+    fn probe_fresh_slot(&mut self, index: usize) {
+        let slot = &mut self.slots[index];
+        let conn = slot.conn.as_mut().expect("connected before probing");
+        conn.begin_case(0);
+        let before = conn.storage_metrics().ok().flatten();
+        let result = run_probe(conn.as_mut(), &self.capability);
+        let after = conn.storage_metrics().ok().flatten();
+        if let (Some(b), Some(a)) = (before, after) {
+            slot.probe_overhead.merge(&a.since(&b));
         }
         self.probes_run += 1;
-        match probe_result {
+        match result {
             Ok((_probed, drift)) => self.probe_downgrades += drift.len() as u64,
             Err(msg) => panic!("{INFRA_MARKER} capability probe failed on re-sync: {msg}"),
         }
-        let replay_failure = {
-            let conn = self.slots[index].conn.as_mut().expect("connected above");
-            conn.reset();
-            let mut failure = None;
-            for sql in &log {
-                // Replay outcomes mirror the original safe-mode outcomes;
-                // ordinary failures were recorded too and fail identically
-                // here. A *marked* outcome is a garbled/dropped frame
-                // inside the replay itself — infrastructure, not history.
-                if let StatementOutcome::Failure(msg) = conn.execute(sql) {
-                    if msg.contains(INFRA_MARKER) {
-                        failure = Some(msg);
-                        break;
-                    }
-                }
-            }
-            failure
-        };
-        if let Some(msg) = replay_failure {
-            panic!("{INFRA_MARKER} pool re-sync replay failed: {msg}");
-        }
-        self.slots[index].epoch = self.epoch;
-        self.slots[index].synced = self.sync_log.len();
-        self.slots[index].resyncs += 1;
-        self.slots[index].replayed += log.len() as u64;
     }
 
     /// The virtual breaker slot guarding a case.
@@ -774,7 +799,7 @@ impl DbmsConnection for Pool {
         let active = self.active;
         let outcome = self.connected(active).execute(sql);
         if !self.in_case {
-            self.sync_log.push(sql.to_string());
+            self.sync_log.push(SyncEntry::Text(sql.to_string()));
             self.mark_active_synced();
         }
         if let StatementOutcome::Failure(msg) = &outcome {
@@ -796,7 +821,7 @@ impl DbmsConnection for Pool {
         let active = self.active;
         let outcome = self.connected(active).execute_ast(stmt);
         if !self.in_case {
-            self.sync_log.push(stmt.to_string());
+            self.sync_log.push(SyncEntry::Typed(stmt.clone()));
             self.mark_active_synced();
         }
         if let StatementOutcome::Failure(msg) = &outcome {
@@ -1338,6 +1363,82 @@ mod tests {
         assert!(!fresh.restore_resilience("garbage"));
         assert!(!fresh.restore_resilience(r#"{"clock":1,"breakers":[]}"#));
         assert!(!fresh.restore_resilience(r#"{"clock":1,"breakers":[[4294967296,"closed",0]]}"#));
+    }
+
+    /// A [`ProbeDriver`] that counts the connections it mints.
+    struct CountingDriver {
+        probe: ProbeDriver,
+        connects: std::sync::atomic::AtomicUsize,
+    }
+
+    impl Driver for CountingDriver {
+        fn name(&self) -> &str {
+            self.probe.name()
+        }
+        fn capability(&self) -> Capability {
+            self.probe.capability()
+        }
+        fn connect(&self) -> Result<Box<dyn DbmsConnection>, String> {
+            self.connects
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.probe.connect()
+        }
+    }
+
+    /// Runs `rounds` rounds of two cases (slots 1 and 0) on a lying pool of
+    /// 2, each round after a safe-mode setup statement when `resync` is
+    /// set (which leaves slot 1 stale). Returns the pool, its connects and
+    /// the probes and re-syncs its telemetry reported.
+    fn run_rounds(rounds: u64, resync: bool) -> (Pool, usize, u64, u64) {
+        let driver = Arc::new(CountingDriver {
+            probe: ProbeDriver {
+                lie_transactions: true,
+            },
+            connects: 0.into(),
+        });
+        let mut pool = Pool::new(driver.clone(), 2).expect("pool connects");
+        let (mut probes, mut resyncs) = (0, 0);
+        for round in 0..rounds {
+            pool.begin_case(0);
+            if resync {
+                pool.execute_ast(&Statement::Analyze(None));
+            }
+            // vslot 1 routes to slot 1, vslot 2 to slot 0.
+            for seed in [
+                BREAKER_SLOTS as u64 * round + 1,
+                BREAKER_SLOTS as u64 * round + 2,
+            ] {
+                pool.begin_case(seed);
+                pool.begin_case(0);
+                pool.note_case_outcome(seed, false);
+            }
+            for event in pool.drain_backend_events() {
+                match event {
+                    crate::trace::BackendEvent::CapabilityProbes { count, .. } => probes += count,
+                    crate::trace::BackendEvent::SlotResyncs { count, .. } => resyncs += count,
+                    _ => {}
+                }
+            }
+        }
+        let connects = driver.connects.load(std::sync::atomic::Ordering::Relaxed);
+        (pool, connects, probes, resyncs)
+    }
+
+    #[test]
+    fn resync_probes_only_freshly_connected_slots() {
+        let (mut pool, connects, probes, resyncs) = run_rounds(6, true);
+        assert_eq!(connects, 2);
+        assert!(resyncs >= 6, "every round re-syncs slot 1, got {resyncs}");
+        assert_eq!(probes, 2, "one probe per connect, none per re-sync");
+        // Re-syncs leave the probed drift and the breaker ledger alone: the
+        // same checkouts without any re-sync end in the same state.
+        let (mut quiet, _, _, quiet_resyncs) = run_rounds(6, false);
+        assert_eq!(quiet_resyncs, 1, "only slot 1's first checkout syncs");
+        assert_eq!(pool.drift_details(), quiet.drift_details());
+        assert_eq!(pool.drift_details().len(), 1);
+        assert_eq!(pool.resilience_checkpoint(), quiet.resilience_checkpoint());
+        assert!(pool.drain_resilience_events().is_empty());
+        assert!(quiet.drain_resilience_events().is_empty());
     }
 
     #[test]

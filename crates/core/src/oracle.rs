@@ -15,7 +15,9 @@
 //! Everything is measured through ordinary `SELECT *` probes so the
 //! SQL-text-only contract is preserved.
 
-use crate::dbms::{DbmsConnection, SERIALIZATION_FAILURE_MARKER};
+use crate::dbms::{
+    replay_setup, setup_sql, DbmsConnection, SetupStatement, SERIALIZATION_FAILURE_MARKER,
+};
 use crate::feature::FeatureSet;
 use crate::json::{json_name, json_record};
 use sql_ast::{BeginMode, Expr, Select, SelectItem, Statement, TableWithJoins, Value};
@@ -125,12 +127,12 @@ fn normalized_base(query: &Select) -> Select {
 /// Applies the TLP oracle: `Q` without a predicate must return the same
 /// multiset of rows as the union of `Q WHERE p`, `Q WHERE NOT p` and
 /// `Q WHERE p IS NULL`.
-pub fn check_tlp(
+pub fn check_tlp<S: SetupStatement>(
     conn: &mut dyn DbmsConnection,
     query: &Select,
     predicate: &Expr,
     features: &FeatureSet,
-    setup: &[String],
+    setup: &[S],
 ) -> OracleOutcome {
     if query.is_aggregate() {
         return OracleOutcome::Invalid("TLP base oracle skips aggregate queries".into());
@@ -177,7 +179,7 @@ pub fn check_tlp(
                 fingerprints[0].len(),
                 partitioned.len()
             ),
-            setup: setup.to_vec(),
+            setup: setup_sql(setup),
             queries: {
                 // Cold path: rebuild and render the four variants.
                 let variants = [
@@ -203,12 +205,12 @@ pub fn check_tlp(
 /// `SELECT * FROM ... WHERE p` (optimizable) must equal the number of rows
 /// for which the unoptimizable rewrite `SELECT (p IS TRUE) FROM ...`
 /// evaluates the predicate to true.
-pub fn check_norec(
+pub fn check_norec<S: SetupStatement>(
     conn: &mut dyn DbmsConnection,
     query: &Select,
     predicate: &Expr,
     features: &FeatureSet,
-    setup: &[String],
+    setup: &[S],
 ) -> OracleOutcome {
     if query.is_aggregate() {
         return OracleOutcome::Invalid("NoREC skips aggregate queries".into());
@@ -251,7 +253,7 @@ pub fn check_norec(
             description: format!(
                 "NoREC mismatch: optimized query returned {optimized_rows} rows, non-optimizable rewrite counted {reference_rows}"
             ),
-            setup: setup.to_vec(),
+            setup: setup_sql(setup),
             queries: {
                 // Cold path: rebuild and render both arms.
                 let reference_sql = work.to_string();
@@ -328,48 +330,26 @@ fn run_session_statement(conn: &mut dyn DbmsConnection, stmt: &Statement) -> Res
     Ok(())
 }
 
-/// Rebuilds the database state the campaign's setup log describes.
-///
-/// Ordinary replay failures are tolerated (they mirror the original
-/// outcomes), but an *infrastructure* failure mid-replay aborts the
-/// rebuild: the statement it hit was silently skipped, so the rebuilt
-/// state no longer matches the setup log and any verdict (or checkpoint)
-/// taken from it would bake the corruption in. Surfacing the marked
-/// message lets the supervisor classify the incident and retry the case.
-fn rebuild(conn: &mut dyn DbmsConnection, setup: &[String]) -> Result<(), String> {
-    conn.reset();
-    for sql in setup {
-        if let crate::dbms::StatementOutcome::Failure(message) = conn.execute(sql) {
-            if message.contains(crate::supervisor::INFRA_MARKER) {
-                return Err(message);
-            }
-        }
-    }
-    Ok(())
-}
-
 /// The stateful oracles' reset-to-setup-state bookkeeping.
 ///
 /// `capture` rebuilds the connection from the setup log once and asks the
 /// backend for a checkpoint of that state; every later `reset_to` restores
 /// the checkpoint — an O(tables) copy-on-write clone on the simulated
-/// fleet — and only falls back to the O(rows) SQL-text setup replay when
-/// the backend has no snapshot facility. Restored and replayed states are
+/// fleet — and only falls back to the O(rows) setup replay when the
+/// backend has no snapshot facility. Restored and replayed states are
 /// observably identical, so verdicts never depend on which path ran.
-struct SetupState<'a> {
-    setup: &'a [String],
+struct SetupState<'a, S> {
+    setup: &'a [S],
     checkpoint: Option<crate::dbms::StateCheckpoint>,
 }
 
-impl<'a> SetupState<'a> {
+impl<'a, S: SetupStatement> SetupState<'a, S> {
     /// Errors carry the infrastructure marker: the capture rebuild ran with
     /// the case's faults armed, and a fault that hit a replay statement must
-    /// become an incident, not a checkpointed half-built state.
-    fn capture(
-        conn: &mut dyn DbmsConnection,
-        setup: &'a [String],
-    ) -> Result<SetupState<'a>, String> {
-        rebuild(conn, setup)?;
+    /// become an incident, not a checkpointed half-built state (see
+    /// [`replay_setup`]).
+    fn capture(conn: &mut dyn DbmsConnection, setup: &'a [S]) -> Result<SetupState<'a, S>, String> {
+        replay_setup(conn, setup)?;
         Ok(SetupState {
             setup,
             checkpoint: conn.checkpoint(),
@@ -382,7 +362,7 @@ impl<'a> SetupState<'a> {
                 return Ok(());
             }
         }
-        rebuild(conn, self.setup)
+        replay_setup(conn, self.setup)
     }
 }
 
@@ -401,12 +381,12 @@ impl<'a> SetupState<'a> {
 /// Fingerprints are the oracles' usual order-insensitive 128-bit row-hash
 /// multisets, obtained through plain `SELECT *` probes — the platform never
 /// reads engine state directly, preserving the SQL-text-only contract.
-pub fn check_rollback(
+pub fn check_rollback<S: SetupStatement>(
     conn: &mut dyn DbmsConnection,
     table: &str,
     session: &[Statement],
     features: &FeatureSet,
-    setup: &[String],
+    setup: &[S],
 ) -> OracleOutcome {
     // Capture the setup state once; the arms and the exit path below
     // restore it (checkpoint-restore when the backend supports it, setup
@@ -426,12 +406,12 @@ pub fn check_rollback(
     }
 }
 
-fn check_rollback_arms(
+fn check_rollback_arms<S: SetupStatement>(
     conn: &mut dyn DbmsConnection,
     table: &str,
     session: &[Statement],
     features: &FeatureSet,
-    state: &SetupState<'_>,
+    state: &SetupState<'_, S>,
 ) -> OracleOutcome {
     let setup = state.setup;
     let Some(reference) = net_effect(session) else {
@@ -482,7 +462,7 @@ fn check_rollback_arms(
                 base.len(),
                 rolled_back.len()
             ),
-            setup: setup.to_vec(),
+            setup: setup_sql(setup),
             queries: render_session(table, session, Statement::Rollback),
             features: features.clone(),
         }));
@@ -510,7 +490,7 @@ fn check_rollback_arms(
                 committed.len(),
                 auto_commit.len()
             ),
-            setup: setup.to_vec(),
+            setup: setup_sql(setup),
             queries: render_session(table, session, Statement::Commit),
             features: features.clone(),
         }));
@@ -685,11 +665,11 @@ fn probe_tables(
 /// emits (only session 0 reads tables it does not write), so every flag is
 /// a genuine isolation violation — dirty read, lost update, non-repeatable
 /// read, or a transaction fault leaking across the schedule.
-pub fn check_isolation(
+pub fn check_isolation<S: SetupStatement>(
     conn: &mut dyn DbmsConnection,
     schedule: &Schedule,
     features: &FeatureSet,
-    setup: &[String],
+    setup: &[S],
 ) -> IsolationVerdict {
     // Capture the setup state once; the serial arms and the exit path
     // restore it (checkpoint-restore when the backend supports it, setup
@@ -707,11 +687,11 @@ pub fn check_isolation(
     }
 }
 
-fn check_isolation_arms(
+fn check_isolation_arms<S: SetupStatement>(
     conn: &mut dyn DbmsConnection,
     schedule: &Schedule,
     features: &FeatureSet,
-    state: &SetupState<'_>,
+    state: &SetupState<'_, S>,
 ) -> IsolationVerdict {
     let setup = state.setup;
     if !schedule.is_well_formed() {
@@ -833,7 +813,7 @@ fn check_isolation_arms(
                 schedule.tables.join(", "),
                 order_names.join(", "),
             ),
-            setup: setup.to_vec(),
+            setup: setup_sql(setup),
             queries: schedule.replay_script(),
             features: features.clone(),
         })),
@@ -920,7 +900,7 @@ mod tests {
                 vec![vec![Value::Integer(2)]],
             )
             .with("SELECT c0 FROM t0 WHERE ((c0 = 1) IS NULL)", vec![]);
-        let outcome = check_tlp(&mut mock, &query, &predicate, &features, &[]);
+        let outcome = check_tlp(&mut mock, &query, &predicate, &features, &[] as &[String]);
         assert_eq!(outcome, OracleOutcome::Passed);
     }
 
@@ -940,7 +920,7 @@ mod tests {
             )
             .with("SELECT c0 FROM t0 WHERE (NOT (c0 = 1))", vec![])
             .with("SELECT c0 FROM t0 WHERE ((c0 = 1) IS NULL)", vec![]);
-        let outcome = check_tlp(&mut mock, &query, &predicate, &features, &[]);
+        let outcome = check_tlp(&mut mock, &query, &predicate, &features, &[] as &[String]);
         assert!(outcome.is_bug());
         if let OracleOutcome::Bug(report) = outcome {
             assert_eq!(report.oracle, OracleKind::Tlp);
@@ -954,7 +934,7 @@ mod tests {
         let mut mock = MockDbms::new()
             .with("SELECT c0 FROM t0", vec![])
             .with_error("SELECT c0 FROM t0 WHERE (c0 = 1)", "syntax error");
-        let outcome = check_tlp(&mut mock, &query, &predicate, &features, &[]);
+        let outcome = check_tlp(&mut mock, &query, &predicate, &features, &[] as &[String]);
         assert_eq!(outcome, OracleOutcome::Invalid("syntax error".into()));
         assert!(!outcome.is_valid());
     }
@@ -972,7 +952,7 @@ mod tests {
                 vec![vec![Value::Boolean(true)], vec![Value::Boolean(false)]],
             );
         assert_eq!(
-            check_norec(&mut mock, &query, &predicate, &features, &[]),
+            check_norec(&mut mock, &query, &predicate, &features, &[] as &[String]),
             OracleOutcome::Passed
         );
         let mut buggy = MockDbms::new()
@@ -981,7 +961,7 @@ mod tests {
                 "SELECT ((c0 = 1) IS TRUE) AS norec FROM t0",
                 vec![vec![Value::Boolean(true)]],
             );
-        assert!(check_norec(&mut buggy, &query, &predicate, &features, &[]).is_bug());
+        assert!(check_norec(&mut buggy, &query, &predicate, &features, &[] as &[String]).is_bug());
     }
 
     #[test]
@@ -1048,7 +1028,9 @@ mod tests {
             distinct: false,
         })];
         let mut mock = MockDbms::new();
-        assert!(!check_tlp(&mut mock, &query, &predicate, &features, &[]).is_valid());
-        assert!(!check_norec(&mut mock, &query, &predicate, &features, &[]).is_valid());
+        assert!(!check_tlp(&mut mock, &query, &predicate, &features, &[] as &[String]).is_valid());
+        assert!(
+            !check_norec(&mut mock, &query, &predicate, &features, &[] as &[String]).is_valid()
+        );
     }
 }

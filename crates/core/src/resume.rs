@@ -40,7 +40,7 @@ use crate::json::{self, json_record, Codec, Json};
 use crate::prioritizer::PrioritizerStats;
 use crate::schema::SchemaModel;
 use crate::stats::FeatureStats;
-use sql_ast::fnv1a64;
+use sql_ast::{fnv1a64, Statement};
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use std::path::Path;
@@ -81,8 +81,9 @@ pub struct CampaignCheckpoint {
     pub kept_sets: Vec<FeatureSet>,
     /// The prioritizer's statistics (not recomputable from the kept sets).
     pub prioritizer_stats: PrioritizerStats,
-    /// The current database's replayable setup log.
-    pub setup_log: Vec<String>,
+    /// The current database's setup log. It travels as SQL text (the
+    /// statements' canonical rendering) and is parsed once on load.
+    pub setup_log: Vec<Statement>,
     /// Storage-metric delta accumulated over completed work (the resumed
     /// run samples a fresh baseline and adds to this).
     pub storage_delta: StorageMetrics,
@@ -382,10 +383,12 @@ mod tests {
                 prioritized: 2,
                 deduplicated: 3,
             },
-            setup_log: vec![
-                "CREATE TABLE t0 (c0 INTEGER, c1 TEXT)".to_string(),
-                "INSERT INTO t0 (c0, c1) VALUES (1, 'a\nb\\c')".to_string(),
-            ],
+            setup_log: [
+                "CREATE TABLE t0 (c0 INTEGER, c1 TEXT)",
+                "INSERT INTO t0 (c0, c1) VALUES (1, 'a\nb\\c')",
+            ]
+            .map(|sql| sql_parser::parse_statement(sql).unwrap())
+            .into(),
             storage_delta: StorageMetrics {
                 txn_begins: 7,
                 tables_snapshotted: 14,

@@ -28,11 +28,12 @@
 //! reaches the prioritizer or the bug reports, so injected faults cannot
 //! surface as false-positive logic bugs.
 
-use crate::dbms::DbmsConnection;
+use crate::dbms::{replay_setup, DbmsConnection};
 use crate::driver::ResilienceEvent;
 use crate::json::{json_name, json_record};
 use crate::oracle::OracleOutcome;
 use crate::trace::{emit, TraceEventKind, TraceHandle, TraceVerdict};
+use sql_ast::Statement;
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -324,6 +325,10 @@ pub struct Supervisor {
     /// The seed of the case currently inside [`Supervisor::run_case`]
     /// (0 outside), stamping ledger trace events.
     case_seed: u64,
+    /// The infrastructure failure that cut the last rebuild short
+    /// ([`Supervisor::recover`]): the connection is half-built, so the
+    /// next attempt is spent rebuilding it instead of taking a verdict.
+    pub(crate) half_built: Option<String>,
 }
 
 impl std::fmt::Debug for Supervisor {
@@ -347,6 +352,7 @@ impl Supervisor {
             consecutive_infra: 0,
             trace: None,
             case_seed: 0,
+            half_built: None,
         }
     }
 
@@ -364,6 +370,7 @@ impl Supervisor {
             consecutive_infra,
             trace: None,
             case_seed: 0,
+            half_built: None,
         }
     }
 
@@ -416,10 +423,15 @@ impl Supervisor {
     /// virtual-clock watchdog, bounded retry with state recovery, and
     /// quarantine accounting. `check` must be re-runnable — the campaign
     /// generates the case data once and the closure only executes it.
+    ///
+    /// A verdict is only ever taken on a fully rebuilt state: when the last
+    /// rebuild was cut short by an infrastructure failure, the attempt is
+    /// spent on that failure (an incident, then another rebuild) and the
+    /// check does not run.
     pub fn run_case(
         &mut self,
         conn: &mut dyn DbmsConnection,
-        setup_log: &[String],
+        setup_log: &[Statement],
         database: usize,
         case_index: u64,
         case_seed: u64,
@@ -429,16 +441,24 @@ impl Supervisor {
         self.case_seed = case_seed;
         loop {
             // `begin_case` runs inside the unwind guard: for a pooled
-            // connection it performs slot checkout, lazy re-sync and (after a
-            // respawn) the capability re-probe, any of which can legitimately
-            // panic with an `infra:` message. Outside the guard such a panic
-            // would kill the whole campaign instead of becoming an incident.
+            // connection it performs slot checkout, lazy re-sync and (on a
+            // fresh connect) the capability probe, any of which can
+            // legitimately panic with an `infra:` message. Outside the guard
+            // such a panic would kill the whole campaign instead of becoming
+            // an incident.
             let ticks_before: Cell<Option<u64>> = Cell::new(None);
-            let caught = catch_unwind(AssertUnwindSafe(|| {
-                conn.begin_case(case_seed);
-                ticks_before.set(Some(conn.virtual_ticks()));
-                check(conn)
-            }));
+            let caught = match self.half_built.take() {
+                // The marked replay message fails the attempt like any other
+                // infrastructure outcome, with zero case ticks.
+                Some(message) => Ok(OracleOutcome::Invalid(format!(
+                    "setup replay failed during recovery: {message}"
+                ))),
+                None => catch_unwind(AssertUnwindSafe(|| {
+                    conn.begin_case(case_seed);
+                    ticks_before.set(Some(conn.virtual_ticks()));
+                    check(conn)
+                })),
+            };
             // `None` means the attempt died inside `begin_case` itself —
             // before any case work — so it consumed no case ticks.
             let elapsed = match ticks_before.get() {
@@ -465,7 +485,7 @@ impl Supervisor {
                             detail,
                         });
                         self.consecutive_infra = 0;
-                        recover(conn, setup_log);
+                        self.recover(conn, setup_log);
                         self.settle_case(conn, case_seed, database, case_index, false);
                         self.finish_case(TraceVerdict::Panicked, elapsed);
                         return SupervisedCase::Panicked;
@@ -521,7 +541,7 @@ impl Supervisor {
                 observed_ticks: elapsed,
                 detail,
             });
-            recover(conn, setup_log);
+            self.recover(conn, setup_log);
             if attempt >= self.config.max_retries {
                 self.counters.infra_failures += 1;
                 self.consecutive_infra += 1;
@@ -542,6 +562,18 @@ impl Supervisor {
             );
             attempt += 1;
         }
+    }
+
+    /// Rebuilds the backend state from the setup log: safe mode (no fault
+    /// arming), then [`replay_setup`]. Used after every failed attempt and
+    /// for the campaign's resume and post-reduction rebuilds, so a
+    /// recovered backend is observably identical to one that never failed.
+    /// A replay cut short by an infrastructure failure leaves the
+    /// connection half-built; the next [`Supervisor::run_case`] attempt is
+    /// then spent on it.
+    pub fn recover(&mut self, conn: &mut dyn DbmsConnection, setup_log: &[Statement]) {
+        conn.begin_case(0);
+        self.half_built = replay_setup(conn, setup_log).err();
     }
 
     /// Settles the case's final attempt with the connection layer and
@@ -611,18 +643,6 @@ impl Supervisor {
             TraceEventKind::Verdict { verdict },
         );
         self.case_seed = 0;
-    }
-}
-
-/// Rebuilds the backend state after a failed attempt: safe mode (no fault
-/// arming), full reset, setup-log replay. Mirrors the campaign's own
-/// post-reduction rebuild, so a recovered backend is observably identical
-/// to one that never failed.
-fn recover(conn: &mut dyn DbmsConnection, setup_log: &[String]) {
-    conn.begin_case(0);
-    conn.reset();
-    for sql in setup_log {
-        let _ = conn.execute(sql);
     }
 }
 
@@ -754,7 +774,7 @@ mod tests {
         // attempts report an infra drop, third passes.
         let mut conn = FlakyConn::new();
         let mut supervisor = Supervisor::new(SupervisorConfig::default());
-        let setup: Vec<String> = Vec::new();
+        let setup: Vec<Statement> = Vec::new();
         let result = supervisor.run_case(&mut conn, &setup, 0, 7, 1, &mut |conn| {
             if conn.virtual_ticks() < 2 {
                 conn.query("SELECT 1").ok();
@@ -779,7 +799,7 @@ mod tests {
     fn infra_panics_are_caught_and_retried() {
         let mut conn = FlakyConn::new();
         let mut supervisor = Supervisor::new(SupervisorConfig::default());
-        let setup = vec!["CREATE TABLE t0 (c0 INTEGER)".to_string()];
+        let setup = vec![sql_parser::parse_statement("CREATE TABLE t0 (c0 INTEGER)").unwrap()];
         let mut attempts = 0u32;
         let result = supervisor.run_case(&mut conn, &setup, 1, 3, 9, &mut |_conn| {
             attempts += 1;
@@ -803,7 +823,7 @@ mod tests {
     fn plain_panics_abandon_the_case_without_retry() {
         let mut conn = FlakyConn::new();
         let mut supervisor = Supervisor::new(SupervisorConfig::default());
-        let setup: Vec<String> = Vec::new();
+        let setup: Vec<Statement> = Vec::new();
         let result = supervisor.run_case(&mut conn, &setup, 0, 0, 5, &mut |_conn| {
             panic!("index out of bounds: the len is 0")
         });
@@ -820,7 +840,7 @@ mod tests {
             deadline_ticks: 10,
             ..SupervisorConfig::default()
         });
-        let setup: Vec<String> = Vec::new();
+        let setup: Vec<Statement> = Vec::new();
         let mut first = true;
         let result = supervisor.run_case(&mut conn, &setup, 0, 0, 2, &mut |conn| {
             if first {
@@ -847,7 +867,7 @@ mod tests {
             quarantine_threshold: 2,
             ..SupervisorConfig::default()
         });
-        let setup: Vec<String> = Vec::new();
+        let setup: Vec<Statement> = Vec::new();
         for case in 0..2 {
             let result = supervisor.run_case(&mut conn, &setup, 0, case, case + 1, &mut |_conn| {
                 OracleOutcome::Invalid("infra: connection reset by peer".into())
@@ -861,6 +881,119 @@ mod tests {
         assert_eq!(supervisor.counters.incidents, 4);
     }
 
+    /// A connection whose recovery replay garbles one statement: it tracks
+    /// how many setup statements the current state holds, so a test can
+    /// see whether any verdict was taken on a half-built state.
+    struct GarbledReplayConn {
+        safe: bool,
+        garble_armed: bool,
+        /// Setup statements replayed since the last reset.
+        built: usize,
+        /// `built` as each in-case query saw it.
+        seen_by_checks: Vec<usize>,
+    }
+
+    impl DbmsConnection for GarbledReplayConn {
+        fn name(&self) -> &str {
+            "garbled-replay"
+        }
+        fn execute(&mut self, _sql: &str) -> StatementOutcome {
+            if self.safe && std::mem::take(&mut self.garble_armed) {
+                return StatementOutcome::Failure(
+                    "infra: result checksum mismatch (injected infra_garble)".into(),
+                );
+            }
+            self.built += 1;
+            StatementOutcome::Success
+        }
+        fn query(&mut self, _sql: &str) -> Result<QueryResult, String> {
+            self.seen_by_checks.push(self.built);
+            Ok(QueryResult::default())
+        }
+        fn reset(&mut self) {
+            self.built = 0;
+        }
+        fn begin_case(&mut self, case_seed: u64) {
+            self.safe = case_seed == 0;
+        }
+    }
+
+    #[test]
+    fn garbled_recovery_replay_spends_an_attempt_instead_of_a_verdict() {
+        let setup: Vec<Statement> = [
+            "CREATE TABLE t0 (c0 INTEGER)",
+            "INSERT INTO t0 (c0) VALUES (1)",
+        ]
+        .map(|sql| sql_parser::parse_statement(sql).unwrap())
+        .into();
+        let mut conn = GarbledReplayConn {
+            safe: true,
+            garble_armed: true,
+            built: setup.len(),
+            seen_by_checks: Vec::new(),
+        };
+        let mut supervisor = Supervisor::new(SupervisorConfig::default());
+        let mut checks = 0u32;
+        let result = supervisor.run_case(&mut conn, &setup, 0, 0, 6, &mut |conn| {
+            checks += 1;
+            let _ = conn.query("SELECT * FROM t0");
+            if checks == 1 {
+                OracleOutcome::Invalid("infra: connection reset by peer".into())
+            } else {
+                OracleOutcome::Passed
+            }
+        });
+        assert!(matches!(
+            result,
+            SupervisedCase::Completed(OracleOutcome::Passed)
+        ));
+        // Attempt 0 dropped; its recovery replay was garbled, so attempt 1
+        // went to a second recovery and only attempt 2 ran the check again.
+        assert_eq!(checks, 2);
+        assert_eq!(conn.seen_by_checks, vec![setup.len(); 2]);
+        let kinds: Vec<IncidentKind> = supervisor.incidents.iter().map(|i| i.kind).collect();
+        assert_eq!(
+            kinds,
+            [IncidentKind::ConnectionDrop, IncidentKind::GarbledResult]
+        );
+        assert!(supervisor.incidents[1]
+            .detail
+            .contains("setup replay failed during recovery"));
+        assert_eq!(supervisor.counters.retries, 2);
+
+        // With no retries left, the half-built state carries over: the next
+        // case spends its attempt rebuilding instead of checking.
+        let mut strict = Supervisor::new(SupervisorConfig {
+            max_retries: 0,
+            ..SupervisorConfig::default()
+        });
+        conn.garble_armed = true;
+        conn.seen_by_checks.clear();
+        let mut drop_first = true;
+        let first = strict.run_case(&mut conn, &setup, 0, 0, 7, &mut |conn| {
+            let _ = conn.query("SELECT * FROM t0");
+            if std::mem::take(&mut drop_first) {
+                OracleOutcome::Invalid("infra: connection reset by peer".into())
+            } else {
+                OracleOutcome::Passed
+            }
+        });
+        assert!(matches!(first, SupervisedCase::InfraFailed));
+        let second = strict.run_case(&mut conn, &setup, 0, 1, 8, &mut |_conn| {
+            panic!("no check may run on a half-built state")
+        });
+        assert!(matches!(second, SupervisedCase::InfraFailed));
+        let third = strict.run_case(&mut conn, &setup, 0, 2, 9, &mut |conn| {
+            let _ = conn.query("SELECT * FROM t0");
+            OracleOutcome::Passed
+        });
+        assert!(matches!(
+            third,
+            SupervisedCase::Completed(OracleOutcome::Passed)
+        ));
+        assert_eq!(conn.seen_by_checks, vec![setup.len(); 2]);
+    }
+
     #[test]
     fn infra_marked_bug_is_never_reported_as_a_bug() {
         let mut conn = FlakyConn::new();
@@ -868,7 +1001,7 @@ mod tests {
             max_retries: 0,
             ..SupervisorConfig::default()
         });
-        let setup: Vec<String> = Vec::new();
+        let setup: Vec<Statement> = Vec::new();
         let result = supervisor.run_case(&mut conn, &setup, 0, 0, 4, &mut |_conn| {
             OracleOutcome::Bug(Box::new(crate::oracle::BugReport {
                 oracle: crate::oracle::OracleKind::Tlp,

@@ -71,7 +71,7 @@ fn generator_oracle_loop_learns_rejected_functions() {
             &query.select,
             &query.predicate,
             &query.features,
-            &[],
+            &[] as &[String],
         );
         generator.record_outcome(&query.features, FeatureKind::Query, outcome.is_valid());
     }
@@ -110,7 +110,7 @@ fn learned_profile_survives_persistence_and_keeps_decisions() {
             &query.select,
             &query.predicate,
             &query.features,
-            &[],
+            &[] as &[String],
         );
         generator.record_outcome(&query.features, FeatureKind::Query, outcome.is_valid());
     }

@@ -12,6 +12,7 @@ use sqlancer_core::{
     EngineCoverage, OracleKind, OracleOutcome, QueryResult, ReducibleCase, ScheduleCase,
     StateCheckpoint, StatementOutcome, StorageMetrics, TxnCase,
 };
+use std::sync::Arc;
 
 /// A simulated DBMS under test: a dialect profile layered over the
 /// in-memory engine, with a set of injected bugs as ground truth.
@@ -22,7 +23,9 @@ use sqlancer_core::{
 /// connections on one engine.
 #[derive(Debug)]
 pub struct SimulatedDbms {
-    profile: DialectProfile,
+    /// Immutable for the connection's lifetime and shared with every
+    /// session it opens and every clone of it.
+    profile: Arc<DialectProfile>,
     faults: Vec<&'static str>,
     engine: Engine,
     session: EngineSession,
@@ -54,7 +57,7 @@ impl Clone for SimulatedDbms {
         let engine = self.engine.clone();
         let session = engine.session();
         SimulatedDbms {
-            profile: self.profile.clone(),
+            profile: Arc::clone(&self.profile),
             faults: self.faults.clone(),
             engine,
             session,
@@ -69,7 +72,10 @@ impl SimulatedDbms {
     /// Creates a simulated DBMS from a profile and a set of engine fault
     /// names (the injected bugs), using the default (compiled) expression
     /// evaluator.
-    pub fn new(profile: DialectProfile, faults: Vec<&'static str>) -> SimulatedDbms {
+    pub fn new(
+        profile: impl Into<Arc<DialectProfile>>,
+        faults: Vec<&'static str>,
+    ) -> SimulatedDbms {
         SimulatedDbms::with_eval(profile, faults, EvalStrategy::default())
     }
 
@@ -77,10 +83,11 @@ impl SimulatedDbms {
     /// strategy — [`EvalStrategy::TreeWalk`] is the reference arm of the
     /// compiled↔tree parity suite and the throughput benchmark.
     pub fn with_eval(
-        profile: DialectProfile,
+        profile: impl Into<Arc<DialectProfile>>,
         faults: Vec<&'static str>,
         eval: EvalStrategy,
     ) -> SimulatedDbms {
+        let profile = profile.into();
         let engine = Engine::new(Self::engine_config(&profile, &faults, eval));
         let session = engine.session();
         SimulatedDbms {
@@ -146,7 +153,7 @@ impl SimulatedDbms {
     /// is a no-op (only the owning DBMS may wipe shared state).
     pub fn connect(&self) -> SimulatedSession {
         SimulatedSession {
-            profile: self.profile.clone(),
+            profile: Arc::clone(&self.profile),
             session: self.engine.session(),
         }
     }
@@ -160,7 +167,7 @@ impl SimulatedDbms {
             .copied()
             .filter(|f| *f != fault)
             .collect();
-        SimulatedDbms::with_eval(self.profile.clone(), faults, self.eval())
+        SimulatedDbms::with_eval(Arc::clone(&self.profile), faults, self.eval())
     }
 
     /// Executes a profile-gated query through the engine — the shared tail
@@ -301,7 +308,7 @@ fn run_session_query(session: &EngineSession, select: &Select) -> Result<QueryRe
 /// independent transaction state.
 #[derive(Debug)]
 pub struct SimulatedSession {
-    profile: DialectProfile,
+    profile: Arc<DialectProfile>,
     session: EngineSession,
 }
 

@@ -21,8 +21,9 @@ use sqlancer_core::driver::{Capability, Driver};
 /// A named preset of the fleet.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DialectPreset {
-    /// The dialect profile.
-    pub profile: DialectProfile,
+    /// The dialect profile, shared with every connection the preset
+    /// instantiates.
+    pub profile: Arc<DialectProfile>,
     /// Names of the injected engine faults.
     pub faults: Vec<&'static str>,
     /// Injected *infrastructure* faults (crashes, hangs, drops, garbled
@@ -40,14 +41,14 @@ impl DialectPreset {
     /// The campaign runners go through [`DialectPreset::instantiate_for_path`],
     /// which layers the decorator when [`DialectPreset::infra`] is set.
     pub fn instantiate(&self) -> SimulatedDbms {
-        SimulatedDbms::new(self.profile.clone(), self.faults.clone())
+        SimulatedDbms::new(Arc::clone(&self.profile), self.faults.clone())
     }
 
     /// Instantiates a fresh simulated DBMS with an explicit expression
     /// evaluation strategy (the tree walker is the benchmark baseline and
     /// parity reference arm).
     pub fn instantiate_with_eval(&self, eval: EvalStrategy) -> SimulatedDbms {
-        SimulatedDbms::with_eval(self.profile.clone(), self.faults.clone(), eval)
+        SimulatedDbms::with_eval(Arc::clone(&self.profile), self.faults.clone(), eval)
     }
 
     /// This preset with the given infrastructure faults armed: connections
@@ -167,7 +168,7 @@ fn preset(
     let mut profile = DialectProfile::permissive(name, typing).without(unsupported);
     profile.requires_refresh = requires_refresh;
     DialectPreset {
-        profile,
+        profile: Arc::new(profile),
         faults: faults.to_vec(),
         infra: None,
     }

@@ -28,11 +28,38 @@ mod parser;
 
 pub use error::ParseError;
 pub use lexer::{tokenize, SpannedToken, Token};
-pub use parser::{parse_expression, parse_statement, parse_statements, Parser};
+pub use parser::{parse_expression, parse_statement, parse_statements, Parser, MAX_NESTING};
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn deep_nesting_is_a_parse_error_not_a_stack_overflow() {
+        let parens =
+            |levels: usize| format!("SELECT {}1{}", "(".repeat(levels), ")".repeat(levels));
+        assert!(parse_statements(&parens(100)).is_ok());
+        // 600 levels used to overflow a 2 MiB test-thread stack and abort.
+        for levels in [600, 10_000] {
+            let deep = [
+                parens(levels),
+                format!("SELECT {}1", "NOT ".repeat(levels)),
+                format!("SELECT {}1", "- ".repeat(levels)),
+                format!(
+                    "SELECT {}1{}",
+                    "(SELECT ".repeat(levels),
+                    ")".repeat(levels)
+                ),
+            ];
+            for sql in &deep {
+                let err = parse_statements(sql).expect_err("nesting past the cap is rejected");
+                assert!(
+                    err.message.contains("nesting deeper than"),
+                    "{levels} levels: {err}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn round_trips_paper_listing_2() {

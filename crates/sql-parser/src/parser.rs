@@ -15,10 +15,18 @@ use sql_ast::{
     TableConstraint, TableFactor, TableWithJoins, UnaryOp, Update, Value,
 };
 
+/// The deepest nesting of expressions, subqueries and prefix operators the
+/// parser accepts. Recursive descent spends stack per level, so deeper
+/// input is rejected with a [`ParseError`] instead of overflowing the
+/// stack; generated SQL nests a handful of levels.
+pub const MAX_NESTING: usize = 128;
+
 /// A recursive-descent parser over a token stream.
 pub struct Parser {
     tokens: Vec<SpannedToken>,
     pos: usize,
+    /// Current nesting depth (see [`MAX_NESTING`]).
+    depth: usize,
 }
 
 impl Parser {
@@ -31,7 +39,22 @@ impl Parser {
         Ok(Parser {
             tokens: tokenize(sql)?,
             pos: 0,
+            depth: 0,
         })
+    }
+
+    /// Runs `parse` one nesting level deeper, failing past [`MAX_NESTING`].
+    fn nested<T>(
+        &mut self,
+        parse: impl FnOnce(&mut Parser) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        if self.depth >= MAX_NESTING {
+            return Err(self.error(format!("nesting deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        let result = parse(self);
+        self.depth -= 1;
+        result
     }
 
     fn offset(&self) -> usize {
@@ -475,6 +498,10 @@ impl Parser {
     ///
     /// Returns a [`ParseError`] on malformed input.
     pub fn parse_select(&mut self) -> Result<Select, ParseError> {
+        self.nested(Parser::parse_select_inner)
+    }
+
+    fn parse_select_inner(&mut self) -> Result<Select, ParseError> {
         self.expect_keyword("SELECT")?;
         let mut select = Select::new();
         select.distinct = self.consume_keyword("DISTINCT");
@@ -696,7 +723,7 @@ impl Parser {
     ///
     /// Returns a [`ParseError`] on malformed input.
     pub fn parse_expr(&mut self) -> Result<Expr, ParseError> {
-        self.parse_or()
+        self.nested(Parser::parse_or)
     }
 
     fn parse_or(&mut self) -> Result<Expr, ParseError> {
@@ -724,7 +751,7 @@ impl Parser {
             && self.peek_at(1).and_then(Token::keyword).as_deref() != Some("EXISTS")
         {
             self.pos += 1;
-            let inner = self.parse_not()?;
+            let inner = self.nested(Parser::parse_not)?;
             return Ok(inner.not());
         }
         self.parse_comparison()
@@ -977,7 +1004,7 @@ impl Parser {
         };
         if let Some(op) = op {
             self.pos += 1;
-            let inner = self.parse_unary()?;
+            let inner = self.nested(Parser::parse_unary)?;
             // Fold a sign applied to a numeric literal into the literal so
             // that `-3` round-trips as the literal the AST rendering emits.
             if op == UnaryOp::Neg {

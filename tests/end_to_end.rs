@@ -172,14 +172,14 @@ fn oracle_checks_are_deterministic_for_a_fixed_state() {
             &query.select,
             &query.predicate,
             &query.features,
-            &[],
+            &[] as &[String],
         );
         let b = check_tlp(
             &mut dbms,
             &query.select,
             &query.predicate,
             &query.features,
-            &[],
+            &[] as &[String],
         );
         assert_eq!(a, b);
         let c = check_norec(
@@ -187,14 +187,14 @@ fn oracle_checks_are_deterministic_for_a_fixed_state() {
             &query.select,
             &query.predicate,
             &query.features,
-            &[],
+            &[] as &[String],
         );
         let d = check_norec(
             &mut dbms,
             &query.select,
             &query.predicate,
             &query.features,
-            &[],
+            &[] as &[String],
         );
         assert_eq!(c, d);
         generator.record_outcome(&query.features, FeatureKind::Query, a.is_valid());

@@ -165,15 +165,26 @@ struct DroppedFrameConnection {
     replaying: bool,
 }
 
+impl DroppedFrameConnection {
+    /// The armed drop, on whichever entry point the replay uses (typed
+    /// setup entries replay through `execute_ast`, text ones through
+    /// `execute`).
+    fn dropped_frame(&mut self) -> Option<StatementOutcome> {
+        (self.secondary && self.replaying && self.armed.swap(false, Ordering::Relaxed)).then(|| {
+            StatementOutcome::Failure(format!(
+                "{INFRA_MARKER} wire frame dropped inside sync replay (injected)"
+            ))
+        })
+    }
+}
+
 impl DbmsConnection for DroppedFrameConnection {
     fn name(&self) -> &str {
         self.inner.name()
     }
     fn execute(&mut self, sql: &str) -> StatementOutcome {
-        if self.secondary && self.replaying && self.armed.swap(false, Ordering::Relaxed) {
-            return StatementOutcome::Failure(format!(
-                "{INFRA_MARKER} wire frame dropped inside sync replay (injected)"
-            ));
+        if let Some(dropped) = self.dropped_frame() {
+            return dropped;
         }
         self.inner.execute(sql)
     }
@@ -190,6 +201,9 @@ impl DbmsConnection for DroppedFrameConnection {
         self.inner.quirks()
     }
     fn execute_ast(&mut self, stmt: &sqlancerpp::ast::Statement) -> StatementOutcome {
+        if let Some(dropped) = self.dropped_frame() {
+            return dropped;
+        }
         self.inner.execute_ast(stmt)
     }
     fn query_ast(&mut self, select: &sqlancerpp::ast::Select) -> Result<QueryResult, String> {
