@@ -2,7 +2,8 @@
 # CI gate for the SQLancer++ reproduction workspace.
 #
 #   ./ci.sh          # full gate: fmt, clippy, release build, tests,
-#                    # perf-regression gate, benchmark smoke test
+#                    # self-asserting examples, perf-regression gate,
+#                    # benchmark smoke test
 #
 # Every step must pass; the script stops at the first failure. The perf
 # gate compares timed throughput ratios against the floors in
@@ -23,6 +24,18 @@ cargo build --release --workspace
 
 echo "==> cargo test -q"
 cargo test --workspace -q
+
+echo "==> self-asserting examples"
+# These examples assert their own contracts: serial == sharded trace
+# summaries and atlases, pool-size invariance of the report, and a fault
+# bisection that must attribute every incident to its injected kind. A
+# failed assert exits non-zero. Together they run in well under a second.
+EXAMPLES=(coverage_hunt fault_storm flaky_hunt trace_hunt)
+cargo build --release "${EXAMPLES[@]/#/--example=}"
+for example in "${EXAMPLES[@]}"; do
+    echo "--> $example"
+    "./target/release/examples/$example" > /dev/null
+done
 
 echo "==> perf-regression gate (~30s)"
 # Times every paired workload of the throughput harness (AST/text,

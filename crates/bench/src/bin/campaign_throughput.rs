@@ -42,8 +42,8 @@
 //! Usage: `campaign_throughput [--gate] [queries_per_database] [output_path]`
 
 use dbms_sim::{
-    available_threads, fleet, preset_by_name, run_campaign_partitioned,
-    run_campaign_partitioned_pooled, run_fleet_serial, DialectPreset, ExecutionPath, FaultyConfig,
+    available_threads, fleet, fleet_drivers, preset_by_name, DialectPreset, ExecutionPath,
+    FaultyConfig, RunPlan,
 };
 use sqlancer_core::{
     silence_infra_panics, validate_jsonl, Campaign, CampaignConfig, CampaignMetrics, Json,
@@ -321,8 +321,7 @@ fn preset(dialect: &str) -> DialectPreset {
 /// against the eval workload's compiled arm. Returns the concurrency
 /// workload's metrics for the copy-on-write record.
 fn fleet_ratios(queries: usize) -> (Vec<Ratio>, CampaignMetrics) {
-    let presets = fleet();
-    let run = |config: &CampaignConfig, path| run_fleet_serial(&presets, config, path).totals;
+    let run = |config: &CampaignConfig, path| RunPlan::new(fleet_drivers(path)).run(config).totals;
     let dispatch = dispatch_config(queries);
     let eval = eval_config(queries);
     let txn = stateful_config(queries, OracleKind::Rollback);
@@ -423,17 +422,19 @@ fn probed_ratio() -> Ratio {
     config.seed = 0xF1AC;
     config.databases = 3;
     config.oracles = vec![OracleKind::Tlp, OracleKind::NoRec, OracleKind::Rollback];
-    let supervision = SupervisorConfig::default();
-    let healthy = preset("sqlite").driver(ExecutionPath::Ast);
-    let flaky = preset("sqlite")
-        .with_infra_faults(FaultyConfig::flaky())
-        .driver(ExecutionPath::Ast);
+    let sharded = |preset: DialectPreset| RunPlan {
+        pool_size: 2,
+        shard_by_database: true,
+        ..RunPlan::new(vec![preset.driver(ExecutionPath::Ast)])
+    };
+    let healthy = sharded(preset("sqlite"));
+    let flaky = sharded(preset("sqlite").with_infra_faults(FaultyConfig::flaky()));
     let rounds = interleave(&mut [
         &mut || {
-            run_campaign_partitioned_pooled(&healthy, &config, 1, 2, &supervision);
+            healthy.run(&config);
         },
         &mut || {
-            run_campaign_partitioned_pooled(&flaky, &config, 1, 2, &supervision);
+            flaky.run(&config);
         },
     ]);
     rounds.ratio(
@@ -450,15 +451,22 @@ fn probed_ratio() -> Ratio {
 /// seed: at this size the eight databases split evenly across two
 /// workers, where six or sixteen left one worker with most of the work.
 fn partitioned_ratio(threads: usize) -> Ratio {
-    let mariadb = preset("mariadb");
     let mut config = stateful_config(150, OracleKind::Isolation);
     config.databases = 8;
+    let serial = RunPlan {
+        shard_by_database: true,
+        ..RunPlan::new(vec![preset("mariadb").driver(ExecutionPath::Ast)])
+    };
+    let sharded = RunPlan {
+        threads: threads.max(2),
+        ..serial.clone()
+    };
     let mut ratio = interleave(&mut [
         &mut || {
-            run_campaign_partitioned(&mariadb, &config, ExecutionPath::Ast, 1);
+            serial.run(&config);
         },
         &mut || {
-            run_campaign_partitioned(&mariadb, &config, ExecutionPath::Ast, threads.max(2));
+            sharded.run(&config);
         },
     ])
     .ratio(
@@ -500,7 +508,7 @@ fn main() {
     // lazy allocations) don't land on the first measured arm.
     let mut warm = dispatch_config(5);
     warm.databases = 1;
-    let _ = run_fleet_serial(&fleet(), &warm, ExecutionPath::Ast);
+    let _ = RunPlan::new(fleet_drivers(ExecutionPath::Ast)).run(&warm);
 
     let (mut ratios, cow) = fleet_ratios(queries);
     ratios.push(traced_ratio());

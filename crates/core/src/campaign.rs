@@ -437,20 +437,6 @@ impl Campaign {
         self.run_supervised(pool, supervision)
     }
 
-    /// Resumes a checkpointed campaign over a connection
-    /// [`Pool`](crate::driver::Pool), re-applying the pool's capability
-    /// report first (capability suppression is configuration, not
-    /// checkpointed state). See [`Campaign::resume`].
-    pub fn resume_pooled(
-        &mut self,
-        pool: &mut crate::driver::Pool,
-        supervision: &SupervisorConfig,
-        checkpoint: CampaignCheckpoint,
-    ) -> CampaignReport {
-        self.apply_capability(&pool.capability().clone());
-        self.resume(pool, supervision, checkpoint)
-    }
-
     /// Runs the campaign against a DBMS and produces a report.
     ///
     /// Every campaign runs under the default [`SupervisorConfig`], which is

@@ -199,7 +199,10 @@ pub struct RobustnessCounters {
     pub incidents: u64,
     /// Case attempts re-run after an infrastructure failure.
     pub retries: u64,
-    /// Case attempts that overran the virtual-clock deadline.
+    /// Watchdog incidents ([`IncidentKind::WatchdogTimeout`]): case
+    /// attempts that overran the virtual-clock deadline, plus backend hangs
+    /// (`infra_hang`) reported inside it. Counted in [`Supervisor::record`],
+    /// so it equals the trace summary's watchdog count.
     pub watchdog_trips: u64,
     /// Virtual ticks spent in retry backoff (exponential, deterministic).
     pub backoff_ticks: u64,
@@ -405,6 +408,9 @@ impl Supervisor {
     /// attempt).
     pub fn record(&mut self, incident: CampaignIncident) {
         self.counters.incidents += 1;
+        if incident.kind == IncidentKind::WatchdogTimeout {
+            self.counters.watchdog_trips += 1;
+        }
         emit(
             &self.trace,
             self.case_seed,
@@ -492,7 +498,6 @@ impl Supervisor {
                     }
                 }
                 Ok(outcome) if elapsed > self.config.deadline_ticks => {
-                    self.counters.watchdog_trips += 1;
                     let mut detail = format!(
                         "case attempt overran deadline: {elapsed} virtual ticks > {} budget",
                         self.config.deadline_ticks
@@ -857,6 +862,34 @@ mod tests {
         ));
         assert_eq!(supervisor.counters.watchdog_trips, 1);
         assert_eq!(supervisor.incidents[0].kind, IncidentKind::WatchdogTimeout);
+    }
+
+    #[test]
+    fn a_hang_reported_inside_the_deadline_counts_as_one_watchdog_trip() {
+        // A short injected hang: the backend gives up after a few ticks,
+        // well inside the deadline, and says so. It is a watchdog incident
+        // like an overrun, and counted once, where the incident is recorded.
+        let mut conn = FlakyConn::new();
+        let mut supervisor = Supervisor::new(SupervisorConfig::default());
+        let setup: Vec<Statement> = Vec::new();
+        let mut first = true;
+        let result = supervisor.run_case(&mut conn, &setup, 0, 0, 3, &mut |conn| {
+            if std::mem::take(&mut first) {
+                let _ = conn.query("SELECT 1");
+                return OracleOutcome::Invalid(format!(
+                    "{INFRA_MARKER} statement exceeded deadline (injected infra_hang)"
+                ));
+            }
+            OracleOutcome::Passed
+        });
+        assert!(matches!(
+            result,
+            SupervisedCase::Completed(OracleOutcome::Passed)
+        ));
+        assert!(supervisor.incidents[0].observed_ticks < supervisor.config.deadline_ticks);
+        assert_eq!(supervisor.incidents[0].kind, IncidentKind::WatchdogTimeout);
+        assert_eq!(supervisor.counters.watchdog_trips, 1);
+        assert_eq!(supervisor.counters.incidents, 1);
     }
 
     #[test]

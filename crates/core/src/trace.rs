@@ -273,7 +273,9 @@ pub struct TraceCounters {
     pub backoff_ticks: u64,
     /// Incidents recorded in the supervision ledger.
     pub incidents: u64,
-    /// Watchdog deadline overruns among those incidents.
+    /// [`IncidentKind::WatchdogTimeout`] incidents among those: deadline
+    /// overruns and backend hangs reported inside the deadline. Equals
+    /// [`crate::RobustnessCounters::watchdog_trips`].
     pub watchdog_trips: u64,
     /// Dialect quarantines.
     pub quarantines: u64,

@@ -13,7 +13,11 @@
 //!   unique-bug counting;
 //! * [`SimulatedDbms`] — a [`sqlancer_core::DbmsConnection`] implementation
 //!   combining a profile, the engine and a set of injected bugs;
-//! * [`fleet`] — 18 named presets mirroring Table 2 of the paper.
+//! * [`fleet`] — 18 named presets mirroring Table 2 of the paper;
+//! * [`RunPlan`] — the one run executor: a set of drivers, a pool size, a
+//!   thread count, optional sharding by database, supervision and tracing,
+//!   run as seed-derived work units whose merged [`FleetReport`] is
+//!   byte-identical for any thread count and pool size.
 //!
 //! # Examples
 //!
@@ -48,8 +52,5 @@ pub use profile::{
 };
 pub use runner::{
     available_threads, derive_dialect_seed, derive_shard_seed, observed_infra_kinds,
-    run_campaign_partitioned, run_campaign_partitioned_pooled, run_campaign_partitioned_supervised,
-    run_campaign_partitioned_traced, run_fleet_parallel, run_fleet_parallel_drivers,
-    run_fleet_serial, run_fleet_serial_drivers, run_one_driver, shard_checkpoint_path,
-    ExecutionPath, FleetReport, PartitionedCampaign,
+    run_fleet_serial_drivers, shard_checkpoint_path, ExecutionPath, FleetReport, RunPlan,
 };

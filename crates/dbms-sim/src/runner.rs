@@ -1,16 +1,18 @@
-//! The fleet campaign runner: one campaign per dialect, serial or sharded
-//! across threads.
+//! The run executor: one [`RunPlan`] for every fleet and partitioned run.
 //!
 //! The paper's platform tests 18 DBMSs; at fleet scale the campaigns are
-//! embarrassingly parallel — each dialect gets its own connection, its own
-//! adaptive generator and its own prioritizer. The runner derives a
-//! deterministic per-dialect seed from the campaign seed, so
+//! embarrassingly parallel — each backend gets its own pool, its own
+//! adaptive generator and its own prioritizer. A plan splits the run into
+//! *work units* — one campaign per driver, or one single-database campaign
+//! per database of every driver when sharded — runs every unit under the
+//! same panic guard on one claim-from-a-counter scheduler, and merges the
+//! units per driver in order. Each unit's seed derives from the campaign
+//! seed and the unit's identity, so
 //!
-//! * serial and parallel runs produce **identical** per-dialect reports
-//!   (verdicts, metrics and bug reports, byte for byte), and
-//! * adding or removing dialects never perturbs the seeds of the others.
+//! * reports are **identical** (verdicts, metrics and bug reports, byte for
+//!   byte) for any thread count and any pool size, and
+//! * adding or removing drivers never perturbs the seeds of the others.
 
-use crate::fleet::DialectPreset;
 use sqlancer_core::driver::{Driver, Pool};
 use sqlancer_core::stats::FeatureStats;
 use sqlancer_core::supervisor::panic_message;
@@ -45,17 +47,216 @@ pub enum ExecutionPath {
     Text,
 }
 
-/// The result of a fleet campaign: per-dialect reports in stable fleet
-/// order plus fleet-wide metric totals.
+/// One run over a set of drivers: how each campaign connects, how the work
+/// splits into units and across threads, and what each unit records. The
+/// fields are public; set the ones that differ from [`RunPlan::new`] with
+/// struct-update syntax.
+///
+/// ```no_run
+/// use dbms_sim::{preset_by_name, ExecutionPath, RunPlan};
+/// use sqlancer_core::CampaignConfig;
+///
+/// let driver = preset_by_name("mariadb").unwrap().driver(ExecutionPath::Ast);
+/// let plan = RunPlan {
+///     threads: 4,
+///     shard_by_database: true,
+///     ..RunPlan::new(vec![driver])
+/// };
+/// let fleet = plan.run(&CampaignConfig::default());
+/// assert_eq!(fleet.reports.len(), 1);
+/// ```
+#[derive(Clone)]
+pub struct RunPlan {
+    /// The backends under test. The run produces one merged report per
+    /// driver, in this order.
+    pub drivers: Vec<Arc<dyn Driver>>,
+    /// Connections per campaign pool (seed-ordered checkout). A throughput
+    /// knob only: reports are byte-identical for any pool size.
+    pub pool_size: usize,
+    /// Workers sharing the units, the calling thread included; bounded by
+    /// the number of units. Reports are byte-identical for any count.
+    pub threads: usize,
+    /// Split each driver's campaign into one single-database unit per
+    /// configured database, seeded by [`derive_shard_seed`] and merged in
+    /// database order. Unsharded, each driver is one unit seeded by
+    /// [`derive_dialect_seed`].
+    pub shard_by_database: bool,
+    /// The supervision policy of every unit. Its checkpoint path names one
+    /// driver's file: an unsharded unit checkpoints to (and resumes from)
+    /// the path itself, a sharded unit to [`shard_checkpoint_path`], so a
+    /// checkpointing plan holds a single driver.
+    pub supervision: SupervisorConfig,
+    /// Give every unit its own [`Tracer`] and merge the unit summaries into
+    /// [`FleetReport::trace`].
+    pub trace: bool,
+}
+
+impl RunPlan {
+    /// A plan over `drivers`: pool size 1, one thread, unsharded, default
+    /// supervision, no tracing.
+    pub fn new(drivers: Vec<Arc<dyn Driver>>) -> RunPlan {
+        RunPlan {
+            drivers,
+            pool_size: 1,
+            threads: 1,
+            shard_by_database: false,
+            supervision: SupervisorConfig::default(),
+            trace: false,
+        }
+    }
+
+    /// Runs every unit of the plan and merges the results per driver.
+    pub fn run(&self, base: &CampaignConfig) -> FleetReport {
+        let units = self.units(base);
+        let mut outcomes = run_scheduled(units.len(), self.threads, &|index| {
+            self.run_unit(&units[index])
+        })
+        .into_iter();
+        let units_per_driver = if self.shard_by_database {
+            base.databases
+        } else {
+            1
+        };
+        let mut fleet = FleetReport::default();
+        for driver in &self.drivers {
+            let driver_units: Vec<UnitOutcome> = outcomes.by_ref().take(units_per_driver).collect();
+            for unit in &driver_units {
+                fleet.trace.merge(&unit.trace);
+            }
+            let (report, profile) = if self.shard_by_database {
+                merge_shards(driver.name(), driver_units)
+            } else {
+                let unit = driver_units
+                    .into_iter()
+                    .next()
+                    .expect("one unit per driver");
+                (unit.report, unit.profile)
+            };
+            fleet.totals.merge(&report.metrics);
+            fleet.robustness.merge(&report.robustness);
+            fleet.reports.push(report);
+            fleet.profiles.push(profile);
+        }
+        fleet
+    }
+
+    /// The plan's work units, driver by driver and, when sharded, database
+    /// by database.
+    fn units(&self, base: &CampaignConfig) -> Vec<Unit<'_>> {
+        let mut units = Vec::new();
+        for driver in &self.drivers {
+            if !self.shard_by_database {
+                let mut config = base.clone();
+                config.seed = derive_dialect_seed(base.seed, driver.name());
+                units.push(Unit {
+                    driver,
+                    config,
+                    supervision: self.supervision.clone(),
+                });
+                continue;
+            }
+            for index in 0..base.databases {
+                let mut config = base.clone();
+                config.databases = 1;
+                config.seed = derive_shard_seed(base.seed, index);
+                let mut supervision = self.supervision.clone();
+                supervision.checkpoint_path = self
+                    .supervision
+                    .checkpoint_path
+                    .as_deref()
+                    .map(|path| shard_checkpoint_path(path, index));
+                units.push(Unit {
+                    driver,
+                    config,
+                    supervision,
+                });
+            }
+        }
+        units
+    }
+
+    /// Runs one unit inside the panic guard: pool, campaign, trace sink,
+    /// capability, then resume from the unit's checkpoint or a fresh
+    /// supervised run. A panic anywhere — a pool that cannot connect, a
+    /// failure outside the supervisor's reach — becomes a degraded
+    /// [`worker_panic_report`] instead of taking the run down.
+    fn run_unit(&self, unit: &Unit<'_>) -> UnitOutcome {
+        let name = unit.driver.name();
+        catch_unwind(AssertUnwindSafe(|| {
+            let mut pool = Pool::new(Arc::clone(unit.driver), self.pool_size)
+                .unwrap_or_else(|err| panic!("pool for {name} failed to connect: {err}"));
+            let mut campaign = Campaign::new(unit.config.clone());
+            let tracer = self.trace.then(|| Rc::new(RefCell::new(Tracer::new())));
+            campaign.set_trace(tracer.clone().map(|tracer| tracer as TraceHandle));
+            campaign.apply_capability(&pool.capability().clone());
+            let report = match resumable_checkpoint(&unit.supervision, unit.config.seed) {
+                Some(checkpoint) => campaign.resume(&mut pool, &unit.supervision, checkpoint),
+                None => campaign.run_supervised(&mut pool, &unit.supervision),
+            };
+            UnitOutcome {
+                report,
+                profile: campaign.generator.stats,
+                trace: tracer.map_or_else(TraceSummary::new, |tracer| {
+                    tracer.borrow().summary().clone()
+                }),
+            }
+        }))
+        .unwrap_or_else(|payload| UnitOutcome {
+            report: worker_panic_report(name, &*payload),
+            profile: FeatureStats::new(),
+            trace: TraceSummary::new(),
+        })
+    }
+}
+
+/// One work unit: a campaign over one driver's pool.
+struct Unit<'a> {
+    driver: &'a Arc<dyn Driver>,
+    config: CampaignConfig,
+    supervision: SupervisorConfig,
+}
+
+/// What one unit produced.
+struct UnitOutcome {
+    report: CampaignReport,
+    profile: FeatureStats,
+    trace: TraceSummary,
+}
+
+/// The result of a run: per-driver reports and learned profiles in plan
+/// order, plus run-wide totals.
 #[derive(Debug, Clone, Default)]
 pub struct FleetReport {
-    /// One report per dialect, in the order the presets were given.
+    /// One report per driver, in the order the drivers were given.
     pub reports: Vec<CampaignReport>,
-    /// Sum of all per-dialect metrics.
+    /// One validity-feedback profile per driver, index-aligned with
+    /// `reports`; a sharded driver's shard profiles fold with
+    /// [`FeatureStats::merge`] in database order.
+    pub profiles: Vec<FeatureStats>,
+    /// Sum of all per-driver metrics.
     pub totals: CampaignMetrics,
-    /// Sum of all per-dialect robustness counters (retries, watchdog trips,
+    /// Sum of all per-driver robustness counters (retries, watchdog trips,
     /// quarantines, incidents, ...).
     pub robustness: RobustnessCounters,
+    /// The unit trace summaries folded together by summation; empty unless
+    /// [`RunPlan::trace`] is set. Byte-identical for any thread count and
+    /// pool size under [`sqlancer_core::render_trace_summary`].
+    pub trace: TraceSummary,
+}
+
+/// Runs a fleet of drivers serially, one pooled campaign per driver, in
+/// driver order: `RunPlan { pool_size, ..RunPlan::new(drivers) }`. Kept as
+/// a function because the repository benchmark (`benchmark/`) calls it.
+pub fn run_fleet_serial_drivers(
+    drivers: &[Arc<dyn Driver>],
+    base: &CampaignConfig,
+    pool_size: usize,
+) -> FleetReport {
+    RunPlan {
+        pool_size,
+        ..RunPlan::new(drivers.to_vec())
+    }
+    .run(base)
 }
 
 /// Derives the seed for one dialect's campaign from the fleet campaign
@@ -68,42 +269,93 @@ pub fn derive_dialect_seed(campaign_seed: u64, dialect: &str) -> u64 {
     sql_ast::mix_seed(campaign_seed, dialect)
 }
 
-/// Runs one backend's campaign through the Driver/Pool connection layer:
-/// per-backend seed derivation, a fixed-size pool with seed-ordered
-/// checkout, and the driver's capability report applied to the generator.
-/// Reports are byte-identical for any `pool_size`.
-pub fn run_one_driver(
-    driver: &Arc<dyn Driver>,
-    base: &CampaignConfig,
-    pool_size: usize,
-) -> CampaignReport {
-    let mut config = base.clone();
-    config.seed = derive_dialect_seed(base.seed, driver.name());
-    let mut campaign = Campaign::new(config);
-    let mut pool = Pool::new(Arc::clone(driver), pool_size)
-        .unwrap_or_else(|err| panic!("pool for {} failed to connect: {err}", driver.name()));
-    campaign.run_pooled(&mut pool, &SupervisorConfig::default())
+/// Derives the generator seed for one database shard of a sharded run.
+/// Like [`derive_dialect_seed`], but over the shard index, so every
+/// database's generator stream is independent of how many shards run and
+/// on which worker.
+pub fn derive_shard_seed(campaign_seed: u64, database_index: usize) -> u64 {
+    sql_ast::splitmix64(campaign_seed ^ sql_ast::fnv1a64(&database_index.to_le_bytes()))
 }
 
-fn merge(reports: Vec<CampaignReport>) -> FleetReport {
-    let mut totals = CampaignMetrics::default();
-    let mut robustness = RobustnessCounters::default();
-    for report in &reports {
-        totals.merge(&report.metrics);
-        robustness.merge(&report.robustness);
-    }
-    FleetReport {
-        reports,
-        totals,
-        robustness,
-    }
+/// The per-shard checkpoint file of a sharded run: the campaign's
+/// checkpoint path with a `.shard<index>` suffix appended, so shards never
+/// clobber each other's resume state.
+pub fn shard_checkpoint_path(base: &Path, index: usize) -> PathBuf {
+    let mut name = base.as_os_str().to_os_string();
+    name.push(format!(".shard{index}"));
+    PathBuf::from(name)
 }
 
-/// The degraded placeholder report for a dialect whose worker thread died
-/// outside the supervisor's reach. The fleet keeps its slot (reports stay
-/// index-aligned with the presets) and the loss is visible as a
+/// Loads the checkpoint a unit should resume from, if any: the supervision
+/// config names a checkpoint path, the file loads, and the recorded seed
+/// matches the unit's seed. A stale or foreign checkpoint (different seed)
+/// is ignored rather than trusted — the unit simply runs fresh and
+/// overwrites it at the next cadence tick. Killing a checkpointing run and
+/// re-running the same plan therefore converges to the report of an
+/// uninterrupted run.
+fn resumable_checkpoint(supervision: &SupervisorConfig, seed: u64) -> Option<CampaignCheckpoint> {
+    let path = supervision.checkpoint_path.as_deref()?;
+    let checkpoint = load_checkpoint(path).ok()?;
+    (checkpoint.config_seed == seed).then_some(checkpoint)
+}
+
+/// The number of worker threads to use by default: the machine's available
+/// parallelism, or 1 when it cannot be determined.
+pub fn available_threads() -> usize {
+    std::thread::available_parallelism()
+        .map(NonZeroUsize::get)
+        .unwrap_or(1)
+}
+
+/// Runs `count` jobs on up to `threads` workers — the calling thread plus
+/// scoped helpers — that claim indices from a shared counter and write
+/// results back by index, so the output order never depends on the
+/// schedule. Poisoned result slots are recovered, not propagated, and a
+/// slot whose claiming worker died before writing it is re-run inline.
+fn run_scheduled<T: Send>(
+    count: usize,
+    threads: usize,
+    job: &(impl Fn(usize) -> T + Sync),
+) -> Vec<T> {
+    let next = AtomicUsize::new(0);
+    let slots: Vec<Mutex<Option<T>>> = (0..count).map(|_| Mutex::new(None)).collect();
+    let worker = || loop {
+        let index = next.fetch_add(1, Ordering::Relaxed);
+        let Some(slot) = slots.get(index) else {
+            break;
+        };
+        let result = job(index);
+        *slot.lock().unwrap_or_else(PoisonError::into_inner) = Some(result);
+    };
+    // The explicit thread count is honoured (oversubscription is harmless
+    // and keeps the helpers exercised on 1-CPU machines), bounded only by
+    // the number of jobs.
+    let helpers = threads.clamp(1, count.max(1)) - 1;
+    // Workers are joined explicitly so that a dead worker's panic does not
+    // re-raise when the scope ends: its unwritten slot is re-run below.
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..helpers).map(|_| scope.spawn(worker)).collect();
+        let _ = catch_unwind(AssertUnwindSafe(worker));
+        for handle in handles {
+            let _ = handle.join();
+        }
+    });
+    slots
+        .into_iter()
+        .enumerate()
+        .map(|(index, slot)| {
+            slot.into_inner()
+                .unwrap_or_else(PoisonError::into_inner)
+                .unwrap_or_else(|| job(index))
+        })
+        .collect()
+}
+
+/// The degraded placeholder report for a unit whose worker panicked outside
+/// the supervisor's reach. The driver keeps its slot (reports stay
+/// index-aligned with the drivers) and the loss is visible as a
 /// [`IncidentKind::WorkerPanic`] incident instead of a crashed run.
-fn worker_panic_report(dialect: &str, detail: String) -> CampaignReport {
+fn worker_panic_report(dialect: &str, payload: &(dyn std::any::Any + Send)) -> CampaignReport {
     let mut report = CampaignReport {
         dbms_name: dialect.to_string(),
         ..CampaignReport::default()
@@ -118,366 +370,9 @@ fn worker_panic_report(dialect: &str, detail: String) -> CampaignReport {
         attempt: 0,
         deadline_ticks: 0,
         observed_ticks: 0,
-        detail,
+        detail: format!("campaign worker panicked: {}", panic_message(payload)),
     });
     report
-}
-
-/// Runs the fleet serially, one campaign per preset, in preset order.
-pub fn run_fleet_serial(
-    presets: &[DialectPreset],
-    base: &CampaignConfig,
-    path: ExecutionPath,
-) -> FleetReport {
-    run_fleet_serial_drivers(&presets_to_drivers(presets, path), base, 1)
-}
-
-/// The presets re-exposed through the [`Driver`] interface, in order.
-fn presets_to_drivers(presets: &[DialectPreset], path: ExecutionPath) -> Vec<Arc<dyn Driver>> {
-    presets.iter().map(|preset| preset.driver(path)).collect()
-}
-
-/// Runs a fleet of drivers serially, one pooled campaign per driver, in
-/// driver order.
-pub fn run_fleet_serial_drivers(
-    drivers: &[Arc<dyn Driver>],
-    base: &CampaignConfig,
-    pool_size: usize,
-) -> FleetReport {
-    merge(
-        drivers
-            .iter()
-            .map(|driver| run_one_driver(driver, base, pool_size))
-            .collect(),
-    )
-}
-
-/// Runs the fleet sharded across `threads` scoped worker threads.
-///
-/// Workers claim dialects from a shared counter; each worker instantiates
-/// its own simulated DBMS, so no connection state crosses threads. Results
-/// are written back by dialect index, making the output — reports, bug
-/// lists and totals — byte-identical to [`run_fleet_serial`] with the same
-/// seed, regardless of scheduling.
-///
-/// Worker panics are contained: a dialect whose campaign escapes the
-/// supervisor's `catch_unwind` (or whose worker dies before writing its
-/// slot) is recorded as a degraded [`worker_panic_report`] instead of
-/// taking the whole fleet down, and a poisoned result slot is recovered
-/// rather than propagated — the poisoning worker already produced the
-/// panic report, so the slot value (set or not) is still trustworthy.
-pub fn run_fleet_parallel(
-    presets: &[DialectPreset],
-    base: &CampaignConfig,
-    path: ExecutionPath,
-    threads: usize,
-) -> FleetReport {
-    run_fleet_parallel_drivers(&presets_to_drivers(presets, path), base, 1, threads)
-}
-
-/// [`run_fleet_parallel`] over a fleet of drivers: workers claim drivers
-/// from a shared counter and each runs a pooled campaign. Output is
-/// byte-identical to [`run_fleet_serial_drivers`] with the same seed and
-/// pool size, regardless of scheduling.
-pub fn run_fleet_parallel_drivers(
-    drivers: &[Arc<dyn Driver>],
-    base: &CampaignConfig,
-    pool_size: usize,
-    threads: usize,
-) -> FleetReport {
-    // The explicit caller-provided count is honoured (oversubscription is
-    // harmless and keeps the parallel path exercised even on 1-CPU
-    // machines); only bound it by the number of dialects.
-    let threads = threads.max(1).min(drivers.len().max(1));
-    if threads <= 1 || drivers.len() <= 1 {
-        return run_fleet_serial_drivers(drivers, base, pool_size);
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<CampaignReport>>> =
-        drivers.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let index = next.fetch_add(1, Ordering::Relaxed);
-                let Some(driver) = drivers.get(index) else {
-                    break;
-                };
-                let report =
-                    catch_unwind(AssertUnwindSafe(|| run_one_driver(driver, base, pool_size)))
-                        .unwrap_or_else(|payload| {
-                            worker_panic_report(
-                                driver.name(),
-                                format!("campaign worker panicked: {}", panic_message(&*payload)),
-                            )
-                        });
-                *slots[index].lock().unwrap_or_else(PoisonError::into_inner) = Some(report);
-            });
-        }
-    });
-    merge(
-        slots
-            .into_iter()
-            .enumerate()
-            .map(|(index, slot)| {
-                slot.into_inner()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .unwrap_or_else(|| {
-                        // The claiming worker died before writing the slot
-                        // (a panic outside the catch above, e.g. in the
-                        // slot machinery itself): run the dialect inline.
-                        run_one_driver(&drivers[index], base, pool_size)
-                    })
-            })
-            .collect(),
-    )
-}
-
-/// The number of worker threads to use by default: the machine's available
-/// parallelism, or 1 when it cannot be determined.
-pub fn available_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(1)
-}
-
-// ------------------------------------------------ within-dialect sharding ----
-
-/// The result of a partitioned single-dialect campaign: the merged report
-/// plus the learned profile folded together in database order.
-#[derive(Debug, Clone)]
-pub struct PartitionedCampaign {
-    /// The merged campaign report (metrics summed, bug reports deduplicated
-    /// across shards in database order).
-    pub report: CampaignReport,
-    /// The validity-feedback profile, merged shard by shard in database
-    /// order ([`FeatureStats::merge`]).
-    pub profile: FeatureStats,
-}
-
-/// Derives the generator seed for one database shard of a partitioned
-/// campaign. Like [`derive_dialect_seed`], but over the shard index, so
-/// every database's generator stream is independent of how many shards run
-/// and on which worker.
-pub fn derive_shard_seed(campaign_seed: u64, database_index: usize) -> u64 {
-    sql_ast::splitmix64(campaign_seed ^ sql_ast::fnv1a64(&database_index.to_le_bytes()))
-}
-
-/// Runs one dialect's campaign **sharded by database** across `threads`
-/// scoped workers and merges the results in database order.
-///
-/// Each of the configured `databases` becomes an independent
-/// single-database campaign: its generator is seeded by
-/// [`derive_shard_seed`] and starts from the base configuration (no state
-/// chains from earlier databases, which is what makes the shards
-/// embarrassingly parallel — the cheap `Engine::clone`/setup path keeps
-/// per-shard instantiation negligible). Workers claim shards from a shared
-/// counter; results are merged **in database order**:
-///
-/// * metrics sum; the validity series concatenates shard series in order;
-/// * bug reports are re-prioritized by a merge-time [`BugPrioritizer`]
-///   walking the shards in order, so duplicates across shards are dropped
-///   exactly as a serial pass over the same stream would drop them (the
-///   `prioritized + deduplicated = detected` invariant holds);
-/// * learned profiles fold with [`FeatureStats::merge`].
-///
-/// The output is byte-identical for any `threads`, including 1 — the
-/// serial reference is this same function with one worker.
-pub fn run_campaign_partitioned(
-    preset: &DialectPreset,
-    base: &CampaignConfig,
-    path: ExecutionPath,
-    threads: usize,
-) -> PartitionedCampaign {
-    run_campaign_partitioned_supervised(preset, base, path, threads, &SupervisorConfig::default())
-}
-
-/// The per-shard checkpoint file for a partitioned campaign: the campaign's
-/// checkpoint path with a `.shard<index>` suffix appended, so shards never
-/// clobber each other's resume state.
-pub fn shard_checkpoint_path(base: &Path, index: usize) -> PathBuf {
-    let mut name = base.as_os_str().to_os_string();
-    name.push(format!(".shard{index}"));
-    PathBuf::from(name)
-}
-
-/// Loads the checkpoint a supervised campaign should resume from, if any:
-/// the supervision config names a checkpoint path, the file loads, and the
-/// recorded seed matches the campaign seed. A stale or foreign checkpoint
-/// (different seed) is ignored rather than trusted — the shard simply runs
-/// fresh and overwrites it at the next cadence tick.
-fn resumable_checkpoint(supervision: &SupervisorConfig, seed: u64) -> Option<CampaignCheckpoint> {
-    let path = supervision.checkpoint_path.as_deref()?;
-    let checkpoint = load_checkpoint(path).ok()?;
-    (checkpoint.config_seed == seed).then_some(checkpoint)
-}
-
-/// [`run_campaign_partitioned`] with explicit supervision: every shard runs
-/// under the watchdog/retry/quarantine supervisor, shard checkpoints write
-/// to `<checkpoint_path>.shard<index>`, and a shard whose checkpoint file
-/// already exists (same seed) **resumes** from it instead of starting over.
-/// Killing the process mid-campaign and re-invoking with the same
-/// configuration therefore converges to the same merged report as an
-/// uninterrupted run.
-///
-/// A shard worker that panics outside the supervisor's reach is recorded as
-/// a degraded [`worker_panic_report`] shard; poisoned shard slots are
-/// recovered, not propagated.
-pub fn run_campaign_partitioned_supervised(
-    preset: &DialectPreset,
-    base: &CampaignConfig,
-    path: ExecutionPath,
-    threads: usize,
-    supervision: &SupervisorConfig,
-) -> PartitionedCampaign {
-    run_campaign_partitioned_pooled(&preset.driver(path), base, threads, 1, supervision)
-}
-
-/// [`run_campaign_partitioned_supervised`] over a driver: every shard runs
-/// a pooled campaign (`pool_size` connections, seed-ordered checkout) with
-/// the driver's capability report applied. The merged report is
-/// byte-identical for any shard count *and* any pool size.
-pub fn run_campaign_partitioned_pooled(
-    driver: &Arc<dyn Driver>,
-    base: &CampaignConfig,
-    threads: usize,
-    pool_size: usize,
-    supervision: &SupervisorConfig,
-) -> PartitionedCampaign {
-    let run_shard_guarded = |index: usize| -> (CampaignReport, FeatureStats) {
-        catch_unwind(AssertUnwindSafe(|| {
-            run_one_shard(driver, base, pool_size, supervision, index, None)
-        }))
-        .unwrap_or_else(|payload| {
-            (
-                shard_panic_report(driver.name(), &*payload),
-                FeatureStats::new(),
-            )
-        })
-    };
-    let results = run_shards_scheduled(base.databases, threads, &run_shard_guarded);
-    merge_shards(driver.name(), results)
-}
-
-/// [`run_campaign_partitioned_pooled`] with per-shard trace collection:
-/// every shard runs with its own [`Tracer`] (trace sinks are
-/// single-threaded by design — `Rc`, not `Arc`) and the shard summaries
-/// fold into one [`TraceSummary`] by summation. Because shard summaries
-/// merge commutatively and per-case tick deltas are sampled inside the
-/// case (after pool checkout and re-sync), the merged summary — and its
-/// [`sqlancer_core::render_trace_summary`] rendering — is byte-identical
-/// for any `threads` and any `pool_size`.
-///
-/// A shard whose worker panics outside the supervisor's reach contributes
-/// a degraded [`worker_panic_report`] and an empty trace summary.
-pub fn run_campaign_partitioned_traced(
-    driver: &Arc<dyn Driver>,
-    base: &CampaignConfig,
-    threads: usize,
-    pool_size: usize,
-    supervision: &SupervisorConfig,
-) -> (PartitionedCampaign, TraceSummary) {
-    let run_shard_guarded = |index: usize| -> (CampaignReport, FeatureStats, TraceSummary) {
-        catch_unwind(AssertUnwindSafe(|| {
-            let tracer = Rc::new(RefCell::new(Tracer::new()));
-            let handle: TraceHandle = tracer.clone();
-            let (report, stats) =
-                run_one_shard(driver, base, pool_size, supervision, index, Some(handle));
-            let summary = tracer.borrow().summary().clone();
-            (report, stats, summary)
-        }))
-        .unwrap_or_else(|payload| {
-            (
-                shard_panic_report(driver.name(), &*payload),
-                FeatureStats::new(),
-                TraceSummary::new(),
-            )
-        })
-    };
-    let results = run_shards_scheduled(base.databases, threads, &run_shard_guarded);
-    let mut summary = TraceSummary::new();
-    let mut shards = Vec::with_capacity(results.len());
-    for (report, stats, shard_summary) in results {
-        summary.merge(&shard_summary);
-        shards.push((report, stats));
-    }
-    (merge_shards(driver.name(), shards), summary)
-}
-
-/// One database shard of a partitioned campaign: single-database config
-/// with the shard-derived seed, per-shard checkpoint path, pooled
-/// connections, checkpoint resume, and an optional trace sink.
-fn run_one_shard(
-    driver: &Arc<dyn Driver>,
-    base: &CampaignConfig,
-    pool_size: usize,
-    supervision: &SupervisorConfig,
-    index: usize,
-    trace: Option<TraceHandle>,
-) -> (CampaignReport, FeatureStats) {
-    let mut config = base.clone();
-    config.databases = 1;
-    config.seed = derive_shard_seed(base.seed, index);
-    let seed = config.seed;
-    let mut shard_sup = supervision.clone();
-    if let Some(base_path) = &supervision.checkpoint_path {
-        shard_sup.checkpoint_path = Some(shard_checkpoint_path(base_path, index));
-    }
-    let mut campaign = Campaign::new(config);
-    campaign.set_trace(trace);
-    let mut pool = Pool::new(Arc::clone(driver), pool_size)
-        .unwrap_or_else(|err| panic!("pool for {} failed to connect: {err}", driver.name()));
-    let report = match resumable_checkpoint(&shard_sup, seed) {
-        Some(checkpoint) => campaign.resume_pooled(&mut pool, &shard_sup, checkpoint),
-        None => campaign.run_pooled(&mut pool, &shard_sup),
-    };
-    (report, campaign.generator.stats.clone())
-}
-
-/// The degraded report for a shard worker that panicked outside the
-/// supervisor's reach.
-fn shard_panic_report(dialect: &str, payload: &(dyn std::any::Any + Send)) -> CampaignReport {
-    worker_panic_report(
-        dialect,
-        format!("shard worker panicked: {}", panic_message(payload)),
-    )
-}
-
-/// Runs `shards` shard jobs across up to `threads` scoped workers claiming
-/// indices from a shared counter, writing results back by shard index.
-/// Poisoned result slots are recovered, not propagated, and a slot whose
-/// claiming worker died before writing is re-run inline.
-fn run_shards_scheduled<T: Send>(
-    shards: usize,
-    threads: usize,
-    run_shard_guarded: &(impl Fn(usize) -> T + Sync),
-) -> Vec<T> {
-    let threads = threads.max(1).min(shards.max(1));
-    if threads <= 1 || shards <= 1 {
-        return (0..shards).map(run_shard_guarded).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<T>>> = (0..shards).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let index = next.fetch_add(1, Ordering::Relaxed);
-                if index >= shards {
-                    break;
-                }
-                let result = run_shard_guarded(index);
-                *slots[index].lock().unwrap_or_else(PoisonError::into_inner) = Some(result);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .enumerate()
-        .map(|(index, slot)| {
-            slot.into_inner()
-                .unwrap_or_else(PoisonError::into_inner)
-                .unwrap_or_else(|| run_shard_guarded(index))
-        })
-        .collect()
 }
 
 /// The injected infrastructure fault ids whose incidents appear in a
@@ -499,15 +394,24 @@ pub fn observed_infra_kinds(report: &CampaignReport) -> Vec<&'static str> {
     .collect()
 }
 
-/// Folds per-database shard results together in database order.
-fn merge_shards(dialect: &str, shards: Vec<(CampaignReport, FeatureStats)>) -> PartitionedCampaign {
+/// Folds one driver's per-database shard results together in database
+/// order:
+///
+/// * metrics sum; the validity series concatenates shard series in order;
+/// * bug reports are re-prioritized by a merge-time [`BugPrioritizer`]
+///   walking the shards in order, so duplicates across shards are dropped
+///   exactly as a serial pass over the same stream would drop them (the
+///   `prioritized + deduplicated = detected` invariant holds);
+/// * learned profiles fold with [`FeatureStats::merge`].
+fn merge_shards(dialect: &str, shards: Vec<UnitOutcome>) -> (CampaignReport, FeatureStats) {
     let mut merged = CampaignReport {
         dbms_name: dialect.to_string(),
         ..CampaignReport::default()
     };
     let mut profile = FeatureStats::new();
     let mut prioritizer = BugPrioritizer::new();
-    for (shard_index, (shard, stats)) in shards.into_iter().enumerate() {
+    for (shard_index, unit) in shards.into_iter().enumerate() {
+        let shard = unit.report;
         merged.metrics.merge(&shard.metrics);
         merged.validity_series.extend(shard.validity_series);
         merged.robustness.merge(&shard.robustness);
@@ -556,7 +460,7 @@ fn merge_shards(dialect: &str, shards: Vec<(CampaignReport, FeatureStats)>) -> P
                 }
             }
         }
-        profile.merge(&stats);
+        profile.merge(&unit.profile);
     }
     // Cross-shard deduplication recomputes the prioritization tallies; the
     // detected count is untouched, preserving the campaign invariant.
@@ -565,10 +469,7 @@ fn merge_shards(dialect: &str, shards: Vec<(CampaignReport, FeatureStats)>) -> P
         .metrics
         .detected_bug_cases
         .saturating_sub(merged.metrics.prioritized_bugs);
-    PartitionedCampaign {
-        report: merged,
-        profile,
-    }
+    (merged, profile)
 }
 
 #[cfg(test)]
@@ -588,6 +489,14 @@ mod tests {
             .build()
     }
 
+    fn drivers(count: usize) -> Vec<Arc<dyn Driver>> {
+        fleet()
+            .iter()
+            .take(count)
+            .map(|preset| preset.driver(ExecutionPath::Ast))
+            .collect()
+    }
+
     #[test]
     fn derived_seeds_differ_per_dialect_and_are_stable() {
         let a = derive_dialect_seed(1, "sqlite");
@@ -599,10 +508,13 @@ mod tests {
 
     #[test]
     fn parallel_run_matches_serial_run() {
-        let presets: Vec<_> = fleet().into_iter().take(4).collect();
         let config = small_config();
-        let serial = run_fleet_serial(&presets, &config, ExecutionPath::Ast);
-        let parallel = run_fleet_parallel(&presets, &config, ExecutionPath::Ast, 4);
+        let serial = RunPlan::new(drivers(4)).run(&config);
+        let parallel = RunPlan {
+            threads: 4,
+            ..RunPlan::new(drivers(4))
+        }
+        .run(&config);
         assert_eq!(serial.reports.len(), parallel.reports.len());
         for (s, p) in serial.reports.iter().zip(&parallel.reports) {
             assert_eq!(s.dbms_name, p.dbms_name);
@@ -615,35 +527,40 @@ mod tests {
 
     #[test]
     fn partitioned_run_is_identical_for_any_thread_count() {
-        let preset = crate::preset_by_name("mariadb").unwrap();
+        let driver = crate::preset_by_name("mariadb")
+            .unwrap()
+            .driver(ExecutionPath::Ast);
         let mut config = small_config();
         config.databases = 4;
         config.oracles = vec![OracleKind::Tlp, OracleKind::Isolation];
-        let serial = run_campaign_partitioned(&preset, &config, ExecutionPath::Ast, 1);
-        let parallel = run_campaign_partitioned(&preset, &config, ExecutionPath::Ast, 4);
-        assert_eq!(serial.report.dbms_name, parallel.report.dbms_name);
-        assert_eq!(serial.report.metrics, parallel.report.metrics);
-        assert_eq!(serial.report.reports, parallel.report.reports);
-        assert_eq!(
-            serial.report.validity_series,
-            parallel.report.validity_series
-        );
-        assert_eq!(serial.report.schedule_cases, parallel.report.schedule_cases);
-        let serial_profile: Vec<_> = serial
-            .profile
+        let sharded = |threads| {
+            RunPlan {
+                threads,
+                shard_by_database: true,
+                ..RunPlan::new(vec![Arc::clone(&driver)])
+            }
+            .run(&config)
+        };
+        let (serial, parallel) = (sharded(1), sharded(4));
+        let (s, p) = (&serial.reports[0], &parallel.reports[0]);
+        assert_eq!(s.dbms_name, p.dbms_name);
+        assert_eq!(s.metrics, p.metrics);
+        assert_eq!(s.reports, p.reports);
+        assert_eq!(s.validity_series, p.validity_series);
+        assert_eq!(s.schedule_cases, p.schedule_cases);
+        let serial_profile: Vec<_> = serial.profiles[0]
             .iter_query()
             .map(|(f, c)| (f.clone(), *c))
             .collect();
-        let parallel_profile: Vec<_> = parallel
-            .profile
+        let parallel_profile: Vec<_> = parallel.profiles[0]
             .iter_query()
             .map(|(f, c)| (f.clone(), *c))
             .collect();
         assert_eq!(serial_profile, parallel_profile);
         // The invariant the merge-time prioritizer must preserve.
         assert_eq!(
-            serial.report.metrics.prioritized_bugs + serial.report.metrics.deduplicated_bugs,
-            serial.report.metrics.detected_bug_cases
+            s.metrics.prioritized_bugs + s.metrics.deduplicated_bugs,
+            s.metrics.detected_bug_cases
         );
     }
 
@@ -656,10 +573,19 @@ mod tests {
 
     #[test]
     fn totals_accumulate_across_dialects() {
-        let presets: Vec<_> = fleet().into_iter().take(2).collect();
-        let report = run_fleet_serial(&presets, &small_config(), ExecutionPath::Ast);
+        let report = RunPlan::new(drivers(2)).run(&small_config());
         let sum: u64 = report.reports.iter().map(|r| r.metrics.test_cases).sum();
         assert_eq!(report.totals.test_cases, sum);
         assert!(report.totals.test_cases > 0);
+        assert_eq!(report.profiles.len(), 2);
+    }
+
+    #[test]
+    fn scheduler_returns_results_in_index_order_for_any_thread_count() {
+        for threads in [0, 1, 3, 16] {
+            let squares = run_scheduled(7, threads, &|index| index * index);
+            assert_eq!(squares, [0, 1, 4, 9, 16, 25, 36]);
+        }
+        assert!(run_scheduled(0, 4, &|index| index).is_empty());
     }
 }

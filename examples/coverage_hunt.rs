@@ -20,10 +20,8 @@
 //! cargo run --example coverage_hunt
 //! ```
 
-use sqlancerpp::core::{
-    render_atlas_report, silence_infra_panics, CampaignConfig, OracleKind, SupervisorConfig,
-};
-use sqlancerpp::sim::{preset_by_name, run_campaign_partitioned_pooled, ExecutionPath};
+use sqlancerpp::core::{render_atlas_report, silence_infra_panics, CampaignConfig, OracleKind};
+use sqlancerpp::sim::{preset_by_name, ExecutionPath, RunPlan};
 
 fn hunt_config(seed: u64, directed: bool) -> CampaignConfig {
     let mut config = CampaignConfig::builder()
@@ -49,18 +47,20 @@ fn main() {
     silence_infra_panics();
 
     let preset = preset_by_name("dolt").expect("known preset");
-    let driver = preset.driver(ExecutionPath::Ast);
-    let supervision = SupervisorConfig::default();
+    // One worker, pool of one, the dialect's databases run as shards.
+    let plan = RunPlan {
+        shard_by_database: true,
+        ..RunPlan::new(vec![preset.driver(ExecutionPath::Ast)])
+    };
 
     // The uniform arm: every allowed grammar option drawn with equal
     // weight, coverage recorded but not steering anything.
     println!("== uniform campaign (dolt) ==");
-    let uniform =
-        run_campaign_partitioned_pooled(&driver, &hunt_config(0xA71A5, false), 1, 1, &supervision);
-    println!("{}", render_atlas_report(&uniform.report));
+    let uniform = plan.run(&hunt_config(0xA71A5, false)).reports.remove(0);
+    println!("{}", render_atlas_report(&uniform));
 
     // Saturation read-out: when did the campaign stop learning?
-    let curve = &uniform.report.coverage.saturation;
+    let curve = &uniform.coverage.saturation;
     println!(
         "saturation: {} novel features over {} windows, longest dry run {} cases, \
          {} trailing dry cases",
@@ -83,37 +83,37 @@ fn main() {
     // weight boost. Same determinism contract — the boost is derived from
     // the case seed, never from wall clock or thread schedule.
     println!("== coverage-directed campaign (same seed, same budget) ==");
-    let directed =
-        run_campaign_partitioned_pooled(&driver, &hunt_config(0xA71A5, true), 1, 1, &supervision);
-    let uniform_features = uniform.report.coverage.distinct_features();
-    let directed_features = directed.report.coverage.distinct_features();
+    let directed = plan.run(&hunt_config(0xA71A5, true)).reports.remove(0);
+    let uniform_features = uniform.coverage.distinct_features();
+    let directed_features = directed.coverage.distinct_features();
     println!(
         "distinct features: {uniform_features} uniform vs {directed_features} directed \
          ({} engine points vs {})",
-        uniform.report.coverage.engine.total_points(),
-        directed.report.coverage.engine.total_points(),
+        uniform.coverage.engine.total_points(),
+        directed.coverage.engine.total_points(),
     );
     println!(
         "directed saturation: {} novel features, longest dry run {} cases",
-        directed.report.coverage.saturation.novel_features,
-        directed.report.coverage.saturation.longest_dry_run,
+        directed.coverage.saturation.novel_features, directed.coverage.saturation.longest_dry_run,
     );
     println!();
 
     // Determinism: the rendered atlas of the partitioned runner is
     // byte-identical for any worker count and pool size.
-    let sharded =
-        run_campaign_partitioned_pooled(&driver, &hunt_config(0xA71A5, false), 4, 2, &supervision);
+    let sharded = RunPlan {
+        threads: 4,
+        pool_size: 2,
+        ..plan
+    }
+    .run(&hunt_config(0xA71A5, false));
     assert_eq!(
-        render_atlas_report(&uniform.report),
-        render_atlas_report(&sharded.report),
+        render_atlas_report(&uniform),
+        render_atlas_report(&sharded.reports[0]),
         "the atlas must not depend on worker or pool counts"
     );
     println!("partitioned atlases: 1 worker x pool 1 == 4 workers x pool 2 (byte-identical)");
     println!(
         "campaign: {} cases, {} detected bug cases, degraded={}",
-        uniform.report.metrics.test_cases,
-        uniform.report.metrics.detected_bug_cases,
-        uniform.report.degraded,
+        uniform.metrics.test_cases, uniform.metrics.detected_bug_cases, uniform.degraded,
     );
 }

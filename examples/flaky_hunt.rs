@@ -20,12 +20,9 @@
 
 use sqlancerpp::core::{
     render_report, silence_infra_panics, CampaignConfig, IncidentKind, OracleKind, Pool,
-    SupervisorConfig, INFRA_MARKER,
+    INFRA_MARKER,
 };
-use sqlancerpp::sim::{
-    observed_infra_kinds, preset_by_name, run_campaign_partitioned_pooled, ExecutionPath,
-    FaultyConfig,
-};
+use sqlancerpp::sim::{observed_infra_kinds, preset_by_name, ExecutionPath, FaultyConfig, RunPlan};
 use std::sync::Arc;
 
 fn hunt_config(seed: u64) -> CampaignConfig {
@@ -72,9 +69,13 @@ fn main() {
 
     // 2. + 3. The supervised pooled campaign rides out the storm.
     let config = hunt_config(0xF1AC);
-    let supervision = SupervisorConfig::default();
-    let run = run_campaign_partitioned_pooled(&driver, &config, 1, 2, &supervision);
-    let report = &run.report;
+    let plan = RunPlan {
+        pool_size: 2,
+        shard_by_database: true,
+        ..RunPlan::new(vec![driver])
+    };
+    let run = plan.run(&config);
+    let report = &run.reports[0];
     println!(
         "campaign: {} cases, degraded = {}, logic bugs = {}",
         report.metrics.test_cases, report.degraded, report.metrics.prioritized_bugs
@@ -109,10 +110,14 @@ fn main() {
             bug.description
         );
     }
-    let other_pool = run_campaign_partitioned_pooled(&driver, &config, 1, 4, &supervision);
+    let other_pool = RunPlan {
+        pool_size: 4,
+        ..plan
+    }
+    .run(&config);
     assert_eq!(
         render_report(report),
-        render_report(&other_pool.report),
+        render_report(&other_pool.reports[0]),
         "report must not depend on pool size"
     );
     println!("flaky hunt OK: campaign self-healed with zero false positives");

@@ -20,9 +20,7 @@ use sqlancerpp::core::{
     render_trace_summary, silence_infra_panics, validate_jsonl, Campaign, CampaignConfig,
     OracleKind, SupervisorConfig, TraceHandle, Tracer,
 };
-use sqlancerpp::sim::{
-    preset_by_name, run_campaign_partitioned_traced, ExecutionPath, FaultyConfig,
-};
+use sqlancerpp::sim::{preset_by_name, ExecutionPath, FaultyConfig, RunPlan};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -126,14 +124,20 @@ fn main() {
 
     // Determinism: the merged trace summary of the partitioned runner is
     // byte-identical for any worker count and pool size.
-    let driver = preset.driver(ExecutionPath::Ast);
     let config = hunt_config(0x7247CE);
-    let supervision = SupervisorConfig::default();
-    let (_, serial) = run_campaign_partitioned_traced(&driver, &config, 1, 1, &supervision);
-    let (_, sharded) = run_campaign_partitioned_traced(&driver, &config, 4, 2, &supervision);
+    let serial = RunPlan {
+        shard_by_database: true,
+        trace: true,
+        ..RunPlan::new(vec![preset.driver(ExecutionPath::Ast)])
+    };
+    let sharded = RunPlan {
+        threads: 4,
+        pool_size: 2,
+        ..serial.clone()
+    };
     assert_eq!(
-        render_trace_summary(&serial),
-        render_trace_summary(&sharded),
+        render_trace_summary(&serial.run(&config).trace),
+        render_trace_summary(&sharded.run(&config).trace),
         "trace summaries must not depend on worker or pool counts"
     );
     println!(

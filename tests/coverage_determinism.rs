@@ -8,12 +8,11 @@
 
 use sqlancerpp::core::{
     load_checkpoint, render_atlas_report, render_report, Campaign, CampaignConfig, CampaignReport,
-    OracleKind, SupervisorConfig,
+    Driver, OracleKind, SupervisorConfig,
 };
-use sqlancerpp::sim::{
-    preset_by_name, run_campaign_partitioned_pooled, DialectPreset, ExecutionPath, FaultyConfig,
-};
+use sqlancerpp::sim::{preset_by_name, DialectPreset, ExecutionPath, FaultyConfig, RunPlan};
 use std::path::PathBuf;
+use std::sync::Arc;
 
 fn storm_preset(dialect: &str) -> DialectPreset {
     preset_by_name(dialect)
@@ -45,6 +44,22 @@ fn coverage_config_directed(seed: u64, directed: bool) -> CampaignConfig {
     config
 }
 
+/// One driver's campaign, sharded by database across `threads` workers.
+fn sharded(
+    driver: &Arc<dyn Driver>,
+    config: &CampaignConfig,
+    threads: usize,
+    pool_size: usize,
+) -> CampaignReport {
+    let plan = RunPlan {
+        pool_size,
+        threads,
+        shard_by_database: true,
+        ..RunPlan::new(vec![Arc::clone(driver)])
+    };
+    plan.run(config).reports.remove(0)
+}
+
 fn scratch(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("sqlancerpp_atlas_{}_{name}", std::process::id()))
 }
@@ -53,12 +68,10 @@ fn scratch(name: &str) -> PathBuf {
 fn atlas_is_byte_identical_for_any_worker_pool_and_path() {
     let config = coverage_config(0xA71A5);
     let preset = storm_preset("dolt");
-    let supervision = SupervisorConfig::default();
     let mut baselines = Vec::new();
     for path in [ExecutionPath::Ast, ExecutionPath::Text] {
         let driver = preset.driver(path);
-        let reference = run_campaign_partitioned_pooled(&driver, &config, 1, 1, &supervision);
-        let baseline = render_atlas_report(&reference.report);
+        let baseline = render_atlas_report(&sharded(&driver, &config, 1, 1));
         assert!(
             baseline.contains("oracle TLP") && baseline.contains("saturation novel"),
             "atlas should render oracle and saturation sections:\n{baseline}"
@@ -69,16 +82,9 @@ fn atlas_is_byte_identical_for_any_worker_pool_and_path() {
         );
         for threads in [1usize, 2] {
             for pool_size in [1usize, 2, 4] {
-                let run = run_campaign_partitioned_pooled(
-                    &driver,
-                    &config,
-                    threads,
-                    pool_size,
-                    &supervision,
-                );
                 assert_eq!(
                     baseline,
-                    render_atlas_report(&run.report),
+                    render_atlas_report(&sharded(&driver, &config, threads, pool_size)),
                     "{path:?} atlas drifted at {threads} threads, pool size {pool_size}"
                 );
             }
@@ -161,23 +167,23 @@ fn coverage_directed_mode_is_seed_stable_and_changes_generation() {
     let directed = coverage_config_directed(0xD12EC7, true);
     let uniform = coverage_config(0xD12EC7);
 
-    let first = run_campaign_partitioned_pooled(&driver, &directed, 1, 1, &supervision);
-    let again = run_campaign_partitioned_pooled(&driver, &directed, 2, 2, &supervision);
+    let first = sharded(&driver, &directed, 1, 1);
+    let again = sharded(&driver, &directed, 2, 2);
     assert_eq!(
-        render_atlas_report(&first.report),
-        render_atlas_report(&again.report),
+        render_atlas_report(&first),
+        render_atlas_report(&again),
         "directed mode must stay deterministic across workers and pools"
     );
     assert_eq!(
-        render_report(&first.report),
-        render_report(&again.report),
+        render_report(&first),
+        render_report(&again),
         "directed-mode reports must stay deterministic too"
     );
 
-    let baseline = run_campaign_partitioned_pooled(&driver, &uniform, 1, 1, &supervision);
+    let baseline = sharded(&driver, &uniform, 1, 1);
     assert_ne!(
-        render_atlas_report(&first.report),
-        render_atlas_report(&baseline.report),
+        render_atlas_report(&first),
+        render_atlas_report(&baseline),
         "the A/B knob must actually steer generation"
     );
 

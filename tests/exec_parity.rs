@@ -12,7 +12,7 @@ use sqlancerpp::core::{
     check_norec, check_tlp, Campaign, CampaignConfig, DbmsConnection, OracleKind,
     TextOnlyConnection,
 };
-use sqlancerpp::sim::{fleet, run_fleet_parallel, run_fleet_serial, ExecutionPath, SimulatedDbms};
+use sqlancerpp::sim::{fleet, fleet_drivers, ExecutionPath, RunPlan, SimulatedDbms};
 
 fn parity_config(seed: u64) -> CampaignConfig {
     let mut config = CampaignConfig::builder()
@@ -149,10 +149,9 @@ fn oracle_verdicts_identical_per_query() {
 /// `tests/compile_parity.rs`).
 #[test]
 fn campaign_outcomes_identical_between_compiled_and_treewalk_evaluators() {
-    let presets = fleet();
     let config = parity_config(31);
-    let compiled = run_fleet_serial(&presets, &config, ExecutionPath::Ast);
-    let tree = run_fleet_serial(&presets, &config, ExecutionPath::AstTreeWalk);
+    let compiled = RunPlan::new(fleet_drivers(ExecutionPath::Ast)).run(&config);
+    let tree = RunPlan::new(fleet_drivers(ExecutionPath::AstTreeWalk)).run(&config);
     assert_eq!(compiled.reports.len(), tree.reports.len());
     for (c, t) in compiled.reports.iter().zip(&tree.reports) {
         assert_eq!(c.dbms_name, t.dbms_name, "dialect order diverges");
@@ -185,10 +184,13 @@ fn campaign_outcomes_identical_between_compiled_and_treewalk_evaluators() {
 /// reports, same totals.
 #[test]
 fn parallel_fleet_run_is_byte_identical_to_serial() {
-    let presets = fleet();
     let config = parity_config(23);
-    let serial = run_fleet_serial(&presets, &config, ExecutionPath::Ast);
-    let parallel = run_fleet_parallel(&presets, &config, ExecutionPath::Ast, 8);
+    let serial = RunPlan::new(fleet_drivers(ExecutionPath::Ast)).run(&config);
+    let parallel = RunPlan {
+        threads: 8,
+        ..RunPlan::new(fleet_drivers(ExecutionPath::Ast))
+    }
+    .run(&config);
     assert_eq!(serial.reports.len(), parallel.reports.len());
     for (s, p) in serial.reports.iter().zip(&parallel.reports) {
         assert_eq!(s.dbms_name, p.dbms_name, "dialect order diverges");

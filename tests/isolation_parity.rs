@@ -25,7 +25,7 @@ use sqlancerpp::core::{
 };
 use sqlancerpp::engine::EvalStrategy;
 use sqlancerpp::parser::parse_statement;
-use sqlancerpp::sim::{fleet, preset_by_name, run_fleet_parallel, run_fleet_serial, ExecutionPath};
+use sqlancerpp::sim::{fleet, preset_by_name, ExecutionPath, RunPlan};
 
 fn stmts(sql: &[&str]) -> Vec<Statement> {
     sql.iter()
@@ -336,16 +336,23 @@ fn fixed_seed_reproduces_schedules_across_runners() {
     config.databases = 1;
     config.queries_per_database = 40;
     config.oracles = vec![OracleKind::Tlp, OracleKind::NoRec, OracleKind::Isolation];
-    let presets: Vec<_> = fleet()
-        .into_iter()
-        .filter(|p| {
-            ["mysql", "mariadb", "tidb", "sqlite", "dolt", "cratedb"]
-                .contains(&p.profile.name.as_str())
-        })
-        .collect();
-    let serial_a = run_fleet_serial(&presets, &config, ExecutionPath::Ast);
-    let serial_b = run_fleet_serial(&presets, &config, ExecutionPath::Ast);
-    let parallel = run_fleet_parallel(&presets, &config, ExecutionPath::Ast, 4);
+    let serial = RunPlan::new(
+        fleet()
+            .iter()
+            .filter(|p| {
+                ["mysql", "mariadb", "tidb", "sqlite", "dolt", "cratedb"]
+                    .contains(&p.profile.name.as_str())
+            })
+            .map(|p| p.driver(ExecutionPath::Ast))
+            .collect(),
+    );
+    let serial_a = serial.run(&config);
+    let serial_b = serial.run(&config);
+    let parallel = RunPlan {
+        threads: 4,
+        ..serial
+    }
+    .run(&config);
     for ((a, b), p) in serial_a
         .reports
         .iter()
@@ -371,34 +378,37 @@ fn fixed_seed_reproduces_schedules_across_runners() {
 /// detect the designated isolation bug with a valid ground-truth cause.
 #[test]
 fn partitioned_campaigns_are_identical_and_still_detect_bugs() {
-    use sqlancerpp::sim::run_campaign_partitioned;
     let preset = preset_by_name("mariadb").unwrap();
     let mut config = isolation_campaign_config(0xC0C0);
     config.databases = 3;
     config.queries_per_database = 90;
-    let serial = run_campaign_partitioned(&preset, &config, ExecutionPath::Ast, 1);
-    let parallel = run_campaign_partitioned(&preset, &config, ExecutionPath::Ast, 3);
-    assert_eq!(serial.report.metrics, parallel.report.metrics);
-    assert_eq!(serial.report.reports, parallel.report.reports);
-    assert_eq!(serial.report.schedule_cases, parallel.report.schedule_cases);
-    assert_eq!(
-        serial.report.validity_series,
-        parallel.report.validity_series
-    );
-    assert!(serial
-        .profile
+    let sharded = |threads| {
+        let plan = RunPlan {
+            threads,
+            shard_by_database: true,
+            ..RunPlan::new(vec![preset.driver(ExecutionPath::Ast)])
+        };
+        let mut run = plan.run(&config);
+        (run.reports.remove(0), run.profiles.remove(0))
+    };
+    let (serial, serial_profile) = sharded(1);
+    let (parallel, parallel_profile) = sharded(3);
+    assert_eq!(serial.metrics, parallel.metrics);
+    assert_eq!(serial.reports, parallel.reports);
+    assert_eq!(serial.schedule_cases, parallel.schedule_cases);
+    assert_eq!(serial.validity_series, parallel.validity_series);
+    assert!(serial_profile
         .iter_query()
-        .eq(parallel.profile.iter_query()));
-    assert!(serial.profile.iter_ddl().eq(parallel.profile.iter_ddl()));
+        .eq(parallel_profile.iter_query()));
+    assert!(serial_profile.iter_ddl().eq(parallel_profile.iter_ddl()));
     // The sharded campaign still finds the injected lost update, and every
     // kept schedule bisects to a real fault.
     let dbms = preset.instantiate();
     assert!(
-        !serial.report.schedule_cases.is_empty(),
+        !serial.schedule_cases.is_empty(),
         "partitioned campaign found no schedules on mariadb"
     );
     let causes: Vec<&str> = serial
-        .report
         .schedule_cases
         .iter()
         .flat_map(|case| dbms.ground_truth_schedule_bugs(case))
@@ -409,8 +419,8 @@ fn partitioned_campaigns_are_identical_and_still_detect_bugs() {
     );
     // Merged prioritization tallies keep the campaign invariant.
     assert_eq!(
-        serial.report.metrics.prioritized_bugs + serial.report.metrics.deduplicated_bugs,
-        serial.report.metrics.detected_bug_cases
+        serial.metrics.prioritized_bugs + serial.metrics.deduplicated_bugs,
+        serial.metrics.detected_bug_cases
     );
 }
 

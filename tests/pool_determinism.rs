@@ -4,11 +4,8 @@
 //! report — must be **byte-identical** for any pool size. The pool size is
 //! purely a throughput knob, never an observable.
 
-use sqlancerpp::core::{render_report, CampaignConfig, OracleKind, SupervisorConfig};
-use sqlancerpp::sim::{
-    fleet_drivers, preset_by_name, run_campaign_partitioned_pooled, run_fleet_serial_drivers,
-    ExecutionPath,
-};
+use sqlancerpp::core::{render_report, CampaignConfig, OracleKind};
+use sqlancerpp::sim::{fleet_drivers, preset_by_name, ExecutionPath, RunPlan};
 
 fn pool_config(seed: u64) -> CampaignConfig {
     let mut config = CampaignConfig::builder()
@@ -30,8 +27,11 @@ fn pool_config(seed: u64) -> CampaignConfig {
 }
 
 fn fleet_renderings(path: ExecutionPath, pool_size: usize) -> Vec<String> {
-    let drivers = fleet_drivers(path);
-    let fleet = run_fleet_serial_drivers(&drivers, &pool_config(0xB001), pool_size);
+    let fleet = RunPlan {
+        pool_size,
+        ..RunPlan::new(fleet_drivers(path))
+    }
+    .run(&pool_config(0xB001));
     fleet.reports.iter().map(render_report).collect()
 }
 
@@ -53,18 +53,22 @@ fn serial_fleet_reports_are_byte_identical_for_any_pool_size() {
 fn partitioned_campaign_is_byte_identical_for_any_pool_size() {
     let preset = preset_by_name("sqlite").expect("sqlite preset exists");
     let driver = preset.driver(ExecutionPath::Text);
-    let supervision = SupervisorConfig::default();
     let config = pool_config(0xB002);
-    let baseline = render_report(
-        &run_campaign_partitioned_pooled(&driver, &config, 2, 1, &supervision).report,
-    );
+    let partitioned = |threads, pool_size| {
+        let plan = RunPlan {
+            pool_size,
+            threads,
+            shard_by_database: true,
+            ..RunPlan::new(vec![driver.clone()])
+        };
+        render_report(&plan.run(&config).reports[0])
+    };
+    let baseline = partitioned(2, 1);
     for pool_size in [2, 4] {
         for threads in [1, 2] {
-            let run =
-                run_campaign_partitioned_pooled(&driver, &config, threads, pool_size, &supervision);
             assert_eq!(
                 baseline,
-                render_report(&run.report),
+                partitioned(threads, pool_size),
                 "partitioned report drifted at pool size {pool_size}, {threads} threads"
             );
         }

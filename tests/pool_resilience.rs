@@ -11,9 +11,7 @@ use sqlancerpp::core::{
     QueryResult, ResilienceEvent, StateCheckpoint, StatementOutcome, StorageMetrics,
     SupervisorConfig, INFRA_MARKER,
 };
-use sqlancerpp::sim::{
-    preset_by_name, run_campaign_partitioned_pooled, ExecutionPath, FaultyConfig,
-};
+use sqlancerpp::sim::{preset_by_name, ExecutionPath, FaultyConfig, RunPlan};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -76,8 +74,16 @@ fn lying_driver_is_probed_downgraded_and_fuzzed_clean() {
     // The campaign runs to completion on the downgraded capability: the
     // rollback oracle self-suppresses instead of spraying rejected BEGINs.
     let config = resilience_config(0x11E5);
-    let supervision = SupervisorConfig::default();
-    let run = run_campaign_partitioned_pooled(&driver, &config, 1, 2, &supervision).report;
+    let sharded = |threads, pool_size| {
+        let plan = RunPlan {
+            pool_size,
+            threads,
+            shard_by_database: true,
+            ..RunPlan::new(vec![Arc::clone(&driver)])
+        };
+        plan.run(&config).reports.remove(0)
+    };
+    let run = sharded(1, 2);
     assert!(run.metrics.test_cases > 0, "the campaign must actually run");
     assert!(
         !run.degraded && run.robustness.quarantines == 0 && run.robustness.infra_failures == 0,
@@ -107,11 +113,9 @@ fn lying_driver_is_probed_downgraded_and_fuzzed_clean() {
     // Pool size and worker count stay non-observables while drifting.
     let baseline = render_report(&run);
     for (threads, pool_size) in [(1usize, 1usize), (2, 4)] {
-        let again =
-            run_campaign_partitioned_pooled(&driver, &config, threads, pool_size, &supervision);
         assert_eq!(
             baseline,
-            render_report(&again.report),
+            render_report(&sharded(threads, pool_size)),
             "lying-driver report drifted at {threads} workers, pool size {pool_size}"
         );
     }
@@ -327,8 +331,9 @@ fn dropped_frame_inside_sync_replay_raises_incident_and_never_leaks_into_verdict
         "the checkpoint must carry the pool's breaker/backoff state"
     );
     let mut pool = Pool::new(preset.driver(ExecutionPath::Ast), 2).expect("pool connects");
-    let resumed =
-        Campaign::new(config.clone()).resume_pooled(&mut pool, &checkpointing, checkpoint);
+    let mut campaign = Campaign::new(config.clone());
+    campaign.apply_capability(&pool.capability().clone());
+    let resumed = campaign.resume(&mut pool, &checkpointing, checkpoint);
     let _ = std::fs::remove_file(&path);
     assert_eq!(
         render_report(&resumed),

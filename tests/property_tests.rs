@@ -2,7 +2,8 @@
 //! round-trips, three-valued-logic invariants, optimizer semantics
 //! preservation, result-fingerprint equivalence, prioritizer
 //! monotonicity, and robustness of the owned decoders against mutated
-//! checkpoints and flight-recorder JSONL.
+//! checkpoints and flight-recorder JSONL, and of the SQL lexer/parser
+//! against mutated generator SQL.
 //!
 //! The offline build environment has no `proptest`, so these tests drive the
 //! same properties with a seeded RNG and explicit case loops: every run
@@ -19,7 +20,7 @@ use sqlancerpp::core::{
     SupervisorConfig, TraceHandle, Tracer,
 };
 use sqlancerpp::engine::{Database, EngineConfig, Evaluator, ExecutionMode, Scope};
-use sqlancerpp::parser::{parse_expression, parse_statement};
+use sqlancerpp::parser::{parse_expression, parse_statement, parse_statements, tokenize};
 use sqlancerpp::sim::{preset_by_name, ExecutionPath, FaultyConfig};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -381,5 +382,46 @@ fn owned_decoders_survive_seeded_mutation() {
             );
         }
         let _ = validate_jsonl(&mutate(&mut rng, &jsonl));
+    }
+}
+
+/// Renderings of generator DDL and queries: the SQL the text path feeds the
+/// lexer and parser.
+fn rendered_generator_sql() -> Vec<String> {
+    let mut rendered = Vec::new();
+    for seed in 0..40u64 {
+        let mut generator = AdaptiveGenerator::new(seed, GeneratorConfig::default());
+        for _ in 0..15 {
+            let stmt = generator.generate_ddl_statement();
+            rendered.push(stmt.sql.clone());
+            generator.apply_success(&stmt.statement);
+        }
+        for _ in 0..15 {
+            if let Some(query) = generator.generate_query() {
+                rendered.push(query.select.to_string());
+            }
+        }
+    }
+    rendered
+}
+
+/// The lexer and parser never panic on damaged SQL: truncations, bit flips
+/// and stray bytes in real generator output come back as tokens, a
+/// statement or a `ParseError`. The undamaged renderings parse back to
+/// exactly the text they came from.
+#[test]
+fn sql_lexer_and_parser_survive_seeded_mutation() {
+    let rendered = rendered_generator_sql();
+    assert!(rendered.len() > 1_000, "only {} statements", rendered.len());
+    let mut rng = StdRng::seed_from_u64(0x5E9A_A7E5);
+    for sql in &rendered {
+        let parsed = parse_statements(sql).expect("generated SQL parses");
+        let reparsed: Vec<String> = parsed.iter().map(ToString::to_string).collect();
+        assert_eq!(reparsed, [sql.as_str()], "round trip changed the text");
+        for _ in 0..160 {
+            let damaged = mutate(&mut rng, sql);
+            let _ = tokenize(&damaged);
+            let _ = parse_statements(&damaged);
+        }
     }
 }

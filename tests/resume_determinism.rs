@@ -7,15 +7,15 @@
 
 use sqlancerpp::core::{
     load_checkpoint, render_report, Campaign, CampaignConfig, CampaignReport, DbmsConnection,
-    DialectQuirks, IncidentKind, OracleKind, QueryResult, StateCheckpoint, StatementOutcome,
-    StorageMetrics, SupervisorConfig, INFRA_MARKER,
+    DialectQuirks, Driver, IncidentKind, OracleKind, QueryResult, StateCheckpoint,
+    StatementOutcome, StorageMetrics, SupervisorConfig, INFRA_MARKER,
 };
 use sqlancerpp::sim::{
-    observed_infra_kinds, preset_by_name, run_campaign_partitioned,
-    run_campaign_partitioned_pooled, run_campaign_partitioned_supervised, shard_checkpoint_path,
-    DialectPreset, ExecutionPath, FaultyConfig,
+    observed_infra_kinds, preset_by_name, shard_checkpoint_path, DialectPreset, ExecutionPath,
+    FaultyConfig, RunPlan,
 };
 use std::path::PathBuf;
+use std::sync::Arc;
 
 fn storm_preset(dialect: &str) -> DialectPreset {
     preset_by_name(dialect)
@@ -36,6 +36,24 @@ fn resume_config(seed: u64) -> CampaignConfig {
         ])
         .reduce_bugs(false)
         .build()
+}
+
+/// One driver's campaign, sharded by database across `threads` workers.
+fn sharded(
+    driver: &Arc<dyn Driver>,
+    config: &CampaignConfig,
+    threads: usize,
+    pool_size: usize,
+    supervision: &SupervisorConfig,
+) -> CampaignReport {
+    let plan = RunPlan {
+        pool_size,
+        threads,
+        shard_by_database: true,
+        supervision: supervision.clone(),
+        ..RunPlan::new(vec![Arc::clone(driver)])
+    };
+    plan.run(config).reports.remove(0)
 }
 
 /// A unique scratch path for one test's checkpoint file.
@@ -99,9 +117,9 @@ fn killed_serial_campaign_resumes_to_byte_identical_report() {
 fn killed_partitioned_campaign_resumes_identically_for_any_worker_count() {
     let mut config = resume_config(0xFEED);
     config.databases = 3;
-    let preset = storm_preset("mariadb");
-    let reference = run_campaign_partitioned(&preset, &config, ExecutionPath::Ast, 1);
-    let reference_text = render_report(&reference.report);
+    let driver = storm_preset("mariadb").driver(ExecutionPath::Ast);
+    let reference = sharded(&driver, &config, 1, 1, &SupervisorConfig::default());
+    let reference_text = render_report(&reference);
 
     for threads in [1usize, 3usize] {
         let path = scratch(&format!("partitioned_{threads}"));
@@ -115,26 +133,14 @@ fn killed_partitioned_campaign_resumes_identically_for_any_worker_count() {
             stop_after_cases: Some(9),
             ..checkpointing.clone()
         };
-        let partial = run_campaign_partitioned_supervised(
-            &preset,
-            &config,
-            ExecutionPath::Ast,
-            threads,
-            &killed,
-        );
-        assert!(partial.report.metrics.test_cases < reference.report.metrics.test_cases);
+        let partial = sharded(&driver, &config, threads, 1, &killed);
+        assert!(partial.metrics.test_cases < reference.metrics.test_cases);
 
         // Re-invoking the same partitioned campaign finds the per-shard
         // checkpoint files and resumes each shard to completion.
-        let resumed = run_campaign_partitioned_supervised(
-            &preset,
-            &config,
-            ExecutionPath::Ast,
-            threads,
-            &checkpointing,
-        );
+        let resumed = sharded(&driver, &config, threads, 1, &checkpointing);
         assert_eq!(
-            render_report(&resumed.report),
+            render_report(&resumed),
             reference_text,
             "{threads}-thread partitioned resume diverged from the uninterrupted run"
         );
@@ -259,11 +265,10 @@ fn killed_pooled_flaky_campaign_resumes_with_breaker_state() {
     // The uninterrupted reference must actually exercise the breakers:
     // probe crashes and post-respawn flapping trip them and the backoff
     // schedule recovers them.
-    let reference =
-        run_campaign_partitioned_pooled(&driver, &config, 1, 2, &SupervisorConfig::default());
-    let reference_text = render_report(&reference.report);
+    let reference = sharded(&driver, &config, 1, 2, &SupervisorConfig::default());
+    let reference_text = render_report(&reference);
     assert!(
-        reference.report.robustness.breaker_trips > 0,
+        reference.robustness.breaker_trips > 0,
         "the flaky storm should trip at least one breaker in this campaign"
     );
     // The self-healing layer absorbs the whole storm: exactly the armed
@@ -271,15 +276,14 @@ fn killed_pooled_flaky_campaign_resumes_with_breaker_state() {
     // nothing degrades or surfaces as a logic bug, and neither the pool
     // size nor the execution path is observable while breakers trip and
     // recover.
-    let robustness = reference.report.robustness;
+    let robustness = reference.robustness;
     assert_eq!(
-        observed_infra_kinds(&reference.report),
+        observed_infra_kinds(&reference),
         ["infra_probe", "infra_flap", "infra_capability_lie"]
     );
     assert!(robustness.capability_drifts > 0 && robustness.breaker_recoveries > 0);
     let ledgered = |kind: IncidentKind| {
         reference
-            .report
             .incidents
             .iter()
             .filter(|incident| incident.kind == kind)
@@ -293,10 +297,9 @@ fn killed_pooled_flaky_campaign_resumes_with_breaker_state() {
         ledgered(IncidentKind::BreakerRecovery),
         robustness.breaker_recoveries
     );
-    assert!(!reference.report.degraded);
+    assert!(!reference.degraded);
     assert_eq!((robustness.quarantines, robustness.infra_failures), (0, 0));
     assert!(reference
-        .report
         .reports
         .iter()
         .all(|bug| !bug.description.contains(INFRA_MARKER)));
@@ -305,7 +308,7 @@ fn killed_pooled_flaky_campaign_resumes_with_breaker_state() {
         (ExecutionPath::Ast, 4),
         (ExecutionPath::Text, 2),
     ] {
-        let run = run_campaign_partitioned_pooled(
+        let run = sharded(
             &preset.driver(path),
             &config,
             1,
@@ -313,7 +316,7 @@ fn killed_pooled_flaky_campaign_resumes_with_breaker_state() {
             &SupervisorConfig::default(),
         );
         assert_eq!(
-            render_report(&run.report),
+            render_report(&run),
             reference_text,
             "{path:?} flaky report drifted at pool size {pool_size}"
         );
@@ -331,8 +334,8 @@ fn killed_pooled_flaky_campaign_resumes_with_breaker_state() {
             stop_after_cases: Some(9),
             ..checkpointing.clone()
         };
-        let partial = run_campaign_partitioned_pooled(&driver, &config, threads, 2, &killed);
-        assert!(partial.report.metrics.test_cases < reference.report.metrics.test_cases);
+        let partial = sharded(&driver, &config, threads, 2, &killed);
+        assert!(partial.metrics.test_cases < reference.metrics.test_cases);
 
         // The checkpoint files written mid-storm carry the pool's breaker
         // and backoff state, so the resumed pool re-opens mid-backoff
@@ -345,9 +348,9 @@ fn killed_pooled_flaky_campaign_resumes_with_breaker_state() {
             "at least one shard checkpoint must carry the breaker ledger"
         );
 
-        let resumed = run_campaign_partitioned_pooled(&driver, &config, threads, 2, &checkpointing);
+        let resumed = sharded(&driver, &config, threads, 2, &checkpointing);
         assert_eq!(
-            render_report(&resumed.report),
+            render_report(&resumed),
             reference_text,
             "{threads}-thread pooled flaky resume diverged from the uninterrupted run"
         );

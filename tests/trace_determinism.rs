@@ -13,15 +13,16 @@
 
 use sqlancerpp::core::{
     load_checkpoint, render_trace_summary, validate_jsonl, Campaign, CampaignConfig,
-    CampaignReport, CaseRecord, FlightRecorder, OracleKind, SupervisorConfig, TraceEventKind,
-    TraceHandle, Tracer,
+    CampaignReport, CaseRecord, Driver, FlightRecorder, OracleKind, SupervisorConfig,
+    TraceEventKind, TraceHandle, Tracer,
 };
 use sqlancerpp::sim::{
-    preset_by_name, run_campaign_partitioned_traced, DialectPreset, ExecutionPath, FaultyConfig,
+    preset_by_name, DialectPreset, ExecutionPath, FaultyConfig, FleetReport, RunPlan,
 };
 use std::cell::RefCell;
 use std::path::PathBuf;
 use std::rc::Rc;
+use std::sync::Arc;
 
 fn storm_preset(dialect: &str) -> DialectPreset {
     preset_by_name(dialect)
@@ -90,6 +91,24 @@ fn resume_traced(
     (report, tracer)
 }
 
+/// One driver's traced campaign, sharded by database across `threads`
+/// workers.
+fn sharded_traced(
+    driver: &Arc<dyn Driver>,
+    config: &CampaignConfig,
+    threads: usize,
+    pool_size: usize,
+) -> FleetReport {
+    let plan = RunPlan {
+        pool_size,
+        threads,
+        shard_by_database: true,
+        trace: true,
+        ..RunPlan::new(vec![Arc::clone(driver)])
+    };
+    plan.run(config)
+}
+
 fn scratch(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("sqlancerpp_trace_{}_{name}", std::process::id()))
 }
@@ -101,26 +120,17 @@ fn trace_summary_is_byte_identical_for_any_worker_and_pool_count() {
     let mut baselines = Vec::new();
     for path in [ExecutionPath::Ast, ExecutionPath::Text] {
         let driver = preset.driver(path);
-        let supervision = SupervisorConfig::default();
-        let (_, baseline_summary) =
-            run_campaign_partitioned_traced(&driver, &config, 1, 1, &supervision);
-        let baseline = render_trace_summary(&baseline_summary);
+        let baseline = render_trace_summary(&sharded_traced(&driver, &config, 1, 1).trace);
         assert!(
             baseline.contains("verdicts"),
             "summary should render verdict counters:\n{baseline}"
         );
         for threads in [1usize, 2] {
             for pool_size in [1usize, 2, 4] {
-                let (_, summary) = run_campaign_partitioned_traced(
-                    &driver,
-                    &config,
-                    threads,
-                    pool_size,
-                    &supervision,
-                );
+                let run = sharded_traced(&driver, &config, threads, pool_size);
                 assert_eq!(
                     baseline,
-                    render_trace_summary(&summary),
+                    render_trace_summary(&run.trace),
                     "{path:?} trace summary drifted at {threads} threads, pool size {pool_size}"
                 );
             }
@@ -149,19 +159,16 @@ fn storm_fault_hitting_an_oracle_rebuild_does_not_break_pool_invariance() {
     config.max_reduction_checks = 24;
     let preset = storm_preset("dolt");
     let driver = preset.driver(ExecutionPath::Ast);
-    let supervision = SupervisorConfig::default();
-    let (serial, serial_summary) =
-        run_campaign_partitioned_traced(&driver, &config, 1, 1, &supervision);
-    let (sharded, sharded_summary) =
-        run_campaign_partitioned_traced(&driver, &config, 2, 2, &supervision);
+    let serial = sharded_traced(&driver, &config, 1, 1);
+    let sharded = sharded_traced(&driver, &config, 2, 2);
     assert_eq!(
-        sqlancerpp::core::render_report(&serial.report),
-        sqlancerpp::core::render_report(&sharded.report),
+        sqlancerpp::core::render_report(&serial.reports[0]),
+        sqlancerpp::core::render_report(&sharded.reports[0]),
         "campaign reports must not depend on worker or pool counts"
     );
     assert_eq!(
-        render_trace_summary(&serial_summary),
-        render_trace_summary(&sharded_summary),
+        render_trace_summary(&serial.trace),
+        render_trace_summary(&sharded.trace),
         "trace summaries must not depend on worker or pool counts"
     );
 }
