@@ -3,7 +3,7 @@
 #
 #   ./ci.sh          # full gate: fmt, clippy, release build, tests,
 #                    # self-asserting examples, perf-regression gate,
-#                    # benchmark smoke test
+#                    # benchmark smoke tests
 #
 # Every step must pass; the script stops at the first failure. The perf
 # gate compares timed throughput ratios against the floors in
@@ -50,17 +50,22 @@ echo "==> perf-regression gate (~30s)"
 # campaign) are asserted by `cargo test` above.
 ./target/release/campaign_throughput --gate 100 /tmp/ci_smoke_bench.json | tee /tmp/ci_gate.txt
 
-echo "==> repository benchmark smoke test (fault-storm, 1 s, traced)"
-# Runs the benchmark declared in BENCHMARK.json once, as a correctness
-# check of the whole stack under every infrastructure fault kind: the run
-# must exit 0 and every one of its output checks (report byte-identity,
-# statement reconciliation, incident ledger, ...) must print `ok`. Its
-# timing figures are not gated here.
-cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
-    --workload fault-storm --seed 1 --seconds 1 --trace 1 | tee /tmp/ci_benchmark_smoke.txt
-if grep -q '^check .*: FAILED' /tmp/ci_benchmark_smoke.txt; then
-    echo "benchmark smoke test: an output check FAILED" >&2
-    exit 1
-fi
+echo "==> repository benchmark smoke test (fault-storm and fleet-mixed, 1 s each, traced)"
+# Runs the benchmark declared in BENCHMARK.json once per workload, as a
+# correctness check of the whole stack: the run must exit 0 and every one
+# of its output checks (report byte-identity, statement reconciliation,
+# incident ledger, ...) must print `ok`. fault-storm covers every
+# infrastructure fault kind; fleet-mixed is the workload that runs the
+# engine's rollback, isolation and reducer paths. Timing figures are not
+# gated here.
+for workload in fault-storm fleet-mixed; do
+    echo "--> $workload"
+    cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 1 --trace 1 | tee /tmp/ci_benchmark_smoke.txt
+    if grep -q '^check .*: FAILED' /tmp/ci_benchmark_smoke.txt; then
+        echo "benchmark smoke test ($workload): an output check FAILED" >&2
+        exit 1
+    fi
+done
 
 echo "CI OK"

@@ -21,6 +21,7 @@ use crate::dbms::{
 use crate::feature::FeatureSet;
 use crate::json::{json_name, json_record};
 use sql_ast::{BeginMode, Expr, Select, SelectItem, Statement, TableWithJoins, Value};
+use std::borrow::Cow;
 use std::fmt;
 
 /// Which oracle produced a verdict.
@@ -539,16 +540,17 @@ impl SessionScript {
     }
 
     /// The statement executed at `step` (0 = `BEGIN`, then the body, last
-    /// the closer). Returns an owned statement for the bracketing steps.
-    fn step(&self, step: usize) -> Statement {
+    /// the closer). Body steps borrow the script's statement; only the
+    /// bracketing steps are built.
+    fn step(&self, step: usize) -> Cow<'_, Statement> {
         if step == 0 {
-            Statement::Begin(self.begin)
+            Cow::Owned(Statement::Begin(self.begin))
         } else if step <= self.statements.len() {
-            self.statements[step - 1].clone()
+            Cow::Borrowed(&self.statements[step - 1])
         } else if self.commit {
-            Statement::Commit
+            Cow::Owned(Statement::Commit)
         } else {
-            Statement::Rollback
+            Cow::Owned(Statement::Rollback)
         }
     }
 }
@@ -727,7 +729,8 @@ fn check_isolation_arms<S: SetupStatement>(
         let stmt = script.step(step);
         let outcome = sessions[s].execute_ast(&stmt);
         if let crate::dbms::StatementOutcome::Failure(message) = outcome {
-            if matches!(stmt, Statement::Commit) && message.contains(SERIALIZATION_FAILURE_MARKER) {
+            if matches!(*stmt, Statement::Commit) && message.contains(SERIALIZATION_FAILURE_MARKER)
+            {
                 // First-committer-wins rejected the commit: a legitimate
                 // conflict abort, not a dialect rejection and not a bug.
                 conflict_aborts += 1;

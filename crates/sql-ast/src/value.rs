@@ -34,6 +34,18 @@ pub enum Value {
     Boolean(bool),
 }
 
+/// A value's canonical dedup identity (see `Value::identity`): the one
+/// definition behind [`Value::dedup_eq`] and [`Value::fingerprint_into`].
+/// [`Value::dedup_key`] renders the same identity on its own and stays the
+/// reference that tests hold both to.
+#[derive(PartialEq, Eq)]
+enum Identity<'a> {
+    Null,
+    Integer(i64),
+    Real(u64),
+    Text(&'a str),
+}
+
 /// SQL three-valued logic truth value.
 ///
 /// Predicates in SQL evaluate to one of three outcomes; `WHERE` keeps a row
@@ -232,6 +244,32 @@ impl Value {
         Some(self.total_cmp(other))
     }
 
+    /// The canonical dedup identity of this value, borrowed: integral
+    /// reals (below the 9.0e15 cut-off) and booleans collapse onto the
+    /// integer identity, every `NaN` shares one bit pattern, and `-0.0`
+    /// is the integer 0. The variants stay apart, so `1` and `'1'` differ.
+    fn identity(&self) -> Identity<'_> {
+        match self {
+            Value::Null => Identity::Null,
+            Value::Integer(i) => Identity::Integer(*i),
+            Value::Real(r) if r.fract() == 0.0 && r.is_finite() && r.abs() < 9.0e15 => {
+                Identity::Integer(*r as i64)
+            }
+            Value::Real(r) if r.is_nan() => Identity::Real(f64::NAN.to_bits()),
+            Value::Real(r) => Identity::Real(r.to_bits()),
+            Value::Text(s) => Identity::Text(s),
+            Value::Boolean(b) => Identity::Integer(i64::from(*b)),
+        }
+    }
+
+    /// Exact, allocation-free equality of canonical dedup identities:
+    /// `a.dedup_eq(b)` holds exactly when `a.dedup_key() == b.dedup_key()`.
+    /// Unique-key enforcement compares key columns with it, one column at a
+    /// time.
+    pub fn dedup_eq(&self, other: &Value) -> bool {
+        self.identity() == other.identity()
+    }
+
     /// Feeds this value's canonical dedup identity into a fingerprint
     /// hasher, without allocating.
     ///
@@ -242,36 +280,20 @@ impl Value {
     /// e.g. `1` and `'1'` stay distinct. The hasher itself lives in
     /// [`crate::hash`] alongside the other shared hash primitives.
     pub fn fingerprint_into(&self, hasher: &mut Fingerprint128) {
-        match self {
-            Value::Null => hasher.write_u8(0),
-            Value::Integer(i) => {
+        match self.identity() {
+            Identity::Null => hasher.write_u8(0),
+            Identity::Integer(i) => {
                 hasher.write_u8(1);
-                hasher.write_u64(*i as u64);
+                hasher.write_u64(i as u64);
             }
-            Value::Real(r) => {
-                if r.fract() == 0.0 && r.is_finite() && r.abs() < 9.0e15 {
-                    // Integral reals compare equal to integers in SQL;
-                    // normalise them exactly as `dedup_key` does.
-                    hasher.write_u8(1);
-                    hasher.write_u64(*r as i64 as u64);
-                } else {
-                    hasher.write_u8(2);
-                    let bits = if r.is_nan() {
-                        f64::NAN.to_bits()
-                    } else {
-                        r.to_bits()
-                    };
-                    hasher.write_u64(bits);
-                }
+            Identity::Real(bits) => {
+                hasher.write_u8(2);
+                hasher.write_u64(bits);
             }
-            Value::Text(s) => {
+            Identity::Text(s) => {
                 hasher.write_u8(3);
                 hasher.write_u64(s.len() as u64);
                 hasher.write_bytes(s.as_bytes());
-            }
-            Value::Boolean(b) => {
-                hasher.write_u8(1);
-                hasher.write_u64(i64::from(*b) as u64);
             }
         }
     }
@@ -451,27 +473,56 @@ mod tests {
     fn row_fingerprint_matches_dedup_key_identity() {
         let samples = [
             Value::Null,
+            Value::Integer(0),
             Value::Integer(1),
+            Value::Real(0.0),
             Value::Real(1.0),
             Value::Real(1.5),
             Value::Real(-0.0),
             Value::Real(f64::INFINITY),
+            Value::Real(f64::NEG_INFINITY),
+            Value::Real(f64::NAN),
+            Value::Real(-f64::NAN),
+            Value::Real(f64::from_bits(f64::NAN.to_bits() | 1)),
+            // Each side of the 9.0e15 integral-real cut-off.
+            Value::Real(8_999_999_999_999_999.0),
+            Value::Integer(8_999_999_999_999_999),
+            Value::Real(9.0e15),
+            Value::Integer(9_000_000_000_000_000),
+            Value::Real(-9.0e15),
+            Value::Integer(-9_000_000_000_000_000),
             Value::Boolean(true),
             Value::Boolean(false),
             Value::text("1"),
+            Value::text("I1"),
+            Value::text("\u{0}N"),
             Value::text(""),
             Value::text("a'b"),
         ];
         for a in &samples {
             for b in &samples {
+                let legacy = a.dedup_key() == b.dedup_key();
                 assert_eq!(
-                    a.dedup_key() == b.dedup_key(),
+                    legacy,
                     row_fingerprint(std::slice::from_ref(a))
                         == row_fingerprint(std::slice::from_ref(b)),
                     "fingerprint disagreement: {a:?} vs {b:?}"
                 );
+                assert_eq!(
+                    legacy,
+                    a.dedup_eq(b),
+                    "comparator disagreement: {a:?} vs {b:?}"
+                );
             }
         }
+        // The pairs the identity is built around, spelled out.
+        assert!(Value::Boolean(true).dedup_eq(&Value::Integer(1)));
+        assert!(Value::Integer(1).dedup_eq(&Value::Real(1.0)));
+        assert!(Value::Real(-0.0).dedup_eq(&Value::Integer(0)));
+        assert!(Value::Real(f64::NAN).dedup_eq(&Value::Real(-f64::NAN)));
+        assert!(!Value::Real(9.0e15).dedup_eq(&Value::Integer(9_000_000_000_000_000)));
+        assert!(!Value::text("I1").dedup_eq(&Value::Integer(1)));
+        assert!(!Value::text("\u{0}N").dedup_eq(&Value::Null));
     }
 
     #[test]

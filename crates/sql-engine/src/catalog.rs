@@ -1,4 +1,17 @@
 //! Schema catalog: tables, views and indexes known to the engine.
+//!
+//! Every definition is immutable once registered and lives behind an `Arc`,
+//! and the three name maps themselves sit behind one more `Arc`. Cloning a
+//! [`Catalog`] — which every `BEGIN` frame, session snapshot, checkpoint and
+//! restore does through [`crate::Database`] — is therefore one pointer bump
+//! and allocates nothing; DDL detaches the maps copy-on-write
+//! ([`Arc::make_mut`]) before changing them. Statements that read a table's
+//! schema take it as a shared [`Arc<TableSchema>`] ([`Catalog::shared_table`])
+//! instead of copying it.
+//!
+//! A [`TableSchema`] also caches its declared unique keys as column
+//! positions (primary key, unique columns, unique table constraints), so
+//! uniqueness checks never resolve or clone column names.
 
 use crate::error::{EngineError, EngineResult};
 use sql_ast::{ColumnDef, CreateIndex, CreateTable, CreateView, DataType, Expr, Select};
@@ -37,6 +50,10 @@ pub struct TableSchema {
     /// Cached shared view of the column names, built once at creation and
     /// handed to every scan's [`crate::RelationBinding`] without cloning.
     shared_column_names: Arc<Vec<String>>,
+    /// The declared unique keys as column positions, in enforcement order:
+    /// the primary key, then each unique column not already the whole
+    /// primary key, then each unique table constraint.
+    unique_keys: Vec<Vec<usize>>,
 }
 
 impl TableSchema {
@@ -111,13 +128,45 @@ impl TableSchema {
             }
         }
         let shared_column_names = Arc::new(columns.iter().map(|c| c.name.clone()).collect());
-        Ok(TableSchema {
+        let mut schema = TableSchema {
             name: create.name.clone(),
             columns,
             primary_key,
             unique_constraints,
             shared_column_names,
-        })
+            unique_keys: Vec::new(),
+        };
+        schema.unique_keys = schema.declared_unique_keys();
+        Ok(schema)
+    }
+
+    fn declared_unique_keys(&self) -> Vec<Vec<usize>> {
+        let mut keys: Vec<Vec<usize>> = Vec::new();
+        if !self.primary_key.is_empty() {
+            keys.push(self.positions(&self.primary_key));
+        }
+        for (i, c) in self.columns.iter().enumerate() {
+            if c.unique && !keys.iter().any(|k| k == &[i]) {
+                keys.push(vec![i]);
+            }
+        }
+        for uc in &self.unique_constraints {
+            keys.push(self.positions(uc));
+        }
+        keys.retain(|k| !k.is_empty());
+        keys
+    }
+
+    /// Positions of the named columns, skipping unknown names.
+    pub(crate) fn positions(&self, names: &[String]) -> Vec<usize> {
+        names.iter().filter_map(|c| self.column_index(c)).collect()
+    }
+
+    /// The declared unique keys (primary key, unique columns, unique table
+    /// constraints) as column positions. Unique indexes live in the catalog
+    /// and are added by the uniqueness checks themselves.
+    pub(crate) fn unique_keys(&self) -> &[Vec<usize>] {
+        &self.unique_keys
     }
 
     /// Index of a column by (case-insensitive) name.
@@ -224,12 +273,17 @@ impl IndexDef {
 /// Keys are stored lowercase so lookups are case-insensitive, mirroring how
 /// most DBMSs fold unquoted identifiers.
 ///
-/// Object definitions are immutable once registered and live behind `Arc`s,
-/// so cloning a catalog — which every `BEGIN` frame and session snapshot
-/// does — copies one pointer per object, never a schema, view query or
-/// index predicate.
+/// The maps live behind one `Arc` and every definition behind its own, so
+/// cloning a catalog is a single pointer bump; the first DDL on a clone
+/// detaches the maps (copying one pointer per object, never a schema, view
+/// query or index predicate).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Catalog {
+    maps: Arc<CatalogMaps>,
+}
+
+#[derive(Debug, Clone, Default, PartialEq)]
+struct CatalogMaps {
     tables: BTreeMap<String, Arc<TableSchema>>,
     views: BTreeMap<String, Arc<ViewDef>>,
     indexes: BTreeMap<String, Arc<IndexDef>>,
@@ -245,12 +299,17 @@ impl Catalog {
         lowercase_key(name)
     }
 
+    /// The maps, detached from every other clone of this catalog.
+    fn maps_mut(&mut self) -> &mut CatalogMaps {
+        Arc::make_mut(&mut self.maps)
+    }
+
     /// Is any object (table, view or index) with this name present?
     pub fn name_in_use(&self, name: &str) -> bool {
         let k = Self::key(name);
-        self.tables.contains_key(k.as_ref())
-            || self.views.contains_key(k.as_ref())
-            || self.indexes.contains_key(k.as_ref())
+        self.maps.tables.contains_key(k.as_ref())
+            || self.maps.views.contains_key(k.as_ref())
+            || self.maps.indexes.contains_key(k.as_ref())
     }
 
     /// Adds a table schema.
@@ -265,7 +324,8 @@ impl Catalog {
                 schema.name
             )));
         }
-        self.tables
+        self.maps_mut()
+            .tables
             .insert(Self::key(&schema.name).into_owned(), Arc::new(schema));
         Ok(())
     }
@@ -282,7 +342,8 @@ impl Catalog {
                 view.name
             )));
         }
-        self.views
+        self.maps_mut()
+            .views
             .insert(Self::key(&view.name).into_owned(), Arc::new(view));
         Ok(())
     }
@@ -306,78 +367,104 @@ impl Catalog {
                 index.table
             )));
         }
-        self.indexes
+        self.maps_mut()
+            .indexes
             .insert(Self::key(&index.name).into_owned(), Arc::new(index));
         Ok(())
     }
 
     /// Looks up a table schema.
     pub fn table(&self, name: &str) -> Option<&TableSchema> {
-        self.tables.get(Self::key(name).as_ref()).map(Arc::as_ref)
+        self.maps
+            .tables
+            .get(Self::key(name).as_ref())
+            .map(Arc::as_ref)
+    }
+
+    /// Looks up a table schema as a shared handle (a pointer bump, never a
+    /// schema copy), for statements that hold it while mutating storage.
+    pub fn shared_table(&self, name: &str) -> Option<Arc<TableSchema>> {
+        self.maps.tables.get(Self::key(name).as_ref()).cloned()
     }
 
     /// Looks up a view.
     pub fn view(&self, name: &str) -> Option<&ViewDef> {
-        self.views.get(Self::key(name).as_ref()).map(Arc::as_ref)
+        self.maps
+            .views
+            .get(Self::key(name).as_ref())
+            .map(Arc::as_ref)
     }
 
     /// Looks up an index.
     pub fn index(&self, name: &str) -> Option<&IndexDef> {
-        self.indexes.get(Self::key(name).as_ref()).map(Arc::as_ref)
+        self.maps
+            .indexes
+            .get(Self::key(name).as_ref())
+            .map(Arc::as_ref)
     }
 
     /// All indexes on a table.
-    pub fn indexes_on(&self, table: &str) -> Vec<&IndexDef> {
-        self.indexes
+    pub fn indexes_on<'a>(&'a self, table: &'a str) -> impl Iterator<Item = &'a IndexDef> + 'a {
+        self.maps
+            .indexes
             .values()
             .map(Arc::as_ref)
-            .filter(|i| i.table.eq_ignore_ascii_case(table))
-            .collect()
+            .filter(move |i| i.table.eq_ignore_ascii_case(table))
     }
 
     /// Removes a table (and its indexes). Returns `false` if absent.
     pub fn drop_table(&mut self, name: &str) -> bool {
-        let removed = self.tables.remove(Self::key(name).as_ref()).is_some();
-        if removed {
-            self.indexes
-                .retain(|_, i| !i.table.eq_ignore_ascii_case(name));
+        if self.table(name).is_none() {
+            return false;
         }
-        removed
+        let maps = self.maps_mut();
+        maps.tables.remove(Self::key(name).as_ref());
+        maps.indexes
+            .retain(|_, i| !i.table.eq_ignore_ascii_case(name));
+        true
     }
 
     /// Removes a view. Returns `false` if absent.
     pub fn drop_view(&mut self, name: &str) -> bool {
-        self.views.remove(Self::key(name).as_ref()).is_some()
+        if self.view(name).is_none() {
+            return false;
+        }
+        self.maps_mut().views.remove(Self::key(name).as_ref());
+        true
     }
 
     /// Removes an index. Returns `false` if absent.
     pub fn drop_index(&mut self, name: &str) -> bool {
-        self.indexes.remove(Self::key(name).as_ref()).is_some()
+        if self.index(name).is_none() {
+            return false;
+        }
+        self.maps_mut().indexes.remove(Self::key(name).as_ref());
+        true
     }
 
     /// Names of all tables, sorted.
     pub fn table_names(&self) -> Vec<String> {
-        self.tables.values().map(|t| t.name.clone()).collect()
+        self.maps.tables.values().map(|t| t.name.clone()).collect()
     }
 
     /// Names of all views, sorted.
     pub fn view_names(&self) -> Vec<String> {
-        self.views.values().map(|v| v.name.clone()).collect()
+        self.maps.views.values().map(|v| v.name.clone()).collect()
     }
 
     /// Names of all indexes, sorted.
     pub fn index_names(&self) -> Vec<String> {
-        self.indexes.values().map(|i| i.name.clone()).collect()
+        self.maps.indexes.values().map(|i| i.name.clone()).collect()
     }
 
     /// All table schemas.
     pub fn tables(&self) -> impl Iterator<Item = &TableSchema> {
-        self.tables.values().map(Arc::as_ref)
+        self.maps.tables.values().map(Arc::as_ref)
     }
 
     /// All views.
     pub fn views(&self) -> impl Iterator<Item = &ViewDef> {
-        self.views.values().map(Arc::as_ref)
+        self.maps.views.values().map(Arc::as_ref)
     }
 }
 
@@ -441,7 +528,7 @@ mod tests {
             predicate: None,
         })
         .unwrap();
-        assert_eq!(cat.indexes_on("t0").len(), 1);
+        assert_eq!(cat.indexes_on("t0").count(), 1);
         assert!(cat.drop_table("t0"));
         assert!(cat.index("i0").is_none());
     }

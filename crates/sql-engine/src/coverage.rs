@@ -7,9 +7,19 @@
 //! *coercion paths* were exercised. The comparison the paper makes is
 //! relative (feedback vs no feedback vs hand-written generator), which this
 //! proxy preserves.
+//!
+//! Every coverage point is a `&'static str`: plan operators and statement
+//! kinds are literals, functions and operators record their feature names,
+//! and a coercion path is looked up in a static table indexed by its
+//! [`DataType`] pair (`coercion_name`). Recording a point therefore never
+//! allocates a string, in a fresh engine or a long-lived one.
 
+use sql_ast::DataType;
 use std::collections::BTreeSet;
 use std::sync::Arc;
+
+/// One coverage plane's points.
+pub type CoveragePoints = Arc<BTreeSet<&'static str>>;
 
 /// Accumulates which engine facilities have been exercised.
 ///
@@ -23,15 +33,67 @@ use std::sync::Arc;
 pub struct CoverageTracker {
     /// Plan operators exercised (e.g. `seq_scan`, `index_lookup`,
     /// `hash_group_by`, `left_join`).
-    pub plan_operators: Arc<BTreeSet<String>>,
+    pub plan_operators: CoveragePoints,
     /// Scalar functions evaluated.
-    pub functions: Arc<BTreeSet<String>>,
+    pub functions: CoveragePoints,
     /// Unary/binary operators evaluated.
-    pub operators: Arc<BTreeSet<String>>,
-    /// Coercion paths taken (e.g. `text->integer`).
-    pub coercions: Arc<BTreeSet<String>>,
+    pub operators: CoveragePoints,
+    /// Coercion paths taken (e.g. `TEXT->INTEGER`).
+    pub coercions: CoveragePoints,
     /// Statement kinds executed.
-    pub statements: Arc<BTreeSet<String>>,
+    pub statements: CoveragePoints,
+}
+
+/// The coercion point of a value of type `from` converted to `to`, as
+/// `FROM->TO` over the types' SQL keywords. Exhaustive over every pair.
+fn coercion_name(from: DataType, to: DataType) -> &'static str {
+    const NAMES: [[&str; 5]; 5] = [
+        [
+            "INTEGER->INTEGER",
+            "INTEGER->REAL",
+            "INTEGER->TEXT",
+            "INTEGER->BOOLEAN",
+            "INTEGER->NULL",
+        ],
+        [
+            "REAL->INTEGER",
+            "REAL->REAL",
+            "REAL->TEXT",
+            "REAL->BOOLEAN",
+            "REAL->NULL",
+        ],
+        [
+            "TEXT->INTEGER",
+            "TEXT->REAL",
+            "TEXT->TEXT",
+            "TEXT->BOOLEAN",
+            "TEXT->NULL",
+        ],
+        [
+            "BOOLEAN->INTEGER",
+            "BOOLEAN->REAL",
+            "BOOLEAN->TEXT",
+            "BOOLEAN->BOOLEAN",
+            "BOOLEAN->NULL",
+        ],
+        [
+            "NULL->INTEGER",
+            "NULL->REAL",
+            "NULL->TEXT",
+            "NULL->BOOLEAN",
+            "NULL->NULL",
+        ],
+    ];
+    fn slot(t: DataType) -> usize {
+        match t {
+            DataType::Integer => 0,
+            DataType::Real => 1,
+            DataType::Text => 2,
+            DataType::Boolean => 3,
+            DataType::Null => 4,
+        }
+    }
+    NAMES[slot(from)][slot(to)]
 }
 
 /// The number of distinct coverage points in each category; used to turn a
@@ -74,49 +136,44 @@ impl CoverageTracker {
         CoverageTracker::default()
     }
 
-    /// Inserts without allocating when the point was already recorded — the
-    /// common case on the campaign hot path, where the same few coverage
-    /// points are hit millions of times. A shared set is only detached
-    /// (copied) when it actually gains a point.
-    fn record(set: &mut Arc<BTreeSet<String>>, name: &str) {
+    /// Inserts without touching a shared set when the point was already
+    /// recorded — the common case on the campaign hot path, where the same
+    /// few coverage points are hit millions of times. A shared set is only
+    /// detached (copied) when it actually gains a point.
+    fn record(set: &mut CoveragePoints, name: &'static str) {
         if !set.contains(name) {
-            Arc::make_mut(set).insert(name.to_string());
+            Arc::make_mut(set).insert(name);
         }
     }
 
     /// Records a plan operator.
-    pub fn plan_operator(&mut self, name: &str) {
+    pub fn plan_operator(&mut self, name: &'static str) {
         Self::record(&mut self.plan_operators, name);
     }
 
     /// Records a scalar or aggregate function evaluation.
-    pub fn function(&mut self, name: &str) {
+    pub fn function(&mut self, name: &'static str) {
         Self::record(&mut self.functions, name);
     }
 
     /// Records an operator evaluation.
-    pub fn operator(&mut self, name: &str) {
+    pub fn operator(&mut self, name: &'static str) {
         Self::record(&mut self.operators, name);
     }
 
-    /// Records a coercion path.
-    ///
-    /// The dynamic-typing comparison path records a coercion per evaluated
-    /// row, so the already-recorded case must not allocate; the set stays
-    /// tiny (bounded by the handful of type-keyword pairs), making a linear
-    /// pre-check cheaper than building the composite key.
-    pub fn coercion(&mut self, from: &str, to: &str) {
-        let exists = self
-            .coercions
-            .iter()
-            .any(|c| c.strip_prefix(from).and_then(|r| r.strip_prefix("->")) == Some(to));
-        if !exists {
-            Arc::make_mut(&mut self.coercions).insert(format!("{from}->{to}"));
-        }
+    /// Records the coercion path of a `from` value converted to `to`.
+    pub fn coercion(&mut self, from: DataType, to: DataType) {
+        Self::record(&mut self.coercions, coercion_name(from, to));
+    }
+
+    /// Records the dynamic-typing comparison of a number with a non-number,
+    /// both sides compared numerically (`mixed->numeric`).
+    pub fn mixed_numeric_coercion(&mut self) {
+        Self::record(&mut self.coercions, "mixed->numeric");
     }
 
     /// Records a statement kind.
-    pub fn statement(&mut self, name: &str) {
+    pub fn statement(&mut self, name: &'static str) {
         Self::record(&mut self.statements, name);
     }
 
@@ -162,15 +219,11 @@ impl CoverageTracker {
     /// recorded nothing new — or that bring no new points are skipped
     /// without copying.
     pub fn merge(&mut self, other: &CoverageTracker) {
-        fn merge_set(into: &mut Arc<BTreeSet<String>>, from: &Arc<BTreeSet<String>>) {
-            if Arc::ptr_eq(into, from) {
+        fn merge_set(into: &mut CoveragePoints, from: &CoveragePoints) {
+            if Arc::ptr_eq(into, from) || from.is_subset(into) {
                 return;
             }
-            let fresh: Vec<&String> = from.iter().filter(|p| !into.contains(*p)).collect();
-            if fresh.is_empty() {
-                return;
-            }
-            Arc::make_mut(into).extend(fresh.into_iter().cloned());
+            Arc::make_mut(into).extend(from.iter().copied());
         }
         merge_set(&mut self.plan_operators, &other.plan_operators);
         merge_set(&mut self.functions, &other.functions);
@@ -191,7 +244,8 @@ mod tests {
         c.plan_operator("seq_scan");
         c.function("SIN");
         c.operator("OP_ADD");
-        c.coercion("text", "integer");
+        c.coercion(DataType::Text, DataType::Integer);
+        c.coercion(DataType::Text, DataType::Integer);
         c.statement("STMT_SELECT");
         assert_eq!(c.points(), 5);
     }
@@ -201,10 +255,37 @@ mod tests {
         let mut c = CoverageTracker::new();
         let universe = CoverageUniverse::engine_default();
         assert_eq!(c.percentage(&universe), 0.0);
-        for i in 0..1000 {
-            c.function(&format!("f{i}"));
+        for f in sql_ast::ScalarFunction::ALL {
+            c.function(f.name());
         }
-        assert!(c.percentage(&universe) <= 100.0);
+        assert!(c.percentage(&universe) > 0.0);
+        let tiny = CoverageUniverse {
+            plan_operators: 0,
+            functions: 1,
+            operators: 0,
+            coercions: 0,
+            statements: 0,
+        };
+        assert_eq!(c.percentage(&tiny), 100.0, "clamped at 100%");
+    }
+
+    #[test]
+    fn coercion_names_spell_the_type_keywords() {
+        let types = [
+            DataType::Integer,
+            DataType::Real,
+            DataType::Text,
+            DataType::Boolean,
+            DataType::Null,
+        ];
+        for from in types {
+            for to in types {
+                assert_eq!(
+                    coercion_name(from, to),
+                    format!("{}->{}", from.sql_keyword(), to.sql_keyword())
+                );
+            }
+        }
     }
 
     #[test]

@@ -601,8 +601,7 @@ impl<'a> Evaluator<'a> {
                     let b = self.coerce_number_for_comparison(rv);
                     if !self.mixed_coercion_recorded.get() {
                         self.mixed_coercion_recorded.set(true);
-                        self.db
-                            .record_coverage(|cov| cov.coercion("mixed", "numeric"));
+                        self.db.record_coverage(|cov| cov.mixed_numeric_coercion());
                     }
                     return Ok(a.partial_cmp(&b).or(Some(Ordering::Equal)));
                 }
@@ -707,7 +706,7 @@ impl<'a> Evaluator<'a> {
             return Ok(Value::Null);
         }
         self.db
-            .record_coverage(|cov| cov.coercion(v.data_type().sql_keyword(), target.sql_keyword()));
+            .record_coverage(|cov| cov.coercion(v.data_type(), target));
         match target {
             DataType::Integer => match (&v, self.typing()) {
                 (Value::Text(s), TypingMode::Strict) => {

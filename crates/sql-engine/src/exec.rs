@@ -120,9 +120,8 @@ pub fn execute_statement(db: &mut Database, stmt: &Statement) -> EngineResult<St
             let index = IndexDef::from_create(create);
             let schema = db
                 .catalog
-                .table(&create.table)
-                .ok_or_else(|| EngineError::catalog(format!("no such table: {}", create.table)))?
-                .clone();
+                .shared_table(&create.table)
+                .ok_or_else(|| EngineError::catalog(format!("no such table: {}", create.table)))?;
             for col in &create.columns {
                 if schema.column(col).is_none() {
                     return Err(EngineError::catalog(format!(
@@ -171,8 +170,8 @@ pub fn execute_statement(db: &mut Database, stmt: &Statement) -> EngineResult<St
                 None => db.catalog.table_names(),
             };
             for name in names {
-                let schema = db.catalog.table(&name).cloned();
-                let rows = db.rows(&name)?.clone();
+                let schema = db.catalog.shared_table(&name);
+                let rows = db.shared_rows(&name)?;
                 let mut stats = TableStats {
                     row_count: rows.len(),
                     columns: Vec::new(),
@@ -181,7 +180,7 @@ pub fn execute_statement(db: &mut Database, stmt: &Statement) -> EngineResult<St
                     for (i, _) in schema.columns.iter().enumerate() {
                         let mut distinct = BTreeSet::new();
                         let mut nulls = 0;
-                        for row in &rows {
+                        for row in rows.iter() {
                             match row.get(i) {
                                 Some(Value::Null) | None => nulls += 1,
                                 Some(v) => {
@@ -267,25 +266,11 @@ fn ensure_unique(
     what: &str,
 ) -> EngineResult<()> {
     let rows = db.rows(&schema.name)?;
-    let idx: Vec<usize> = columns
-        .iter()
-        .filter_map(|c| schema.column_index(c))
-        .collect();
-    let mut seen = BTreeSet::new();
-    for row in rows {
-        let key: Vec<String> = idx
-            .iter()
-            .map(|&i| row.get(i).cloned().unwrap_or(Value::Null).dedup_key())
-            .collect();
-        if key.iter().any(|k| k == "\u{0}N") {
-            continue; // NULLs never conflict.
-        }
-        if !seen.insert(key.join("|")) {
-            return Err(EngineError::constraint(format!(
-                "{what} violated by existing rows on ({})",
-                columns.join(", ")
-            )));
-        }
+    if has_duplicate_key(rows, &schema.positions(columns)) {
+        return Err(EngineError::constraint(format!(
+            "{what} violated by existing rows on ({})",
+            columns.join(", ")
+        )));
     }
     Ok(())
 }
@@ -305,9 +290,7 @@ fn coerce_for_column(
         TypingMode::Dynamic => {
             // SQLite-style affinity: coerce when lossless, otherwise store
             // the value as given.
-            db.record_coverage(|cov| {
-                cov.coercion(value.data_type().sql_keyword(), data_type.sql_keyword())
-            });
+            db.record_coverage(|cov| cov.coercion(value.data_type(), data_type));
             Ok(match (data_type, &value) {
                 (DataType::Integer, Value::Text(s)) => match s.trim().parse::<i64>() {
                     Ok(i) => Value::Integer(i),
@@ -345,66 +328,77 @@ fn coerce_for_column(
     }
 }
 
-pub(crate) fn unique_key_sets(db: &Database, schema: &TableSchema) -> Vec<Vec<usize>> {
-    let mut sets: Vec<Vec<String>> = Vec::new();
-    if !schema.primary_key.is_empty() {
-        sets.push(schema.primary_key.clone());
-    }
-    for c in &schema.columns {
-        if c.unique
-            && !sets
-                .iter()
-                .any(|s| s.len() == 1 && s[0].eq_ignore_ascii_case(&c.name))
-        {
-            sets.push(vec![c.name.clone()]);
-        }
-    }
-    for uc in &schema.unique_constraints {
-        sets.push(uc.clone());
-    }
+/// Every enforced unique key of a table, as column positions: the schema's
+/// declared keys (borrowed, see [`TableSchema::unique_keys`]) plus each
+/// full, non-partial unique index.
+pub(crate) fn unique_key_sets<'s>(db: &Database, schema: &'s TableSchema) -> Vec<Cow<'s, [usize]>> {
+    let mut sets: Vec<Cow<'s, [usize]>> = schema
+        .unique_keys()
+        .iter()
+        .map(|key| Cow::Borrowed(key.as_slice()))
+        .collect();
     for index in db.catalog.indexes_on(&schema.name) {
         if index.unique && index.predicate.is_none() {
-            sets.push(index.columns.clone());
-        }
-    }
-    sets.into_iter()
-        .map(|cols| {
-            cols.iter()
-                .filter_map(|c| schema.column_index(c))
-                .collect::<Vec<usize>>()
-        })
-        .filter(|v| !v.is_empty())
-        .collect()
-}
-
-fn row_violates_unique(existing: &[Row], candidate: &Row, key_sets: &[Vec<usize>]) -> bool {
-    for key in key_sets {
-        let cand: Vec<String> = key
-            .iter()
-            .map(|&i| candidate.get(i).cloned().unwrap_or(Value::Null).dedup_key())
-            .collect();
-        if cand.iter().any(|k| k == "\u{0}N") {
-            continue;
-        }
-        for row in existing {
-            let other: Vec<String> = key
-                .iter()
-                .map(|&i| row.get(i).cloned().unwrap_or(Value::Null).dedup_key())
-                .collect();
-            if cand == other {
-                return true;
+            let key = schema.positions(&index.columns);
+            if !key.is_empty() {
+                sets.push(Cow::Owned(key));
             }
         }
     }
-    false
+    sets
+}
+
+/// Whether [`unique_key_sets`] would be non-empty, without building it.
+pub(crate) fn has_unique_keys(db: &Database, schema: &TableSchema) -> bool {
+    !schema.unique_keys().is_empty()
+        || db.catalog.indexes_on(&schema.name).any(|index| {
+            index.unique
+                && index.predicate.is_none()
+                && index
+                    .columns
+                    .iter()
+                    .any(|c| schema.column_index(c).is_some())
+        })
+}
+
+/// Do two rows collide under a unique key? The exact, allocation-free form
+/// of comparing the key columns' [`Value::dedup_key`]s one column at a
+/// time: a key tuple holding a `NULL` never collides (NULL ≠ NULL under
+/// uniqueness), and a column missing from a short row reads as `NULL`.
+pub(crate) fn keys_conflict(a: &[Value], b: &[Value], key: &[usize]) -> bool {
+    key.iter().all(|&i| {
+        let value = a.get(i).unwrap_or(&Value::Null);
+        !value.is_null() && value.dedup_eq(b.get(i).unwrap_or(&Value::Null))
+    })
+}
+
+/// Does any pair of `rows` collide under `key`? Compared pairwise in
+/// place, so the check allocates nothing.
+fn has_duplicate_key<R: AsRef<[Value]>>(rows: &[R], key: &[usize]) -> bool {
+    rows.iter().enumerate().any(|(i, a)| {
+        rows[i + 1..]
+            .iter()
+            .any(|b| keys_conflict(a.as_ref(), b.as_ref(), key))
+    })
+}
+
+fn row_violates_unique(
+    existing: &[Row],
+    candidate: &[Value],
+    key_sets: &[Cow<'_, [usize]>],
+) -> bool {
+    key_sets.iter().any(|key| {
+        existing
+            .iter()
+            .any(|row| keys_conflict(candidate, row, key))
+    })
 }
 
 fn execute_insert(db: &mut Database, insert: &Insert) -> EngineResult<StatementResult> {
     let schema = db
         .catalog
-        .table(&insert.table)
-        .ok_or_else(|| EngineError::catalog(format!("no such table: {}", insert.table)))?
-        .clone();
+        .shared_table(&insert.table)
+        .ok_or_else(|| EngineError::catalog(format!("no such table: {}", insert.table)))?;
     // Map the statement's column list onto schema positions.
     let positions: Vec<usize> = if insert.columns.is_empty() {
         (0..schema.columns.len()).collect()
@@ -495,16 +489,15 @@ fn execute_insert(db: &mut Database, insert: &Insert) -> EngineResult<StatementR
 fn execute_update(db: &mut Database, update: &sql_ast::Update) -> EngineResult<StatementResult> {
     let schema = db
         .catalog
-        .table(&update.table)
-        .ok_or_else(|| EngineError::catalog(format!("no such table: {}", update.table)))?
-        .clone();
+        .shared_table(&update.table)
+        .ok_or_else(|| EngineError::catalog(format!("no such table: {}", update.table)))?;
     let bindings = vec![RelationBinding::new(
         schema.name.clone(),
-        schema.column_names(),
+        schema.shared_column_names(),
     )];
-    let rows = db.rows(&update.table)?.clone();
-    let mut updated_rows: Vec<Row> = Vec::new();
-    let mut affected = 0usize;
+    let rows = db.shared_rows(&update.table)?;
+    // The matched rows' new versions, by position, in table order.
+    let mut changes: Vec<(usize, Row)> = Vec::new();
     {
         let evaluator = Evaluator::new(db, ExecutionMode::Reference);
         // Per-statement plans: the WHERE predicate and the assignment value
@@ -518,21 +511,27 @@ fn execute_update(db: &mut Database, update: &sql_ast::Update) -> EngineResult<S
             .iter()
             .map(|(_, e)| SiteExpr::new(db, ExecutionMode::Reference, &bindings, e))
             .collect();
-        for row in &rows {
+        // An unknown target column only fails once a row matches.
+        let targets: Vec<Option<usize>> = update
+            .assignments
+            .iter()
+            .map(|(col, _)| schema.column_index(col))
+            .collect();
+        for (pos, row) in rows.iter().enumerate() {
             let scope = Scope::new(&bindings, row);
             let matches = match &pred_plan {
                 Some(pred) => pred.eval_truth(&evaluator, &scope)?.is_true(),
                 None => true,
             };
             if !matches {
-                updated_rows.push(row.clone());
                 continue;
             }
             let mut new_row = row.clone();
-            for ((col, _), plan) in update.assignments.iter().zip(&value_plans) {
-                let idx = schema
-                    .column_index(col)
-                    .ok_or_else(|| EngineError::catalog(format!("no such column: {col}")))?;
+            for (((col, _), plan), target) in
+                update.assignments.iter().zip(&value_plans).zip(&targets)
+            {
+                let idx =
+                    target.ok_or_else(|| EngineError::catalog(format!("no such column: {col}")))?;
                 let raw = plan.eval(&evaluator, &scope)?;
                 let coerced = coerce_for_column(db, raw, schema.columns[idx].data_type, col)?;
                 if schema.columns[idx].not_null && coerced.is_null() {
@@ -543,63 +542,66 @@ fn execute_update(db: &mut Database, update: &sql_ast::Update) -> EngineResult<S
                 }
                 new_row[idx] = coerced;
             }
-            updated_rows.push(new_row);
-            affected += 1;
+            changes.push((pos, new_row));
         }
     }
-    // Verify uniqueness over the updated relation.
+    // Verify uniqueness over the updated relation, pairwise and in place.
     let key_sets = unique_key_sets(db, &schema);
-    for (i, row) in updated_rows.iter().enumerate() {
-        let others: Vec<Row> = updated_rows
-            .iter()
-            .enumerate()
-            .filter(|(j, _)| *j != i)
-            .map(|(_, r)| r.clone())
-            .collect();
-        if row_violates_unique(&others, row, &key_sets) {
+    if !key_sets.is_empty() {
+        let mut updated: Vec<&Row> = rows.iter().collect();
+        for (pos, row) in &changes {
+            updated[*pos] = row;
+        }
+        if key_sets.iter().any(|key| has_duplicate_key(&updated, key)) {
             return Err(EngineError::constraint(format!(
                 "UNIQUE constraint failed on table {}",
                 schema.name
             )));
         }
     }
-    *db.rows_mut(&update.table)? = updated_rows;
+    // Release the read handle first: the write must see the same sharing
+    // (and so the same copy-on-write detach) as any other mutation.
+    drop(rows);
+    let affected = changes.len();
+    let stored = db.rows_mut(&update.table)?;
+    for (pos, row) in changes {
+        stored[pos] = row;
+    }
     Ok(StatementResult::RowsAffected(affected))
 }
 
 fn execute_delete(db: &mut Database, delete: &sql_ast::Delete) -> EngineResult<StatementResult> {
     let schema = db
         .catalog
-        .table(&delete.table)
-        .ok_or_else(|| EngineError::catalog(format!("no such table: {}", delete.table)))?
-        .clone();
+        .shared_table(&delete.table)
+        .ok_or_else(|| EngineError::catalog(format!("no such table: {}", delete.table)))?;
     let bindings = vec![RelationBinding::new(
         schema.name.clone(),
-        schema.column_names(),
+        schema.shared_column_names(),
     )];
-    let rows = db.rows(&delete.table)?.clone();
-    let mut kept: Vec<Row> = Vec::new();
-    let mut removed = 0usize;
+    let rows = db.shared_rows(&delete.table)?;
+    let mut doomed: Vec<bool> = Vec::with_capacity(rows.len());
     {
         let evaluator = Evaluator::new(db, ExecutionMode::Reference);
         let pred_plan = delete
             .where_clause
             .as_ref()
             .map(|p| SiteExpr::new(db, ExecutionMode::Reference, &bindings, p));
-        for row in &rows {
+        for row in rows.iter() {
             let scope = Scope::new(&bindings, row);
-            let matches = match &pred_plan {
+            doomed.push(match &pred_plan {
                 Some(pred) => pred.eval_truth(&evaluator, &scope)?.is_true(),
                 None => true,
-            };
-            if matches {
-                removed += 1;
-            } else {
-                kept.push(row.clone());
-            }
+            });
         }
     }
-    *db.rows_mut(&delete.table)? = kept;
+    drop(rows);
+    let removed = doomed.iter().filter(|d| **d).count();
+    let stored = db.rows_mut(&delete.table)?;
+    if removed > 0 {
+        let mut doomed = doomed.into_iter();
+        stored.retain(|_| !doomed.next().unwrap_or(false));
+    }
     Ok(StatementResult::RowsAffected(removed))
 }
 
@@ -1041,14 +1043,13 @@ fn apply_where<'a>(
             let faults = &db.config.faults;
             let mut rows = Vec::new();
             for row in relation.rows.iter() {
-                let value = row.get(col_idx).cloned().unwrap_or(Value::Null);
+                let value = row.get(col_idx).unwrap_or(&Value::Null);
                 let matches = if faults.bad_index_lookup_coercion {
                     // Injected fault: raw key comparison, skipping the
                     // coercion a full scan would perform.
-                    value.dedup_key() == literal.dedup_key()
-                        && value.data_type() == literal.data_type()
+                    value.dedup_eq(&literal) && value.data_type() == literal.data_type()
                 } else {
-                    evaluator.equals(&value, &literal)?.is_true()
+                    evaluator.equals(value, &literal)?.is_true()
                 };
                 if !matches {
                     continue;

@@ -75,6 +75,7 @@ use crate::error::{EngineError, EngineResult};
 use crate::exec::{ExecutionMode, StatementResult};
 use crate::storage::{Database, ResultSet};
 use sql_ast::{BeginMode, Select, Statement};
+use std::borrow::Cow;
 use std::cell::{Ref, RefCell};
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
@@ -238,27 +239,42 @@ struct EngineCore {
 /// claim each write takes, used for both lazy write intent and autocommit
 /// version bumps. Intent is declared by statement shape — an `UPDATE`
 /// matching zero rows still claims the snapshot rows, which is
-/// deterministic and strictly conservative.
-fn write_targets(stmt: &Statement, db: &Database) -> Vec<(String, WriteKind)> {
-    let key = |name: &str| crate::catalog::lowercase_key(name).into_owned();
-    match stmt {
-        Statement::Insert(i) => vec![(key(&i.table), insert_kind(i, db))],
-        Statement::Update(u) => vec![(key(&u.table), WriteKind::Existing)],
-        Statement::Delete(d) => vec![(key(&d.table), WriteKind::Existing)],
-        Statement::CreateTable(c) => vec![(key(&c.name), WriteKind::Structural)],
+/// deterministic and strictly conservative. Single-table statements yield
+/// one borrowed name; only a bare `ANALYZE` walks every table.
+fn write_targets<'a>(
+    stmt: &'a Statement,
+    db: &'a Database,
+) -> impl Iterator<Item = (Cow<'a, str>, WriteKind)> + 'a {
+    let key = crate::catalog::lowercase_key;
+    let single = match stmt {
+        Statement::Insert(i) => Some((key(&i.table), insert_kind(i, db))),
+        Statement::Update(u) => Some((key(&u.table), WriteKind::Existing)),
+        Statement::Delete(d) => Some((key(&d.table), WriteKind::Existing)),
+        Statement::CreateTable(c) => Some((key(&c.name), WriteKind::Structural)),
         Statement::Drop {
             kind: sql_ast::DropKind::Table,
             name,
             ..
-        } => vec![(key(name), WriteKind::Structural)],
-        Statement::Analyze(Some(t)) => vec![(key(t), WriteKind::Existing)],
-        Statement::Analyze(None) => db
-            .data
-            .keys()
-            .map(|t| (t.clone(), WriteKind::Existing))
-            .collect(),
-        _ => Vec::new(),
+        } => Some((key(name), WriteKind::Structural)),
+        Statement::Analyze(Some(t)) => Some((key(t), WriteKind::Existing)),
+        _ => None,
+    };
+    let every = matches!(stmt, Statement::Analyze(None)).then(|| db.data.keys());
+    single.into_iter().chain(
+        every
+            .into_iter()
+            .flatten()
+            .map(|t| (Cow::Borrowed(t.as_str()), WriteKind::Existing)),
+    )
+}
+
+/// The entry of `map` for `table`, allocating its owned key only when the
+/// table is new to the map.
+fn entry_for<'m, V: Default>(map: &'m mut BTreeMap<String, V>, table: Cow<'_, str>) -> &'m mut V {
+    if map.contains_key(table.as_ref()) {
+        return map.get_mut(table.as_ref()).expect("key is present");
     }
+    map.entry(table.into_owned()).or_default()
 }
 
 /// The claim an `INSERT` takes on its target table. Inserts only ever
@@ -273,8 +289,8 @@ fn insert_kind(insert: &sql_ast::Insert, db: &Database) -> WriteKind {
         return WriteKind::Existing;
     }
     match db.catalog.table(&insert.table) {
-        Some(schema) if crate::exec::unique_key_sets(db, schema).is_empty() => WriteKind::Append,
-        Some(_) => WriteKind::KeyedAppend,
+        Some(schema) if crate::exec::has_unique_keys(db, schema) => WriteKind::KeyedAppend,
+        Some(_) => WriteKind::Append,
         None => WriteKind::Existing,
     }
 }
@@ -333,39 +349,12 @@ fn append_keys_collide(
     if ours.is_empty() || theirs.is_empty() {
         return false;
     }
-    let null_marker = sql_ast::Value::Null.dedup_key();
-    let tuple = |row: &crate::storage::Row, key: &[usize]| -> Option<Vec<String>> {
-        let parts: Vec<String> = key
-            .iter()
-            .map(|&i| {
-                row.get(i)
-                    .cloned()
-                    .unwrap_or(sql_ast::Value::Null)
-                    .dedup_key()
-            })
-            .collect();
-        // NULL never equals NULL under uniqueness.
-        if parts.contains(&null_marker) {
-            None
-        } else {
-            Some(parts)
-        }
-    };
-    for key in &key_sets {
-        let their_keys: BTreeSet<Vec<String>> =
-            theirs.iter().filter_map(|row| tuple(row, key)).collect();
-        if their_keys.is_empty() {
-            continue;
-        }
-        if ours
-            .iter()
-            .filter_map(|row| tuple(row, key))
-            .any(|k| their_keys.contains(&k))
-        {
-            return true;
-        }
-    }
-    false
+    key_sets.iter().any(|key| {
+        theirs.iter().any(|their| {
+            ours.iter()
+                .any(|our| crate::exec::keys_conflict(our, their, key))
+        })
+    })
 }
 
 /// `iso_nonrepeatable_read`: refresh every table the transaction has not
@@ -713,7 +702,7 @@ impl EngineCore {
                     let result = txn.workspace.execute(other);
                     if result.is_ok() {
                         for (t, kind) in write_targets(other, &txn.workspace) {
-                            txn.writes.entry(t).or_default().raise(kind);
+                            entry_for(&mut txn.writes, t).raise(kind);
                         }
                         if statement_reads_rows(other, &txn.workspace) {
                             txn.pure = false;
@@ -734,12 +723,12 @@ impl EngineCore {
                 None => {
                     let result = self.committed.execute(other);
                     if result.is_ok() {
-                        let targets = write_targets(other, &self.committed);
-                        if !targets.is_empty() || other.is_ddl() {
+                        let mut targets = write_targets(other, &self.committed).peekable();
+                        if targets.peek().is_some() || other.is_ddl() {
                             self.clock += 1;
                             let impure = statement_reads_rows(other, &self.committed);
                             for (t, kind) in targets {
-                                let version = self.versions.entry(t).or_default();
+                                let version = entry_for(&mut self.versions, t);
                                 version.any = self.clock;
                                 if impure {
                                     version.impure = self.clock;
