@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # CI gate for the SQLancer++ reproduction workspace.
 #
-#   ./ci.sh          # full gate: fmt, clippy, release build, tests,
+#   ./ci.sh          # full gate: fmt, clippy, rustdoc, release build, tests,
 #                    # self-asserting examples, perf-regression gate,
 #                    # benchmark smoke tests
 #
@@ -18,6 +18,11 @@ cargo fmt --all -- --check
 
 echo "==> cargo clippy (all targets, warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> cargo doc (warnings are errors)"
+# Broken or private intra-doc links fail here, so a doc comment naming an
+# item that moved or was renamed cannot go stale.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "==> cargo build --release"
 cargo build --release --workspace

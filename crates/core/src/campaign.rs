@@ -24,7 +24,7 @@ use crate::supervisor::{
     SupervisorConfig,
 };
 use crate::trace::{
-    emit, emit_backend, FlushReason, TraceEventKind, TraceHandle, TraceVerdict, TracedConnection,
+    emit_backend, FlushReason, TraceEventKind, TraceHandle, TraceVerdict, TracedConnection,
 };
 use sql_ast::{fnv1a64, splitmix64, Statement};
 
@@ -162,7 +162,10 @@ impl CampaignConfigBuilder {
 }
 
 /// Aggregate metrics of a campaign, mirroring the quantities reported in
-/// Tables 2, 4 and 5 of the paper.
+/// Tables 2, 4 and 5 of the paper. The case counts (`test_cases` through
+/// `isolation_schedules`) are folded from the campaign's events by
+/// the supervisor (`Supervisor::emit`); the campaign writes the rest
+/// directly.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CampaignMetrics {
     /// DDL/DML statements sent to the DBMS.
@@ -496,11 +499,10 @@ impl Campaign {
             checkpoint.suppressed_ddl,
         );
         self.prioritizer =
-            BugPrioritizer::restore(checkpoint.kept_sets, checkpoint.prioritizer_stats);
+            BugPrioritizer::restore(checkpoint.kept_sets, &checkpoint.report.metrics);
         let mut supervisor = Supervisor::with_state(
             supervision.clone(),
-            checkpoint.report.robustness,
-            checkpoint.report.incidents.clone(),
+            &checkpoint.report,
             checkpoint.consecutive_infra,
         );
         supervisor.set_trace(self.trace.clone());
@@ -581,11 +583,11 @@ impl Campaign {
             Ok(Some(metrics)) => metrics,
             Ok(None) => StorageMetrics::default(),
             Err(message) => {
-                supervisor.counters.storage_metric_errors += 1;
+                let case_index = supervisor.metrics().test_cases;
                 supervisor.record(CampaignIncident {
                     kind: IncidentKind::StorageMetricsError,
                     database: start_db,
-                    case_index: report.metrics.test_cases,
+                    case_index,
                     attempt: 0,
                     deadline_ticks: 0,
                     observed_ticks: 0,
@@ -644,9 +646,10 @@ impl Campaign {
                         // rebuild replays it without re-parsing either.
                         let outcome = conn.execute_ast(&generated.statement);
                         let success = outcome.is_success();
-                        report.metrics.ddl_statements += 1;
+                        let metrics = supervisor.metrics_mut();
+                        metrics.ddl_statements += 1;
                         if success {
-                            report.metrics.ddl_successes += 1;
+                            metrics.ddl_successes += 1;
                             self.generator.apply_success(&generated.statement);
                             setup_log.push(generated.statement);
                             if let Some(Statement::Insert(insert)) = setup_log.last() {
@@ -676,11 +679,11 @@ impl Campaign {
             for case_no in start_case..self.config.queries_per_database {
                 let mut oracle = self.config.oracles[oracle_index % self.config.oracles.len()];
                 oracle_index += 1;
+                let case_index = supervisor.metrics().test_cases;
                 // The case seed is a pure function of the cursor, so it is
                 // available *before* generation — coverage-directed weight
                 // boosts derive from it (seed-stable, no wall clock).
-                let case_seed =
-                    derive_case_seed(self.config.seed, db as u64, report.metrics.test_cases);
+                let case_seed = derive_case_seed(self.config.seed, db as u64, case_index);
                 if self.config.coverage_directed {
                     let cold = report.coverage.cold_features(&feature_pool);
                     let boost = 2 + (splitmix64(case_seed) % 3) as usize;
@@ -724,74 +727,66 @@ impl Campaign {
                     self.generator.clear_coverage_direction();
                 }
                 let Some(payload) = payload else { break };
-                emit(
-                    &trace,
+                supervisor.emit(
                     case_seed,
                     0,
                     TraceEventKind::CaseStarted {
                         database: db,
-                        case_index: report.metrics.test_cases,
+                        case_index,
                         oracle,
                     },
                 );
                 let mut conflict_aborts = 0u64;
-                let verdict = supervisor.run_case(
-                    conn,
-                    &setup_log,
-                    db,
-                    report.metrics.test_cases,
-                    case_seed,
-                    &mut |conn| match &payload {
-                        CasePayload::Query(query, oracle) => match oracle {
-                            OracleKind::Tlp => check_tlp(
+                let verdict =
+                    supervisor.run_case(conn, &setup_log, db, case_index, case_seed, &mut |conn| {
+                        match &payload {
+                            CasePayload::Query(query, oracle) => match oracle {
+                                OracleKind::Tlp => check_tlp(
+                                    conn,
+                                    &query.select,
+                                    &query.predicate,
+                                    &query.features,
+                                    &setup_log,
+                                ),
+                                OracleKind::NoRec => check_norec(
+                                    conn,
+                                    &query.select,
+                                    &query.predicate,
+                                    &query.features,
+                                    &setup_log,
+                                ),
+                                OracleKind::Rollback | OracleKind::Isolation => {
+                                    unreachable!("stateful oracles carry their own payloads")
+                                }
+                            },
+                            CasePayload::Txn(session) => check_rollback(
                                 conn,
-                                &query.select,
-                                &query.predicate,
-                                &query.features,
+                                &session.table,
+                                &session.statements,
+                                &session.features,
                                 &setup_log,
                             ),
-                            OracleKind::NoRec => check_norec(
-                                conn,
-                                &query.select,
-                                &query.predicate,
-                                &query.features,
-                                &setup_log,
-                            ),
-                            OracleKind::Rollback | OracleKind::Isolation => {
-                                unreachable!("stateful oracles carry their own payloads")
+                            CasePayload::Schedule(schedule) => {
+                                let v = check_isolation(
+                                    conn,
+                                    &schedule.schedule,
+                                    &schedule.features,
+                                    &setup_log,
+                                );
+                                // Only the attempt that completes contributes
+                                // its conflict aborts (overwrite, not add):
+                                // retried attempts were rolled back wholesale.
+                                conflict_aborts = v.conflict_aborts;
+                                v.outcome
                             }
-                        },
-                        CasePayload::Txn(session) => check_rollback(
-                            conn,
-                            &session.table,
-                            &session.statements,
-                            &session.features,
-                            &setup_log,
-                        ),
-                        CasePayload::Schedule(schedule) => {
-                            let v = check_isolation(
-                                conn,
-                                &schedule.schedule,
-                                &schedule.features,
-                                &setup_log,
-                            );
-                            // Only the attempt that completes contributes
-                            // its conflict aborts (overwrite, not add):
-                            // retried attempts were rolled back wholesale.
-                            conflict_aborts = v.conflict_aborts;
-                            v.outcome
                         }
-                    },
-                );
-                report.metrics.test_cases += 1;
-                if matches!(payload, CasePayload::Schedule(_)) {
-                    report.metrics.isolation_schedules += 1;
-                }
+                    });
+                // The verdict event has counted the case.
+                let cases_done = supervisor.metrics().test_cases;
+                let sample_validity = cases_done.is_multiple_of(sample_every);
                 match verdict {
                     SupervisedCase::Completed(outcome) => {
-                        if matches!(payload, CasePayload::Schedule(_)) {
-                            report.metrics.conflict_aborts += conflict_aborts;
-                        }
+                        supervisor.metrics_mut().conflict_aborts += conflict_aborts;
                         report.coverage.observe_case(
                             oracle,
                             match &outcome {
@@ -802,20 +797,17 @@ impl Campaign {
                             payload.features(),
                             case_no as u64,
                         );
-                        let valid = outcome.is_valid();
-                        if valid {
-                            report.metrics.valid_test_cases += 1;
-                        }
                         self.generator.record_outcome(
                             payload.features(),
                             FeatureKind::Query,
-                            valid,
+                            outcome.is_valid(),
                         );
-                        if report.metrics.test_cases.is_multiple_of(sample_every) {
-                            report.validity_series.push(report.metrics.validity_rate());
+                        if sample_validity {
+                            report
+                                .validity_series
+                                .push(supervisor.metrics().validity_rate());
                         }
                         if let OracleOutcome::Bug(bug) = outcome {
-                            report.metrics.detected_bug_cases += 1;
                             let features = payload.features();
                             match &payload {
                                 CasePayload::Query(query, oracle) => self.handle_bug(
@@ -884,8 +876,10 @@ impl Campaign {
                             payload.features(),
                             case_no as u64,
                         );
-                        if report.metrics.test_cases.is_multiple_of(sample_every) {
-                            report.validity_series.push(report.metrics.validity_rate());
+                        if sample_validity {
+                            report
+                                .validity_series
+                                .push(supervisor.metrics().validity_rate());
                         }
                     }
                 }
@@ -897,24 +891,19 @@ impl Campaign {
                     // backend is effectively down. Mark the partial report
                     // degraded and stop this dialect — the fleet keeps
                     // running the others.
-                    supervisor.counters.quarantines += 1;
-                    emit(&trace, case_seed, 0, TraceEventKind::Quarantined);
+                    supervisor.emit(case_seed, 0, TraceEventKind::Quarantined);
                     quarantined = true;
                     break 'campaign;
                 }
                 let supervision = supervisor.config().clone();
                 if supervision.checkpoint_every > 0
-                    && report
-                        .metrics
-                        .test_cases
-                        .is_multiple_of(supervision.checkpoint_every)
+                    && cases_done.is_multiple_of(supervision.checkpoint_every)
                 {
                     if let Some(path) = &supervision.checkpoint_path {
                         self.settle_storage(
                             conn,
                             supervisor,
                             db,
-                            report.metrics.test_cases,
                             &mut storage_baseline,
                             &mut accum,
                         );
@@ -956,35 +945,31 @@ impl Campaign {
                     }
                 }
                 if let Some(budget) = supervision.stop_after_cases {
-                    if report.metrics.test_cases >= budget {
+                    if cases_done >= budget {
                         // Simulated kill: return the in-flight state as-is,
                         // with no finalisation and no extra checkpoint —
                         // exactly what a crash leaves behind. Resume re-runs
                         // everything after the last cadence checkpoint.
-                        report.robustness = supervisor.counters;
-                        report.incidents = supervisor.incidents.clone();
+                        supervisor.fill_report(&mut report);
                         return report;
                     }
                 }
             }
         }
-        report.metrics.prioritized_bugs = self.prioritizer.stats().prioritized as u64;
-        report.metrics.deduplicated_bugs = self.prioritizer.stats().deduplicated as u64;
         self.settle_storage(
             conn,
             supervisor,
             self.config.databases.saturating_sub(1),
-            report.metrics.test_cases,
             &mut storage_baseline,
             &mut accum,
         );
-        report.metrics.txn_begins = accum.txn_begins;
-        report.metrics.tables_snapshotted = accum.tables_snapshotted;
-        report.metrics.tables_cow_cloned = accum.tables_cow_cloned;
-        report.metrics.conflicts_avoided = accum.conflicts_avoided;
+        let metrics = supervisor.metrics_mut();
+        metrics.txn_begins = accum.txn_begins;
+        metrics.tables_snapshotted = accum.tables_snapshotted;
+        metrics.tables_cow_cloned = accum.tables_cow_cloned;
+        metrics.conflicts_avoided = accum.conflicts_avoided;
+        supervisor.fill_report(&mut report);
         report.degraded = report.degraded || quarantined;
-        report.robustness = supervisor.counters;
-        report.incidents = supervisor.incidents.clone();
         // Final atlas accounting: the engine-point union (monotone sets, so
         // this one poll sees everything this process reached) and the last
         // database's trailing dry run.
@@ -1010,7 +995,6 @@ impl Campaign {
         conn: &mut dyn DbmsConnection,
         supervisor: &mut Supervisor,
         database: usize,
-        case_index: u64,
         baseline: &mut StorageMetrics,
         accum: &mut StorageMetrics,
     ) {
@@ -1021,7 +1005,7 @@ impl Campaign {
             }
             Ok(None) => {}
             Err(message) => {
-                supervisor.counters.storage_metric_errors += 1;
+                let case_index = supervisor.metrics().test_cases;
                 supervisor.record(CampaignIncident {
                     kind: IncidentKind::StorageMetricsError,
                     database,
@@ -1036,7 +1020,8 @@ impl Campaign {
     }
 
     /// Builds the resume checkpoint describing the campaign's exact state:
-    /// cursor, generator, prioritizer, partial report, incident history.
+    /// cursor, generator, prioritizer kept sets and the partial report
+    /// (which carries the supervisor's ledger and incident history).
     #[allow(clippy::too_many_arguments)]
     fn make_checkpoint(
         &self,
@@ -1050,8 +1035,7 @@ impl Campaign {
         resilience: Option<String>,
     ) -> CampaignCheckpoint {
         let mut snapshot = report.clone();
-        snapshot.robustness = supervisor.counters;
-        snapshot.incidents = supervisor.incidents.clone();
+        supervisor.fill_report(&mut snapshot);
         CampaignCheckpoint {
             config_seed: self.config.seed,
             database,
@@ -1065,7 +1049,6 @@ impl Campaign {
             suppressed_query: self.generator.suppressed_query_features().clone(),
             suppressed_ddl: self.generator.suppressed_ddl_features().clone(),
             kept_sets: self.prioritizer.kept_sets().to_vec(),
-            prioritizer_stats: self.prioritizer.stats(),
             setup_log: setup_log.to_vec(),
             storage_delta: storage_accum,
             consecutive_infra: supervisor.consecutive_infra(),
@@ -1093,12 +1076,7 @@ impl Campaign {
         make_case: impl FnOnce() -> C,
     ) {
         let kept = self.prioritizer.classify(features) == PriorityDecision::New;
-        emit(
-            &self.trace,
-            case_seed,
-            0,
-            TraceEventKind::Prioritized { kept },
-        );
+        supervisor.emit(case_seed, 0, TraceEventKind::Prioritized { kept });
         if !kept {
             return;
         }
@@ -1106,8 +1084,7 @@ impl Campaign {
         if self.config.reduce_bugs {
             let statements_before = case.statement_count();
             case = case.reduce(&mut BugReducer::new(conn, self.config.max_reduction_checks));
-            emit(
-                &self.trace,
+            supervisor.emit(
                 case_seed,
                 0,
                 TraceEventKind::Reduced {

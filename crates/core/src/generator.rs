@@ -228,7 +228,7 @@ impl AdaptiveGenerator {
     }
 
     /// Steers the next statement toward `cold` features: every cold option
-    /// in a [`AdaptiveGenerator::pick`] draw counts `1 + boost` tickets
+    /// in a weighted pick among alternatives counts `1 + boost` tickets
     /// instead of one. The campaign sets this right before generating a
     /// case (boost derived from the case seed, so directed runs are as
     /// reproducible as uniform ones) and clears it right after.

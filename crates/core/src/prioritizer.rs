@@ -8,8 +8,8 @@
 //! intuition being that the earlier, smaller feature combination is likely
 //! the same root cause.
 
+use crate::campaign::CampaignMetrics;
 use crate::feature::FeatureSet;
-use crate::json::json_record;
 
 /// The prioritizer's verdict for one bug-inducing test case.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,8 +31,6 @@ pub struct PrioritizerStats {
     /// Test cases marked as potential duplicates.
     pub deduplicated: usize,
 }
-
-json_record!(struct PrioritizerStats { seen, prioritized, deduplicated });
 
 /// The bug prioritizer.
 #[derive(Debug, Clone, Default)]
@@ -76,15 +74,20 @@ impl BugPrioritizer {
         }
     }
 
-    /// Reconstructs a subset-rule prioritizer from checkpointed state.
-    ///
-    /// Both parts must be carried: the kept sets drive future
-    /// classifications, and the statistics cannot be recomputed from them
+    /// Reconstructs a subset-rule prioritizer from checkpointed state: the
+    /// kept sets drive future classifications, and the statistics come
+    /// from the checkpointed report's metrics, which count every ruling
     /// (deduplicated cases' feature sets are not retained anywhere).
-    pub fn restore(kept: Vec<FeatureSet>, stats: PrioritizerStats) -> BugPrioritizer {
+    pub fn restore(kept: Vec<FeatureSet>, metrics: &CampaignMetrics) -> BugPrioritizer {
+        let prioritized = metrics.prioritized_bugs as usize;
+        let deduplicated = metrics.deduplicated_bugs as usize;
         BugPrioritizer {
             kept,
-            stats,
+            stats: PrioritizerStats {
+                seen: prioritized + deduplicated,
+                prioritized,
+                deduplicated,
+            },
             exact_only: false,
         }
     }

@@ -10,26 +10,30 @@
 //! the file is written atomically (temp file + rename) so a crash during a
 //! checkpoint leaves the previous one intact.
 //!
-//! # Checkpoint v5
+//! # Checkpoint v6
 //!
 //! The file is JSON Lines written and read by the one codec in
 //! [`crate::json`]; each line is a record `{"<kind>":<value>}`:
 //!
-//! 1. `{"checkpoint":5}` — the header;
+//! 1. `{"checkpoint":6}` — the header;
 //! 2. `{"state":..}` — cursor, RNG, schema model, learned `stats` (the
-//!    learned-profile encoding), suppression sets, prioritizer, storage
-//!    delta, resilience ledger and setup log;
+//!    learned-profile encoding), suppression sets, the prioritizer's kept
+//!    sets, storage delta, resilience ledger and setup log;
 //! 3. `{"coverage":..}` — the coverage-atlas line's object plus the
 //!    resume-only `seen` masks and `dry_run`;
-//! 4. the report's records, exactly as [`render_report`] writes them;
+//! 4. the report's records, exactly as [`render_report`] writes them. Its
+//!    metrics and robustness counters are the supervisor's ledger (see
+//!    [`crate::supervisor`]) and restore it on resume, the prioritizer's
+//!    statistics included;
 //! 5. `{"end":{"records":N,"fnv":H}}` — the number of records before it
 //!    and the [`sql_ast::fnv1a64`] hash of their bytes.
 //!
 //! The end record is mandatory and must match, so a truncated or
 //! bit-flipped file fails to load instead of resuming with defaulted or
-//! wrong state. A file of another version (v4 and older were line-oriented
-//! text) fails to load too, and the campaign starts fresh — safe, just
-//! slower than resuming. SQL travels as its canonical
+//! wrong state. A file of another version fails to load too, and the
+//! campaign starts fresh — safe, just slower than resuming. (A v5 report
+//! read 0 prioritized bugs, its statistics being a separate record; v4
+//! and older were line-oriented text.) SQL travels as its canonical
 //! [`std::fmt::Display`] rendering and is re-parsed with `sql-parser` on
 //! load; `f64` samples travel as their bits.
 
@@ -37,7 +41,6 @@ use crate::campaign::CampaignReport;
 use crate::dbms::StorageMetrics;
 use crate::feature::{Feature, FeatureSet};
 use crate::json::{self, json_record, Codec, Json};
-use crate::prioritizer::PrioritizerStats;
 use crate::schema::SchemaModel;
 use crate::stats::FeatureStats;
 use sql_ast::{fnv1a64, Statement};
@@ -46,7 +49,7 @@ use std::fmt::Write as _;
 use std::path::Path;
 
 /// The checkpoint format version this build writes and accepts.
-const VERSION: u64 = 5;
+const VERSION: u64 = 6;
 
 /// A complete snapshot of a running campaign: everything needed to resume
 /// it to a byte-identical final report.
@@ -77,10 +80,9 @@ pub struct CampaignCheckpoint {
     pub suppressed_query: BTreeSet<Feature>,
     /// The suppressed DDL/DML features, verbatim.
     pub suppressed_ddl: BTreeSet<Feature>,
-    /// The prioritizer's kept feature sets, in insertion order.
+    /// The prioritizer's kept feature sets, in insertion order. Its
+    /// statistics are the report's `prioritized_bugs`/`deduplicated_bugs`.
     pub kept_sets: Vec<FeatureSet>,
-    /// The prioritizer's statistics (not recomputable from the kept sets).
-    pub prioritizer_stats: PrioritizerStats,
     /// The current database's setup log. It travels as SQL text (the
     /// statements' canonical rendering) and is parsed once on load.
     pub setup_log: Vec<Statement>,
@@ -103,7 +105,7 @@ pub struct CampaignCheckpoint {
 json_record!(struct CampaignCheckpoint {
     config_seed: "seed", database, next_case, oracle_index, rng_state, recorded, current_depth,
     consecutive_infra, schema, stats, suppressed_query, suppressed_ddl, kept_sets,
-    prioritizer_stats, storage_delta, resilience, setup_log, ..
+    storage_delta, resilience, setup_log, ..
 });
 
 fn header() -> Json {
@@ -127,7 +129,7 @@ fn split_end(text: &str) -> (&str, &str) {
     text.split_at(last)
 }
 
-/// Serialises a checkpoint to the v5 JSON Lines format.
+/// Serialises a checkpoint to the v6 JSON Lines format.
 pub fn checkpoint_to_string(checkpoint: &CampaignCheckpoint) -> String {
     let state = json::record("state", checkpoint.encode());
     let coverage = json::record("coverage", checkpoint.report.coverage.encode());
@@ -289,6 +291,9 @@ mod tests {
         report.degraded = true;
         report.metrics.test_cases = 42;
         report.metrics.valid_test_cases = 40;
+        report.metrics.detected_bug_cases = 5;
+        report.metrics.prioritized_bugs = 2;
+        report.metrics.deduplicated_bugs = 3;
         report.validity_series = vec![0.5, 0.975, 1.0 / 3.0];
         report.robustness.retries = 3;
         report.robustness.incidents = 2;
@@ -378,11 +383,6 @@ mod tests {
             suppressed_query: [Feature::new("OP_NULLSAFE_EQ")].into(),
             suppressed_ddl: [Feature::new("TYPE_BOOLEAN")].into(),
             kept_sets: vec![feature_set(&["OP_EQ"]), FeatureSet::new()],
-            prioritizer_stats: PrioritizerStats {
-                seen: 5,
-                prioritized: 2,
-                deduplicated: 3,
-            },
             setup_log: [
                 "CREATE TABLE t0 (c0 INTEGER, c1 TEXT)",
                 "INSERT INTO t0 (c0, c1) VALUES (1, 'a\nb\\c')",
@@ -423,7 +423,6 @@ mod tests {
         assert_eq!(loaded.schema, original.schema);
         assert_eq!(loaded.setup_log, original.setup_log);
         assert_eq!(loaded.kept_sets, original.kept_sets);
-        assert_eq!(loaded.prioritizer_stats, original.prioritizer_stats);
         assert_eq!(loaded.consecutive_infra, original.consecutive_infra);
         assert_eq!(loaded.resilience, original.resilience);
         assert_eq!(loaded.report.degraded, original.report.degraded);
@@ -477,8 +476,8 @@ mod tests {
         let text = checkpoint_to_string(&sample_checkpoint());
         let v4 = "# sqlancer++ campaign checkpoint v4\nseed 7\n";
         assert!(checkpoint_from_string(v4).is_err(), "v4 starts fresh");
-        let v6 = text.replacen(r#"{"checkpoint":5}"#, r#"{"checkpoint":6}"#, 1);
-        assert!(checkpoint_from_string(&v6).is_err(), "other version");
+        let v5 = text.replacen(r#"{"checkpoint":6}"#, r#"{"checkpoint":5}"#, 1);
+        assert!(checkpoint_from_string(&v5).is_err(), "v5 starts fresh");
         for (from, to, why) in [
             (r#"{"bug":"#, r#"{"bugz":"#, "unknown record"),
             (r#""oracle":"TLP""#, r#""oracle":"NOPE""#, "unknown oracle"),

@@ -27,12 +27,21 @@
 //! Incidents are bookkeeping, not bugs: an infrastructure failure never
 //! reaches the prioritizer or the bug reports, so injected faults cannot
 //! surface as false-positive logic bugs.
+//!
+//! The supervisor also keeps the campaign's **ledger**. Every
+//! deterministic case-lifecycle event the campaign and the supervisor emit
+//! passes through one `Supervisor::emit`, which folds it into the
+//! [`RobustnessCounters`] and the event-carried [`CampaignMetrics`] fields
+//! and then forwards it, unchanged, to the optional trace sink. The fold is
+//! the only writer of those counts, so the report, the checkpoint and the
+//! trace summary cannot drift apart.
 
+use crate::campaign::{CampaignMetrics, CampaignReport};
 use crate::dbms::{replay_setup, DbmsConnection};
 use crate::driver::ResilienceEvent;
 use crate::json::{json_name, json_record};
-use crate::oracle::OracleOutcome;
-use crate::trace::{emit, TraceEventKind, TraceHandle, TraceVerdict};
+use crate::oracle::{OracleKind, OracleOutcome};
+use crate::trace::{TraceEvent, TraceEventKind, TraceHandle, TraceVerdict};
 use sql_ast::Statement;
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -191,8 +200,12 @@ json_record!(struct CampaignIncident [
 ]);
 
 /// Aggregate robustness counters for a supervised campaign. Reported next
-/// to [`crate::CampaignMetrics`]; like them, they merge across shards and
-/// dialects.
+/// to [`CampaignMetrics`]; like them, they merge across shards and
+/// dialects. Within a campaign every field except
+/// [`RobustnessCounters::recovered_workers`] is written only by the
+/// supervisor's event fold (`Supervisor::emit`): the per-kind counts from
+/// `Incident` events, `retries`/`backoff_ticks` from `Retry`, `quarantines`
+/// from `Quarantined` and `infra_failures` from `InfraFailed` verdicts.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RobustnessCounters {
     /// Total incidents recorded (of any kind).
@@ -201,8 +214,8 @@ pub struct RobustnessCounters {
     pub retries: u64,
     /// Watchdog incidents ([`IncidentKind::WatchdogTimeout`]): case
     /// attempts that overran the virtual-clock deadline, plus backend hangs
-    /// (`infra_hang`) reported inside it. Counted in [`Supervisor::record`],
-    /// so it equals the trace summary's watchdog count.
+    /// (`infra_hang`) reported inside it. Folded from the same `Incident`
+    /// events the trace summary counts, so the two agree.
     pub watchdog_trips: u64,
     /// Virtual ticks spent in retry backoff (exponential, deterministic).
     pub backoff_ticks: u64,
@@ -312,15 +325,16 @@ pub enum SupervisedCase {
     Panicked,
 }
 
-/// The per-campaign supervision runtime: policy plus accumulated
-/// incidents, counters and the consecutive-failure state driving
-/// quarantine. Serialized into campaign checkpoints so a resumed campaign
-/// carries its incident history.
+/// The per-campaign supervision runtime: policy, the campaign's ledger
+/// (metrics and robustness counters folded from its events), accumulated
+/// incidents and the consecutive-failure state driving quarantine. The
+/// ledger travels in campaign checkpoints as the partial report, so a
+/// resumed campaign carries its counts and incident history.
 #[derive(Clone)]
 pub struct Supervisor {
     config: SupervisorConfig,
-    /// Robustness counters accumulated so far.
-    pub counters: RobustnessCounters,
+    metrics: CampaignMetrics,
+    robustness: RobustnessCounters,
     /// Incidents recorded so far, in occurrence order.
     pub incidents: Vec<CampaignIncident>,
     consecutive_infra: u32,
@@ -338,7 +352,8 @@ impl std::fmt::Debug for Supervisor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Supervisor")
             .field("config", &self.config)
-            .field("counters", &self.counters)
+            .field("metrics", &self.metrics)
+            .field("robustness", &self.robustness)
             .field("incidents", &self.incidents)
             .field("consecutive_infra", &self.consecutive_infra)
             .finish_non_exhaustive()
@@ -348,28 +363,21 @@ impl std::fmt::Debug for Supervisor {
 impl Supervisor {
     /// Creates a supervisor with empty history.
     pub fn new(config: SupervisorConfig) -> Supervisor {
-        Supervisor {
-            config,
-            counters: RobustnessCounters::default(),
-            incidents: Vec::new(),
-            consecutive_infra: 0,
-            trace: None,
-            case_seed: 0,
-            half_built: None,
-        }
+        Supervisor::with_state(config, &CampaignReport::default(), 0)
     }
 
-    /// Recreates a supervisor from checkpointed history.
+    /// Recreates a supervisor from a checkpointed partial report: its
+    /// metrics, robustness counters and incidents seed the ledger.
     pub fn with_state(
         config: SupervisorConfig,
-        counters: RobustnessCounters,
-        incidents: Vec<CampaignIncident>,
+        report: &CampaignReport,
         consecutive_infra: u32,
     ) -> Supervisor {
         Supervisor {
             config,
-            counters,
-            incidents,
+            metrics: report.metrics,
+            robustness: report.robustness,
+            incidents: report.incidents.clone(),
             consecutive_infra,
             trace: None,
             case_seed: 0,
@@ -386,6 +394,90 @@ impl Supervisor {
     /// The supervision policy.
     pub fn config(&self) -> &SupervisorConfig {
         &self.config
+    }
+
+    /// The campaign metrics so far.
+    pub fn metrics(&self) -> &CampaignMetrics {
+        &self.metrics
+    }
+
+    /// The metrics fields no event carries (`ddl_*`, `conflict_aborts` and
+    /// the storage counters), for the campaign to write directly. The
+    /// event-carried fields are the fold's alone.
+    pub(crate) fn metrics_mut(&mut self) -> &mut CampaignMetrics {
+        &mut self.metrics
+    }
+
+    /// The robustness counters so far.
+    pub fn counters(&self) -> RobustnessCounters {
+        self.robustness
+    }
+
+    /// Copies the ledger (metrics, robustness counters and incidents) into
+    /// a report.
+    pub(crate) fn fill_report(&self, report: &mut CampaignReport) {
+        report.metrics = self.metrics;
+        report.robustness = self.robustness;
+        report.incidents.clone_from(&self.incidents);
+    }
+
+    /// Folds one deterministic event into the ledger, then forwards it to
+    /// the trace sink unchanged. Every case-lifecycle event of the campaign
+    /// and the supervisor passes through here, in emission order.
+    pub(crate) fn emit(&mut self, case_seed: u64, ticks: u64, kind: TraceEventKind) {
+        let (metrics, robustness) = (&mut self.metrics, &mut self.robustness);
+        match kind {
+            TraceEventKind::CaseStarted { oracle, .. } => {
+                if oracle == OracleKind::Isolation {
+                    metrics.isolation_schedules += 1;
+                }
+            }
+            TraceEventKind::Verdict { verdict } => {
+                metrics.test_cases += 1;
+                match verdict {
+                    TraceVerdict::Pass => metrics.valid_test_cases += 1,
+                    TraceVerdict::Bug => {
+                        metrics.valid_test_cases += 1;
+                        metrics.detected_bug_cases += 1;
+                    }
+                    TraceVerdict::InfraFailed => robustness.infra_failures += 1,
+                    TraceVerdict::Invalid | TraceVerdict::Panicked => {}
+                }
+            }
+            TraceEventKind::Prioritized { kept: true } => metrics.prioritized_bugs += 1,
+            TraceEventKind::Prioritized { kept: false } => metrics.deduplicated_bugs += 1,
+            TraceEventKind::Retry { .. } => {
+                robustness.retries += 1;
+                robustness.backoff_ticks += ticks;
+            }
+            TraceEventKind::Quarantined => robustness.quarantines += 1,
+            TraceEventKind::Incident { kind } => {
+                robustness.incidents += 1;
+                match kind {
+                    IncidentKind::WatchdogTimeout => robustness.watchdog_trips += 1,
+                    IncidentKind::OraclePanic => robustness.oracle_panics += 1,
+                    IncidentKind::StorageMetricsError => robustness.storage_metric_errors += 1,
+                    IncidentKind::ProbeFailure => robustness.probe_failures += 1,
+                    IncidentKind::CapabilityDrift => robustness.capability_drifts += 1,
+                    IncidentKind::BreakerTrip => robustness.breaker_trips += 1,
+                    IncidentKind::BreakerRecovery => robustness.breaker_recoveries += 1,
+                    IncidentKind::BackendCrash
+                    | IncidentKind::ConnectionDrop
+                    | IncidentKind::GarbledResult
+                    | IncidentKind::WorkerPanic => {}
+                }
+            }
+            TraceEventKind::SetupStatement { .. }
+            | TraceEventKind::Statement { .. }
+            | TraceEventKind::Reduced { .. } => {}
+        }
+        if let Some(sink) = &self.trace {
+            sink.borrow_mut().event(&TraceEvent {
+                case_seed,
+                ticks,
+                kind,
+            });
+        }
     }
 
     /// Consecutive cases abandoned on infrastructure errors (quarantine
@@ -407,12 +499,7 @@ impl Supervisor {
     /// was observed to consume (0/0 for incidents recorded outside a case
     /// attempt).
     pub fn record(&mut self, incident: CampaignIncident) {
-        self.counters.incidents += 1;
-        if incident.kind == IncidentKind::WatchdogTimeout {
-            self.counters.watchdog_trips += 1;
-        }
-        emit(
-            &self.trace,
+        self.emit(
             self.case_seed,
             incident.observed_ticks,
             TraceEventKind::Incident {
@@ -480,7 +567,6 @@ impl Supervisor {
                         // An internal platform error: isolate it, rebuild
                         // the backend state and abandon the case — retrying
                         // deterministic code cannot heal it.
-                        self.counters.oracle_panics += 1;
                         self.record(CampaignIncident {
                             kind: IncidentKind::OraclePanic,
                             database,
@@ -532,11 +618,6 @@ impl Supervisor {
                 self.finish_case(verdict, elapsed);
                 return SupervisedCase::Completed(outcome);
             };
-            match kind {
-                IncidentKind::ProbeFailure => self.counters.probe_failures += 1,
-                IncidentKind::CapabilityDrift => self.counters.capability_drifts += 1,
-                _ => {}
-            }
             self.record(CampaignIncident {
                 kind,
                 database,
@@ -548,7 +629,6 @@ impl Supervisor {
             });
             self.recover(conn, setup_log);
             if attempt >= self.config.max_retries {
-                self.counters.infra_failures += 1;
                 self.consecutive_infra += 1;
                 self.settle_case(conn, case_seed, database, case_index, true);
                 self.finish_case(TraceVerdict::InfraFailed, elapsed);
@@ -556,15 +636,8 @@ impl Supervisor {
             }
             // Deterministic exponential backoff on the virtual clock; no
             // wall time is spent or consulted.
-            self.counters.retries += 1;
             let backoff = self.config.backoff_base_ticks << attempt.min(16);
-            self.counters.backoff_ticks += backoff;
-            emit(
-                &self.trace,
-                case_seed,
-                backoff,
-                TraceEventKind::Retry { attempt, kind },
-            );
+            self.emit(case_seed, backoff, TraceEventKind::Retry { attempt, kind });
             attempt += 1;
         }
     }
@@ -599,33 +672,26 @@ impl Supervisor {
         for event in conn.drain_resilience_events() {
             let (kind, detail) = match event {
                 ResilienceEvent::CapabilityDrift { detail } => {
-                    self.counters.capability_drifts += 1;
                     (IncidentKind::CapabilityDrift, detail)
                 }
                 ResilienceEvent::BreakerTripped {
                     vslot,
                     clock,
                     until,
-                } => {
-                    self.counters.breaker_trips += 1;
-                    (
-                        IncidentKind::BreakerTrip,
-                        format!(
-                            "slot breaker opened: virtual slot {vslot} tripped at \
+                } => (
+                    IncidentKind::BreakerTrip,
+                    format!(
+                        "slot breaker opened: virtual slot {vslot} tripped at \
                              resilience clock {clock}, detouring checkouts until clock {until}"
-                        ),
-                    )
-                }
-                ResilienceEvent::BreakerRecovered { vslot, clock } => {
-                    self.counters.breaker_recoveries += 1;
-                    (
-                        IncidentKind::BreakerRecovery,
-                        format!(
-                            "slot breaker closed: virtual slot {vslot} readmitted at \
-                             resilience clock {clock}"
-                        ),
-                    )
-                }
+                    ),
+                ),
+                ResilienceEvent::BreakerRecovered { vslot, clock } => (
+                    IncidentKind::BreakerRecovery,
+                    format!(
+                        "slot breaker closed: virtual slot {vslot} readmitted at \
+                         resilience clock {clock}"
+                    ),
+                ),
             };
             self.record(CampaignIncident {
                 kind,
@@ -641,12 +707,7 @@ impl Supervisor {
 
     /// Emits the case's verdict event and leaves case scope.
     fn finish_case(&mut self, verdict: TraceVerdict, elapsed: u64) {
-        emit(
-            &self.trace,
-            self.case_seed,
-            elapsed,
-            TraceEventKind::Verdict { verdict },
-        );
+        self.emit(self.case_seed, elapsed, TraceEventKind::Verdict { verdict });
         self.case_seed = 0;
     }
 }
@@ -794,8 +855,8 @@ mod tests {
             result,
             SupervisedCase::Completed(OracleOutcome::Passed)
         ));
-        assert_eq!(supervisor.counters.retries, 2);
-        assert_eq!(supervisor.counters.incidents, 2);
+        assert_eq!(supervisor.counters().retries, 2);
+        assert_eq!(supervisor.counters().incidents, 2);
         assert_eq!(supervisor.incidents[0].kind, IncidentKind::ConnectionDrop);
         assert_eq!(supervisor.consecutive_infra(), 0);
     }
@@ -817,7 +878,7 @@ mod tests {
             result,
             SupervisedCase::Completed(OracleOutcome::Passed)
         ));
-        assert_eq!(supervisor.counters.incidents, 2);
+        assert_eq!(supervisor.counters().incidents, 2);
         assert_eq!(supervisor.incidents[0].kind, IncidentKind::BackendCrash);
         // Recovery replayed the setup log after each failure.
         assert_eq!(conn.resets, 2);
@@ -833,8 +894,8 @@ mod tests {
             panic!("index out of bounds: the len is 0")
         });
         assert!(matches!(result, SupervisedCase::Panicked));
-        assert_eq!(supervisor.counters.oracle_panics, 1);
-        assert_eq!(supervisor.counters.retries, 0);
+        assert_eq!(supervisor.counters().oracle_panics, 1);
+        assert_eq!(supervisor.counters().retries, 0);
         assert_eq!(supervisor.incidents[0].kind, IncidentKind::OraclePanic);
     }
 
@@ -860,7 +921,7 @@ mod tests {
             result,
             SupervisedCase::Completed(OracleOutcome::Passed)
         ));
-        assert_eq!(supervisor.counters.watchdog_trips, 1);
+        assert_eq!(supervisor.counters().watchdog_trips, 1);
         assert_eq!(supervisor.incidents[0].kind, IncidentKind::WatchdogTimeout);
     }
 
@@ -888,8 +949,8 @@ mod tests {
         ));
         assert!(supervisor.incidents[0].observed_ticks < supervisor.config.deadline_ticks);
         assert_eq!(supervisor.incidents[0].kind, IncidentKind::WatchdogTimeout);
-        assert_eq!(supervisor.counters.watchdog_trips, 1);
-        assert_eq!(supervisor.counters.incidents, 1);
+        assert_eq!(supervisor.counters().watchdog_trips, 1);
+        assert_eq!(supervisor.counters().incidents, 1);
     }
 
     #[test]
@@ -908,10 +969,10 @@ mod tests {
             assert!(matches!(result, SupervisedCase::InfraFailed));
         }
         assert!(supervisor.should_quarantine());
-        assert_eq!(supervisor.counters.infra_failures, 2);
+        assert_eq!(supervisor.counters().infra_failures, 2);
         // Each case: 1 retry, 2 incidents.
-        assert_eq!(supervisor.counters.retries, 2);
-        assert_eq!(supervisor.counters.incidents, 4);
+        assert_eq!(supervisor.counters().retries, 2);
+        assert_eq!(supervisor.counters().incidents, 4);
     }
 
     /// A connection whose recovery replay garbles one statement: it tracks
@@ -992,7 +1053,7 @@ mod tests {
         assert!(supervisor.incidents[1]
             .detail
             .contains("setup replay failed during recovery"));
-        assert_eq!(supervisor.counters.retries, 2);
+        assert_eq!(supervisor.counters().retries, 2);
 
         // With no retries left, the half-built state carries over: the next
         // case spends its attempt rebuilding instead of checking.

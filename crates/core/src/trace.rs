@@ -207,18 +207,6 @@ pub trait TraceSink {
 /// merge the [`TraceSummary`] values, which are plain `Send` data.
 pub type TraceHandle = Rc<RefCell<dyn TraceSink>>;
 
-/// Emits one event into an optional handle (the no-trace path is a single
-/// `Option` test).
-pub(crate) fn emit(trace: &Option<TraceHandle>, case_seed: u64, ticks: u64, kind: TraceEventKind) {
-    if let Some(sink) = trace {
-        sink.borrow_mut().event(&TraceEvent {
-            case_seed,
-            ticks,
-            kind,
-        });
-    }
-}
-
 /// Forwards every drained backend event into an optional handle.
 pub(crate) fn emit_backend(trace: &Option<TraceHandle>, conn: &mut dyn DbmsConnection) {
     if let Some(sink) = trace {

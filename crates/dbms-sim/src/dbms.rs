@@ -181,111 +181,82 @@ impl SimulatedDbms {
         run_session_query(&self.session, select)
     }
 
-    fn run_case(&mut self, case: &ReducibleCase) -> OracleOutcome {
-        self.reset();
-        for sql in &case.setup {
-            let _ = self.execute(sql);
-        }
-        match case.oracle {
-            OracleKind::Tlp => check_tlp(
-                self,
-                &case.query,
-                &case.predicate,
-                &case.features,
-                &case.setup,
-            ),
-            OracleKind::NoRec => check_norec(
-                self,
-                &case.query,
-                &case.predicate,
-                &case.features,
-                &case.setup,
-            ),
-            // Rollback-oracle cases are transactional sessions
-            // ([`TxnCase`]), replayed via [`SimulatedDbms::run_txn_case`];
-            // isolation cases are schedules ([`ScheduleCase`]).
-            OracleKind::Rollback => {
-                OracleOutcome::Invalid("rollback cases replay as TxnCase".into())
-            }
-            OracleKind::Isolation => {
-                OracleOutcome::Invalid("isolation cases replay as ScheduleCase".into())
-            }
-        }
-    }
-
-    fn run_txn_case(&mut self, case: &TxnCase) -> OracleOutcome {
-        check_rollback(
-            self,
-            &case.table,
-            &case.statements,
-            &case.features,
-            &case.setup,
-        )
-    }
-
-    fn run_schedule_case(&mut self, case: &ScheduleCase) -> OracleOutcome {
-        check_isolation(self, &case.schedule, &case.features, &case.setup).outcome
-    }
-
-    /// Identifies which injected bugs a reduced test case triggers, by
-    /// replaying it against variants of this DBMS with one fault disabled at
-    /// a time (the in-silico analogue of bisecting to a fix commit, which is
-    /// how the paper establishes uniqueness on CrateDB in Section 5.5).
-    pub fn ground_truth_bugs(&self, case: &ReducibleCase) -> Vec<&'static str> {
-        let mut reproducer = self.clone();
-        if !matches!(reproducer.run_case(case), OracleOutcome::Bug(_)) {
+    /// Identifies which injected bugs a test case triggers, by replaying it
+    /// against variants of this DBMS with one fault disabled at a time (the
+    /// in-silico analogue of bisecting to a fix commit, which is how the
+    /// paper establishes uniqueness on CrateDB in Section 5.5). `replay`
+    /// runs the case's oracle on a DBMS; a fault is a cause when the case
+    /// flags a bug here but not on the variant without that fault.
+    fn bisect(&self, replay: impl Fn(&mut SimulatedDbms) -> OracleOutcome) -> Vec<&'static str> {
+        let flags_bug = |dbms: &mut SimulatedDbms| matches!(replay(dbms), OracleOutcome::Bug(_));
+        if !flags_bug(&mut self.clone()) {
             return Vec::new();
         }
-        let mut causes = Vec::new();
-        for fault in &self.faults {
-            let mut fixed = self.without_fault(fault);
-            if !matches!(fixed.run_case(case), OracleOutcome::Bug(_)) {
-                if let Some(bug) = bugs_for_faults(&[fault]).first() {
-                    causes.push(bug.id);
+        self.faults
+            .iter()
+            .filter(|&fault| !flags_bug(&mut self.without_fault(fault)))
+            .filter_map(|fault| bugs_for_faults(&[fault]).first().map(|bug| bug.id))
+            .collect()
+    }
+
+    /// Identifies which injected bugs a reduced TLP/NoREC test case
+    /// triggers, by replaying it against variants of this DBMS with one
+    /// fault disabled at a time. Each replay resets the DBMS and runs the
+    /// case's setup first.
+    pub fn ground_truth_bugs(&self, case: &ReducibleCase) -> Vec<&'static str> {
+        self.bisect(|dbms| {
+            dbms.reset();
+            for sql in &case.setup {
+                let _ = dbms.execute(sql);
+            }
+            match case.oracle {
+                OracleKind::Tlp => check_tlp(
+                    dbms,
+                    &case.query,
+                    &case.predicate,
+                    &case.features,
+                    &case.setup,
+                ),
+                OracleKind::NoRec => check_norec(
+                    dbms,
+                    &case.query,
+                    &case.predicate,
+                    &case.features,
+                    &case.setup,
+                ),
+                // Rollback-oracle cases are transactional sessions
+                // ([`TxnCase`]) and isolation cases are schedules
+                // ([`ScheduleCase`]), each with its own ground truth.
+                OracleKind::Rollback => {
+                    OracleOutcome::Invalid("rollback cases replay as TxnCase".into())
+                }
+                OracleKind::Isolation => {
+                    OracleOutcome::Invalid("isolation cases replay as ScheduleCase".into())
                 }
             }
-        }
-        causes
+        })
     }
 
     /// [`SimulatedDbms::ground_truth_bugs`] for a transactional test case
-    /// flagged by the rollback oracle: the case is replayed against variants
-    /// of this DBMS with one fault disabled at a time.
+    /// flagged by the rollback oracle.
     pub fn ground_truth_txn_bugs(&self, case: &TxnCase) -> Vec<&'static str> {
-        let mut reproducer = self.clone();
-        if !matches!(reproducer.run_txn_case(case), OracleOutcome::Bug(_)) {
-            return Vec::new();
-        }
-        let mut causes = Vec::new();
-        for fault in &self.faults {
-            let mut fixed = self.without_fault(fault);
-            if !matches!(fixed.run_txn_case(case), OracleOutcome::Bug(_)) {
-                if let Some(bug) = bugs_for_faults(&[fault]).first() {
-                    causes.push(bug.id);
-                }
-            }
-        }
-        causes
+        self.bisect(|dbms| {
+            check_rollback(
+                dbms,
+                &case.table,
+                &case.statements,
+                &case.features,
+                &case.setup,
+            )
+        })
     }
 
     /// [`SimulatedDbms::ground_truth_bugs`] for a concurrent schedule
-    /// flagged by the isolation oracle: the schedule is replayed against
-    /// variants of this DBMS with one fault disabled at a time.
+    /// flagged by the isolation oracle.
     pub fn ground_truth_schedule_bugs(&self, case: &ScheduleCase) -> Vec<&'static str> {
-        let mut reproducer = self.clone();
-        if !matches!(reproducer.run_schedule_case(case), OracleOutcome::Bug(_)) {
-            return Vec::new();
-        }
-        let mut causes = Vec::new();
-        for fault in &self.faults {
-            let mut fixed = self.without_fault(fault);
-            if !matches!(fixed.run_schedule_case(case), OracleOutcome::Bug(_)) {
-                if let Some(bug) = bugs_for_faults(&[fault]).first() {
-                    causes.push(bug.id);
-                }
-            }
-        }
-        causes
+        self.bisect(|dbms| {
+            check_isolation(dbms, &case.schedule, &case.features, &case.setup).outcome
+        })
     }
 }
 

@@ -46,10 +46,7 @@ pub use faulty::{FaultPlan, FaultyConfig, FaultyConnection, InfraFaultKind};
 pub use fleet::{
     fleet, fleet_drivers, preset_by_name, validity_experiment_dialects, DialectPreset, SimDriver,
 };
-pub use profile::{
-    collect_query_features, collect_statement_features, function_feature, join_feature,
-    operator_feature, unary_feature, DialectProfile,
-};
+pub use profile::{collect_query_features, collect_statement_features, DialectProfile};
 pub use runner::{
     available_threads, derive_dialect_seed, derive_shard_seed, observed_infra_kinds,
     run_fleet_serial_drivers, shard_checkpoint_path, ExecutionPath, FleetReport, RunPlan,

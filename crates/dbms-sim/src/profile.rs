@@ -6,10 +6,7 @@
 //! producing exactly the "syntax/semantic error" feedback that the adaptive
 //! generator learns from (challenge C1 of the paper).
 
-use sql_ast::{
-    BinaryOp, DataType, Expr, JoinType, ScalarFunction, Select, SelectItem, Statement, TableFactor,
-    UnaryOp,
-};
+use sql_ast::{DataType, Expr, Select, SelectItem, Statement, TableFactor};
 use sql_engine::TypingMode;
 use std::collections::BTreeSet;
 
@@ -331,27 +328,6 @@ fn walk_expr_features(expr: &Expr, f: &mut impl FnMut(&str) -> bool) -> bool {
         Expr::Exists { subquery, .. } => walk_select_features(subquery, f),
         _ => true,
     }
-}
-
-/// Convenience constructors for the feature names of AST elements, mirroring
-/// `sqlancer-core`'s naming convention. Exposed for experiment harnesses.
-pub fn operator_feature(op: BinaryOp) -> &'static str {
-    op.feature_name()
-}
-
-/// Feature name of a unary operator.
-pub fn unary_feature(op: UnaryOp) -> &'static str {
-    op.feature_name()
-}
-
-/// Feature name of a scalar function.
-pub fn function_feature(func: ScalarFunction) -> &'static str {
-    func.feature_name()
-}
-
-/// Feature name of a join type.
-pub fn join_feature(join: JoinType) -> &'static str {
-    join.feature_name()
 }
 
 #[cfg(test)]

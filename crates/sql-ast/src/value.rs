@@ -302,7 +302,7 @@ impl Value {
     /// rendered with full precision; `NULL` has a dedicated tag.
     ///
     /// This is the legacy string form of the row identity; the execution hot
-    /// path uses the allocation-free [`row_fingerprint`] /
+    /// path uses the allocation-free [`crate::row_fingerprint`] /
     /// [`Value::fingerprint_into`] instead, and property tests assert the
     /// two agree.
     pub fn dedup_key(&self) -> String {

@@ -156,8 +156,8 @@ impl FaultConfig {
         FaultConfig::default()
     }
 
-    /// Whether any fault that [`crate::optimizer`]'s
-    /// `apply_structural_faults` can apply is enabled — the gate for
+    /// Whether any fault that the optimizer's `apply_structural_faults`
+    /// can apply is enabled — the gate for
     /// `optimize_select`'s clone-free fast path. Keep in sync with the
     /// faults that function reads.
     pub fn has_structural_rewrite(&self) -> bool {

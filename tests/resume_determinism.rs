@@ -7,7 +7,7 @@
 
 use sqlancerpp::core::{
     load_checkpoint, render_report, Campaign, CampaignConfig, CampaignReport, DbmsConnection,
-    DialectQuirks, Driver, IncidentKind, OracleKind, QueryResult, StateCheckpoint,
+    DialectQuirks, Driver, IncidentKind, OracleKind, Pool, QueryResult, StateCheckpoint,
     StatementOutcome, StorageMetrics, SupervisorConfig, INFRA_MARKER,
 };
 use sqlancerpp::sim::{
@@ -56,6 +56,37 @@ fn sharded(
     plan.run(config).reports.remove(0)
 }
 
+/// Every per-kind robustness counter equals the number of ledgered
+/// incidents of its kind: the supervisor folds both from the same incident
+/// events.
+fn assert_counters_match_incidents(report: &CampaignReport) {
+    let robustness = report.robustness;
+    assert_eq!(robustness.incidents, report.incidents.len() as u64);
+    for (kind, counter) in [
+        (IncidentKind::WatchdogTimeout, robustness.watchdog_trips),
+        (IncidentKind::OraclePanic, robustness.oracle_panics),
+        (
+            IncidentKind::StorageMetricsError,
+            robustness.storage_metric_errors,
+        ),
+        (IncidentKind::ProbeFailure, robustness.probe_failures),
+        (IncidentKind::CapabilityDrift, robustness.capability_drifts),
+        (IncidentKind::BreakerTrip, robustness.breaker_trips),
+        (IncidentKind::BreakerRecovery, robustness.breaker_recoveries),
+        (IncidentKind::WorkerPanic, robustness.recovered_workers),
+    ] {
+        let ledgered = report
+            .incidents
+            .iter()
+            .filter(|incident| incident.kind == kind)
+            .count() as u64;
+        assert_eq!(
+            ledgered, counter,
+            "{kind:?} counter disagrees with the ledger"
+        );
+    }
+}
+
 /// A unique scratch path for one test's checkpoint file.
 fn scratch(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("sqlancerpp_resume_{}_{name}", std::process::id()))
@@ -83,6 +114,7 @@ fn killed_serial_campaign_resumes_to_byte_identical_report() {
         reference.robustness.incidents > 0,
         "the storm should land at least one fault in this campaign"
     );
+    assert_counters_match_incidents(&reference);
 
     for kill_at in [7u64, 23u64] {
         let checkpointing = SupervisorConfig {
@@ -99,6 +131,7 @@ fn killed_serial_campaign_resumes_to_byte_identical_report() {
         let mut conn = storm_preset("sqlite").instantiate_for_path(ExecutionPath::Ast);
         let partial = Campaign::new(config.clone()).run_supervised(&mut conn, &killed);
         assert!(partial.metrics.test_cases <= kill_at + config.databases as u64);
+        assert_counters_match_incidents(&partial);
 
         // A new process: fresh campaign, fresh connection, checkpoint file.
         let checkpoint = load_checkpoint(&path).expect("cadence checkpoint was written");
@@ -109,6 +142,7 @@ fn killed_serial_campaign_resumes_to_byte_identical_report() {
             reference_text,
             "kill at case {kill_at}: resumed report diverged from the uninterrupted run"
         );
+        assert_counters_match_incidents(&resumed);
         cleanup(&path, 0);
     }
 }
@@ -271,6 +305,7 @@ fn killed_pooled_flaky_campaign_resumes_with_breaker_state() {
         reference.robustness.breaker_trips > 0,
         "the flaky storm should trip at least one breaker in this campaign"
     );
+    assert_counters_match_incidents(&reference);
     // The self-healing layer absorbs the whole storm: exactly the armed
     // kinds are ledgered, every breaker trip and recovery is an incident,
     // nothing degrades or surfaces as a logic bug, and neither the pool
@@ -356,4 +391,53 @@ fn killed_pooled_flaky_campaign_resumes_with_breaker_state() {
         );
         cleanup(&path, config.databases);
     }
+}
+
+#[test]
+fn killed_and_checkpointed_reports_count_every_prioritizer_ruling() {
+    // Regression: the prioritizer's counts used to be copied into the
+    // report only when a campaign finished, so a killed run's report (and
+    // the partial report inside every checkpoint) read 0 prioritized and 0
+    // deduplicated bugs next to a nonzero detected count.
+    let config = CampaignConfig::builder()
+        .seed(1)
+        .databases(2)
+        .queries_per_database(30)
+        .oracles(vec![
+            OracleKind::Tlp,
+            OracleKind::NoRec,
+            OracleKind::Rollback,
+            OracleKind::Isolation,
+        ])
+        .reduce_bugs(false)
+        .build();
+    let path = scratch("prioritizer_counts");
+    cleanup(&path, 0);
+    let killed = SupervisorConfig {
+        checkpoint_every: 20,
+        checkpoint_path: Some(path.clone()),
+        stop_after_cases: Some(30),
+        ..SupervisorConfig::default()
+    };
+    let driver = preset_by_name("dolt").unwrap().driver(ExecutionPath::Ast);
+    let mut pool = Pool::new(driver, 1).unwrap();
+    let partial = Campaign::new(config).run_pooled(&mut pool, &killed);
+    let checkpoint = load_checkpoint(&path).expect("cadence checkpoint was written");
+    cleanup(&path, 0);
+    for (report, which) in [(&partial, "killed"), (&checkpoint.report, "checkpointed")] {
+        let metrics = report.metrics;
+        assert!(
+            metrics.detected_bug_cases > 0,
+            "{which}: dolt should detect bugs"
+        );
+        assert_eq!(
+            metrics.prioritized_bugs + metrics.deduplicated_bugs,
+            metrics.detected_bug_cases,
+            "{which} report: every detected bug case has a prioritizer ruling"
+        );
+    }
+    assert_eq!(
+        partial.reports.len() as u64,
+        partial.metrics.prioritized_bugs
+    );
 }

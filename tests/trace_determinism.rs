@@ -14,7 +14,7 @@
 use sqlancerpp::core::{
     load_checkpoint, render_trace_summary, validate_jsonl, Campaign, CampaignConfig,
     CampaignReport, CaseRecord, Driver, FlightRecorder, OracleKind, SupervisorConfig,
-    TraceEventKind, TraceHandle, Tracer,
+    TraceCounters, TraceEventKind, TraceHandle, Tracer,
 };
 use sqlancerpp::sim::{
     preset_by_name, DialectPreset, ExecutionPath, FaultyConfig, FleetReport, RunPlan,
@@ -109,6 +109,48 @@ fn sharded_traced(
     plan.run(config)
 }
 
+/// The tracer's counters with the statement, tick and reduction tallies
+/// zeroed: the part a report's ledger also counts.
+fn ledger_part(tracer: &Tracer) -> TraceCounters {
+    let mut counters = TraceCounters::default();
+    for dialect in tracer.summary().dialects.values() {
+        counters.merge(&dialect.counters);
+    }
+    TraceCounters {
+        case_ticks: 0,
+        statements: 0,
+        statement_errors: 0,
+        setup_statements: 0,
+        setup_errors: 0,
+        reduced_bugs: 0,
+        reduced_statements_removed: 0,
+        ..counters
+    }
+}
+
+/// A report's ledger as the tracer would count it: the supervisor and the
+/// tracer fold the same events, so for a traced run the two agree.
+fn traced_view(report: &CampaignReport) -> TraceCounters {
+    let (metrics, robustness) = (&report.metrics, &report.robustness);
+    let abandoned = robustness.infra_failures + robustness.oracle_panics;
+    TraceCounters {
+        cases: metrics.test_cases,
+        verdict_pass: metrics.valid_test_cases - metrics.detected_bug_cases,
+        verdict_invalid: metrics.test_cases - metrics.valid_test_cases - abandoned,
+        verdict_bug: metrics.detected_bug_cases,
+        verdict_infra: robustness.infra_failures,
+        verdict_panic: robustness.oracle_panics,
+        retries: robustness.retries,
+        backoff_ticks: robustness.backoff_ticks,
+        incidents: robustness.incidents,
+        watchdog_trips: robustness.watchdog_trips,
+        quarantines: robustness.quarantines,
+        prioritized_kept: metrics.prioritized_bugs,
+        prioritized_dropped: metrics.deduplicated_bugs,
+        ..TraceCounters::default()
+    }
+}
+
 fn scratch(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("sqlancerpp_trace_{}_{name}", std::process::id()))
 }
@@ -196,6 +238,11 @@ fn flight_recorder_replays_identical_bug_histories_across_kill_and_resume() {
         !reference_recorder.pinned().is_empty(),
         "bug cases must be pinned in the flight recorder"
     );
+    assert!(
+        reference.robustness.retries > 0,
+        "the storm should force retries"
+    );
+    assert_eq!(ledger_part(&reference_tracer), traced_view(&reference));
 
     let checkpointing = SupervisorConfig {
         checkpoint_every: 5,
@@ -206,8 +253,15 @@ fn flight_recorder_replays_identical_bug_histories_across_kill_and_resume() {
         stop_after_cases: Some(11),
         ..checkpointing.clone()
     };
-    let (_, killed_tracer) = run_traced_supervised(&preset, &config, &killed_config);
+    let (killed, killed_tracer) = run_traced_supervised(&preset, &config, &killed_config);
+    assert_eq!(ledger_part(&killed_tracer), traced_view(&killed));
+    let resumed_from = load_checkpoint(&path).expect("cadence checkpoint was written");
     let (resumed, resumed_tracer) = resume_traced(&preset, &config, &checkpointing, &path);
+    // The resumed tracer saw only the cases after the checkpoint; the
+    // checkpoint's report carries the ledger of the cases before it.
+    let mut resumed_view = traced_view(&resumed_from.report);
+    resumed_view.merge(&ledger_part(&resumed_tracer));
+    assert_eq!(resumed_view, traced_view(&resumed));
     assert_eq!(
         sqlancerpp::core::render_report(&resumed),
         sqlancerpp::core::render_report(&reference),
