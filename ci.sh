@@ -2,8 +2,8 @@
 # CI gate for the SQLancer++ reproduction workspace.
 #
 #   ./ci.sh          # full gate: fmt, clippy, rustdoc, release build, tests,
-#                    # self-asserting examples, perf-regression gate,
-#                    # benchmark smoke tests
+#                    # self-asserting examples, table and figure binaries,
+#                    # perf-regression gate, benchmark smoke tests
 #
 # Every step must pass; the script stops at the first failure. The perf
 # gate compares timed throughput ratios against the floors in
@@ -40,6 +40,16 @@ cargo build --release "${EXAMPLES[@]/#/--example=}"
 for example in "${EXAMPLES[@]}"; do
     echo "--> $example"
     "./target/release/examples/$example" > /dev/null
+done
+
+echo "==> table and figure binaries"
+# Every reproduction binary runs at its default budget from the release
+# build, so a panic in an experiment fails CI instead of shipping. Their
+# tables are not checked here; together they run in a few seconds.
+for bin in table2_bug_campaign table3_coverage table4_validity table5_prioritization \
+    fig1_adaptation_effort fig6_feature_study fig7_feature_overlap; do
+    echo "--> $bin"
+    "./target/release/$bin" > /dev/null
 done
 
 echo "==> perf-regression gate (~30s)"

@@ -1,5 +1,6 @@
 //! Shared experiment harness for the per-table / per-figure reproduction
-//! binaries (see DESIGN.md §3 for the experiment index).
+//! binaries in `src/bin`, one per table or figure of the paper's
+//! evaluation.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,8 +36,8 @@ impl GeneratorArm {
 }
 
 /// A campaign configuration scaled to finish in seconds rather than the
-/// paper's wall-clock hours (DESIGN.md §1 substitution: campaigns are
-/// bounded by test-case counts).
+/// paper's wall-clock hours: campaigns are bounded by test-case counts,
+/// not by time.
 pub fn experiment_campaign_config(seed: u64, queries: usize, arm: GeneratorArm) -> CampaignConfig {
     let mut generator = match arm {
         GeneratorArm::Random => GeneratorConfig::random_baseline(),
@@ -118,7 +119,7 @@ pub fn run_campaign(
     let mut campaign = campaign_for(preset, config, arm);
     let mut dbms: SimulatedDbms = preset.instantiate();
     let report = campaign.run(&mut dbms);
-    let coverage = dbms.engine().coverage_snapshot();
+    let coverage = dbms.coverage();
     let universe = sql_engine::CoverageUniverse::engine_default();
     let coverage_pct = coverage.percentage(&universe);
     let coverage_strict_pct = coverage.strict_percentage(&universe);
@@ -177,6 +178,25 @@ mod tests {
         let outcome = run_campaign(&preset, config, GeneratorArm::Adaptive);
         assert_eq!(outcome.dialect, "sqlite");
         assert!(outcome.report.metrics.test_cases > 0);
+    }
+
+    #[test]
+    fn coverage_counts_the_points_of_every_retired_engine() {
+        // Table 3's defaults for duckdb under perfect knowledge keep bugs,
+        // and every reduction and rebuild resets the engine: the points
+        // reached before the last reset live only in retired engines.
+        let preset = preset_by_name("duckdb").unwrap();
+        let arm = GeneratorArm::PerfectKnowledge;
+        let mut config = experiment_campaign_config(7, 300, arm);
+        config.databases = 1;
+        config.queries_per_database = 300;
+        let outcome = run_campaign(&preset, config.clone(), arm);
+        assert!(!outcome.report.prioritized_cases.is_empty());
+        let mut dbms = preset.instantiate();
+        campaign_for(&preset, config, arm).run(&mut dbms);
+        let universe = sql_engine::CoverageUniverse::engine_default();
+        let points = (outcome.coverage_pct / 100.0 * universe.total() as f64).round() as usize;
+        assert_eq!(points, dbms.engine_coverage().unwrap().total_points());
     }
 
     #[test]

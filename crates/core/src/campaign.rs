@@ -20,12 +20,9 @@ use crate::reducer::{BugReducer, ReducibleCase, ScheduleCase, TxnCase};
 use crate::resume::{save_checkpoint, CampaignCheckpoint};
 use crate::stats::FeatureKind;
 use crate::supervisor::{
-    CampaignIncident, IncidentKind, RobustnessCounters, SupervisedCase, Supervisor,
-    SupervisorConfig,
+    CampaignIncident, IncidentKind, RobustnessCounters, Supervisor, SupervisorConfig,
 };
-use crate::trace::{
-    emit_backend, FlushReason, TraceEventKind, TraceHandle, TraceVerdict, TracedConnection,
-};
+use crate::trace::{emit_backend, FlushReason, TraceEventKind, TraceHandle, TracedConnection};
 use sql_ast::{fnv1a64, splitmix64, Statement};
 
 /// Configuration of a testing campaign.
@@ -164,9 +161,8 @@ impl CampaignConfigBuilder {
 /// Aggregate metrics of a campaign, mirroring the quantities reported in
 /// Tables 2, 4 and 5 of the paper. The case counts (`test_cases` through
 /// `isolation_schedules`) are folded from the campaign's events by
-/// the supervisor (`Supervisor::emit`); the campaign writes the rest
-/// directly.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+/// [`crate::Ledger::fold`]; the campaign writes the rest directly.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CampaignMetrics {
     /// DDL/DML statements sent to the DBMS.
     pub ddl_statements: u64,
@@ -737,7 +733,7 @@ impl Campaign {
                     },
                 );
                 let mut conflict_aborts = 0u64;
-                let verdict =
+                let (verdict, outcome) =
                     supervisor.run_case(conn, &setup_log, db, case_index, case_seed, &mut |conn| {
                         match &payload {
                             CasePayload::Query(query, oracle) => match oracle {
@@ -781,106 +777,78 @@ impl Campaign {
                             }
                         }
                     });
-                // The verdict event has counted the case.
+                // The verdict event has counted the case. Every case, abandoned
+                // or not, is observed by the atlas: its payload's features were
+                // generated, and counting them keeps the novelty stream
+                // identical across configurations that retry differently.
                 let cases_done = supervisor.metrics().test_cases;
-                let sample_validity = cases_done.is_multiple_of(sample_every);
-                match verdict {
-                    SupervisedCase::Completed(outcome) => {
-                        supervisor.metrics_mut().conflict_aborts += conflict_aborts;
-                        report.coverage.observe_case(
-                            oracle,
-                            match &outcome {
-                                OracleOutcome::Passed => TraceVerdict::Pass,
-                                OracleOutcome::Invalid(_) => TraceVerdict::Invalid,
-                                OracleOutcome::Bug(_) => TraceVerdict::Bug,
+                report
+                    .coverage
+                    .observe_case(oracle, verdict, payload.features(), case_no as u64);
+                if cases_done.is_multiple_of(sample_every) {
+                    report
+                        .validity_series
+                        .push(supervisor.metrics().validity_rate());
+                }
+                // Abandoned cases carry no outcome and are never fed to the
+                // generator's learning: an infrastructure failure says nothing
+                // about dialect feature support.
+                if let Some(outcome) = &outcome {
+                    supervisor.metrics_mut().conflict_aborts += conflict_aborts;
+                    self.generator.record_outcome(
+                        payload.features(),
+                        FeatureKind::Query,
+                        outcome.is_valid(),
+                    );
+                }
+                if let Some(OracleOutcome::Bug(bug)) = outcome {
+                    let features = payload.features();
+                    match &payload {
+                        CasePayload::Query(query, oracle) => self.handle_bug(
+                            conn,
+                            supervisor,
+                            *bug,
+                            features,
+                            &setup_log,
+                            case_seed,
+                            &mut report,
+                            || ReducibleCase {
+                                setup: setup_sql(&setup_log),
+                                query: query.select.clone(),
+                                predicate: query.predicate.clone(),
+                                oracle: *oracle,
+                                features: features.clone(),
                             },
-                            payload.features(),
-                            case_no as u64,
-                        );
-                        self.generator.record_outcome(
-                            payload.features(),
-                            FeatureKind::Query,
-                            outcome.is_valid(),
-                        );
-                        if sample_validity {
-                            report
-                                .validity_series
-                                .push(supervisor.metrics().validity_rate());
-                        }
-                        if let OracleOutcome::Bug(bug) = outcome {
-                            let features = payload.features();
-                            match &payload {
-                                CasePayload::Query(query, oracle) => self.handle_bug(
-                                    conn,
-                                    supervisor,
-                                    *bug,
-                                    features,
-                                    &setup_log,
-                                    case_seed,
-                                    &mut report,
-                                    || ReducibleCase {
-                                        setup: setup_sql(&setup_log),
-                                        query: query.select.clone(),
-                                        predicate: query.predicate.clone(),
-                                        oracle: *oracle,
-                                        features: features.clone(),
-                                    },
-                                ),
-                                CasePayload::Txn(session) => self.handle_bug(
-                                    conn,
-                                    supervisor,
-                                    *bug,
-                                    features,
-                                    &setup_log,
-                                    case_seed,
-                                    &mut report,
-                                    || TxnCase {
-                                        setup: setup_sql(&setup_log),
-                                        table: session.table.clone(),
-                                        statements: session.statements.clone(),
-                                        features: features.clone(),
-                                    },
-                                ),
-                                CasePayload::Schedule(schedule) => self.handle_bug(
-                                    conn,
-                                    supervisor,
-                                    *bug,
-                                    features,
-                                    &setup_log,
-                                    case_seed,
-                                    &mut report,
-                                    || ScheduleCase {
-                                        setup: setup_sql(&setup_log),
-                                        schedule: schedule.schedule.clone(),
-                                        features: features.clone(),
-                                    },
-                                ),
-                            }
-                        }
-                    }
-                    // Abandoned cases: counted (the slot was spent), never
-                    // valid, and never fed to the generator's learning —
-                    // an infrastructure failure says nothing about dialect
-                    // feature support. The atlas still observes the
-                    // payload's features: they were generated, and counting
-                    // them keeps the novelty stream identical across
-                    // configurations that retry differently.
-                    abandoned @ (SupervisedCase::InfraFailed | SupervisedCase::Panicked) => {
-                        report.coverage.observe_case(
-                            oracle,
-                            if matches!(abandoned, SupervisedCase::InfraFailed) {
-                                TraceVerdict::InfraFailed
-                            } else {
-                                TraceVerdict::Panicked
+                        ),
+                        CasePayload::Txn(session) => self.handle_bug(
+                            conn,
+                            supervisor,
+                            *bug,
+                            features,
+                            &setup_log,
+                            case_seed,
+                            &mut report,
+                            || TxnCase {
+                                setup: setup_sql(&setup_log),
+                                table: session.table.clone(),
+                                statements: session.statements.clone(),
+                                features: features.clone(),
                             },
-                            payload.features(),
-                            case_no as u64,
-                        );
-                        if sample_validity {
-                            report
-                                .validity_series
-                                .push(supervisor.metrics().validity_rate());
-                        }
+                        ),
+                        CasePayload::Schedule(schedule) => self.handle_bug(
+                            conn,
+                            supervisor,
+                            *bug,
+                            features,
+                            &setup_log,
+                            case_seed,
+                            &mut report,
+                            || ScheduleCase {
+                                setup: setup_sql(&setup_log),
+                                schedule: schedule.schedule.clone(),
+                                features: features.clone(),
+                            },
+                        ),
                     }
                 }
                 // Drain wall-clock-plane backend telemetry (pool checkout

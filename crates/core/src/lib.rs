@@ -87,8 +87,8 @@ pub use stats::{
     regularized_incomplete_beta, FeatureCounts, FeatureKind, FeatureStats, StatsConfig,
 };
 pub use supervisor::{
-    classify_infra_message, silence_infra_panics, CampaignIncident, IncidentKind,
-    RobustnessCounters, SupervisedCase, Supervisor, SupervisorConfig, INFRA_MARKER,
+    classify_infra_message, silence_infra_panics, CampaignIncident, IncidentKind, Ledger,
+    RobustnessCounters, Supervisor, SupervisorConfig, INFRA_MARKER,
 };
 pub use trace::{
     render_trace_summary, BackendEvent, BackendTelemetry, CaseRecord, DialectTrace, FlightRecorder,

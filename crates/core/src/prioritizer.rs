@@ -47,8 +47,8 @@ impl BugPrioritizer {
     }
 
     /// Creates a prioritizer that only deduplicates *exactly equal* feature
-    /// sets. Used as an ablation baseline (DESIGN.md §4.4): it keeps far
-    /// more cases than the subset rule.
+    /// sets: an ablation baseline for the paper's subset rule, which keeps
+    /// far fewer cases.
     pub fn exact_match_only() -> BugPrioritizer {
         BugPrioritizer {
             exact_only: true,

@@ -30,11 +30,12 @@
 //!
 //! The supervisor also keeps the campaign's **ledger**. Every
 //! deterministic case-lifecycle event the campaign and the supervisor emit
-//! passes through one `Supervisor::emit`, which folds it into the
-//! [`RobustnessCounters`] and the event-carried [`CampaignMetrics`] fields
-//! and then forwards it, unchanged, to the optional trace sink. The fold is
-//! the only writer of those counts, so the report, the checkpoint and the
-//! trace summary cannot drift apart.
+//! passes through one `Supervisor::emit`, which folds it into its
+//! [`Ledger`] and then forwards it, unchanged, to the optional trace sink.
+//! [`Ledger::fold`] is the only writer of the [`RobustnessCounters`] and
+//! the event-carried [`CampaignMetrics`] fields, and the trace summary
+//! holds a `Ledger` folded from the same events, so the report, the
+//! checkpoint and the trace summary cannot drift apart.
 
 use crate::campaign::{CampaignMetrics, CampaignReport};
 use crate::dbms::{replay_setup, DbmsConnection};
@@ -201,11 +202,10 @@ json_record!(struct CampaignIncident [
 
 /// Aggregate robustness counters for a supervised campaign. Reported next
 /// to [`CampaignMetrics`]; like them, they merge across shards and
-/// dialects. Within a campaign every field except
-/// [`RobustnessCounters::recovered_workers`] is written only by the
-/// supervisor's event fold (`Supervisor::emit`): the per-kind counts from
-/// `Incident` events, `retries`/`backoff_ticks` from `Retry`, `quarantines`
-/// from `Quarantined` and `infra_failures` from `InfraFailed` verdicts.
+/// dialects. Every field is written only by [`Ledger::fold`]: the per-kind
+/// counts from `Incident` events, `retries`/`backoff_ticks` from `Retry`,
+/// `quarantines` from `Quarantined` and `infra_failures` from
+/// `InfraFailed` verdicts.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RobustnessCounters {
     /// Total incidents recorded (of any kind).
@@ -227,8 +227,8 @@ pub struct RobustnessCounters {
     pub infra_failures: u64,
     /// Failed storage-counter reads (previously swallowed as zeros).
     pub storage_metric_errors: u64,
-    /// Worker threads whose shard was recovered after a panic or a
-    /// poisoned result lock.
+    /// Worker threads whose unit was recovered after a panic
+    /// ([`IncidentKind::WorkerPanic`] incidents).
     pub recovered_workers: u64,
     /// Pool circuit breakers opened after consecutive infra failures.
     pub breaker_trips: u64,
@@ -263,6 +263,94 @@ impl RobustnessCounters {
         self.breaker_recoveries += other.breaker_recoveries;
         self.probe_failures += other.probe_failures;
         self.capability_drifts += other.capability_drifts;
+    }
+}
+
+/// The campaign's counts as a fold over its case-lifecycle events.
+/// [`Ledger::fold`] is the only code that writes a [`RobustnessCounters`]
+/// field or an event-carried [`CampaignMetrics`] field (`test_cases`
+/// through `isolation_schedules`). Three places hold one: the
+/// [`Supervisor`], seeded from the checkpointed report on resume; every
+/// [`crate::trace::DialectTrace`], which renders the trace summary's
+/// verdict, supervisor and prioritize lines from it; and dbms-sim's
+/// worker-panic placeholder report.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Ledger {
+    /// The campaign metrics. Only the supervisor's copy carries the fields
+    /// no event carries (`ddl_*`, `conflict_aborts`, the storage counters),
+    /// which the campaign writes directly.
+    pub metrics: CampaignMetrics,
+    /// The robustness counters.
+    pub robustness: RobustnessCounters,
+}
+
+impl Ledger {
+    /// Folds one event into the counts.
+    pub fn fold(&mut self, event: &TraceEvent) {
+        let (metrics, robustness) = (&mut self.metrics, &mut self.robustness);
+        match event.kind {
+            TraceEventKind::CaseStarted { oracle, .. } => {
+                if oracle == OracleKind::Isolation {
+                    metrics.isolation_schedules += 1;
+                }
+            }
+            TraceEventKind::Verdict { verdict } => {
+                metrics.test_cases += 1;
+                match verdict {
+                    TraceVerdict::Pass => metrics.valid_test_cases += 1,
+                    TraceVerdict::Bug => {
+                        metrics.valid_test_cases += 1;
+                        metrics.detected_bug_cases += 1;
+                    }
+                    TraceVerdict::InfraFailed => robustness.infra_failures += 1,
+                    TraceVerdict::Invalid | TraceVerdict::Panicked => {}
+                }
+            }
+            TraceEventKind::Prioritized { kept: true } => metrics.prioritized_bugs += 1,
+            TraceEventKind::Prioritized { kept: false } => metrics.deduplicated_bugs += 1,
+            TraceEventKind::Retry { .. } => {
+                robustness.retries += 1;
+                robustness.backoff_ticks += event.ticks;
+            }
+            TraceEventKind::Quarantined => robustness.quarantines += 1,
+            TraceEventKind::Incident { kind } => {
+                robustness.incidents += 1;
+                match kind {
+                    IncidentKind::WatchdogTimeout => robustness.watchdog_trips += 1,
+                    IncidentKind::OraclePanic => robustness.oracle_panics += 1,
+                    IncidentKind::StorageMetricsError => robustness.storage_metric_errors += 1,
+                    IncidentKind::WorkerPanic => robustness.recovered_workers += 1,
+                    IncidentKind::ProbeFailure => robustness.probe_failures += 1,
+                    IncidentKind::CapabilityDrift => robustness.capability_drifts += 1,
+                    IncidentKind::BreakerTrip => robustness.breaker_trips += 1,
+                    IncidentKind::BreakerRecovery => robustness.breaker_recoveries += 1,
+                    IncidentKind::BackendCrash
+                    | IncidentKind::ConnectionDrop
+                    | IncidentKind::GarbledResult => {}
+                }
+            }
+            TraceEventKind::SetupStatement { .. }
+            | TraceEventKind::Statement { .. }
+            | TraceEventKind::Reduced { .. } => {}
+        }
+    }
+
+    /// Accumulates another ledger into this one.
+    pub fn merge(&mut self, other: &Ledger) {
+        self.metrics.merge(&other.metrics);
+        self.robustness.merge(&other.robustness);
+    }
+
+    /// Cases resolved as invalid: the verdicts that were neither valid nor
+    /// abandoned (an abandoned case is one infrastructure failure or one
+    /// oracle panic).
+    pub fn invalid_cases(&self) -> u64 {
+        let (metrics, robustness) = (&self.metrics, &self.robustness);
+        metrics
+            .test_cases
+            .saturating_sub(metrics.valid_test_cases)
+            .saturating_sub(robustness.infra_failures)
+            .saturating_sub(robustness.oracle_panics)
     }
 }
 
@@ -312,29 +400,15 @@ impl Default for SupervisorConfig {
     }
 }
 
-/// The verdict of a supervised case execution.
-#[derive(Debug)]
-pub enum SupervisedCase {
-    /// The case ran to an oracle outcome (possibly after retries).
-    Completed(OracleOutcome),
-    /// Every attempt failed on infrastructure errors; the case was
-    /// abandoned and counts toward quarantine.
-    InfraFailed,
-    /// The oracle panicked without an infrastructure marker; the case was
-    /// abandoned (an internal error will not heal by retrying).
-    Panicked,
-}
-
-/// The per-campaign supervision runtime: policy, the campaign's ledger
-/// (metrics and robustness counters folded from its events), accumulated
-/// incidents and the consecutive-failure state driving quarantine. The
-/// ledger travels in campaign checkpoints as the partial report, so a
-/// resumed campaign carries its counts and incident history.
+/// The per-campaign supervision runtime: policy, the campaign's
+/// [`Ledger`], accumulated incidents and the consecutive-failure state
+/// driving quarantine. The ledger travels in campaign checkpoints as the
+/// partial report, so a resumed campaign carries its counts and incident
+/// history.
 #[derive(Clone)]
 pub struct Supervisor {
     config: SupervisorConfig,
-    metrics: CampaignMetrics,
-    robustness: RobustnessCounters,
+    ledger: Ledger,
     /// Incidents recorded so far, in occurrence order.
     pub incidents: Vec<CampaignIncident>,
     consecutive_infra: u32,
@@ -352,8 +426,7 @@ impl std::fmt::Debug for Supervisor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Supervisor")
             .field("config", &self.config)
-            .field("metrics", &self.metrics)
-            .field("robustness", &self.robustness)
+            .field("ledger", &self.ledger)
             .field("incidents", &self.incidents)
             .field("consecutive_infra", &self.consecutive_infra)
             .finish_non_exhaustive()
@@ -375,8 +448,10 @@ impl Supervisor {
     ) -> Supervisor {
         Supervisor {
             config,
-            metrics: report.metrics,
-            robustness: report.robustness,
+            ledger: Ledger {
+                metrics: report.metrics,
+                robustness: report.robustness,
+            },
             incidents: report.incidents.clone(),
             consecutive_infra,
             trace: None,
@@ -398,26 +473,26 @@ impl Supervisor {
 
     /// The campaign metrics so far.
     pub fn metrics(&self) -> &CampaignMetrics {
-        &self.metrics
+        &self.ledger.metrics
     }
 
     /// The metrics fields no event carries (`ddl_*`, `conflict_aborts` and
     /// the storage counters), for the campaign to write directly. The
-    /// event-carried fields are the fold's alone.
+    /// event-carried fields are [`Ledger::fold`]'s alone.
     pub(crate) fn metrics_mut(&mut self) -> &mut CampaignMetrics {
-        &mut self.metrics
+        &mut self.ledger.metrics
     }
 
     /// The robustness counters so far.
     pub fn counters(&self) -> RobustnessCounters {
-        self.robustness
+        self.ledger.robustness
     }
 
     /// Copies the ledger (metrics, robustness counters and incidents) into
     /// a report.
     pub(crate) fn fill_report(&self, report: &mut CampaignReport) {
-        report.metrics = self.metrics;
-        report.robustness = self.robustness;
+        report.metrics = self.ledger.metrics;
+        report.robustness = self.ledger.robustness;
         report.incidents.clone_from(&self.incidents);
     }
 
@@ -425,58 +500,14 @@ impl Supervisor {
     /// the trace sink unchanged. Every case-lifecycle event of the campaign
     /// and the supervisor passes through here, in emission order.
     pub(crate) fn emit(&mut self, case_seed: u64, ticks: u64, kind: TraceEventKind) {
-        let (metrics, robustness) = (&mut self.metrics, &mut self.robustness);
-        match kind {
-            TraceEventKind::CaseStarted { oracle, .. } => {
-                if oracle == OracleKind::Isolation {
-                    metrics.isolation_schedules += 1;
-                }
-            }
-            TraceEventKind::Verdict { verdict } => {
-                metrics.test_cases += 1;
-                match verdict {
-                    TraceVerdict::Pass => metrics.valid_test_cases += 1,
-                    TraceVerdict::Bug => {
-                        metrics.valid_test_cases += 1;
-                        metrics.detected_bug_cases += 1;
-                    }
-                    TraceVerdict::InfraFailed => robustness.infra_failures += 1,
-                    TraceVerdict::Invalid | TraceVerdict::Panicked => {}
-                }
-            }
-            TraceEventKind::Prioritized { kept: true } => metrics.prioritized_bugs += 1,
-            TraceEventKind::Prioritized { kept: false } => metrics.deduplicated_bugs += 1,
-            TraceEventKind::Retry { .. } => {
-                robustness.retries += 1;
-                robustness.backoff_ticks += ticks;
-            }
-            TraceEventKind::Quarantined => robustness.quarantines += 1,
-            TraceEventKind::Incident { kind } => {
-                robustness.incidents += 1;
-                match kind {
-                    IncidentKind::WatchdogTimeout => robustness.watchdog_trips += 1,
-                    IncidentKind::OraclePanic => robustness.oracle_panics += 1,
-                    IncidentKind::StorageMetricsError => robustness.storage_metric_errors += 1,
-                    IncidentKind::ProbeFailure => robustness.probe_failures += 1,
-                    IncidentKind::CapabilityDrift => robustness.capability_drifts += 1,
-                    IncidentKind::BreakerTrip => robustness.breaker_trips += 1,
-                    IncidentKind::BreakerRecovery => robustness.breaker_recoveries += 1,
-                    IncidentKind::BackendCrash
-                    | IncidentKind::ConnectionDrop
-                    | IncidentKind::GarbledResult
-                    | IncidentKind::WorkerPanic => {}
-                }
-            }
-            TraceEventKind::SetupStatement { .. }
-            | TraceEventKind::Statement { .. }
-            | TraceEventKind::Reduced { .. } => {}
-        }
+        let event = TraceEvent {
+            case_seed,
+            ticks,
+            kind,
+        };
+        self.ledger.fold(&event);
         if let Some(sink) = &self.trace {
-            sink.borrow_mut().event(&TraceEvent {
-                case_seed,
-                ticks,
-                kind,
-            });
+            sink.borrow_mut().event(&event);
         }
     }
 
@@ -521,6 +552,11 @@ impl Supervisor {
     /// rebuild was cut short by an infrastructure failure, the attempt is
     /// spent on that failure (an incident, then another rebuild) and the
     /// check does not run.
+    ///
+    /// Returns the verdict the case's `Verdict` event carried, with the
+    /// oracle outcome when the case completed. An abandoned case
+    /// (`InfraFailed` after its last retry, or `Panicked` on a non-infra
+    /// panic) has no outcome.
     pub fn run_case(
         &mut self,
         conn: &mut dyn DbmsConnection,
@@ -529,7 +565,7 @@ impl Supervisor {
         case_index: u64,
         case_seed: u64,
         check: &mut dyn FnMut(&mut dyn DbmsConnection) -> OracleOutcome,
-    ) -> SupervisedCase {
+    ) -> (TraceVerdict, Option<OracleOutcome>) {
         let mut attempt: u32 = 0;
         self.case_seed = case_seed;
         loop {
@@ -580,7 +616,7 @@ impl Supervisor {
                         self.recover(conn, setup_log);
                         self.settle_case(conn, case_seed, database, case_index, false);
                         self.finish_case(TraceVerdict::Panicked, elapsed);
-                        return SupervisedCase::Panicked;
+                        return (TraceVerdict::Panicked, None);
                     }
                 }
                 Ok(outcome) if elapsed > self.config.deadline_ticks => {
@@ -616,7 +652,7 @@ impl Supervisor {
                     OracleOutcome::Bug(_) => TraceVerdict::Bug,
                 };
                 self.finish_case(verdict, elapsed);
-                return SupervisedCase::Completed(outcome);
+                return (verdict, Some(outcome));
             };
             self.record(CampaignIncident {
                 kind,
@@ -632,7 +668,7 @@ impl Supervisor {
                 self.consecutive_infra += 1;
                 self.settle_case(conn, case_seed, database, case_index, true);
                 self.finish_case(TraceVerdict::InfraFailed, elapsed);
-                return SupervisedCase::InfraFailed;
+                return (TraceVerdict::InfraFailed, None);
             }
             // Deterministic exponential backoff on the virtual clock; no
             // wall time is spent or consulted.
@@ -853,7 +889,7 @@ mod tests {
         });
         assert!(matches!(
             result,
-            SupervisedCase::Completed(OracleOutcome::Passed)
+            (TraceVerdict::Pass, Some(OracleOutcome::Passed))
         ));
         assert_eq!(supervisor.counters().retries, 2);
         assert_eq!(supervisor.counters().incidents, 2);
@@ -876,7 +912,7 @@ mod tests {
         });
         assert!(matches!(
             result,
-            SupervisedCase::Completed(OracleOutcome::Passed)
+            (TraceVerdict::Pass, Some(OracleOutcome::Passed))
         ));
         assert_eq!(supervisor.counters().incidents, 2);
         assert_eq!(supervisor.incidents[0].kind, IncidentKind::BackendCrash);
@@ -893,7 +929,7 @@ mod tests {
         let result = supervisor.run_case(&mut conn, &setup, 0, 0, 5, &mut |_conn| {
             panic!("index out of bounds: the len is 0")
         });
-        assert!(matches!(result, SupervisedCase::Panicked));
+        assert!(matches!(result, (TraceVerdict::Panicked, None)));
         assert_eq!(supervisor.counters().oracle_panics, 1);
         assert_eq!(supervisor.counters().retries, 0);
         assert_eq!(supervisor.incidents[0].kind, IncidentKind::OraclePanic);
@@ -919,7 +955,7 @@ mod tests {
         });
         assert!(matches!(
             result,
-            SupervisedCase::Completed(OracleOutcome::Passed)
+            (TraceVerdict::Pass, Some(OracleOutcome::Passed))
         ));
         assert_eq!(supervisor.counters().watchdog_trips, 1);
         assert_eq!(supervisor.incidents[0].kind, IncidentKind::WatchdogTimeout);
@@ -945,7 +981,7 @@ mod tests {
         });
         assert!(matches!(
             result,
-            SupervisedCase::Completed(OracleOutcome::Passed)
+            (TraceVerdict::Pass, Some(OracleOutcome::Passed))
         ));
         assert!(supervisor.incidents[0].observed_ticks < supervisor.config.deadline_ticks);
         assert_eq!(supervisor.incidents[0].kind, IncidentKind::WatchdogTimeout);
@@ -966,7 +1002,7 @@ mod tests {
             let result = supervisor.run_case(&mut conn, &setup, 0, case, case + 1, &mut |_conn| {
                 OracleOutcome::Invalid("infra: connection reset by peer".into())
             });
-            assert!(matches!(result, SupervisedCase::InfraFailed));
+            assert!(matches!(result, (TraceVerdict::InfraFailed, None)));
         }
         assert!(supervisor.should_quarantine());
         assert_eq!(supervisor.counters().infra_failures, 2);
@@ -1039,7 +1075,7 @@ mod tests {
         });
         assert!(matches!(
             result,
-            SupervisedCase::Completed(OracleOutcome::Passed)
+            (TraceVerdict::Pass, Some(OracleOutcome::Passed))
         ));
         // Attempt 0 dropped; its recovery replay was garbled, so attempt 1
         // went to a second recovery and only attempt 2 ran the check again.
@@ -1072,18 +1108,18 @@ mod tests {
                 OracleOutcome::Passed
             }
         });
-        assert!(matches!(first, SupervisedCase::InfraFailed));
+        assert!(matches!(first, (TraceVerdict::InfraFailed, None)));
         let second = strict.run_case(&mut conn, &setup, 0, 1, 8, &mut |_conn| {
             panic!("no check may run on a half-built state")
         });
-        assert!(matches!(second, SupervisedCase::InfraFailed));
+        assert!(matches!(second, (TraceVerdict::InfraFailed, None)));
         let third = strict.run_case(&mut conn, &setup, 0, 2, 9, &mut |conn| {
             let _ = conn.query("SELECT * FROM t0");
             OracleOutcome::Passed
         });
         assert!(matches!(
             third,
-            SupervisedCase::Completed(OracleOutcome::Passed)
+            (TraceVerdict::Pass, Some(OracleOutcome::Passed))
         ));
         assert_eq!(conn.seen_by_checks, vec![setup.len(); 2]);
     }
@@ -1105,7 +1141,7 @@ mod tests {
                 features: crate::feature::FeatureSet::new(),
             }))
         });
-        assert!(matches!(result, SupervisedCase::InfraFailed));
+        assert!(matches!(result, (TraceVerdict::InfraFailed, None)));
         assert_eq!(supervisor.incidents[0].kind, IncidentKind::GarbledResult);
     }
 

@@ -39,7 +39,7 @@ use crate::dbms::{
 };
 use crate::json::{json_record, Codec, Json};
 use crate::oracle::OracleKind;
-use crate::supervisor::IncidentKind;
+use crate::supervisor::{IncidentKind, Ledger};
 use sql_ast::{Select, Statement};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
@@ -227,8 +227,10 @@ pub use crate::hist::Log2Histogram as LatencyHistogram;
 
 // ---------------------------------------------------------- trace summary ----
 
-/// Deterministic-plane event counters for one dialect. Every field is a
-/// plain sum, so counters merge exactly across shards.
+/// The deterministic-plane counts only the trace keeps, for one dialect:
+/// cases started, statements, ticks and reductions. The counts the report
+/// also carries live in the dialect's [`Ledger`]. Every field is a plain
+/// sum, so counters merge exactly across shards.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TraceCounters {
     /// Test cases started.
@@ -245,36 +247,10 @@ pub struct TraceCounters {
     pub setup_statements: u64,
     /// Out-of-case statements that failed.
     pub setup_errors: u64,
-    /// Cases resolved as passed.
-    pub verdict_pass: u64,
-    /// Cases resolved as invalid.
-    pub verdict_invalid: u64,
-    /// Cases resolved as bug-inducing.
-    pub verdict_bug: u64,
-    /// Cases abandoned after exhausting their retry budget.
-    pub verdict_infra: u64,
-    /// Cases abandoned on a non-infra oracle panic.
-    pub verdict_panic: u64,
-    /// Retries scheduled by the supervisor.
-    pub retries: u64,
-    /// Virtual ticks charged as retry backoff.
-    pub backoff_ticks: u64,
-    /// Incidents recorded in the supervision ledger.
-    pub incidents: u64,
-    /// [`IncidentKind::WatchdogTimeout`] incidents among those: deadline
-    /// overruns and backend hangs reported inside the deadline. Equals
-    /// [`crate::RobustnessCounters::watchdog_trips`].
-    pub watchdog_trips: u64,
-    /// Dialect quarantines.
-    pub quarantines: u64,
     /// Bug cases minimised by the reducer.
     pub reduced_bugs: u64,
     /// Statements removed by reduction, summed over bugs.
     pub reduced_statements_removed: u64,
-    /// Detected bugs kept by the prioritizer.
-    pub prioritized_kept: u64,
-    /// Detected bugs deduplicated away.
-    pub prioritized_dropped: u64,
 }
 
 impl TraceCounters {
@@ -286,30 +262,22 @@ impl TraceCounters {
         self.statement_errors += other.statement_errors;
         self.setup_statements += other.setup_statements;
         self.setup_errors += other.setup_errors;
-        self.verdict_pass += other.verdict_pass;
-        self.verdict_invalid += other.verdict_invalid;
-        self.verdict_bug += other.verdict_bug;
-        self.verdict_infra += other.verdict_infra;
-        self.verdict_panic += other.verdict_panic;
-        self.retries += other.retries;
-        self.backoff_ticks += other.backoff_ticks;
-        self.incidents += other.incidents;
-        self.watchdog_trips += other.watchdog_trips;
-        self.quarantines += other.quarantines;
         self.reduced_bugs += other.reduced_bugs;
         self.reduced_statements_removed += other.reduced_statements_removed;
-        self.prioritized_kept += other.prioritized_kept;
-        self.prioritized_dropped += other.prioritized_dropped;
     }
 }
 
-/// The deterministic trace aggregate for one dialect: event counters, a
-/// case-latency histogram per oracle kind, and an all-statements latency
+/// The deterministic trace aggregate for one dialect: the trace-only
+/// counters, the [`Ledger`] folded from the same events as the campaign's,
+/// a case-latency histogram per oracle kind, and an all-statements latency
 /// histogram.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DialectTrace {
-    /// Summed event counters.
+    /// Summed trace-only counters.
     pub counters: TraceCounters,
+    /// Verdicts, supervisor and prioritizer counts: for a full run, the
+    /// report's event-carried counts.
+    pub ledger: Ledger,
     /// Case-latency histograms (final-attempt elapsed virtual ticks),
     /// keyed by the oracle that ran the case.
     pub oracles: BTreeMap<OracleKind, LatencyHistogram>,
@@ -321,6 +289,7 @@ impl DialectTrace {
     /// Accumulates another dialect trace into this one.
     pub fn merge(&mut self, other: &DialectTrace) {
         self.counters.merge(&other.counters);
+        self.ledger.merge(&other.ledger);
         for (oracle, histogram) in &other.oracles {
             self.oracles.entry(*oracle).or_default().merge(histogram);
         }
@@ -366,6 +335,7 @@ pub fn render_trace_summary(summary: &TraceSummary) -> String {
     out.push_str("=== trace summary ===\n");
     for (dialect, trace) in &summary.dialects {
         let c = &trace.counters;
+        let (m, r) = (&trace.ledger.metrics, &trace.ledger.robustness);
         let _ = writeln!(out, "dialect {dialect}");
         let _ = writeln!(out, "  cases {} case-ticks {}", c.cases, c.case_ticks);
         let _ = writeln!(
@@ -376,12 +346,16 @@ pub fn render_trace_summary(summary: &TraceSummary) -> String {
         let _ = writeln!(
             out,
             "  verdicts pass {} invalid {} bug {} infra {} panic {}",
-            c.verdict_pass, c.verdict_invalid, c.verdict_bug, c.verdict_infra, c.verdict_panic
+            m.valid_test_cases - m.detected_bug_cases,
+            trace.ledger.invalid_cases(),
+            m.detected_bug_cases,
+            r.infra_failures,
+            r.oracle_panics
         );
         let _ = writeln!(
             out,
             "  supervisor retries {} backoff-ticks {} incidents {} watchdog {} quarantines {}",
-            c.retries, c.backoff_ticks, c.incidents, c.watchdog_trips, c.quarantines
+            r.retries, r.backoff_ticks, r.incidents, r.watchdog_trips, r.quarantines
         );
         let _ = writeln!(
             out,
@@ -391,7 +365,7 @@ pub fn render_trace_summary(summary: &TraceSummary) -> String {
         let _ = writeln!(
             out,
             "  prioritize kept {} dropped {}",
-            c.prioritized_kept, c.prioritized_dropped
+            m.prioritized_bugs, m.deduplicated_bugs
         );
         for (oracle, histogram) in &trace.oracles {
             render_histogram(&mut out, &format!("latency {}", oracle.name()), histogram);
@@ -553,7 +527,8 @@ pub struct ProgressSnapshot {
     pub bugs: u64,
     /// Invalid verdicts so far.
     pub invalid: u64,
-    /// Valid fraction of resolved cases (1.0 while nothing resolved).
+    /// Valid fraction of resolved cases,
+    /// [`crate::CampaignMetrics::validity_rate`] of the dialect's ledger.
     pub validity_rate: f64,
     /// Cases per wall-clock second since tracing began.
     pub cases_per_sec: f64,
@@ -766,7 +741,6 @@ fn record_json(dialect: &str, record: &CaseRecord) -> Json {
 struct Progress {
     every: u64,
     callback: Box<dyn FnMut(&ProgressSnapshot)>,
-    quarantined: bool,
 }
 
 /// The batteries-included [`TraceSink`]: builds the deterministic
@@ -848,7 +822,6 @@ impl Tracer {
         self.progress = Some(Progress {
             every: every.max(1),
             callback: Box::new(callback),
-            quarantined: false,
         });
         self
     }
@@ -912,31 +885,25 @@ impl Tracer {
             Some(trace) => trace,
             None => return,
         };
-        let c = &trace.counters;
-        let resolved =
-            c.verdict_pass + c.verdict_invalid + c.verdict_bug + c.verdict_infra + c.verdict_panic;
+        let ledger = &trace.ledger;
+        let resolved = ledger.metrics.test_cases;
         if resolved == 0 || resolved % progress.every != 0 {
             return;
         }
         let elapsed_secs = self.started.elapsed().as_secs_f64();
-        let valid = resolved - c.verdict_invalid;
         let snapshot = ProgressSnapshot {
             dialect: self.dialect.clone(),
             cases: resolved,
-            bugs: c.verdict_bug,
-            invalid: c.verdict_invalid,
-            validity_rate: if resolved == 0 {
-                1.0
-            } else {
-                valid as f64 / resolved as f64
-            },
+            bugs: ledger.metrics.detected_bug_cases,
+            invalid: ledger.invalid_cases(),
+            validity_rate: ledger.metrics.validity_rate(),
             cases_per_sec: if elapsed_secs > 0.0 {
                 resolved as f64 / elapsed_secs
             } else {
                 0.0
             },
             elapsed_secs,
-            quarantined: progress.quarantined,
+            quarantined: ledger.robustness.quarantines > 0,
             backend: self.telemetry,
         };
         (progress.callback)(&snapshot);
@@ -953,78 +920,48 @@ impl TraceSink for Tracer {
         if let Some(recorder) = self.recorder.as_mut() {
             recorder.event(event);
         }
-        let ticks = event.ticks;
+        if let TraceEventKind::CaseStarted { oracle, .. } = event.kind {
+            self.current_oracle = Some(oracle);
+        }
+        let oracle = self.current_oracle;
+        let trace = self.dialect_trace();
+        trace.ledger.fold(event);
+        let (counters, ticks) = (&mut trace.counters, event.ticks);
         match &event.kind {
-            TraceEventKind::CaseStarted { oracle, .. } => {
-                self.current_oracle = Some(*oracle);
-                self.dialect_trace().counters.cases += 1;
-            }
+            TraceEventKind::CaseStarted { .. } => counters.cases += 1,
             TraceEventKind::SetupStatement { ok } => {
-                let counters = &mut self.dialect_trace().counters;
                 counters.setup_statements += 1;
                 if !ok {
                     counters.setup_errors += 1;
                 }
             }
             TraceEventKind::Statement { ok } => {
-                let trace = self.dialect_trace();
-                trace.counters.statements += 1;
+                counters.statements += 1;
                 if !ok {
-                    trace.counters.statement_errors += 1;
+                    counters.statement_errors += 1;
                 }
                 trace.statements.record(ticks);
             }
-            TraceEventKind::Verdict { verdict } => {
-                let oracle = self.current_oracle;
-                let trace = self.dialect_trace();
-                match verdict {
-                    TraceVerdict::Pass => trace.counters.verdict_pass += 1,
-                    TraceVerdict::Invalid => trace.counters.verdict_invalid += 1,
-                    TraceVerdict::Bug => trace.counters.verdict_bug += 1,
-                    TraceVerdict::InfraFailed => trace.counters.verdict_infra += 1,
-                    TraceVerdict::Panicked => trace.counters.verdict_panic += 1,
-                }
-                trace.counters.case_ticks += ticks;
+            TraceEventKind::Verdict { .. } => {
+                counters.case_ticks += ticks;
                 if let Some(oracle) = oracle {
                     trace.oracles.entry(oracle).or_default().record(ticks);
                 }
                 self.maybe_report_progress();
             }
-            TraceEventKind::Retry { .. } => {
-                let counters = &mut self.dialect_trace().counters;
-                counters.retries += 1;
-                counters.backoff_ticks += ticks;
-            }
-            TraceEventKind::Incident { kind } => {
-                let counters = &mut self.dialect_trace().counters;
-                counters.incidents += 1;
-                if *kind == IncidentKind::WatchdogTimeout {
-                    counters.watchdog_trips += 1;
-                }
-            }
-            TraceEventKind::Quarantined => {
-                self.dialect_trace().counters.quarantines += 1;
-                if let Some(progress) = self.progress.as_mut() {
-                    progress.quarantined = true;
-                }
-            }
             TraceEventKind::Reduced {
                 statements_before,
                 statements_after,
             } => {
-                let counters = &mut self.dialect_trace().counters;
                 counters.reduced_bugs += 1;
                 counters.reduced_statements_removed +=
                     statements_before.saturating_sub(*statements_after) as u64;
             }
-            TraceEventKind::Prioritized { kept } => {
-                let counters = &mut self.dialect_trace().counters;
-                if *kept {
-                    counters.prioritized_kept += 1;
-                } else {
-                    counters.prioritized_dropped += 1;
-                }
-            }
+            // Counted by the ledger alone.
+            TraceEventKind::Retry { .. }
+            | TraceEventKind::Incident { .. }
+            | TraceEventKind::Quarantined
+            | TraceEventKind::Prioritized { .. } => {}
         }
     }
 
@@ -1262,7 +1199,7 @@ mod tests {
             .entry("y".into())
             .or_default()
             .counters
-            .verdict_bug = 1;
+            .reduced_bugs = 1;
         left.merge(&shard_a);
         left.merge(&shard_b);
         right.merge(&shard_b);
@@ -1304,9 +1241,9 @@ mod tests {
         });
         let trace = &tracer.summary().dialects["toy"];
         assert_eq!(trace.counters.cases, 1);
-        assert_eq!(trace.counters.verdict_bug, 1);
+        assert_eq!(trace.ledger.metrics.detected_bug_cases, 1);
         assert_eq!(trace.counters.case_ticks, 5);
-        assert_eq!(trace.counters.prioritized_kept, 1);
+        assert_eq!(trace.ledger.metrics.prioritized_bugs, 1);
         assert_eq!(trace.oracles[&OracleKind::Tlp].count(), 1);
         assert_eq!(trace.statements.count(), 1);
         assert_eq!(trace.statements.sum(), 2);

@@ -4,8 +4,7 @@ use crate::bugs::{bugs_for_faults, InjectedBug};
 use crate::profile::DialectProfile;
 use sql_ast::{Select, Statement};
 use sql_engine::{
-    CoverageTracker, CowStats, Database, Engine, EngineConfig, EngineSession, EvalStrategy,
-    ExecutionMode,
+    CoverageTracker, CowStats, Engine, EngineConfig, EngineSession, EvalStrategy, ExecutionMode,
 };
 use sqlancer_core::{
     check_isolation, check_norec, check_rollback, check_tlp, DbmsConnection, DialectQuirks,
@@ -18,17 +17,18 @@ use std::sync::Arc;
 /// in-memory engine, with a set of injected bugs as ground truth.
 ///
 /// The DBMS owns a shared [`Engine`] core and drives it through a primary
-/// [`EngineSession`]; [`SimulatedDbms::connect`] opens additional sessions
+/// [`SimulatedSession`], which does the dialect gating and keeps the
+/// virtual clock; [`SimulatedDbms::connect`] opens additional sessions
 /// over the same core, which is how the isolation oracle interleaves two
 /// connections on one engine.
 #[derive(Debug)]
 pub struct SimulatedDbms {
-    /// Immutable for the connection's lifetime and shared with every
-    /// session it opens and every clone of it.
-    profile: Arc<DialectProfile>,
     faults: Vec<&'static str>,
     engine: Engine,
-    session: EngineSession,
+    /// The primary connection. Its profile is immutable for the DBMS's
+    /// lifetime and shared with every session it opens and every clone of
+    /// it; its clock is the DBMS's virtual clock.
+    primary: SimulatedSession,
     /// Storage counters accumulated from engines already retired by
     /// [`DbmsConnection::reset`]; the live engine's counters are added on
     /// read, so [`DbmsConnection::storage_metrics`] is cumulative for the
@@ -40,12 +40,6 @@ pub struct SimulatedDbms {
     /// contract [`DbmsConnection::engine_coverage`] demands: unions over
     /// polls must be independent of poll cadence).
     retired_coverage: CoverageTracker,
-    /// Virtual clock: one tick per statement or query, charged at the
-    /// shared funnel of the text and AST paths so both execution paths cost
-    /// identically. Monotone for the connection's lifetime — `reset` and
-    /// `restore` replace the engine but never rewind the clock, exactly
-    /// like `retired_cow`.
-    ticks: u64,
 }
 
 impl Clone for SimulatedDbms {
@@ -55,15 +49,16 @@ impl Clone for SimulatedDbms {
     /// clone shares table versions until either side writes.
     fn clone(&self) -> SimulatedDbms {
         let engine = self.engine.clone();
-        let session = engine.session();
         SimulatedDbms {
-            profile: Arc::clone(&self.profile),
             faults: self.faults.clone(),
+            primary: SimulatedSession {
+                profile: Arc::clone(&self.primary.profile),
+                session: engine.session(),
+                ticks: self.primary.ticks,
+            },
             engine,
-            session,
             retired_cow: self.retired_cow,
             retired_coverage: self.retired_coverage.clone(),
-            ticks: self.ticks,
         }
     }
 }
@@ -89,15 +84,16 @@ impl SimulatedDbms {
     ) -> SimulatedDbms {
         let profile = profile.into();
         let engine = Engine::new(Self::engine_config(&profile, &faults, eval));
-        let session = engine.session();
         SimulatedDbms {
-            profile,
             faults,
+            primary: SimulatedSession {
+                profile,
+                session: engine.session(),
+                ticks: 0,
+            },
             engine,
-            session,
             retired_cow: CowStats::default(),
             retired_coverage: CoverageTracker::new(),
-            ticks: 0,
         }
     }
 
@@ -126,7 +122,7 @@ impl SimulatedDbms {
 
     /// The dialect profile.
     pub fn profile(&self) -> &DialectProfile {
-        &self.profile
+        &self.primary.profile
     }
 
     /// The injected bugs, with their ground-truth metadata.
@@ -134,11 +130,15 @@ impl SimulatedDbms {
         bugs_for_faults(&self.faults)
     }
 
-    /// The committed engine database (for inspection in experiments, e.g.
-    /// coverage accounting for Table 3). Uncommitted session workspaces are
-    /// not visible here.
-    pub fn engine(&self) -> std::cell::Ref<'_, Database> {
-        self.engine.committed()
+    /// The engine coverage reached over the DBMS's lifetime: the points of
+    /// every engine [`DbmsConnection::reset`] and
+    /// [`DbmsConnection::restore`] retired, plus the live engine's. Table 3
+    /// reads it; bug reduction and recovery reset the engine, so the live
+    /// engine's points alone under-count.
+    pub fn coverage(&self) -> CoverageTracker {
+        let mut tracker = self.retired_coverage.clone();
+        tracker.merge(&self.engine.committed().coverage_snapshot());
+        tracker
     }
 
     /// Number of commit attempts the engine rejected with a serialization
@@ -153,8 +153,9 @@ impl SimulatedDbms {
     /// is a no-op (only the owning DBMS may wipe shared state).
     pub fn connect(&self) -> SimulatedSession {
         SimulatedSession {
-            profile: Arc::clone(&self.profile),
+            profile: Arc::clone(&self.primary.profile),
             session: self.engine.session(),
+            ticks: 0,
         }
     }
 
@@ -167,18 +168,7 @@ impl SimulatedDbms {
             .copied()
             .filter(|f| *f != fault)
             .collect();
-        SimulatedDbms::with_eval(Arc::clone(&self.profile), faults, self.eval())
-    }
-
-    /// Executes a profile-gated query through the engine — the shared tail
-    /// of the text path and the AST fast path. Mirrors what
-    /// `Statement::Select` execution does in the engine (statement coverage
-    /// plus the optimized pipeline) without constructing a [`Statement`].
-    /// Charges one virtual tick: text and AST queries land here after
-    /// identical gating, so both paths cost the same.
-    fn run_query(&mut self, select: &Select) -> Result<QueryResult, String> {
-        self.ticks += 1;
-        run_session_query(&self.session, select)
+        SimulatedDbms::with_eval(Arc::clone(&self.primary.profile), faults, self.eval())
     }
 
     /// Identifies which injected bugs a test case triggers, by replaying it
@@ -260,27 +250,40 @@ impl SimulatedDbms {
     }
 }
 
-/// Executes a profile-gated query through a session — the shared tail of
-/// the text path and the AST fast path for both the primary connection and
-/// the extra sessions [`SimulatedDbms::connect`] opens.
-fn run_session_query(session: &EngineSession, select: &Select) -> Result<QueryResult, String> {
-    session.record_coverage(|cov| cov.statement("STMT_SELECT"));
-    match session.query(select, ExecutionMode::Optimized) {
-        Ok(rs) => Ok(QueryResult {
-            columns: rs.columns,
-            rows: rs.rows,
-        }),
-        Err(err) => Err(err.to_string()),
-    }
-}
-
-/// An additional connection over a [`SimulatedDbms`]'s engine, opened with
-/// [`SimulatedDbms::connect`]: same dialect gating, same committed state,
-/// independent transaction state.
+/// A connection over a [`SimulatedDbms`]'s engine: the DBMS's primary
+/// connection, or an additional one opened with [`SimulatedDbms::connect`].
+/// Every session applies the same dialect gating to the same committed
+/// state and holds its own transaction state.
 #[derive(Debug)]
 pub struct SimulatedSession {
     profile: Arc<DialectProfile>,
     session: EngineSession,
+    /// The owning DBMS's virtual clock, when this is its primary: one tick
+    /// per statement and per query that passes gating, charged where the
+    /// text path funnels into the AST path, so both paths cost identically.
+    /// The DBMS's `reset` and `restore` replace the engine session but
+    /// never rewind the clock. An opened session's count is never read: it
+    /// reports the default clock of 0, so its statements do not advance the
+    /// watchdog's.
+    ticks: u64,
+}
+
+impl SimulatedSession {
+    /// The dialect gate: the error text for the first feature the dialect
+    /// does not support, if any.
+    fn gate(&self, unsupported: Option<String>) -> Result<(), String> {
+        match unsupported {
+            Some(feature) => Err(format!(
+                "{}: unsupported feature {feature}",
+                self.profile.name
+            )),
+            None => Ok(()),
+        }
+    }
+}
+
+fn parse(sql: &str) -> Result<Statement, String> {
+    sql_parser::parse_statement(sql).map_err(|err| format!("syntax error: {err}"))
 }
 
 impl DbmsConnection for SimulatedSession {
@@ -289,34 +292,28 @@ impl DbmsConnection for SimulatedSession {
     }
 
     fn execute(&mut self, sql: &str) -> StatementOutcome {
-        let stmt: Statement = match sql_parser::parse_statement(sql) {
-            Ok(stmt) => stmt,
-            Err(err) => return StatementOutcome::Failure(format!("syntax error: {err}")),
-        };
-        self.execute_ast(&stmt)
+        match parse(sql) {
+            Ok(stmt) => self.execute_ast(&stmt),
+            Err(message) => StatementOutcome::Failure(message),
+        }
     }
 
     fn query(&mut self, sql: &str) -> Result<QueryResult, String> {
-        let stmt: Statement =
-            sql_parser::parse_statement(sql).map_err(|e| format!("syntax error: {e}"))?;
-        if let Some(feature) = self.profile.first_unsupported(&stmt) {
-            return Err(format!(
-                "{}: unsupported feature {feature}",
-                self.profile.name
-            ));
-        }
-        match &stmt {
-            Statement::Select(select) => run_session_query(&self.session, select),
-            _ => Err("not a query".to_string()),
+        match parse(sql)? {
+            Statement::Select(select) => self.query_ast(&select),
+            stmt => {
+                self.gate(self.profile.first_unsupported(&stmt))?;
+                Err("not a query".to_string())
+            }
         }
     }
 
     fn execute_ast(&mut self, stmt: &Statement) -> StatementOutcome {
-        if let Some(feature) = self.profile.first_unsupported(stmt) {
-            return StatementOutcome::Failure(format!(
-                "{}: unsupported feature {feature}",
-                self.profile.name
-            ));
+        // AST fast path: no lexing or parsing — the statement goes straight
+        // into profile gating and the engine.
+        self.ticks += 1;
+        if let Err(message) = self.gate(self.profile.first_unsupported(stmt)) {
+            return StatementOutcome::Failure(message);
         }
         match self.session.execute(stmt) {
             Ok(_) => StatementOutcome::Success,
@@ -325,17 +322,27 @@ impl DbmsConnection for SimulatedSession {
     }
 
     fn query_ast(&mut self, select: &Select) -> Result<QueryResult, String> {
-        if let Some(feature) = self.profile.first_unsupported_select(select) {
-            return Err(format!(
-                "{}: unsupported feature {feature}",
-                self.profile.name
-            ));
+        // Gating traverses features in the same order as the statement
+        // walk, so rejected queries produce byte-identical error messages
+        // on both paths. Execution mirrors what `Statement::Select` does in
+        // the engine (statement coverage plus the optimized pipeline)
+        // without constructing a [`Statement`].
+        self.gate(self.profile.first_unsupported_select(select))?;
+        self.ticks += 1;
+        self.session
+            .record_coverage(|cov| cov.statement("STMT_SELECT"));
+        match self.session.query(select, ExecutionMode::Optimized) {
+            Ok(rs) => Ok(QueryResult {
+                columns: rs.columns,
+                rows: rs.rows,
+            }),
+            Err(err) => Err(err.to_string()),
         }
-        run_session_query(&self.session, select)
     }
 
-    /// A no-op: only the owning [`SimulatedDbms`] may wipe the shared
-    /// engine. (Oracles never reset the extra sessions they open.)
+    /// A no-op for an opened session: only the owning [`SimulatedDbms`]
+    /// may wipe the shared engine. (Oracles never reset the extra sessions
+    /// they open.)
     fn reset(&mut self) {}
 
     fn quirks(&self) -> DialectQuirks {
@@ -348,59 +355,23 @@ impl DbmsConnection for SimulatedSession {
 
 impl DbmsConnection for SimulatedDbms {
     fn name(&self) -> &str {
-        &self.profile.name
+        self.primary.name()
     }
 
     fn execute(&mut self, sql: &str) -> StatementOutcome {
-        let stmt: Statement = match sql_parser::parse_statement(sql) {
-            Ok(stmt) => stmt,
-            Err(err) => return StatementOutcome::Failure(format!("syntax error: {err}")),
-        };
-        self.execute_ast(&stmt)
+        self.primary.execute(sql)
     }
 
     fn query(&mut self, sql: &str) -> Result<QueryResult, String> {
-        let stmt: Statement =
-            sql_parser::parse_statement(sql).map_err(|e| format!("syntax error: {e}"))?;
-        if let Some(feature) = self.profile.first_unsupported(&stmt) {
-            return Err(format!(
-                "{}: unsupported feature {feature}",
-                self.profile.name
-            ));
-        }
-        match &stmt {
-            Statement::Select(select) => self.run_query(select),
-            _ => Err("not a query".to_string()),
-        }
+        self.primary.query(sql)
     }
 
     fn execute_ast(&mut self, stmt: &Statement) -> StatementOutcome {
-        // AST fast path: no lexing or parsing — the statement goes straight
-        // into profile gating and the engine. One tick per statement: the
-        // text path funnels here after parsing, so both paths cost the same.
-        self.ticks += 1;
-        if let Some(feature) = self.profile.first_unsupported(stmt) {
-            return StatementOutcome::Failure(format!(
-                "{}: unsupported feature {feature}",
-                self.profile.name
-            ));
-        }
-        match self.session.execute(stmt) {
-            Ok(_) => StatementOutcome::Success,
-            Err(err) => StatementOutcome::Failure(err.to_string()),
-        }
+        self.primary.execute_ast(stmt)
     }
 
     fn query_ast(&mut self, select: &Select) -> Result<QueryResult, String> {
-        // Gating traverses features in the same order as the text path, so
-        // rejected queries produce byte-identical error messages.
-        if let Some(feature) = self.profile.first_unsupported_select(select) {
-            return Err(format!(
-                "{}: unsupported feature {feature}",
-                self.profile.name
-            ));
-        }
-        self.run_query(select)
+        self.primary.query_ast(select)
     }
 
     fn reset(&mut self) {
@@ -412,18 +383,15 @@ impl DbmsConnection for SimulatedDbms {
         self.retired_coverage
             .merge(&self.engine.committed().coverage_snapshot());
         self.engine = Engine::new(Self::engine_config(
-            &self.profile,
+            &self.primary.profile,
             &self.faults,
             self.eval(),
         ));
-        self.session = self.engine.session();
+        self.primary.session = self.engine.session();
     }
 
     fn quirks(&self) -> DialectQuirks {
-        DialectQuirks {
-            requires_refresh: self.profile.requires_refresh,
-            requires_commit: self.profile.requires_commit,
-        }
+        self.primary.quirks()
     }
 
     fn open_session(&mut self) -> Option<Box<dyn DbmsConnection>> {
@@ -434,7 +402,7 @@ impl DbmsConnection for SimulatedDbms {
     }
 
     fn virtual_ticks(&self) -> u64 {
-        self.ticks
+        self.primary.ticks
     }
 
     fn storage_metrics(&self) -> Result<Option<StorageMetrics>, String> {
@@ -449,8 +417,7 @@ impl DbmsConnection for SimulatedDbms {
     }
 
     fn engine_coverage(&self) -> Option<EngineCoverage> {
-        let mut tracker = self.retired_coverage.clone();
-        tracker.merge(&self.engine.committed().coverage_snapshot());
+        let tracker = self.coverage();
         let mut coverage = EngineCoverage::default();
         for (plane, points) in [
             ("plan_operators", &tracker.plan_operators),
@@ -484,7 +451,7 @@ impl DbmsConnection for SimulatedDbms {
         self.retired_coverage
             .merge(&self.engine.committed().coverage_snapshot());
         self.engine = engine.clone();
-        self.session = self.engine.session();
+        self.primary.session = self.engine.session();
         true
     }
 }

@@ -6,8 +6,9 @@
 //! e.g. the `sqlite` preset is dynamically typed and accepts almost
 //! everything, the `postgres`-like presets are strictly typed, `cratedb`
 //! rejects `CREATE INDEX` and needs `REFRESH TABLE`, `duckdb` has a handful
-//! of optimizer bugs — but they are simulations, not the systems themselves
-//! (see DESIGN.md §1 for the substitution rationale).
+//! of optimizer bugs — but they are simulations, not the systems themselves:
+//! each injected bug is known, so every campaign is scored against ground
+//! truth.
 
 use std::sync::Arc;
 

@@ -18,8 +18,9 @@ use sqlancer_core::stats::FeatureStats;
 use sqlancer_core::supervisor::panic_message;
 use sqlancer_core::{
     load_checkpoint, BugPrioritizer, Campaign, CampaignCheckpoint, CampaignConfig,
-    CampaignIncident, CampaignMetrics, CampaignReport, IncidentKind, OracleKind, PriorityDecision,
-    RobustnessCounters, SupervisorConfig, TraceHandle, TraceSummary, Tracer,
+    CampaignIncident, CampaignMetrics, CampaignReport, IncidentKind, Ledger, OracleKind,
+    PriorityDecision, RobustnessCounters, SupervisorConfig, TraceEvent, TraceEventKind,
+    TraceHandle, TraceSummary, Tracer,
 };
 use std::cell::RefCell;
 use std::num::NonZeroUsize;
@@ -354,25 +355,32 @@ fn run_scheduled<T: Send>(
 /// The degraded placeholder report for a unit whose worker panicked outside
 /// the supervisor's reach. The driver keeps its slot (reports stay
 /// index-aligned with the drivers) and the loss is visible as a
-/// [`IncidentKind::WorkerPanic`] incident instead of a crashed run.
+/// [`IncidentKind::WorkerPanic`] incident, counted by the [`Ledger`] fold
+/// like any other, instead of a crashed run.
 fn worker_panic_report(dialect: &str, payload: &(dyn std::any::Any + Send)) -> CampaignReport {
-    let mut report = CampaignReport {
-        dbms_name: dialect.to_string(),
-        ..CampaignReport::default()
-    };
-    report.degraded = true;
-    report.robustness.incidents = 1;
-    report.robustness.recovered_workers = 1;
-    report.incidents.push(CampaignIncident {
-        kind: IncidentKind::WorkerPanic,
-        database: 0,
-        case_index: 0,
-        attempt: 0,
-        deadline_ticks: 0,
-        observed_ticks: 0,
-        detail: format!("campaign worker panicked: {}", panic_message(payload)),
+    let kind = IncidentKind::WorkerPanic;
+    let mut ledger = Ledger::default();
+    ledger.fold(&TraceEvent {
+        case_seed: 0,
+        ticks: 0,
+        kind: TraceEventKind::Incident { kind },
     });
-    report
+    CampaignReport {
+        dbms_name: dialect.to_string(),
+        degraded: true,
+        metrics: ledger.metrics,
+        robustness: ledger.robustness,
+        incidents: vec![CampaignIncident {
+            kind,
+            database: 0,
+            case_index: 0,
+            attempt: 0,
+            deadline_ticks: 0,
+            observed_ticks: 0,
+            detail: format!("campaign worker panicked: {}", panic_message(payload)),
+        }],
+        ..CampaignReport::default()
+    }
 }
 
 /// The injected infrastructure fault ids whose incidents appear in a

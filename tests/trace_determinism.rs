@@ -13,8 +13,8 @@
 
 use sqlancerpp::core::{
     load_checkpoint, render_trace_summary, validate_jsonl, Campaign, CampaignConfig,
-    CampaignReport, CaseRecord, Driver, FlightRecorder, OracleKind, SupervisorConfig,
-    TraceCounters, TraceEventKind, TraceHandle, Tracer,
+    CampaignReport, CaseRecord, Driver, FlightRecorder, Ledger, OracleKind, SupervisorConfig,
+    TraceEventKind, TraceHandle, Tracer,
 };
 use sqlancerpp::sim::{
     preset_by_name, DialectPreset, ExecutionPath, FaultyConfig, FleetReport, RunPlan,
@@ -109,46 +109,37 @@ fn sharded_traced(
     plan.run(config)
 }
 
-/// The tracer's counters with the statement, tick and reduction tallies
-/// zeroed: the part a report's ledger also counts.
-fn ledger_part(tracer: &Tracer) -> TraceCounters {
-    let mut counters = TraceCounters::default();
+/// Asserts that the tracer's ledger, added to `before` (the ledger a
+/// resumed run starts from), equals the report's event-carried counts, and
+/// that the tracer started every case the report counts.
+fn assert_ledger_matches(tracer: &Tracer, before: Ledger, report: &CampaignReport) {
+    let mut ledger = before;
+    let mut cases = before.metrics.test_cases;
     for dialect in tracer.summary().dialects.values() {
-        counters.merge(&dialect.counters);
+        ledger.merge(&dialect.ledger);
+        cases += dialect.counters.cases;
     }
-    TraceCounters {
-        case_ticks: 0,
-        statements: 0,
-        statement_errors: 0,
-        setup_statements: 0,
-        setup_errors: 0,
-        reduced_bugs: 0,
-        reduced_statements_removed: 0,
-        ..counters
-    }
-}
-
-/// A report's ledger as the tracer would count it: the supervisor and the
-/// tracer fold the same events, so for a traced run the two agree.
-fn traced_view(report: &CampaignReport) -> TraceCounters {
-    let (metrics, robustness) = (&report.metrics, &report.robustness);
-    let abandoned = robustness.infra_failures + robustness.oracle_panics;
-    TraceCounters {
-        cases: metrics.test_cases,
-        verdict_pass: metrics.valid_test_cases - metrics.detected_bug_cases,
-        verdict_invalid: metrics.test_cases - metrics.valid_test_cases - abandoned,
-        verdict_bug: metrics.detected_bug_cases,
-        verdict_infra: robustness.infra_failures,
-        verdict_panic: robustness.oracle_panics,
-        retries: robustness.retries,
-        backoff_ticks: robustness.backoff_ticks,
-        incidents: robustness.incidents,
-        watchdog_trips: robustness.watchdog_trips,
-        quarantines: robustness.quarantines,
-        prioritized_kept: metrics.prioritized_bugs,
-        prioritized_dropped: metrics.deduplicated_bugs,
-        ..TraceCounters::default()
-    }
+    let (traced, reported) = (ledger.metrics, report.metrics);
+    assert_eq!(ledger.robustness, report.robustness);
+    assert_eq!(
+        [
+            traced.test_cases,
+            traced.valid_test_cases,
+            traced.detected_bug_cases,
+            traced.prioritized_bugs,
+            traced.deduplicated_bugs,
+            traced.isolation_schedules,
+        ],
+        [
+            reported.test_cases,
+            reported.valid_test_cases,
+            reported.detected_bug_cases,
+            reported.prioritized_bugs,
+            reported.deduplicated_bugs,
+            reported.isolation_schedules,
+        ]
+    );
+    assert_eq!(cases, reported.test_cases);
 }
 
 fn scratch(name: &str) -> PathBuf {
@@ -242,7 +233,7 @@ fn flight_recorder_replays_identical_bug_histories_across_kill_and_resume() {
         reference.robustness.retries > 0,
         "the storm should force retries"
     );
-    assert_eq!(ledger_part(&reference_tracer), traced_view(&reference));
+    assert_ledger_matches(&reference_tracer, Ledger::default(), &reference);
 
     let checkpointing = SupervisorConfig {
         checkpoint_every: 5,
@@ -254,14 +245,16 @@ fn flight_recorder_replays_identical_bug_histories_across_kill_and_resume() {
         ..checkpointing.clone()
     };
     let (killed, killed_tracer) = run_traced_supervised(&preset, &config, &killed_config);
-    assert_eq!(ledger_part(&killed_tracer), traced_view(&killed));
+    assert_ledger_matches(&killed_tracer, Ledger::default(), &killed);
     let resumed_from = load_checkpoint(&path).expect("cadence checkpoint was written");
     let (resumed, resumed_tracer) = resume_traced(&preset, &config, &checkpointing, &path);
     // The resumed tracer saw only the cases after the checkpoint; the
     // checkpoint's report carries the ledger of the cases before it.
-    let mut resumed_view = traced_view(&resumed_from.report);
-    resumed_view.merge(&ledger_part(&resumed_tracer));
-    assert_eq!(resumed_view, traced_view(&resumed));
+    let before = Ledger {
+        metrics: resumed_from.report.metrics,
+        robustness: resumed_from.report.robustness,
+    };
+    assert_ledger_matches(&resumed_tracer, before, &resumed);
     assert_eq!(
         sqlancerpp::core::render_report(&resumed),
         sqlancerpp::core::render_report(&reference),
@@ -383,4 +376,35 @@ fn every_detected_bug_has_a_complete_jsonl_history() {
         sqlancerpp::core::render_report(&untraced),
         sqlancerpp::core::render_report(&report)
     );
+}
+
+#[test]
+fn live_progress_validity_matches_the_report() {
+    // No retries: injected infrastructure faults abandon their cases, and
+    // an abandoned case is not a valid one.
+    let config = trace_config(0x1F7A);
+    let preset = storm_preset("dolt");
+    let last = Rc::new(RefCell::new(None));
+    let seen = last.clone();
+    let tracer = Rc::new(RefCell::new(Tracer::new().with_progress(
+        1,
+        move |snapshot| {
+            *seen.borrow_mut() = Some(snapshot.validity_rate);
+        },
+    )));
+    let handle: TraceHandle = tracer.clone();
+    let mut campaign = Campaign::new(config);
+    campaign.set_trace(Some(handle));
+    let mut conn = preset.instantiate_for_path(ExecutionPath::Ast);
+    let supervision = SupervisorConfig {
+        max_retries: 0,
+        ..SupervisorConfig::default()
+    };
+    let report = campaign.run_supervised(&mut conn, &supervision);
+    assert!(
+        report.robustness.infra_failures > 0,
+        "the storm should abandon cases"
+    );
+    let last = last.borrow().expect("progress fired on every verdict");
+    assert_eq!(last, report.metrics.validity_rate());
 }
