@@ -32,10 +32,12 @@ cargo test --workspace -q
 
 echo "==> self-asserting examples"
 # These examples assert their own contracts: serial == sharded trace
-# summaries and atlases, pool-size invariance of the report, and a fault
-# bisection that must attribute every incident to its injected kind. A
-# failed assert exits non-zero. Together they run in well under a second.
-EXAMPLES=(coverage_hunt fault_storm flaky_hunt trace_hunt)
+# summaries and atlases, pool-size invariance of the report, a fault
+# bisection that must attribute every incident to its injected kind, and
+# rollback and isolation hunts whose kept cases must be reduced and bisect
+# to each dialect's injected bug. A failed assert exits non-zero. Together
+# they run in well under a second.
+EXAMPLES=(coverage_hunt fault_storm flaky_hunt trace_hunt txn_hunt isolation_hunt)
 cargo build --release "${EXAMPLES[@]/#/--example=}"
 for example in "${EXAMPLES[@]}"; do
     echo "--> $example"

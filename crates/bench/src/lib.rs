@@ -94,11 +94,12 @@ pub struct RunOutcome {
     pub dialect: String,
     /// The campaign report.
     pub report: CampaignReport,
-    /// Ground-truth unique bug ids triggered by the prioritized cases.
+    /// Ground-truth unique bug ids triggered by the kept cases of every
+    /// oracle.
     pub unique_bugs: BTreeSet<&'static str>,
-    /// Prioritized cases whose ground truth includes a logic bug.
+    /// Kept cases whose ground truth includes a logic bug.
     pub logic_bugs: usize,
-    /// Prioritized cases classified as non-logic (crash / internal error)
+    /// Kept cases classified as non-logic (crash / internal error)
     /// ground-truth bugs.
     pub other_bugs: usize,
     /// Engine coverage percentage reached by the campaign (Table 3 proxy for
@@ -110,7 +111,8 @@ pub struct RunOutcome {
 }
 
 /// Runs one campaign against a fresh instance of the preset and resolves the
-/// ground truth of every prioritized bug-inducing case.
+/// ground truth of every kept bug-inducing case: the prioritized query cases,
+/// the transactional cases and the concurrent schedules.
 pub fn run_campaign(
     preset: &DialectPreset,
     config: CampaignConfig,
@@ -127,18 +129,28 @@ pub fn run_campaign(
     let mut logic_bugs = 0usize;
     let mut other_bugs = 0usize;
     let catalog = dbms_sim::catalog();
-    for case in &report.prioritized_cases {
-        let causes = dbms.ground_truth_bugs(case);
-        let mut any_logic = false;
-        for cause in &causes {
-            unique_bugs.insert(*cause);
-            if catalog.iter().any(|b| b.id == *cause && b.is_logic) {
-                any_logic = true;
-            }
-        }
+    let mut causes: Vec<Vec<&'static str>> = Vec::new();
+    causes.extend(
+        report
+            .prioritized_cases
+            .iter()
+            .map(|c| dbms.ground_truth_bugs(c)),
+    );
+    causes.extend(report.txn_cases.iter().map(|c| dbms.ground_truth_bugs(c)));
+    causes.extend(
+        report
+            .schedule_cases
+            .iter()
+            .map(|c| dbms.ground_truth_bugs(c)),
+    );
+    for causes in causes {
         if causes.is_empty() {
             continue;
         }
+        let any_logic = causes
+            .iter()
+            .any(|cause| catalog.iter().any(|b| b.id == *cause && b.is_logic));
+        unique_bugs.extend(causes);
         if any_logic {
             logic_bugs += 1;
         } else {
@@ -197,6 +209,37 @@ mod tests {
         let universe = sql_engine::CoverageUniverse::engine_default();
         let points = (outcome.coverage_pct / 100.0 * universe.total() as f64).round() as usize;
         assert_eq!(points, dbms.engine_coverage().unwrap().total_points());
+    }
+
+    #[test]
+    fn ground_truth_resolves_rollback_and_isolation_cases() {
+        // The transaction-bug dialects are found only by the stateful
+        // oracles, whose kept cases live in `txn_cases` and
+        // `schedule_cases`, not in `prioritized_cases`.
+        for (name, bug) in [
+            ("dolt", "BUG-LOST-ROLLBACK"),
+            ("firebird", "BUG-SAVEPOINT-COLLAPSE"),
+            ("mysql", "BUG-DIRTY-READ"),
+        ] {
+            let preset = preset_by_name(name).unwrap();
+            let mut config = experiment_campaign_config(1, 160, GeneratorArm::Adaptive);
+            config.oracles = vec![
+                OracleKind::Tlp,
+                OracleKind::NoRec,
+                OracleKind::Rollback,
+                OracleKind::Isolation,
+            ];
+            let outcome = run_campaign(&preset, config, GeneratorArm::Adaptive);
+            let report = &outcome.report;
+            let stateful = report.txn_cases.len() + report.schedule_cases.len();
+            assert!(stateful > 0, "{name}");
+            assert!(
+                outcome.unique_bugs.contains(bug),
+                "{name}: {:?}",
+                outcome.unique_bugs
+            );
+            assert!(outcome.logic_bugs >= stateful, "{name}");
+        }
     }
 
     #[test]

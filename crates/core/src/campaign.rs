@@ -7,16 +7,11 @@
 //! against each DBMS.
 
 use crate::dbms::{setup_sql, DbmsConnection, StorageMetrics};
-use crate::feature::FeatureSet;
-use crate::generator::{
-    AdaptiveGenerator, GeneratedQuery, GeneratedSchedule, GeneratedTxnSession, GeneratorConfig,
-};
+use crate::generator::{AdaptiveGenerator, GeneratorConfig};
 use crate::json::json_record;
-use crate::oracle::{
-    check_isolation, check_norec, check_rollback, check_tlp, BugReport, OracleKind, OracleOutcome,
-};
+use crate::oracle::{BugReport, OracleKind, OracleOutcome};
 use crate::prioritizer::{BugPrioritizer, PriorityDecision};
-use crate::reducer::{BugReducer, ReducibleCase, ScheduleCase, TxnCase};
+use crate::reducer::{BugReducer, OracleCase, ReducibleCase, ScheduleCase, TxnCase};
 use crate::resume::{save_checkpoint, CampaignCheckpoint};
 use crate::stats::FeatureKind;
 use crate::supervisor::{
@@ -277,7 +272,7 @@ pub struct CampaignReport {
     /// The prioritized concurrent schedules flagged by the isolation
     /// oracle, in replayable form (deterministic interleavings included).
     pub schedule_cases: Vec<ScheduleCase>,
-    /// Validity-rate series sampled every `sample_every` test cases (used to
+    /// Validity-rate series sampled every 50 test cases (used to
     /// show the convergence behaviour described in Section 5.4).
     pub validity_series: Vec<f64>,
     /// Supervision incidents recorded over the campaign (infrastructure
@@ -320,28 +315,23 @@ pub fn derive_case_seed(campaign_seed: u64, database: u64, case_index: u64) -> u
     }
 }
 
-/// The generated payload of one oracle slot, produced exactly once per case
-/// so the generator's RNG position is independent of supervision retries.
-/// One payload exists at a time, so the variant size spread is irrelevant.
+/// The generated case of one oracle slot, produced exactly once per case so
+/// the generator's RNG position is independent of supervision retries. Its
+/// setup stays empty unless the prioritizer keeps it. One payload exists at
+/// a time, so the variant size spread is irrelevant.
 #[allow(clippy::large_enum_variant)]
 enum CasePayload {
     /// A single-query oracle case (TLP or NoREC).
-    Query(GeneratedQuery, OracleKind),
+    Query(ReducibleCase),
     /// A rollback-oracle transactional session.
-    Txn(GeneratedTxnSession),
+    Txn(TxnCase),
     /// An isolation-oracle concurrent schedule.
-    Schedule(GeneratedSchedule),
+    Schedule(ScheduleCase),
 }
 
-impl CasePayload {
-    fn features(&self) -> &FeatureSet {
-        match self {
-            CasePayload::Query(query, _) => &query.features,
-            CasePayload::Txn(session) => &session.features,
-            CasePayload::Schedule(schedule) => &schedule.features,
-        }
-    }
-}
+/// The validity series samples the campaign's validity rate every this many
+/// test cases (the convergence behaviour described in Section 5.4).
+const SAMPLE_EVERY: u64 = 50;
 
 /// Where to pick the campaign loop back up after a checkpoint restore.
 struct ResumePoint {
@@ -593,7 +583,6 @@ impl Campaign {
             }
         };
         let quirks = conn.quirks();
-        let sample_every = 50u64;
         let mut quarantined = false;
         // The cold-feature pool for coverage-directed generation, computed
         // once (the universe enumeration allocates >100 features).
@@ -673,7 +662,7 @@ impl Campaign {
             // Phase 2: issue oracle-checked test cases under supervision.
             let start_case = if db == start_db { resumed_case } else { 0 };
             for case_no in start_case..self.config.queries_per_database {
-                let mut oracle = self.config.oracles[oracle_index % self.config.oracles.len()];
+                let oracle = self.config.oracles[oracle_index % self.config.oracles.len()];
                 oracle_index += 1;
                 let case_index = supervisor.metrics().test_cases;
                 // The case seed is a pure function of the cursor, so it is
@@ -685,172 +674,55 @@ impl Campaign {
                     let boost = 2 + (splitmix64(case_seed) % 3) as usize;
                     self.generator.set_coverage_direction(cold, boost);
                 }
-                // Generate the case payload once, before supervision: the
-                // generator's RNG must advance exactly once per case
-                // regardless of how many attempts the supervisor needs.
+                // Generate the case once, before supervision: the generator's
+                // RNG must advance exactly once per case regardless of how
+                // many attempts the supervisor needs.
                 let payload = match oracle {
-                    OracleKind::Rollback => match self.generator.generate_txn_session() {
-                        Some(session) => Some(CasePayload::Txn(session)),
-                        // No transactional session available (no base table
-                        // yet, or the learned profile says the dialect
-                        // rejects transactions): fall back to a TLP-checked
-                        // query so the slot is not wasted.
-                        None => {
-                            oracle = OracleKind::Tlp;
-                            self.generator
-                                .generate_query()
-                                .map(|query| CasePayload::Query(query, OracleKind::Tlp))
-                        }
-                    },
-                    OracleKind::Isolation => match self.generator.generate_schedule() {
-                        Some(schedule) => Some(CasePayload::Schedule(schedule)),
-                        // Same degradation rule as the rollback oracle.
-                        None => {
-                            oracle = OracleKind::Tlp;
-                            self.generator
-                                .generate_query()
-                                .map(|query| CasePayload::Query(query, OracleKind::Tlp))
-                        }
-                    },
-                    OracleKind::Tlp | OracleKind::NoRec => self
+                    OracleKind::Rollback => {
+                        self.generator.generate_txn_session().map(CasePayload::Txn)
+                    }
+                    OracleKind::Isolation => self
                         .generator
-                        .generate_query()
-                        .map(|query| CasePayload::Query(query, oracle)),
-                };
+                        .generate_schedule()
+                        .map(CasePayload::Schedule),
+                    OracleKind::Tlp | OracleKind::NoRec => None,
+                }
+                .or_else(|| {
+                    // A stateful slot with no session or schedule available
+                    // (no base table yet, or the learned profile says the
+                    // dialect rejects transactions) falls back to a
+                    // TLP-checked query so the slot is not wasted.
+                    let oracle = match oracle {
+                        OracleKind::NoRec => OracleKind::NoRec,
+                        _ => OracleKind::Tlp,
+                    };
+                    let query = self.generator.generate_query()?;
+                    Some(CasePayload::Query(ReducibleCase {
+                        setup: Vec::new(),
+                        query: query.select,
+                        predicate: query.predicate,
+                        oracle,
+                        features: query.features,
+                    }))
+                });
                 // Direction is per-case: clear it before anything else runs
                 // (DDL of the next database must stay uniform).
                 if self.config.coverage_directed {
                     self.generator.clear_coverage_direction();
                 }
                 let Some(payload) = payload else { break };
-                supervisor.emit(
-                    case_seed,
-                    0,
-                    TraceEventKind::CaseStarted {
-                        database: db,
-                        case_index,
-                        oracle,
-                    },
-                );
-                let mut conflict_aborts = 0u64;
-                let (verdict, outcome) =
-                    supervisor.run_case(conn, &setup_log, db, case_index, case_seed, &mut |conn| {
-                        match &payload {
-                            CasePayload::Query(query, oracle) => match oracle {
-                                OracleKind::Tlp => check_tlp(
-                                    conn,
-                                    &query.select,
-                                    &query.predicate,
-                                    &query.features,
-                                    &setup_log,
-                                ),
-                                OracleKind::NoRec => check_norec(
-                                    conn,
-                                    &query.select,
-                                    &query.predicate,
-                                    &query.features,
-                                    &setup_log,
-                                ),
-                                OracleKind::Rollback | OracleKind::Isolation => {
-                                    unreachable!("stateful oracles carry their own payloads")
-                                }
-                            },
-                            CasePayload::Txn(session) => check_rollback(
-                                conn,
-                                &session.table,
-                                &session.statements,
-                                &session.features,
-                                &setup_log,
-                            ),
-                            CasePayload::Schedule(schedule) => {
-                                let v = check_isolation(
-                                    conn,
-                                    &schedule.schedule,
-                                    &schedule.features,
-                                    &setup_log,
-                                );
-                                // Only the attempt that completes contributes
-                                // its conflict aborts (overwrite, not add):
-                                // retried attempts were rolled back wholesale.
-                                conflict_aborts = v.conflict_aborts;
-                                v.outcome
-                            }
-                        }
-                    });
-                // The verdict event has counted the case. Every case, abandoned
-                // or not, is observed by the atlas: its payload's features were
-                // generated, and counting them keeps the novelty stream
-                // identical across configurations that retry differently.
-                let cases_done = supervisor.metrics().test_cases;
-                report
-                    .coverage
-                    .observe_case(oracle, verdict, payload.features(), case_no as u64);
-                if cases_done.is_multiple_of(sample_every) {
-                    report
-                        .validity_series
-                        .push(supervisor.metrics().validity_rate());
-                }
-                // Abandoned cases carry no outcome and are never fed to the
-                // generator's learning: an infrastructure failure says nothing
-                // about dialect feature support.
-                if let Some(outcome) = &outcome {
-                    supervisor.metrics_mut().conflict_aborts += conflict_aborts;
-                    self.generator.record_outcome(
-                        payload.features(),
-                        FeatureKind::Query,
-                        outcome.is_valid(),
-                    );
-                }
-                if let Some(OracleOutcome::Bug(bug)) = outcome {
-                    let features = payload.features();
-                    match &payload {
-                        CasePayload::Query(query, oracle) => self.handle_bug(
-                            conn,
-                            supervisor,
-                            *bug,
-                            features,
-                            &setup_log,
-                            case_seed,
-                            &mut report,
-                            || ReducibleCase {
-                                setup: setup_sql(&setup_log),
-                                query: query.select.clone(),
-                                predicate: query.predicate.clone(),
-                                oracle: *oracle,
-                                features: features.clone(),
-                            },
-                        ),
-                        CasePayload::Txn(session) => self.handle_bug(
-                            conn,
-                            supervisor,
-                            *bug,
-                            features,
-                            &setup_log,
-                            case_seed,
-                            &mut report,
-                            || TxnCase {
-                                setup: setup_sql(&setup_log),
-                                table: session.table.clone(),
-                                statements: session.statements.clone(),
-                                features: features.clone(),
-                            },
-                        ),
-                        CasePayload::Schedule(schedule) => self.handle_bug(
-                            conn,
-                            supervisor,
-                            *bug,
-                            features,
-                            &setup_log,
-                            case_seed,
-                            &mut report,
-                            || ScheduleCase {
-                                setup: setup_sql(&setup_log),
-                                schedule: schedule.schedule.clone(),
-                                features: features.clone(),
-                            },
-                        ),
+                let slot = (db, case_no, case_seed);
+                let cases_done = match payload {
+                    CasePayload::Query(case) => {
+                        self.run_case(conn, supervisor, &mut report, &setup_log, slot, case)
                     }
-                }
+                    CasePayload::Txn(case) => {
+                        self.run_case(conn, supervisor, &mut report, &setup_log, slot, case)
+                    }
+                    CasePayload::Schedule(case) => {
+                        self.run_case(conn, supervisor, &mut report, &setup_log, slot, case)
+                    }
+                };
                 // Drain wall-clock-plane backend telemetry (pool checkout
                 // counters, wire bytes) accumulated during the case.
                 emit_backend(&trace, conn);
@@ -1025,33 +897,87 @@ impl Campaign {
         }
     }
 
-    /// The treatment every detected bug gets, whichever oracle found it:
-    /// the prioritizer rules on its feature set (traced), and a kept bug is
-    /// built into its replayable case, reduced when configured — its report
-    /// re-rendered from the reduced case and the campaign's database state
-    /// rebuilt, since reduction leaves the DBMS at a reduced setup — and
-    /// recorded.
-    #[allow(clippy::too_many_arguments)]
-    fn handle_bug<C: KeptCase>(
+    /// Runs one generated case under supervision and gives it the
+    /// treatment every case gets, whichever oracle checks it: the atlas and
+    /// the validity series observe it, the generator learns from its
+    /// outcome, and a detected bug goes to the prioritizer (traced). A kept
+    /// bug gets its setup rendered and is reduced when configured — its
+    /// report re-rendered from the reduced case and the campaign's database
+    /// state rebuilt, since reduction leaves the DBMS at a reduced setup —
+    /// and recorded. `slot` is the case's database, position in it and
+    /// seed. Returns the campaign's case count after the case.
+    fn run_case<C: OracleCase>(
         &mut self,
         conn: &mut dyn DbmsConnection,
         supervisor: &mut Supervisor,
-        mut bug: BugReport,
-        features: &FeatureSet,
-        setup_log: &[Statement],
-        case_seed: u64,
         report: &mut CampaignReport,
-        make_case: impl FnOnce() -> C,
-    ) {
-        let kept = self.prioritizer.classify(features) == PriorityDecision::New;
+        setup_log: &[Statement],
+        (database, case_no, case_seed): (usize, usize, u64),
+        mut case: C,
+    ) -> u64 {
+        let case_index = supervisor.metrics().test_cases;
+        let oracle = case.oracle();
+        supervisor.emit(
+            case_seed,
+            0,
+            TraceEventKind::CaseStarted {
+                database,
+                case_index,
+                oracle,
+            },
+        );
+        let mut conflict_aborts = 0u64;
+        let (verdict, outcome) = supervisor.run_case(
+            conn,
+            setup_log,
+            database,
+            case_index,
+            case_seed,
+            &mut |conn| {
+                let checked = case.check(conn, setup_log);
+                // Only the attempt that completes contributes its conflict
+                // aborts (overwrite, not add): retried attempts were rolled
+                // back wholesale.
+                conflict_aborts = checked.conflict_aborts;
+                checked.outcome
+            },
+        );
+        // The verdict event has counted the case. Every case, abandoned or
+        // not, is observed by the atlas: its features were generated, and
+        // counting them keeps the novelty stream identical across
+        // configurations that retry differently.
+        let cases_done = supervisor.metrics().test_cases;
+        report
+            .coverage
+            .observe_case(oracle, verdict, case.features(), case_no as u64);
+        if cases_done.is_multiple_of(SAMPLE_EVERY) {
+            report
+                .validity_series
+                .push(supervisor.metrics().validity_rate());
+        }
+        // Abandoned cases carry no outcome and are never fed to the
+        // generator's learning: an infrastructure failure says nothing about
+        // dialect feature support.
+        let Some(outcome) = outcome else {
+            return cases_done;
+        };
+        supervisor.metrics_mut().conflict_aborts += conflict_aborts;
+        self.generator
+            .record_outcome(case.features(), FeatureKind::Query, outcome.is_valid());
+        let OracleOutcome::Bug(mut bug) = outcome else {
+            return cases_done;
+        };
+        let kept = self.prioritizer.classify(case.features()) == PriorityDecision::New;
         supervisor.emit(case_seed, 0, TraceEventKind::Prioritized { kept });
         if !kept {
-            return;
+            return cases_done;
         }
-        let mut case = make_case();
+        *case.setup_mut() = setup_sql(setup_log);
         if self.config.reduce_bugs {
             let statements_before = case.statement_count();
-            case = case.reduce(&mut BugReducer::new(conn, self.config.max_reduction_checks));
+            case = BugReducer::new(conn, self.config.max_reduction_checks)
+                .reduce(&case)
+                .0;
             supervisor.emit(
                 case_seed,
                 0,
@@ -1064,84 +990,9 @@ impl Campaign {
             bug.queries = case.replay_queries();
             supervisor.recover(conn, setup_log);
         }
-        report.reports.push(bug);
+        report.reports.push(*bug);
         case.record(report);
-    }
-}
-
-/// A kept bug case in replayable form: what [`Campaign::handle_bug`] needs
-/// from each oracle's case type.
-trait KeptCase: Sized {
-    /// Setup plus case statements, for reduction telemetry.
-    fn statement_count(&self) -> usize;
-    /// The case's setup log.
-    fn setup(&self) -> &[String];
-    /// Minimises the case.
-    fn reduce(&self, reducer: &mut BugReducer<'_>) -> Self;
-    /// The report's queries, re-rendered (with any oracle bracketing and
-    /// probes) so the report stays replayable verbatim.
-    fn replay_queries(&self) -> Vec<String>;
-    /// Files the case in the report's list for its oracle.
-    fn record(self, report: &mut CampaignReport);
-}
-
-impl KeptCase for ReducibleCase {
-    fn statement_count(&self) -> usize {
-        self.setup.len() + 1
-    }
-    fn setup(&self) -> &[String] {
-        &self.setup
-    }
-    fn reduce(&self, reducer: &mut BugReducer<'_>) -> Self {
-        reducer.reduce(self).0
-    }
-    fn replay_queries(&self) -> Vec<String> {
-        vec![self.query.to_string()]
-    }
-    fn record(self, report: &mut CampaignReport) {
-        report.prioritized_cases.push(self);
-    }
-}
-
-impl KeptCase for TxnCase {
-    fn statement_count(&self) -> usize {
-        self.setup.len() + self.statements.len()
-    }
-    fn setup(&self) -> &[String] {
-        &self.setup
-    }
-    fn reduce(&self, reducer: &mut BugReducer<'_>) -> Self {
-        reducer.reduce_txn(self).0
-    }
-    fn replay_queries(&self) -> Vec<String> {
-        self.replay_script()
-    }
-    fn record(self, report: &mut CampaignReport) {
-        report.txn_cases.push(self);
-    }
-}
-
-impl KeptCase for ScheduleCase {
-    fn statement_count(&self) -> usize {
-        self.setup.len()
-            + self
-                .schedule
-                .sessions
-                .iter()
-                .map(|session| session.statements.len())
-                .sum::<usize>()
-    }
-    fn setup(&self) -> &[String] {
-        &self.setup
-    }
-    fn reduce(&self, reducer: &mut BugReducer<'_>) -> Self {
-        reducer.reduce_schedule(self).0
-    }
-    fn replay_queries(&self) -> Vec<String> {
-        self.schedule.replay_script()
-    }
-    fn record(self, report: &mut CampaignReport) {
-        report.schedule_cases.push(self);
+        cases_done
     }
 }
 
@@ -1172,6 +1023,7 @@ pub fn replay_validity(conn: &mut dyn DbmsConnection, case: &ReducibleCase) -> f
 mod tests {
     use super::*;
     use crate::dbms::{DialectQuirks, QueryResult, StatementOutcome};
+    use crate::feature::FeatureSet;
     use sql_ast::Value;
 
     /// A minimal scriptable DBMS: accepts all DDL, answers every query with

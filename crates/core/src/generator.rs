@@ -17,6 +17,7 @@
 
 use crate::feature::{Feature, FeatureSet};
 use crate::oracle::{Schedule, SessionScript};
+use crate::reducer::{ScheduleCase, TxnCase};
 use crate::schema::{ModelTable, SchemaModel};
 use crate::stats::{FeatureKind, FeatureStats, StatsConfig};
 use rand::rngs::StdRng;
@@ -100,36 +101,6 @@ pub struct GeneratedQuery {
     /// The predicate the query filters on (also present as `where_clause`).
     pub predicate: Expr,
     /// The features enabled while generating it.
-    pub features: FeatureSet,
-}
-
-/// A generated multi-statement transactional session for the rollback
-/// oracle: mutations (and optional savepoint regions) against one table.
-/// The oracle supplies the outer `BEGIN`/`COMMIT`/`ROLLBACK` bracketing.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GeneratedTxnSession {
-    /// The table the mutations target (and the oracle fingerprints).
-    pub table: String,
-    /// The session body: DML, possibly interleaved with
-    /// `SAVEPOINT`/`ROLLBACK TO` pairs.
-    pub statements: Vec<Statement>,
-    /// The features enabled while generating it — always includes the
-    /// transaction-control statement features, which is how the Bayesian
-    /// support model learns per-dialect transaction support.
-    pub features: FeatureSet,
-}
-
-/// A generated two-session concurrent schedule for the isolation oracle:
-/// per-session mutation scripts plus an explicit, seed-derived interleaving
-/// (a deterministic step list — campaigns stay byte-reproducible, no real
-/// threads involved).
-#[derive(Debug, Clone, PartialEq)]
-pub struct GeneratedSchedule {
-    /// The schedule: session scripts, closers, begin modes, interleaving.
-    pub schedule: Schedule,
-    /// The features enabled while generating it (transaction-control
-    /// features included, so dialect transaction support is learned from
-    /// schedule outcomes too).
     pub features: FeatureSet,
 }
 
@@ -644,8 +615,9 @@ impl AdaptiveGenerator {
     /// base table yet or when the learned profile says the dialect does not
     /// support transactions (the `STMT_BEGIN`/`STMT_ROLLBACK`/`STMT_COMMIT`
     /// features are suppressed) — the campaign then falls back to a
-    /// single-query oracle.
-    pub fn generate_txn_session(&mut self) -> Option<GeneratedTxnSession> {
+    /// single-query oracle. The case's setup is left empty for the campaign
+    /// to fill in if it keeps the case.
+    pub fn generate_txn_session(&mut self) -> Option<TxnCase> {
         for name in ["STMT_BEGIN", "STMT_ROLLBACK", "STMT_COMMIT"] {
             if !self.should_generate(&Feature::statement(name), FeatureKind::Query) {
                 return None;
@@ -696,7 +668,8 @@ impl AdaptiveGenerator {
                 statements.push(Statement::ReleaseSavepoint("sp1".into()));
             }
         }
-        Some(GeneratedTxnSession {
+        Some(TxnCase {
+            setup: Vec::new(),
             table: table.name.clone(),
             statements,
             features,
@@ -708,7 +681,8 @@ impl AdaptiveGenerator {
     /// Generates a two-session concurrent schedule for the isolation
     /// oracle, or `None` when no base table exists yet or the learned
     /// profile says the dialect rejects transactions (the campaign then
-    /// falls back to a single-query oracle).
+    /// falls back to a single-query oracle). The case's setup is left empty
+    /// for the campaign to fill in if it keeps the case.
     ///
     /// Session 1 is a plain writer: every statement targets one table and
     /// reads nothing else. Session 0 may additionally carry **observer
@@ -719,7 +693,7 @@ impl AdaptiveGenerator {
     /// always equals one of the serial replays (write skew needs *both*
     /// sessions to read tables the other writes), so every mismatch is a
     /// genuine isolation bug.
-    pub fn generate_schedule(&mut self) -> Option<GeneratedSchedule> {
+    pub fn generate_schedule(&mut self) -> Option<ScheduleCase> {
         if !self.multi_session {
             return None;
         }
@@ -822,7 +796,8 @@ impl AdaptiveGenerator {
         let mut tables = vec![table_a.name.clone(), table_b.name.clone()];
         tables.sort();
         tables.dedup();
-        Some(GeneratedSchedule {
+        Some(ScheduleCase {
+            setup: Vec::new(),
             schedule: Schedule {
                 tables,
                 sessions,

@@ -65,19 +65,16 @@ pub use driver::{
     BREAKER_THRESHOLD,
 };
 pub use feature::{feature_universe, Feature, FeatureSet};
-pub use generator::{
-    AdaptiveGenerator, GeneratedQuery, GeneratedSchedule, GeneratedStatement, GeneratedTxnSession,
-    GeneratorConfig,
-};
+pub use generator::{AdaptiveGenerator, GeneratedQuery, GeneratedStatement, GeneratorConfig};
 pub use hist::Log2Histogram;
 pub use json::{validate_jsonl, Json};
 pub use oracle::{
-    check_isolation, check_norec, check_rollback, check_tlp, BugReport, IsolationVerdict,
-    OracleKind, OracleOutcome, Schedule, SessionScript,
+    check_isolation, check_norec, check_rollback, check_tlp, BugReport, CaseVerdict, OracleKind,
+    OracleOutcome, Schedule, SessionScript,
 };
 pub use prioritizer::{BugPrioritizer, PrioritizerStats, PriorityDecision};
 pub use profile::{load_profile, profile_from_string, profile_to_string, save_profile};
-pub use reducer::{BugReducer, ReducibleCase, ReductionStats, ScheduleCase, TxnCase};
+pub use reducer::{BugReducer, OracleCase, ReducibleCase, ReductionStats, ScheduleCase, TxnCase};
 pub use resume::{
     checkpoint_from_string, checkpoint_to_string, load_checkpoint, render_report, save_checkpoint,
     CampaignCheckpoint,

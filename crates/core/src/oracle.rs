@@ -606,12 +606,12 @@ impl Schedule {
     }
 }
 
-/// The result of one isolation check: the oracle verdict plus how many
-/// commits were rejected by the DBMS's conflict detection (reported as the
-/// campaign's conflict-abort rate; aborts are legitimate outcomes, never
-/// bugs).
+/// The result of one oracle check: the verdict plus how many commits were
+/// rejected by the DBMS's conflict detection (non-zero only for isolation
+/// schedules; reported as the campaign's conflict-abort rate, since aborts
+/// are legitimate outcomes, never bugs).
 #[derive(Debug, Clone, PartialEq)]
-pub struct IsolationVerdict {
+pub struct CaseVerdict {
     /// The oracle verdict.
     pub outcome: OracleOutcome,
     /// Commits rejected with a serialization failure during the concurrent
@@ -619,9 +619,19 @@ pub struct IsolationVerdict {
     pub conflict_aborts: u64,
 }
 
-impl IsolationVerdict {
-    fn invalid(message: impl Into<String>, conflict_aborts: u64) -> IsolationVerdict {
-        IsolationVerdict {
+impl From<OracleOutcome> for CaseVerdict {
+    /// A verdict with no conflict aborts.
+    fn from(outcome: OracleOutcome) -> CaseVerdict {
+        CaseVerdict {
+            outcome,
+            conflict_aborts: 0,
+        }
+    }
+}
+
+impl CaseVerdict {
+    fn invalid(message: impl Into<String>, conflict_aborts: u64) -> CaseVerdict {
+        CaseVerdict {
             outcome: OracleOutcome::Invalid(message.into()),
             conflict_aborts,
         }
@@ -672,20 +682,20 @@ pub fn check_isolation<S: SetupStatement>(
     schedule: &Schedule,
     features: &FeatureSet,
     setup: &[S],
-) -> IsolationVerdict {
+) -> CaseVerdict {
     // Capture the setup state once; the serial arms and the exit path
     // restore it (checkpoint-restore when the backend supports it, setup
     // replay otherwise).
     let state = match SetupState::capture(conn, setup) {
         Ok(state) => state,
-        Err(message) => return IsolationVerdict::invalid(message, 0),
+        Err(message) => return CaseVerdict::invalid(message, 0),
     };
     let verdict = check_isolation_arms(conn, schedule, features, &state);
     // Restore the campaign invariant: the connection reflects the setup log.
     // A fault-hit restore outranks the verdict (see [`check_rollback`]).
     match state.reset_to(conn) {
         Ok(()) => verdict,
-        Err(message) => IsolationVerdict::invalid(message, verdict.conflict_aborts),
+        Err(message) => CaseVerdict::invalid(message, verdict.conflict_aborts),
     }
 }
 
@@ -694,10 +704,10 @@ fn check_isolation_arms<S: SetupStatement>(
     schedule: &Schedule,
     features: &FeatureSet,
     state: &SetupState<'_, S>,
-) -> IsolationVerdict {
+) -> CaseVerdict {
     let setup = state.setup;
     if !schedule.is_well_formed() {
-        return IsolationVerdict::invalid("malformed schedule interleaving", 0);
+        return CaseVerdict::invalid("malformed schedule interleaving", 0);
     }
     // Concurrent arm (the caller's capture just rebuilt the setup state).
     let mut sessions: Vec<Box<dyn DbmsConnection>> = Vec::with_capacity(schedule.sessions.len());
@@ -705,7 +715,7 @@ fn check_isolation_arms<S: SetupStatement>(
         match conn.open_session() {
             Some(session) => sessions.push(session),
             None => {
-                return IsolationVerdict::invalid(
+                return CaseVerdict::invalid(
                     "backend has a single connection: concurrent schedules unsupported",
                     0,
                 )
@@ -736,7 +746,7 @@ fn check_isolation_arms<S: SetupStatement>(
                 conflict_aborts += 1;
                 aborted[s] = true;
             } else if stmt.is_txn_control() {
-                return IsolationVerdict::invalid(message, conflict_aborts);
+                return CaseVerdict::invalid(message, conflict_aborts);
             }
             // Ordinary DML failures are tolerated: the engine is
             // deterministic, so the same statement fails identically in
@@ -748,7 +758,7 @@ fn check_isolation_arms<S: SetupStatement>(
     drop(sessions);
     let concurrent = match probe_tables(conn, &schedule.tables) {
         Ok(fp) => fp,
-        Err(err) => return IsolationVerdict::invalid(err, conflict_aborts),
+        Err(err) => return CaseVerdict::invalid(err, conflict_aborts),
     };
 
     // Serial arms: every commit order of the sessions that committed.
@@ -773,11 +783,11 @@ fn check_isolation_arms<S: SetupStatement>(
     let mut serial_fingerprints = Vec::with_capacity(orders.len());
     for order in &orders {
         if let Err(message) = state.reset_to(conn) {
-            return IsolationVerdict::invalid(message, conflict_aborts);
+            return CaseVerdict::invalid(message, conflict_aborts);
         }
         if !order.is_empty() {
             let Some(mut serial) = conn.open_session() else {
-                return IsolationVerdict::invalid(
+                return CaseVerdict::invalid(
                     "backend has a single connection: concurrent schedules unsupported",
                     conflict_aborts,
                 );
@@ -789,7 +799,7 @@ fn check_isolation_arms<S: SetupStatement>(
                     let outcome = serial.execute_ast(&stmt);
                     if let crate::dbms::StatementOutcome::Failure(message) = outcome {
                         if stmt.is_txn_control() {
-                            return IsolationVerdict::invalid(message, conflict_aborts);
+                            return CaseVerdict::invalid(message, conflict_aborts);
                         }
                     }
                 }
@@ -797,17 +807,17 @@ fn check_isolation_arms<S: SetupStatement>(
         }
         match probe_tables(conn, &schedule.tables) {
             Ok(fp) => serial_fingerprints.push(fp),
-            Err(err) => return IsolationVerdict::invalid(err, conflict_aborts),
+            Err(err) => return CaseVerdict::invalid(err, conflict_aborts),
         }
     }
     if serial_fingerprints.contains(&concurrent) {
-        return IsolationVerdict {
+        return CaseVerdict {
             outcome: OracleOutcome::Passed,
             conflict_aborts,
         };
     }
     let order_names: Vec<String> = orders.iter().map(|order| format!("{order:?}")).collect();
-    IsolationVerdict {
+    CaseVerdict {
         outcome: OracleOutcome::Bug(Box::new(BugReport {
             oracle: OracleKind::Isolation,
             description: format!(

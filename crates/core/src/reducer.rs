@@ -1,38 +1,87 @@
-//! Bug-inducing test-case reduction.
+//! Kept test cases and their reduction.
+//!
+//! Every test case the campaign checks is one of three [`OracleCase`]
+//! types: a single query ([`ReducibleCase`], TLP or NoREC), a
+//! transactional session ([`TxnCase`], the rollback oracle) or a
+//! concurrent schedule ([`ScheduleCase`], the isolation oracle). Each type
+//! owns the one call that checks it, so the campaign, the reducer and
+//! ground-truth bisection all re-run a case through [`OracleCase::check`]
+//! or [`OracleCase::replay`].
 //!
 //! Before a bug-inducing test case is handed to a human (or counted in the
-//! experiments), SQLancer++ reduces it: statements that are not needed to
-//! reproduce the discrepancy are removed, and the predicate is shrunk by
-//! replacing sub-expressions with their children (a simple syntactic
-//! delta-debugging pass). Reduction re-validates the oracle verdict after
-//! every candidate simplification.
+//! experiments), SQLancer++ reduces it ([`BugReducer::reduce`]): statements
+//! that are not needed to reproduce the discrepancy are removed, and the
+//! oracle verdict is re-validated after every candidate simplification.
+//! Every kind first drops setup statements, last to first; then each kind
+//! shrinks its own body:
 //!
-//! Transactional test cases ([`TxnCase`]) get their own pass
-//! ([`BugReducer::reduce_txn`]): setup statements and session mutations are
-//! dropped one at a time while the rollback oracle still flags the session.
-//! The `BEGIN`/`COMMIT`/`ROLLBACK` bracketing is supplied by the oracle
-//! itself and therefore can never be reduced away, and `SAVEPOINT` /
-//! `ROLLBACK TO` / `RELEASE SAVEPOINT` pairs are kept consistent: a
-//! candidate that would orphan a `ROLLBACK TO` or `RELEASE` is never
-//! proposed, and dropping a `SAVEPOINT` drops its dependents in the same
-//! candidate.
-//!
-//! Concurrent schedules ([`ScheduleCase`]) get a third pass
-//! ([`BugReducer::reduce_schedule`]): setup statements and per-session body
-//! statements are dropped one at a time while the isolation oracle still
-//! flags the schedule. Dropping a body statement removes exactly its step
-//! from the explicit interleaving, so the session bracketing (`BEGIN` and
-//! the closer, which are oracle-supplied) and the **relative order** of
-//! every surviving step are preserved — a reduced schedule is always a
-//! subsequence of the original interleaving.
+//! * a query case replaces its predicate with each of its children (a
+//!   simple syntactic delta-debugging pass);
+//! * a transactional session drops session mutations one at a time. The
+//!   `BEGIN`/`COMMIT`/`ROLLBACK` bracketing is supplied by the oracle
+//!   itself and therefore can never be reduced away, and `SAVEPOINT` /
+//!   `ROLLBACK TO` / `RELEASE SAVEPOINT` pairs are kept consistent: a
+//!   candidate that would orphan a `ROLLBACK TO` or `RELEASE` is never
+//!   proposed, and dropping a `SAVEPOINT` drops its dependents in the same
+//!   candidate;
+//! * a concurrent schedule drops per-session body statements one at a
+//!   time. Dropping a body statement removes exactly its step from the
+//!   explicit interleaving, so the session bracketing (`BEGIN` and the
+//!   closer, which are oracle-supplied) and the **relative order** of every
+//!   surviving step are preserved — a reduced schedule is always a
+//!   subsequence of the original interleaving.
 
-use crate::dbms::DbmsConnection;
+use crate::campaign::CampaignReport;
+use crate::dbms::{DbmsConnection, SetupStatement};
 use crate::feature::FeatureSet;
 use crate::json::{json_name, json_record};
 use crate::oracle::{
-    check_isolation, check_norec, check_rollback, check_tlp, OracleKind, OracleOutcome, Schedule,
+    check_isolation, check_norec, check_rollback, check_tlp, CaseVerdict, OracleKind,
+    OracleOutcome, Schedule,
 };
 use sql_ast::{Expr, Select, Statement};
+
+/// A test case in replayable form, and the one contract the campaign, the
+/// reducer and ground-truth bisection share: check it, prioritize it,
+/// reduce it, record it, bisect it.
+///
+/// The campaign builds each case at generation with an empty setup, checks
+/// it against its typed setup log, and fills in the rendered setup only
+/// when the prioritizer keeps it.
+pub trait OracleCase: Clone {
+    /// The oracle that checks the case.
+    fn oracle(&self) -> OracleKind;
+    /// The feature set recorded at generation time.
+    fn features(&self) -> &FeatureSet;
+    /// The SQL statements that build the case's database state.
+    fn setup(&self) -> &[String];
+    /// The setup, for the reducer to drop statements from.
+    fn setup_mut(&mut self) -> &mut Vec<String>;
+    /// The size of the case's own body: predicate AST nodes, or session
+    /// statements (the `predicate_nodes_*` fields of [`ReductionStats`]).
+    fn body_size(&self) -> usize;
+    /// Setup plus case statements, for reduction telemetry.
+    fn statement_count(&self) -> usize {
+        self.setup().len() + self.body_size()
+    }
+    /// Runs the case's oracle against `setup`. The single-query oracles
+    /// expect the connection to hold `setup`'s state already; the stateful
+    /// ones rebuild it themselves and restore it before returning.
+    fn check<S: SetupStatement>(&self, conn: &mut dyn DbmsConnection, setup: &[S]) -> CaseVerdict;
+    /// Rebuilds the case's own setup and re-runs its oracle: the one replay
+    /// behind reduction and ground-truth bisection.
+    fn replay(&self, conn: &mut dyn DbmsConnection) -> OracleOutcome {
+        self.check(conn, self.setup()).outcome
+    }
+    /// Shrinks the case's body while `reducer` still reproduces the bug
+    /// (the phase after the shared setup phase of [`BugReducer::reduce`]).
+    fn reduce_body(self, reducer: &mut BugReducer<'_>) -> Self;
+    /// The report's queries, rendered with any oracle bracketing and probes
+    /// so the report stays replayable verbatim.
+    fn replay_queries(&self) -> Vec<String>;
+    /// Files the case in the report's list for its oracle.
+    fn record(self, report: &mut CampaignReport);
+}
 
 /// A reducible bug-inducing test case: the database-construction statements
 /// plus the query and predicate the oracle flagged.
@@ -57,6 +106,75 @@ json_name!(Select: Select::to_string, |sql: &str| match sql_parser::parse_statem
 json_name!(Expr: Expr::to_string, |sql: &str| sql_parser::parse_expression(sql).ok());
 json_record!(struct ReducibleCase { oracle, setup, query, predicate, features });
 
+impl OracleCase for ReducibleCase {
+    fn oracle(&self) -> OracleKind {
+        self.oracle
+    }
+    fn features(&self) -> &FeatureSet {
+        &self.features
+    }
+    fn setup(&self) -> &[String] {
+        &self.setup
+    }
+    fn setup_mut(&mut self) -> &mut Vec<String> {
+        &mut self.setup
+    }
+    fn body_size(&self) -> usize {
+        self.predicate.node_count()
+    }
+    /// The query counts as one statement, whatever its predicate's size.
+    fn statement_count(&self) -> usize {
+        self.setup.len() + 1
+    }
+    /// NoREC checks a case tagged with it; TLP checks every other query
+    /// case (the campaign's stateful slots fall back to TLP queries).
+    fn check<S: SetupStatement>(&self, conn: &mut dyn DbmsConnection, setup: &[S]) -> CaseVerdict {
+        let (query, predicate, features) = (&self.query, &self.predicate, &self.features);
+        CaseVerdict::from(match self.oracle {
+            OracleKind::NoRec => check_norec(conn, query, predicate, features, setup),
+            _ => check_tlp(conn, query, predicate, features, setup),
+        })
+    }
+    /// The single-query oracles read the connection's state as it is, so
+    /// the replay rebuilds it first, statement by statement.
+    fn replay(&self, conn: &mut dyn DbmsConnection) -> OracleOutcome {
+        conn.reset();
+        for sql in &self.setup {
+            // Failed setup statements are tolerated: the remaining ones may
+            // still reproduce the bug.
+            let _ = conn.execute(sql);
+        }
+        self.check(conn, &self.setup).outcome
+    }
+    /// Replaces the predicate with each of its children (transitively)
+    /// while the bug still reproduces.
+    fn reduce_body(mut self, reducer: &mut BugReducer<'_>) -> Self {
+        loop {
+            let children: Vec<Expr> = self.predicate.children().into_iter().cloned().collect();
+            let mut replaced = false;
+            for child in children {
+                let mut candidate = self.clone();
+                candidate.predicate = child.clone();
+                candidate.query.where_clause = Some(child);
+                if reducer.reproduces(&candidate) {
+                    self = candidate;
+                    replaced = true;
+                    break;
+                }
+            }
+            if !replaced {
+                return self;
+            }
+        }
+    }
+    fn replay_queries(&self) -> Vec<String> {
+        vec![self.query.to_string()]
+    }
+    fn record(self, report: &mut CampaignReport) {
+        report.prioritized_cases.push(self);
+    }
+}
+
 /// A reducible transactional test case: the setup plus the mutation session
 /// the rollback oracle flagged (the oracle re-adds the outer transaction
 /// bracketing on every re-validation).
@@ -68,7 +186,9 @@ pub struct TxnCase {
     pub table: String,
     /// The session body: DML and `SAVEPOINT`/`ROLLBACK TO` statements.
     pub statements: Vec<Statement>,
-    /// The feature set recorded at generation time.
+    /// The feature set recorded at generation time — always includes the
+    /// transaction-control statement features, which is how the Bayesian
+    /// support model learns per-dialect transaction support.
     pub features: FeatureSet,
 }
 
@@ -93,6 +213,92 @@ impl TxnCase {
     }
 }
 
+impl OracleCase for TxnCase {
+    fn oracle(&self) -> OracleKind {
+        OracleKind::Rollback
+    }
+    fn features(&self) -> &FeatureSet {
+        &self.features
+    }
+    fn setup(&self) -> &[String] {
+        &self.setup
+    }
+    fn setup_mut(&mut self) -> &mut Vec<String> {
+        &mut self.setup
+    }
+    fn body_size(&self) -> usize {
+        self.statements.len()
+    }
+    fn check<S: SetupStatement>(&self, conn: &mut dyn DbmsConnection, setup: &[S]) -> CaseVerdict {
+        CaseVerdict::from(check_rollback(
+            conn,
+            &self.table,
+            &self.statements,
+            &self.features,
+            setup,
+        ))
+    }
+    /// Drops session statements, last to first. Dropping a `SAVEPOINT`
+    /// also drops every `ROLLBACK TO` and `RELEASE` that names it, so a
+    /// candidate is always a well-formed session.
+    fn reduce_body(mut self, reducer: &mut BugReducer<'_>) -> Self {
+        let mut i = self.statements.len();
+        while i > 0 {
+            i -= 1;
+            let mut candidate = self.clone();
+            let removed = candidate.statements.remove(i);
+            if let Statement::Savepoint(name) = &removed {
+                let key = name.to_ascii_lowercase();
+                candidate.statements.retain(|s| {
+                    !matches!(s,
+                        Statement::RollbackTo(n) | Statement::ReleaseSavepoint(n)
+                            if n.to_ascii_lowercase() == key)
+                });
+            }
+            if !savepoints_consistent(&candidate.statements) {
+                continue;
+            }
+            if reducer.reproduces(&candidate) {
+                i = i.min(candidate.statements.len());
+                self = candidate;
+            }
+        }
+        self
+    }
+    fn replay_queries(&self) -> Vec<String> {
+        self.replay_script()
+    }
+    fn record(self, report: &mut CampaignReport) {
+        report.txn_cases.push(self);
+    }
+}
+
+/// Whether every `ROLLBACK TO` / `RELEASE SAVEPOINT` in the session still
+/// has a matching earlier `SAVEPOINT` — candidates violating this would
+/// turn the bug into an unrelated "no such savepoint" error, so they are
+/// never proposed. `RELEASE` retires its savepoint (and every later one),
+/// mirroring the engine's frame merge.
+fn savepoints_consistent(statements: &[Statement]) -> bool {
+    let mut names: Vec<String> = Vec::new();
+    for stmt in statements {
+        match stmt {
+            Statement::Savepoint(n) => names.push(n.to_ascii_lowercase()),
+            Statement::RollbackTo(n) if !names.contains(&n.to_ascii_lowercase()) => {
+                return false;
+            }
+            Statement::ReleaseSavepoint(n) => {
+                let key = n.to_ascii_lowercase();
+                let Some(at) = names.iter().rposition(|name| *name == key) else {
+                    return false;
+                };
+                names.truncate(at);
+            }
+            _ => {}
+        }
+    }
+    true
+}
+
 /// A reducible concurrent-schedule test case: the setup plus the two-session
 /// schedule the isolation oracle flagged (the oracle re-runs the schedule's
 /// explicit interleaving on every re-validation).
@@ -102,11 +308,85 @@ pub struct ScheduleCase {
     pub setup: Vec<String>,
     /// The concurrent schedule: session scripts plus the interleaving.
     pub schedule: Schedule,
-    /// The feature set recorded at generation time.
+    /// The feature set recorded at generation time (transaction-control
+    /// features included, so dialect transaction support is learned from
+    /// schedule outcomes too).
     pub features: FeatureSet,
 }
 
 json_record!(struct ScheduleCase { setup, schedule, features });
+
+impl OracleCase for ScheduleCase {
+    fn oracle(&self) -> OracleKind {
+        OracleKind::Isolation
+    }
+    fn features(&self) -> &FeatureSet {
+        &self.features
+    }
+    fn setup(&self) -> &[String] {
+        &self.setup
+    }
+    fn setup_mut(&mut self) -> &mut Vec<String> {
+        &mut self.setup
+    }
+    fn body_size(&self) -> usize {
+        self.schedule
+            .sessions
+            .iter()
+            .map(|session| session.statements.len())
+            .sum()
+    }
+    fn check<S: SetupStatement>(&self, conn: &mut dyn DbmsConnection, setup: &[S]) -> CaseVerdict {
+        check_isolation(conn, &self.schedule, &self.features, setup)
+    }
+    /// Drops each session's body statements, last to first, session by
+    /// session.
+    fn reduce_body(mut self, reducer: &mut BugReducer<'_>) -> Self {
+        for session in 0..self.schedule.sessions.len() {
+            let mut i = self.schedule.sessions[session].statements.len();
+            while i > 0 {
+                i -= 1;
+                let mut candidate = self.clone();
+                drop_schedule_statement(&mut candidate.schedule, session, i);
+                if reducer.reproduces(&candidate) {
+                    self = candidate;
+                }
+            }
+        }
+        self
+    }
+    fn replay_queries(&self) -> Vec<String> {
+        self.schedule.replay_script()
+    }
+    fn record(self, report: &mut CampaignReport) {
+        report.schedule_cases.push(self);
+    }
+}
+
+/// Removes session `session`'s body statement `index` from a schedule,
+/// dropping exactly its step from the interleaving so the relative order of
+/// every surviving step (and the oracle-supplied `BEGIN` / closer
+/// bracketing) is preserved. Body statement `index` is the `(index + 1)`-th
+/// interleaving occurrence of the session (occurrence 0 is its `BEGIN`).
+fn drop_schedule_statement(schedule: &mut Schedule, session: usize, index: usize) {
+    schedule.sessions[session].statements.remove(index);
+    let mut seen = 0usize;
+    let target = index + 1;
+    let position = schedule
+        .interleaving
+        .iter()
+        .position(|&s| {
+            if s as usize == session {
+                let here = seen == target;
+                seen += 1;
+                here
+            } else {
+                false
+            }
+        })
+        .expect("well-formed interleaving covers every step");
+    schedule.interleaving.remove(position);
+}
 
 /// Statistics about a reduction run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -115,9 +395,10 @@ pub struct ReductionStats {
     pub setup_before: usize,
     /// Setup statements after reduction.
     pub setup_after: usize,
-    /// Predicate AST nodes before reduction.
+    /// Body size before reduction: predicate AST nodes for a query case,
+    /// session statements for a transactional or concurrent case.
     pub predicate_nodes_before: usize,
-    /// Predicate AST nodes after reduction.
+    /// Body size after reduction.
     pub predicate_nodes_after: usize,
     /// Number of oracle re-validations performed.
     pub checks: usize,
@@ -140,269 +421,41 @@ impl<'a> BugReducer<'a> {
         }
     }
 
-    /// Checks whether a candidate case still reproduces the bug.
-    fn reproduces(&mut self, case: &ReducibleCase) -> bool {
+    /// Whether a candidate case still reproduces the bug. Every call counts
+    /// against the check budget; once it is spent, no candidate does.
+    fn reproduces<C: OracleCase>(&mut self, case: &C) -> bool {
         if self.checks >= self.max_checks {
             return false;
         }
         self.checks += 1;
-        self.conn.reset();
-        for sql in &case.setup {
-            // Failed setup statements are tolerated: the remaining ones may
-            // still reproduce the bug.
-            let _ = self.conn.execute(sql);
-        }
-        let outcome = match case.oracle {
-            OracleKind::Tlp => check_tlp(
-                self.conn,
-                &case.query,
-                &case.predicate,
-                &case.features,
-                &case.setup,
-            ),
-            OracleKind::NoRec => check_norec(
-                self.conn,
-                &case.query,
-                &case.predicate,
-                &case.features,
-                &case.setup,
-            ),
-            // Rollback-oracle cases are transactional sessions, reduced via
-            // [`BugReducer::reduce_txn`] on a [`TxnCase`]; isolation cases
-            // are schedules, reduced via [`BugReducer::reduce_schedule`] on
-            // a [`ScheduleCase`]. A single-query `ReducibleCase` carries
-            // neither.
-            OracleKind::Rollback | OracleKind::Isolation => return false,
-        };
-        matches!(outcome, OracleOutcome::Bug(_))
+        case.replay(self.conn).is_bug()
     }
 
     /// Runs the reduction. Returns the reduced case and statistics; the
     /// returned case is guaranteed to still reproduce the bug (or, if the
     /// budget ran out, to be the best known reproducer).
-    pub fn reduce(&mut self, case: &ReducibleCase) -> (ReducibleCase, ReductionStats) {
+    pub fn reduce<C: OracleCase>(&mut self, case: &C) -> (C, ReductionStats) {
         let mut current = case.clone();
-        let mut stats = ReductionStats {
-            setup_before: case.setup.len(),
-            predicate_nodes_before: case.predicate.node_count(),
-            ..ReductionStats::default()
-        };
-
         // Phase 1: drop setup statements one at a time (last to first, so
         // that later statements which depend on earlier ones go first).
-        let mut i = current.setup.len();
+        let mut i = current.setup().len();
         while i > 0 {
             i -= 1;
             let mut candidate = current.clone();
-            candidate.setup.remove(i);
+            candidate.setup_mut().remove(i);
             if self.reproduces(&candidate) {
                 current = candidate;
             }
         }
-
-        // Phase 2: shrink the predicate by replacing it with each of its
-        // children (transitively) while the bug still reproduces.
-        loop {
-            let children: Vec<Expr> = current.predicate.children().into_iter().cloned().collect();
-            let mut replaced = false;
-            for child in children {
-                let mut candidate = current.clone();
-                candidate.predicate = child.clone();
-                candidate.query.where_clause = Some(child.clone());
-                if self.reproduces(&candidate) {
-                    current = candidate;
-                    replaced = true;
-                    break;
-                }
-            }
-            if !replaced {
-                break;
-            }
-        }
-
-        stats.setup_after = current.setup.len();
-        stats.predicate_nodes_after = current.predicate.node_count();
-        stats.checks = self.checks;
-        (current, stats)
-    }
-
-    /// Checks whether a candidate transactional case still reproduces the
-    /// bug under the rollback oracle.
-    fn reproduces_txn(&mut self, case: &TxnCase) -> bool {
-        if self.checks >= self.max_checks {
-            return false;
-        }
-        self.checks += 1;
-        let outcome = check_rollback(
-            self.conn,
-            &case.table,
-            &case.statements,
-            &case.features,
-            &case.setup,
-        );
-        matches!(outcome, OracleOutcome::Bug(_))
-    }
-
-    /// Whether every `ROLLBACK TO` / `RELEASE SAVEPOINT` in the session
-    /// still has a matching earlier `SAVEPOINT` — candidates violating this
-    /// would turn the bug into an unrelated "no such savepoint" error, so
-    /// they are never proposed. `RELEASE` retires its savepoint (and every
-    /// later one), mirroring the engine's frame merge.
-    fn savepoints_consistent(statements: &[Statement]) -> bool {
-        let mut names: Vec<String> = Vec::new();
-        for stmt in statements {
-            match stmt {
-                Statement::Savepoint(n) => names.push(n.to_ascii_lowercase()),
-                Statement::RollbackTo(n) if !names.contains(&n.to_ascii_lowercase()) => {
-                    return false;
-                }
-                Statement::ReleaseSavepoint(n) => {
-                    let key = n.to_ascii_lowercase();
-                    let Some(at) = names.iter().rposition(|name| *name == key) else {
-                        return false;
-                    };
-                    names.truncate(at);
-                }
-                _ => {}
-            }
-        }
-        true
-    }
-
-    /// Reduces a transactional test case: setup statements first, then
-    /// session statements, preserving the oracle-supplied transaction
-    /// bracketing and the savepoint pairing throughout. The statistics
-    /// reuse the predicate-node fields for the session statement counts.
-    pub fn reduce_txn(&mut self, case: &TxnCase) -> (TxnCase, ReductionStats) {
-        let mut current = case.clone();
-        let mut stats = ReductionStats {
-            setup_before: case.setup.len(),
-            predicate_nodes_before: case.statements.len(),
-            ..ReductionStats::default()
+        // Phase 2: the kind's own body.
+        let current = current.reduce_body(self);
+        let stats = ReductionStats {
+            setup_before: case.setup().len(),
+            setup_after: current.setup().len(),
+            predicate_nodes_before: case.body_size(),
+            predicate_nodes_after: current.body_size(),
+            checks: self.checks,
         };
-
-        // Phase 1: drop setup statements (last to first).
-        let mut i = current.setup.len();
-        while i > 0 {
-            i -= 1;
-            let mut candidate = current.clone();
-            candidate.setup.remove(i);
-            if self.reproduces_txn(&candidate) {
-                current = candidate;
-            }
-        }
-
-        // Phase 2: drop session statements (last to first). Dropping a
-        // SAVEPOINT also drops every ROLLBACK TO and RELEASE that names it,
-        // so a candidate is always a well-formed session.
-        let mut i = current.statements.len();
-        while i > 0 {
-            i -= 1;
-            let mut candidate = current.clone();
-            let removed = candidate.statements.remove(i);
-            if let Statement::Savepoint(name) = &removed {
-                let key = name.to_ascii_lowercase();
-                candidate.statements.retain(|s| {
-                    !matches!(s,
-                        Statement::RollbackTo(n) | Statement::ReleaseSavepoint(n)
-                            if n.to_ascii_lowercase() == key)
-                });
-            }
-            if !Self::savepoints_consistent(&candidate.statements) {
-                continue;
-            }
-            if self.reproduces_txn(&candidate) {
-                i = i.min(candidate.statements.len());
-                current = candidate;
-            }
-        }
-
-        stats.setup_after = current.setup.len();
-        stats.predicate_nodes_after = current.statements.len();
-        stats.checks = self.checks;
-        (current, stats)
-    }
-
-    /// Checks whether a candidate schedule still reproduces the bug under
-    /// the isolation oracle.
-    fn reproduces_schedule(&mut self, case: &ScheduleCase) -> bool {
-        if self.checks >= self.max_checks {
-            return false;
-        }
-        self.checks += 1;
-        check_isolation(self.conn, &case.schedule, &case.features, &case.setup)
-            .outcome
-            .is_bug()
-    }
-
-    /// Removes session `session`'s body statement `index` from a schedule,
-    /// dropping exactly its step from the interleaving so the relative
-    /// order of every surviving step (and the oracle-supplied `BEGIN` /
-    /// closer bracketing) is preserved. Body statement `index` is the
-    /// `(index + 1)`-th interleaving occurrence of the session (occurrence
-    /// 0 is its `BEGIN`).
-    fn drop_schedule_statement(schedule: &mut Schedule, session: usize, index: usize) {
-        schedule.sessions[session].statements.remove(index);
-        let mut seen = 0usize;
-        let target = index + 1;
-        let position = schedule
-            .interleaving
-            .iter()
-            .position(|&s| {
-                if s as usize == session {
-                    let here = seen == target;
-                    seen += 1;
-                    here
-                } else {
-                    false
-                }
-            })
-            .expect("well-formed interleaving covers every step");
-        schedule.interleaving.remove(position);
-    }
-
-    /// Reduces a concurrent-schedule test case: setup statements first,
-    /// then each session's body statements (last to first, session by
-    /// session), preserving the bracketing and the interleaving's relative
-    /// order throughout. The statistics reuse the predicate-node fields for
-    /// the total session statement counts.
-    pub fn reduce_schedule(&mut self, case: &ScheduleCase) -> (ScheduleCase, ReductionStats) {
-        let mut current = case.clone();
-        let body_len =
-            |c: &ScheduleCase| c.schedule.sessions.iter().map(|s| s.statements.len()).sum();
-        let mut stats = ReductionStats {
-            setup_before: case.setup.len(),
-            predicate_nodes_before: body_len(case),
-            ..ReductionStats::default()
-        };
-
-        // Phase 1: drop setup statements (last to first).
-        let mut i = current.setup.len();
-        while i > 0 {
-            i -= 1;
-            let mut candidate = current.clone();
-            candidate.setup.remove(i);
-            if self.reproduces_schedule(&candidate) {
-                current = candidate;
-            }
-        }
-
-        // Phase 2: drop body statements per session (last to first).
-        for session in 0..current.schedule.sessions.len() {
-            let mut i = current.schedule.sessions[session].statements.len();
-            while i > 0 {
-                i -= 1;
-                let mut candidate = current.clone();
-                Self::drop_schedule_statement(&mut candidate.schedule, session, i);
-                if self.reproduces_schedule(&candidate) {
-                    current = candidate;
-                }
-            }
-        }
-
-        stats.setup_after = current.setup.len();
-        stats.predicate_nodes_after = body_len(&current);
-        stats.checks = self.checks;
         (current, stats)
     }
 }

@@ -7,8 +7,7 @@ use sql_engine::{
     CoverageTracker, CowStats, Engine, EngineConfig, EngineSession, EvalStrategy, ExecutionMode,
 };
 use sqlancer_core::{
-    check_isolation, check_norec, check_rollback, check_tlp, DbmsConnection, DialectQuirks,
-    EngineCoverage, OracleKind, OracleOutcome, QueryResult, ReducibleCase, ScheduleCase,
+    DbmsConnection, DialectQuirks, EngineCoverage, OracleCase, QueryResult, ScheduleCase,
     StateCheckpoint, StatementOutcome, StorageMetrics, TxnCase,
 };
 use std::sync::Arc;
@@ -174,79 +173,30 @@ impl SimulatedDbms {
     /// Identifies which injected bugs a test case triggers, by replaying it
     /// against variants of this DBMS with one fault disabled at a time (the
     /// in-silico analogue of bisecting to a fix commit, which is how the
-    /// paper establishes uniqueness on CrateDB in Section 5.5). `replay`
-    /// runs the case's oracle on a DBMS; a fault is a cause when the case
-    /// flags a bug here but not on the variant without that fault.
-    fn bisect(&self, replay: impl Fn(&mut SimulatedDbms) -> OracleOutcome) -> Vec<&'static str> {
-        let flags_bug = |dbms: &mut SimulatedDbms| matches!(replay(dbms), OracleOutcome::Bug(_));
-        if !flags_bug(&mut self.clone()) {
+    /// paper establishes uniqueness on CrateDB in Section 5.5). Each replay
+    /// rebuilds the case's own setup and runs its oracle
+    /// ([`OracleCase::replay`]); a fault is a cause when the case flags a
+    /// bug here but not on the variant without that fault.
+    pub fn ground_truth_bugs<C: OracleCase>(&self, case: &C) -> Vec<&'static str> {
+        let flags_bug = |mut dbms: SimulatedDbms| case.replay(&mut dbms).is_bug();
+        if !flags_bug(self.clone()) {
             return Vec::new();
         }
         self.faults
             .iter()
-            .filter(|&fault| !flags_bug(&mut self.without_fault(fault)))
+            .filter(|&fault| !flags_bug(self.without_fault(fault)))
             .filter_map(|fault| bugs_for_faults(&[fault]).first().map(|bug| bug.id))
             .collect()
     }
 
-    /// Identifies which injected bugs a reduced TLP/NoREC test case
-    /// triggers, by replaying it against variants of this DBMS with one
-    /// fault disabled at a time. Each replay resets the DBMS and runs the
-    /// case's setup first.
-    pub fn ground_truth_bugs(&self, case: &ReducibleCase) -> Vec<&'static str> {
-        self.bisect(|dbms| {
-            dbms.reset();
-            for sql in &case.setup {
-                let _ = dbms.execute(sql);
-            }
-            match case.oracle {
-                OracleKind::Tlp => check_tlp(
-                    dbms,
-                    &case.query,
-                    &case.predicate,
-                    &case.features,
-                    &case.setup,
-                ),
-                OracleKind::NoRec => check_norec(
-                    dbms,
-                    &case.query,
-                    &case.predicate,
-                    &case.features,
-                    &case.setup,
-                ),
-                // Rollback-oracle cases are transactional sessions
-                // ([`TxnCase`]) and isolation cases are schedules
-                // ([`ScheduleCase`]), each with its own ground truth.
-                OracleKind::Rollback => {
-                    OracleOutcome::Invalid("rollback cases replay as TxnCase".into())
-                }
-                OracleKind::Isolation => {
-                    OracleOutcome::Invalid("isolation cases replay as ScheduleCase".into())
-                }
-            }
-        })
-    }
-
-    /// [`SimulatedDbms::ground_truth_bugs`] for a transactional test case
-    /// flagged by the rollback oracle.
+    /// [`SimulatedDbms::ground_truth_bugs`] for a transactional case.
     pub fn ground_truth_txn_bugs(&self, case: &TxnCase) -> Vec<&'static str> {
-        self.bisect(|dbms| {
-            check_rollback(
-                dbms,
-                &case.table,
-                &case.statements,
-                &case.features,
-                &case.setup,
-            )
-        })
+        self.ground_truth_bugs(case)
     }
 
-    /// [`SimulatedDbms::ground_truth_bugs`] for a concurrent schedule
-    /// flagged by the isolation oracle.
+    /// [`SimulatedDbms::ground_truth_bugs`] for a concurrent schedule.
     pub fn ground_truth_schedule_bugs(&self, case: &ScheduleCase) -> Vec<&'static str> {
-        self.bisect(|dbms| {
-            check_isolation(dbms, &case.schedule, &case.features, &case.setup).outcome
-        })
+        self.ground_truth_bugs(case)
     }
 }
 
@@ -461,7 +411,7 @@ mod tests {
     use super::*;
     use sql_ast::{Expr, Select, SelectItem, TableWithJoins};
     use sql_engine::TypingMode;
-    use sqlancer_core::FeatureSet;
+    use sqlancer_core::{FeatureSet, OracleKind, ReducibleCase};
 
     fn permissive_with(faults: Vec<&'static str>) -> SimulatedDbms {
         SimulatedDbms::new(

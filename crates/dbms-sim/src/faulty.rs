@@ -158,55 +158,29 @@ impl FaultyConfig {
     /// exactly that kind's incidents disappear.
     pub fn without(&self, kind: InfraFaultKind) -> FaultyConfig {
         let mut config = self.clone();
-        match kind {
-            InfraFaultKind::Crash => config.crash = false,
-            InfraFaultKind::Hang => config.hang = false,
-            InfraFaultKind::Drop => config.drop = false,
-            InfraFaultKind::Garble => config.garble = false,
-            InfraFaultKind::Probe => config.probe = false,
-            InfraFaultKind::Flap => config.flap = false,
-        }
+        *config.flag_mut(kind) = false;
         config
     }
 
     /// This configuration with one fault kind armed.
     pub fn arm(&self, kind: InfraFaultKind) -> FaultyConfig {
         let mut config = self.clone();
-        match kind {
-            InfraFaultKind::Crash => config.crash = true,
-            InfraFaultKind::Hang => config.hang = true,
-            InfraFaultKind::Drop => config.drop = true,
-            InfraFaultKind::Garble => config.garble = true,
-            InfraFaultKind::Probe => config.probe = true,
-            InfraFaultKind::Flap => config.flap = true,
-        }
+        *config.flag_mut(kind) = true;
         config
     }
 
     /// This configuration with exactly one fault kind armed (the rest
     /// disarmed) — the single-fault arm of a bisection sweep.
     pub fn without_all_but(&self, kind: InfraFaultKind) -> FaultyConfig {
-        let mut config = FaultyConfig {
-            crash: false,
-            hang: false,
-            drop: false,
-            garble: false,
-            probe: false,
-            flap: false,
-            ..self.clone()
-        };
-        match kind {
-            InfraFaultKind::Crash => config.crash = true,
-            InfraFaultKind::Hang => config.hang = true,
-            InfraFaultKind::Drop => config.drop = true,
-            InfraFaultKind::Garble => config.garble = true,
-            InfraFaultKind::Probe => config.probe = true,
-            InfraFaultKind::Flap => config.flap = true,
+        let mut config = self.clone();
+        for other in InfraFaultKind::all() {
+            *config.flag_mut(other) = other == kind;
         }
         config
     }
 
-    /// Whether a kind is armed.
+    /// Whether a kind is armed: the one read of the kind-to-field mapping
+    /// (`flag_mut` is the one write).
     pub fn armed(&self, kind: InfraFaultKind) -> bool {
         match kind {
             InfraFaultKind::Crash => self.crash,
@@ -221,7 +195,22 @@ impl FaultyConfig {
     /// Whether any planned per-case kind is armed (the capability lie is a
     /// standing condition, not a planned fault).
     pub fn any_armed(&self) -> bool {
-        self.crash || self.hang || self.drop || self.garble || self.probe || self.flap
+        InfraFaultKind::all()
+            .into_iter()
+            .any(|kind| self.armed(kind))
+    }
+
+    /// The field that arms `kind`: the one write of the kind-to-field
+    /// mapping.
+    fn flag_mut(&mut self, kind: InfraFaultKind) -> &mut bool {
+        match kind {
+            InfraFaultKind::Crash => &mut self.crash,
+            InfraFaultKind::Hang => &mut self.hang,
+            InfraFaultKind::Drop => &mut self.drop,
+            InfraFaultKind::Garble => &mut self.garble,
+            InfraFaultKind::Probe => &mut self.probe,
+            InfraFaultKind::Flap => &mut self.flap,
+        }
     }
 
     /// The fault planned for a case seed, if any: the first armed kind (in

@@ -13,6 +13,7 @@
 //!   byte) for any thread count and any pool size, and
 //! * adding or removing drivers never perturbs the seeds of the others.
 
+use crate::bugs::infra_catalog;
 use sqlancer_core::driver::{Driver, Pool};
 use sqlancer_core::stats::FeatureStats;
 use sqlancer_core::supervisor::panic_message;
@@ -388,18 +389,11 @@ fn worker_panic_report(dialect: &str, payload: &(dyn std::any::Any + Send)) -> C
 /// campaigns: arm a fault kind, run, and its id must appear here; disarm
 /// it (bisection) and it must vanish.
 pub fn observed_infra_kinds(report: &CampaignReport) -> Vec<&'static str> {
-    [
-        "infra_crash",
-        "infra_hang",
-        "infra_drop",
-        "infra_garble",
-        "infra_probe",
-        "infra_flap",
-        "infra_capability_lie",
-    ]
-    .into_iter()
-    .filter(|id| report.incidents.iter().any(|i| i.detail.contains(id)))
-    .collect()
+    infra_catalog()
+        .into_iter()
+        .map(|bug| bug.fault)
+        .filter(|id| report.incidents.iter().any(|i| i.detail.contains(id)))
+        .collect()
 }
 
 /// Folds one driver's per-database shard results together in database

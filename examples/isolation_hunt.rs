@@ -18,6 +18,10 @@
 //! * `mariadb` — `iso_lost_update` (COMMIT skips conflict validation),
 //! * `tidb` — `iso_nonrepeatable_read` (reads chase the committed state).
 //!
+//! The example asserts that each designated dialect bisects to exactly its
+//! injected bug and that the clean `sqlite` flags nothing, so it exits
+//! non-zero when detection, reduction or bisection regresses.
+//!
 //! ```bash
 //! cargo run --example isolation_hunt
 //! ```
@@ -28,7 +32,12 @@ use std::collections::BTreeSet;
 
 fn main() {
     println!("== Snapshot-isolation oracle hunt ==\n");
-    for name in ["mysql", "mariadb", "tidb", "sqlite"] {
+    for (name, expected) in [
+        ("mysql", Some("BUG-DIRTY-READ")),
+        ("mariadb", Some("BUG-LOST-UPDATE")),
+        ("tidb", Some("BUG-NONREPEATABLE-READ")),
+        ("sqlite", None),
+    ] {
         let preset = preset_by_name(name).expect("known preset");
         let mut dbms = preset.instantiate();
         // Isolation-only schedule: every test case is a concurrent
@@ -48,12 +57,11 @@ fn main() {
         let mut campaign = Campaign::new(config);
         let report = campaign.run(&mut dbms);
 
-        let mut unique: BTreeSet<&'static str> = BTreeSet::new();
-        for case in &report.schedule_cases {
-            for id in dbms.ground_truth_schedule_bugs(case) {
-                unique.insert(id);
-            }
-        }
+        let unique: BTreeSet<&'static str> = report
+            .schedule_cases
+            .iter()
+            .flat_map(|case| dbms.ground_truth_bugs(case))
+            .collect();
         println!(
             "{name}: {} schedules, {:.0}% conflict-abort rate, {} flagged, \
              {} prioritized, ground truth: {:?}",
@@ -68,6 +76,12 @@ fn main() {
             for line in case.schedule.replay_script() {
                 println!("    {line}");
             }
+        }
+        // Each designated dialect bisects to exactly its injected bug;
+        // the clean dialect flags nothing.
+        assert_eq!(unique, expected.into_iter().collect(), "{name}");
+        if expected.is_none() {
+            assert_eq!(report.metrics.detected_bug_cases, 0, "{name}");
         }
         println!();
     }

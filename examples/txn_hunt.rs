@@ -13,6 +13,10 @@
 //! * `monetdb` — `txn_phantom_commit` (COMMIT discards them),
 //! * `firebird` — `txn_savepoint_collapse` (ROLLBACK TO rewinds too far).
 //!
+//! The example asserts that each designated dialect bisects to exactly its
+//! injected bug and that the clean `sqlite` flags nothing, so it exits
+//! non-zero when detection, reduction or bisection regresses.
+//!
 //! ```bash
 //! cargo run --example txn_hunt
 //! ```
@@ -23,7 +27,12 @@ use std::collections::BTreeSet;
 
 fn main() {
     println!("== Transaction-rollback oracle hunt ==\n");
-    for name in ["dolt", "monetdb", "firebird", "sqlite"] {
+    for (name, expected) in [
+        ("dolt", Some("BUG-LOST-ROLLBACK")),
+        ("monetdb", Some("BUG-PHANTOM-COMMIT")),
+        ("firebird", Some("BUG-SAVEPOINT-COLLAPSE")),
+        ("sqlite", None),
+    ] {
         let preset = preset_by_name(name).expect("known preset");
         let mut dbms = preset.instantiate();
         // Rollback-only schedule: every test case is a transactional
@@ -42,12 +51,11 @@ fn main() {
         let mut campaign = Campaign::new(config);
         let report = campaign.run(&mut dbms);
 
-        let mut unique: BTreeSet<&'static str> = BTreeSet::new();
-        for case in &report.txn_cases {
-            for id in dbms.ground_truth_txn_bugs(case) {
-                unique.insert(id);
-            }
-        }
+        let unique: BTreeSet<&'static str> = report
+            .txn_cases
+            .iter()
+            .flat_map(|case| dbms.ground_truth_bugs(case))
+            .collect();
         println!(
             "{name}: {} test cases, {} flagged, {} prioritized, ground truth: {:?}",
             report.metrics.test_cases,
@@ -60,6 +68,12 @@ fn main() {
             for stmt in &case.statements {
                 println!("    {stmt}");
             }
+        }
+        // Each designated dialect bisects to exactly its injected bug;
+        // the clean dialect flags nothing.
+        assert_eq!(unique, expected.into_iter().collect(), "{name}");
+        if expected.is_none() {
+            assert_eq!(report.metrics.detected_bug_cases, 0, "{name}");
         }
         println!();
     }

@@ -450,7 +450,7 @@ fn schedule_reduction_preserves_bracketing_and_order() {
     let mut dbms = preset_by_name("mariadb").unwrap().instantiate();
     let (reduced, stats) = {
         let mut reducer = BugReducer::new(&mut dbms, 64);
-        reducer.reduce_schedule(&case)
+        reducer.reduce(&case)
     };
     assert!(stats.checks > 0);
     assert!(reduced.schedule.is_well_formed(), "reduction broke steps");

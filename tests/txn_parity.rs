@@ -388,7 +388,7 @@ fn txn_reduction_preserves_savepoint_pairing() {
         features: FeatureSet::new(),
     };
     let mut reducer = BugReducer::new(&mut dbms, 200);
-    let (reduced, stats) = reducer.reduce_txn(&case);
+    let (reduced, stats) = reducer.reduce(&case);
     assert!(stats.checks > 0);
     assert!(
         reduced.statements.len() < case.statements.len(),
