@@ -44,14 +44,17 @@ for example in "${EXAMPLES[@]}"; do
     "./target/release/examples/$example" > /dev/null
 done
 
-echo "==> table and figure binaries"
+echo "==> table and figure binaries (golden output)"
 # Every reproduction binary runs at its default budget from the release
-# build, so a panic in an experiment fails CI instead of shipping. Their
-# tables are not checked here; together they run in a few seconds.
+# build, and its stdout must match crates/bench/golden/<bin>.txt byte for
+# byte: the binaries are serial and seeded, so any difference is a changed
+# table. A change that is meant to alter a table updates its golden file
+# (`./target/release/<bin> > crates/bench/golden/<bin>.txt`), so the new
+# table shows in review. Together they run in about a second.
 for bin in table2_bug_campaign table3_coverage table4_validity table5_prioritization \
     fig1_adaptation_effort fig6_feature_study fig7_feature_overlap; do
     echo "--> $bin"
-    "./target/release/$bin" > /dev/null
+    "./target/release/$bin" | diff -u "crates/bench/golden/$bin.txt" -
 done
 
 echo "==> perf-regression gate (~30s)"

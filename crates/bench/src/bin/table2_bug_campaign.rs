@@ -6,7 +6,7 @@
 //! fix-commit analysis), and reports logic vs other bugs.
 
 use bench::{experiment_campaign_config, run_campaign, GeneratorArm};
-use dbms_sim::fleet;
+use dbms_sim::{bugs_for_faults, fleet};
 
 fn main() {
     let queries: usize = std::env::args()
@@ -34,7 +34,7 @@ fn main() {
             outcome.unique_bugs.len(),
             outcome.logic_bugs,
             outcome.other_bugs,
-            preset.faults.len(),
+            bugs_for_faults(preset.faults).len(),
         );
     }
     println!();

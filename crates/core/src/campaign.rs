@@ -565,23 +565,7 @@ impl Campaign {
         // incident counters, never as silently-zero metrics), and the
         // campaign proceeds with a default baseline exactly as the legacy
         // swallow did.
-        let mut storage_baseline = match conn.storage_metrics() {
-            Ok(Some(metrics)) => metrics,
-            Ok(None) => StorageMetrics::default(),
-            Err(message) => {
-                let case_index = supervisor.metrics().test_cases;
-                supervisor.record(CampaignIncident {
-                    kind: IncidentKind::StorageMetricsError,
-                    database: start_db,
-                    case_index,
-                    attempt: 0,
-                    deadline_ticks: 0,
-                    observed_ticks: 0,
-                    detail: message,
-                });
-                StorageMetrics::default()
-            }
-        };
+        let mut storage_baseline = read_storage(conn, supervisor, start_db).unwrap_or_default();
         let quirks = conn.quirks();
         let mut quarantined = false;
         // The cold-feature pool for coverage-directed generation, computed
@@ -838,24 +822,9 @@ impl Campaign {
         baseline: &mut StorageMetrics,
         accum: &mut StorageMetrics,
     ) {
-        match conn.storage_metrics() {
-            Ok(Some(now)) => {
-                accum.merge(&now.since(baseline));
-                *baseline = now;
-            }
-            Ok(None) => {}
-            Err(message) => {
-                let case_index = supervisor.metrics().test_cases;
-                supervisor.record(CampaignIncident {
-                    kind: IncidentKind::StorageMetricsError,
-                    database,
-                    case_index,
-                    attempt: 0,
-                    deadline_ticks: 0,
-                    observed_ticks: 0,
-                    detail: message,
-                });
-            }
+        if let Some(now) = read_storage(conn, supervisor, database) {
+            accum.merge(&now.since(baseline));
+            *baseline = now;
         }
     }
 
@@ -993,6 +962,32 @@ impl Campaign {
         report.reports.push(*bug);
         case.record(report);
         cases_done
+    }
+}
+
+/// Reads the backend's storage counters. A backend error is recorded as a
+/// [`IncidentKind::StorageMetricsError`] incident against `database` and
+/// reads as `None`, like a backend that keeps no counters.
+fn read_storage(
+    conn: &mut dyn DbmsConnection,
+    supervisor: &mut Supervisor,
+    database: usize,
+) -> Option<StorageMetrics> {
+    match conn.storage_metrics() {
+        Ok(metrics) => metrics,
+        Err(message) => {
+            let case_index = supervisor.metrics().test_cases;
+            supervisor.record(CampaignIncident {
+                kind: IncidentKind::StorageMetricsError,
+                database,
+                case_index,
+                attempt: 0,
+                deadline_ticks: 0,
+                observed_ticks: 0,
+                detail: message,
+            });
+            None
+        }
     }
 }
 

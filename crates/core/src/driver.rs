@@ -442,6 +442,23 @@ fn run_probe(
     Ok((probed, drift))
 }
 
+/// [`run_probe`] in safe mode, adding the storage work the probe does to
+/// `overhead` so the slot's storage metrics can leave it out.
+fn run_probe_charged(
+    conn: &mut dyn DbmsConnection,
+    claimed: &Capability,
+    overhead: &mut StorageMetrics,
+) -> Result<(Capability, Vec<String>), String> {
+    conn.begin_case(0);
+    let before = conn.storage_metrics().ok().flatten();
+    let result = run_probe(conn, claimed);
+    let after = conn.storage_metrics().ok().flatten();
+    if let (Some(b), Some(a)) = (before, after) {
+        overhead.merge(&a.since(&b));
+    }
+    result
+}
+
 /// One entry of the pool's sync log: a safe-mode statement as the pool was
 /// handed it, replayed through the same entry point.
 enum SyncEntry {
@@ -560,14 +577,9 @@ impl Pool {
         // capability is what `Campaign::apply_capability` sees, so a lying
         // driver degrades gracefully instead of spraying invalid cases.
         let claimed = driver.capability();
-        conn.begin_case(0);
-        let before = conn.storage_metrics().ok().flatten();
-        let (capability, drift_details) = run_probe(conn.as_mut(), &claimed)
-            .map_err(|msg| format!("capability probe failed: {msg}"))?;
-        let after = conn.storage_metrics().ok().flatten();
-        if let (Some(b), Some(a)) = (before, after) {
-            slots[0].probe_overhead.merge(&a.since(&b));
-        }
+        let (capability, drift_details) =
+            run_probe_charged(conn.as_mut(), &claimed, &mut slots[0].probe_overhead)
+                .map_err(|msg| format!("capability probe failed: {msg}"))?;
         conn.reset();
         slots[0].conn = Some(conn);
         Ok(Pool {
@@ -678,13 +690,7 @@ impl Pool {
     fn probe_fresh_slot(&mut self, index: usize) {
         let slot = &mut self.slots[index];
         let conn = slot.conn.as_mut().expect("connected before probing");
-        conn.begin_case(0);
-        let before = conn.storage_metrics().ok().flatten();
-        let result = run_probe(conn.as_mut(), &self.capability);
-        let after = conn.storage_metrics().ok().flatten();
-        if let (Some(b), Some(a)) = (before, after) {
-            slot.probe_overhead.merge(&a.since(&b));
-        }
+        let result = run_probe_charged(conn.as_mut(), &self.capability, &mut slot.probe_overhead);
         self.probes_run += 1;
         match result {
             Ok((_probed, drift)) => self.probe_downgrades += drift.len() as u64,

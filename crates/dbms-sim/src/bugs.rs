@@ -1,18 +1,22 @@
 //! The injected-bug catalog: ground truth for the fleet's logic bugs.
 //!
-//! Each entry ties one engine fault switch ([`sql_engine::FaultConfig`]) to
+//! Each entry ties one engine fault ([`sql_engine::Fault`]) to
 //! a stable bug identifier, a human-readable description, the SQL features
 //! involved, and whether it is a *logic* bug (silently wrong results) or an
 //! *other* bug (internal error / crash) — the two classes Table 2 of the
 //! paper distinguishes.
 
-/// One injectable bug.
+use sql_engine::{Fault, FaultConfig};
+
+/// One injectable bug, keyed by the fault that enables it: an engine
+/// [`Fault`] in [`catalog`], an infrastructure fault id in
+/// [`infra_catalog`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct InjectedBug {
+pub struct InjectedBug<F = Fault> {
     /// Stable identifier (used as the ground truth for "unique bugs").
     pub id: &'static str,
-    /// The engine fault switch that enables it.
-    pub fault: &'static str,
+    /// The fault that enables it.
+    pub fault: F,
     /// Whether this is a logic bug (vs. an internal-error/crash bug).
     pub is_logic: bool,
     /// Canonical names of the SQL features involved in triggering it.
@@ -26,119 +30,119 @@ pub fn catalog() -> Vec<InjectedBug> {
     vec![
         InjectedBug {
             id: "BUG-NOT-NULL-SEMANTICS",
-            fault: "bad_not_elimination",
+            fault: Fault::BadNotElimination,
             is_logic: true,
             features: &["OP_NOT", "OP_EQ"],
             description: "NOT (a = b) rewritten to IS DISTINCT FROM, changing NULL semantics",
         },
         InjectedBug {
             id: "BUG-RANGE-NEGATION",
-            fault: "bad_range_negation",
+            fault: Fault::BadRangeNegation,
             is_logic: true,
             features: &["OP_NOT", "OP_LT"],
             description: "NOT (a < b) rewritten to a > b, dropping equality",
         },
         InjectedBug {
             id: "BUG-PREDICATE-PUSHDOWN",
-            fault: "bad_predicate_pushdown",
+            fault: Fault::BadPredicatePushdown,
             is_logic: true,
             features: &["JOIN_LEFT", "CLAUSE_WHERE"],
             description: "WHERE predicate pushed into LEFT JOIN ON clause",
         },
         InjectedBug {
             id: "BUG-JOIN-FLATTENING",
-            fault: "bad_join_flattening",
+            fault: Fault::BadJoinFlattening,
             is_logic: true,
             features: &["JOIN_RIGHT", "JOIN_LEFT", "CLAUSE_WHERE"],
             description: "outer-join ON term flattened into WHERE (SQLite Listing 3)",
         },
         InjectedBug {
             id: "BUG-CONST-FOLD-TEXT",
-            fault: "bad_constant_folding_text",
+            fault: Fault::BadConstantFoldingText,
             is_logic: true,
             features: &["TYPE_TEXT", "OP_EQ"],
             description: "constant folding coerces text literals numerically",
         },
         InjectedBug {
             id: "BUG-NOTNULL-ISNULL-FOLD",
-            fault: "bad_notnull_isnull_folding",
+            fault: Fault::BadNotnullIsnullFolding,
             is_logic: true,
             features: &["OP_IS_NULL", "KW_NOT_NULL"],
             description: "IS NULL on NOT NULL columns folded to FALSE despite outer joins",
         },
         InjectedBug {
             id: "BUG-IN-LIST-NULL",
-            fault: "bad_in_list_rewrite",
+            fault: Fault::BadInListRewrite,
             is_logic: true,
             features: &["OP_IN"],
             description: "IN-list rewrite drops NULL elements",
         },
         InjectedBug {
             id: "BUG-BETWEEN-SWAP",
-            fault: "bad_between_rewrite",
+            fault: Fault::BadBetweenRewrite,
             is_logic: true,
             features: &["OP_BETWEEN"],
             description: "BETWEEN with reversed literal bounds gets its bounds swapped",
         },
         InjectedBug {
             id: "BUG-DISTINCT-ELIM",
-            fault: "bad_distinct_elimination",
+            fault: Fault::BadDistinctElimination,
             is_logic: true,
             features: &["CLAUSE_DISTINCT", "OP_EQ"],
             description: "DISTINCT dropped when an equality predicate is present",
         },
         InjectedBug {
             id: "BUG-LIMIT-PUSHDOWN",
-            fault: "bad_limit_pushdown",
+            fault: Fault::BadLimitPushdown,
             is_logic: true,
             features: &["CLAUSE_LIMIT", "JOIN_LEFT"],
             description: "LIMIT pushed below an outer join",
         },
         InjectedBug {
             id: "BUG-NULLSAFE-EQ",
-            fault: "bad_nullsafe_eq_rewrite",
+            fault: Fault::BadNullsafeEqRewrite,
             is_logic: true,
             features: &["OP_NULLSAFE_EQ"],
             description: "<=> rewritten to plain equality",
         },
         InjectedBug {
             id: "BUG-CASE-FOLD",
-            fault: "bad_case_folding",
+            fault: Fault::BadCaseFolding,
             is_logic: true,
             features: &["CLAUSE_CASE"],
             description: "CASE folded on a constant-true first branch",
         },
         InjectedBug {
             id: "BUG-INDEX-COERCION",
-            fault: "bad_index_lookup_coercion",
+            fault: Fault::BadIndexLookupCoercion,
             is_logic: true,
             features: &["STMT_CREATE_INDEX", "OP_EQ"],
             description: "index lookup skips text-to-numeric coercion",
         },
         InjectedBug {
             id: "BUG-UNIQUE-INDEX-SHORTCUT",
-            fault: "bad_unique_index_shortcut",
+            fault: Fault::BadUniqueIndexShortcut,
             is_logic: true,
             features: &["STMT_CREATE_INDEX", "KW_UNIQUE_INDEX", "OP_EQ"],
             description: "unique-index lookup stops at the first match",
         },
         InjectedBug {
             id: "BUG-PARTIAL-INDEX",
-            fault: "bad_partial_index_scan",
+            fault: Fault::BadPartialIndexScan,
             is_logic: true,
             features: &["STMT_CREATE_INDEX", "KW_PARTIAL_INDEX"],
             description: "partial index used without checking its predicate",
         },
         InjectedBug {
             id: "BUG-STALE-COUNT",
-            fault: "bad_stale_count_statistics",
+            fault: Fault::BadStaleCountStatistics,
             is_logic: true,
             features: &["STMT_ANALYZE", "AGG_COUNT"],
             description: "COUNT(*) answered from stale ANALYZE statistics",
         },
         InjectedBug {
             id: "BUG-REPLACE-AFFINITY",
-            fault: "bad_replace_type_affinity",
+            fault: Fault::BadReplaceTypeAffinity,
             is_logic: true,
             features: &["FN_REPLACE", "OP_EQ"],
             description:
@@ -146,84 +150,84 @@ pub fn catalog() -> Vec<InjectedBug> {
         },
         InjectedBug {
             id: "BUG-BITWISE-INVERSION",
-            fault: "bad_bitwise_inversion",
+            fault: Fault::BadBitwiseInversion,
             is_logic: true,
             features: &["OP_BITNOT"],
             description: "bitwise inversion mishandles negative operands (TiDB ~ bug)",
         },
         InjectedBug {
             id: "BUG-NULLIF-NULL",
-            fault: "bad_nullif_null_handling",
+            fault: Fault::BadNullifNullHandling,
             is_logic: true,
             features: &["FN_NULLIF"],
             description: "NULLIF returns NULL when its second argument is NULL",
         },
         InjectedBug {
             id: "BUG-COLLATION-COMPARE",
-            fault: "bad_collation_comparison",
+            fault: Fault::BadCollationComparison,
             is_logic: true,
             features: &["TYPE_TEXT", "OP_EQ"],
             description: "optimized text comparison is case-insensitive",
         },
         InjectedBug {
             id: "BUG-LIKE-UNDERSCORE",
-            fault: "bad_like_underscore",
+            fault: Fault::BadLikeUnderscore,
             is_logic: true,
             features: &["OP_LIKE"],
             description: "LIKE treats _ as a literal in the optimized path",
         },
         InjectedBug {
             id: "BUG-INTEGER-DIVISION",
-            fault: "bad_integer_division",
+            fault: Fault::BadIntegerDivision,
             is_logic: true,
             features: &["OP_DIV"],
             description: "integer division rounds instead of truncating",
         },
         InjectedBug {
             id: "BUG-TEXT-COERCION-SIGN",
-            fault: "bad_text_coercion_sign",
+            fault: Fault::BadTextCoercionSign,
             is_logic: true,
             features: &["TYPE_TEXT", "OP_LT"],
             description: "text-to-number coercion ignores a leading minus sign",
         },
         InjectedBug {
             id: "BUG-SUM-EMPTY-GROUP",
-            fault: "bad_sum_empty_group",
+            fault: Fault::BadSumEmptyGroup,
             is_logic: true,
             features: &["AGG_SUM"],
             description: "SUM over an empty group returns 0 instead of NULL",
         },
         InjectedBug {
             id: "BUG-COUNT-NULLS",
-            fault: "bad_count_nulls",
+            fault: Fault::BadCountNulls,
             is_logic: true,
             features: &["AGG_COUNT"],
             description: "COUNT(col) counts NULLs",
         },
         InjectedBug {
             id: "BUG-VIEW-PREDICATE",
-            fault: "bad_view_predicate_drop",
+            fault: Fault::BadViewPredicateDrop,
             is_logic: true,
             features: &["STMT_CREATE_VIEW", "CLAUSE_WHERE"],
             description: "view expansion drops the view's WHERE predicate",
         },
         InjectedBug {
             id: "BUG-GROUPBY-COLLATION",
-            fault: "bad_group_by_collation",
+            fault: Fault::BadGroupByCollation,
             is_logic: true,
             features: &["CLAUSE_GROUP_BY", "TYPE_TEXT"],
             description: "GROUP BY on text keys groups case-insensitively",
         },
         InjectedBug {
             id: "BUG-HAVING-PUSHDOWN",
-            fault: "bad_having_pushdown",
+            fault: Fault::BadHavingPushdown,
             is_logic: true,
             features: &["CLAUSE_HAVING"],
             description: "HAVING without aggregates evaluated before grouping",
         },
         InjectedBug {
             id: "BUG-LOST-ROLLBACK",
-            fault: "txn_lost_rollback",
+            fault: Fault::TxnLostRollback,
             is_logic: true,
             features: &["STMT_BEGIN", "STMT_ROLLBACK"],
             description:
@@ -231,7 +235,7 @@ pub fn catalog() -> Vec<InjectedBug> {
         },
         InjectedBug {
             id: "BUG-PHANTOM-COMMIT",
-            fault: "txn_phantom_commit",
+            fault: Fault::TxnPhantomCommit,
             is_logic: true,
             features: &["STMT_BEGIN", "STMT_COMMIT"],
             description:
@@ -239,7 +243,7 @@ pub fn catalog() -> Vec<InjectedBug> {
         },
         InjectedBug {
             id: "BUG-SAVEPOINT-COLLAPSE",
-            fault: "txn_savepoint_collapse",
+            fault: Fault::TxnSavepointCollapse,
             is_logic: true,
             features: &["STMT_SAVEPOINT", "STMT_ROLLBACK_TO"],
             description:
@@ -247,7 +251,7 @@ pub fn catalog() -> Vec<InjectedBug> {
         },
         InjectedBug {
             id: "BUG-DIRTY-READ",
-            fault: "iso_dirty_read",
+            fault: Fault::IsoDirtyRead,
             is_logic: true,
             features: &["STMT_BEGIN", "STMT_COMMIT"],
             description:
@@ -255,7 +259,7 @@ pub fn catalog() -> Vec<InjectedBug> {
         },
         InjectedBug {
             id: "BUG-LOST-UPDATE",
-            fault: "iso_lost_update",
+            fault: Fault::IsoLostUpdate,
             is_logic: true,
             features: &["STMT_BEGIN", "STMT_COMMIT"],
             description:
@@ -263,7 +267,7 @@ pub fn catalog() -> Vec<InjectedBug> {
         },
         InjectedBug {
             id: "BUG-NONREPEATABLE-READ",
-            fault: "iso_nonrepeatable_read",
+            fault: Fault::IsoNonrepeatableRead,
             is_logic: true,
             features: &["STMT_BEGIN", "STMT_COMMIT"],
             description:
@@ -271,14 +275,14 @@ pub fn catalog() -> Vec<InjectedBug> {
         },
         InjectedBug {
             id: "BUG-DEEP-EXPR-CRASH",
-            fault: "crash_on_deep_expressions",
+            fault: Fault::CrashOnDeepExpressions,
             is_logic: false,
             features: &["CLAUSE_WHERE"],
             description: "internal error on deeply nested expressions",
         },
         InjectedBug {
             id: "BUG-MANY-JOINS-OOM",
-            fault: "crash_on_many_joins",
+            fault: Fault::CrashOnManyJoins,
             is_logic: false,
             features: &["JOIN_INNER", "JOIN_LEFT"],
             description: "out-of-memory style internal error on three-way joins",
@@ -293,7 +297,7 @@ pub fn catalog() -> Vec<InjectedBug> {
 /// bugs; the campaign supervisor turns them into incidents instead. The
 /// `fault` names here are the ids [`crate::FaultyConfig`] arms and the
 /// substrings [`sqlancer_core::classify_infra_message`] keys on.
-pub fn infra_catalog() -> Vec<InjectedBug> {
+pub fn infra_catalog() -> Vec<InjectedBug<&'static str>> {
     vec![
         InjectedBug {
             id: "INFRA-BACKEND-CRASH",
@@ -355,34 +359,28 @@ pub fn infra_catalog() -> Vec<InjectedBug> {
     ]
 }
 
-/// Looks up catalog entries by fault name.
-pub fn bugs_for_faults(faults: &[&str]) -> Vec<InjectedBug> {
+/// The catalog entries of the enabled faults, in catalog order.
+pub fn bugs_for_faults(faults: FaultConfig) -> Vec<InjectedBug> {
     catalog()
         .into_iter()
-        .filter(|b| faults.contains(&b.fault))
+        .filter(|b| faults.has(b.fault))
         .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sql_engine::FaultConfig;
     use std::collections::BTreeSet;
-
-    #[test]
-    fn every_catalog_entry_maps_to_a_real_fault_switch() {
-        let known: BTreeSet<_> = FaultConfig::all_names().into_iter().collect();
-        for bug in catalog() {
-            assert!(known.contains(bug.fault), "unknown fault {}", bug.fault);
-        }
-    }
 
     #[test]
     fn ids_are_unique_and_catalog_covers_every_fault() {
         let bugs = catalog();
         let ids: BTreeSet<_> = bugs.iter().map(|b| b.id).collect();
         assert_eq!(ids.len(), bugs.len());
-        assert_eq!(bugs.len(), FaultConfig::all_names().len());
+        let faults: Vec<Fault> = bugs.iter().map(|b| b.fault).collect();
+        let every_fault = (1u64 << (Fault::CrashOnManyJoins as u32 + 1)) - 1;
+        assert_eq!(FaultConfig::of(&faults).bits(), every_fault);
+        assert_eq!(bugs.len(), every_fault.count_ones() as usize);
     }
 
     #[test]
@@ -394,17 +392,18 @@ mod tests {
 
     #[test]
     fn lookup_by_fault_names() {
-        let found = bugs_for_faults(&["bad_replace_type_affinity", "bad_bitwise_inversion"]);
+        let found = bugs_for_faults(FaultConfig::of(&[
+            Fault::BadReplaceTypeAffinity,
+            Fault::BadBitwiseInversion,
+        ]));
         assert_eq!(found.len(), 2);
     }
 
     #[test]
     fn infra_catalog_is_disjoint_from_the_logic_catalog() {
         let logic_ids: BTreeSet<_> = catalog().iter().map(|b| b.id).collect();
-        let logic_faults: BTreeSet<_> = catalog().iter().map(|b| b.fault).collect();
         for infra in infra_catalog() {
             assert!(!logic_ids.contains(infra.id));
-            assert!(!logic_faults.contains(infra.fault));
             assert!(
                 !infra.is_logic,
                 "infrastructure faults are never logic bugs"

@@ -5,6 +5,7 @@ use crate::profile::DialectProfile;
 use sql_ast::{Select, Statement};
 use sql_engine::{
     CoverageTracker, CowStats, Engine, EngineConfig, EngineSession, EvalStrategy, ExecutionMode,
+    Fault, FaultConfig,
 };
 use sqlancer_core::{
     DbmsConnection, DialectQuirks, EngineCoverage, OracleCase, QueryResult, ScheduleCase,
@@ -13,7 +14,8 @@ use sqlancer_core::{
 use std::sync::Arc;
 
 /// A simulated DBMS under test: a dialect profile layered over the
-/// in-memory engine, with a set of injected bugs as ground truth.
+/// in-memory engine, with a set of injected bugs as ground truth. The
+/// engine's configuration is the one record of which faults are armed.
 ///
 /// The DBMS owns a shared [`Engine`] core and drives it through a primary
 /// [`SimulatedSession`], which does the dialect gating and keeps the
@@ -22,7 +24,6 @@ use std::sync::Arc;
 /// connections on one engine.
 #[derive(Debug)]
 pub struct SimulatedDbms {
-    faults: Vec<&'static str>,
     engine: Engine,
     /// The primary connection. Its profile is immutable for the DBMS's
     /// lifetime and shared with every session it opens and every clone of
@@ -49,7 +50,6 @@ impl Clone for SimulatedDbms {
     fn clone(&self) -> SimulatedDbms {
         let engine = self.engine.clone();
         SimulatedDbms {
-            faults: self.faults.clone(),
             primary: SimulatedSession {
                 profile: Arc::clone(&self.primary.profile),
                 session: engine.session(),
@@ -63,13 +63,10 @@ impl Clone for SimulatedDbms {
 }
 
 impl SimulatedDbms {
-    /// Creates a simulated DBMS from a profile and a set of engine fault
-    /// names (the injected bugs), using the default (compiled) expression
+    /// Creates a simulated DBMS from a profile and a set of engine faults
+    /// (the injected bugs), using the default (compiled) expression
     /// evaluator.
-    pub fn new(
-        profile: impl Into<Arc<DialectProfile>>,
-        faults: Vec<&'static str>,
-    ) -> SimulatedDbms {
+    pub fn new(profile: impl Into<Arc<DialectProfile>>, faults: FaultConfig) -> SimulatedDbms {
         SimulatedDbms::with_eval(profile, faults, EvalStrategy::default())
     }
 
@@ -78,13 +75,21 @@ impl SimulatedDbms {
     /// compiled↔tree parity suite and the throughput benchmark.
     pub fn with_eval(
         profile: impl Into<Arc<DialectProfile>>,
-        faults: Vec<&'static str>,
+        faults: FaultConfig,
         eval: EvalStrategy,
     ) -> SimulatedDbms {
         let profile = profile.into();
-        let engine = Engine::new(Self::engine_config(&profile, &faults, eval));
-        SimulatedDbms {
+        let config = EngineConfig {
+            typing: profile.typing,
             faults,
+            eval,
+        };
+        SimulatedDbms::from_config(profile, config)
+    }
+
+    fn from_config(profile: Arc<DialectProfile>, config: EngineConfig) -> SimulatedDbms {
+        let engine = Engine::new(config);
+        SimulatedDbms {
             primary: SimulatedSession {
                 profile,
                 session: engine.session(),
@@ -96,29 +101,6 @@ impl SimulatedDbms {
         }
     }
 
-    /// The evaluation strategy this DBMS's engine runs with. Read from the
-    /// engine configuration (the single source of truth) so rebuilds in
-    /// [`DbmsConnection::reset`] can never drift from it.
-    fn eval(&self) -> EvalStrategy {
-        self.engine.config().eval
-    }
-
-    fn engine_config(
-        profile: &DialectProfile,
-        faults: &[&'static str],
-        eval: EvalStrategy,
-    ) -> EngineConfig {
-        let mut config = EngineConfig {
-            typing: profile.typing,
-            eval,
-            ..EngineConfig::default()
-        };
-        for fault in faults {
-            config.faults.enable(fault);
-        }
-        config
-    }
-
     /// The dialect profile.
     pub fn profile(&self) -> &DialectProfile {
         &self.primary.profile
@@ -126,7 +108,7 @@ impl SimulatedDbms {
 
     /// The injected bugs, with their ground-truth metadata.
     pub fn injected_bugs(&self) -> Vec<InjectedBug> {
-        bugs_for_faults(&self.faults)
+        bugs_for_faults(self.engine.config().faults)
     }
 
     /// The engine coverage reached over the DBMS's lifetime: the points of
@@ -160,14 +142,10 @@ impl SimulatedDbms {
 
     /// A copy of this DBMS with one fault disabled — the "fixed version"
     /// used for ground-truth bug identification.
-    fn without_fault(&self, fault: &str) -> SimulatedDbms {
-        let faults: Vec<&'static str> = self
-            .faults
-            .iter()
-            .copied()
-            .filter(|f| *f != fault)
-            .collect();
-        SimulatedDbms::with_eval(Arc::clone(&self.primary.profile), faults, self.eval())
+    fn without_fault(&self, fault: Fault) -> SimulatedDbms {
+        let mut config = self.engine.config();
+        config.faults = config.faults.without(fault);
+        SimulatedDbms::from_config(Arc::clone(&self.primary.profile), config)
     }
 
     /// Identifies which injected bugs a test case triggers, by replaying it
@@ -182,10 +160,10 @@ impl SimulatedDbms {
         if !flags_bug(self.clone()) {
             return Vec::new();
         }
-        self.faults
-            .iter()
-            .filter(|&fault| !flags_bug(self.without_fault(fault)))
-            .filter_map(|fault| bugs_for_faults(&[fault]).first().map(|bug| bug.id))
+        self.injected_bugs()
+            .into_iter()
+            .filter(|bug| !flags_bug(self.without_fault(bug.fault)))
+            .map(|bug| bug.id)
             .collect()
     }
 
@@ -332,11 +310,7 @@ impl DbmsConnection for SimulatedDbms {
         self.retired_cow.merge(&self.engine.cow_stats());
         self.retired_coverage
             .merge(&self.engine.committed().coverage_snapshot());
-        self.engine = Engine::new(Self::engine_config(
-            &self.primary.profile,
-            &self.faults,
-            self.eval(),
-        ));
+        self.engine = Engine::new(self.engine.config());
         self.primary.session = self.engine.session();
     }
 
@@ -413,16 +387,16 @@ mod tests {
     use sql_engine::TypingMode;
     use sqlancer_core::{FeatureSet, OracleKind, ReducibleCase};
 
-    fn permissive_with(faults: Vec<&'static str>) -> SimulatedDbms {
+    fn permissive_with(faults: &[Fault]) -> SimulatedDbms {
         SimulatedDbms::new(
             DialectProfile::permissive("testdb", TypingMode::Dynamic),
-            faults,
+            FaultConfig::of(faults),
         )
     }
 
     #[test]
     fn executes_sql_and_answers_queries() {
-        let mut dbms = permissive_with(vec![]);
+        let mut dbms = permissive_with(&[]);
         assert!(dbms.execute("CREATE TABLE t0 (c0 INTEGER)").is_success());
         assert!(dbms
             .execute("INSERT INTO t0 (c0) VALUES (1), (2)")
@@ -441,7 +415,7 @@ mod tests {
     fn profile_gating_rejects_unsupported_features() {
         let profile = DialectProfile::permissive("no-index", TypingMode::Dynamic)
             .without(&["STMT_CREATE_INDEX", "FN_SIN"]);
-        let mut dbms = SimulatedDbms::new(profile, vec![]);
+        let mut dbms = SimulatedDbms::new(profile, FaultConfig::none());
         dbms.execute("CREATE TABLE t0 (c0 INTEGER)");
         assert!(!dbms.execute("CREATE INDEX i0 ON t0(c0)").is_success());
         assert!(dbms.query("SELECT SIN(c0) FROM t0").is_err());
@@ -454,7 +428,7 @@ mod tests {
         // case against a DBMS with two injected faults: only the
         // NOT-elimination fault is identified as the cause (the analogue of
         // bisecting a CrateDB bug to its fix commit in Section 5.5).
-        let dbms = permissive_with(vec!["bad_not_elimination", "bad_bitwise_inversion"]);
+        let dbms = permissive_with(&[Fault::BadNotElimination, Fault::BadBitwiseInversion]);
         let predicate = Expr::qualified_column("t0", "c0").eq(Expr::integer(1));
         let case = ReducibleCase {
             setup: vec![
@@ -477,7 +451,7 @@ mod tests {
 
     #[test]
     fn fault_free_dbms_has_no_ground_truth_bugs() {
-        let dbms = permissive_with(vec![]);
+        let dbms = permissive_with(&[]);
         let case = ReducibleCase {
             setup: vec!["CREATE TABLE t0 (c0 INTEGER)".to_string()],
             query: Select {

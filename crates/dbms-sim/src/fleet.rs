@@ -16,7 +16,7 @@ use crate::dbms::SimulatedDbms;
 use crate::faulty::{FaultyConfig, FaultyConnection};
 use crate::profile::DialectProfile;
 use crate::runner::ExecutionPath;
-use sql_engine::{EvalStrategy, TypingMode};
+use sql_engine::{EvalStrategy, Fault, FaultConfig, TypingMode};
 use sqlancer_core::driver::{Capability, Driver};
 
 /// A named preset of the fleet.
@@ -25,8 +25,8 @@ pub struct DialectPreset {
     /// The dialect profile, shared with every connection the preset
     /// instantiates.
     pub profile: Arc<DialectProfile>,
-    /// Names of the injected engine faults.
-    pub faults: Vec<&'static str>,
+    /// The injected engine faults.
+    pub faults: FaultConfig,
     /// Injected *infrastructure* faults (crashes, hangs, drops, garbled
     /// results), layered as a [`FaultyConnection`] decorator when set.
     /// `None` for the stock fleet — robustness experiments arm them with
@@ -42,14 +42,14 @@ impl DialectPreset {
     /// The campaign runners go through [`DialectPreset::instantiate_for_path`],
     /// which layers the decorator when [`DialectPreset::infra`] is set.
     pub fn instantiate(&self) -> SimulatedDbms {
-        SimulatedDbms::new(Arc::clone(&self.profile), self.faults.clone())
+        SimulatedDbms::new(Arc::clone(&self.profile), self.faults)
     }
 
     /// Instantiates a fresh simulated DBMS with an explicit expression
     /// evaluation strategy (the tree walker is the benchmark baseline and
     /// parity reference arm).
     pub fn instantiate_with_eval(&self, eval: EvalStrategy) -> SimulatedDbms {
-        SimulatedDbms::with_eval(Arc::clone(&self.profile), self.faults.clone(), eval)
+        SimulatedDbms::with_eval(Arc::clone(&self.profile), self.faults, eval)
     }
 
     /// This preset with the given infrastructure faults armed: connections
@@ -64,7 +64,7 @@ impl DialectPreset {
     /// logic-bug-free variant used by the fault-storm CI gate, where any
     /// reported logic bug is by construction a false positive).
     pub fn without_engine_faults(mut self) -> DialectPreset {
-        self.faults.clear();
+        self.faults = FaultConfig::none();
         self
     }
 
@@ -163,14 +163,14 @@ fn preset(
     name: &str,
     typing: TypingMode,
     unsupported: &[&str],
-    faults: &[&'static str],
+    faults: &[Fault],
     requires_refresh: bool,
 ) -> DialectPreset {
     let mut profile = DialectProfile::permissive(name, typing).without(unsupported);
     profile.requires_refresh = requires_refresh;
     DialectPreset {
         profile: Arc::new(profile),
-        faults: faults.to_vec(),
+        faults: FaultConfig::of(faults),
         infra: None,
     }
 }
@@ -188,7 +188,7 @@ pub fn fleet() -> Vec<DialectPreset> {
                 "JOIN_NATURAL",
                 "STMT_ANALYZE",
             ],
-            &["bad_case_folding", "crash_on_deep_expressions"],
+            &[Fault::BadCaseFolding, Fault::CrashOnDeepExpressions],
             false,
         ),
         preset(
@@ -207,18 +207,18 @@ pub fn fleet() -> Vec<DialectPreset> {
                 "OP_NULLSAFE_EQ",
                 "FN_IIF",
                 "FN_IF",
-                "FN_TOTAL",
+                "AGG_TOTAL",
                 "JOIN_NATURAL",
                 "KW_OR_IGNORE",
             ],
             &[
-                "bad_not_elimination",
-                "bad_predicate_pushdown",
-                "bad_in_list_rewrite",
-                "bad_sum_empty_group",
-                "bad_view_predicate_drop",
-                "bad_text_coercion_sign",
-                "crash_on_many_joins",
+                Fault::BadNotElimination,
+                Fault::BadPredicatePushdown,
+                Fault::BadInListRewrite,
+                Fault::BadSumEmptyGroup,
+                Fault::BadViewPredicateDrop,
+                Fault::BadTextCoercionSign,
+                Fault::CrashOnManyJoins,
             ],
             true,
         ),
@@ -231,7 +231,7 @@ pub fn fleet() -> Vec<DialectPreset> {
                 "OP_IS_DISTINCT",
                 "OP_IS_NOT_DISTINCT",
             ],
-            &["bad_between_rewrite"],
+            &[Fault::BadBetweenRewrite],
             false,
         ),
         preset(
@@ -239,13 +239,13 @@ pub fn fleet() -> Vec<DialectPreset> {
             TypingMode::Dynamic,
             &["JOIN_FULL", "OP_BITXOR", "FN_STRPOS", "STMT_ANALYZE"],
             &[
-                "bad_join_flattening",
-                "bad_group_by_collation",
-                "bad_like_underscore",
-                "bad_count_nulls",
-                "txn_lost_rollback",
-                "crash_on_deep_expressions",
-                "crash_on_many_joins",
+                Fault::BadJoinFlattening,
+                Fault::BadGroupByCollation,
+                Fault::BadLikeUnderscore,
+                Fault::BadCountNulls,
+                Fault::TxnLostRollback,
+                Fault::CrashOnDeepExpressions,
+                Fault::CrashOnManyJoins,
             ],
             false,
         ),
@@ -256,7 +256,7 @@ pub fn fleet() -> Vec<DialectPreset> {
                 "OP_NULLSAFE_EQ",
                 "FN_IF",
                 "FN_IIF",
-                "FN_TOTAL",
+                "AGG_TOTAL",
                 "FN_SPACE",
                 "FN_INSTR",
                 "KW_OR_IGNORE",
@@ -264,10 +264,10 @@ pub fn fleet() -> Vec<DialectPreset> {
                 "JOIN_NATURAL",
             ],
             &[
-                "bad_range_negation",
-                "bad_limit_pushdown",
-                "bad_stale_count_statistics",
-                "bad_integer_division",
+                Fault::BadRangeNegation,
+                Fault::BadLimitPushdown,
+                Fault::BadStaleCountStatistics,
+                Fault::BadIntegerDivision,
             ],
             false,
         ),
@@ -282,10 +282,10 @@ pub fn fleet() -> Vec<DialectPreset> {
                 "KW_PARTIAL_INDEX",
             ],
             &[
-                "bad_notnull_isnull_folding",
-                "bad_having_pushdown",
-                "txn_savepoint_collapse",
-                "crash_on_deep_expressions",
+                Fault::BadNotnullIsnullFolding,
+                Fault::BadHavingPushdown,
+                Fault::TxnSavepointCollapse,
+                Fault::CrashOnDeepExpressions,
             ],
             false,
         ),
@@ -293,7 +293,7 @@ pub fn fleet() -> Vec<DialectPreset> {
             "h2",
             TypingMode::Strict,
             &["OP_NULLSAFE_EQ", "FN_STRPOS"],
-            &["bad_nullif_null_handling"],
+            &[Fault::BadNullifNullHandling],
             false,
         ),
         preset(
@@ -307,7 +307,7 @@ pub fn fleet() -> Vec<DialectPreset> {
             ],
             // Isolation fault: COMMIT skips first-committer-wins
             // validation (lost update).
-            &["bad_collation_comparison", "iso_lost_update"],
+            &[Fault::BadCollationComparison, Fault::IsoLostUpdate],
             false,
         ),
         preset(
@@ -320,14 +320,14 @@ pub fn fleet() -> Vec<DialectPreset> {
                 "KW_OR_IGNORE",
             ],
             &[
-                "bad_predicate_pushdown",
-                "bad_distinct_elimination",
-                "bad_unique_index_shortcut",
-                "bad_case_folding",
-                "bad_sum_empty_group",
-                "bad_having_pushdown",
-                "txn_phantom_commit",
-                "crash_on_many_joins",
+                Fault::BadPredicatePushdown,
+                Fault::BadDistinctElimination,
+                Fault::BadUniqueIndexShortcut,
+                Fault::BadCaseFolding,
+                Fault::BadSumEmptyGroup,
+                Fault::BadHavingPushdown,
+                Fault::TxnPhantomCommit,
+                Fault::CrashOnManyJoins,
             ],
             false,
         ),
@@ -338,11 +338,11 @@ pub fn fleet() -> Vec<DialectPreset> {
                 "JOIN_FULL",
                 "OP_IS_DISTINCT",
                 "OP_IS_NOT_DISTINCT",
-                "FN_TOTAL",
+                "AGG_TOTAL",
             ],
             // Isolation fault: the begin-time snapshot leaks other
             // sessions' uncommitted writes (dirty read).
-            &["bad_bitwise_inversion", "iso_dirty_read"],
+            &[Fault::BadBitwiseInversion, Fault::IsoDirtyRead],
             false,
         ),
         preset(
@@ -355,14 +355,14 @@ pub fn fleet() -> Vec<DialectPreset> {
                 "KW_OR_IGNORE",
                 "CLAUSE_LIMIT",
             ],
-            &["bad_constant_folding_text"],
+            &[Fault::BadConstantFoldingText],
             false,
         ),
         preset(
             "percona",
             TypingMode::Dynamic,
             &["JOIN_FULL", "OP_IS_DISTINCT", "OP_IS_NOT_DISTINCT"],
-            &["bad_bitwise_inversion", "bad_collation_comparison"],
+            &[Fault::BadBitwiseInversion, Fault::BadCollationComparison],
             false,
         ),
         preset(
@@ -381,9 +381,9 @@ pub fn fleet() -> Vec<DialectPreset> {
                 "FN_IIF",
             ],
             &[
-                "bad_predicate_pushdown",
-                "bad_sum_empty_group",
-                "crash_on_many_joins",
+                Fault::BadPredicatePushdown,
+                Fault::BadSumEmptyGroup,
+                Fault::CrashOnManyJoins,
             ],
             true,
         ),
@@ -409,7 +409,7 @@ pub fn fleet() -> Vec<DialectPreset> {
                 "FN_TO_CHAR",
                 "FN_IF",
             ],
-            &["bad_replace_type_affinity", "bad_join_flattening"],
+            &[Fault::BadReplaceTypeAffinity, Fault::BadJoinFlattening],
             false,
         ),
         preset(
@@ -419,27 +419,27 @@ pub fn fleet() -> Vec<DialectPreset> {
             // Isolation fault: in-transaction reads of unwritten tables
             // see the latest committed state (non-repeatable read).
             &[
-                "bad_bitwise_inversion",
-                "bad_index_lookup_coercion",
-                "iso_nonrepeatable_read",
+                Fault::BadBitwiseInversion,
+                Fault::BadIndexLookupCoercion,
+                Fault::IsoNonrepeatableRead,
             ],
             false,
         ),
         preset(
             "umbra",
             TypingMode::Strict,
-            &["OP_NULLSAFE_EQ", "FN_IF", "FN_TOTAL", "JOIN_NATURAL"],
+            &["OP_NULLSAFE_EQ", "FN_IF", "AGG_TOTAL", "JOIN_NATURAL"],
             &[
-                "bad_not_elimination",
-                "bad_range_negation",
-                "bad_in_list_rewrite",
-                "bad_between_rewrite",
-                "bad_limit_pushdown",
-                "bad_distinct_elimination",
-                "bad_nullif_null_handling",
-                "bad_text_coercion_sign",
-                "bad_count_nulls",
-                "crash_on_deep_expressions",
+                Fault::BadNotElimination,
+                Fault::BadRangeNegation,
+                Fault::BadInListRewrite,
+                Fault::BadBetweenRewrite,
+                Fault::BadLimitPushdown,
+                Fault::BadDistinctElimination,
+                Fault::BadNullifNullHandling,
+                Fault::BadTextCoercionSign,
+                Fault::BadCountNulls,
+                Fault::CrashOnDeepExpressions,
             ],
             false,
         ),
@@ -448,9 +448,9 @@ pub fn fleet() -> Vec<DialectPreset> {
             TypingMode::Dynamic,
             &["JOIN_FULL", "FN_CONCAT_WS", "FN_STRPOS", "KW_PARTIAL_INDEX"],
             &[
-                "bad_view_predicate_drop",
-                "bad_group_by_collation",
-                "crash_on_deep_expressions",
+                Fault::BadViewPredicateDrop,
+                Fault::BadGroupByCollation,
+                Fault::CrashOnDeepExpressions,
             ],
             false,
         ),
@@ -467,7 +467,7 @@ pub fn fleet() -> Vec<DialectPreset> {
                 "STMT_ROLLBACK_TO",
                 "STMT_RELEASE_SAVEPOINT",
             ],
-            &["bad_index_lookup_coercion"],
+            &[Fault::BadIndexLookupCoercion],
             false,
         ),
     ]
@@ -529,8 +529,28 @@ mod tests {
 
     #[test]
     fn most_presets_inject_at_least_one_logic_bug() {
-        let with_bugs = fleet().iter().filter(|p| !p.faults.is_empty()).count();
+        let with_bugs = fleet()
+            .iter()
+            .filter(|p| p.faults != FaultConfig::none())
+            .count();
         assert_eq!(with_bugs, 18, "every dialect carries injected bugs");
+    }
+
+    #[test]
+    fn every_unsupported_feature_is_in_the_generator_universe() {
+        let universe: BTreeSet<String> = sqlancer_core::feature_universe()
+            .into_iter()
+            .map(|f| f.name().to_string())
+            .collect();
+        for preset in fleet() {
+            for feature in &preset.profile.unsupported {
+                assert!(
+                    universe.contains(feature),
+                    "{} rejects {feature}, which the generator never records",
+                    preset.profile.name
+                );
+            }
+        }
     }
 
     #[test]

@@ -38,6 +38,7 @@ use crate::config::EvalStrategy;
 use crate::error::{EngineError, EngineResult};
 use crate::eval::{like_match, Evaluator, RelationBinding, Scope};
 use crate::exec::ExecutionMode;
+use crate::faults::Fault;
 use crate::functions::{arity_error, eval_function_unchecked, handles_nulls};
 use crate::storage::Database;
 use sql_ast::{BinaryOp, ColumnRef, DataType, Expr, Fingerprint128, TruthValue, UnaryOp, Value};
@@ -780,7 +781,7 @@ fn compile_node(expr: &Expr, env: &CompileEnv<'_>) -> Node {
                     let text = ev.to_text(&v)?;
                     let pat = ev.to_text(&pv)?;
                     let underscore_is_literal = ev.mode == ExecutionMode::Optimized
-                        && ev.db.config.faults.bad_like_underscore;
+                        && ev.db.config.faults.has(Fault::BadLikeUnderscore);
                     let matched = like_match(&text, &pat, underscore_is_literal);
                     Ok(Value::Boolean(if negated { !matched } else { matched }))
                 }),

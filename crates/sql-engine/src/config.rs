@@ -1,6 +1,6 @@
 //! Engine behaviour configuration.
 
-use crate::faults::FaultConfig;
+use crate::faults::{Fault, FaultConfig};
 
 /// The typing discipline of the engine instance.
 ///
@@ -78,11 +78,10 @@ impl EngineConfig {
         self
     }
 
-    /// Returns a copy with the given faults enabled by name; unknown names
-    /// are ignored.
-    pub fn with_faults(mut self, names: &[&str]) -> EngineConfig {
-        for n in names {
-            self.faults.enable(n);
+    /// Returns a copy with the given faults enabled.
+    pub fn with_faults(mut self, faults: &[Fault]) -> EngineConfig {
+        for &fault in faults {
+            self.faults.enable(fault);
         }
         self
     }
@@ -99,9 +98,8 @@ mod tests {
     }
 
     #[test]
-    fn with_faults_enables_known_names_only() {
-        let cfg = EngineConfig::dynamic().with_faults(&["bad_not_elimination", "bogus"]);
-        assert!(cfg.faults.bad_not_elimination);
-        assert_eq!(cfg.faults.enabled_count(), 1);
+    fn with_faults_enables_the_given_faults() {
+        let cfg = EngineConfig::dynamic().with_faults(&[Fault::BadNotElimination]);
+        assert_eq!(cfg.faults, FaultConfig::of(&[Fault::BadNotElimination]));
     }
 }

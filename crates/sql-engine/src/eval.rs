@@ -4,6 +4,7 @@
 use crate::config::TypingMode;
 use crate::error::{EngineError, EngineResult};
 use crate::exec::{execute_select_in_scope, ExecutionMode};
+use crate::faults::Fault;
 use crate::functions::eval_function;
 use crate::storage::Database;
 use sql_ast::{BinaryOp, ColumnRef, DataType, Expr, TruthValue, UnaryOp, Value};
@@ -331,7 +332,7 @@ impl<'a> Evaluator<'a> {
                 let text = self.to_text(&v)?;
                 let pat = self.to_text(&p)?;
                 let underscore_is_literal =
-                    self.optimized() && self.db.config.faults.bad_like_underscore;
+                    self.optimized() && self.db.config.faults.has(Fault::BadLikeUnderscore);
                 let matched = like_match(&text, &pat, underscore_is_literal);
                 Ok(Value::Boolean(if *negated { !matched } else { matched }))
             }
@@ -413,7 +414,7 @@ impl<'a> Evaluator<'a> {
                     return Ok(Value::Null);
                 }
                 let n = self.to_integer(&v)?;
-                if self.db.config.faults.bad_bitwise_inversion && n < 0 {
+                if self.db.config.faults.has(Fault::BadBitwiseInversion) && n < 0 {
                     // Injected fault (TiDB-style): negative operands are
                     // negated instead of bit-inverted.
                     return Ok(Value::Integer(-n));
@@ -518,7 +519,7 @@ impl<'a> Evaluator<'a> {
                 if both_integral {
                     let ai = a as i64;
                     let bi = b as i64;
-                    if self.optimized() && self.db.config.faults.bad_integer_division {
+                    if self.optimized() && self.db.config.faults.has(Fault::BadIntegerDivision) {
                         // Injected fault: rounds to nearest instead of
                         // truncating toward zero.
                         return Ok(Value::Integer((a / b).round() as i64));
@@ -617,7 +618,7 @@ impl<'a> Evaluator<'a> {
         faults: &crate::faults::FaultConfig,
     ) -> Ordering {
         if let (Value::Text(a), Value::Text(b)) = (lv, rv) {
-            if self.optimized() && faults.bad_collation_comparison {
+            if self.optimized() && faults.has(Fault::BadCollationComparison) {
                 // Injected fault: case-insensitive comparison on the
                 // optimized path only.
                 return a.to_lowercase().cmp(&b.to_lowercase());
@@ -629,7 +630,7 @@ impl<'a> Evaluator<'a> {
 
     fn coerce_number_for_comparison(&self, v: &Value) -> f64 {
         if let Value::Text(s) = v {
-            if self.optimized() && self.db.config.faults.bad_text_coercion_sign {
+            if self.optimized() && self.db.config.faults.has(Fault::BadTextCoercionSign) {
                 // Injected fault: the optimized coercion path drops a
                 // leading minus sign.
                 return sql_ast::parse_numeric_prefix(s.trim_start_matches('-'));
@@ -929,7 +930,7 @@ mod tests {
     #[test]
     fn bitwise_inversion_fault_changes_negative_inputs_only() {
         let mut cfg = EngineConfig::dynamic();
-        cfg.faults.bad_bitwise_inversion = true;
+        cfg.faults.enable(Fault::BadBitwiseInversion);
         let buggy = Database::new(cfg);
         let sound = db_dynamic();
         assert_eq!(

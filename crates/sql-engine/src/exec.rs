@@ -16,6 +16,7 @@ use crate::compile::SiteExpr;
 use crate::config::TypingMode;
 use crate::error::{EngineError, EngineResult};
 use crate::eval::{Evaluator, RelationBinding, Scope};
+use crate::faults::Fault;
 use crate::optimizer::optimize_select;
 use crate::storage::{ColumnStats, Database, ResultSet, Row, TableStats};
 use sql_ast::{
@@ -727,7 +728,7 @@ struct Produced {
 
 fn check_crash_faults(db: &Database, select: &Select) -> EngineResult<()> {
     let faults = &db.config.faults;
-    if faults.crash_on_deep_expressions {
+    if faults.has(Fault::CrashOnDeepExpressions) {
         let deep = select
             .where_clause
             .iter()
@@ -739,7 +740,7 @@ fn check_crash_faults(db: &Database, select: &Select) -> EngineResult<()> {
             ));
         }
     }
-    if faults.crash_on_many_joins {
+    if faults.has(Fault::CrashOnManyJoins) {
         let relations: usize = select.from.iter().map(|t| 1 + t.joins.len()).sum();
         if relations >= 3 {
             return Err(EngineError::runtime(
@@ -801,7 +802,7 @@ fn resolve_factor<'a>(
             if let Some(view) = db.catalog.view(name) {
                 db.record_coverage(|cov| cov.plan_operator("view_expansion"));
                 let mut query = view.query.clone();
-                if db.config.faults.bad_view_predicate_drop {
+                if db.config.faults.has(Fault::BadViewPredicateDrop) {
                     // Injected fault: the view's own filter is lost when the
                     // view is expanded into the outer query.
                     query.where_clause = None;
@@ -1044,7 +1045,7 @@ fn apply_where<'a>(
             let mut rows = Vec::new();
             for row in relation.rows.iter() {
                 let value = row.get(col_idx).unwrap_or(&Value::Null);
-                let matches = if faults.bad_index_lookup_coercion {
+                let matches = if faults.has(Fault::BadIndexLookupCoercion) {
                     // Injected fault: raw key comparison, skipping the
                     // coercion a full scan would perform.
                     value.dedup_eq(&literal) && value.data_type() == literal.data_type()
@@ -1054,7 +1055,7 @@ fn apply_where<'a>(
                 if !matches {
                     continue;
                 }
-                if faults.bad_partial_index_scan {
+                if faults.has(Fault::BadPartialIndexScan) {
                     if let Some(ipred) = &index.predicate {
                         // Injected fault: rows not covered by the partial
                         // index are silently dropped.
@@ -1073,7 +1074,7 @@ fn apply_where<'a>(
                     }
                 }
                 rows.push(row.clone());
-                if faults.bad_unique_index_shortcut && index.unique {
+                if faults.has(Fault::BadUniqueIndexShortcut) && index.unique {
                     // Injected fault: a unique index lookup stops after the
                     // first match even when coercion makes more rows match.
                     break;
@@ -1142,7 +1143,7 @@ fn find_index_access(
         _ => return None,
     };
     let binding = relation.bindings.first()?;
-    let allow_partial = db.config.faults.bad_partial_index_scan;
+    let allow_partial = db.config.faults.has(Fault::BadPartialIndexScan);
     for conjunct in conjuncts(pred) {
         if let Expr::Binary { left, op, right } = conjunct {
             if *op != BinaryOp::Eq {
@@ -1427,7 +1428,7 @@ fn compute_aggregate(
         AggregateFunction::Count => {
             if plan.arg.is_none() {
                 Value::Integer(group_rows.len() as i64)
-            } else if optimized && faults.bad_count_nulls {
+            } else if optimized && faults.has(Fault::BadCountNulls) {
                 // Injected fault: COUNT(col) counts NULLs.
                 Value::Integer(values.len() as i64)
             } else {
@@ -1436,7 +1437,7 @@ fn compute_aggregate(
         }
         AggregateFunction::Sum => {
             if non_null.is_empty() {
-                if optimized && faults.bad_sum_empty_group {
+                if optimized && faults.has(Fault::BadSumEmptyGroup) {
                     // Injected fault: SUM over no rows yields 0 instead of NULL.
                     Value::Integer(0)
                 } else {
@@ -1543,7 +1544,7 @@ fn aggregate_and_project(
             for g in &group_plans {
                 let v = g.eval(&evaluator, &scope)?;
                 let mut k = v.dedup_key();
-                if optimized && faults.bad_group_by_collation {
+                if optimized && faults.has(Fault::BadGroupByCollation) {
                     // Injected fault: text grouping keys compare
                     // case-insensitively.
                     k = k.to_lowercase();
@@ -1555,7 +1556,7 @@ fn aggregate_and_project(
     }
 
     // `SELECT COUNT(*) FROM t` fast path answered from stale statistics.
-    if optimized && faults.bad_stale_count_statistics {
+    if optimized && faults.has(Fault::BadStaleCountStatistics) {
         if let Some(stale) = stale_count_shortcut(db, select) {
             return Ok(Produced {
                 columns: vec![output_name(&select.projections[0], 0).unwrap_or_default()],

@@ -8,7 +8,7 @@
 
 use crate::config::TypingMode;
 use crate::error::{EngineError, EngineResult};
-use crate::faults::FaultConfig;
+use crate::faults::{Fault, FaultConfig};
 use sql_ast::{format_real, DataType, ScalarFunction, Value};
 
 fn null_in(args: &[Value]) -> bool {
@@ -221,7 +221,7 @@ pub fn eval_function_unchecked(
             Ok(Value::Text(taken))
         }
         Replace => {
-            if faults.bad_replace_type_affinity && !matches!(args[0], Value::Text(_)) {
+            if faults.has(Fault::BadReplaceTypeAffinity) && !matches!(args[0], Value::Text(_)) {
                 // Injected fault (SQLite Listing 2): a non-text first
                 // argument is returned unconverted instead of as TEXT.
                 return Ok(args[0].clone());
@@ -347,7 +347,7 @@ pub fn eval_function_unchecked(
             .unwrap_or(Value::Null)),
         Nullif => {
             let equal = loose_equal(&args[0], &args[1], typing)?;
-            if faults.bad_nullif_null_handling && args[1].is_null() {
+            if faults.has(Fault::BadNullifNullHandling) && args[1].is_null() {
                 // Injected fault: a NULL second argument makes NULLIF return
                 // NULL instead of the first argument.
                 return Ok(Value::Null);
@@ -549,7 +549,7 @@ mod tests {
         );
         // Injected fault: the intermediate value keeps its numeric type.
         let mut faults = FaultConfig::none();
-        faults.bad_replace_type_affinity = true;
+        faults.enable(Fault::BadReplaceTypeAffinity);
         assert_eq!(
             eval_function(
                 ScalarFunction::Replace,

@@ -30,7 +30,7 @@
 //! first-committer-wins conflict detection (`COMMIT` can fail with a
 //! serialization error).
 //!
-//! Logic bugs can be *injected* via [`FaultConfig`]: each switch enables one
+//! Logic bugs can be *injected* via [`FaultConfig`]: each [`Fault`] enables one
 //! wrong rewrite, access-path shortcut, or evaluation quirk, several of them
 //! modeled on real bugs discussed in the paper. The `dbms-sim` crate layers
 //! dialect feature-gating and bug ground truth on top of this engine to
@@ -74,7 +74,7 @@ pub use eval::{Evaluator, RelationBinding, Scope};
 pub use exec::{
     execute_select, execute_select_in_scope, execute_statement, ExecutionMode, StatementResult,
 };
-pub use faults::FaultConfig;
+pub use faults::{Fault, FaultConfig};
 pub use functions::{eval_function, eval_function_unchecked};
 pub use optimizer::{optimize_select, rewrite_predicate};
 pub use session::{CowStats, Engine, EngineSession, SERIALIZATION_FAILURE};

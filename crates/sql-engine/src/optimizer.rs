@@ -19,6 +19,7 @@
 use crate::config::EngineConfig;
 use crate::eval::Evaluator;
 use crate::exec::ExecutionMode;
+use crate::faults::Fault;
 use crate::storage::Database;
 use sql_ast::{BinaryOp, Expr, JoinType, Select, UnaryOp, Value};
 
@@ -77,7 +78,7 @@ fn apply_structural_faults(config: &EngineConfig, select: &mut Select) {
     // first LEFT JOIN when the predicate references no aggregate. This is
     // wrong because the left side's rows survive an outer join regardless of
     // the ON condition.
-    if faults.bad_predicate_pushdown {
+    if faults.has(Fault::BadPredicatePushdown) {
         if let Some(pred) = select.where_clause.clone() {
             if !pred.contains_aggregate() && !pred.contains_subquery() {
                 for twj in &mut select.from {
@@ -98,7 +99,7 @@ fn apply_structural_faults(config: &EngineConfig, select: &mut Select) {
 
     // Injected fault (Listing 3): move the ON term of an outer join into the
     // WHERE clause, as SQLite's query flattener once did.
-    if faults.bad_join_flattening {
+    if faults.has(Fault::BadJoinFlattening) {
         for twj in &mut select.from {
             for join in &mut twj.joins {
                 if join.join_type.is_outer() {
@@ -117,7 +118,7 @@ fn apply_structural_faults(config: &EngineConfig, select: &mut Select) {
 
     // Injected fault: drop DISTINCT when an equality on some column is
     // present in the WHERE clause (pretending uniqueness).
-    if faults.bad_distinct_elimination && select.distinct {
+    if faults.has(Fault::BadDistinctElimination) && select.distinct {
         if let Some(w) = &select.where_clause {
             if contains_equality_on_column(w) {
                 select.distinct = false;
@@ -127,7 +128,7 @@ fn apply_structural_faults(config: &EngineConfig, select: &mut Select) {
 
     // Injected fault: HAVING without aggregates is evaluated as a WHERE
     // filter (before grouping).
-    if faults.bad_having_pushdown {
+    if faults.has(Fault::BadHavingPushdown) {
         if let Some(h) = &select.having {
             if !h.contains_aggregate() {
                 let h = select.having.take().unwrap();
@@ -187,7 +188,7 @@ fn rewrite_expr(db: &Database, expr: Expr) -> Expr {
                 left,
                 op: BinaryOp::Eq,
                 right,
-            } if faults.bad_not_elimination => Expr::Binary {
+            } if faults.has(Fault::BadNotElimination) => Expr::Binary {
                 left,
                 op: BinaryOp::IsDistinctFrom,
                 right,
@@ -197,7 +198,7 @@ fn rewrite_expr(db: &Database, expr: Expr) -> Expr {
                 left,
                 op: BinaryOp::Lt,
                 right,
-            } if faults.bad_range_negation => Expr::Binary {
+            } if faults.has(Fault::BadRangeNegation) => Expr::Binary {
                 left,
                 op: BinaryOp::Gt,
                 right,
@@ -212,7 +213,7 @@ fn rewrite_expr(db: &Database, expr: Expr) -> Expr {
             left,
             op: BinaryOp::NullSafeEq,
             right,
-        } if faults.bad_nullsafe_eq_rewrite => Expr::Binary {
+        } if faults.has(Fault::BadNullsafeEqRewrite) => Expr::Binary {
             left,
             op: BinaryOp::Eq,
             right,
@@ -223,7 +224,7 @@ fn rewrite_expr(db: &Database, expr: Expr) -> Expr {
             expr,
             list,
             negated,
-        } if faults.bad_in_list_rewrite => {
+        } if faults.has(Fault::BadInListRewrite) => {
             let filtered: Vec<Expr> = list
                 .into_iter()
                 .filter(|e| !matches!(e, Expr::Literal(Value::Null)))
@@ -245,7 +246,7 @@ fn rewrite_expr(db: &Database, expr: Expr) -> Expr {
             low,
             high,
             negated,
-        } if faults.bad_between_rewrite => {
+        } if faults.has(Fault::BadBetweenRewrite) => {
             if let (Expr::Literal(l), Expr::Literal(h)) = (low.as_ref(), high.as_ref()) {
                 if l.total_cmp(h) == std::cmp::Ordering::Greater {
                     return Expr::Between {
@@ -266,7 +267,7 @@ fn rewrite_expr(db: &Database, expr: Expr) -> Expr {
         // Injected fault: `col IS NULL` folded to FALSE for NOT NULL columns
         // (wrong in the presence of outer joins).
         Expr::IsNull { expr, negated } => {
-            if faults.bad_notnull_isnull_folding {
+            if faults.has(Fault::BadNotnullIsnullFolding) {
                 if let Expr::Column(col) = expr.as_ref() {
                     if column_is_not_null(db, col) {
                         return Expr::Literal(Value::Boolean(negated));
@@ -303,7 +304,7 @@ fn constant_fold(db: &Database, evaluator: &Evaluator<'_>, expr: Expr) -> Expr {
             if let (Expr::Literal(lv), Expr::Literal(rv)) = (left.as_ref(), right.as_ref()) {
                 // Injected fault: constant folding treats the text '0'/'1'
                 // as numbers even under strict typing.
-                if faults.bad_constant_folding_text
+                if faults.has(Fault::BadConstantFoldingText)
                     && matches!(lv, Value::Text(_)) != matches!(rv, Value::Text(_))
                     && op.is_comparison()
                 {
@@ -330,7 +331,7 @@ fn constant_fold(db: &Database, evaluator: &Evaluator<'_>, expr: Expr) -> Expr {
             operand: None,
             branches,
             else_expr,
-        } if faults.bad_case_folding => {
+        } if faults.has(Fault::BadCaseFolding) => {
             // Injected fault: a first branch whose condition coerces to a
             // non-zero literal is folded away — wrong when the condition is
             // genuinely NULL at runtime (e.g. references a column).
@@ -453,7 +454,7 @@ mod tests {
     use crate::config::EngineConfig;
     use sql_parser::{parse_expression, parse_statement};
 
-    fn db_with(faults: &[&str]) -> Database {
+    fn db_with(faults: &[Fault]) -> Database {
         Database::new(EngineConfig::dynamic().with_faults(faults))
     }
 
@@ -472,26 +473,26 @@ mod tests {
 
     #[test]
     fn faulty_not_elimination_changes_shape() {
-        let db = db_with(&["bad_not_elimination"]);
+        let db = db_with(&[Fault::BadNotElimination]);
         assert_eq!(rewrite(&db, "NOT (c0 = 1)"), "(c0 IS DISTINCT FROM 1)");
     }
 
     #[test]
     fn faulty_range_negation_drops_equality() {
-        let db = db_with(&["bad_range_negation"]);
+        let db = db_with(&[Fault::BadRangeNegation]);
         assert_eq!(rewrite(&db, "NOT (c0 < 1)"), "(c0 > 1)");
     }
 
     #[test]
     fn faulty_in_list_rewrite_drops_nulls() {
-        let db = db_with(&["bad_in_list_rewrite"]);
+        let db = db_with(&[Fault::BadInListRewrite]);
         assert_eq!(rewrite(&db, "c0 IN (1, NULL)"), "(c0 IN (1))");
         assert_eq!(rewrite(&db, "c0 IN (NULL)"), "FALSE");
     }
 
     #[test]
     fn predicate_pushdown_fault_moves_where_into_left_join() {
-        let db = db_with(&["bad_predicate_pushdown"]);
+        let db = db_with(&[Fault::BadPredicatePushdown]);
         let select =
             match parse_statement("SELECT * FROM t0 LEFT JOIN t1 ON t0.c0 = t1.c0 WHERE t0.c0 > 5")
                 .unwrap()
@@ -511,7 +512,7 @@ mod tests {
 
     #[test]
     fn join_flattening_fault_moves_on_into_where() {
-        let db = db_with(&["bad_join_flattening"]);
+        let db = db_with(&[Fault::BadJoinFlattening]);
         let select =
             match parse_statement("SELECT * FROM t0 RIGHT JOIN t1 ON t0.c0 WHERE t1.c0 = 2")
                 .unwrap()
@@ -530,7 +531,7 @@ mod tests {
 
     #[test]
     fn sound_optimizer_never_touches_projections() {
-        let db = db_with(&["bad_not_elimination", "bad_nullsafe_eq_rewrite"]);
+        let db = db_with(&[Fault::BadNotElimination, Fault::BadNullsafeEqRewrite]);
         let select = match parse_statement("SELECT (NOT (c0 = 1)) FROM t0").unwrap() {
             sql_ast::Statement::Select(s) => *s,
             _ => unreachable!(),

@@ -53,12 +53,12 @@
 //!
 //! Three injected **isolation faults** live here (see [`crate::faults`]):
 //!
-//! * `iso_dirty_read` — the begin-time snapshot overlays other sessions'
+//! * `Fault::IsoDirtyRead` — the begin-time snapshot overlays other sessions'
 //!   *uncommitted* workspace writes;
-//! * `iso_lost_update` — `COMMIT` skips first-committer-wins validation
+//! * `Fault::IsoLostUpdate` — `COMMIT` skips first-committer-wins validation
 //!   *and* installs whole-table snapshot clobbers instead of merges, so
 //!   the later committer silently loses concurrent committed writes;
-//! * `iso_nonrepeatable_read` — tables the session has not itself written
+//! * `Fault::IsoNonrepeatableRead` — tables the session has not itself written
 //!   are refreshed from the latest committed state before every statement
 //!   (read-committed visibility masquerading as snapshot isolation).
 //!
@@ -73,6 +73,7 @@
 use crate::config::EngineConfig;
 use crate::error::{EngineError, EngineResult};
 use crate::exec::{ExecutionMode, StatementResult};
+use crate::faults::Fault;
 use crate::storage::{Database, ResultSet};
 use sql_ast::{BeginMode, Select, Statement};
 use std::borrow::Cow;
@@ -357,7 +358,7 @@ fn append_keys_collide(
     })
 }
 
-/// `iso_nonrepeatable_read`: refresh every table the transaction has not
+/// `Fault::IsoNonrepeatableRead`: refresh every table the transaction has not
 /// itself written from the latest committed state (version-pointer bumps
 /// under CoW storage).
 fn refresh_unwritten(committed: &Database, txn: &mut OpenTxn) {
@@ -399,7 +400,7 @@ impl EngineCore {
     ///
     /// * *structural* — the workspace version replaces the committed one
     ///   wholesale (create/drop; also every table when the
-    ///   `iso_lost_update` fault degrades installs to snapshot clobbers,
+    ///   `Fault::IsoLostUpdate` fault degrades installs to snapshot clobbers,
     ///   which is that bug's observable);
     /// * *existing* — the workspace version, with any rows appended to the
     ///   committed table since `BEGIN` spliced back on top (those appends
@@ -409,13 +410,13 @@ impl EngineCore {
     ///   appenders compose instead of clobbering each other.
     ///
     /// In the common no-concurrent-commit case every branch degenerates to
-    /// an `Arc` pointer bump. Faulted installs (`txn_lost_rollback`,
-    /// `iso_lost_update`) skip validation, so the splice points are
+    /// an `Arc` pointer bump. Faulted installs (`Fault::TxnLostRollback`,
+    /// `Fault::IsoLostUpdate`) skip validation, so the splice points are
     /// saturating — deterministic even when the committed table shrank
     /// underneath the transaction.
     fn install(&mut self, txn: &OpenTxn) {
         self.clock += 1;
-        let clobber = self.committed.config.faults.iso_lost_update;
+        let clobber = self.committed.config.faults.has(Fault::IsoLostUpdate);
         if txn.ddl {
             self.committed.catalog = txn.workspace.catalog.clone();
             self.catalog_version = self.clock;
@@ -532,7 +533,7 @@ impl EngineCore {
             .map(|(t, rows)| (t.clone(), rows.len()))
             .collect();
         let mut workspace = workspace;
-        if self.committed.config.faults.iso_dirty_read {
+        if self.committed.config.faults.has(Fault::IsoDirtyRead) {
             // Injected fault: the snapshot overlays the *uncommitted*
             // workspace writes of every other open session.
             for (other_id, other) in &self.open {
@@ -581,7 +582,7 @@ impl EngineCore {
         };
         self.committed
             .record_coverage(|cov| cov.statement("STMT_COMMIT"));
-        if !self.committed.config.faults.iso_lost_update {
+        if !self.committed.config.faults.has(Fault::IsoLostUpdate) {
             // First-committer-wins validation over row-range claims and
             // eager intent. A claim conflicts only when a commit installed
             // since `BEGIN` could overlap it:
@@ -653,7 +654,7 @@ impl EngineCore {
             }
         }
         // Close the workspace's frame stack through its own machinery so
-        // the single-connection faults (e.g. `txn_phantom_commit`, which
+        // the single-connection faults (e.g. `Fault::TxnPhantomCommit`, which
         // reverts the workspace before install) keep their observables.
         txn.workspace.txn_commit()?;
         self.merge_workspace_coverage(&txn);
@@ -668,7 +669,7 @@ impl EngineCore {
         };
         self.committed
             .record_coverage(|cov| cov.statement("STMT_ROLLBACK"));
-        let lost = self.committed.config.faults.txn_lost_rollback;
+        let lost = self.committed.config.faults.has(Fault::TxnLostRollback);
         txn.workspace.txn_rollback()?;
         self.merge_workspace_coverage(&txn);
         if lost {
@@ -680,6 +681,7 @@ impl EngineCore {
     }
 
     fn execute_session(&mut self, id: u64, stmt: &Statement) -> EngineResult<StatementResult> {
+        let faults = self.committed.config.faults;
         match stmt {
             Statement::Begin(mode) => self.begin_session(id, *mode),
             Statement::Commit => self.commit_session(id),
@@ -696,7 +698,7 @@ impl EngineCore {
             }
             other => match self.open.get_mut(&id) {
                 Some(txn) => {
-                    if self.committed.config.faults.iso_nonrepeatable_read {
+                    if faults.has(Fault::IsoNonrepeatableRead) {
                         refresh_unwritten(&self.committed, txn);
                     }
                     let result = txn.workspace.execute(other);
@@ -757,9 +759,10 @@ impl EngineCore {
         select: &Select,
         mode: ExecutionMode,
     ) -> EngineResult<ResultSet> {
+        let faults = self.committed.config.faults;
         match self.open.get_mut(&id) {
             Some(txn) => {
-                if self.committed.config.faults.iso_nonrepeatable_read {
+                if faults.has(Fault::IsoNonrepeatableRead) {
                     refresh_unwritten(&self.committed, txn);
                 }
                 // The transaction observed database state: its later writes
@@ -1006,7 +1009,7 @@ mod tests {
         session.query(&q, ExecutionMode::Optimized).unwrap().rows
     }
 
-    fn engine_with_table(faults: &[&str]) -> Engine {
+    fn engine_with_table(faults: &[Fault]) -> Engine {
         let engine = Engine::new(EngineConfig::dynamic().with_faults(faults));
         let mut setup = engine.session();
         run(&mut setup, "CREATE TABLE t0 (c0 INTEGER)").unwrap();
@@ -1279,7 +1282,7 @@ mod tests {
 
     #[test]
     fn dirty_read_fault_leaks_uncommitted_writes_into_snapshots() {
-        let engine = engine_with_table(&["iso_dirty_read"]);
+        let engine = engine_with_table(&[Fault::IsoDirtyRead]);
         let mut a = engine.session();
         let mut b = engine.session();
         run(&mut a, "BEGIN").unwrap();
@@ -1298,7 +1301,7 @@ mod tests {
 
     #[test]
     fn lost_update_fault_lets_the_second_committer_clobber() {
-        let engine = engine_with_table(&["iso_lost_update"]);
+        let engine = engine_with_table(&[Fault::IsoLostUpdate]);
         let mut a = engine.session();
         let mut b = engine.session();
         run(&mut a, "BEGIN").unwrap();
@@ -1321,7 +1324,7 @@ mod tests {
 
     #[test]
     fn nonrepeatable_read_fault_refreshes_unwritten_tables() {
-        let engine = engine_with_table(&["iso_nonrepeatable_read"]);
+        let engine = engine_with_table(&[Fault::IsoNonrepeatableRead]);
         let mut a = engine.session();
         let mut b = engine.session();
         run(&mut a, "BEGIN").unwrap();
@@ -1340,7 +1343,7 @@ mod tests {
     #[test]
     fn single_session_txn_faults_keep_their_observables() {
         // Lost rollback: the writes land despite ROLLBACK.
-        let engine = engine_with_table(&["txn_lost_rollback"]);
+        let engine = engine_with_table(&[Fault::TxnLostRollback]);
         let mut a = engine.session();
         run(&mut a, "BEGIN").unwrap();
         run(&mut a, "INSERT INTO t0 (c0) VALUES (2)").unwrap();
@@ -1348,7 +1351,7 @@ mod tests {
         assert_eq!(rows(&a, "t0").len(), 2, "fault: rollback lost");
 
         // Phantom commit: the writes vanish despite COMMIT.
-        let engine = engine_with_table(&["txn_phantom_commit"]);
+        let engine = engine_with_table(&[Fault::TxnPhantomCommit]);
         let mut a = engine.session();
         run(&mut a, "BEGIN").unwrap();
         run(&mut a, "INSERT INTO t0 (c0) VALUES (2)").unwrap();

@@ -26,13 +26,14 @@
 //! plan.
 //!
 //! Three injected transaction faults live here (see [`crate::faults`]):
-//! `txn_lost_rollback` (ROLLBACK keeps the writes), `txn_phantom_commit`
-//! (COMMIT discards them) and `txn_savepoint_collapse` (ROLLBACK TO rewinds
+//! `Fault::TxnLostRollback` (ROLLBACK keeps the writes), `Fault::TxnPhantomCommit`
+//! (COMMIT discards them) and `Fault::TxnSavepointCollapse` (ROLLBACK TO rewinds
 //! to transaction start). They are the ground truth the rollback oracle is
 //! measured against.
 
 use crate::catalog::{lowercase_key, Catalog};
 use crate::error::{EngineError, EngineResult};
+use crate::faults::Fault;
 use crate::storage::{Database, Row, TableStats};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -113,7 +114,7 @@ impl Database {
         if !self.in_transaction() {
             return Ok(());
         }
-        if self.config.faults.txn_phantom_commit {
+        if self.config.faults.has(Fault::TxnPhantomCommit) {
             // Injected fault: the commit path runs the abort path's undo
             // application, so the transaction's writes silently vanish.
             self.apply_undo_all();
@@ -131,10 +132,10 @@ impl Database {
         if !self.in_transaction() {
             return Err(EngineError::runtime("no transaction is active"));
         }
-        if !self.config.faults.txn_lost_rollback {
+        if !self.config.faults.has(Fault::TxnLostRollback) {
             self.apply_undo_all();
         }
-        // Injected fault txn_lost_rollback: the undo log is discarded
+        // Injected fault `Fault::TxnLostRollback`: the undo log is discarded
         // without being applied, so the writes stay — a silent commit.
         self.txn.frames.clear();
         Ok(())
@@ -176,7 +177,7 @@ impl Database {
         else {
             return Err(EngineError::runtime(format!("no such savepoint: {name}")));
         };
-        if self.config.faults.txn_savepoint_collapse {
+        if self.config.faults.has(Fault::TxnSavepointCollapse) {
             // Injected fault: the savepoint stack is collapsed and the
             // whole transaction is rewound to its start; the transaction
             // stays open but every savepoint (including the target) is
@@ -305,6 +306,7 @@ impl Database {
 #[cfg(test)]
 mod tests {
     use crate::config::EngineConfig;
+    use crate::faults::Fault;
     use crate::storage::Database;
     use sql_ast::Value;
 
@@ -449,7 +451,7 @@ mod tests {
 
     #[test]
     fn lost_rollback_fault_keeps_the_writes() {
-        let mut db = Database::new(EngineConfig::dynamic().with_faults(&["txn_lost_rollback"]));
+        let mut db = Database::new(EngineConfig::dynamic().with_faults(&[Fault::TxnLostRollback]));
         db.execute_sql("CREATE TABLE t0 (c0 INTEGER)").unwrap();
         db.execute_sql("BEGIN").unwrap();
         db.execute_sql("INSERT INTO t0 (c0) VALUES (1)").unwrap();
@@ -460,7 +462,7 @@ mod tests {
 
     #[test]
     fn phantom_commit_fault_discards_the_writes() {
-        let mut db = Database::new(EngineConfig::dynamic().with_faults(&["txn_phantom_commit"]));
+        let mut db = Database::new(EngineConfig::dynamic().with_faults(&[Fault::TxnPhantomCommit]));
         db.execute_sql("CREATE TABLE t0 (c0 INTEGER)").unwrap();
         db.execute_sql("BEGIN").unwrap();
         db.execute_sql("INSERT INTO t0 (c0) VALUES (1)").unwrap();
@@ -471,7 +473,7 @@ mod tests {
     #[test]
     fn savepoint_collapse_fault_rewinds_to_txn_start() {
         let mut db =
-            Database::new(EngineConfig::dynamic().with_faults(&["txn_savepoint_collapse"]));
+            Database::new(EngineConfig::dynamic().with_faults(&[Fault::TxnSavepointCollapse]));
         db.execute_sql("CREATE TABLE t0 (c0 INTEGER)").unwrap();
         db.execute_sql("BEGIN").unwrap();
         db.execute_sql("INSERT INTO t0 (c0) VALUES (1)").unwrap();

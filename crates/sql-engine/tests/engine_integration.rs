@@ -3,7 +3,7 @@
 //! reference execution paths on a fault-free configuration.
 
 use sql_ast::{Select, Statement, Value};
-use sql_engine::{Database, EngineConfig, ExecutionMode, TypingMode};
+use sql_engine::{Database, EngineConfig, ExecutionMode, Fault, TypingMode};
 use sql_parser::parse_statements;
 
 fn run_script(db: &mut Database, script: &str) {
@@ -312,25 +312,25 @@ fn injected_faults_make_paths_disagree() {
     // from the reference path — the property the NoREC oracle exploits.
     let cases = [
         (
-            "bad_not_elimination",
+            Fault::BadNotElimination,
             "SELECT * FROM t0 WHERE NOT (c1 = 'alpha')",
         ),
         (
-            "bad_predicate_pushdown",
+            Fault::BadPredicatePushdown,
             "SELECT * FROM t0 LEFT JOIN t1 ON t0.c0 = t1.c0 WHERE t1.c3 > 15",
         ),
         (
-            "bad_join_flattening",
+            Fault::BadJoinFlattening,
             // The ON condition never matches, so the RIGHT JOIN null-extends
             // every t1 row; flattening the ON term into WHERE loses them all.
             "SELECT * FROM t0 RIGHT JOIN t1 ON t0.c0 = t1.c3 WHERE t1.c3 IS NOT NULL",
         ),
         (
-            "bad_in_list_rewrite",
+            Fault::BadInListRewrite,
             "SELECT * FROM t0 WHERE NOT (c0 IN (5, NULL))",
         ),
         (
-            "bad_index_lookup_coercion",
+            Fault::BadIndexLookupCoercion,
             "SELECT c1 FROM t0 WHERE c0 = '2'",
         ),
     ];
@@ -346,7 +346,7 @@ fn injected_faults_make_paths_disagree() {
         assert_ne!(
             optimized.multiset_fingerprint(),
             reference.multiset_fingerprint(),
-            "fault {fault} was not observable on: {sql}"
+            "fault {fault:?} was not observable on: {sql}"
         );
     }
 }

@@ -14,9 +14,9 @@
 //!
 //! The three designated isolation-bug dialects are hunted here:
 //!
-//! * `mysql` — `iso_dirty_read` (snapshots leak uncommitted writes),
-//! * `mariadb` — `iso_lost_update` (COMMIT skips conflict validation),
-//! * `tidb` — `iso_nonrepeatable_read` (reads chase the committed state).
+//! * `mysql` — `Fault::IsoDirtyRead` (snapshots leak uncommitted writes),
+//! * `mariadb` — `Fault::IsoLostUpdate` (COMMIT skips conflict validation),
+//! * `tidb` — `Fault::IsoNonrepeatableRead` (reads chase the committed state).
 //!
 //! The example asserts that each designated dialect bisects to exactly its
 //! injected bug and that the clean `sqlite` flags nothing, so it exits

@@ -9,9 +9,9 @@
 //!
 //! The three designated transaction-bug dialects are hunted here:
 //!
-//! * `dolt` — `txn_lost_rollback` (ROLLBACK keeps the writes),
-//! * `monetdb` — `txn_phantom_commit` (COMMIT discards them),
-//! * `firebird` — `txn_savepoint_collapse` (ROLLBACK TO rewinds too far).
+//! * `dolt` — `Fault::TxnLostRollback` (ROLLBACK keeps the writes),
+//! * `monetdb` — `Fault::TxnPhantomCommit` (COMMIT discards them),
+//! * `firebird` — `Fault::TxnSavepointCollapse` (ROLLBACK TO rewinds too far).
 //!
 //! The example asserts that each designated dialect bisects to exactly its
 //! injected bug and that the clean `sqlite` flags nothing, so it exits

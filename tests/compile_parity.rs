@@ -20,7 +20,7 @@ use sqlancerpp::ast::{
     row_fingerprint, BinaryOp, CaseBranch, DataType, Expr, ScalarFunction, Value,
 };
 use sqlancerpp::engine::{
-    compile_expr, Database, EngineConfig, Evaluator, ExecutionMode, RelationBinding, Scope,
+    compile_expr, Database, EngineConfig, Evaluator, ExecutionMode, Fault, RelationBinding, Scope,
 };
 
 fn arb_value(rng: &mut StdRng) -> Value {
@@ -265,17 +265,17 @@ fn compiled_matches_tree_reference_mode() {
 #[test]
 fn compiled_matches_tree_under_evaluation_faults() {
     let faults = [
-        "bad_like_underscore",
-        "bad_integer_division",
-        "bad_bitwise_inversion",
-        "bad_text_coercion_sign",
-        "bad_collation_comparison",
-        "bad_nullif_null_handling",
-        "bad_replace_type_affinity",
+        Fault::BadLikeUnderscore,
+        Fault::BadIntegerDivision,
+        Fault::BadBitwiseInversion,
+        Fault::BadTextCoercionSign,
+        Fault::BadCollationComparison,
+        Fault::BadNullifNullHandling,
+        Fault::BadReplaceTypeAffinity,
     ];
     for (i, fault) in faults.iter().enumerate() {
         for mode in [ExecutionMode::Optimized, ExecutionMode::Reference] {
-            let config = EngineConfig::dynamic().with_faults(&[fault]);
+            let config = EngineConfig::dynamic().with_faults(&[*fault]);
             run_differential(0xFA17 + i as u64, &config, mode, 128);
         }
     }

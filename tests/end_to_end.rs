@@ -48,7 +48,8 @@ fn oracles_find_no_bugs_on_a_fault_free_dialect() {
         "faultfree",
         sqlancerpp::engine::TypingMode::Dynamic,
     );
-    let mut dbms = sqlancerpp::sim::SimulatedDbms::new(profile, vec![]);
+    let mut dbms =
+        sqlancerpp::sim::SimulatedDbms::new(profile, sqlancerpp::engine::FaultConfig::none());
     let mut campaign = Campaign::new(quick_config(17, 200));
     let report = campaign.run(&mut dbms);
     assert_eq!(
@@ -106,7 +107,8 @@ fn listing_2_replace_bug_scenario_round_trips_through_the_stack() {
         "sqlite-sound",
         sqlancerpp::engine::TypingMode::Dynamic,
     );
-    let mut dbms = sqlancerpp::sim::SimulatedDbms::new(profile, vec![]);
+    let mut dbms =
+        sqlancerpp::sim::SimulatedDbms::new(profile, sqlancerpp::engine::FaultConfig::none());
     assert!(dbms
         .execute("CREATE TABLE t0(c0 TEXT, PRIMARY KEY (c0))")
         .is_success());

@@ -23,7 +23,7 @@ use sqlancerpp::core::{
     check_isolation, BugReducer, Campaign, CampaignConfig, DbmsConnection, FeatureSet, OracleKind,
     Schedule, ScheduleCase, SessionScript, TextOnlyConnection,
 };
-use sqlancerpp::engine::EvalStrategy;
+use sqlancerpp::engine::{EvalStrategy, Fault};
 use sqlancerpp::parser::parse_statement;
 use sqlancerpp::sim::{fleet, preset_by_name, ExecutionPath, RunPlan};
 
@@ -51,7 +51,7 @@ fn isolation_campaign_config(seed: u64) -> CampaignConfig {
 /// The handcrafted ground-truth schedule for each injected isolation fault.
 /// Each is deterministic: the interleaving is an explicit step list, so the
 /// same schedule replays identically forever.
-fn crafted_schedule(fault: &str) -> ScheduleCase {
+fn crafted_schedule(fault: Fault) -> ScheduleCase {
     let two_tables = vec![
         "CREATE TABLE t0 (c0 INTEGER)".to_string(),
         "CREATE TABLE t1 (c0 INTEGER)".to_string(),
@@ -62,7 +62,7 @@ fn crafted_schedule(fault: &str) -> ScheduleCase {
         // snapshot), observes t1's count into t0 and commits; session 1
         // rolls back. Serial replay of the only committed session sees an
         // empty t1.
-        "iso_dirty_read" => (
+        Fault::IsoDirtyRead => (
             two_tables,
             vec![
                 SessionScript {
@@ -82,7 +82,7 @@ fn crafted_schedule(fault: &str) -> ScheduleCase {
         // Both sessions insert into t0 and both commit; sound
         // first-committer-wins aborts the second, the fault lets it clobber
         // the first committer's row.
-        "iso_lost_update" => (
+        Fault::IsoLostUpdate => (
             vec!["CREATE TABLE t0 (c0 INTEGER)".to_string()],
             vec![
                 SessionScript {
@@ -102,7 +102,7 @@ fn crafted_schedule(fault: &str) -> ScheduleCase {
         // Session 0 observes t1's count twice, sandwiching session 1's
         // committed insert; under sound snapshot isolation both reads see
         // the begin snapshot.
-        "iso_nonrepeatable_read" => (
+        Fault::IsoNonrepeatableRead => (
             two_tables,
             vec![
                 SessionScript {
@@ -119,7 +119,7 @@ fn crafted_schedule(fault: &str) -> ScheduleCase {
             vec![0, 0, 1, 1, 1, 0, 0],
             vec!["t0".to_string(), "t1".to_string()],
         ),
-        other => panic!("no crafted schedule for {other}"),
+        other => panic!("no crafted schedule for {other:?}"),
     };
     ScheduleCase {
         setup,
@@ -138,13 +138,17 @@ fn crafted_schedule(fault: &str) -> ScheduleCase {
 #[test]
 fn crafted_schedules_detect_each_isolation_fault() {
     let designated = [
-        ("iso_dirty_read", "mysql", "BUG-DIRTY-READ"),
-        ("iso_lost_update", "mariadb", "BUG-LOST-UPDATE"),
-        ("iso_nonrepeatable_read", "tidb", "BUG-NONREPEATABLE-READ"),
+        (Fault::IsoDirtyRead, "mysql", "BUG-DIRTY-READ"),
+        (Fault::IsoLostUpdate, "mariadb", "BUG-LOST-UPDATE"),
+        (
+            Fault::IsoNonrepeatableRead,
+            "tidb",
+            "BUG-NONREPEATABLE-READ",
+        ),
     ];
     for (fault, dialect, bug_id) in designated {
         let case = crafted_schedule(fault);
-        assert!(case.schedule.is_well_formed(), "{fault}: malformed");
+        assert!(case.schedule.is_well_formed(), "{fault:?}: malformed");
         let mut dbms = preset_by_name(dialect).unwrap().instantiate();
         dbms.reset();
         for sql in &case.setup {
@@ -153,7 +157,7 @@ fn crafted_schedules_detect_each_isolation_fault() {
         let verdict = check_isolation(&mut dbms, &case.schedule, &case.features, &case.setup);
         assert!(
             verdict.outcome.is_bug(),
-            "{dialect}: crafted {fault} schedule not flagged: {:?}",
+            "{dialect}: crafted {fault:?} schedule not flagged: {:?}",
             verdict.outcome
         );
         let causes = dbms.ground_truth_schedule_bugs(&case);
@@ -187,7 +191,7 @@ fn crafted_schedules_detect_each_isolation_fault() {
     // is two blind appenders, whose claims are disjoint — both commits
     // merge instead of conflicting (pre-CoW table-level intent aborted one
     // of them here).
-    let case = crafted_schedule("iso_lost_update");
+    let case = crafted_schedule(Fault::IsoLostUpdate);
     let mut clean = preset_by_name("sqlite").unwrap().instantiate();
     clean.reset();
     for sql in &case.setup {
@@ -203,7 +207,7 @@ fn crafted_schedules_detect_each_isolation_fault() {
     // Existing-row contention still aborts: the same schedule with both
     // sessions *updating* t0 claims overlapping row ranges, so sound
     // first-committer-wins rejects the second commit.
-    let mut update_case = crafted_schedule("iso_lost_update");
+    let mut update_case = crafted_schedule(Fault::IsoLostUpdate);
     for session in &mut update_case.schedule.sessions {
         session.statements = stmts(&["UPDATE t0 SET c0 = c0 + 1"]);
     }
@@ -429,7 +433,7 @@ fn partitioned_campaigns_are_identical_and_still_detect_bugs() {
 /// relative order; the reduced schedule still reproduces the bug.
 #[test]
 fn schedule_reduction_preserves_bracketing_and_order() {
-    let mut case = crafted_schedule("iso_lost_update");
+    let mut case = crafted_schedule(Fault::IsoLostUpdate);
     // Pad with reducible noise: an unused setup table and extra mutations.
     case.setup.push("CREATE TABLE unused (c0 INTEGER)".into());
     case.setup.push("INSERT INTO t0 (c0) VALUES (1)".into());
@@ -534,7 +538,7 @@ fn connect_opens_gated_sessions_over_one_engine() {
     assert!(crate_db
         .execute("CREATE TABLE t0 (c0 INTEGER)")
         .is_success());
-    let case = crafted_schedule("iso_lost_update");
+    let case = crafted_schedule(Fault::IsoLostUpdate);
     let verdict = check_isolation(&mut crate_db, &case.schedule, &case.features, &case.setup);
     assert!(!verdict.outcome.is_valid(), "BEGIN rejection is invalidity");
     assert!(!verdict.outcome.is_bug());

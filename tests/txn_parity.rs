@@ -15,7 +15,9 @@
 
 use sqlancerpp::ast::splitmix64;
 use sqlancerpp::core::{Campaign, CampaignConfig, DbmsConnection, OracleKind, TextOnlyConnection};
-use sqlancerpp::engine::{Database, Engine, EngineConfig, EvalStrategy, ExecutionMode, TypingMode};
+use sqlancerpp::engine::{
+    Database, Engine, EngineConfig, EvalStrategy, ExecutionMode, Fault, FaultConfig, TypingMode,
+};
 use sqlancerpp::parser::parse_statement;
 use sqlancerpp::sim::{fleet, DialectProfile, SimulatedDbms};
 
@@ -123,27 +125,27 @@ fn run_script(
 /// agree on every script, with and without injected evaluation faults.
 #[test]
 fn all_execution_tiers_agree_on_transactional_scripts() {
-    let fault_sets: Vec<Vec<&'static str>> = vec![
+    let fault_sets: Vec<Vec<Fault>> = vec![
         vec![],
         // Evaluation-level faults: parity must survive them (they fire
         // identically on every tier).
         vec![
-            "bad_collation_comparison",
-            "bad_integer_division",
-            "bad_text_coercion_sign",
+            Fault::BadCollationComparison,
+            Fault::BadIntegerDivision,
+            Fault::BadTextCoercionSign,
         ],
         // Transaction faults themselves: wrong, but *consistently* wrong
         // across tiers.
-        vec!["txn_lost_rollback"],
-        vec!["txn_phantom_commit"],
-        vec!["txn_savepoint_collapse"],
+        vec![Fault::TxnLostRollback],
+        vec![Fault::TxnPhantomCommit],
+        vec![Fault::TxnSavepointCollapse],
     ];
     for typing in [TypingMode::Dynamic, TypingMode::Strict] {
         for faults in &fault_sets {
             for (si, script) in txn_scripts().iter().enumerate() {
                 let profile = DialectProfile::permissive("tierparity", typing);
                 let make = |eval: EvalStrategy| {
-                    SimulatedDbms::with_eval(profile.clone(), faults.clone(), eval)
+                    SimulatedDbms::with_eval(profile.clone(), FaultConfig::of(faults), eval)
                 };
                 let mut text = TextOnlyConnection::new(make(EvalStrategy::Compiled));
                 let mut ast = make(EvalStrategy::Compiled);
@@ -189,12 +191,12 @@ fn cow_engine_sessions_match_plain_database_semantics() {
         "DROP TABLE t2",
         "INSERT INTO t2 (c0) VALUES (9)",
     ];
-    let fault_sets: Vec<Vec<&'static str>> = vec![
+    let fault_sets: Vec<Vec<Fault>> = vec![
         vec![],
-        vec!["txn_lost_rollback"],
-        vec!["txn_phantom_commit"],
-        vec!["txn_savepoint_collapse"],
-        vec!["bad_integer_division", "bad_text_coercion_sign"],
+        vec![Fault::TxnLostRollback],
+        vec![Fault::TxnPhantomCommit],
+        vec![Fault::TxnSavepointCollapse],
+        vec![Fault::BadIntegerDivision, Fault::BadTextCoercionSign],
     ];
     let probe = |table: &str| -> sqlancerpp::ast::Select {
         match parse_statement(&format!("SELECT * FROM {table}")).unwrap() {
@@ -210,7 +212,7 @@ fn cow_engine_sessions_match_plain_database_semantics() {
                         typing,
                         ..EngineConfig::default()
                     };
-                    for fault in faults {
+                    for &fault in faults {
                         config.faults.enable(fault);
                     }
                     config
@@ -369,7 +371,7 @@ fn txn_reduction_preserves_savepoint_pairing() {
     use sqlancerpp::core::{BugReducer, FeatureSet, TxnCase};
     let mut dbms = SimulatedDbms::new(
         DialectProfile::permissive("reduce-txn", TypingMode::Dynamic),
-        vec!["txn_savepoint_collapse"],
+        FaultConfig::of(&[Fault::TxnSavepointCollapse]),
     );
     let case = TxnCase {
         setup: vec![
