@@ -27,6 +27,12 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 echo "==> cargo build --release"
 cargo build --release --workspace
 
+echo "==> cargo build --release (benchmark)"
+# The benchmark is its own package over the workspace's public API, so a
+# change that breaks it fails here in seconds rather than at the smoke
+# runs at the end.
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+
 echo "==> cargo test -q"
 cargo test --workspace -q
 

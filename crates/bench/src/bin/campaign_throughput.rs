@@ -396,7 +396,7 @@ fn traced_ratio() -> Ratio {
         let mut conn = dolt.instantiate_for_path(ExecutionPath::Ast);
         let mut campaign = Campaign::new(config.clone());
         campaign.set_trace(trace);
-        campaign.run_supervised(&mut conn, &SupervisorConfig::default());
+        campaign.run_supervised(&mut *conn, &SupervisorConfig::default());
     };
     let rounds = interleave(&mut [&mut || run(None), &mut || {
         let tracer = Tracer::new()

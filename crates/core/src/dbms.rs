@@ -470,121 +470,26 @@ impl std::fmt::Debug for StateCheckpoint {
     }
 }
 
-/// Boxed trait objects forward every method — including the AST fast path
-/// and session opening — so a `Box<dyn DbmsConnection>` (what
-/// [`DbmsConnection::open_session`] yields) behaves exactly like the
-/// concrete connection it wraps.
-impl DbmsConnection for Box<dyn DbmsConnection> {
-    fn name(&self) -> &str {
-        (**self).name()
-    }
-
-    fn execute(&mut self, sql: &str) -> StatementOutcome {
-        (**self).execute(sql)
-    }
-
-    fn query(&mut self, sql: &str) -> Result<QueryResult, String> {
-        (**self).query(sql)
-    }
-
-    fn reset(&mut self) {
-        (**self).reset();
-    }
-
-    fn quirks(&self) -> DialectQuirks {
-        (**self).quirks()
-    }
-
-    fn execute_ast(&mut self, stmt: &Statement) -> StatementOutcome {
-        (**self).execute_ast(stmt)
-    }
-
-    fn query_ast(&mut self, select: &Select) -> Result<QueryResult, String> {
-        (**self).query_ast(select)
-    }
-
-    fn open_session(&mut self) -> Option<Box<dyn DbmsConnection>> {
-        (**self).open_session()
-    }
-
-    fn storage_metrics(&self) -> Result<Option<StorageMetrics>, String> {
-        (**self).storage_metrics()
-    }
-
-    fn begin_case(&mut self, case_seed: u64) {
-        (**self).begin_case(case_seed);
-    }
-
-    fn virtual_ticks(&self) -> u64 {
-        (**self).virtual_ticks()
-    }
-
-    fn checkpoint(&mut self) -> Option<StateCheckpoint> {
-        (**self).checkpoint()
-    }
-
-    fn restore(&mut self, checkpoint: &StateCheckpoint) -> bool {
-        (**self).restore(checkpoint)
-    }
-
-    fn drain_backend_events(&mut self) -> Vec<crate::trace::BackendEvent> {
-        (**self).drain_backend_events()
-    }
-
-    fn engine_coverage(&self) -> Option<EngineCoverage> {
-        (**self).engine_coverage()
-    }
-
-    fn drain_resilience_events(&mut self) -> Vec<crate::driver::ResilienceEvent> {
-        (**self).drain_resilience_events()
-    }
-
-    fn note_case_outcome(&mut self, case_seed: u64, infra_failed: bool) {
-        (**self).note_case_outcome(case_seed, infra_failed);
-    }
-
-    fn resilience_checkpoint(&self) -> Option<String> {
-        (**self).resilience_checkpoint()
-    }
-
-    fn restore_resilience(&mut self, data: &str) -> bool {
-        (**self).restore_resilience(data)
-    }
-
-    fn note_database_boundary(&mut self) {
-        (**self).note_database_boundary();
-    }
-}
-
 /// Forces the text path of a connection: the AST fast-path methods are
 /// routed through SQL rendering and the wrapped connection's text entry
 /// points, exactly as a real wire-protocol backend would behave.
 ///
 /// Used by the parity tests (text path and AST path must agree verdict for
 /// verdict) and by the throughput benchmark as the baseline arm.
-#[derive(Debug, Clone)]
-pub struct TextOnlyConnection<C> {
-    inner: C,
+pub struct TextOnlyConnection {
+    inner: Box<dyn DbmsConnection>,
 }
 
-impl<C: DbmsConnection> TextOnlyConnection<C> {
+impl TextOnlyConnection {
     /// Wraps a connection.
-    pub fn new(inner: C) -> TextOnlyConnection<C> {
-        TextOnlyConnection { inner }
-    }
-
-    /// Consumes the wrapper and returns the underlying connection.
-    pub fn into_inner(self) -> C {
-        self.inner
-    }
-
-    /// The underlying connection.
-    pub fn inner(&self) -> &C {
-        &self.inner
+    pub fn new(inner: impl DbmsConnection + 'static) -> TextOnlyConnection {
+        TextOnlyConnection {
+            inner: Box::new(inner),
+        }
     }
 }
 
-impl<C: DbmsConnection> DbmsConnection for TextOnlyConnection<C> {
+impl DbmsConnection for TextOnlyConnection {
     fn name(&self) -> &str {
         self.inner.name()
     }
@@ -610,7 +515,7 @@ impl<C: DbmsConnection> DbmsConnection for TextOnlyConnection<C> {
         // their AST entry points must also render to SQL.
         self.inner
             .open_session()
-            .map(|session| Box::new(TextOnlyConnection::new(session)) as Box<dyn DbmsConnection>)
+            .map(|inner| Box::new(TextOnlyConnection { inner }) as Box<dyn DbmsConnection>)
     }
 
     fn storage_metrics(&self) -> Result<Option<StorageMetrics>, String> {

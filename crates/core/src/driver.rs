@@ -8,11 +8,10 @@
 //!   [`Capability`] report describing what the backend supports. Drivers
 //!   are cheap, `Send + Sync`, and shareable (`Arc<dyn Driver>`), so a
 //!   fleet is just a `Vec<Arc<dyn Driver>>`.
-//! * [`Capability`] — the static feature report: transactions, savepoints,
-//!   multi-session support, the AST fast path, state checkpoints, storage
-//!   metrics and dialect quirks. Generator gating and oracle scheduling
+//! * [`Capability`] — the static feature report: transactions, savepoints
+//!   and multi-session support. Generator gating and oracle scheduling
 //!   consult capabilities (and the learned profile) instead of matching on
-//!   backend names.
+//!   backend names; dialect quirks come from [`DbmsConnection::quirks`].
 //! * [`Pool`] — a fixed-size, deterministic connection pool that itself
 //!   implements [`DbmsConnection`], so the whole campaign stack (generator
 //!   feedback, oracles, reducer, supervisor, resume) runs over it
@@ -67,36 +66,16 @@ pub struct Capability {
     /// The backend can open additional concurrent sessions
     /// ([`DbmsConnection::open_session`]), enabling the isolation oracle.
     pub multi_session: bool,
-    /// The backend accepts ASTs directly (`execute_ast`/`query_ast` do not
-    /// fall back to text rendering). Descriptive: the simulated fleet keeps
-    /// its AST fast path as a capability, wire backends are text-only.
-    pub ast_statements: bool,
-    /// The backend supports O(1) state checkpoints
-    /// ([`DbmsConnection::checkpoint`]). When `false` the stateful oracles
-    /// use the setup-replay fallback.
-    pub state_checkpoints: bool,
-    /// The backend reports storage-layer metrics
-    /// ([`DbmsConnection::storage_metrics`]).
-    pub storage_metrics: bool,
-    /// Dialect quirk: reads only see writes after `REFRESH TABLE`.
-    pub requires_refresh: bool,
-    /// Dialect quirk: autocommit is off; setup writes need `COMMIT`.
-    pub requires_commit: bool,
 }
 
 impl Default for Capability {
     /// The full-featured profile the campaign historically assumed
-    /// (everything supported, no quirks).
+    /// (everything supported).
     fn default() -> Capability {
         Capability {
             transactions: true,
             savepoints: true,
             multi_session: true,
-            ast_statements: true,
-            state_checkpoints: true,
-            storage_metrics: true,
-            requires_refresh: false,
-            requires_commit: false,
         }
     }
 }
@@ -105,17 +84,12 @@ impl Capability {
     /// The conservative profile for a text-only wire backend: SQL text in,
     /// rows out, nothing else assumed. Transactions and savepoints stay on
     /// (most real DBMSs have them; validity feedback suppresses them where
-    /// they fail to parse), everything engine-internal is off.
+    /// they fail to parse); a second concurrent session is not assumed.
     pub fn text_only() -> Capability {
         Capability {
             transactions: true,
             savepoints: true,
             multi_session: false,
-            ast_statements: false,
-            state_checkpoints: false,
-            storage_metrics: false,
-            requires_refresh: false,
-            requires_commit: false,
         }
     }
 
@@ -137,44 +111,6 @@ impl Capability {
     pub fn with_multi_session(mut self, multi_session: bool) -> Capability {
         self.multi_session = multi_session;
         self
-    }
-
-    /// Returns the capability with the AST fast path set.
-    pub fn with_ast_statements(mut self, ast_statements: bool) -> Capability {
-        self.ast_statements = ast_statements;
-        self
-    }
-
-    /// Returns the capability with checkpoint support set.
-    pub fn with_state_checkpoints(mut self, state_checkpoints: bool) -> Capability {
-        self.state_checkpoints = state_checkpoints;
-        self
-    }
-
-    /// Returns the capability with storage-metrics support set.
-    pub fn with_storage_metrics(mut self, storage_metrics: bool) -> Capability {
-        self.storage_metrics = storage_metrics;
-        self
-    }
-
-    /// Returns the capability with the `REFRESH TABLE` quirk set.
-    pub fn with_requires_refresh(mut self, requires_refresh: bool) -> Capability {
-        self.requires_refresh = requires_refresh;
-        self
-    }
-
-    /// Returns the capability with the explicit-`COMMIT` quirk set.
-    pub fn with_requires_commit(mut self, requires_commit: bool) -> Capability {
-        self.requires_commit = requires_commit;
-        self
-    }
-
-    /// The dialect quirks implied by this capability report.
-    pub fn quirks(&self) -> DialectQuirks {
-        DialectQuirks {
-            requires_refresh: self.requires_refresh,
-            requires_commit: self.requires_commit,
-        }
     }
 
     /// Statement features the generator should never draw against this
@@ -424,13 +360,6 @@ fn run_probe(
             }
         }
         let _ = exec(conn, Statement::Rollback)?;
-    }
-    if claimed.state_checkpoints && conn.checkpoint().is_none() {
-        probed.state_checkpoints = false;
-        drift.push(
-            "state_checkpoints: static capability claims support but the checkpoint probe returned no snapshot"
-                .to_string(),
-        );
     }
     if claimed.multi_session && conn.open_session().is_none() {
         probed.multi_session = false;
@@ -861,7 +790,11 @@ impl DbmsConnection for Pool {
     }
 
     fn quirks(&self) -> DialectQuirks {
-        self.capability.quirks()
+        self.slots[self.active]
+            .conn
+            .as_ref()
+            .map(|conn| conn.quirks())
+            .unwrap_or_default()
     }
 
     fn open_session(&mut self) -> Option<Box<dyn DbmsConnection>> {
@@ -1108,16 +1041,14 @@ mod tests {
     fn default_capability_is_full_featured() {
         let cap = Capability::default();
         assert!(cap.transactions && cap.savepoints && cap.multi_session);
-        assert!(cap.ast_statements && cap.state_checkpoints && cap.storage_metrics);
         assert!(cap.unsupported_statement_features().is_empty());
     }
 
     #[test]
-    fn text_only_capability_disables_engine_internals() {
+    fn text_only_capability_assumes_one_session() {
         let cap = Capability::text_only();
         assert!(cap.transactions && cap.savepoints);
-        assert!(!cap.multi_session && !cap.ast_statements);
-        assert!(!cap.state_checkpoints && !cap.storage_metrics);
+        assert!(!cap.multi_session);
     }
 
     #[test]
@@ -1141,17 +1072,6 @@ mod tests {
                 "missing {name}"
             );
         }
-    }
-
-    #[test]
-    fn capability_quirks_round_trip() {
-        let cap = Capability {
-            requires_refresh: true,
-            requires_commit: true,
-            ..Capability::default()
-        };
-        let quirks = cap.quirks();
-        assert!(quirks.requires_refresh && quirks.requires_commit);
     }
 
     /// A scriptable backend for pool tests: accepts everything, except that
@@ -1197,9 +1117,9 @@ mod tests {
             "probe-toy"
         }
         fn capability(&self) -> Capability {
-            // Claims transactions and savepoints; the engine-internal
-            // families are off so the probe exercises the wire families.
-            Capability::text_only().with_ast_statements(false)
+            // Claims transactions and savepoints, so the probe exercises
+            // the wire families.
+            Capability::text_only()
         }
         fn connect(&self) -> Result<Box<dyn DbmsConnection>, String> {
             Ok(Box::new(ProbeConn {

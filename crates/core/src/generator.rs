@@ -84,8 +84,6 @@ impl GeneratorConfig {
 pub struct GeneratedStatement {
     /// The statement AST.
     pub statement: Statement,
-    /// Its SQL rendering (what is sent to the DBMS).
-    pub sql: String,
     /// The features enabled while generating it.
     pub features: FeatureSet,
     /// Which feedback category it belongs to.
@@ -190,12 +188,6 @@ impl AdaptiveGenerator {
     pub fn apply_capability(&mut self, capability: &crate::driver::Capability) {
         self.capability_suppressed = capability.unsupported_statement_features();
         self.multi_session = capability.multi_session;
-    }
-
-    /// Features suppressed by the applied capability report (empty when no
-    /// capability has been applied).
-    pub fn capability_suppressed_features(&self) -> &BTreeSet<Feature> {
-        &self.capability_suppressed
     }
 
     /// Steers the next statement toward `cold` features: every cold option
@@ -598,10 +590,8 @@ impl AdaptiveGenerator {
         features: FeatureSet,
         kind: FeatureKind,
     ) -> GeneratedStatement {
-        let sql = statement.to_string();
         GeneratedStatement {
             statement,
-            sql,
             features,
             kind,
         }
@@ -1416,8 +1406,9 @@ mod tests {
         let mut generator = generator_with_schema(true);
         for _ in 0..200 {
             let stmt = generator.generate_ddl_statement();
-            let reparsed = sql_parser::parse_statement(&stmt.sql);
-            assert!(reparsed.is_ok(), "unparseable SQL: {}", stmt.sql);
+            let sql = stmt.statement.to_string();
+            let reparsed = sql_parser::parse_statement(&sql);
+            assert!(reparsed.is_ok(), "unparseable SQL: {sql}");
             generator.apply_success(&stmt.statement);
         }
         for _ in 0..200 {

@@ -181,10 +181,17 @@ pub fn checkpoint_from_string(text: &str) -> Result<CampaignCheckpoint, String> 
 ///
 /// Propagates I/O errors.
 pub fn save_checkpoint(checkpoint: &CampaignCheckpoint, path: &Path) -> std::io::Result<()> {
+    write_replacing(path, &checkpoint_to_string(checkpoint))
+}
+
+/// Writes `text` to `<path>.tmp` and renames it over `path`, so a reader
+/// never sees a half-written file: the checkpoint and the flight
+/// recorder's JSONL both go through here.
+pub(crate) fn write_replacing(path: &Path, text: &str) -> std::io::Result<()> {
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
     let tmp = std::path::PathBuf::from(tmp);
-    std::fs::write(&tmp, checkpoint_to_string(checkpoint))?;
+    std::fs::write(&tmp, text)?;
     std::fs::rename(&tmp, path)
 }
 

@@ -132,15 +132,6 @@ impl SchemaModel {
         bases.choose(rng).copied()
     }
 
-    /// Picks a random column of a table.
-    pub fn random_column<'a, R: Rng>(
-        &'a self,
-        table: &'a ModelTable,
-        rng: &mut R,
-    ) -> Option<&'a ModelColumn> {
-        table.columns.choose(rng)
-    }
-
     /// Applies a *successfully executed* statement to the model. This is the
     /// only way the model changes, mirroring the paper's "add the object to
     /// the model only if the DBMS reports success" rule.

@@ -979,15 +979,8 @@ impl TraceSink for Tracer {
         }
         // Telemetry must never fail the campaign: write errors are
         // dropped (the in-memory recorder stays available regardless).
-        if let (Some(path), Some(text)) = (self.jsonl_path.clone(), self.jsonl()) {
-            let tmp = {
-                let mut os = path.as_os_str().to_os_string();
-                os.push(".tmp");
-                PathBuf::from(os)
-            };
-            if std::fs::write(&tmp, text).is_ok() {
-                let _ = std::fs::rename(&tmp, &path);
-            }
+        if let (Some(path), Some(text)) = (&self.jsonl_path, self.jsonl()) {
+            let _ = crate::resume::write_replacing(path, &text);
         }
     }
 }

@@ -92,13 +92,6 @@ pub fn catalog() -> Vec<InjectedBug> {
             description: "DISTINCT dropped when an equality predicate is present",
         },
         InjectedBug {
-            id: "BUG-LIMIT-PUSHDOWN",
-            fault: Fault::BadLimitPushdown,
-            is_logic: true,
-            features: &["CLAUSE_LIMIT", "JOIN_LEFT"],
-            description: "LIMIT pushed below an outer join",
-        },
-        InjectedBug {
             id: "BUG-NULLSAFE-EQ",
             fault: Fault::BadNullsafeEqRewrite,
             is_logic: true,

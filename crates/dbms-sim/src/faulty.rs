@@ -258,9 +258,8 @@ pub struct FaultPlan {
 /// Faults only fire while a case is active (after `begin_case` with a
 /// non-zero seed); in safe mode (seed 0) the decorator is a transparent
 /// pass-through, so setup, recovery replay and reduction are never hit.
-#[derive(Debug, Clone)]
-pub struct FaultyConnection<C> {
-    inner: C,
+pub struct FaultyConnection {
+    inner: Box<dyn DbmsConnection>,
     config: FaultyConfig,
     /// Safe mode: no case active, faults never fire.
     safe: bool,
@@ -280,9 +279,9 @@ pub struct FaultyConnection<C> {
     dropped: bool,
 }
 
-impl<C: DbmsConnection> FaultyConnection<C> {
+impl FaultyConnection {
     /// Wraps a connection.
-    pub fn new(inner: C, config: FaultyConfig) -> FaultyConnection<C> {
+    pub fn new(inner: Box<dyn DbmsConnection>, config: FaultyConfig) -> FaultyConnection {
         FaultyConnection {
             inner,
             config,
@@ -294,21 +293,6 @@ impl<C: DbmsConnection> FaultyConnection<C> {
             down: false,
             dropped: false,
         }
-    }
-
-    /// The fault configuration.
-    pub fn config(&self) -> &FaultyConfig {
-        &self.config
-    }
-
-    /// The wrapped connection.
-    pub fn inner(&self) -> &C {
-        &self.inner
-    }
-
-    /// Consumes the wrapper and returns the wrapped connection.
-    pub fn into_inner(self) -> C {
-        self.inner
     }
 
     /// Charges one tick, then decides this statement's fate: `Ok(())` lets
@@ -427,7 +411,7 @@ fn is_txn_control_text(sql: &str) -> bool {
     })
 }
 
-impl<C: DbmsConnection> DbmsConnection for FaultyConnection<C> {
+impl DbmsConnection for FaultyConnection {
     fn name(&self) -> &str {
         self.inner.name()
     }
@@ -626,7 +610,7 @@ mod tests {
     fn safe_mode_is_a_transparent_pass_through() {
         let mut config = FaultyConfig::storm();
         config.period = 1; // every case would fault if a case were active
-        let mut conn = FaultyConnection::new(EchoConn, config);
+        let mut conn = FaultyConnection::new(Box::new(EchoConn), config);
         conn.begin_case(0);
         for _ in 0..64 {
             assert!(conn.execute("CREATE TABLE t0 (c0 INTEGER)").is_success());
@@ -645,7 +629,7 @@ mod tests {
         let seed = seed_with_plan(&config, InfraFaultKind::Crash);
         let trigger = config.plan(seed).unwrap().trigger;
         let persist = config.crash_persist_attempts;
-        let mut conn = FaultyConnection::new(EchoConn, config);
+        let mut conn = FaultyConnection::new(Box::new(EchoConn), config);
         for attempt in 0..=persist {
             conn.begin_case(seed);
             let crashed = catch_unwind(AssertUnwindSafe(|| {
@@ -677,7 +661,7 @@ mod tests {
         let config = FaultyConfig::default().arm(InfraFaultKind::Drop);
         let seed = seed_with_plan(&config, InfraFaultKind::Drop);
         let trigger = config.plan(seed).unwrap().trigger;
-        let mut conn = FaultyConnection::new(EchoConn, config);
+        let mut conn = FaultyConnection::new(Box::new(EchoConn), config);
         conn.begin_case(seed);
         for _ in 1..trigger {
             assert!(conn.query("SELECT 1").is_ok());
@@ -700,7 +684,7 @@ mod tests {
         let config = FaultyConfig::default().arm(InfraFaultKind::Hang);
         let seed = seed_with_plan(&config, InfraFaultKind::Hang);
         let trigger = config.plan(seed).unwrap().trigger;
-        let mut conn = FaultyConnection::new(EchoConn, config.clone());
+        let mut conn = FaultyConnection::new(Box::new(EchoConn), config.clone());
         conn.begin_case(seed);
         let before = conn.virtual_ticks();
         for _ in 1..trigger {
@@ -777,7 +761,7 @@ mod tests {
         let config = FaultyConfig::default().arm(InfraFaultKind::Probe);
         let seed = seed_with_plan(&config, InfraFaultKind::Probe);
         let trigger = config.plan(seed).unwrap().trigger;
-        let mut conn = FaultyConnection::new(EchoConn, config);
+        let mut conn = FaultyConnection::new(Box::new(EchoConn), config);
         conn.begin_case(seed);
         let caught = catch_unwind(AssertUnwindSafe(|| {
             for _ in 0..trigger {
@@ -804,7 +788,7 @@ mod tests {
         let config = FaultyConfig::default().arm(InfraFaultKind::Flap);
         let seed = seed_with_plan(&config, InfraFaultKind::Flap);
         let trigger = config.plan(seed).unwrap().trigger;
-        let mut conn = FaultyConnection::new(EchoConn, config);
+        let mut conn = FaultyConnection::new(Box::new(EchoConn), config);
         for attempt in 0..3u32 {
             conn.begin_case(seed);
             let mut failed = None;
@@ -830,7 +814,7 @@ mod tests {
     fn capability_lie_rejects_txn_control_on_both_paths_even_in_safe_mode() {
         let config = FaultyConfig::flaky();
         assert!(config.lie_transactions);
-        let mut conn = FaultyConnection::new(EchoConn, config);
+        let mut conn = FaultyConnection::new(Box::new(EchoConn), config);
         conn.begin_case(0); // safe mode — the probe runs here
         for sql in [
             "BEGIN",
@@ -884,7 +868,7 @@ mod tests {
                     .reduce_bugs(false)
                     .build(),
             );
-            campaign.run_supervised(&mut conn, &SupervisorConfig::default())
+            campaign.run_supervised(&mut *conn, &SupervisorConfig::default())
         };
         let report = run(FaultyConfig::storm());
         // The storm actually hit the campaign, with every armed kind...
@@ -936,7 +920,7 @@ mod tests {
                     .reduce_bugs(false)
                     .build(),
             );
-            campaign.run_supervised(&mut conn, &SupervisorConfig::default())
+            campaign.run_supervised(&mut *conn, &SupervisorConfig::default())
         };
         let first = run();
         let second = run();

@@ -60,14 +60,6 @@ impl DialectPreset {
         self
     }
 
-    /// This preset with every injected *engine* fault removed (the
-    /// logic-bug-free variant used by the fault-storm CI gate, where any
-    /// reported logic bug is by construction a false positive).
-    pub fn without_engine_faults(mut self) -> DialectPreset {
-        self.faults = FaultConfig::none();
-        self
-    }
-
     /// Instantiates a fresh connection configured for the given execution
     /// path — the shared setup of the serial, fleet-parallel and
     /// within-dialect partitioned campaign runners. When the preset arms
@@ -92,31 +84,6 @@ impl DialectPreset {
             Some(config) => Box::new(FaultyConnection::new(conn, config.clone())),
             None => conn,
         }
-    }
-
-    /// The [`Capability`] report of this preset under the given execution
-    /// path, derived from the dialect profile: what were hardcoded
-    /// dialect-name facts (cratedb/risingwave reject transactions, vitess
-    /// rejects savepoints, CrateDB needs `REFRESH TABLE`) now flow through
-    /// capability fields. The AST fast path is a capability of the
-    /// simulated fleet, not an assumption — the `Text` path reports a
-    /// text-only wire contract for statements.
-    pub fn capability_for_path(&self, path: ExecutionPath) -> Capability {
-        let supports_all = |names: &[&str]| names.iter().all(|name| self.profile.supports(name));
-        let transactions = supports_all(&["STMT_BEGIN", "STMT_COMMIT", "STMT_ROLLBACK"]);
-        Capability::default()
-            .with_transactions(transactions)
-            .with_savepoints(
-                transactions
-                    && supports_all(&[
-                        "STMT_SAVEPOINT",
-                        "STMT_ROLLBACK_TO",
-                        "STMT_RELEASE_SAVEPOINT",
-                    ]),
-            )
-            .with_ast_statements(path != ExecutionPath::Text)
-            .with_requires_refresh(self.profile.requires_refresh)
-            .with_requires_commit(self.profile.requires_commit)
     }
 
     /// Re-exposes the preset through the platform's [`Driver`] interface:
@@ -144,8 +111,22 @@ impl Driver for SimDriver {
         &self.preset.profile.name
     }
 
+    /// Derived from the dialect profile: cratedb and risingwave reject
+    /// transactions, vitess rejects savepoints.
     fn capability(&self) -> Capability {
-        self.preset.capability_for_path(self.path)
+        let profile = &self.preset.profile;
+        let supports_all = |names: &[&str]| names.iter().all(|name| profile.supports(name));
+        let transactions = supports_all(&["STMT_BEGIN", "STMT_COMMIT", "STMT_ROLLBACK"]);
+        Capability::default()
+            .with_transactions(transactions)
+            .with_savepoints(
+                transactions
+                    && supports_all(&[
+                        "STMT_SAVEPOINT",
+                        "STMT_ROLLBACK_TO",
+                        "STMT_RELEASE_SAVEPOINT",
+                    ]),
+            )
     }
 
     fn connect(&self) -> Result<Box<dyn sqlancer_core::DbmsConnection>, String> {
@@ -265,7 +246,6 @@ pub fn fleet() -> Vec<DialectPreset> {
             ],
             &[
                 Fault::BadRangeNegation,
-                Fault::BadLimitPushdown,
                 Fault::BadStaleCountStatistics,
                 Fault::BadIntegerDivision,
             ],
@@ -434,7 +414,6 @@ pub fn fleet() -> Vec<DialectPreset> {
                 Fault::BadRangeNegation,
                 Fault::BadInListRewrite,
                 Fault::BadBetweenRewrite,
-                Fault::BadLimitPushdown,
                 Fault::BadDistinctElimination,
                 Fault::BadNullifNullHandling,
                 Fault::BadTextCoercionSign,
@@ -525,6 +504,30 @@ mod tests {
         let mut dbms = preset.instantiate();
         dbms.execute("CREATE TABLE t0 (c0 INTEGER)");
         assert!(!dbms.execute("CREATE INDEX i0 ON t0(c0)").is_success());
+    }
+
+    #[test]
+    fn every_preset_pool_reports_its_profile_quirks() {
+        let mut refreshing = Vec::new();
+        for preset in fleet() {
+            let expected = sqlancer_core::DialectQuirks {
+                requires_refresh: preset.profile.requires_refresh,
+                requires_commit: preset.profile.requires_commit,
+            };
+            for path in [ExecutionPath::Ast, ExecutionPath::Text] {
+                let pool = sqlancer_core::Pool::new(preset.driver(path), 2).expect("pool connects");
+                assert_eq!(
+                    pool.quirks(),
+                    expected,
+                    "{} on {path:?}",
+                    preset.profile.name
+                );
+            }
+            if expected.requires_refresh {
+                refreshing.push(preset.profile.name.clone());
+            }
+        }
+        assert_eq!(refreshing, ["cratedb", "risingwave"]);
     }
 
     #[test]

@@ -544,8 +544,7 @@ mod tests {
     fn driver_reports_text_only_capability() {
         let cap = driver().capability();
         assert!(cap.transactions && cap.savepoints);
-        assert!(!cap.ast_statements && !cap.state_checkpoints);
-        assert!(!cap.multi_session && !cap.storage_metrics);
+        assert!(!cap.multi_session);
     }
 
     #[test]

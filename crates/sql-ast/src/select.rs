@@ -143,14 +143,6 @@ impl TableFactor {
             alias: None,
         }
     }
-
-    /// The name the relation is visible as inside the query.
-    pub fn visible_name(&self) -> &str {
-        match self {
-            TableFactor::Table { name, alias } => alias.as_deref().unwrap_or(name),
-            TableFactor::Derived { alias, .. } => alias,
-        }
-    }
 }
 
 impl fmt::Display for TableFactor {
@@ -336,18 +328,6 @@ impl Select {
                 SelectItem::Expr { expr, .. } => expr.contains_aggregate(),
                 _ => false,
             })
-    }
-
-    /// All table factors referenced directly in the `FROM` clause.
-    pub fn table_factors(&self) -> Vec<&TableFactor> {
-        let mut out = Vec::new();
-        for twj in &self.from {
-            out.push(&twj.relation);
-            for j in &twj.joins {
-                out.push(&j.relation);
-            }
-        }
-        out
     }
 
     /// Feeds an exact structural fingerprint of the query into a 128-bit

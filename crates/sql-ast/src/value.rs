@@ -235,15 +235,6 @@ impl Value {
         TruthValue::from_bool(self.total_cmp(other) == Ordering::Equal)
     }
 
-    /// SQL comparison honouring `NULL` propagation. Returns `None` for
-    /// `NULL` operands (i.e. the comparison is unknown).
-    pub fn sql_cmp(&self, other: &Value) -> Option<Ordering> {
-        if self.is_null() || other.is_null() {
-            return None;
-        }
-        Some(self.total_cmp(other))
-    }
-
     /// The canonical dedup identity of this value, borrowed: integral
     /// reals (below the 9.0e15 cut-off) and booleans collapse onto the
     /// integer identity, every `NaN` shares one bit pattern, and `-0.0`

@@ -447,16 +447,6 @@ impl Catalog {
         self.maps.tables.values().map(|t| t.name.clone()).collect()
     }
 
-    /// Names of all views, sorted.
-    pub fn view_names(&self) -> Vec<String> {
-        self.maps.views.values().map(|v| v.name.clone()).collect()
-    }
-
-    /// Names of all indexes, sorted.
-    pub fn index_names(&self) -> Vec<String> {
-        self.maps.indexes.values().map(|i| i.name.clone()).collect()
-    }
-
     /// All table schemas.
     pub fn tables(&self) -> impl Iterator<Item = &TableSchema> {
         self.maps.tables.values().map(Arc::as_ref)

@@ -44,8 +44,6 @@ pub enum Fault {
     /// `DISTINCT` is dropped when an equality predicate on a unique column
     /// is present — wrong when the predicate involves coercion.
     BadDistinctElimination,
-    /// `LIMIT` is pushed below an outer join, truncating rows too early.
-    BadLimitPushdown,
     /// Expressions of the form `x <=> y` are rewritten to `x = y`,
     /// losing null-safety.
     BadNullsafeEqRewrite,
@@ -155,12 +153,6 @@ impl Fault {
     }
 }
 
-/// The faults that the optimizer's `apply_structural_faults` applies.
-const STRUCTURAL_REWRITES: u64 = Fault::BadPredicatePushdown.bit()
-    | Fault::BadJoinFlattening.bit()
-    | Fault::BadDistinctElimination.bit()
-    | Fault::BadHavingPushdown.bit();
-
 /// The set of enabled [`Fault`]s. The default enables none (a correct
 /// engine).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -197,13 +189,6 @@ impl FaultConfig {
         FaultConfig(self.0 & !fault.bit())
     }
 
-    /// Whether any fault that the optimizer's `apply_structural_faults`
-    /// can apply is enabled — the gate for `optimize_select`'s clone-free
-    /// fast path.
-    pub fn has_structural_rewrite(self) -> bool {
-        self.0 & STRUCTURAL_REWRITES != 0
-    }
-
     /// Every enabled fault as one bit, in [`Fault`] declaration order. The
     /// compiled-plan cache key mixes this in so an in-place configuration
     /// change can never serve a stale plan.
@@ -226,7 +211,7 @@ mod tests {
         let mut cfg = FaultConfig::none();
         cfg.enable(Fault::BadNotElimination);
         cfg.enable(Fault::CrashOnManyJoins);
-        assert_eq!(cfg.bits(), 1 | 1 << 35);
+        assert_eq!(cfg.bits(), 1 | 1 << 34);
         assert!(cfg.has(Fault::CrashOnManyJoins));
         assert!(!cfg.has(Fault::BadRangeNegation));
         let fixed = cfg.without(Fault::CrashOnManyJoins);

@@ -25,20 +25,18 @@ use sql_ast::{BinaryOp, Expr, JoinType, Select, UnaryOp, Value};
 
 /// Rewrites a query for optimized execution.
 ///
-/// Returns the input query unchanged (borrowed, no clone) when no rewrite
-/// can apply: no WHERE/HAVING/ON predicates to rewrite and no structural
-/// fault enabled. The TLP base query (`SELECT ... FROM t` with no
+/// Returns the input query unchanged (borrowed, no clone) when it has no
+/// WHERE/HAVING/ON predicate: every rewrite, the structural faults
+/// included, acts on one. The TLP base query (`SELECT ... FROM t` with no
 /// predicate) takes this fast path on every oracle check.
 pub fn optimize_select<'a>(db: &Database, select: &'a Select) -> std::borrow::Cow<'a, Select> {
-    let faults = &db.config.faults;
     let has_predicates = select.where_clause.is_some()
         || select.having.is_some()
         || select
             .from
             .iter()
             .any(|twj| twj.joins.iter().any(|j| j.on.is_some()));
-    let structural_faults = faults.has_structural_rewrite();
-    if !has_predicates && !structural_faults {
+    if !has_predicates {
         return std::borrow::Cow::Borrowed(select);
     }
     let mut out = select.clone();
@@ -70,7 +68,9 @@ pub fn optimize_select<'a>(db: &Database, select: &'a Select) -> std::borrow::Co
 }
 
 /// Structural (plan-level) faulty rewrites: predicate pushdown, join
-/// flattening and LIMIT pushdown.
+/// flattening, DISTINCT elimination and HAVING pushdown. Each one moves or
+/// reads a WHERE, ON or HAVING predicate, so none applies to a query
+/// without one.
 fn apply_structural_faults(config: &EngineConfig, select: &mut Select) {
     let faults = &config.faults;
 
@@ -527,6 +527,19 @@ mod tests {
             optimized.from[0].joins[0].on.as_ref().unwrap().to_string(),
             "TRUE"
         );
+    }
+
+    #[test]
+    fn predicate_free_query_is_borrowed_under_structural_faults() {
+        let db = db_with(&[Fault::BadJoinFlattening]);
+        let select = match parse_statement("SELECT * FROM t0 LEFT JOIN t1").unwrap() {
+            sql_ast::Statement::Select(s) => *s,
+            _ => unreachable!(),
+        };
+        assert!(matches!(
+            optimize_select(&db, &select),
+            std::borrow::Cow::Borrowed(_)
+        ));
     }
 
     #[test]

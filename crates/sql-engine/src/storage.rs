@@ -34,14 +34,6 @@ pub struct ResultSet {
 }
 
 impl ResultSet {
-    /// Creates an empty result set with the given column names.
-    pub fn with_columns(columns: Vec<String>) -> ResultSet {
-        ResultSet {
-            columns,
-            rows: Vec::new(),
-        }
-    }
-
     /// Number of rows.
     pub fn row_count(&self) -> usize {
         self.rows.len()

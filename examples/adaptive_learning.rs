@@ -28,10 +28,11 @@ fn main() {
     let mut setup = Vec::new();
     for _ in 0..16 {
         let stmt = generator.generate_ddl_statement();
-        let ok = dbms.execute(&stmt.sql).is_success();
+        let sql = stmt.statement.to_string();
+        let ok = dbms.execute(&sql).is_success();
         if ok {
             generator.apply_success(&stmt.statement);
-            setup.push(stmt.sql.clone());
+            setup.push(sql);
         }
         generator.record_outcome(&stmt.features, FeatureKind::DdlDml, ok);
     }

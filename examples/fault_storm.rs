@@ -44,7 +44,7 @@ fn run_with_faults(dialect: &str, faults: FaultyConfig) -> sqlancerpp::core::Cam
         .expect("known preset")
         .with_infra_faults(faults);
     let mut conn = preset.instantiate_for_path(ExecutionPath::Ast);
-    Campaign::new(storm_config(0x57042)).run_supervised(&mut conn, &SupervisorConfig::default())
+    Campaign::new(storm_config(0x57042)).run_supervised(&mut *conn, &SupervisorConfig::default())
 }
 
 fn main() {

@@ -70,7 +70,7 @@ fn main() {
     let mut conn = preset.instantiate_for_path(ExecutionPath::Ast);
     let mut campaign = Campaign::new(hunt_config(0x7247CE));
     campaign.set_trace(Some(handle));
-    let report = campaign.run_supervised(&mut conn, &SupervisorConfig::default());
+    let report = campaign.run_supervised(&mut *conn, &SupervisorConfig::default());
     drop(campaign);
     let tracer = Rc::try_unwrap(tracer)
         .expect("campaign released its trace handle")

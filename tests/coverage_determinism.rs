@@ -106,7 +106,7 @@ fn run_supervised(
 ) -> CampaignReport {
     let mut campaign = Campaign::new(config.clone());
     let mut conn = preset.instantiate_for_path(ExecutionPath::Ast);
-    campaign.run_supervised(&mut conn, supervision)
+    campaign.run_supervised(&mut *conn, supervision)
 }
 
 #[test]
@@ -143,7 +143,7 @@ fn kill_at_k_resume_reports_the_same_atlas() {
         let checkpoint = load_checkpoint(&path).expect("cadence checkpoint was written");
         let mut campaign = Campaign::new(config.clone());
         let mut conn = preset.instantiate_for_path(ExecutionPath::Ast);
-        let resumed = campaign.resume(&mut conn, &checkpointing, checkpoint);
+        let resumed = campaign.resume(&mut *conn, &checkpointing, checkpoint);
         assert_eq!(
             render_report(&resumed),
             render_report(&reference),

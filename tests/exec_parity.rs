@@ -89,7 +89,7 @@ fn oracle_verdicts_identical_per_query() {
             assert_eq!(a, t, "DDL outcome diverges on {}", preset.profile.name);
             if a.is_success() {
                 generator.apply_success(&stmt.statement);
-                setup.push(stmt.sql.clone());
+                setup.push(stmt.statement.to_string());
             }
         }
         for i in 0..25 {

@@ -259,11 +259,8 @@ fn generated_statements_always_parse() {
         let mut generator = AdaptiveGenerator::new(seed, GeneratorConfig::default());
         for _ in 0..6 {
             let stmt = generator.generate_ddl_statement();
-            assert!(
-                parse_statement(&stmt.sql).is_ok(),
-                "unparseable: {}",
-                stmt.sql
-            );
+            let sql = stmt.statement.to_string();
+            assert!(parse_statement(&sql).is_ok(), "unparseable: {sql}");
             generator.apply_success(&stmt.statement);
         }
         for _ in 0..6 {
@@ -341,7 +338,7 @@ fn real_checkpoint_and_jsonl() -> (String, String) {
         ..SupervisorConfig::default()
     };
     let mut conn = preset.instantiate_for_path(ExecutionPath::Ast);
-    campaign.run_supervised(&mut conn, &supervision);
+    campaign.run_supervised(&mut *conn, &supervision);
     let texts = (
         std::fs::read_to_string(&checkpoint).unwrap(),
         std::fs::read_to_string(&jsonl).unwrap(),
@@ -393,7 +390,7 @@ fn rendered_generator_sql() -> Vec<String> {
         let mut generator = AdaptiveGenerator::new(seed, GeneratorConfig::default());
         for _ in 0..15 {
             let stmt = generator.generate_ddl_statement();
-            rendered.push(stmt.sql.clone());
+            rendered.push(stmt.statement.to_string());
             generator.apply_success(&stmt.statement);
         }
         for _ in 0..15 {

@@ -108,7 +108,7 @@ fn killed_serial_campaign_resumes_to_byte_identical_report() {
     // The uninterrupted reference: supervised, but never checkpointed.
     let mut conn = storm_preset("sqlite").instantiate_for_path(ExecutionPath::Ast);
     let reference =
-        Campaign::new(config.clone()).run_supervised(&mut conn, &SupervisorConfig::default());
+        Campaign::new(config.clone()).run_supervised(&mut *conn, &SupervisorConfig::default());
     let reference_text = render_report(&reference);
     assert!(
         reference.robustness.incidents > 0,
@@ -129,14 +129,14 @@ fn killed_serial_campaign_resumes_to_byte_identical_report() {
             ..checkpointing.clone()
         };
         let mut conn = storm_preset("sqlite").instantiate_for_path(ExecutionPath::Ast);
-        let partial = Campaign::new(config.clone()).run_supervised(&mut conn, &killed);
+        let partial = Campaign::new(config.clone()).run_supervised(&mut *conn, &killed);
         assert!(partial.metrics.test_cases <= kill_at + config.databases as u64);
         assert_counters_match_incidents(&partial);
 
         // A new process: fresh campaign, fresh connection, checkpoint file.
         let checkpoint = load_checkpoint(&path).expect("cadence checkpoint was written");
         let mut conn = storm_preset("sqlite").instantiate_for_path(ExecutionPath::Ast);
-        let resumed = Campaign::new(config.clone()).resume(&mut conn, &checkpointing, checkpoint);
+        let resumed = Campaign::new(config.clone()).resume(&mut *conn, &checkpointing, checkpoint);
         assert_eq!(
             render_report(&resumed),
             reference_text,
@@ -246,7 +246,7 @@ fn setup_replay_fallback_reaches_the_same_verdicts_as_snapshot_restore() {
             Campaign::new(config.clone()).run(&mut conn)
         } else {
             let mut conn = inner;
-            Campaign::new(config.clone()).run(&mut conn)
+            Campaign::new(config.clone()).run(&mut *conn)
         }
     };
     let with_snapshots = run(false);

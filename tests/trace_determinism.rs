@@ -61,7 +61,7 @@ fn run_traced_supervised(
     let mut campaign = Campaign::new(config.clone());
     campaign.set_trace(Some(handle));
     let mut conn = preset.instantiate_for_path(ExecutionPath::Ast);
-    let report = campaign.run_supervised(&mut conn, supervision);
+    let report = campaign.run_supervised(&mut *conn, supervision);
     drop(campaign);
     let tracer = Rc::try_unwrap(tracer)
         .expect("campaign released its trace handle")
@@ -83,7 +83,7 @@ fn resume_traced(
     let mut campaign = Campaign::new(config.clone());
     campaign.set_trace(Some(handle));
     let mut conn = preset.instantiate_for_path(ExecutionPath::Ast);
-    let report = campaign.resume(&mut conn, supervision, checkpoint);
+    let report = campaign.resume(&mut *conn, supervision, checkpoint);
     drop(campaign);
     let tracer = Rc::try_unwrap(tracer)
         .expect("campaign released its trace handle")
@@ -303,7 +303,7 @@ fn every_detected_bug_has_a_complete_jsonl_history() {
     let mut campaign = Campaign::new(config.clone());
     campaign.set_trace(Some(handle));
     let mut conn = preset.instantiate_for_path(ExecutionPath::Ast);
-    let report = campaign.run_supervised(&mut conn, &SupervisorConfig::default());
+    let report = campaign.run_supervised(&mut *conn, &SupervisorConfig::default());
     drop(campaign);
     let tracer = Rc::try_unwrap(tracer).ok().unwrap().into_inner();
 
@@ -371,7 +371,7 @@ fn every_detected_bug_has_a_complete_jsonl_history() {
         .sum();
     assert_eq!(traced_cases, report.metrics.test_cases);
     let mut conn = preset.instantiate_for_path(ExecutionPath::Ast);
-    let untraced = Campaign::new(config).run_supervised(&mut conn, &SupervisorConfig::default());
+    let untraced = Campaign::new(config).run_supervised(&mut *conn, &SupervisorConfig::default());
     assert_eq!(
         sqlancerpp::core::render_report(&untraced),
         sqlancerpp::core::render_report(&report)
@@ -400,7 +400,7 @@ fn live_progress_validity_matches_the_report() {
         max_retries: 0,
         ..SupervisorConfig::default()
     };
-    let report = campaign.run_supervised(&mut conn, &supervision);
+    let report = campaign.run_supervised(&mut *conn, &supervision);
     assert!(
         report.robustness.infra_failures > 0,
         "the storm should abandon cases"
