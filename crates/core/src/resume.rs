@@ -173,9 +173,17 @@ pub fn checkpoint_from_string(text: &str) -> Result<CampaignCheckpoint, String> 
 
 // ----------------------------------------------------------------- I/O ----
 
-/// Writes a checkpoint atomically: the text is written to `<path>.tmp` and
-/// renamed over `path`, so a crash mid-write leaves the previous checkpoint
-/// intact (rename is atomic on POSIX filesystems).
+/// Writes a checkpoint: the text goes to `<path>.tmp`, which is renamed
+/// over `path`.
+///
+/// The checkpoint survives a crash of this process: the rename is atomic on
+/// POSIX filesystems, so `path` holds either the previous checkpoint or the
+/// new one, never half of one. It does not survive an OS crash or a power
+/// loss. Neither the file nor its directory is synced (`sync_all`), so after
+/// such a crash the rename may be on disk while the new text is not: `path`
+/// may read empty or truncated, and the previous checkpoint is lost with
+/// the new one. The loader rejects such a file (its end record does not
+/// match), and the campaign starts fresh.
 ///
 /// # Errors
 ///
@@ -185,8 +193,10 @@ pub fn save_checkpoint(checkpoint: &CampaignCheckpoint, path: &Path) -> std::io:
 }
 
 /// Writes `text` to `<path>.tmp` and renames it over `path`, so a reader
-/// never sees a half-written file: the checkpoint and the flight
-/// recorder's JSONL both go through here.
+/// in a running system never sees a half-written file: the checkpoint and
+/// the flight recorder's JSONL both go through here. Nothing is synced to
+/// disk, so the replacement is atomic across a process crash but not across
+/// an OS crash or power loss (see [`save_checkpoint`]).
 pub(crate) fn write_replacing(path: &Path, text: &str) -> std::io::Result<()> {
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");

@@ -474,7 +474,7 @@ fn resolve_column(bindings: &[RelationBinding], col: &ColumnRef) -> Resolution {
 fn compile_column(col: &ColumnRef, env: &CompileEnv<'_>) -> Node {
     match resolve_column(env.bindings, col) {
         Resolution::Offset(i) => Node::plain(Arc::new(move |_, scope| {
-            Ok(scope.row.get(i).cloned().unwrap_or(Value::Null))
+            Ok(scope.value(i).cloned().unwrap_or(Value::Null))
         })),
         Resolution::Ambiguous => {
             let err = EngineError::catalog(format!("ambiguous column reference '{}'", col.column));
@@ -896,6 +896,32 @@ mod tests {
         let opt = compile_expr(&db, ExecutionMode::Optimized, &bindings, &pred);
         let refe = compile_expr(&db, ExecutionMode::Reference, &bindings, &pred);
         assert!(!StdArc::ptr_eq(&opt.run, &refe.run));
+    }
+
+    #[test]
+    fn a_split_row_reads_like_the_concatenated_row() {
+        let db = db();
+        let bindings = vec![
+            RelationBinding::new("t0", vec!["c0".to_string()]),
+            RelationBinding::new("t1", vec!["c0".to_string(), "c1".to_string()]),
+        ];
+        let flat = [Value::Integer(1), Value::Integer(2), Value::Integer(3)];
+        let split = Scope {
+            relations: &bindings,
+            row: &flat[..1],
+            tail: &flat[1..],
+            parent: None,
+        };
+        let whole = Scope::new(&bindings, &flat);
+        let evaluator = Evaluator::new(&db, ExecutionMode::Reference);
+        for sql in ["t0.c0 + t1.c0 * 10 + c1 * 100", "missing", "c0"] {
+            let expr = sql_parser::parse_expression(sql).unwrap();
+            let compiled = compile_expr(&db, ExecutionMode::Reference, &bindings, &expr);
+            let expected = evaluator.eval(&expr, &whole);
+            assert_eq!(evaluator.eval(&expr, &split), expected, "{sql}");
+            assert_eq!(compiled.eval(&evaluator, &split), expected, "{sql}");
+        }
+        assert_eq!(split.value(3), None);
     }
 
     #[test]

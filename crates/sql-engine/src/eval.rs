@@ -39,12 +39,20 @@ impl RelationBinding {
 /// A lexical scope for column resolution: the relations of the current query
 /// level, the current row's values (flattened across relations), and an
 /// optional parent scope for correlated subqueries.
+///
+/// The current row may be split in two: a join evaluates its candidate pair
+/// `(l, r)` as `row = l`, `tail = r`, where the pair lies, instead of
+/// concatenating it first. Every read goes through [`Scope::value`], which
+/// sees `row` followed by `tail` as one flat row.
 #[derive(Debug, Clone, Copy)]
 pub struct Scope<'a> {
     /// Relations visible at this level.
     pub relations: &'a [RelationBinding],
-    /// The current row, flattened in relation order.
+    /// The current row (or its leading part), flattened in relation order.
     pub row: &'a [Value],
+    /// The values that follow `row` in the flat row; empty unless the row
+    /// is a join's split candidate pair.
+    pub tail: &'a [Value],
     /// Enclosing scope, if evaluating inside a correlated subquery.
     pub parent: Option<&'a Scope<'a>>,
 }
@@ -54,6 +62,7 @@ impl<'a> Scope<'a> {
     pub const EMPTY: Scope<'static> = Scope {
         relations: &[],
         row: &[],
+        tail: &[],
         parent: None,
     };
 
@@ -62,7 +71,32 @@ impl<'a> Scope<'a> {
         Scope {
             relations,
             row,
+            tail: &[],
             parent: None,
+        }
+    }
+
+    /// Creates a scope over a whole row, nested in `parent`.
+    pub fn with_parent(
+        relations: &'a [RelationBinding],
+        row: &'a [Value],
+        parent: Option<&'a Scope<'a>>,
+    ) -> Scope<'a> {
+        Scope {
+            relations,
+            row,
+            tail: &[],
+            parent,
+        }
+    }
+
+    /// The value at flat position `i` of the current row: `row`, then
+    /// `tail`. `None` past the end, which readers treat as `NULL`.
+    #[inline]
+    pub fn value(&self, i: usize) -> Option<&'a Value> {
+        match self.row.get(i) {
+            Some(v) => Some(v),
+            None => self.tail.get(i - self.row.len()),
         }
     }
 
@@ -82,7 +116,7 @@ impl<'a> Scope<'a> {
                 .iter()
                 .position(|c| c.eq_ignore_ascii_case(&col.column))
             {
-                let value = self.row.get(offset + i).cloned().unwrap_or(Value::Null);
+                let value = self.value(offset + i).cloned().unwrap_or(Value::Null);
                 if found.is_some() && col.table.is_none() {
                     return Err(EngineError::catalog(format!(
                         "ambiguous column reference '{}'",

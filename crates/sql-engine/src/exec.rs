@@ -20,11 +20,12 @@ use crate::faults::Fault;
 use crate::optimizer::optimize_select;
 use crate::storage::{ColumnStats, Database, ResultSet, Row, TableStats};
 use sql_ast::{
-    AggregateFunction, BinaryOp, DataType, Expr, Insert, JoinType, Select, SelectItem, SetOperator,
-    SortOrder, Statement, TableFactor, Value,
+    row_fingerprint, AggregateFunction, BinaryOp, DataType, Expr, Insert, JoinType, Select,
+    SelectItem, SetOperator, SortOrder, Statement, TableFactor, TableWithJoins, Value,
 };
 use std::borrow::Cow;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// Whether a query runs through the optimizer or as written.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -608,14 +609,14 @@ fn execute_delete(db: &mut Database, delete: &sql_ast::Delete) -> EngineResult<S
 
 // ------------------------------------------------------------- queries ----
 
-/// A relation during query processing. Base-table scans *borrow* the
-/// stored rows (the common case on the oracle hot path — a full scan with
-/// no surviving WHERE clause never copies a row); joins, views and derived
-/// tables own their materialised rows.
-#[derive(Debug, Clone)]
+/// A relation during query processing. Each row is a [`Cow`]: base-table
+/// scans borrow the stored rows and WHERE moves its survivors, so a row is
+/// copied only where a join or product step builds it (once, at its exact
+/// width) or a view or derived table hands over its owned result rows.
+#[derive(Debug)]
 struct Relation<'a> {
     bindings: Vec<RelationBinding>,
-    rows: Cow<'a, [Row]>,
+    rows: Vec<Cow<'a, [Value]>>,
 }
 
 impl Relation<'_> {
@@ -658,31 +659,21 @@ pub fn execute_select_in_scope(
     };
     check_crash_faults(db, select)?;
 
-    // Resolve FROM into a single joined relation.
-    let relation = build_from(db, select, mode, outer)?;
-
-    // Filter (WHERE), possibly via an index access path.
-    let filtered = apply_where(db, select, mode, relation, outer)?;
+    // Resolve FROM into one relation and filter it (WHERE).
+    let filtered = filtered_from(db, select, mode, outer)?;
 
     // Aggregate or project.
     let mut produced = if is_aggregate_query(select) {
         aggregate_and_project(db, select, mode, &filtered, outer)?
     } else {
-        project_rows(db, select, mode, &filtered, outer)?
+        project_rows(db, select, mode, filtered, outer)?
     };
 
     // DISTINCT.
     if select.distinct {
         db.record_coverage(|cov| cov.plan_operator("distinct"));
-        let mut seen = BTreeSet::new();
-        produced.rows.retain(|(row, _)| {
-            let key = row
-                .iter()
-                .map(Value::dedup_key)
-                .collect::<Vec<_>>()
-                .join("\u{1}");
-            seen.insert(key)
-        });
+        let keep = first_occurrences(produced.rows.iter().map(|(row, _)| row.as_slice()));
+        retain_marked(&mut produced.rows, &keep);
     }
 
     // Set operations.
@@ -706,8 +697,7 @@ pub fn execute_select_in_scope(
     // LIMIT / OFFSET.
     let mut rows: Vec<Row> = produced.rows.into_iter().map(|(r, _)| r).collect();
     if let Some(offset) = select.offset {
-        let offset = offset as usize;
-        rows = rows.into_iter().skip(offset).collect();
+        rows.drain(..rows.len().min(offset as usize));
     }
     if let Some(limit) = select.limit {
         rows.truncate(limit as usize);
@@ -760,34 +750,72 @@ fn is_aggregate_query(select: &Select) -> bool {
             .unwrap_or(false)
 }
 
-fn build_from<'a>(
+/// Resolves FROM into one relation and applies WHERE to it.
+///
+/// The predicate is fused into the last step of FROM — the last join of a
+/// single join chain, or the last comma product — so that step copies only
+/// the rows that survive it (see [`join_step`]). A FROM of one relation, or
+/// none, is filtered by [`apply_where`], which may take an index access
+/// path.
+fn filtered_from<'a>(
     db: &'a Database,
     select: &Select,
     mode: ExecutionMode,
     outer: Option<&Scope<'_>>,
 ) -> EngineResult<Relation<'a>> {
-    if select.from.is_empty() {
-        return Ok(Relation {
+    let Some((first, rest)) = select.from.split_first() else {
+        let empty = Relation {
             bindings: Vec::new(),
-            rows: Cow::Owned(vec![Vec::new()]),
-        });
+            rows: vec![Cow::Borrowed(&[][..])],
+        };
+        return apply_where(db, select, mode, empty, outer);
+    };
+    if rest.is_empty() && first.joins.is_empty() {
+        let relation = resolve_factor(db, &first.relation, mode, outer)?;
+        return apply_where(db, select, mode, relation, outer);
     }
-    let mut combined: Option<Relation<'a>> = None;
-    for twj in &select.from {
-        let mut current = resolve_factor(db, &twj.relation, mode, outer)?;
-        for join in &twj.joins {
-            let right = resolve_factor(db, &join.relation, mode, outer)?;
-            current = join_relations(db, mode, current, right, join, outer)?;
-        }
-        combined = Some(match combined {
-            None => current,
-            Some(left) => {
-                db.record_coverage(|cov| cov.plan_operator("cross_product"));
-                cross_product(left, current)
-            }
-        });
+    let pred = select.where_clause.as_ref();
+    let mut combined = joined_factor(db, first, mode, outer, pred.filter(|_| rest.is_empty()))?;
+    for (i, twj) in rest.iter().enumerate() {
+        let current = joined_factor(db, twj, mode, outer, None)?;
+        let last = i + 1 == rest.len();
+        combined = join_step(
+            db,
+            mode,
+            combined,
+            current,
+            None,
+            pred.filter(|_| last),
+            outer,
+        )?;
     }
-    Ok(combined.expect("non-empty FROM"))
+    Ok(combined)
+}
+
+/// One comma-separated FROM item with its join chain applied. A `pred` is
+/// fused into the chain's last join.
+fn joined_factor<'a>(
+    db: &'a Database,
+    twj: &TableWithJoins,
+    mode: ExecutionMode,
+    outer: Option<&Scope<'_>>,
+    pred: Option<&Expr>,
+) -> EngineResult<Relation<'a>> {
+    let mut current = resolve_factor(db, &twj.relation, mode, outer)?;
+    for (i, join) in twj.joins.iter().enumerate() {
+        let right = resolve_factor(db, &join.relation, mode, outer)?;
+        let last = i + 1 == twj.joins.len();
+        current = join_step(
+            db,
+            mode,
+            current,
+            right,
+            Some(join),
+            pred.filter(|_| last),
+            outer,
+        )?;
+    }
+    Ok(current)
 }
 
 fn resolve_factor<'a>(
@@ -809,13 +837,13 @@ fn resolve_factor<'a>(
                 }
                 let rs = execute_select_in_scope(db, &query, mode, outer)?;
                 let columns = if view.columns.is_empty() {
-                    rs.columns.clone()
+                    rs.columns
                 } else {
                     view.columns.clone()
                 };
                 return Ok(Relation {
                     bindings: vec![RelationBinding::new(visible, columns)],
-                    rows: Cow::Owned(rs.rows),
+                    rows: rs.rows.into_iter().map(Cow::Owned).collect(),
                 });
             }
             let schema = db
@@ -825,7 +853,11 @@ fn resolve_factor<'a>(
             db.record_coverage(|cov| cov.plan_operator("seq_scan"));
             Ok(Relation {
                 bindings: vec![RelationBinding::new(visible, schema.shared_column_names())],
-                rows: Cow::Borrowed(db.rows(name)?),
+                rows: db
+                    .rows(name)?
+                    .iter()
+                    .map(|row| Cow::Borrowed(row.as_slice()))
+                    .collect(),
             })
         }
         TableFactor::Derived { subquery, alias } => {
@@ -833,176 +865,255 @@ fn resolve_factor<'a>(
             let rs = execute_select_in_scope(db, subquery, mode, outer)?;
             Ok(Relation {
                 bindings: vec![RelationBinding::new(alias.clone(), rs.columns)],
-                rows: Cow::Owned(rs.rows),
+                rows: rs.rows.into_iter().map(Cow::Owned).collect(),
             })
         }
     }
 }
 
-fn cross_product<'a>(left: Relation<'_>, right: Relation<'_>) -> Relation<'a> {
-    let mut bindings = left.bindings;
-    bindings.extend(right.bindings);
-    let mut rows = Vec::with_capacity(left.rows.len() * right.rows.len());
-    for l in left.rows.iter() {
-        for r in right.rows.iter() {
-            let mut row = l.clone();
-            row.extend(r.iter().cloned());
-            rows.push(row);
+/// The equality over the column names two sides of a NATURAL JOIN share,
+/// or `None` when they share none.
+fn natural_join_condition(left: &[RelationBinding], right: &[RelationBinding]) -> Option<Expr> {
+    let mut cond: Option<Expr> = None;
+    for lb in left {
+        for lc in lb.columns.iter() {
+            for rb in right {
+                for rc in rb.columns.iter() {
+                    if lc.eq_ignore_ascii_case(rc) {
+                        let eq = Expr::qualified_column(lb.name.clone(), lc.clone())
+                            .eq(Expr::qualified_column(rb.name.clone(), rc.clone()));
+                        cond = Some(match cond {
+                            None => eq,
+                            Some(c) => c.and(eq),
+                        });
+                    }
+                }
+            }
         }
     }
-    Relation {
-        bindings,
-        rows: Cow::Owned(rows),
-    }
+    cond
 }
 
-fn join_relations<'a>(
+/// One step of FROM: `left` joined with `right` by `join`, or their comma
+/// product when `join` is `None`. Output rows come in nested-loop order,
+/// with an outer join's NULL-padded rows in place.
+///
+/// With a `pred`, this is the last step of FROM and WHERE is fused into it:
+/// each output row is tested where it lies, split as `(l, r)` (see
+/// [`Scope::value`]), and only survivors are copied. Every join condition
+/// of the step is decided before the predicate sees a row, so a
+/// join-condition error anywhere in the step still wins over a WHERE error,
+/// and the predicate meets the rows — stopping at its first error, and
+/// recording coverage — exactly as it would on the joined relation.
+fn join_step<'a>(
     db: &Database,
     mode: ExecutionMode,
     left: Relation<'_>,
     right: Relation<'_>,
-    join: &sql_ast::Join,
+    join: Option<&sql_ast::Join>,
+    pred: Option<&Expr>,
     outer: Option<&Scope<'_>>,
 ) -> EngineResult<Relation<'a>> {
-    db.record_coverage(|cov| cov.plan_operator(join.join_type.feature_name()));
+    db.record_coverage(|cov| {
+        cov.plan_operator(join.map_or("cross_product", |j| j.join_type.feature_name()))
+    });
+    let join_type = join.map_or(JoinType::Cross, |j| j.join_type);
     let left_width = left.width();
     let right_width = right.width();
-    let mut bindings = left.bindings.clone();
-    bindings.extend(right.bindings.clone());
-
-    // NATURAL JOIN: equality over common column names.
-    let natural_condition: Option<Expr> = if join.join_type == JoinType::Natural {
-        let left_cols: Vec<(String, String)> = left
-            .bindings
-            .iter()
-            .flat_map(|b| b.columns.iter().map(move |c| (b.name.clone(), c.clone())))
-            .collect();
-        let right_cols: Vec<(String, String)> = right
-            .bindings
-            .iter()
-            .flat_map(|b| b.columns.iter().map(move |c| (b.name.clone(), c.clone())))
-            .collect();
-        let mut cond: Option<Expr> = None;
-        for (lt, lc) in &left_cols {
-            for (rt, rc) in &right_cols {
-                if lc.eq_ignore_ascii_case(rc) {
-                    let eq = Expr::qualified_column(lt.clone(), lc.clone())
-                        .eq(Expr::qualified_column(rt.clone(), rc.clone()));
-                    cond = Some(match cond {
-                        None => eq,
-                        Some(c) => c.and(eq),
-                    });
-                }
-            }
-        }
-        cond
-    } else {
-        None
-    };
-
-    let evaluator = Evaluator::new(db, mode);
-    let condition: Option<&Expr> = match join.join_type {
+    let natural_condition = (join_type == JoinType::Natural)
+        .then(|| natural_join_condition(&left.bindings, &right.bindings))
+        .flatten();
+    let mut bindings = left.bindings;
+    bindings.extend(right.bindings);
+    let condition: Option<&Expr> = match join_type {
         JoinType::Cross => None,
         JoinType::Natural => natural_condition.as_ref(),
-        _ => join.on.as_ref(),
+        _ => join.and_then(|j| j.on.as_ref()),
     };
-    // The join condition is compiled once and evaluated per row pair.
-    let condition: Option<SiteExpr<'_>> = condition.map(|c| SiteExpr::new(db, mode, &bindings, c));
-    let condition = condition.as_ref();
 
-    let mut rows: Vec<Row> = Vec::new();
-    match join.join_type {
-        JoinType::Cross => {
-            for l in left.rows.iter() {
-                for r in right.rows.iter() {
-                    let mut row = l.clone();
-                    row.extend(r.iter().cloned());
-                    rows.push(row);
+    // Which input rows each output row joins, unless every pair of the
+    // nested loop is an output row (no condition and no NULL padding).
+    let pairs = if condition.is_none()
+        && matches!(
+            join_type,
+            JoinType::Inner | JoinType::Natural | JoinType::Cross
+        ) {
+        None
+    } else {
+        let evaluator = Evaluator::new(db, mode);
+        // The join condition is compiled once and evaluated per row pair.
+        let condition = condition.map(|c| SiteExpr::new(db, mode, &bindings, c));
+        let holds = |l: &[Value], r: &[Value]| -> EngineResult<bool> {
+            let Some(cond) = &condition else {
+                return Ok(true);
+            };
+            let scope = Scope {
+                relations: &bindings,
+                row: l,
+                tail: r,
+                parent: outer,
+            };
+            Ok(cond.eval_truth(&evaluator, &scope)?.is_true())
+        };
+        Some(matched_pairs(join_type, &left.rows, &right.rows, holds)?)
+    };
+
+    let filter = pred.map(|p| {
+        db.record_coverage(|cov| cov.plan_operator("filter"));
+        RowFilter::new(db, mode, &bindings, p, outer)
+    });
+    let mut rows = Vec::new();
+    if filter.is_none() {
+        rows.reserve(
+            pairs
+                .as_ref()
+                .map_or_else(|| left.rows.len() * right.rows.len(), Vec::len),
+        );
+    }
+    let mut emit = |l: &[Value], r: &[Value]| -> EngineResult<()> {
+        if let Some(filter) = &filter {
+            if !filter.keeps(l, r)? {
+                return Ok(());
+            }
+        }
+        let mut row = Vec::with_capacity(l.len() + r.len());
+        row.extend_from_slice(l);
+        row.extend_from_slice(r);
+        rows.push(Cow::Owned(row));
+        Ok(())
+    };
+    match pairs {
+        None => {
+            for l in &left.rows {
+                for r in &right.rows {
+                    emit(l, r)?;
                 }
             }
         }
-        JoinType::Inner | JoinType::Natural => {
-            for l in left.rows.iter() {
-                for r in right.rows.iter() {
-                    let mut row = l.clone();
-                    row.extend(r.iter().cloned());
-                    if join_condition_holds(&evaluator, condition, &bindings, &row, outer)? {
-                        rows.push(row);
+        Some(pairs) => {
+            let nulls = vec![Value::Null; left_width.max(right_width)];
+            for (li, ri) in pairs {
+                let l = if li == PADDED {
+                    &nulls[..left_width]
+                } else {
+                    &left.rows[li]
+                };
+                let r = if ri == PADDED {
+                    &nulls[..right_width]
+                } else {
+                    &right.rows[ri]
+                };
+                emit(l, r)?;
+            }
+        }
+    }
+    drop(filter);
+    Ok(Relation { bindings, rows })
+}
+
+/// The row index [`matched_pairs`] gives a NULL-padded side.
+const PADDED: usize = usize::MAX;
+
+/// The `(left, right)` input rows of a conditioned or outer join's output,
+/// in nested-loop order: left-major for INNER, NATURAL, CROSS, LEFT and
+/// FULL (FULL's unmatched right rows last), right-major for RIGHT.
+/// [`PADDED`] marks a NULL-padded side. `holds` decides the join condition
+/// of one pair; its first error ends the join.
+fn matched_pairs(
+    join_type: JoinType,
+    left: &[Cow<'_, [Value]>],
+    right: &[Cow<'_, [Value]>],
+    mut holds: impl FnMut(&[Value], &[Value]) -> EngineResult<bool>,
+) -> EngineResult<Vec<(usize, usize)>> {
+    let mut pairs = Vec::new();
+    match join_type {
+        JoinType::Inner | JoinType::Natural | JoinType::Cross => {
+            for (li, l) in left.iter().enumerate() {
+                for (ri, r) in right.iter().enumerate() {
+                    if holds(l, r)? {
+                        pairs.push((li, ri));
                     }
                 }
             }
         }
         JoinType::Left | JoinType::Full => {
-            let mut matched_right = vec![false; right.rows.len()];
-            for l in left.rows.iter() {
+            let mut matched_right = vec![false; right.len()];
+            for (li, l) in left.iter().enumerate() {
                 let mut matched = false;
-                for (ri, r) in right.rows.iter().enumerate() {
-                    let mut row = l.clone();
-                    row.extend(r.iter().cloned());
-                    if join_condition_holds(&evaluator, condition, &bindings, &row, outer)? {
+                for (ri, r) in right.iter().enumerate() {
+                    if holds(l, r)? {
                         matched = true;
                         matched_right[ri] = true;
-                        rows.push(row);
+                        pairs.push((li, ri));
                     }
                 }
                 if !matched {
-                    let mut row = l.clone();
-                    row.extend(std::iter::repeat_n(Value::Null, right_width));
-                    rows.push(row);
+                    pairs.push((li, PADDED));
                 }
             }
-            if join.join_type == JoinType::Full {
-                for (ri, r) in right.rows.iter().enumerate() {
-                    if !matched_right[ri] {
-                        let mut row: Row = std::iter::repeat_n(Value::Null, left_width).collect();
-                        row.extend(r.iter().cloned());
-                        rows.push(row);
+            if join_type == JoinType::Full {
+                for (ri, matched) in matched_right.into_iter().enumerate() {
+                    if !matched {
+                        pairs.push((PADDED, ri));
                     }
                 }
             }
         }
         JoinType::Right => {
-            for r in right.rows.iter() {
+            for (ri, r) in right.iter().enumerate() {
                 let mut matched = false;
-                for l in left.rows.iter() {
-                    let mut row = l.clone();
-                    row.extend(r.iter().cloned());
-                    if join_condition_holds(&evaluator, condition, &bindings, &row, outer)? {
+                for (li, l) in left.iter().enumerate() {
+                    if holds(l, r)? {
                         matched = true;
-                        rows.push(row);
+                        pairs.push((li, ri));
                     }
                 }
                 if !matched {
-                    let mut row: Row = std::iter::repeat_n(Value::Null, left_width).collect();
-                    row.extend(r.iter().cloned());
-                    rows.push(row);
+                    pairs.push((PADDED, ri));
                 }
             }
         }
     }
-    Ok(Relation {
-        bindings,
-        rows: Cow::Owned(rows),
-    })
+    Ok(pairs)
 }
 
-fn join_condition_holds(
-    evaluator: &Evaluator<'_>,
-    condition: Option<&SiteExpr<'_>>,
-    bindings: &[RelationBinding],
-    row: &[Value],
-    outer: Option<&Scope<'_>>,
-) -> EngineResult<bool> {
-    match condition {
-        None => Ok(true),
-        Some(cond) => {
-            let scope = Scope {
-                relations: bindings,
-                row,
-                parent: outer,
-            };
-            Ok(cond.eval_truth(evaluator, &scope)?.is_true())
+/// The WHERE predicate of one query level, compiled once and applied to
+/// candidate rows in output order. Every FROM shape filters through it: the
+/// rows of a single relation or its index candidates ([`apply_where`]), and
+/// the split `(l, r)` rows of the last join or comma product
+/// ([`join_step`]).
+struct RowFilter<'a> {
+    evaluator: Evaluator<'a>,
+    plan: SiteExpr<'a>,
+    bindings: &'a [RelationBinding],
+    outer: Option<&'a Scope<'a>>,
+}
+
+impl<'a> RowFilter<'a> {
+    fn new(
+        db: &'a Database,
+        mode: ExecutionMode,
+        bindings: &'a [RelationBinding],
+        pred: &'a Expr,
+        outer: Option<&'a Scope<'a>>,
+    ) -> RowFilter<'a> {
+        RowFilter {
+            evaluator: Evaluator::new(db, mode),
+            plan: SiteExpr::new(db, mode, bindings, pred),
+            bindings,
+            outer,
         }
+    }
+
+    /// Whether the row `row` followed by `tail` satisfies the predicate.
+    fn keeps(&self, row: &[Value], tail: &[Value]) -> EngineResult<bool> {
+        let scope = Scope {
+            relations: self.bindings,
+            row,
+            tail,
+            parent: self.outer,
+        };
+        Ok(self.plan.eval_truth(&self.evaluator, &scope)?.is_true())
     }
 }
 
@@ -1022,6 +1133,9 @@ fn conjuncts(expr: &Expr) -> Vec<&Expr> {
     }
 }
 
+/// Applies WHERE to a FROM of one relation, or none, moving the survivors.
+/// In optimized mode, an equality conjunct on an indexed column of a single
+/// base table first narrows the rows to the index's candidates.
 fn apply_where<'a>(
     db: &Database,
     select: &Select,
@@ -1033,24 +1147,24 @@ fn apply_where<'a>(
         return Ok(relation);
     };
     db.record_coverage(|cov| cov.plan_operator("filter"));
+    let Relation { bindings, mut rows } = relation;
 
     // Index access path: optimized mode, single base table, equality
     // conjunct on an indexed column.
-    let mut candidate_rows: Option<Vec<Row>> = None;
-    if mode == ExecutionMode::Optimized && relation.bindings.len() == 1 {
-        if let Some((index, col_idx, literal)) = find_index_access(db, select, &relation, pred) {
+    if mode == ExecutionMode::Optimized && bindings.len() == 1 {
+        if let Some((index, col_idx, literal)) = find_index_access(db, select, &bindings[0], pred) {
             db.record_coverage(|cov| cov.plan_operator("index_lookup"));
             let evaluator = Evaluator::new(db, mode);
             let faults = &db.config.faults;
-            let mut rows = Vec::new();
-            for row in relation.rows.iter() {
+            let mut candidates = Vec::new();
+            for row in rows {
                 let value = row.get(col_idx).unwrap_or(&Value::Null);
                 let matches = if faults.has(Fault::BadIndexLookupCoercion) {
                     // Injected fault: raw key comparison, skipping the
                     // coercion a full scan would perform.
-                    value.dedup_eq(&literal) && value.data_type() == literal.data_type()
+                    value.dedup_eq(literal) && value.data_type() == literal.data_type()
                 } else {
-                    evaluator.equals(value, &literal)?.is_true()
+                    evaluator.equals(value, literal)?.is_true()
                 };
                 if !matches {
                     continue;
@@ -1059,11 +1173,7 @@ fn apply_where<'a>(
                     if let Some(ipred) = &index.predicate {
                         // Injected fault: rows not covered by the partial
                         // index are silently dropped.
-                        let scope = Scope {
-                            relations: &relation.bindings,
-                            row,
-                            parent: outer,
-                        };
+                        let scope = Scope::with_parent(&bindings, &row, outer);
                         if !evaluator
                             .eval_truth(ipred, &scope)
                             .unwrap_or(sql_ast::TruthValue::False)
@@ -1073,76 +1183,45 @@ fn apply_where<'a>(
                         }
                     }
                 }
-                rows.push(row.clone());
+                candidates.push(row);
                 if faults.has(Fault::BadUniqueIndexShortcut) && index.unique {
                     // Injected fault: a unique index lookup stops after the
                     // first match even when coercion makes more rows match.
                     break;
                 }
             }
-            candidate_rows = Some(rows);
+            rows = candidates;
         }
     }
 
-    let rows_in = match candidate_rows {
-        Some(rows) => Cow::Owned(rows),
-        None => relation.rows,
-    };
-    let evaluator = Evaluator::new(db, mode);
-    // The predicate is compiled once per statement and run per row.
-    let plan = SiteExpr::new(db, mode, &relation.bindings, pred);
-    // Owned rows are filtered by move; borrowed rows clone survivors only.
-    let rows: Vec<Row> = match rows_in {
-        Cow::Owned(owned) => {
-            let mut rows = Vec::new();
-            for row in owned {
-                let scope = Scope {
-                    relations: &relation.bindings,
-                    row: &row,
-                    parent: outer,
-                };
-                if plan.eval_truth(&evaluator, &scope)?.is_true() {
-                    rows.push(row);
-                }
-            }
-            rows
+    // The predicate is compiled once per statement and run per row. The
+    // survivors move forward in place, keeping their order.
+    let filter = RowFilter::new(db, mode, &bindings, pred, outer);
+    let mut kept = 0;
+    for i in 0..rows.len() {
+        if filter.keeps(&rows[i], &[])? {
+            rows.swap(kept, i);
+            kept += 1;
         }
-        Cow::Borrowed(borrowed) => {
-            let mut rows = Vec::new();
-            for row in borrowed {
-                let scope = Scope {
-                    relations: &relation.bindings,
-                    row,
-                    parent: outer,
-                };
-                if plan.eval_truth(&evaluator, &scope)?.is_true() {
-                    rows.push(row.clone());
-                }
-            }
-            rows
-        }
-    };
-    Ok(Relation {
-        bindings: relation.bindings,
-        rows: Cow::Owned(rows),
-    })
+    }
+    rows.truncate(kept);
+    drop(filter);
+    Ok(Relation { bindings, rows })
 }
 
 /// Finds an applicable index access path: returns the index, the column's
 /// flat position in the relation and the literal being matched.
-fn find_index_access(
-    db: &Database,
-    select: &Select,
-    relation: &Relation<'_>,
-    pred: &Expr,
-) -> Option<(IndexDef, usize, Value)> {
+fn find_index_access<'a>(
+    db: &'a Database,
+    select: &'a Select,
+    binding: &RelationBinding,
+    pred: &'a Expr,
+) -> Option<(&'a IndexDef, usize, &'a Value)> {
     // Only simple single-table scans (not views/derived tables) qualify.
-    let factor = select.from.first()?.relation.clone();
-    let table_name = match factor {
-        TableFactor::Table { name, .. } if db.catalog.table(&name).is_some() => name,
+    let table_name = match &select.from.first()?.relation {
+        TableFactor::Table { name, .. } if db.catalog.table(name).is_some() => name,
         _ => return None,
     };
-    let binding = relation.bindings.first()?;
     let allow_partial = db.config.faults.has(Fault::BadPartialIndexScan);
     for conjunct in conjuncts(pred) {
         if let Expr::Binary { left, op, right } = conjunct {
@@ -1150,8 +1229,8 @@ fn find_index_access(
                 continue;
             }
             let (col, literal) = match (left.as_ref(), right.as_ref()) {
-                (Expr::Column(c), Expr::Literal(v)) => (c, v.clone()),
-                (Expr::Literal(v), Expr::Column(c)) => (c, v.clone()),
+                (Expr::Column(c), Expr::Literal(v)) => (c, v),
+                (Expr::Literal(v), Expr::Column(c)) => (c, v),
                 _ => continue,
             };
             if let Some(table) = &col.table {
@@ -1159,7 +1238,7 @@ fn find_index_access(
                     continue;
                 }
             }
-            for index in db.catalog.indexes_on(&table_name) {
+            for index in db.catalog.indexes_on(table_name) {
                 if index.predicate.is_some() && !allow_partial {
                     continue;
                 }
@@ -1174,7 +1253,7 @@ fn find_index_access(
                         .iter()
                         .position(|c| c.eq_ignore_ascii_case(&col.column))
                     {
-                        return Some((index.clone(), pos, literal));
+                        return Some((index, pos, literal));
                     }
                 }
             }
@@ -1203,18 +1282,23 @@ fn output_name(item: &SelectItem, index: usize) -> Option<String> {
     }
 }
 
-fn expand_projections(
-    select: &Select,
+/// The output columns of a projection list, each with the source of its
+/// values: wildcards expand to flat input positions, and expressions are
+/// borrowed from the SELECT.
+fn expand_projections<'s>(
+    select: &'s Select,
     bindings: &[RelationBinding],
-) -> EngineResult<Vec<(String, ProjectionSource)>> {
-    let mut out = Vec::new();
+) -> EngineResult<(Vec<String>, Vec<ProjectionSource<'s>>)> {
+    let mut columns = Vec::new();
+    let mut sources = Vec::new();
     for (index, item) in select.projections.iter().enumerate() {
         match item {
             SelectItem::Wildcard => {
                 let mut offset = 0;
                 for b in bindings {
                     for (i, col) in b.columns.iter().enumerate() {
-                        out.push((col.clone(), ProjectionSource::Position(offset + i)));
+                        columns.push(col.clone());
+                        sources.push(ProjectionSource::Position(offset + i));
                     }
                     offset += b.columns.len();
                 }
@@ -1228,7 +1312,8 @@ fn expand_projections(
                 for b in bindings {
                     if b.name.eq_ignore_ascii_case(table) {
                         for (i, col) in b.columns.iter().enumerate() {
-                            out.push((col.clone(), ProjectionSource::Position(offset + i)));
+                            columns.push(col.clone());
+                            sources.push(ProjectionSource::Position(offset + i));
                         }
                         found = true;
                     }
@@ -1239,19 +1324,17 @@ fn expand_projections(
                 }
             }
             SelectItem::Expr { expr, .. } => {
-                out.push((
-                    output_name(item, index).unwrap_or_default(),
-                    ProjectionSource::Expr(expr.clone()),
-                ));
+                columns.push(output_name(item, index).unwrap_or_default());
+                sources.push(ProjectionSource::Expr(expr));
             }
         }
     }
-    Ok(out)
+    Ok((columns, sources))
 }
 
-enum ProjectionSource {
+enum ProjectionSource<'s> {
     Position(usize),
-    Expr(Expr),
+    Expr(&'s Expr),
 }
 
 /// A projection item's per-statement plan: a flat input position or a
@@ -1265,13 +1348,13 @@ fn projection_plans<'e>(
     db: &Database,
     mode: ExecutionMode,
     bindings: &[RelationBinding],
-    projections: &'e [(String, ProjectionSource)],
+    sources: Vec<ProjectionSource<'e>>,
 ) -> Vec<ProjPlan<'e>> {
     let compiled = db.config.eval == crate::config::EvalStrategy::Compiled;
-    projections
-        .iter()
-        .map(|(_, source)| match source {
-            ProjectionSource::Position(i) => ProjPlan::Position(*i),
+    sources
+        .into_iter()
+        .map(|source| match source {
+            ProjectionSource::Position(i) => ProjPlan::Position(i),
             ProjectionSource::Expr(e) => {
                 // Plain column projections that bind locally need no closure
                 // at all: a pre-resolved offset copy is exactly what the
@@ -1296,24 +1379,33 @@ fn project_rows(
     db: &Database,
     select: &Select,
     mode: ExecutionMode,
-    relation: &Relation<'_>,
+    relation: Relation<'_>,
     outer: Option<&Scope<'_>>,
 ) -> EngineResult<Produced> {
     db.record_coverage(|cov| cov.plan_operator("projection"));
-    let projections = expand_projections(select, &relation.bindings)?;
-    let columns: Vec<String> = projections.iter().map(|(n, _)| n.clone()).collect();
+    let (columns, sources) = expand_projections(select, &relation.bindings)?;
     let evaluator = Evaluator::new(db, mode);
     // Per-statement plans: projection expressions and ORDER BY keys are
     // compiled once, then run per row.
-    let plans = projection_plans(db, mode, &relation.bindings, &projections);
+    let plans = projection_plans(db, mode, &relation.bindings, sources);
     let order_plan = OrderPlan::new(db, select, mode, &relation.bindings, &columns);
+    // Every input column in order, as `SELECT *` projects: a full-width row
+    // is its own output row.
+    let identity = plans
+        .iter()
+        .enumerate()
+        .all(|(k, plan)| matches!(plan, ProjPlan::Position(i) if *i == k));
     let mut rows = Vec::with_capacity(relation.rows.len());
-    for row in relation.rows.iter() {
-        let scope = Scope {
-            relations: &relation.bindings,
-            row,
-            parent: outer,
-        };
+    for row in relation.rows {
+        if identity && row.len() == plans.len() {
+            // An owned row moves; a borrowed one is copied once.
+            let out_row = row.into_owned();
+            let scope = Scope::with_parent(&relation.bindings, &out_row, outer);
+            let order_keys = order_plan.keys(&evaluator, &scope, &out_row)?;
+            rows.push((out_row, order_keys));
+            continue;
+        }
+        let scope = Scope::with_parent(&relation.bindings, &row, outer);
         let mut out_row = Vec::with_capacity(plans.len());
         for plan in &plans {
             let v = match plan {
@@ -1330,10 +1422,10 @@ fn project_rows(
 
 // ----------------------------------------------------------- aggregation ----
 
-fn collect_aggregate_exprs(select: &Select) -> Vec<Expr> {
-    fn walk(expr: &Expr, out: &mut Vec<Expr>) {
+fn collect_aggregate_exprs(select: &Select) -> Vec<&Expr> {
+    fn walk<'s>(expr: &'s Expr, out: &mut Vec<&'s Expr>) {
         if let Expr::Aggregate { .. } = expr {
-            out.push(expr.clone());
+            out.push(expr);
             return;
         }
         for c in expr.children() {
@@ -1395,7 +1487,7 @@ fn compute_aggregate(
     evaluator: &Evaluator<'_>,
     plan: &AggPlan<'_>,
     bindings: &[RelationBinding],
-    group_rows: &[Row],
+    group_rows: &[&[Value]],
     outer: Option<&Scope<'_>>,
 ) -> EngineResult<Value> {
     let func = plan.func;
@@ -1408,12 +1500,8 @@ fn compute_aggregate(
 
     // Evaluate the argument per row (or count rows for COUNT(*)).
     let mut values: Vec<Value> = Vec::new();
-    for row in group_rows {
-        let scope = Scope {
-            relations: bindings,
-            row,
-            parent: outer,
-        };
+    for &row in group_rows {
+        let scope = Scope::with_parent(bindings, row, outer);
         match &plan.arg {
             None => values.push(Value::Integer(1)),
             Some(a) => values.push(a.eval(evaluator, &scope)?),
@@ -1524,22 +1612,19 @@ fn aggregate_and_project(
         }
     }
 
-    // Group rows. Grouping keys are compiled once and evaluated per row.
-    let mut groups: BTreeMap<Vec<String>, Vec<Row>> = BTreeMap::new();
+    // Group rows, by reference. Grouping keys are compiled once and
+    // evaluated per row.
+    let mut groups: BTreeMap<Vec<String>, Vec<&[Value]>> = BTreeMap::new();
     if select.group_by.is_empty() {
-        groups.insert(Vec::new(), relation.rows.to_vec());
+        groups.insert(Vec::new(), relation.rows.iter().map(|r| &**r).collect());
     } else {
         let group_plans: Vec<SiteExpr<'_>> = select
             .group_by
             .iter()
             .map(|g| SiteExpr::new(db, mode, &relation.bindings, g))
             .collect();
-        for row in relation.rows.iter() {
-            let scope = Scope {
-                relations: &relation.bindings,
-                row,
-                parent: outer,
-            };
+        for row in &relation.rows {
+            let scope = Scope::with_parent(&relation.bindings, row, outer);
             let mut key = Vec::with_capacity(group_plans.len());
             for g in &group_plans {
                 let v = g.eval(&evaluator, &scope)?;
@@ -1551,7 +1636,7 @@ fn aggregate_and_project(
                 }
                 key.push(k);
             }
-            groups.entry(key).or_default().push(row.clone());
+            groups.entry(key).or_default().push(row);
         }
     }
 
@@ -1565,22 +1650,20 @@ fn aggregate_and_project(
         }
     }
 
-    let aggregate_exprs = collect_aggregate_exprs(select);
-    let projections = expand_projections(select, &relation.bindings)?;
-    let columns: Vec<String> = projections.iter().map(|(n, _)| n.clone()).collect();
+    let (columns, sources) = expand_projections(select, &relation.bindings)?;
     let empty_row: Row = vec![Value::Null; relation.width()];
 
     // Per-statement plans shared by every group: aggregate arguments, the
     // HAVING predicate, projection expressions and ORDER BY keys.
-    let agg_plans: Vec<AggPlan<'_>> = aggregate_exprs
-        .iter()
+    let agg_plans: Vec<AggPlan<'_>> = collect_aggregate_exprs(select)
+        .into_iter()
         .map(|agg| AggPlan::new(db, mode, &relation.bindings, agg))
         .collect::<EngineResult<_>>()?;
     let having_plan = select
         .having
         .as_ref()
         .map(|h| SiteExpr::new(db, mode, &relation.bindings, h));
-    let proj_plans = projection_plans(db, mode, &relation.bindings, &projections);
+    let proj_plans = projection_plans(db, mode, &relation.bindings, sources);
     let order_plan = OrderPlan::new(db, select, mode, &relation.bindings, &columns);
 
     let mut rows = Vec::new();
@@ -1599,15 +1682,8 @@ fn aggregate_and_project(
             )?;
             agg_values.insert(plan.key.clone(), v);
         }
-        let representative = group_rows
-            .first()
-            .cloned()
-            .unwrap_or_else(|| empty_row.clone());
-        let scope = Scope {
-            relations: &relation.bindings,
-            row: &representative,
-            parent: outer,
-        };
+        let representative = group_rows.first().copied().unwrap_or(&empty_row);
+        let scope = Scope::with_parent(&relation.bindings, representative, outer);
         let group_evaluator = Evaluator::with_aggregates(db, mode, Some(&agg_values));
         // HAVING filter.
         if let Some(having) = &having_plan {
@@ -1770,9 +1846,9 @@ fn sort_rows(db: &Database, select: &Select, produced: &mut Produced) -> EngineR
     let directions: Vec<SortOrder> = select.order_by.iter().map(|o| o.order).collect();
     produced.rows.sort_by(|(_, a), (_, b)| {
         for (i, dir) in directions.iter().enumerate() {
-            let av = a.get(i).cloned().unwrap_or(Value::Null);
-            let bv = b.get(i).cloned().unwrap_or(Value::Null);
-            let ord = av.total_cmp(&bv);
+            let av = a.get(i).unwrap_or(&Value::Null);
+            let bv = b.get(i).unwrap_or(&Value::Null);
+            let ord = av.total_cmp(bv);
             let ord = match dir {
                 SortOrder::Asc => ord,
                 SortOrder::Desc => ord.reverse(),
@@ -1788,46 +1864,80 @@ fn sort_rows(db: &Database, select: &Select, produced: &mut Produced) -> EngineR
 
 // ------------------------------------------------------------- set ops ----
 
+/// A set of rows under the per-value dedup identity: two rows are one
+/// member when they have the same length and each pair of their values is
+/// [`Value::dedup_eq`]. Members are keyed by their 128-bit
+/// [`row_fingerprint`] and compared in full on a hit, so distinct rows never
+/// merge; unequal rows that share a fingerprint probe the next key.
+#[derive(Default)]
+struct RowSet<'r> {
+    members: HashMap<u128, &'r [Value]>,
+}
+
+fn same_row(a: &[Value], b: &[Value]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.dedup_eq(y))
+}
+
+impl<'r> RowSet<'r> {
+    /// Adds `row`; `false` when an equal row is already a member.
+    fn insert(&mut self, row: &'r [Value]) -> bool {
+        let mut key = row_fingerprint(row);
+        loop {
+            match self.members.entry(key) {
+                Entry::Vacant(slot) => {
+                    slot.insert(row);
+                    return true;
+                }
+                Entry::Occupied(member) if same_row(member.get(), row) => return false,
+                Entry::Occupied(_) => key = key.wrapping_add(1),
+            }
+        }
+    }
+
+    fn contains(&self, row: &[Value]) -> bool {
+        let mut key = row_fingerprint(row);
+        while let Some(member) = self.members.get(&key) {
+            if same_row(member, row) {
+                return true;
+            }
+            key = key.wrapping_add(1);
+        }
+        false
+    }
+}
+
+/// For each row in order, whether it is the first of its equal rows.
+fn first_occurrences<'r>(rows: impl Iterator<Item = &'r [Value]>) -> Vec<bool> {
+    let mut seen = RowSet::default();
+    rows.map(|row| seen.insert(row)).collect()
+}
+
+/// Keeps the items whose mark is `true`.
+fn retain_marked<T>(items: &mut Vec<T>, keep: &[bool]) {
+    let mut keep = keep.iter();
+    items.retain(|_| *keep.next().expect("one mark per item"));
+}
+
 fn combine_set_op(left: Produced, right: ResultSet, op: SetOperator, all: bool) -> Produced {
-    let key = |row: &Row| -> String {
-        row.iter()
-            .map(Value::dedup_key)
-            .collect::<Vec<_>>()
-            .join("\u{1}")
-    };
-    let left_rows: Vec<Row> = left.rows.into_iter().map(|(r, _)| r).collect();
-    let mut out: Vec<Row> = Vec::new();
+    let mut out: Vec<Row> = left.rows.into_iter().map(|(r, _)| r).collect();
     match op {
-        SetOperator::Union => {
-            out.extend(left_rows);
-            out.extend(right.rows);
-            if !all {
-                let mut seen = BTreeSet::new();
-                out.retain(|r| seen.insert(key(r)));
+        SetOperator::Union => out.extend(right.rows),
+        SetOperator::Intersect | SetOperator::Except => {
+            let mut right_rows = RowSet::default();
+            for row in &right.rows {
+                right_rows.insert(row);
             }
-        }
-        SetOperator::Intersect => {
-            let right_keys: BTreeSet<String> = right.rows.iter().map(&key).collect();
-            out = left_rows
-                .into_iter()
-                .filter(|r| right_keys.contains(&key(r)))
+            let wanted = op == SetOperator::Intersect;
+            let keep: Vec<bool> = out
+                .iter()
+                .map(|row| right_rows.contains(row) == wanted)
                 .collect();
-            if !all {
-                let mut seen = BTreeSet::new();
-                out.retain(|r| seen.insert(key(r)));
-            }
+            retain_marked(&mut out, &keep);
         }
-        SetOperator::Except => {
-            let right_keys: BTreeSet<String> = right.rows.iter().map(&key).collect();
-            out = left_rows
-                .into_iter()
-                .filter(|r| !right_keys.contains(&key(r)))
-                .collect();
-            if !all {
-                let mut seen = BTreeSet::new();
-                out.retain(|r| seen.insert(key(r)));
-            }
-        }
+    }
+    if !all {
+        let keep = first_occurrences(out.iter().map(Vec::as_slice));
+        retain_marked(&mut out, &keep);
     }
     Produced {
         columns: left.columns,

@@ -10,7 +10,10 @@
 //! * an UPDATE's allocations grow linearly with the table (the uniqueness
 //!   check runs pairwise in place instead of cloning every other row once
 //!   per row);
-//! * cloning a catalog is a pointer bump.
+//! * cloning a catalog is a pointer bump;
+//! * a filtered comma product allocates for its inputs and its surviving
+//!   rows, not for every candidate pair (WHERE is tested on each pair where
+//!   it lies instead of on a copied, concatenated row).
 
 use sql_ast::Statement;
 use sql_engine::{Database, EngineConfig};
@@ -142,4 +145,43 @@ fn cloning_a_catalog_allocates_nothing() {
     let allocations = allocations_during(|| copy = Some(db.catalog.clone()));
     assert_eq!(allocations, 0, "Catalog::clone allocated");
     assert_eq!(copy.as_ref(), Some(&db.catalog));
+}
+
+/// `t0` and `t1` with `rows` integer rows each, none negative.
+fn product_tables(rows: usize) -> Database {
+    let mut db = Database::new(EngineConfig::dynamic());
+    for table in ["t0", "t1"] {
+        db.execute_sql(&format!("CREATE TABLE {table} (c0 INTEGER, c1 INTEGER)"))
+            .unwrap();
+        let values: Vec<String> = (0..rows).map(|i| format!("({i}, {})", i * 3)).collect();
+        db.execute_sql(&format!(
+            "INSERT INTO {table} (c0, c1) VALUES {}",
+            values.join(", ")
+        ))
+        .unwrap();
+    }
+    db
+}
+
+fn empty_product_allocations(rows: usize) -> u64 {
+    let mut db = product_tables(rows);
+    let select = parse("SELECT * FROM t0, t1 WHERE t0.c0 < 0");
+    // Warm up: the first statement compiles and caches the predicate.
+    assert!(db.query_sql(&select.to_string()).unwrap().rows.is_empty());
+    allocations_during(|| {
+        db.execute(&select).unwrap();
+    })
+}
+
+#[test]
+fn a_filtered_product_allocates_for_its_inputs_not_its_pairs() {
+    let small = empty_product_allocations(8);
+    let large = empty_product_allocations(64);
+    // 8x8 -> 64x64 adds 112 input rows and 4,032 pairs. Building every
+    // pair as a row costs at least one allocation per pair.
+    let added_inputs = 2 * (64 - 8);
+    assert!(
+        large.saturating_sub(small) <= added_inputs as u64,
+        "SELECT over an empty product allocated {small} times at 8x8 rows and {large} at 64x64"
+    );
 }
