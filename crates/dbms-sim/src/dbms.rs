@@ -2,7 +2,7 @@
 
 use crate::bugs::{bugs_for_faults, InjectedBug};
 use crate::profile::DialectProfile;
-use sql_ast::{Select, Statement};
+use sql_ast::{Select, Statement, StatementKind};
 use sql_engine::{
     CoverageTracker, CowStats, Engine, EngineConfig, EngineSession, EvalStrategy, ExecutionMode,
     Fault, FaultConfig,
@@ -57,7 +57,7 @@ impl Clone for SimulatedDbms {
             },
             engine,
             retired_cow: self.retired_cow,
-            retired_coverage: self.retired_coverage.clone(),
+            retired_coverage: self.retired_coverage,
         }
     }
 }
@@ -117,7 +117,7 @@ impl SimulatedDbms {
     /// reads it; bug reduction and recovery reset the engine, so the live
     /// engine's points alone under-count.
     pub fn coverage(&self) -> CoverageTracker {
-        let mut tracker = self.retired_coverage.clone();
+        let mut tracker = self.retired_coverage;
         tracker.merge(&self.engine.committed().coverage_snapshot());
         tracker
     }
@@ -258,7 +258,7 @@ impl DbmsConnection for SimulatedSession {
         self.gate(self.profile.first_unsupported_select(select))?;
         self.ticks += 1;
         self.session
-            .record_coverage(|cov| cov.statement("STMT_SELECT"));
+            .record_coverage(|cov| cov.statement(StatementKind::Select));
         match self.session.query(select, ExecutionMode::Optimized) {
             Ok(rs) => Ok(QueryResult {
                 columns: rs.columns,
@@ -341,15 +341,8 @@ impl DbmsConnection for SimulatedDbms {
     }
 
     fn engine_coverage(&self) -> Option<EngineCoverage> {
-        let tracker = self.coverage();
         let mut coverage = EngineCoverage::default();
-        for (plane, points) in [
-            ("plan_operators", &tracker.plan_operators),
-            ("functions", &tracker.functions),
-            ("operators", &tracker.operators),
-            ("coercions", &tracker.coercions),
-            ("statements", &tracker.statements),
-        ] {
+        for (plane, points) in self.coverage().planes() {
             for point in points.iter() {
                 coverage.record(plane, point);
             }

@@ -546,7 +546,7 @@ mod tests {
             .map(|f| f.name().to_string())
             .collect();
         for preset in fleet() {
-            for feature in &preset.profile.unsupported {
+            for feature in preset.profile.unsupported() {
                 assert!(
                     universe.contains(feature),
                     "{} rejects {feature}, which the generator never records",

@@ -6,7 +6,10 @@
 //! producing exactly the "syntax/semantic error" feedback that the adaptive
 //! generator learns from (challenge C1 of the paper).
 
-use sql_ast::{DataType, Expr, Select, SelectItem, Statement, TableFactor};
+use sql_ast::{
+    AggregateFunction, BinaryOp, DataType, Expr, JoinType, ScalarFunction, Select, SelectItem,
+    Statement, StatementKind, TableFactor, UnaryOp,
+};
 use sql_engine::TypingMode;
 use std::collections::BTreeSet;
 
@@ -18,8 +21,12 @@ pub struct DialectProfile {
     /// Typing discipline of the dialect.
     pub typing: TypingMode,
     /// Canonical feature names (see `sqlancer-core`'s naming convention)
-    /// this dialect does **not** accept.
-    pub unsupported: BTreeSet<String>,
+    /// this dialect does **not** accept. Only [`DialectProfile::without`]
+    /// adds to it, so `gate` always mirrors it.
+    unsupported: BTreeSet<String>,
+    /// The members of `unsupported` that the feature walker can emit, as
+    /// bits over [`FEATURE_NAMES`]: what statement gating tests.
+    gate: FeatureBits,
     /// Inserted rows are only visible after `REFRESH TABLE` (CrateDB-like).
     pub requires_refresh: bool,
     /// DML must be followed by `COMMIT` (autocommit-off JDBC style).
@@ -34,6 +41,7 @@ impl DialectProfile {
             name: name.into(),
             typing,
             unsupported: BTreeSet::new(),
+            gate: FeatureBits::default(),
             requires_refresh: false,
             requires_commit: false,
         }
@@ -42,9 +50,17 @@ impl DialectProfile {
     /// Marks a list of canonical feature names as unsupported.
     pub fn without(mut self, features: &[&str]) -> DialectProfile {
         for f in features {
+            if let Some(id) = FeatureId::named(f) {
+                self.gate.insert(id);
+            }
             self.unsupported.insert((*f).to_string());
         }
         self
+    }
+
+    /// The canonical feature names this dialect does not accept.
+    pub fn unsupported(&self) -> &BTreeSet<String> {
+        &self.unsupported
     }
 
     /// Whether the dialect supports a feature by canonical name.
@@ -66,20 +82,16 @@ impl DialectProfile {
     /// the first unsupported feature encountered, if any.
     ///
     /// This runs for every statement on the campaign hot path, so it walks
-    /// the AST with an early-exit visitor instead of materialising the
-    /// feature list: nothing is allocated unless a feature is rejected or a
-    /// data-dependent name (function, aggregate) must be formatted.
+    /// the AST with an early-exit visitor that tests one bit per visited
+    /// feature, and reads the rejected feature's name only when it returns
+    /// it. A dialect that rejects nothing the walker emits skips the walk.
     pub fn first_unsupported(&self, stmt: &Statement) -> Option<String> {
+        if self.gate.is_empty() {
+            return None;
+        }
         let mut found = None;
-        walk_statement_features(stmt, &mut |feature| {
-            if self.supports(feature) {
-                true
-            } else {
-                found = Some(feature.to_string());
-                false
-            }
-        });
-        found
+        walk_statement_features(stmt, &mut self.gate_visitor(&mut found));
+        found.map(|feature| feature.name().to_string())
     }
 
     /// [`DialectProfile::first_unsupported`] for a bare query, without
@@ -88,16 +100,28 @@ impl DialectProfile {
     /// error message) is byte-identical between the text path and the AST
     /// fast path.
     pub fn first_unsupported_select(&self, select: &Select) -> Option<String> {
+        if self.gate.is_empty() {
+            return None;
+        }
         let mut found = None;
-        walk_query_features(select, &mut |feature| {
-            if self.supports(feature) {
-                true
-            } else {
-                found = Some(feature.to_string());
+        walk_query_features(select, &mut self.gate_visitor(&mut found));
+        found.map(|feature| feature.name().to_string())
+    }
+
+    /// A walker visitor that stops at the first gated feature and keeps it
+    /// in `found`.
+    fn gate_visitor<'a>(
+        &'a self,
+        found: &'a mut Option<FeatureId>,
+    ) -> impl FnMut(FeatureId) -> bool + 'a {
+        move |feature| {
+            if self.gate.contains(feature) {
+                *found = Some(feature);
                 false
+            } else {
+                true
             }
-        });
-        found
+        }
     }
 }
 
@@ -106,7 +130,7 @@ impl DialectProfile {
 pub fn collect_query_features(select: &Select) -> Vec<String> {
     let mut out = Vec::new();
     walk_query_features(select, &mut |feature| {
-        out.push(feature.to_string());
+        out.push(feature.name().to_string());
         true
     });
     out
@@ -117,32 +141,185 @@ pub fn collect_query_features(select: &Select) -> Vec<String> {
 pub fn collect_statement_features(stmt: &Statement) -> Vec<String> {
     let mut out = Vec::new();
     walk_statement_features(stmt, &mut |feature| {
-        out.push(feature.to_string());
+        out.push(feature.name().to_string());
         true
     });
     out
 }
 
-/// Walks every canonical feature name of a statement in collection order,
+macro_rules! keywords {
+    ($($variant:ident => $name:literal,)+) => {
+        /// A feature the walker names by a fixed keyword rather than by an
+        /// AST vocabulary.
+        #[derive(Debug, Clone, Copy)]
+        enum Keyword {
+            $($variant,)+
+        }
+
+        const KEYWORD_NAMES: [&str; [$($name),+].len()] = [$($name),+];
+    };
+}
+
+keywords! {
+    PrimaryKey => "KW_PRIMARY_KEY",
+    NotNull => "KW_NOT_NULL",
+    Unique => "KW_UNIQUE",
+    Default => "KW_DEFAULT",
+    UniqueIndex => "KW_UNIQUE_INDEX",
+    PartialIndex => "KW_PARTIAL_INDEX",
+    OrIgnore => "KW_OR_IGNORE",
+    Distinct => "CLAUSE_DISTINCT",
+    Where => "CLAUSE_WHERE",
+    GroupBy => "CLAUSE_GROUP_BY",
+    Having => "CLAUSE_HAVING",
+    OrderBy => "CLAUSE_ORDER_BY",
+    Limit => "CLAUSE_LIMIT",
+    Offset => "CLAUSE_OFFSET",
+    SetOperation => "CLAUSE_SET_OPERATION",
+    Subquery => "CLAUSE_SUBQUERY",
+    Case => "CLAUSE_CASE",
+    Cast => "OP_CAST",
+    Between => "OP_BETWEEN",
+    In => "OP_IN",
+    IsNull => "OP_IS_NULL",
+    IsBool => "OP_IS_BOOL",
+    Like => "OP_LIKE",
+}
+
+// The ranges of `FEATURE_NAMES`, one per closed vocabulary.
+const STATEMENTS: usize = 0;
+const TYPES: usize = STATEMENTS + StatementKind::ALL.len();
+/// `DataType::ALL` plus `Null`, which is declared last.
+const JOINS: usize = TYPES + DataType::ALL.len() + 1;
+const UNARIES: usize = JOINS + JoinType::ALL.len();
+const BINARIES: usize = UNARIES + UnaryOp::ALL.len();
+const FUNCTIONS: usize = BINARIES + BinaryOp::ALL.len();
+const AGGREGATES: usize = FUNCTIONS + ScalarFunction::ALL.len();
+const KEYWORDS: usize = AGGREGATES + AggregateFunction::ALL.len();
+const FEATURE_COUNT: usize = KEYWORDS + KEYWORD_NAMES.len();
+
+/// Every canonical feature name the walker emits, indexed by [`FeatureId`].
+static FEATURE_NAMES: [&str; FEATURE_COUNT] = {
+    let mut names = [""; FEATURE_COUNT];
+    let mut i = 0;
+    while i < FEATURE_COUNT {
+        names[i] = if i < TYPES {
+            StatementKind::ALL[i - STATEMENTS].feature_name()
+        } else if i < JOINS - 1 {
+            DataType::ALL[i - TYPES].feature_name()
+        } else if i < JOINS {
+            DataType::Null.feature_name()
+        } else if i < UNARIES {
+            JoinType::ALL[i - JOINS].feature_name()
+        } else if i < BINARIES {
+            UnaryOp::ALL[i - UNARIES].feature_name()
+        } else if i < FUNCTIONS {
+            BinaryOp::ALL[i - BINARIES].feature_name()
+        } else if i < AGGREGATES {
+            ScalarFunction::ALL[i - FUNCTIONS].feature_name()
+        } else if i < KEYWORDS {
+            AggregateFunction::ALL[i - AGGREGATES].feature_name()
+        } else {
+            KEYWORD_NAMES[i - KEYWORDS]
+        };
+        i += 1;
+    }
+    names
+};
+
+/// A feature the dialect gate can reject: its index in [`FEATURE_NAMES`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct FeatureId(u16);
+
+impl FeatureId {
+    fn statement(kind: StatementKind) -> FeatureId {
+        FeatureId((STATEMENTS + kind as usize) as u16)
+    }
+
+    fn data_type(ty: DataType) -> FeatureId {
+        FeatureId((TYPES + ty as usize) as u16)
+    }
+
+    fn join(join: JoinType) -> FeatureId {
+        FeatureId((JOINS + join as usize) as u16)
+    }
+
+    fn unary(op: UnaryOp) -> FeatureId {
+        FeatureId((UNARIES + op as usize) as u16)
+    }
+
+    fn binary(op: BinaryOp) -> FeatureId {
+        FeatureId((BINARIES + op as usize) as u16)
+    }
+
+    fn function(func: ScalarFunction) -> FeatureId {
+        FeatureId((FUNCTIONS + func as usize) as u16)
+    }
+
+    fn aggregate(func: AggregateFunction) -> FeatureId {
+        FeatureId((AGGREGATES + func as usize) as u16)
+    }
+
+    fn keyword(keyword: Keyword) -> FeatureId {
+        FeatureId((KEYWORDS + keyword as usize) as u16)
+    }
+
+    /// The feature with canonical name `name`, if the walker can emit it.
+    fn named(name: &str) -> Option<FeatureId> {
+        FEATURE_NAMES
+            .iter()
+            .position(|n| *n == name)
+            .map(|i| FeatureId(i as u16))
+    }
+
+    fn name(self) -> &'static str {
+        FEATURE_NAMES[self.0 as usize]
+    }
+}
+
+/// A set of [`FeatureId`]s, one bit each.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct FeatureBits([u64; FEATURE_COUNT.div_ceil(64)]);
+
+impl FeatureBits {
+    fn insert(&mut self, id: FeatureId) {
+        self.0[usize::from(id.0 / 64)] |= 1 << (id.0 % 64);
+    }
+
+    #[inline]
+    fn contains(&self, id: FeatureId) -> bool {
+        self.0[usize::from(id.0 / 64)] & (1 << (id.0 % 64)) != 0
+    }
+
+    fn is_empty(&self) -> bool {
+        self.0.iter().all(|word| *word == 0)
+    }
+}
+
+/// Walks every feature of a statement in collection order,
 /// calling `f` for each; `f` returns `false` to stop the walk early. The
 /// walker returns `false` when the walk was stopped.
-fn walk_statement_features(stmt: &Statement, f: &mut impl FnMut(&str) -> bool) -> bool {
-    if !f(stmt.feature_name()) {
+fn walk_statement_features(stmt: &Statement, f: &mut impl FnMut(FeatureId) -> bool) -> bool {
+    if !f(FeatureId::statement(stmt.kind())) {
         return false;
     }
     match stmt {
         Statement::CreateTable(create) => {
             for col in &create.columns {
-                if !f(col.data_type.feature_name()) {
+                if !f(FeatureId::data_type(col.data_type)) {
                     return false;
                 }
                 for c in &col.constraints {
                     let ok = match c {
-                        sql_ast::ColumnConstraint::PrimaryKey => f("KW_PRIMARY_KEY"),
-                        sql_ast::ColumnConstraint::NotNull => f("KW_NOT_NULL"),
-                        sql_ast::ColumnConstraint::Unique => f("KW_UNIQUE"),
+                        sql_ast::ColumnConstraint::PrimaryKey => {
+                            f(FeatureId::keyword(Keyword::PrimaryKey))
+                        }
+                        sql_ast::ColumnConstraint::NotNull => {
+                            f(FeatureId::keyword(Keyword::NotNull))
+                        }
+                        sql_ast::ColumnConstraint::Unique => f(FeatureId::keyword(Keyword::Unique)),
                         sql_ast::ColumnConstraint::Default(e) => {
-                            f("KW_DEFAULT") && walk_expr_features(e, f)
+                            f(FeatureId::keyword(Keyword::Default)) && walk_expr_features(e, f)
                         }
                     };
                     if !ok {
@@ -152,8 +329,10 @@ fn walk_statement_features(stmt: &Statement, f: &mut impl FnMut(&str) -> bool) -
             }
             for c in &create.constraints {
                 let ok = match c {
-                    sql_ast::TableConstraint::PrimaryKey(_) => f("KW_PRIMARY_KEY"),
-                    sql_ast::TableConstraint::Unique(_) => f("KW_UNIQUE"),
+                    sql_ast::TableConstraint::PrimaryKey(_) => {
+                        f(FeatureId::keyword(Keyword::PrimaryKey))
+                    }
+                    sql_ast::TableConstraint::Unique(_) => f(FeatureId::keyword(Keyword::Unique)),
                 };
                 if !ok {
                     return false;
@@ -162,17 +341,17 @@ fn walk_statement_features(stmt: &Statement, f: &mut impl FnMut(&str) -> bool) -
             true
         }
         Statement::CreateIndex(create) => {
-            if create.unique && !f("KW_UNIQUE_INDEX") {
+            if create.unique && !f(FeatureId::keyword(Keyword::UniqueIndex)) {
                 return false;
             }
             match &create.where_clause {
-                Some(w) => f("KW_PARTIAL_INDEX") && walk_expr_features(w, f),
+                Some(w) => f(FeatureId::keyword(Keyword::PartialIndex)) && walk_expr_features(w, f),
                 None => true,
             }
         }
         Statement::CreateView(create) => walk_select_features(&create.query, f),
         Statement::Insert(insert) => {
-            if insert.or_ignore && !f("KW_OR_IGNORE") {
+            if insert.or_ignore && !f(FeatureId::keyword(Keyword::OrIgnore)) {
                 return false;
             }
             for row in &insert.values {
@@ -206,12 +385,12 @@ fn walk_statement_features(stmt: &Statement, f: &mut impl FnMut(&str) -> bool) -
 
 /// Walks the features of a bare query: `STMT_SELECT` plus the select
 /// features, in the statement walk's order.
-fn walk_query_features(select: &Select, f: &mut impl FnMut(&str) -> bool) -> bool {
-    f("STMT_SELECT") && walk_select_features(select, f)
+fn walk_query_features(select: &Select, f: &mut impl FnMut(FeatureId) -> bool) -> bool {
+    f(FeatureId::statement(StatementKind::Select)) && walk_select_features(select, f)
 }
 
-fn walk_select_features(select: &Select, f: &mut impl FnMut(&str) -> bool) -> bool {
-    if select.distinct && !f("CLAUSE_DISTINCT") {
+fn walk_select_features(select: &Select, f: &mut impl FnMut(FeatureId) -> bool) -> bool {
+    if select.distinct && !f(FeatureId::keyword(Keyword::Distinct)) {
         return false;
     }
     for item in &select.projections {
@@ -226,7 +405,7 @@ fn walk_select_features(select: &Select, f: &mut impl FnMut(&str) -> bool) -> bo
             return false;
         }
         for join in &twj.joins {
-            if !f(join.join_type.feature_name()) || !walk_factor_features(&join.relation, f) {
+            if !f(FeatureId::join(join.join_type)) || !walk_factor_features(&join.relation, f) {
                 return false;
             }
             if let Some(on) = &join.on {
@@ -237,12 +416,12 @@ fn walk_select_features(select: &Select, f: &mut impl FnMut(&str) -> bool) -> bo
         }
     }
     if let Some(w) = &select.where_clause {
-        if !f("CLAUSE_WHERE") || !walk_expr_features(w, f) {
+        if !f(FeatureId::keyword(Keyword::Where)) || !walk_expr_features(w, f) {
             return false;
         }
     }
     if !select.group_by.is_empty() {
-        if !f("CLAUSE_GROUP_BY") {
+        if !f(FeatureId::keyword(Keyword::GroupBy)) {
             return false;
         }
         for g in &select.group_by {
@@ -252,12 +431,12 @@ fn walk_select_features(select: &Select, f: &mut impl FnMut(&str) -> bool) -> bo
         }
     }
     if let Some(h) = &select.having {
-        if !f("CLAUSE_HAVING") || !walk_expr_features(h, f) {
+        if !f(FeatureId::keyword(Keyword::Having)) || !walk_expr_features(h, f) {
             return false;
         }
     }
     if !select.order_by.is_empty() {
-        if !f("CLAUSE_ORDER_BY") {
+        if !f(FeatureId::keyword(Keyword::OrderBy)) {
             return false;
         }
         for o in &select.order_by {
@@ -266,46 +445,52 @@ fn walk_select_features(select: &Select, f: &mut impl FnMut(&str) -> bool) -> bo
             }
         }
     }
-    if select.limit.is_some() && !f("CLAUSE_LIMIT") {
+    if select.limit.is_some() && !f(FeatureId::keyword(Keyword::Limit)) {
         return false;
     }
-    if select.offset.is_some() && !f("CLAUSE_OFFSET") {
+    if select.offset.is_some() && !f(FeatureId::keyword(Keyword::Offset)) {
         return false;
     }
     match &select.set_op {
-        Some(set_op) => f("CLAUSE_SET_OPERATION") && walk_select_features(&set_op.right, f),
+        Some(set_op) => {
+            f(FeatureId::keyword(Keyword::SetOperation)) && walk_select_features(&set_op.right, f)
+        }
         None => true,
     }
 }
 
-fn walk_factor_features(factor: &TableFactor, f: &mut impl FnMut(&str) -> bool) -> bool {
+fn walk_factor_features(factor: &TableFactor, f: &mut impl FnMut(FeatureId) -> bool) -> bool {
     match factor {
         TableFactor::Derived { subquery, .. } => {
-            f("CLAUSE_SUBQUERY") && walk_select_features(subquery, f)
+            f(FeatureId::keyword(Keyword::Subquery)) && walk_select_features(subquery, f)
         }
         _ => true,
     }
 }
 
-fn walk_expr_features(expr: &Expr, f: &mut impl FnMut(&str) -> bool) -> bool {
+fn walk_expr_features(expr: &Expr, f: &mut impl FnMut(FeatureId) -> bool) -> bool {
     let ok = match expr {
         Expr::Literal(v) => {
             let ty = v.data_type();
-            ty == DataType::Null || f(ty.feature_name())
+            ty == DataType::Null || f(FeatureId::data_type(ty))
         }
-        Expr::Unary { op, .. } => f(op.feature_name()),
-        Expr::Binary { op, .. } => f(op.feature_name()),
-        Expr::Function { func, .. } => f(func.feature_name()),
-        Expr::Aggregate { func, .. } => f(func.feature_name()),
-        Expr::Case { .. } => f("CLAUSE_CASE"),
-        Expr::Cast { data_type, .. } => f("OP_CAST") && f(data_type.feature_name()),
-        Expr::Between { .. } => f("OP_BETWEEN"),
-        Expr::InList { .. } => f("OP_IN"),
-        Expr::InSubquery { .. } => f("OP_IN") && f("CLAUSE_SUBQUERY"),
-        Expr::Exists { .. } | Expr::ScalarSubquery(_) => f("CLAUSE_SUBQUERY"),
-        Expr::IsNull { .. } => f("OP_IS_NULL"),
-        Expr::IsBool { .. } => f("OP_IS_BOOL"),
-        Expr::Like { .. } => f("OP_LIKE"),
+        Expr::Unary { op, .. } => f(FeatureId::unary(*op)),
+        Expr::Binary { op, .. } => f(FeatureId::binary(*op)),
+        Expr::Function { func, .. } => f(FeatureId::function(*func)),
+        Expr::Aggregate { func, .. } => f(FeatureId::aggregate(*func)),
+        Expr::Case { .. } => f(FeatureId::keyword(Keyword::Case)),
+        Expr::Cast { data_type, .. } => {
+            f(FeatureId::keyword(Keyword::Cast)) && f(FeatureId::data_type(*data_type))
+        }
+        Expr::Between { .. } => f(FeatureId::keyword(Keyword::Between)),
+        Expr::InList { .. } => f(FeatureId::keyword(Keyword::In)),
+        Expr::InSubquery { .. } => {
+            f(FeatureId::keyword(Keyword::In)) && f(FeatureId::keyword(Keyword::Subquery))
+        }
+        Expr::Exists { .. } | Expr::ScalarSubquery(_) => f(FeatureId::keyword(Keyword::Subquery)),
+        Expr::IsNull { .. } => f(FeatureId::keyword(Keyword::IsNull)),
+        Expr::IsBool { .. } => f(FeatureId::keyword(Keyword::IsBool)),
+        Expr::Like { .. } => f(FeatureId::keyword(Keyword::Like)),
         Expr::Column(_) => true,
     };
     if !ok {
@@ -379,6 +564,61 @@ mod tests {
                 "missing {expected} in {features:?}"
             );
         }
+    }
+
+    #[test]
+    fn each_feature_id_names_its_feature() {
+        let mut expected = Vec::new();
+        let mut ids = Vec::new();
+        for kind in StatementKind::ALL {
+            expected.push(kind.feature_name());
+            ids.push(FeatureId::statement(kind));
+        }
+        for ty in DataType::ALL.into_iter().chain([DataType::Null]) {
+            expected.push(ty.feature_name());
+            ids.push(FeatureId::data_type(ty));
+        }
+        for join in JoinType::ALL {
+            expected.push(join.feature_name());
+            ids.push(FeatureId::join(join));
+        }
+        for op in UnaryOp::ALL {
+            expected.push(op.feature_name());
+            ids.push(FeatureId::unary(op));
+        }
+        for op in BinaryOp::ALL {
+            expected.push(op.feature_name());
+            ids.push(FeatureId::binary(op));
+        }
+        for func in ScalarFunction::ALL {
+            expected.push(func.feature_name());
+            ids.push(FeatureId::function(func));
+        }
+        for func in AggregateFunction::ALL {
+            expected.push(func.feature_name());
+            ids.push(FeatureId::aggregate(func));
+        }
+        let names: Vec<_> = ids.iter().map(|id| id.name()).collect();
+        assert_eq!(names, expected);
+        assert_eq!(&FEATURE_NAMES[..KEYWORDS], &expected[..]);
+        assert_eq!(FeatureId::keyword(Keyword::Like).name(), "OP_LIKE");
+        let unique: BTreeSet<_> = FEATURE_NAMES.iter().collect();
+        assert_eq!(unique.len(), FEATURE_COUNT, "a feature is named twice");
+        for (i, name) in FEATURE_NAMES.iter().enumerate() {
+            assert_eq!(FeatureId::named(name), Some(FeatureId(i as u16)));
+        }
+    }
+
+    #[test]
+    fn names_the_walker_never_emits_are_unsupported_but_not_gated() {
+        let profile = DialectProfile::permissive("p", TypingMode::Dynamic)
+            .without(&["KW_NOT_A_FEATURE", "OP_LIKE"]);
+        assert!(!profile.supports("KW_NOT_A_FEATURE"));
+        assert!(profile.gate.contains(FeatureId::keyword(Keyword::Like)));
+        let query = parse_statement("SELECT * FROM t0 WHERE c0 LIKE 'a'").unwrap();
+        assert_eq!(profile.first_unsupported(&query), Some("OP_LIKE".into()));
+        let other = parse_statement("SELECT * FROM t0 WHERE c0 = 1").unwrap();
+        assert_eq!(profile.first_unsupported(&other), None);
     }
 
     #[test]

@@ -41,7 +41,7 @@ macro_rules! scalar_functions {
             ];
 
             /// The SQL name of the function.
-            pub fn name(self) -> &'static str {
+            pub const fn name(self) -> &'static str {
                 match self {
                     $(ScalarFunction::$variant => $name,)+
                 }
@@ -51,7 +51,7 @@ macro_rules! scalar_functions {
             /// (`FN_<NAME>`), as a static string — the generator consults
             /// the whole function universe per generated function call, so
             /// this must not allocate.
-            pub fn feature_name(self) -> &'static str {
+            pub const fn feature_name(self) -> &'static str {
                 match self {
                     $(ScalarFunction::$variant => concat!("FN_", $name),)+
                 }
@@ -193,7 +193,7 @@ impl AggregateFunction {
     ];
 
     /// SQL name.
-    pub fn name(self) -> &'static str {
+    pub const fn name(self) -> &'static str {
         match self {
             AggregateFunction::Count => "COUNT",
             AggregateFunction::Sum => "SUM",
@@ -206,7 +206,7 @@ impl AggregateFunction {
 
     /// Canonical feature name (`AGG_<NAME>`), static like
     /// [`ScalarFunction::feature_name`].
-    pub fn feature_name(self) -> &'static str {
+    pub const fn feature_name(self) -> &'static str {
         match self {
             AggregateFunction::Count => "AGG_COUNT",
             AggregateFunction::Sum => "AGG_SUM",

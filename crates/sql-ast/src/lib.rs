@@ -46,7 +46,7 @@ pub use select::{
 };
 pub use stmt::{
     BeginMode, ColumnConstraint, ColumnDef, CreateIndex, CreateTable, CreateView, Delete, DropKind,
-    Insert, Statement, TableConstraint, Update,
+    Insert, Statement, StatementKind, TableConstraint, Update,
 };
 pub use types::DataType;
 pub use value::{format_real, parse_numeric_prefix, TruthValue, Value};

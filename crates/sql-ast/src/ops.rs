@@ -36,7 +36,7 @@ impl UnaryOp {
     }
 
     /// Canonical feature name used by the feature model.
-    pub fn feature_name(self) -> &'static str {
+    pub const fn feature_name(self) -> &'static str {
         match self {
             UnaryOp::Neg => "OP_UNARY_MINUS",
             UnaryOp::Plus => "OP_UNARY_PLUS",
@@ -196,7 +196,7 @@ impl BinaryOp {
     }
 
     /// Canonical feature name used by the feature model.
-    pub fn feature_name(self) -> &'static str {
+    pub const fn feature_name(self) -> &'static str {
         match self {
             BinaryOp::Add => "OP_ADD",
             BinaryOp::Sub => "OP_SUB",

@@ -88,7 +88,7 @@ impl JoinType {
     }
 
     /// Canonical feature name (`JOIN_<KIND>`).
-    pub fn feature_name(self) -> &'static str {
+    pub const fn feature_name(self) -> &'static str {
         match self {
             JoinType::Inner => "JOIN_INNER",
             JoinType::Left => "JOIN_LEFT",

@@ -434,25 +434,112 @@ impl Statement {
         )
     }
 
+    /// The statement's kind.
+    pub fn kind(&self) -> StatementKind {
+        match self {
+            Statement::CreateTable(_) => StatementKind::CreateTable,
+            Statement::CreateIndex(_) => StatementKind::CreateIndex,
+            Statement::CreateView(_) => StatementKind::CreateView,
+            Statement::Insert(_) => StatementKind::Insert,
+            Statement::Update(_) => StatementKind::Update,
+            Statement::Delete(_) => StatementKind::Delete,
+            Statement::Analyze(_) => StatementKind::Analyze,
+            Statement::Select(_) => StatementKind::Select,
+            Statement::Drop { .. } => StatementKind::Drop,
+            Statement::Refresh(_) => StatementKind::Refresh,
+            Statement::Begin(_) => StatementKind::Begin,
+            Statement::Commit => StatementKind::Commit,
+            Statement::Rollback => StatementKind::Rollback,
+            Statement::Savepoint(_) => StatementKind::Savepoint,
+            Statement::RollbackTo(_) => StatementKind::RollbackTo,
+            Statement::ReleaseSavepoint(_) => StatementKind::ReleaseSavepoint,
+        }
+    }
+
     /// Canonical feature name of the statement kind (`STMT_<KIND>`).
     pub fn feature_name(&self) -> &'static str {
+        self.kind().feature_name()
+    }
+}
+
+/// The kind of a [`Statement`], one per variant: the closed vocabulary that
+/// coverage accounting and dialect gating index their tables by.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub enum StatementKind {
+    /// `CREATE TABLE`.
+    CreateTable,
+    /// `CREATE INDEX`.
+    CreateIndex,
+    /// `CREATE VIEW`.
+    CreateView,
+    /// `INSERT`.
+    Insert,
+    /// `UPDATE`.
+    Update,
+    /// `DELETE`.
+    Delete,
+    /// `ANALYZE`.
+    Analyze,
+    /// A query.
+    Select,
+    /// `DROP TABLE/VIEW/INDEX`.
+    Drop,
+    /// `REFRESH TABLE`.
+    Refresh,
+    /// `BEGIN`.
+    Begin,
+    /// `COMMIT`.
+    Commit,
+    /// `ROLLBACK`.
+    Rollback,
+    /// `SAVEPOINT`.
+    Savepoint,
+    /// `ROLLBACK TO`.
+    RollbackTo,
+    /// `RELEASE SAVEPOINT`.
+    ReleaseSavepoint,
+}
+
+impl StatementKind {
+    /// Every statement kind, in declaration order (`ALL[k as usize] == k`).
+    pub const ALL: [StatementKind; 16] = [
+        StatementKind::CreateTable,
+        StatementKind::CreateIndex,
+        StatementKind::CreateView,
+        StatementKind::Insert,
+        StatementKind::Update,
+        StatementKind::Delete,
+        StatementKind::Analyze,
+        StatementKind::Select,
+        StatementKind::Drop,
+        StatementKind::Refresh,
+        StatementKind::Begin,
+        StatementKind::Commit,
+        StatementKind::Rollback,
+        StatementKind::Savepoint,
+        StatementKind::RollbackTo,
+        StatementKind::ReleaseSavepoint,
+    ];
+
+    /// Canonical feature name (`STMT_<KIND>`).
+    pub const fn feature_name(self) -> &'static str {
         match self {
-            Statement::CreateTable(_) => "STMT_CREATE_TABLE",
-            Statement::CreateIndex(_) => "STMT_CREATE_INDEX",
-            Statement::CreateView(_) => "STMT_CREATE_VIEW",
-            Statement::Insert(_) => "STMT_INSERT",
-            Statement::Update(_) => "STMT_UPDATE",
-            Statement::Delete(_) => "STMT_DELETE",
-            Statement::Analyze(_) => "STMT_ANALYZE",
-            Statement::Select(_) => "STMT_SELECT",
-            Statement::Drop { .. } => "STMT_DROP",
-            Statement::Refresh(_) => "STMT_REFRESH",
-            Statement::Begin(_) => "STMT_BEGIN",
-            Statement::Commit => "STMT_COMMIT",
-            Statement::Rollback => "STMT_ROLLBACK",
-            Statement::Savepoint(_) => "STMT_SAVEPOINT",
-            Statement::RollbackTo(_) => "STMT_ROLLBACK_TO",
-            Statement::ReleaseSavepoint(_) => "STMT_RELEASE_SAVEPOINT",
+            StatementKind::CreateTable => "STMT_CREATE_TABLE",
+            StatementKind::CreateIndex => "STMT_CREATE_INDEX",
+            StatementKind::CreateView => "STMT_CREATE_VIEW",
+            StatementKind::Insert => "STMT_INSERT",
+            StatementKind::Update => "STMT_UPDATE",
+            StatementKind::Delete => "STMT_DELETE",
+            StatementKind::Analyze => "STMT_ANALYZE",
+            StatementKind::Select => "STMT_SELECT",
+            StatementKind::Drop => "STMT_DROP",
+            StatementKind::Refresh => "STMT_REFRESH",
+            StatementKind::Begin => "STMT_BEGIN",
+            StatementKind::Commit => "STMT_COMMIT",
+            StatementKind::Rollback => "STMT_ROLLBACK",
+            StatementKind::Savepoint => "STMT_SAVEPOINT",
+            StatementKind::RollbackTo => "STMT_ROLLBACK_TO",
+            StatementKind::ReleaseSavepoint => "STMT_RELEASE_SAVEPOINT",
         }
     }
 }
@@ -502,6 +589,41 @@ mod tests {
     use super::*;
     use crate::expr::Expr;
     use crate::select::SelectItem;
+
+    #[test]
+    fn closed_vocabularies_list_their_variants_in_declaration_order() {
+        // Coverage planes and the dialect gate index their tables by
+        // `variant as usize`, so each `ALL` must be in declaration order.
+        fn in_order<T: Copy>(all: &[T], index: impl Fn(T) -> usize) -> bool {
+            all.iter().enumerate().all(|(i, &v)| index(v) == i)
+        }
+        assert!(in_order(&StatementKind::ALL, |k| k as usize));
+        assert!(in_order(&crate::BinaryOp::ALL, |op| op as usize));
+        assert!(in_order(&crate::UnaryOp::ALL, |op| op as usize));
+        assert!(in_order(&crate::ScalarFunction::ALL, |f| f as usize));
+        assert!(in_order(&crate::AggregateFunction::ALL, |f| f as usize));
+        assert!(in_order(&crate::JoinType::ALL, |j| j as usize));
+        assert!(in_order(&DataType::ALL, |t| t as usize));
+        assert_eq!(DataType::Null as usize, DataType::ALL.len());
+    }
+
+    #[test]
+    fn statement_kinds_name_their_statements() {
+        for (sql_kind, stmt) in [
+            (StatementKind::Commit, Statement::Commit),
+            (StatementKind::Begin, Statement::begin()),
+            (StatementKind::Analyze, Statement::Analyze(None)),
+            (StatementKind::RollbackTo, Statement::RollbackTo("s".into())),
+        ] {
+            assert_eq!(stmt.kind(), sql_kind);
+            assert_eq!(stmt.feature_name(), sql_kind.feature_name());
+        }
+        let names: std::collections::BTreeSet<_> = StatementKind::ALL
+            .iter()
+            .map(|k| k.feature_name())
+            .collect();
+        assert_eq!(names.len(), StatementKind::ALL.len());
+    }
 
     #[test]
     fn create_table_renders() {

@@ -62,7 +62,7 @@ impl DataType {
 
     /// Canonical feature name of the type (`TYPE_<KEYWORD>`), shared by the
     /// feature model and dialect profile gating so the two can never drift.
-    pub fn feature_name(self) -> &'static str {
+    pub const fn feature_name(self) -> &'static str {
         match self {
             DataType::Integer => "TYPE_INTEGER",
             DataType::Real => "TYPE_REAL",

@@ -365,7 +365,7 @@ fn memoized(f: EvalFn) -> EvalFn {
 
 /// Once-per-plan coverage gate. The tree walker re-records the same
 /// operator/function coverage point for every row — a `RefCell` borrow plus
-/// a set lookup per node per row. Coverage is a *set*, so recording only on
+/// a bit OR per node per row. Coverage is a *set*, so recording only on
 /// a node's first actual evaluation produces the identical final set (a
 /// node that is never evaluated — zero rows, untaken CASE branch — records
 /// nothing on either path). [`Database::reset_coverage`] drops cached plans
@@ -394,7 +394,7 @@ fn unary_fn(op: UnaryOp, child: EvalFn) -> EvalFn {
     let gate = CoverageGate::new();
     Arc::new(move |ev, scope| {
         let v = child(ev, scope)?;
-        gate.record(ev, |cov| cov.operator(op.feature_name()));
+        gate.record(ev, |cov| cov.unary_operator(op));
         ev.eval_unary(op, v)
     })
 }
@@ -521,7 +521,7 @@ fn compile_node(expr: &Expr, env: &CompileEnv<'_>) -> Node {
             let gate = CoverageGate::new();
             let f: EvalFn = if matches!(op, BinaryOp::And | BinaryOp::Or) {
                 Arc::new(move |ev, scope| {
-                    gate.record(ev, |cov| cov.operator(op.feature_name()));
+                    gate.record(ev, |cov| cov.binary_operator(op));
                     let lt = ev.truthiness(&lf(ev, scope)?)?;
                     let rt = ev.truthiness(&rf(ev, scope)?)?;
                     let t = if op == BinaryOp::And {
@@ -533,7 +533,7 @@ fn compile_node(expr: &Expr, env: &CompileEnv<'_>) -> Node {
                 })
             } else {
                 Arc::new(move |ev, scope| {
-                    gate.record(ev, |cov| cov.operator(op.feature_name()));
+                    gate.record(ev, |cov| cov.binary_operator(op));
                     let lv = lf(ev, scope)?;
                     let rv = rf(ev, scope)?;
                     ev.apply_binary(op, &lv, &rv)
@@ -563,7 +563,7 @@ fn compile_node(expr: &Expr, env: &CompileEnv<'_>) -> Node {
                     for f in &fns {
                         values.push(f(ev, scope)?);
                     }
-                    gate.record(ev, |cov| cov.function(func.name()));
+                    gate.record(ev, |cov| cov.scalar_function(func));
                     if let Some(err) = &bad_arity {
                         return Err(err.clone());
                     }

@@ -209,13 +209,11 @@ impl<'a> Evaluator<'a> {
             Expr::Column(c) => scope.resolve(c),
             Expr::Unary { op, expr } => {
                 let v = self.eval(expr, scope)?;
-                self.db
-                    .record_coverage(|cov| cov.operator(op.feature_name()));
+                self.db.record_coverage(|cov| cov.unary_operator(*op));
                 self.eval_unary(*op, v)
             }
             Expr::Binary { left, op, right } => {
-                self.db
-                    .record_coverage(|cov| cov.operator(op.feature_name()));
+                self.db.record_coverage(|cov| cov.binary_operator(*op));
                 self.eval_binary(left, *op, right, scope)
             }
             Expr::Function { func, args } => {
@@ -223,7 +221,7 @@ impl<'a> Evaluator<'a> {
                 for a in args {
                     values.push(self.eval(a, scope)?);
                 }
-                self.db.record_coverage(|cov| cov.function(func.name()));
+                self.db.record_coverage(|cov| cov.scalar_function(*func));
                 eval_function(*func, &values, self.typing(), &self.db.config.faults)
             }
             Expr::Aggregate { .. } => {

@@ -14,6 +14,7 @@
 use crate::catalog::{IndexDef, TableSchema, ViewDef};
 use crate::compile::SiteExpr;
 use crate::config::TypingMode;
+use crate::coverage::PlanOperator;
 use crate::error::{EngineError, EngineResult};
 use crate::eval::{Evaluator, RelationBinding, Scope};
 use crate::faults::Fault;
@@ -107,7 +108,7 @@ impl Database {
 ///
 /// Propagates catalog, type, constraint and runtime errors.
 pub fn execute_statement(db: &mut Database, stmt: &Statement) -> EngineResult<StatementResult> {
-    db.record_coverage(|cov| cov.statement(stmt.feature_name()));
+    db.record_coverage(|cov| cov.statement(stmt.kind()));
     match stmt {
         Statement::CreateTable(create) => {
             let schema = TableSchema::from_create(create)?;
@@ -671,14 +672,14 @@ pub fn execute_select_in_scope(
 
     // DISTINCT.
     if select.distinct {
-        db.record_coverage(|cov| cov.plan_operator("distinct"));
+        db.record_coverage(|cov| cov.plan_operator(PlanOperator::Distinct));
         let keep = first_occurrences(produced.rows.iter().map(|(row, _)| row.as_slice()));
         retain_marked(&mut produced.rows, &keep);
     }
 
     // Set operations.
     if let Some(set_op) = &select.set_op {
-        db.record_coverage(|cov| cov.plan_operator("set_operation"));
+        db.record_coverage(|cov| cov.plan_operator(PlanOperator::SetOperation));
         let right = execute_select_in_scope(db, &set_op.right, mode, outer)?;
         if right.columns.len() != produced.columns.len() {
             return Err(EngineError::type_error(
@@ -690,7 +691,7 @@ pub fn execute_select_in_scope(
 
     // ORDER BY.
     if !select.order_by.is_empty() {
-        db.record_coverage(|cov| cov.plan_operator("sort"));
+        db.record_coverage(|cov| cov.plan_operator(PlanOperator::Sort));
         sort_rows(db, select, &mut produced)?;
     }
 
@@ -828,7 +829,7 @@ fn resolve_factor<'a>(
         TableFactor::Table { name, alias } => {
             let visible = alias.clone().unwrap_or_else(|| name.clone());
             if let Some(view) = db.catalog.view(name) {
-                db.record_coverage(|cov| cov.plan_operator("view_expansion"));
+                db.record_coverage(|cov| cov.plan_operator(PlanOperator::ViewExpansion));
                 let mut query = view.query.clone();
                 if db.config.faults.has(Fault::BadViewPredicateDrop) {
                     // Injected fault: the view's own filter is lost when the
@@ -850,7 +851,7 @@ fn resolve_factor<'a>(
                 .catalog
                 .table(name)
                 .ok_or_else(|| EngineError::catalog(format!("no such table: {name}")))?;
-            db.record_coverage(|cov| cov.plan_operator("seq_scan"));
+            db.record_coverage(|cov| cov.plan_operator(PlanOperator::SeqScan));
             Ok(Relation {
                 bindings: vec![RelationBinding::new(visible, schema.shared_column_names())],
                 rows: db
@@ -861,7 +862,7 @@ fn resolve_factor<'a>(
             })
         }
         TableFactor::Derived { subquery, alias } => {
-            db.record_coverage(|cov| cov.plan_operator("derived_table"));
+            db.record_coverage(|cov| cov.plan_operator(PlanOperator::DerivedTable));
             let rs = execute_select_in_scope(db, subquery, mode, outer)?;
             Ok(Relation {
                 bindings: vec![RelationBinding::new(alias.clone(), rs.columns)],
@@ -915,7 +916,9 @@ fn join_step<'a>(
     outer: Option<&Scope<'_>>,
 ) -> EngineResult<Relation<'a>> {
     db.record_coverage(|cov| {
-        cov.plan_operator(join.map_or("cross_product", |j| j.join_type.feature_name()))
+        cov.plan_operator(join.map_or(PlanOperator::CrossProduct, |j| {
+            PlanOperator::Join(j.join_type)
+        }))
     });
     let join_type = join.map_or(JoinType::Cross, |j| j.join_type);
     let left_width = left.width();
@@ -959,7 +962,7 @@ fn join_step<'a>(
     };
 
     let filter = pred.map(|p| {
-        db.record_coverage(|cov| cov.plan_operator("filter"));
+        db.record_coverage(|cov| cov.plan_operator(PlanOperator::Filter));
         RowFilter::new(db, mode, &bindings, p, outer)
     });
     let mut rows = Vec::new();
@@ -1146,14 +1149,14 @@ fn apply_where<'a>(
     let Some(pred) = &select.where_clause else {
         return Ok(relation);
     };
-    db.record_coverage(|cov| cov.plan_operator("filter"));
+    db.record_coverage(|cov| cov.plan_operator(PlanOperator::Filter));
     let Relation { bindings, mut rows } = relation;
 
     // Index access path: optimized mode, single base table, equality
     // conjunct on an indexed column.
     if mode == ExecutionMode::Optimized && bindings.len() == 1 {
         if let Some((index, col_idx, literal)) = find_index_access(db, select, &bindings[0], pred) {
-            db.record_coverage(|cov| cov.plan_operator("index_lookup"));
+            db.record_coverage(|cov| cov.plan_operator(PlanOperator::IndexLookup));
             let evaluator = Evaluator::new(db, mode);
             let faults = &db.config.faults;
             let mut candidates = Vec::new();
@@ -1382,7 +1385,7 @@ fn project_rows(
     relation: Relation<'_>,
     outer: Option<&Scope<'_>>,
 ) -> EngineResult<Produced> {
-    db.record_coverage(|cov| cov.plan_operator("projection"));
+    db.record_coverage(|cov| cov.plan_operator(PlanOperator::Projection));
     let (columns, sources) = expand_projections(select, &relation.bindings)?;
     let evaluator = Evaluator::new(db, mode);
     // Per-statement plans: projection expressions and ORDER BY keys are
@@ -1492,14 +1495,18 @@ fn compute_aggregate(
 ) -> EngineResult<Value> {
     let func = plan.func;
     db.record_coverage(|cov| {
-        cov.plan_operator("aggregate");
-        cov.function(func.name());
+        cov.plan_operator(PlanOperator::Aggregate);
+        cov.aggregate_function(func);
     });
     let faults = &db.config.faults;
     let optimized = mode == ExecutionMode::Optimized;
 
-    // Evaluate the argument per row (or count rows for COUNT(*)).
-    let mut values: Vec<Value> = Vec::new();
+    if func == AggregateFunction::Count && plan.arg.is_none() {
+        // COUNT(*) counts the group's rows; there is no argument to evaluate.
+        return Ok(Value::Integer(group_rows.len() as i64));
+    }
+    // Evaluate the argument per row, in row order, so the first error wins.
+    let mut values: Vec<Value> = Vec::with_capacity(group_rows.len());
     for &row in group_rows {
         let scope = Scope::with_parent(bindings, row, outer);
         match &plan.arg {
@@ -1508,21 +1515,21 @@ fn compute_aggregate(
         }
     }
     if plan.distinct {
-        let mut seen = BTreeSet::new();
-        values.retain(|v| seen.insert(v.dedup_key()));
+        let keep = first_occurrences(values.iter().map(std::slice::from_ref));
+        retain_marked(&mut values, &keep);
+    }
+    if func == AggregateFunction::Count {
+        let counted = if optimized && faults.has(Fault::BadCountNulls) {
+            // Injected fault: COUNT(col) counts NULLs.
+            values.len()
+        } else {
+            values.iter().filter(|v| !v.is_null()).count()
+        };
+        return Ok(Value::Integer(counted as i64));
     }
     let non_null: Vec<&Value> = values.iter().filter(|v| !v.is_null()).collect();
     Ok(match func {
-        AggregateFunction::Count => {
-            if plan.arg.is_none() {
-                Value::Integer(group_rows.len() as i64)
-            } else if optimized && faults.has(Fault::BadCountNulls) {
-                // Injected fault: COUNT(col) counts NULLs.
-                Value::Integer(values.len() as i64)
-            } else {
-                Value::Integer(non_null.len() as i64)
-            }
-        }
+        AggregateFunction::Count => unreachable!("COUNT is answered above"),
         AggregateFunction::Sum => {
             if non_null.is_empty() {
                 if optimized && faults.has(Fault::BadSumEmptyGroup) {
@@ -1582,7 +1589,7 @@ fn aggregate_and_project(
     relation: &Relation<'_>,
     outer: Option<&Scope<'_>>,
 ) -> EngineResult<Produced> {
-    db.record_coverage(|cov| cov.plan_operator("group_by"));
+    db.record_coverage(|cov| cov.plan_operator(PlanOperator::GroupBy));
     let evaluator = Evaluator::new(db, mode);
     let faults = &db.config.faults;
     let optimized = mode == ExecutionMode::Optimized;

@@ -68,7 +68,7 @@ mod txn;
 pub use catalog::{Catalog, Column, IndexDef, TableSchema, ViewDef};
 pub use compile::{compile_expr, CompiledExpr, SiteExpr};
 pub use config::{EngineConfig, EvalStrategy, TypingMode};
-pub use coverage::{CoverageTracker, CoverageUniverse};
+pub use coverage::{CoveragePoints, CoverageTracker, CoverageUniverse, PlanOperator};
 pub use error::{EngineError, EngineResult, ErrorKind};
 pub use eval::{Evaluator, RelationBinding, Scope};
 pub use exec::{

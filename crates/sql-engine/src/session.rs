@@ -75,7 +75,7 @@ use crate::error::{EngineError, EngineResult};
 use crate::exec::{ExecutionMode, StatementResult};
 use crate::faults::Fault;
 use crate::storage::{Database, ResultSet};
-use sql_ast::{BeginMode, Select, Statement};
+use sql_ast::{BeginMode, Select, Statement, StatementKind};
 use std::borrow::Cow;
 use std::cell::{Ref, RefCell};
 use std::collections::{BTreeMap, BTreeSet};
@@ -517,7 +517,7 @@ impl EngineCore {
             ));
         }
         self.committed
-            .record_coverage(|cov| cov.statement("STMT_BEGIN"));
+            .record_coverage(|cov| cov.statement(StatementKind::Begin));
         // O(tables): the snapshot shares every table's current version
         // (one Arc bump per table), never row data. The workspace's CoW
         // counter starts from zero so the per-transaction clone count can
@@ -581,7 +581,7 @@ impl EngineCore {
             return self.committed.execute(&Statement::Commit);
         };
         self.committed
-            .record_coverage(|cov| cov.statement("STMT_COMMIT"));
+            .record_coverage(|cov| cov.statement(StatementKind::Commit));
         if !self.committed.config.faults.has(Fault::IsoLostUpdate) {
             // First-committer-wins validation over row-range claims and
             // eager intent. A claim conflicts only when a commit installed
@@ -668,7 +668,7 @@ impl EngineCore {
             return self.committed.execute(&Statement::Rollback);
         };
         self.committed
-            .record_coverage(|cov| cov.statement("STMT_ROLLBACK"));
+            .record_coverage(|cov| cov.statement(StatementKind::Rollback));
         let lost = self.committed.config.faults.has(Fault::TxnLostRollback);
         txn.workspace.txn_rollback()?;
         self.merge_workspace_coverage(&txn);

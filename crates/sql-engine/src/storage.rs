@@ -225,7 +225,7 @@ impl Database {
 
     /// A snapshot of the coverage accumulated so far.
     pub fn coverage_snapshot(&self) -> CoverageTracker {
-        self.coverage.borrow().clone()
+        *self.coverage.borrow()
     }
 
     /// Resets coverage accounting (used between experiment runs). Also

@@ -13,10 +13,15 @@
 //! * cloning a catalog is a pointer bump;
 //! * a filtered comma product allocates for its inputs and its surviving
 //!   rows, not for every candidate pair (WHERE is tested on each pair where
-//!   it lies instead of on a copied, concatenated row).
+//!   it lies instead of on a copied, concatenated row);
+//! * `COUNT(*)` allocates the same at any table size (it counts the group's
+//!   rows instead of evaluating a value per row);
+//! * coverage accounting never allocates: a fresh database, a fresh
+//!   engine and a `BEGIN`…`ROLLBACK` churn cost the same whether or not
+//!   they record new coverage points.
 
 use sql_ast::Statement;
-use sql_engine::{Database, EngineConfig};
+use sql_engine::{Database, Engine, EngineConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -183,5 +188,79 @@ fn a_filtered_product_allocates_for_its_inputs_not_its_pairs() {
     assert!(
         large.saturating_sub(small) <= added_inputs as u64,
         "SELECT over an empty product allocated {small} times at 8x8 rows and {large} at 64x64"
+    );
+}
+
+fn count_star_allocations(rows: usize) -> u64 {
+    let mut db = product_tables(rows);
+    let count = parse("SELECT COUNT(*) FROM t0");
+    // Warm up: the first statement fills the per-database caches.
+    db.execute(&count).unwrap();
+    allocations_during(|| {
+        db.execute(&count).unwrap();
+    })
+}
+
+#[test]
+fn count_star_allocates_the_same_at_any_table_size() {
+    let small = count_star_allocations(8);
+    let large = count_star_allocations(512);
+    assert_eq!(
+        small, large,
+        "SELECT COUNT(*) allocated {small} times over 8 rows and {large} over 512"
+    );
+}
+
+#[test]
+fn a_fresh_database_allocates_only_its_shared_cells() {
+    let mut db = None;
+    let allocations = allocations_during(|| db = Some(Database::new(EngineConfig::dynamic())));
+    // The catalog's shared maps and the plan cache's cell; the coverage
+    // planes are plain bits and add nothing.
+    assert_eq!(
+        allocations, 2,
+        "Database::new allocated {allocations} times"
+    );
+    drop(db);
+}
+
+/// Allocations of a `BEGIN`…`ROLLBACK` transaction on an engine whose
+/// coverage already holds every point the transaction records (`warm`) or
+/// none of them (`cold`).
+fn begin_rollback_allocations(warm: bool) -> u64 {
+    let engine = Engine::new(EngineConfig::dynamic());
+    let mut session = engine.session();
+    let churn = [
+        parse("BEGIN"),
+        parse("SAVEPOINT s0"),
+        parse("ROLLBACK TO s0"),
+        parse("ROLLBACK"),
+    ];
+    if warm {
+        session.record_coverage(|cov| {
+            for stmt in &churn {
+                cov.statement(stmt.kind());
+            }
+        });
+    }
+    allocations_during(|| {
+        for stmt in &churn {
+            session.execute(stmt).unwrap();
+        }
+    })
+}
+
+#[test]
+fn a_fresh_engine_and_a_begin_rollback_churn_allocate_nothing_for_coverage() {
+    let mut engine = None;
+    let allocations = allocations_during(|| engine = Some(Engine::new(EngineConfig::dynamic())));
+    // The database's two shared cells and the engine core's.
+    assert_eq!(allocations, 3, "Engine::new allocated {allocations} times");
+    drop(engine);
+    let cold = begin_rollback_allocations(false);
+    let warm = begin_rollback_allocations(true);
+    assert_eq!(
+        cold, warm,
+        "BEGIN…ROLLBACK allocated {cold} times recording new coverage points, {warm} without"
     );
 }

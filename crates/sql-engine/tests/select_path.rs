@@ -235,3 +235,48 @@ fn a_correlated_subquery_reads_the_right_half_of_a_split_row() {
         vec![vec![int(3), int(30)]]
     );
 }
+
+#[test]
+fn count_distinct_keys_values_by_their_dedup_identity() {
+    let mut db = Database::new(EngineConfig::dynamic());
+    // `1`, `1.0` and `TRUE` are one value, `'1'` another; NULL is not
+    // counted.
+    let values = "SELECT 1 AS x, 0 AS g UNION ALL SELECT 1.0, 1 UNION ALL SELECT '1', 0 \
+                  UNION ALL SELECT NULL, 1 UNION ALL SELECT 1, 0 UNION ALL SELECT TRUE, 1 \
+                  UNION ALL SELECT '1', 1 UNION ALL SELECT NULL, 0 UNION ALL SELECT 2.5, 0";
+    assert_eq!(
+        rows(
+            &db,
+            &format!("SELECT COUNT(DISTINCT x), COUNT(x), COUNT(*) FROM ({values}) AS d")
+        ),
+        [[int(3), int(7), int(9)]]
+    );
+    assert_eq!(
+        rows(
+            &db,
+            &format!(
+                "SELECT g, COUNT(DISTINCT x), COUNT(*), SUM(DISTINCT x) FROM ({values}) AS d \
+                 GROUP BY g ORDER BY g"
+            )
+        ),
+        [
+            [int(0), int(3), int(5), Value::Real(4.5)],
+            [int(1), int(2), int(4), Value::Real(2.0)],
+        ]
+    );
+    run_script(
+        &mut db,
+        "CREATE TABLE t0 (c0 INTEGER); INSERT INTO t0 (c0) VALUES (1), (2), (1);",
+    );
+    assert_eq!(
+        rows(&db, "SELECT COUNT(*) FROM t0 WHERE c0 > 5"),
+        [[int(0)]]
+    );
+    assert_eq!(
+        error(
+            &mut db,
+            "SELECT COUNT(DISTINCT (SELECT c0 FROM t0)) FROM t0"
+        ),
+        "scalar subquery returned more than one row"
+    );
+}
