@@ -76,15 +76,16 @@ echo "==> perf-regression gate (~30s)"
 # campaign) are asserted by `cargo test` above.
 ./target/release/campaign_throughput --gate 100 /tmp/ci_smoke_bench.json | tee /tmp/ci_gate.txt
 
-echo "==> repository benchmark smoke test (fault-storm and fleet-mixed, 1 s each, traced)"
+echo "==> repository benchmark smoke test (fault-storm, fleet-mixed and fleet-text, 1 s each, traced)"
 # Runs the benchmark declared in BENCHMARK.json once per workload, as a
 # correctness check of the whole stack: the run must exit 0 and every one
 # of its output checks (report byte-identity, statement reconciliation,
 # incident ledger, ...) must print `ok`. fault-storm covers every
 # infrastructure fault kind; fleet-mixed is the workload that runs the
-# engine's rollback, isolation and reducer paths. Timing figures are not
-# gated here.
-for workload in fault-storm fleet-mixed; do
+# engine's rollback, isolation and reducer paths; fleet-text is the only
+# one that drives the SQL-text path (`TextOnlyConnection`). Timing figures
+# are not gated here.
+for workload in fault-storm fleet-mixed fleet-text; do
     echo "--> $workload"
     cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
         --workload "$workload" --seed 1 --seconds 1 --trace 1 | tee /tmp/ci_benchmark_smoke.txt

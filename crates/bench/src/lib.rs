@@ -122,9 +122,8 @@ pub fn run_campaign(
     let mut dbms: SimulatedDbms = preset.instantiate();
     let report = campaign.run(&mut dbms);
     let coverage = dbms.coverage();
-    let universe = sql_engine::CoverageUniverse::engine_default();
-    let coverage_pct = coverage.percentage(&universe);
-    let coverage_strict_pct = coverage.strict_percentage(&universe);
+    let coverage_pct = coverage.percentage();
+    let coverage_strict_pct = coverage.strict_percentage();
     let mut unique_bugs = BTreeSet::new();
     let mut logic_bugs = 0usize;
     let mut other_bugs = 0usize;
@@ -206,8 +205,10 @@ mod tests {
         assert!(!outcome.report.prioritized_cases.is_empty());
         let mut dbms = preset.instantiate();
         campaign_for(&preset, config, arm).run(&mut dbms);
-        let universe = sql_engine::CoverageUniverse::engine_default();
-        let points = (outcome.coverage_pct / 100.0 * universe.total() as f64).round() as usize;
+        // A tracker holding one point reads one point's share of the total.
+        let mut one = sql_engine::CoverageTracker::new();
+        one.statement(sql_ast::StatementKind::Select);
+        let points = (outcome.coverage_pct / one.percentage()).round() as usize;
         assert_eq!(points, dbms.engine_coverage().unwrap().total_points());
     }
 

@@ -295,40 +295,6 @@ impl Default for CoverageTracker {
     }
 }
 
-/// The number of distinct coverage points in each category; used to turn a
-/// [`CoverageTracker`] into a percentage comparable across runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CoverageUniverse {
-    /// Total distinct plan operators the engine can emit.
-    pub plan_operators: usize,
-    /// Total scalar functions implemented.
-    pub functions: usize,
-    /// Total operators implemented.
-    pub operators: usize,
-    /// Total coercion paths.
-    pub coercions: usize,
-    /// Total statement kinds.
-    pub statements: usize,
-}
-
-impl CoverageUniverse {
-    /// The universe for the engine as implemented in this crate.
-    pub fn engine_default() -> CoverageUniverse {
-        CoverageUniverse {
-            plan_operators: 22,
-            functions: sql_ast::ScalarFunction::ALL.len() + sql_ast::AggregateFunction::ALL.len(),
-            operators: sql_ast::BinaryOp::ALL.len() + sql_ast::UnaryOp::ALL.len(),
-            coercions: 10,
-            statements: 11,
-        }
-    }
-
-    /// Sum of all coverage points.
-    pub fn total(&self) -> usize {
-        self.plan_operators + self.functions + self.operators + self.coercions + self.statements
-    }
-}
-
 impl CoverageTracker {
     /// Creates an empty tracker.
     pub const fn new() -> CoverageTracker {
@@ -399,32 +365,24 @@ impl CoverageTracker {
             + self.statements.len()
     }
 
-    /// Coverage percentage relative to a universe (clamped to 100%).
-    pub fn percentage(&self, universe: &CoverageUniverse) -> f64 {
-        if universe.total() == 0 {
-            return 0.0;
-        }
-        (self.points() as f64 / universe.total() as f64 * 100.0).min(100.0)
+    /// Coverage percentage: the points hit out of every point the five
+    /// planes' tables hold.
+    pub fn percentage(&self) -> f64 {
+        let total: usize = self.planes().iter().map(|(_, p)| p.names.len()).sum();
+        self.points() as f64 / total as f64 * 100.0
     }
 
-    /// "Branch-style" coverage: the fraction of (plan operator, operator)
-    /// categories where more than half of the universe was exercised. This
-    /// second, stricter metric plays the role of branch coverage in Table 3.
-    pub fn strict_percentage(&self, universe: &CoverageUniverse) -> f64 {
-        let cats = [
-            (self.plan_operators.len(), universe.plan_operators),
-            (self.functions.len(), universe.functions),
-            (self.operators.len(), universe.operators),
-            (self.coercions.len(), universe.coercions),
-            (self.statements.len(), universe.statements),
-        ];
-        let mut score = 0.0;
-        for (hit, total) in cats {
-            if total > 0 {
-                score += (hit as f64 / total as f64).min(1.0);
-            }
-        }
-        score / cats.len() as f64 * 100.0 * 0.8
+    /// "Branch-style" coverage: the mean of the five planes' hit fractions,
+    /// scaled by 0.8, so each plane weighs the same however many points its
+    /// table holds. This second, stricter metric plays the role of branch
+    /// coverage in Table 3.
+    pub fn strict_percentage(&self) -> f64 {
+        let planes = self.planes();
+        let score: f64 = planes
+            .iter()
+            .map(|(_, p)| p.len() as f64 / p.names.len() as f64)
+            .sum();
+        score / planes.len() as f64 * 100.0 * 0.8
     }
 
     /// Merges another tracker into this one (a union per plane).
@@ -473,23 +431,51 @@ mod tests {
         assert!(!c.functions.contains("no such point"));
     }
 
-    #[test]
-    fn percentage_is_bounded() {
+    /// A tracker holding every point the typed recorders can record.
+    fn every_point() -> CoverageTracker {
         let mut c = CoverageTracker::new();
-        let universe = CoverageUniverse::engine_default();
-        assert_eq!(c.percentage(&universe), 0.0);
+        for op in PlanOperator::ALL {
+            c.plan_operator(op);
+        }
         for f in ScalarFunction::ALL {
             c.scalar_function(f);
         }
-        assert!(c.percentage(&universe) > 0.0);
-        let tiny = CoverageUniverse {
-            plan_operators: 0,
-            functions: 1,
-            operators: 0,
-            coercions: 0,
-            statements: 0,
-        };
-        assert_eq!(c.percentage(&tiny), 100.0, "clamped at 100%");
+        for f in AggregateFunction::ALL {
+            c.aggregate_function(f);
+        }
+        for op in BinaryOp::ALL {
+            c.binary_operator(op);
+        }
+        for op in UnaryOp::ALL {
+            c.unary_operator(op);
+        }
+        let types = DataType::ALL.into_iter().chain([DataType::Null]);
+        for from in types.clone() {
+            for to in types.clone() {
+                c.coercion(from, to);
+            }
+        }
+        c.mixed_numeric_coercion();
+        for kind in StatementKind::ALL {
+            c.statement(kind);
+        }
+        c
+    }
+
+    #[test]
+    fn percentages_divide_by_every_reachable_point() {
+        let empty = CoverageTracker::new();
+        assert_eq!(empty.percentage(), 0.0);
+        assert_eq!(empty.strict_percentage(), 0.0);
+        let full = every_point();
+        assert_eq!(full.points(), 152, "18 + 65 + 27 + 26 + 16 points");
+        assert_eq!(full.percentage(), 100.0);
+        assert_eq!(full.strict_percentage(), 80.0);
+        let mut one = CoverageTracker::new();
+        one.statement(StatementKind::Select);
+        assert_eq!(one.percentage(), 1.0 / 152.0 * 100.0);
+        // The statement plane holds 16 points.
+        assert_eq!(one.strict_percentage(), 1.0 / 16.0 / 5.0 * 100.0 * 0.8);
     }
 
     #[test]
@@ -724,7 +710,6 @@ mod tests {
     fn strict_percentage_below_plain_percentage_for_small_hits() {
         let mut c = CoverageTracker::new();
         c.scalar_function(ScalarFunction::Sin);
-        let universe = CoverageUniverse::engine_default();
-        assert!(c.strict_percentage(&universe) < c.percentage(&universe) + 1.0);
+        assert!(c.strict_percentage() < c.percentage() + 1.0);
     }
 }

@@ -106,13 +106,13 @@ pub enum Fault {
     BadHavingPushdown,
 
     // ---- transaction faults (detected by the rollback oracle) ----
-    /// `ROLLBACK` discards the undo log without applying it, leaving every
-    /// write of the transaction in place — the transaction effectively
-    /// commits ("lost rollback").
+    /// `ROLLBACK` drops the transaction's frames without restoring the
+    /// `BEGIN` snapshot, leaving every write of the transaction in place —
+    /// the transaction effectively commits ("lost rollback").
     TxnLostRollback,
-    /// `COMMIT` applies the undo log before discarding it, silently throwing
-    /// the transaction's writes away — the commit reports success but the
-    /// data never lands ("phantom commit").
+    /// `COMMIT` restores the `BEGIN` snapshot before dropping the frames,
+    /// silently throwing the transaction's writes away — the commit reports
+    /// success but the data never lands ("phantom commit").
     TxnPhantomCommit,
     /// `ROLLBACK TO SAVEPOINT` rewinds to the start of the transaction
     /// instead of to the named savepoint, collapsing the whole savepoint

@@ -22,13 +22,13 @@
 //!
 //! The engine is transactional: `BEGIN [DEFERRED | IMMEDIATE]`/`COMMIT`/
 //! `ROLLBACK`/`SAVEPOINT`/`ROLLBACK TO`/`RELEASE SAVEPOINT` run against a
-//! per-table undo log (see the `txn` module), giving explicit transactions
-//! snapshot semantics over the in-memory storage while autocommit remains
-//! the default. The `session` module layers **concurrent sessions** on
-//! top: [`Engine`] is a shared storage core, [`Engine::session`] hands out
-//! per-connection handles with begin-time snapshot reads and
-//! first-committer-wins conflict detection (`COMMIT` can fail with a
-//! serialization error).
+//! stack of copy-on-write snapshot frames (see the `txn` module), giving
+//! explicit transactions snapshot semantics over the in-memory storage
+//! while autocommit remains the default. The `session` module layers
+//! **concurrent sessions** on top: [`Engine`] is a shared storage core,
+//! [`Engine::session`] hands out per-connection handles with begin-time
+//! snapshot reads and first-committer-wins conflict detection (`COMMIT`
+//! can fail with a serialization error).
 //!
 //! Logic bugs can be *injected* via [`FaultConfig`]: each [`Fault`] enables one
 //! wrong rewrite, access-path shortcut, or evaluation quirk, several of them
@@ -68,7 +68,7 @@ mod txn;
 pub use catalog::{Catalog, Column, IndexDef, TableSchema, ViewDef};
 pub use compile::{compile_expr, CompiledExpr, SiteExpr};
 pub use config::{EngineConfig, EvalStrategy, TypingMode};
-pub use coverage::{CoveragePoints, CoverageTracker, CoverageUniverse, PlanOperator};
+pub use coverage::{CoveragePoints, CoverageTracker, PlanOperator};
 pub use error::{EngineError, EngineResult, ErrorKind};
 pub use eval::{Evaluator, RelationBinding, Scope};
 pub use exec::{

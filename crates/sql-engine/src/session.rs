@@ -3,8 +3,8 @@
 //! [`Engine`] splits the monolithic [`Database`] into a **shared committed
 //! state** and per-session handles ([`Engine::session`]). Autocommit
 //! statements run directly against the committed state; `BEGIN` gives the
-//! session a private transaction built from the PR 3 machinery plus two new
-//! concurrency guarantees:
+//! session a private transaction built from the single-connection frame stack
+//! (see [`crate::txn`]) plus two concurrency guarantees:
 //!
 //! * **Begin-time snapshot reads** — `BEGIN` snapshots the committed state
 //!   into a private workspace. With copy-on-write storage (see
@@ -14,9 +14,10 @@
 //!   so concurrent commits by other sessions are invisible until the next
 //!   transaction; the first mutation of a table inside the transaction
 //!   triggers the one clone-on-write that detaches its version.
-//!   `SAVEPOINT`/`ROLLBACK TO`/`RELEASE` run on the workspace's own frame
-//!   stack, inheriting the single-connection semantics (and injected
-//!   transaction faults) verbatim.
+//!   The workspace's own `BEGIN` frame is a snapshot of the same versions,
+//!   and `SAVEPOINT`/`ROLLBACK TO`/`RELEASE` push, restore and drop further
+//!   snapshot frames on it, inheriting the single-connection semantics (and
+//!   injected transaction faults) verbatim.
 //! * **First-committer-wins conflict detection over row-range write
 //!   intent** — the engine tracks per-table commit clocks. Write intent is
 //!   derived from statement shape and forms a small lattice of row-id
@@ -63,10 +64,11 @@
 //!   (read-committed visibility masquerading as snapshot isolation).
 //!
 //! With a single session and no concurrent commits, every path below
-//! reduces to the PR 3 observables: snapshots equal the live state, commits
-//! never conflict, and the `txn_*` faults keep their single-connection
-//! behaviour (the workspace carries the same [`FaultConfig`], and a lost
-//! rollback installs its writes exactly like the undo-log variant did).
+//! reduces to the single-connection observables: snapshots equal the live
+//! state, commits never conflict, and the `txn_*` faults keep their
+//! single-connection behaviour (the workspace carries the same
+//! [`FaultConfig`], and a lost rollback installs the writes it failed to
+//! rewind).
 //!
 //! [`FaultConfig`]: crate::faults::FaultConfig
 
@@ -138,9 +140,9 @@ impl TableClaim {
 /// bookkeeping first-committer-wins validation needs.
 struct OpenTxn {
     /// Snapshot of the committed state as of `BEGIN` (plus fault overlays),
-    /// with one PR 3 frame pushed so savepoints work unchanged. With CoW
-    /// storage this shares every table version with the committed state
-    /// until first mutation.
+    /// with its own `BEGIN` frame pushed so savepoints work unchanged. With
+    /// CoW storage this shares every table version with the committed
+    /// state until first mutation.
     workspace: Database,
     /// Commit clock at `BEGIN`; commits installed after it may conflict.
     begin_clock: u64,
@@ -360,7 +362,10 @@ fn append_keys_collide(
 
 /// `Fault::IsoNonrepeatableRead`: refresh every table the transaction has not
 /// itself written from the latest committed state (version-pointer bumps
-/// under CoW storage).
+/// under CoW storage). It runs before every statement, so an unwritten
+/// table that a `ROLLBACK TO` rewinds to its savepoint snapshot is refreshed
+/// again before the next statement reads it; a written table stays pinned
+/// at the snapshot.
 fn refresh_unwritten(committed: &Database, txn: &mut OpenTxn) {
     let tables: Vec<String> = txn
         .workspace
@@ -674,7 +679,7 @@ impl EngineCore {
         self.merge_workspace_coverage(&txn);
         if lost {
             // Injected fault: the rollback is lost — the writes land as if
-            // committed (no conflict validation; the undo log is gone).
+            // committed (no conflict validation; the frames are gone).
             self.install(&txn);
         }
         Ok(StatementResult::Ok)
@@ -689,7 +694,8 @@ impl EngineCore {
             Statement::Savepoint(_) | Statement::RollbackTo(_) | Statement::ReleaseSavepoint(_) => {
                 match self.open.get_mut(&id) {
                     // Inside a transaction the workspace's own frame stack
-                    // implements savepoints (PR 3 semantics and faults).
+                    // implements savepoints (single-connection semantics and
+                    // faults).
                     Some(txn) => txn.workspace.execute(stmt),
                     // Outside one, the committed database produces the
                     // canonical "outside a transaction" errors.
@@ -1338,6 +1344,24 @@ mod tests {
         run(&mut b, "INSERT INTO t0 (c0) VALUES (3)").unwrap();
         assert_eq!(rows(&a, "t0").len(), 0);
         run(&mut a, "ROLLBACK").unwrap();
+    }
+
+    #[test]
+    fn nonrepeatable_read_fault_rewinds_a_refreshed_table_to_its_savepoint() {
+        let engine = engine_with_table(&[Fault::IsoNonrepeatableRead]);
+        let mut a = engine.session();
+        let mut b = engine.session();
+        run(&mut a, "BEGIN").unwrap();
+        run(&mut a, "SAVEPOINT s").unwrap();
+        run(&mut b, "INSERT INTO t0 (c0) VALUES (2)").unwrap();
+        assert_eq!(rows(&a, "t0").len(), 2, "refreshed after the savepoint");
+        run(&mut a, "INSERT INTO t0 (c0) VALUES (3)").unwrap();
+        run(&mut a, "ROLLBACK TO s").unwrap();
+        assert_eq!(rows(&a, "t0").len(), 1, "t0 as of the savepoint");
+        // A's only write was rewound, so its commit appends nothing: B's
+        // row is not installed a second time.
+        run(&mut a, "COMMIT").unwrap();
+        assert_eq!(rows(&b, "t0").len(), 2);
     }
 
     #[test]

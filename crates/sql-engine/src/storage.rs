@@ -2,9 +2,9 @@
 //!
 //! Storage is **copy-on-write versioned**: each table's rows live behind an
 //! `Arc<Vec<Row>>` and its statistics behind an `Arc<TableStats>`. Cloning a
-//! [`Database`] — which is how a session snapshot, an undo-log pre-image or
-//! an [`crate::Engine`] clone is taken — therefore copies *pointers*, one
-//! per table, never row data. The first mutation of a table through
+//! [`Database`] — which is how a session snapshot, a transaction frame or an
+//! [`crate::Engine`] clone is taken — therefore copies *pointers*, one per
+//! table, never row data. The first mutation of a table through
 //! [`Database::rows_mut`] triggers the one deep clone ([`Arc::make_mut`])
 //! that detaches the mutated version from every snapshot still holding the
 //! old `Arc`; unwritten tables are shared for the lifetime of the snapshot.
@@ -122,14 +122,12 @@ impl Database {
 
     /// Registers storage for a newly created table.
     pub(crate) fn create_storage(&mut self, name: &str) {
-        self.txn_touch(name);
         self.data
             .insert(Self::key(name).into_owned(), Arc::new(Vec::new()));
     }
 
     /// Removes storage (and stats) for a dropped table.
     pub(crate) fn drop_storage(&mut self, name: &str) {
-        self.txn_touch(name);
         self.data.remove(Self::key(name).as_ref());
         self.stats.remove(Self::key(name).as_ref());
     }
@@ -159,18 +157,15 @@ impl Database {
             .ok_or_else(|| EngineError::catalog(format!("no such table: {name}")))
     }
 
-    /// Mutable rows of a stored table. Inside a transaction, the table's
-    /// pre-image is captured into the innermost undo frame before the
-    /// mutable borrow is handed out (a pointer bump — the pre-image shares
-    /// the current version). The version is then detached copy-on-write:
-    /// shared `Arc`s are deep-cloned exactly once, private ones are mutated
-    /// in place.
+    /// Mutable rows of a stored table. The version is detached
+    /// copy-on-write: a version still shared with a snapshot (an open
+    /// transaction frame, a session's committed state, an engine clone) is
+    /// deep-cloned exactly once, a private one is mutated in place.
     ///
     /// # Errors
     ///
     /// Fails when the table has no storage (unknown table).
     pub fn rows_mut(&mut self, name: &str) -> EngineResult<&mut Vec<Row>> {
-        self.txn_touch(name);
         let version = self
             .data
             .get_mut(Self::key(name).as_ref())
@@ -188,7 +183,6 @@ impl Database {
 
     /// Records statistics for a table.
     pub(crate) fn set_stats(&mut self, name: &str, stats: TableStats) {
-        self.txn_touch(name);
         self.stats
             .insert(Self::key(name).into_owned(), Arc::new(stats));
     }

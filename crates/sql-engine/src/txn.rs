@@ -1,23 +1,22 @@
 //! Snapshot-isolated transactions over the in-memory storage.
 //!
 //! The engine executes in autocommit by default; `BEGIN` opens an explicit
-//! transaction that buffers undo information until `COMMIT` discards it or
-//! `ROLLBACK` applies it. The design is a classic **per-table undo log**
-//! layered as a stack of frames:
+//! transaction as a stack of **snapshot frames**:
 //!
 //! * `BEGIN` pushes the bottom frame; `SAVEPOINT <name>` pushes another
 //!   frame on top of it.
-//! * Each frame snapshots the catalog eagerly (it is small — a handful of
-//!   table/view/index definitions) and captures row/statistics **pre-images
-//!   lazily**: the first time a table is mutated under a frame, that
-//!   frame records the table's rows and stats as of frame open
-//!   ([`Database::txn_touch`], called from every storage mutation point).
-//!   Tables the transaction never touches are never copied.
-//! * `ROLLBACK TO <name>` pops frames above the savepoint (applying their
-//!   undo), then applies and clears the savepoint frame's own undo — the
-//!   savepoint survives, exactly like SQL says.
-//! * `ROLLBACK` applies every frame's undo top-to-bottom and restores the
-//!   bottom frame's catalog; `COMMIT` simply drops the stack.
+//! * Each frame is a snapshot of the database's catalog, rows and
+//!   statistics as of frame open. With copy-on-write storage (see
+//!   [`crate::storage`]) that is one shared version pointer per table, never
+//!   a row copy: a frame still holds the version its tables had at open, so
+//!   the first write under it detaches the written table exactly once, and
+//!   tables the transaction never writes are never copied.
+//! * `ROLLBACK TO <name>` drops the frames above the savepoint and restores
+//!   the savepoint's own snapshot, which it keeps — the savepoint survives,
+//!   exactly like SQL says. `RELEASE` drops the savepoint and every later
+//!   frame and keeps the changes made since.
+//! * `ROLLBACK` restores the bottom frame's snapshot; `COMMIT` simply drops
+//!   the stack.
 //!
 //! All three execution tiers observe identical transactional behaviour for
 //! free: the text path parses to the same [`sql_ast::Statement`] variants
@@ -38,40 +37,16 @@ use crate::storage::{Database, Row, TableStats};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// Pre-image of one table at the moment a frame first touched it. With
-/// copy-on-write storage this is a pair of shared version pointers: taking
-/// a pre-image bumps two refcounts, and applying undo swaps the pointers
-/// back — row data is never copied by the undo log itself.
-#[derive(Debug, Clone)]
-struct TableImage {
-    rows: Arc<Vec<Row>>,
-    stats: Option<Arc<TableStats>>,
-}
-
-/// One transaction frame: the `BEGIN` frame or a savepoint frame.
+/// One transaction frame — the `BEGIN` frame or a savepoint frame — and
+/// the database state as of its open.
 #[derive(Debug, Clone)]
 struct TxnFrame {
     /// `None` for the `BEGIN` frame, the (lowercased) savepoint name
     /// otherwise.
     savepoint: Option<String>,
-    /// Catalog as of frame open (restored on rollback; DDL is rare inside
-    /// transactions, so an eager snapshot of the small catalog beats
-    /// per-object undo bookkeeping).
     catalog: Catalog,
-    /// Lazily captured per-table pre-images, keyed by lowercased table
-    /// name. `None` means the table had no storage at frame open (it was
-    /// created inside the frame and must be dropped on rollback).
-    undo: BTreeMap<String, Option<TableImage>>,
-}
-
-impl TxnFrame {
-    fn open(catalog: &Catalog, savepoint: Option<String>) -> TxnFrame {
-        TxnFrame {
-            savepoint,
-            catalog: catalog.clone(),
-            undo: BTreeMap::new(),
-        }
-    }
+    data: BTreeMap<String, Arc<Vec<Row>>>,
+    stats: BTreeMap<String, Arc<TableStats>>,
 }
 
 /// The transaction state of a [`Database`]: empty in autocommit, one frame
@@ -104,22 +79,16 @@ impl Database {
                 "cannot start a transaction within a transaction",
             ));
         }
-        self.txn.frames.push(TxnFrame::open(&self.catalog, None));
+        self.open_frame(None);
         Ok(())
     }
 
     /// `COMMIT`. A no-op outside a transaction — autocommit-off dialects
     /// send `COMMIT` after every DML statement and expect it to succeed.
     pub(crate) fn txn_commit(&mut self) -> EngineResult<()> {
-        if !self.in_transaction() {
-            return Ok(());
-        }
-        if self.config.faults.has(Fault::TxnPhantomCommit) {
-            // Injected fault: the commit path runs the abort path's undo
-            // application, so the transaction's writes silently vanish.
-            self.apply_undo_all();
-        }
-        self.txn.frames.clear();
+        // Injected fault `Fault::TxnPhantomCommit`: the commit path runs the
+        // abort path, so the transaction's writes silently vanish.
+        self.close_frames(self.config.faults.has(Fault::TxnPhantomCommit));
         Ok(())
     }
 
@@ -132,12 +101,10 @@ impl Database {
         if !self.in_transaction() {
             return Err(EngineError::runtime("no transaction is active"));
         }
-        if !self.config.faults.has(Fault::TxnLostRollback) {
-            self.apply_undo_all();
-        }
-        // Injected fault `Fault::TxnLostRollback`: the undo log is discarded
-        // without being applied, so the writes stay — a silent commit.
-        self.txn.frames.clear();
+        // Injected fault `Fault::TxnLostRollback`: the frames are dropped
+        // without restoring the `BEGIN` snapshot, so the writes stay — a
+        // silent commit.
+        self.close_frames(!self.config.faults.has(Fault::TxnLostRollback));
         Ok(())
     }
 
@@ -152,154 +119,84 @@ impl Database {
                 "SAVEPOINT can only be used inside a transaction",
             ));
         }
-        let key = lowercase_key(name).into_owned();
-        self.txn
-            .frames
-            .push(TxnFrame::open(&self.catalog, Some(key)));
+        self.open_frame(Some(lowercase_key(name).into_owned()));
         Ok(())
     }
 
-    /// `ROLLBACK TO <name>`.
+    /// `ROLLBACK TO <name>`: restores the savepoint's snapshot and keeps the
+    /// savepoint, valid for another `ROLLBACK TO`.
     ///
     /// # Errors
     ///
     /// Fails outside a transaction or for an unknown savepoint name.
     pub(crate) fn txn_rollback_to(&mut self, name: &str) -> EngineResult<()> {
-        if !self.in_transaction() {
-            return Err(EngineError::runtime("no transaction is active"));
-        }
-        let key = lowercase_key(name).into_owned();
-        let Some(target) = self
-            .txn
-            .frames
-            .iter()
-            .rposition(|f| f.savepoint.as_deref() == Some(key.as_str()))
-        else {
-            return Err(EngineError::runtime(format!("no such savepoint: {name}")));
-        };
+        let mut target = self.savepoint_frame(name)?;
         if self.config.faults.has(Fault::TxnSavepointCollapse) {
             // Injected fault: the savepoint stack is collapsed and the
             // whole transaction is rewound to its start; the transaction
             // stays open but every savepoint (including the target) is
             // gone.
-            self.apply_undo_down_to(0);
-            let bottom = &mut self.txn.frames[0];
-            bottom.undo.clear();
-            self.txn.frames.truncate(1);
-            return Ok(());
+            target = 0;
         }
-        // Pop and undo the frames strictly above the savepoint, then rewind
-        // the savepoint frame itself — but keep it: the savepoint remains
-        // valid for another ROLLBACK TO.
-        self.apply_undo_down_to(target);
-        let frame = &mut self.txn.frames[target];
-        frame.undo.clear();
-        let catalog = frame.catalog.clone();
-        self.catalog = catalog;
         self.txn.frames.truncate(target + 1);
+        self.restore(self.txn.frames[target].clone());
         Ok(())
     }
 
-    /// `RELEASE SAVEPOINT <name>`.
-    ///
-    /// Removes the named savepoint and every later one while **keeping** the
-    /// changes made since: the released frames' undo logs are merged
-    /// downward into the frame below the savepoint. For each table, the
-    /// receiving frame keeps its own (older) pre-image when it has one;
-    /// otherwise it adopts the pre-image from the *lowest* released frame
-    /// that recorded the table — which is exactly the table's state as of
-    /// the receiving frame's span, because any earlier mutation would have
-    /// been recorded by the receiving frame itself.
+    /// `RELEASE SAVEPOINT <name>`: removes the named savepoint and every
+    /// later one while **keeping** the changes made since.
     ///
     /// # Errors
     ///
     /// Fails outside a transaction or for an unknown savepoint name.
     pub(crate) fn txn_release(&mut self, name: &str) -> EngineResult<()> {
-        if !self.in_transaction() {
-            return Err(EngineError::runtime("no transaction is active"));
-        }
-        let key = lowercase_key(name).into_owned();
-        let Some(target) = self
-            .txn
-            .frames
-            .iter()
-            .rposition(|f| f.savepoint.as_deref() == Some(key.as_str()))
-        else {
-            return Err(EngineError::runtime(format!("no such savepoint: {name}")));
-        };
-        // Savepoint frames always sit above the `BEGIN` frame, so a
-        // receiving frame exists.
-        let released: Vec<TxnFrame> = self.txn.frames.split_off(target);
-        let receiver = self
-            .txn
-            .frames
-            .last_mut()
-            .expect("BEGIN frame below every savepoint");
-        // Bottom-up: the lowest released frame holds the oldest pre-images.
-        for frame in released {
-            for (table, image) in frame.undo {
-                receiver.undo.entry(table).or_insert(image);
-            }
-        }
+        let target = self.savepoint_frame(name)?;
+        self.txn.frames.truncate(target);
         Ok(())
     }
 
-    /// Applies every frame's undo (newest first) and restores the bottom
-    /// frame's catalog. Leaves the frame stack untouched.
-    fn apply_undo_all(&mut self) {
-        self.apply_undo_down_to(0);
-        if let Some(bottom) = self.txn.frames.first() {
-            self.catalog = bottom.catalog.clone();
-        }
-    }
-
-    /// Applies the undo of every frame with index >= `floor`, newest first.
-    /// Older frames hold older pre-images, so applying top-down converges on
-    /// the state as of frame `floor`'s open.
-    fn apply_undo_down_to(&mut self, floor: usize) {
-        for i in (floor..self.txn.frames.len()).rev() {
-            let undo = std::mem::take(&mut self.txn.frames[i].undo);
-            for (table, image) in undo {
-                match image {
-                    Some(image) => {
-                        self.data.insert(table.clone(), image.rows);
-                        match image.stats {
-                            Some(stats) => {
-                                self.stats.insert(table, stats);
-                            }
-                            None => {
-                                self.stats.remove(&table);
-                            }
-                        }
-                    }
-                    None => {
-                        // The table did not exist at frame open.
-                        self.data.remove(&table);
-                        self.stats.remove(&table);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Records the pre-image of a table in the innermost frame before a
-    /// mutation, unless that frame already holds one. Called by every
-    /// storage mutation point ([`Database::rows_mut`],
-    /// `create_storage`/`drop_storage`, `set_stats`); a no-op in
-    /// autocommit.
-    pub(crate) fn txn_touch(&mut self, name: &str) {
-        let Some(frame) = self.txn.frames.last_mut() else {
-            return;
-        };
-        let key = lowercase_key(name);
-        if frame.undo.contains_key(key.as_ref()) {
-            return;
-        }
-        let image = self.data.get(key.as_ref()).map(|rows| TableImage {
-            rows: Arc::clone(rows),
-            stats: self.stats.get(key.as_ref()).cloned(),
+    /// Pushes a frame holding the current state: one shared version pointer
+    /// per table.
+    fn open_frame(&mut self, savepoint: Option<String>) {
+        self.txn.frames.push(TxnFrame {
+            savepoint,
+            catalog: self.catalog.clone(),
+            data: self.data.clone(),
+            stats: self.stats.clone(),
         });
-        frame.undo.insert(key.into_owned(), image);
+    }
+
+    /// Ends the transaction, restoring the `BEGIN` frame's snapshot when
+    /// `rewind` is set. A no-op outside a transaction.
+    fn close_frames(&mut self, rewind: bool) {
+        let mut frames = std::mem::take(&mut self.txn.frames);
+        if rewind && !frames.is_empty() {
+            self.restore(frames.swap_remove(0));
+        }
+    }
+
+    /// Makes a frame's snapshot the current state.
+    fn restore(&mut self, frame: TxnFrame) {
+        self.catalog = frame.catalog;
+        self.data = frame.data;
+        self.stats = frame.stats;
+    }
+
+    /// The index of the innermost frame of the savepoint named `name`.
+    ///
+    /// # Errors
+    ///
+    /// Fails outside a transaction or for an unknown savepoint name.
+    fn savepoint_frame(&self, name: &str) -> EngineResult<usize> {
+        if !self.in_transaction() {
+            return Err(EngineError::runtime("no transaction is active"));
+        }
+        let key = lowercase_key(name);
+        self.txn
+            .frames
+            .iter()
+            .rposition(|f| f.savepoint.as_deref() == Some(key.as_ref()))
+            .ok_or_else(|| EngineError::runtime(format!("no such savepoint: {name}")))
     }
 }
 
@@ -375,7 +272,7 @@ mod tests {
     }
 
     #[test]
-    fn release_savepoint_keeps_changes_and_merges_undo() {
+    fn release_savepoint_keeps_changes_and_begin_still_rewinds() {
         let mut db = db_with_rows();
         db.execute_sql("BEGIN").unwrap();
         db.execute_sql("INSERT INTO t0 (c0) VALUES (3)").unwrap();
@@ -392,7 +289,7 @@ mod tests {
             db.execute_sql("ROLLBACK TO sp1").is_err(),
             "released savepoint is gone"
         );
-        // The merged undo still rewinds the whole transaction faithfully.
+        // The BEGIN snapshot still rewinds the whole transaction.
         db.execute_sql("ROLLBACK").unwrap();
         assert_eq!(count(&mut db, "t0"), 2);
         let rs = db.query_sql("SELECT c0 FROM t0 WHERE c0 = 1").unwrap();
@@ -484,6 +381,25 @@ mod tests {
         assert_eq!(count(&mut db, "t0"), 0, "fault: collapsed to txn start");
         db.execute_sql("COMMIT").unwrap();
         assert_eq!(count(&mut db, "t0"), 0);
+    }
+
+    #[test]
+    fn savepoint_collapse_fault_rewinds_the_catalog_too() {
+        let mut db =
+            Database::new(EngineConfig::dynamic().with_faults(&[Fault::TxnSavepointCollapse]));
+        db.execute_sql("BEGIN").unwrap();
+        db.execute_sql("CREATE TABLE t1 (c0 INTEGER)").unwrap();
+        db.execute_sql("INSERT INTO t1 (c0) VALUES (1)").unwrap();
+        db.execute_sql("SAVEPOINT s").unwrap();
+        db.execute_sql("INSERT INTO t1 (c0) VALUES (2)").unwrap();
+        db.execute_sql("ROLLBACK TO s").unwrap();
+        db.execute_sql("COMMIT").unwrap();
+        // The collapse rewinds to transaction start, before t1 existed: the
+        // catalog and the storage agree that it is gone, so it can be made
+        // again.
+        assert!(db.catalog.table("t1").is_none(), "no zombie table");
+        db.execute_sql("CREATE TABLE t1 (c0 INTEGER)").unwrap();
+        assert_eq!(count(&mut db, "t1"), 0);
     }
 
     #[test]

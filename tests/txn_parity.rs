@@ -168,7 +168,7 @@ fn all_execution_tiers_agree_on_transactional_scripts() {
 /// invisible. A pseudo-random transactional script executed through an
 /// [`Engine`] session (the CoW snapshot-workspace path) must match, error
 /// for error and row for row, the same script executed on a plain
-/// [`Database`] (the PR 3 undo-log path that predates versioned storage) —
+/// [`Database`] (its own transaction frames, no engine and no sessions) —
 /// under every typing mode and every transaction/evaluation fault set.
 #[test]
 fn cow_engine_sessions_match_plain_database_semantics() {
@@ -228,8 +228,8 @@ fn cow_engine_sessions_match_plain_database_semantics() {
                     script.push(pool[(state % pool.len() as u64) as usize].to_string());
                 }
 
-                // Arm 1: the plain single-connection database (undo-log txns
-                // over storage, no engine, no sessions).
+                // Arm 1: the plain single-connection database (transaction
+                // frames over storage, no engine, no sessions).
                 let mut plain = Database::new(config.clone());
                 let plain_outcomes: Vec<bool> = script
                     .iter()
