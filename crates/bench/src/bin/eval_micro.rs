@@ -1,16 +1,65 @@
-//! Micro-benchmark for the expression evaluators: tree-walking vs
-//! closure-compiled, plus the one-time compile and plan-cache-key costs.
+//! Micro-benchmark for the expression evaluators and the SELECT path.
 //!
-//! Prints mean nanoseconds per operation for a few representative predicate
-//! shapes over a small in-memory row set. Used to attribute
-//! `campaign_throughput` deltas to per-row evaluation vs per-statement
-//! compilation.
+//! The first section compares tree-walking with closure-compiled
+//! evaluation, plus the one-time compile and plan-cache-key costs: mean
+//! nanoseconds per operation for a few representative predicate shapes
+//! over a small in-memory row set. It attributes `campaign_throughput`
+//! deltas to per-row evaluation vs per-statement compilation.
+//!
+//! The second section times the engine's SELECT path (the "plan/compile"
+//! and "execute" stages of a case) on a seeded mix of generated queries
+//! and their TLP partitions over the `sqlite` fleet preset: nanoseconds and
+//! heap allocations per query, by the number of relations in FROM, and
+//! allocations per `optimize_select` call. A counting global allocator
+//! counts this thread's allocations.
+//!
+//! Run with `cargo run --release -p bench --bin eval_micro`.
 
+use sql_ast::{Expr, Select, SelectItem};
 use sql_engine::{
-    compile_expr, Database, EngineConfig, Evaluator, ExecutionMode, RelationBinding, Scope,
+    compile_expr, optimize_select, Database, EngineConfig, EvalStrategy, Evaluator, ExecutionMode,
+    RelationBinding, Scope,
 };
-use sqlancer_core as _;
+use sqlancer_core::{AdaptiveGenerator, GeneratorConfig};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::time::{Duration, Instant};
+
+struct CountingAllocator;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+// SAFETY: every call forwards to `System` unchanged; counting only touches
+// a const-initialised thread-local `Cell`, which never allocates.
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAllocator = CountingAllocator;
+
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
 
 fn bench(name: &str, mut f: impl FnMut()) {
     for _ in 0..32 {
@@ -30,6 +79,11 @@ fn bench(name: &str, mut f: impl FnMut()) {
 }
 
 fn main() {
+    evaluators();
+    query_path();
+}
+
+fn evaluators() {
     let db = Database::new(EngineConfig::dynamic());
     let bindings = vec![RelationBinding::new(
         "t0",
@@ -90,4 +144,100 @@ fn main() {
             ));
         });
     }
+}
+
+/// Seed of the generated schema and query mix.
+const QUERY_SEED: u64 = 0x5E1EC7;
+/// DDL/DML statements generated before the queries, as many as a
+/// campaign runs per database by default.
+const SETUP_STATEMENTS: usize = 12;
+/// Generated queries; each adds itself and its three TLP partitions.
+const GENERATED_QUERIES: usize = 200;
+
+/// The number of relations in a query's FROM.
+fn from_arity(select: &Select) -> usize {
+    select.from.iter().map(|twj| 1 + twj.joins.len()).sum()
+}
+
+fn query_path() {
+    let preset = dbms_sim::preset_by_name("sqlite").expect("the sqlite preset");
+    let mut db = Database::new(EngineConfig {
+        typing: preset.profile.typing,
+        faults: preset.faults,
+        eval: EvalStrategy::Compiled,
+    });
+    let mut generator = AdaptiveGenerator::new(QUERY_SEED, GeneratorConfig::default());
+    for _ in 0..SETUP_STATEMENTS {
+        let generated = generator.generate_ddl_statement();
+        if db.execute(&generated.statement).is_ok() {
+            generator.apply_success(&generated.statement);
+        }
+    }
+    // The mix, by FROM arity: each query as TLP sends it (`SELECT *`, no
+    // WHERE) and its three partitions.
+    let mut by_arity: [Vec<Select>; 3] = Default::default();
+    for _ in 0..GENERATED_QUERIES {
+        let Some(query) = generator.generate_query() else {
+            break;
+        };
+        let base = Select {
+            projections: vec![SelectItem::Wildcard],
+            where_clause: None,
+            ..query.select
+        };
+        let arity = from_arity(&base).clamp(1, 3);
+        let p = query.predicate;
+        let partitions: [Option<Expr>; 4] = [
+            None,
+            Some(p.clone()),
+            Some(p.clone().not()),
+            Some(p.is_null()),
+        ];
+        for where_clause in partitions {
+            by_arity[arity - 1].push(Select {
+                where_clause,
+                ..base.clone()
+            });
+        }
+    }
+    println!();
+    for (i, queries) in by_arity.iter().enumerate() {
+        if queries.is_empty() {
+            continue;
+        }
+        let run = || {
+            for select in queries {
+                std::hint::black_box(db.query(select, ExecutionMode::Optimized).ok());
+            }
+        };
+        // Warm up: compiles and caches every predicate.
+        run();
+        let before = allocations();
+        run();
+        let per_query = (allocations() - before) as f64 / queries.len() as f64;
+        let name = format!(
+            "query-path/{} relation(s) ({} queries)",
+            i + 1,
+            queries.len()
+        );
+        let budget = Duration::from_millis(300);
+        let start = Instant::now();
+        let mut passes = 0u64;
+        while start.elapsed() < budget {
+            run();
+            passes += 1;
+        }
+        let nanos = start.elapsed().as_nanos() as f64 / (passes * queries.len() as u64) as f64;
+        println!("{name:<48} {nanos:>10.1} ns/query {per_query:>8.1} allocs/query");
+    }
+    let all: Vec<&Select> = by_arity.iter().flatten().collect();
+    let before = allocations();
+    for select in &all {
+        std::hint::black_box(optimize_select(&db, select));
+    }
+    let per_call = (allocations() - before) as f64 / all.len() as f64;
+    println!(
+        "{:<48} {per_call:>28.2} allocs/call",
+        format!("optimize_select ({} queries)", all.len())
+    );
 }

@@ -42,6 +42,7 @@ use crate::faults::Fault;
 use crate::functions::{arity_error, eval_function_unchecked, handles_nulls};
 use crate::storage::Database;
 use sql_ast::{BinaryOp, ColumnRef, DataType, Expr, Fingerprint128, TruthValue, UnaryOp, Value};
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
@@ -221,7 +222,10 @@ pub fn compile_expr(
         Expr::IsNull {
             expr: inner,
             negated,
-        } => is_null_fn(compile_expr(db, mode, bindings, inner).run, *negated),
+        } => is_null_fn(
+            Operand::Eval(compile_expr(db, mode, bindings, inner).run),
+            *negated,
+        ),
         Expr::IsBool {
             expr: inner,
             target,
@@ -399,11 +403,51 @@ fn unary_fn(op: UnaryOp, child: EvalFn) -> EvalFn {
     })
 }
 
-fn is_null_fn(child: EvalFn, negated: bool) -> EvalFn {
+fn is_null_fn(child: Operand, negated: bool) -> EvalFn {
     Arc::new(move |ev, scope| {
-        let is_null = child(ev, scope)?.is_null();
+        let is_null = child.read(ev, scope)?.is_null();
         Ok(Value::Boolean(if negated { !is_null } else { is_null }))
     })
+}
+
+/// The value a missing column reads as.
+static NULL: Value = Value::Null;
+
+/// How a node reads one of its operands. A column that binds locally and a
+/// literal are read in place, so comparing, testing or matching them copies
+/// no value (a text value would be a fresh `String` per row); any other
+/// operand runs its compiled closure. Both in-place forms read exactly what
+/// their closures would return, and neither records coverage or fails.
+enum Operand {
+    Column(usize),
+    Literal(Value),
+    Eval(EvalFn),
+}
+
+impl Operand {
+    /// The operand for `expr`, compiled as `node` under a parent whose
+    /// constness is `parent_constant`.
+    fn new(expr: &Expr, node: Node, parent_constant: bool, env: &CompileEnv<'_>) -> Operand {
+        match expr {
+            Expr::Literal(v) => Operand::Literal(v.clone()),
+            Expr::Column(col) => match resolve_column(env.bindings, col) {
+                Resolution::Offset(i) => Operand::Column(i),
+                Resolution::Ambiguous | Resolution::NotLocal => {
+                    Operand::Eval(node.into_child(parent_constant))
+                }
+            },
+            _ => Operand::Eval(node.into_child(parent_constant)),
+        }
+    }
+
+    #[inline]
+    fn read<'v>(&'v self, ev: &Evaluator<'_>, scope: &Scope<'v>) -> EngineResult<Cow<'v, Value>> {
+        Ok(match self {
+            Operand::Column(i) => Cow::Borrowed(scope.value(*i).unwrap_or(&NULL)),
+            Operand::Literal(v) => Cow::Borrowed(v),
+            Operand::Eval(f) => Cow::Owned(f(ev, scope)?),
+        })
+    }
 }
 
 fn is_bool_fn(child: EvalFn, target: bool, negated: bool) -> EvalFn {
@@ -515,11 +559,11 @@ fn compile_node(expr: &Expr, env: &CompileEnv<'_>) -> Node {
             let l = compile_node(left, env);
             let r = compile_node(right, env);
             let constant = l.constant && r.constant;
-            let lf = l.into_child(constant);
-            let rf = r.into_child(constant);
             let op = *op;
             let gate = CoverageGate::new();
             let f: EvalFn = if matches!(op, BinaryOp::And | BinaryOp::Or) {
+                let lf = l.into_child(constant);
+                let rf = r.into_child(constant);
                 Arc::new(move |ev, scope| {
                     gate.record(ev, |cov| cov.binary_operator(op));
                     let lt = ev.truthiness(&lf(ev, scope)?)?;
@@ -532,10 +576,12 @@ fn compile_node(expr: &Expr, env: &CompileEnv<'_>) -> Node {
                     Ok(t.to_value())
                 })
             } else {
+                let lo = Operand::new(left, l, constant, env);
+                let ro = Operand::new(right, r, constant, env);
                 Arc::new(move |ev, scope| {
                     gate.record(ev, |cov| cov.binary_operator(op));
-                    let lv = lf(ev, scope)?;
-                    let rv = rf(ev, scope)?;
+                    let lv = lo.read(ev, scope)?;
+                    let rv = ro.read(ev, scope)?;
                     ev.apply_binary(op, &lv, &rv)
                 })
             };
@@ -664,15 +710,15 @@ fn compile_node(expr: &Expr, env: &CompileEnv<'_>) -> Node {
             let l = compile_node(low, env);
             let h = compile_node(high, env);
             let constant = e.constant && l.constant && h.constant;
-            let ef = e.into_child(constant);
-            let lf = l.into_child(constant);
-            let hf = h.into_child(constant);
+            let eo = Operand::new(expr, e, constant, env);
+            let lo = Operand::new(low, l, constant, env);
+            let ho = Operand::new(high, h, constant, env);
             let negated = *negated;
             Node {
                 f: Arc::new(move |ev, scope| {
-                    let v = ef(ev, scope)?;
-                    let lo = lf(ev, scope)?;
-                    let hi = hf(ev, scope)?;
+                    let v = eo.read(ev, scope)?;
+                    let lo = lo.read(ev, scope)?;
+                    let hi = ho.read(ev, scope)?;
                     let ge = ev.compare(&v, &lo)?.map(|o| o != Ordering::Less);
                     let le = ev.compare(&v, &hi)?.map(|o| o != Ordering::Greater);
                     let t = match (ge, le) {
@@ -694,16 +740,20 @@ fn compile_node(expr: &Expr, env: &CompileEnv<'_>) -> Node {
             let e = compile_node(expr, env);
             let items: Vec<Node> = list.iter().map(|i| compile_node(i, env)).collect();
             let constant = e.constant && items.iter().all(|n| n.constant);
-            let ef = e.into_child(constant);
-            let item_f: Vec<EvalFn> = items.into_iter().map(|n| n.into_child(constant)).collect();
+            let eo = Operand::new(expr, e, constant, env);
+            let item_o: Vec<Operand> = list
+                .iter()
+                .zip(items)
+                .map(|(item, n)| Operand::new(item, n, constant, env))
+                .collect();
             let negated = *negated;
             Node {
                 f: Arc::new(move |ev, scope| {
-                    let v = ef(ev, scope)?;
+                    let v = eo.read(ev, scope)?;
                     let mut saw_null = false;
                     let mut matched = false;
-                    for item in &item_f {
-                        let iv = item(ev, scope)?;
+                    for item in &item_o {
+                        let iv = item.read(ev, scope)?;
                         match ev.equals(&v, &iv)? {
                             TruthValue::True => {
                                 matched = true;
@@ -742,7 +792,7 @@ fn compile_node(expr: &Expr, env: &CompileEnv<'_>) -> Node {
             let child = compile_node(expr, env);
             let constant = child.constant;
             Node {
-                f: is_null_fn(child.into_child(constant), *negated),
+                f: is_null_fn(Operand::new(expr, child, constant, env), *negated),
                 constant,
                 trivial: false,
             }
@@ -768,13 +818,13 @@ fn compile_node(expr: &Expr, env: &CompileEnv<'_>) -> Node {
             let e = compile_node(expr, env);
             let p = compile_node(pattern, env);
             let constant = e.constant && p.constant;
-            let ef = e.into_child(constant);
-            let pf = p.into_child(constant);
+            let eo = Operand::new(expr, e, constant, env);
+            let po = Operand::new(pattern, p, constant, env);
             let negated = *negated;
             Node {
                 f: Arc::new(move |ev, scope| {
-                    let v = ef(ev, scope)?;
-                    let pv = pf(ev, scope)?;
+                    let v = eo.read(ev, scope)?;
+                    let pv = po.read(ev, scope)?;
                     if v.is_null() || pv.is_null() {
                         return Ok(Value::Null);
                     }
@@ -906,10 +956,11 @@ mod tests {
             RelationBinding::new("t1", vec!["c0".to_string(), "c1".to_string()]),
         ];
         let flat = [Value::Integer(1), Value::Integer(2), Value::Integer(3)];
+        let parts: [&[Value]; 2] = [&flat[1..2], &flat[2..]];
         let split = Scope {
             relations: &bindings,
             row: &flat[..1],
-            tail: &flat[1..],
+            tail: &parts,
             parent: None,
         };
         let whole = Scope::new(&bindings, &flat);

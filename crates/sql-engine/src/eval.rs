@@ -40,19 +40,20 @@ impl RelationBinding {
 /// level, the current row's values (flattened across relations), and an
 /// optional parent scope for correlated subqueries.
 ///
-/// The current row may be split in two: a join evaluates its candidate pair
-/// `(l, r)` as `row = l`, `tail = r`, where the pair lies, instead of
-/// concatenating it first. Every read goes through [`Scope::value`], which
-/// sees `row` followed by `tail` as one flat row.
+/// The current row may come in parts: a joined row is one part per FROM
+/// item, each borrowed where it lies (a stored row, a view's result row or
+/// a shared NULL row), instead of one concatenated copy. The row is `row`
+/// followed by each part of `tail`, and every read goes through
+/// [`Scope::value`], which sees them as one flat row.
 #[derive(Debug, Clone, Copy)]
 pub struct Scope<'a> {
     /// Relations visible at this level.
     pub relations: &'a [RelationBinding],
     /// The current row (or its leading part), flattened in relation order.
     pub row: &'a [Value],
-    /// The values that follow `row` in the flat row; empty unless the row
-    /// is a join's split candidate pair.
-    pub tail: &'a [Value],
+    /// The parts that follow `row` in the flat row, in relation order;
+    /// empty unless the row is a joined row.
+    pub tail: &'a [&'a [Value]],
     /// Enclosing scope, if evaluating inside a correlated subquery.
     pub parent: Option<&'a Scope<'a>>,
 }
@@ -90,14 +91,21 @@ impl<'a> Scope<'a> {
         }
     }
 
-    /// The value at flat position `i` of the current row: `row`, then
-    /// `tail`. `None` past the end, which readers treat as `NULL`.
+    /// The value at flat position `i` of the current row: `row`, then each
+    /// part of `tail`. `None` past the end, which readers treat as `NULL`.
     #[inline]
     pub fn value(&self, i: usize) -> Option<&'a Value> {
-        match self.row.get(i) {
-            Some(v) => Some(v),
-            None => self.tail.get(i - self.row.len()),
+        if let Some(v) = self.row.get(i) {
+            return Some(v);
         }
+        let mut i = i - self.row.len();
+        for part in self.tail {
+            match part.get(i) {
+                Some(v) => return Some(v),
+                None => i -= part.len(),
+            }
+        }
+        None
     }
 
     /// Resolves a column reference at this level only.

@@ -25,6 +25,7 @@ use sql_ast::{
     SelectItem, SetOperator, SortOrder, Statement, TableFactor, TableWithJoins, Value,
 };
 use std::borrow::Cow;
+use std::cell::{Cell, OnceCell};
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
@@ -180,14 +181,18 @@ pub fn execute_statement(db: &mut Database, stmt: &Statement) -> EngineResult<St
                     columns: Vec::new(),
                 };
                 if let Some(schema) = schema {
-                    for (i, _) in schema.columns.iter().enumerate() {
-                        let mut distinct = BTreeSet::new();
+                    stats.columns.reserve_exact(schema.columns.len());
+                    // Distinct values by dedup identity, in one set sized
+                    // once and reused for every column.
+                    let mut distinct = RowSet::with_capacity(rows.len());
+                    for i in 0..schema.columns.len() {
+                        distinct.clear();
                         let mut nulls = 0;
                         for row in rows.iter() {
                             match row.get(i) {
                                 Some(Value::Null) | None => nulls += 1,
                                 Some(v) => {
-                                    distinct.insert(v.dedup_key());
+                                    distinct.insert(std::slice::from_ref(v));
                                 }
                             }
                         }
@@ -610,19 +615,226 @@ fn execute_delete(db: &mut Database, delete: &sql_ast::Delete) -> EngineResult<S
 
 // ------------------------------------------------------------- queries ----
 
-/// A relation during query processing. Each row is a [`Cow`]: base-table
-/// scans borrow the stored rows and WHERE moves its survivors, so a row is
-/// copied only where a join or product step builds it (once, at its exact
-/// width) or a view or derived table hands over its owned result rows.
+/// A relation during query processing: its bindings and its rows.
 #[derive(Debug)]
 struct Relation<'a> {
     bindings: Vec<RelationBinding>,
-    rows: Vec<Cow<'a, [Value]>>,
+    rows: Rows<'a>,
 }
 
-impl Relation<'_> {
-    fn width(&self) -> usize {
-        self.bindings.iter().map(|b| b.columns.len()).sum()
+/// The rows of a [`Relation`]. Nothing here copies a value: a row is built
+/// only when the projection or aggregation outputs it.
+#[derive(Debug)]
+enum Rows<'a> {
+    /// One FROM item's rows, one part each: a base table's, borrowed from
+    /// storage, or a view's or derived table's result rows, owned.
+    Table(Cow<'a, [Row]>),
+    /// `stride` parts per row, flat: a join's or product's rows (one part
+    /// per binding, each borrowed where it lies), or the survivors of a
+    /// filtered base table.
+    Parts {
+        stride: usize,
+        parts: Vec<&'a [Value]>,
+    },
+}
+
+/// One row of a [`Relation`]: `head` followed by each part of `tail`, as a
+/// [`Scope`] reads it.
+#[derive(Debug, Clone, Copy)]
+struct RowRef<'r> {
+    head: &'r [Value],
+    tail: &'r [&'r [Value]],
+}
+
+impl<'r> RowRef<'r> {
+    /// The row with no values: every column reads as `NULL`.
+    const EMPTY: RowRef<'static> = RowRef {
+        head: &[],
+        tail: &[],
+    };
+
+    fn scope(self, relations: &'r [RelationBinding], parent: Option<&'r Scope<'r>>) -> Scope<'r> {
+        Scope {
+            relations,
+            row: self.head,
+            tail: self.tail,
+            parent,
+        }
+    }
+}
+
+/// The rows of a query level with no FROM: one row with no columns.
+static NO_FROM: [Row; 1] = [Vec::new()];
+
+/// The NULL row outer joins pad with: a padded binding of width `w` reads
+/// `NULL_ROW[..w]`. A wider binding pads from a row in the [`FromStore`].
+static NULL_ROW: [Value; 32] = [const { Value::Null }; 32];
+
+impl<'a> Rows<'a> {
+    fn len(&self) -> usize {
+        match self {
+            Rows::Table(rows) => rows.len(),
+            Rows::Parts { stride, parts } => parts.len() / stride,
+        }
+    }
+
+    fn row(&self, i: usize) -> RowRef<'_> {
+        match self {
+            Rows::Table(rows) => RowRef {
+                head: &rows[i],
+                tail: &[],
+            },
+            Rows::Parts { stride, parts } => {
+                let row = &parts[i * stride..(i + 1) * stride];
+                RowRef {
+                    head: row[0],
+                    tail: &row[1..],
+                }
+            }
+        }
+    }
+
+    /// The rows as a join input, borrowed for `'a`: owned rows move into
+    /// `store` first.
+    fn into_side(self, store: &'a FromStore) -> Side<'a> {
+        match self {
+            Rows::Parts { stride, parts } => Side::Parts(stride, parts),
+            Rows::Table(Cow::Borrowed(rows)) => Side::Table(rows),
+            Rows::Table(Cow::Owned(rows)) => Side::Table(store.keep(rows)),
+        }
+    }
+
+    /// Keeps the rows `keep` accepts, in order. `keep` sees every row until
+    /// its first error, which ends the scan. Owned rows and parts are
+    /// compacted in place; a borrowed table's survivors become parts.
+    fn retain(
+        &mut self,
+        mut keep: impl FnMut(RowRef<'_>) -> EngineResult<bool>,
+    ) -> EngineResult<()> {
+        match self {
+            Rows::Table(Cow::Borrowed(rows)) => {
+                let rows: &'a [Row] = rows;
+                let mut parts = Vec::new();
+                for row in rows {
+                    if keep(RowRef {
+                        head: row,
+                        tail: &[],
+                    })? {
+                        parts.push(row.as_slice());
+                    }
+                }
+                *self = Rows::Parts { stride: 1, parts };
+            }
+            Rows::Table(Cow::Owned(rows)) => {
+                let mut kept = 0;
+                for i in 0..rows.len() {
+                    if keep(RowRef {
+                        head: &rows[i],
+                        tail: &[],
+                    })? {
+                        rows.swap(kept, i);
+                        kept += 1;
+                    }
+                }
+                rows.truncate(kept);
+            }
+            Rows::Parts { stride, parts } => {
+                let stride = *stride;
+                let mut kept = 0;
+                for i in 0..parts.len() / stride {
+                    let row = &parts[i * stride..(i + 1) * stride];
+                    if keep(RowRef {
+                        head: row[0],
+                        tail: &row[1..],
+                    })? {
+                        parts.copy_within(i * stride..(i + 1) * stride, kept * stride);
+                        kept += 1;
+                    }
+                }
+                parts.truncate(kept * stride);
+            }
+        }
+        Ok(())
+    }
+}
+
+/// One input of a join step, borrowed for `'a`: a table's rows, one part
+/// each, or `stride` parts per row.
+enum Side<'a> {
+    Table(&'a [Row]),
+    Parts(usize, Vec<&'a [Value]>),
+}
+
+impl<'a> Side<'a> {
+    fn len(&self) -> usize {
+        match self {
+            Side::Table(rows) => rows.len(),
+            Side::Parts(stride, parts) => parts.len() / stride,
+        }
+    }
+
+    fn stride(&self) -> usize {
+        match self {
+            Side::Table(_) => 1,
+            Side::Parts(stride, _) => *stride,
+        }
+    }
+
+    /// Appends row `i`'s parts to `out`.
+    fn push_row(&self, i: usize, out: &mut Vec<&'a [Value]>) {
+        match self {
+            Side::Table(rows) => out.push(&rows[i]),
+            Side::Parts(stride, parts) => {
+                out.extend_from_slice(&parts[i * stride..(i + 1) * stride]);
+            }
+        }
+    }
+}
+
+/// What a query level's FROM owns while its joined rows borrow it: the
+/// result rows of each view or derived table that takes part in a join,
+/// and any NULL row wider than [`NULL_ROW`]. Each goes into its own slot,
+/// filled once, so it never moves while it is borrowed. A FROM of base
+/// tables and inner joins needs no slot and allocates nothing here.
+struct FromStore {
+    slots: Vec<OnceCell<Vec<Row>>>,
+    used: Cell<usize>,
+}
+
+impl FromStore {
+    /// One slot per view or derived table that a join can adopt and per
+    /// outer join that can pad.
+    fn new(db: &Database, select: &Select) -> FromStore {
+        let joins = select.from.len() > 1 || select.from.iter().any(|t| !t.joins.is_empty());
+        let slots = if joins {
+            select
+                .from
+                .iter()
+                .map(|twj| {
+                    let owned = std::iter::once(&twj.relation)
+                        .chain(twj.joins.iter().map(|j| &j.relation))
+                        .filter(|factor| match factor {
+                            TableFactor::Derived { .. } => true,
+                            TableFactor::Table { name, .. } => db.catalog.view(name).is_some(),
+                        })
+                        .count();
+                    owned + twj.joins.iter().filter(|j| j.join_type.is_outer()).count()
+                })
+                .sum()
+        } else {
+            0
+        };
+        FromStore {
+            slots: (0..slots).map(|_| OnceCell::new()).collect(),
+            used: Cell::new(0),
+        }
+    }
+
+    /// Moves `rows` into the next free slot and lends them back.
+    fn keep(&self, rows: Vec<Row>) -> &[Row] {
+        let slot = &self.slots[self.used.get()];
+        self.used.set(self.used.get() + 1);
+        slot.get_or_init(|| rows)
     }
 }
 
@@ -661,7 +873,8 @@ pub fn execute_select_in_scope(
     check_crash_faults(db, select)?;
 
     // Resolve FROM into one relation and filter it (WHERE).
-    let filtered = filtered_from(db, select, mode, outer)?;
+    let store = FromStore::new(db, select);
+    let filtered = filtered_from(db, &store, select, mode, outer)?;
 
     // Aggregate or project.
     let mut produced = if is_aggregate_query(select) {
@@ -753,68 +966,46 @@ fn is_aggregate_query(select: &Select) -> bool {
 
 /// Resolves FROM into one relation and applies WHERE to it.
 ///
-/// The predicate is fused into the last step of FROM — the last join of a
-/// single join chain, or the last comma product — so that step copies only
-/// the rows that survive it (see [`join_step`]). A FROM of one relation, or
-/// none, is filtered by [`apply_where`], which may take an index access
-/// path.
+/// Joins and comma products run left to right in nested-loop order and
+/// borrow every input row (see [`join_step`]); WHERE then keeps the
+/// survivors in place. So every join condition is decided before WHERE
+/// sees a row, and no row is copied before the projection outputs it.
 fn filtered_from<'a>(
     db: &'a Database,
+    store: &'a FromStore,
     select: &Select,
     mode: ExecutionMode,
     outer: Option<&Scope<'_>>,
 ) -> EngineResult<Relation<'a>> {
-    let Some((first, rest)) = select.from.split_first() else {
-        let empty = Relation {
+    let relation = match select.from.split_first() {
+        None => Relation {
             bindings: Vec::new(),
-            rows: vec![Cow::Borrowed(&[][..])],
-        };
-        return apply_where(db, select, mode, empty, outer);
+            rows: Rows::Table(Cow::Borrowed(&NO_FROM)),
+        },
+        Some((first, rest)) => {
+            let mut combined = joined_factor(db, store, first, mode, outer)?;
+            for twj in rest {
+                let current = joined_factor(db, store, twj, mode, outer)?;
+                combined = join_step(db, store, mode, combined, current, None, outer)?;
+            }
+            combined
+        }
     };
-    if rest.is_empty() && first.joins.is_empty() {
-        let relation = resolve_factor(db, &first.relation, mode, outer)?;
-        return apply_where(db, select, mode, relation, outer);
-    }
-    let pred = select.where_clause.as_ref();
-    let mut combined = joined_factor(db, first, mode, outer, pred.filter(|_| rest.is_empty()))?;
-    for (i, twj) in rest.iter().enumerate() {
-        let current = joined_factor(db, twj, mode, outer, None)?;
-        let last = i + 1 == rest.len();
-        combined = join_step(
-            db,
-            mode,
-            combined,
-            current,
-            None,
-            pred.filter(|_| last),
-            outer,
-        )?;
-    }
-    Ok(combined)
+    apply_where(db, select, mode, relation, outer)
 }
 
-/// One comma-separated FROM item with its join chain applied. A `pred` is
-/// fused into the chain's last join.
+/// One comma-separated FROM item with its join chain applied.
 fn joined_factor<'a>(
     db: &'a Database,
+    store: &'a FromStore,
     twj: &TableWithJoins,
     mode: ExecutionMode,
     outer: Option<&Scope<'_>>,
-    pred: Option<&Expr>,
 ) -> EngineResult<Relation<'a>> {
     let mut current = resolve_factor(db, &twj.relation, mode, outer)?;
-    for (i, join) in twj.joins.iter().enumerate() {
+    for join in &twj.joins {
         let right = resolve_factor(db, &join.relation, mode, outer)?;
-        let last = i + 1 == twj.joins.len();
-        current = join_step(
-            db,
-            mode,
-            current,
-            right,
-            Some(join),
-            pred.filter(|_| last),
-            outer,
-        )?;
+        current = join_step(db, store, mode, current, right, Some(join), outer)?;
     }
     Ok(current)
 }
@@ -830,12 +1021,20 @@ fn resolve_factor<'a>(
             let visible = alias.clone().unwrap_or_else(|| name.clone());
             if let Some(view) = db.catalog.view(name) {
                 db.record_coverage(|cov| cov.plan_operator(PlanOperator::ViewExpansion));
-                let mut query = view.query.clone();
-                if db.config.faults.has(Fault::BadViewPredicateDrop) {
+                // The view's query runs as stored; only the injected fault
+                // needs a modified copy.
+                let query = if db.config.faults.has(Fault::BadViewPredicateDrop)
+                    && view.query.where_clause.is_some()
+                {
                     // Injected fault: the view's own filter is lost when the
                     // view is expanded into the outer query.
-                    query.where_clause = None;
-                }
+                    Cow::Owned(Select {
+                        where_clause: None,
+                        ..view.query.clone()
+                    })
+                } else {
+                    Cow::Borrowed(&view.query)
+                };
                 let rs = execute_select_in_scope(db, &query, mode, outer)?;
                 let columns = if view.columns.is_empty() {
                     rs.columns
@@ -844,7 +1043,7 @@ fn resolve_factor<'a>(
                 };
                 return Ok(Relation {
                     bindings: vec![RelationBinding::new(visible, columns)],
-                    rows: rs.rows.into_iter().map(Cow::Owned).collect(),
+                    rows: Rows::Table(Cow::Owned(rs.rows)),
                 });
             }
             let schema = db
@@ -854,11 +1053,7 @@ fn resolve_factor<'a>(
             db.record_coverage(|cov| cov.plan_operator(PlanOperator::SeqScan));
             Ok(Relation {
                 bindings: vec![RelationBinding::new(visible, schema.shared_column_names())],
-                rows: db
-                    .rows(name)?
-                    .iter()
-                    .map(|row| Cow::Borrowed(row.as_slice()))
-                    .collect(),
+                rows: Rows::Table(Cow::Borrowed(db.rows(name)?)),
             })
         }
         TableFactor::Derived { subquery, alias } => {
@@ -866,7 +1061,7 @@ fn resolve_factor<'a>(
             let rs = execute_select_in_scope(db, subquery, mode, outer)?;
             Ok(Relation {
                 bindings: vec![RelationBinding::new(alias.clone(), rs.columns)],
-                rows: rs.rows.into_iter().map(Cow::Owned).collect(),
+                rows: Rows::Table(Cow::Owned(rs.rows)),
             })
         }
     }
@@ -896,23 +1091,22 @@ fn natural_join_condition(left: &[RelationBinding], right: &[RelationBinding]) -
 }
 
 /// One step of FROM: `left` joined with `right` by `join`, or their comma
-/// product when `join` is `None`. Output rows come in nested-loop order,
-/// with an outer join's NULL-padded rows in place.
+/// product when `join` is `None`. Output rows come in nested-loop order —
+/// left-major for INNER, NATURAL, CROSS, LEFT and FULL (FULL's unmatched
+/// right rows last), right-major for RIGHT — with an outer join's
+/// NULL-padded rows in place.
 ///
-/// With a `pred`, this is the last step of FROM and WHERE is fused into it:
-/// each output row is tested where it lies, split as `(l, r)` (see
-/// [`Scope::value`]), and only survivors are copied. Every join condition
-/// of the step is decided before the predicate sees a row, so a
-/// join-condition error anywhere in the step still wins over a WHERE error,
-/// and the predicate meets the rows — stopping at its first error, and
-/// recording coverage — exactly as it would on the joined relation.
+/// An output row is its inputs' parts side by side, borrowed; a padded
+/// side reads the shared NULL row. Each candidate pair is laid out where it
+/// would be kept and tested there, so the join condition reads it without
+/// a copy; its first error ends the join.
 fn join_step<'a>(
     db: &Database,
+    store: &'a FromStore,
     mode: ExecutionMode,
-    left: Relation<'_>,
-    right: Relation<'_>,
+    left: Relation<'a>,
+    right: Relation<'a>,
     join: Option<&sql_ast::Join>,
-    pred: Option<&Expr>,
     outer: Option<&Scope<'_>>,
 ) -> EngineResult<Relation<'a>> {
     db.record_coverage(|cov| {
@@ -921,203 +1115,116 @@ fn join_step<'a>(
         }))
     });
     let join_type = join.map_or(JoinType::Cross, |j| j.join_type);
-    let left_width = left.width();
-    let right_width = right.width();
     let natural_condition = (join_type == JoinType::Natural)
         .then(|| natural_join_condition(&left.bindings, &right.bindings))
         .flatten();
+    let split = left.bindings.len();
     let mut bindings = left.bindings;
     bindings.extend(right.bindings);
+    let l = left.rows.into_side(store);
+    let r = right.rows.into_side(store);
+    let (nl, nr) = (l.len(), r.len());
+    let stride = l.stride() + r.stride();
     let condition: Option<&Expr> = match join_type {
         JoinType::Cross => None,
         JoinType::Natural => natural_condition.as_ref(),
         _ => join.and_then(|j| j.on.as_ref()),
     };
-
-    // Which input rows each output row joins, unless every pair of the
-    // nested loop is an output row (no condition and no NULL padding).
-    let pairs = if condition.is_none()
-        && matches!(
-            join_type,
-            JoinType::Inner | JoinType::Natural | JoinType::Cross
-        ) {
-        None
+    let evaluator = Evaluator::new(db, mode);
+    // The join condition is compiled once and evaluated per row pair.
+    let condition = condition.map(|c| SiteExpr::new(db, mode, &bindings, c));
+    // A padded side reads one NULL part per binding, of the binding's
+    // width.
+    let widest = || bindings.iter().map(|b| b.columns.len()).max().unwrap_or(0);
+    let nulls: &'a [Value] = if join_type.is_outer() && widest() > NULL_ROW.len() {
+        store.keep(vec![vec![Value::Null; widest()]])[0].as_slice()
     } else {
-        let evaluator = Evaluator::new(db, mode);
-        // The join condition is compiled once and evaluated per row pair.
-        let condition = condition.map(|c| SiteExpr::new(db, mode, &bindings, c));
-        let holds = |l: &[Value], r: &[Value]| -> EngineResult<bool> {
-            let Some(cond) = &condition else {
-                return Ok(true);
-            };
-            let scope = Scope {
-                relations: &bindings,
-                row: l,
-                tail: r,
-                parent: outer,
-            };
-            Ok(cond.eval_truth(&evaluator, &scope)?.is_true())
+        &NULL_ROW
+    };
+    let (left_bindings, right_bindings) = bindings.split_at(split);
+    let pad = |rows: &mut Vec<&'a [Value]>, padded: &[RelationBinding]| {
+        rows.extend(padded.iter().map(|b| &nulls[..b.columns.len()]));
+    };
+
+    let mut rows: Vec<&'a [Value]> = Vec::new();
+    if condition.is_none() && !join_type.is_outer() {
+        rows.reserve(nl * nr * stride);
+    }
+    // Lays out the pair `(li, ri)` and keeps it if the condition holds.
+    let pair = |rows: &mut Vec<&'a [Value]>, li: usize, ri: usize| -> EngineResult<bool> {
+        let start = rows.len();
+        l.push_row(li, rows);
+        r.push_row(ri, rows);
+        let Some(cond) = &condition else {
+            return Ok(true);
         };
-        Some(matched_pairs(join_type, &left.rows, &right.rows, holds)?)
+        let row = &rows[start..];
+        let scope = Scope {
+            relations: &bindings,
+            row: row[0],
+            tail: &row[1..],
+            parent: outer,
+        };
+        let holds = cond.eval_truth(&evaluator, &scope)?.is_true();
+        if !holds {
+            rows.truncate(start);
+        }
+        Ok(holds)
     };
-
-    let filter = pred.map(|p| {
-        db.record_coverage(|cov| cov.plan_operator(PlanOperator::Filter));
-        RowFilter::new(db, mode, &bindings, p, outer)
-    });
-    let mut rows = Vec::new();
-    if filter.is_none() {
-        rows.reserve(
-            pairs
-                .as_ref()
-                .map_or_else(|| left.rows.len() * right.rows.len(), Vec::len),
-        );
-    }
-    let mut emit = |l: &[Value], r: &[Value]| -> EngineResult<()> {
-        if let Some(filter) = &filter {
-            if !filter.keeps(l, r)? {
-                return Ok(());
-            }
-        }
-        let mut row = Vec::with_capacity(l.len() + r.len());
-        row.extend_from_slice(l);
-        row.extend_from_slice(r);
-        rows.push(Cow::Owned(row));
-        Ok(())
-    };
-    match pairs {
-        None => {
-            for l in &left.rows {
-                for r in &right.rows {
-                    emit(l, r)?;
-                }
-            }
-        }
-        Some(pairs) => {
-            let nulls = vec![Value::Null; left_width.max(right_width)];
-            for (li, ri) in pairs {
-                let l = if li == PADDED {
-                    &nulls[..left_width]
-                } else {
-                    &left.rows[li]
-                };
-                let r = if ri == PADDED {
-                    &nulls[..right_width]
-                } else {
-                    &right.rows[ri]
-                };
-                emit(l, r)?;
-            }
-        }
-    }
-    drop(filter);
-    Ok(Relation { bindings, rows })
-}
-
-/// The row index [`matched_pairs`] gives a NULL-padded side.
-const PADDED: usize = usize::MAX;
-
-/// The `(left, right)` input rows of a conditioned or outer join's output,
-/// in nested-loop order: left-major for INNER, NATURAL, CROSS, LEFT and
-/// FULL (FULL's unmatched right rows last), right-major for RIGHT.
-/// [`PADDED`] marks a NULL-padded side. `holds` decides the join condition
-/// of one pair; its first error ends the join.
-fn matched_pairs(
-    join_type: JoinType,
-    left: &[Cow<'_, [Value]>],
-    right: &[Cow<'_, [Value]>],
-    mut holds: impl FnMut(&[Value], &[Value]) -> EngineResult<bool>,
-) -> EngineResult<Vec<(usize, usize)>> {
-    let mut pairs = Vec::new();
     match join_type {
         JoinType::Inner | JoinType::Natural | JoinType::Cross => {
-            for (li, l) in left.iter().enumerate() {
-                for (ri, r) in right.iter().enumerate() {
-                    if holds(l, r)? {
-                        pairs.push((li, ri));
-                    }
+            for li in 0..nl {
+                for ri in 0..nr {
+                    pair(&mut rows, li, ri)?;
                 }
             }
         }
         JoinType::Left | JoinType::Full => {
-            let mut matched_right = vec![false; right.len()];
-            for (li, l) in left.iter().enumerate() {
+            // Only FULL tracks which right rows matched.
+            let mut matched_right = vec![false; if join_type == JoinType::Full { nr } else { 0 }];
+            for li in 0..nl {
                 let mut matched = false;
-                for (ri, r) in right.iter().enumerate() {
-                    if holds(l, r)? {
+                for ri in 0..nr {
+                    if pair(&mut rows, li, ri)? {
                         matched = true;
-                        matched_right[ri] = true;
-                        pairs.push((li, ri));
+                        if let Some(m) = matched_right.get_mut(ri) {
+                            *m = true;
+                        }
                     }
                 }
                 if !matched {
-                    pairs.push((li, PADDED));
+                    l.push_row(li, &mut rows);
+                    pad(&mut rows, right_bindings);
                 }
             }
-            if join_type == JoinType::Full {
-                for (ri, matched) in matched_right.into_iter().enumerate() {
-                    if !matched {
-                        pairs.push((PADDED, ri));
-                    }
+            for (ri, matched) in matched_right.into_iter().enumerate() {
+                if !matched {
+                    pad(&mut rows, left_bindings);
+                    r.push_row(ri, &mut rows);
                 }
             }
         }
         JoinType::Right => {
-            for (ri, r) in right.iter().enumerate() {
+            for ri in 0..nr {
                 let mut matched = false;
-                for (li, l) in left.iter().enumerate() {
-                    if holds(l, r)? {
-                        matched = true;
-                        pairs.push((li, ri));
-                    }
+                for li in 0..nl {
+                    matched |= pair(&mut rows, li, ri)?;
                 }
                 if !matched {
-                    pairs.push((PADDED, ri));
+                    pad(&mut rows, left_bindings);
+                    r.push_row(ri, &mut rows);
                 }
             }
         }
     }
-    Ok(pairs)
-}
-
-/// The WHERE predicate of one query level, compiled once and applied to
-/// candidate rows in output order. Every FROM shape filters through it: the
-/// rows of a single relation or its index candidates ([`apply_where`]), and
-/// the split `(l, r)` rows of the last join or comma product
-/// ([`join_step`]).
-struct RowFilter<'a> {
-    evaluator: Evaluator<'a>,
-    plan: SiteExpr<'a>,
-    bindings: &'a [RelationBinding],
-    outer: Option<&'a Scope<'a>>,
-}
-
-impl<'a> RowFilter<'a> {
-    fn new(
-        db: &'a Database,
-        mode: ExecutionMode,
-        bindings: &'a [RelationBinding],
-        pred: &'a Expr,
-        outer: Option<&'a Scope<'a>>,
-    ) -> RowFilter<'a> {
-        RowFilter {
-            evaluator: Evaluator::new(db, mode),
-            plan: SiteExpr::new(db, mode, bindings, pred),
-            bindings,
-            outer,
-        }
-    }
-
-    /// Whether the row `row` followed by `tail` satisfies the predicate.
-    fn keeps(&self, row: &[Value], tail: &[Value]) -> EngineResult<bool> {
-        let scope = Scope {
-            relations: self.bindings,
-            row,
-            tail,
-            parent: self.outer,
-        };
-        Ok(self.plan.eval_truth(&self.evaluator, &scope)?.is_true())
-    }
+    drop(condition);
+    Ok(Relation {
+        bindings,
+        rows: Rows::Parts {
+            stride,
+            parts: rows,
+        },
+    })
 }
 
 /// Splits a predicate into its top-level conjuncts.
@@ -1136,9 +1243,11 @@ fn conjuncts(expr: &Expr) -> Vec<&Expr> {
     }
 }
 
-/// Applies WHERE to a FROM of one relation, or none, moving the survivors.
-/// In optimized mode, an equality conjunct on an indexed column of a single
-/// base table first narrows the rows to the index's candidates.
+/// Applies WHERE to the relation FROM resolved to, keeping the survivors in
+/// order and in place. The predicate is compiled once per statement and
+/// meets the rows in order, stopping at its first error. In optimized
+/// mode, an equality conjunct on an indexed column of a single base table
+/// first narrows the rows to the index's candidates.
 fn apply_where<'a>(
     db: &Database,
     select: &Select,
@@ -1151,17 +1260,20 @@ fn apply_where<'a>(
     };
     db.record_coverage(|cov| cov.plan_operator(PlanOperator::Filter));
     let Relation { bindings, mut rows } = relation;
+    let evaluator = Evaluator::new(db, mode);
 
     // Index access path: optimized mode, single base table, equality
     // conjunct on an indexed column.
     if mode == ExecutionMode::Optimized && bindings.len() == 1 {
         if let Some((index, col_idx, literal)) = find_index_access(db, select, &bindings[0], pred) {
             db.record_coverage(|cov| cov.plan_operator(PlanOperator::IndexLookup));
-            let evaluator = Evaluator::new(db, mode);
             let faults = &db.config.faults;
-            let mut candidates = Vec::new();
-            for row in rows {
-                let value = row.get(col_idx).unwrap_or(&Value::Null);
+            let mut done = false;
+            rows.retain(|row| {
+                if done {
+                    return Ok(false);
+                }
+                let value = row.head.get(col_idx).unwrap_or(&Value::Null);
                 let matches = if faults.has(Fault::BadIndexLookupCoercion) {
                     // Injected fault: raw key comparison, skipping the
                     // coercion a full scan would perform.
@@ -1170,45 +1282,36 @@ fn apply_where<'a>(
                     evaluator.equals(value, literal)?.is_true()
                 };
                 if !matches {
-                    continue;
+                    return Ok(false);
                 }
                 if faults.has(Fault::BadPartialIndexScan) {
                     if let Some(ipred) = &index.predicate {
                         // Injected fault: rows not covered by the partial
                         // index are silently dropped.
-                        let scope = Scope::with_parent(&bindings, &row, outer);
                         if !evaluator
-                            .eval_truth(ipred, &scope)
+                            .eval_truth(ipred, &row.scope(&bindings, outer))
                             .unwrap_or(sql_ast::TruthValue::False)
                             .is_true()
                         {
-                            continue;
+                            return Ok(false);
                         }
                     }
                 }
-                candidates.push(row);
-                if faults.has(Fault::BadUniqueIndexShortcut) && index.unique {
-                    // Injected fault: a unique index lookup stops after the
-                    // first match even when coercion makes more rows match.
-                    break;
-                }
-            }
-            rows = candidates;
+                // Injected fault: a unique index lookup stops after the
+                // first match even when coercion makes more rows match.
+                done = faults.has(Fault::BadUniqueIndexShortcut) && index.unique;
+                Ok(true)
+            })?;
         }
     }
 
-    // The predicate is compiled once per statement and run per row. The
-    // survivors move forward in place, keeping their order.
-    let filter = RowFilter::new(db, mode, &bindings, pred, outer);
-    let mut kept = 0;
-    for i in 0..rows.len() {
-        if filter.keeps(&rows[i], &[])? {
-            rows.swap(kept, i);
-            kept += 1;
-        }
-    }
-    rows.truncate(kept);
-    drop(filter);
+    let plan = SiteExpr::new(db, mode, &bindings, pred);
+    rows.retain(|row| {
+        Ok(plan
+            .eval_truth(&evaluator, &row.scope(&bindings, outer))?
+            .is_true())
+    })?;
+    drop(plan);
     Ok(Relation { bindings, rows })
 }
 
@@ -1225,6 +1328,8 @@ fn find_index_access<'a>(
         TableFactor::Table { name, .. } if db.catalog.table(name).is_some() => name,
         _ => return None,
     };
+    // No index, no access path: skip splitting the predicate.
+    db.catalog.indexes_on(table_name).next()?;
     let allow_partial = db.config.faults.has(Fault::BadPartialIndexScan);
     for conjunct in conjuncts(pred) {
         if let Expr::Binary { left, op, right } = conjunct {
@@ -1386,41 +1491,58 @@ fn project_rows(
     outer: Option<&Scope<'_>>,
 ) -> EngineResult<Produced> {
     db.record_coverage(|cov| cov.plan_operator(PlanOperator::Projection));
-    let (columns, sources) = expand_projections(select, &relation.bindings)?;
+    let Relation { bindings, rows } = relation;
+    let (columns, sources) = expand_projections(select, &bindings)?;
     let evaluator = Evaluator::new(db, mode);
     // Per-statement plans: projection expressions and ORDER BY keys are
     // compiled once, then run per row.
-    let plans = projection_plans(db, mode, &relation.bindings, sources);
-    let order_plan = OrderPlan::new(db, select, mode, &relation.bindings, &columns);
-    // Every input column in order, as `SELECT *` projects: a full-width row
-    // is its own output row.
+    let plans = projection_plans(db, mode, &bindings, sources);
+    let order_plan = OrderPlan::new(db, select, mode, &bindings, &columns);
+    // Every input column in order, as `SELECT *` projects: a view's or
+    // derived table's own result row is its output row, moved.
     let identity = plans
         .iter()
         .enumerate()
         .all(|(k, plan)| matches!(plan, ProjPlan::Position(i) if *i == k));
-    let mut rows = Vec::with_capacity(relation.rows.len());
-    for row in relation.rows {
-        if identity && row.len() == plans.len() {
-            // An owned row moves; a borrowed one is copied once.
-            let out_row = row.into_owned();
-            let scope = Scope::with_parent(&relation.bindings, &out_row, outer);
-            let order_keys = order_plan.keys(&evaluator, &scope, &out_row)?;
-            rows.push((out_row, order_keys));
-            continue;
+    let mut out = Vec::with_capacity(rows.len());
+    if let Rows::Table(Cow::Owned(owned)) = rows {
+        for row in owned {
+            let scope = Scope::with_parent(&bindings, &row, outer);
+            if identity && row.len() == plans.len() {
+                let order_keys = order_plan.keys(&evaluator, &scope, &row)?;
+                out.push((row, order_keys));
+            } else {
+                let out_row = project_row(&evaluator, &plans, scope)?;
+                let order_keys = order_plan.keys(&evaluator, &scope, &out_row)?;
+                out.push((out_row, order_keys));
+            }
         }
-        let scope = Scope::with_parent(&relation.bindings, &row, outer);
-        let mut out_row = Vec::with_capacity(plans.len());
-        for plan in &plans {
-            let v = match plan {
-                ProjPlan::Position(i) => row.get(*i).cloned().unwrap_or(Value::Null),
-                ProjPlan::Expr(e) => e.eval(&evaluator, &scope)?,
-            };
-            out_row.push(v);
-        }
-        let order_keys = order_plan.keys(&evaluator, &scope, &out_row)?;
-        rows.push((out_row, order_keys));
+        return Ok(Produced { columns, rows: out });
     }
-    Ok(Produced { columns, rows })
+    for i in 0..rows.len() {
+        let scope = rows.row(i).scope(&bindings, outer);
+        let out_row = project_row(&evaluator, &plans, scope)?;
+        let order_keys = order_plan.keys(&evaluator, &scope, &out_row)?;
+        out.push((out_row, order_keys));
+    }
+    Ok(Produced { columns, rows: out })
+}
+
+/// Builds one output row: each value copied once, from its input position
+/// or from its compiled expression.
+fn project_row(
+    evaluator: &Evaluator<'_>,
+    plans: &[ProjPlan<'_>],
+    scope: Scope<'_>,
+) -> EngineResult<Row> {
+    let mut out_row = Vec::with_capacity(plans.len());
+    for plan in plans {
+        out_row.push(match plan {
+            ProjPlan::Position(i) => scope.value(*i).cloned().unwrap_or(Value::Null),
+            ProjPlan::Expr(e) => e.eval(evaluator, &scope)?,
+        });
+    }
+    Ok(out_row)
 }
 
 // ----------------------------------------------------------- aggregation ----
@@ -1490,7 +1612,7 @@ fn compute_aggregate(
     evaluator: &Evaluator<'_>,
     plan: &AggPlan<'_>,
     bindings: &[RelationBinding],
-    group_rows: &[&[Value]],
+    group_rows: &[RowRef<'_>],
     outer: Option<&Scope<'_>>,
 ) -> EngineResult<Value> {
     let func = plan.func;
@@ -1508,7 +1630,7 @@ fn compute_aggregate(
     // Evaluate the argument per row, in row order, so the first error wins.
     let mut values: Vec<Value> = Vec::with_capacity(group_rows.len());
     for &row in group_rows {
-        let scope = Scope::with_parent(bindings, row, outer);
+        let scope = row.scope(bindings, outer);
         match &plan.arg {
             None => values.push(Value::Integer(1)),
             Some(a) => values.push(a.eval(evaluator, &scope)?),
@@ -1621,17 +1743,19 @@ fn aggregate_and_project(
 
     // Group rows, by reference. Grouping keys are compiled once and
     // evaluated per row.
-    let mut groups: BTreeMap<Vec<String>, Vec<&[Value]>> = BTreeMap::new();
+    let rows = &relation.rows;
+    let mut groups: BTreeMap<Vec<String>, Vec<RowRef<'_>>> = BTreeMap::new();
     if select.group_by.is_empty() {
-        groups.insert(Vec::new(), relation.rows.iter().map(|r| &**r).collect());
+        groups.insert(Vec::new(), (0..rows.len()).map(|i| rows.row(i)).collect());
     } else {
         let group_plans: Vec<SiteExpr<'_>> = select
             .group_by
             .iter()
             .map(|g| SiteExpr::new(db, mode, &relation.bindings, g))
             .collect();
-        for row in &relation.rows {
-            let scope = Scope::with_parent(&relation.bindings, row, outer);
+        for i in 0..rows.len() {
+            let row = rows.row(i);
+            let scope = row.scope(&relation.bindings, outer);
             let mut key = Vec::with_capacity(group_plans.len());
             for g in &group_plans {
                 let v = g.eval(&evaluator, &scope)?;
@@ -1658,7 +1782,6 @@ fn aggregate_and_project(
     }
 
     let (columns, sources) = expand_projections(select, &relation.bindings)?;
-    let empty_row: Row = vec![Value::Null; relation.width()];
 
     // Per-statement plans shared by every group: aggregate arguments, the
     // HAVING predicate, projection expressions and ORDER BY keys.
@@ -1689,8 +1812,9 @@ fn aggregate_and_project(
             )?;
             agg_values.insert(plan.key.clone(), v);
         }
-        let representative = group_rows.first().copied().unwrap_or(&empty_row);
-        let scope = Scope::with_parent(&relation.bindings, representative, outer);
+        // An empty group's representative reads every column as NULL.
+        let representative = group_rows.first().copied().unwrap_or(RowRef::EMPTY);
+        let scope = representative.scope(&relation.bindings, outer);
         let group_evaluator = Evaluator::with_aggregates(db, mode, Some(&agg_values));
         // HAVING filter.
         if let Some(having) = &having_plan {
@@ -1698,14 +1822,7 @@ fn aggregate_and_project(
                 continue;
             }
         }
-        let mut out_row = Vec::with_capacity(proj_plans.len());
-        for plan in &proj_plans {
-            let v = match plan {
-                ProjPlan::Position(i) => representative.get(*i).cloned().unwrap_or(Value::Null),
-                ProjPlan::Expr(e) => e.eval(&group_evaluator, &scope)?,
-            };
-            out_row.push(v);
-        }
+        let out_row = project_row(&group_evaluator, &proj_plans, scope)?;
         let order_keys = order_plan.keys(&group_evaluator, &scope, &out_row)?;
         rows.push((out_row, order_keys));
     }
@@ -1886,6 +2003,22 @@ fn same_row(a: &[Value], b: &[Value]) -> bool {
 }
 
 impl<'r> RowSet<'r> {
+    /// An empty set with room for `members` rows.
+    fn with_capacity(members: usize) -> RowSet<'r> {
+        RowSet {
+            members: HashMap::with_capacity(members),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.members.len()
+    }
+
+    /// Empties the set, keeping its room.
+    fn clear(&mut self) {
+        self.members.clear();
+    }
+
     /// Adds `row`; `false` when an equal row is already a member.
     fn insert(&mut self, row: &'r [Value]) -> bool {
         let mut key = row_fingerprint(row);

@@ -22,56 +22,48 @@ use crate::exec::ExecutionMode;
 use crate::faults::Fault;
 use crate::storage::Database;
 use sql_ast::{BinaryOp, Expr, JoinType, Select, UnaryOp, Value};
+use std::borrow::Cow;
 
 /// Rewrites a query for optimized execution.
 ///
-/// Returns the input query unchanged (borrowed, no clone) when it has no
-/// WHERE/HAVING/ON predicate: every rewrite, the structural faults
-/// included, acts on one. The TLP base query (`SELECT ... FROM t` with no
-/// predicate) takes this fast path on every oracle check.
-pub fn optimize_select<'a>(db: &Database, select: &'a Select) -> std::borrow::Cow<'a, Select> {
-    let has_predicates = select.where_clause.is_some()
-        || select.having.is_some()
-        || select
-            .from
-            .iter()
-            .any(|twj| twj.joins.iter().any(|j| j.on.is_some()));
-    if !has_predicates {
-        return std::borrow::Cow::Borrowed(select);
-    }
-    let mut out = select.clone();
-    let config = &db.config;
+/// The rewrite works by reference: the query is cloned only when a
+/// predicate rewrite or a structural fault actually changes it, and is
+/// returned borrowed otherwise. Most predicates come through unchanged, so
+/// most queries — the TLP base query (no predicate at all) included — cost
+/// no copy.
+pub fn optimize_select<'a>(db: &Database, select: &'a Select) -> Cow<'a, Select> {
+    let mut out = Cow::Borrowed(select);
 
-    // Rewrite predicates (WHERE / ON / HAVING) recursively; subqueries in
-    // FROM are optimized independently when they are executed.
-    if let Some(w) = out.where_clause.take() {
-        out.where_clause = Some(rewrite_predicate(db, w));
+    // Rewrite predicates (WHERE / ON / HAVING); subqueries in FROM are
+    // optimized independently when they are executed.
+    if let Some(w) = select.where_clause.as_ref().and_then(|w| rewrite(db, w)) {
+        out.to_mut().where_clause = Some(w);
     }
-    if let Some(h) = out.having.take() {
-        out.having = Some(rewrite_predicate(db, h));
+    if let Some(h) = select.having.as_ref().and_then(|h| rewrite(db, h)) {
+        out.to_mut().having = Some(h);
     }
-    for twj in &mut out.from {
-        for join in &mut twj.joins {
-            if let Some(on) = join.on.take() {
-                join.on = Some(rewrite_predicate(db, on));
+    for (t, twj) in select.from.iter().enumerate() {
+        for (j, join) in twj.joins.iter().enumerate() {
+            if let Some(on) = join.on.as_ref().and_then(|on| rewrite(db, on)) {
+                out.to_mut().from[t].joins[j].on = Some(on);
             }
         }
     }
 
-    apply_structural_faults(config, &mut out);
+    apply_structural_faults(&db.config, &mut out);
 
     // Remove a literally-TRUE WHERE clause (correct and common).
     if let Some(Expr::Literal(Value::Boolean(true))) = out.where_clause {
-        out.where_clause = None;
+        out.to_mut().where_clause = None;
     }
-    std::borrow::Cow::Owned(out)
+    out
 }
 
 /// Structural (plan-level) faulty rewrites: predicate pushdown, join
 /// flattening, DISTINCT elimination and HAVING pushdown. Each one moves or
 /// reads a WHERE, ON or HAVING predicate, so none applies to a query
-/// without one.
-fn apply_structural_faults(config: &EngineConfig, select: &mut Select) {
+/// without one; each detaches the query only when it applies.
+fn apply_structural_faults(config: &EngineConfig, select: &mut Cow<'_, Select>) {
     let faults = &config.faults;
 
     // Injected fault: push the WHERE predicate into the ON clause of the
@@ -79,27 +71,39 @@ fn apply_structural_faults(config: &EngineConfig, select: &mut Select) {
     // wrong because the left side's rows survive an outer join regardless of
     // the ON condition.
     if faults.has(Fault::BadPredicatePushdown) {
-        if let Some(pred) = select.where_clause.clone() {
-            if !pred.contains_aggregate() && !pred.contains_subquery() {
-                for twj in &mut select.from {
-                    if let Some(join) = twj.joins.iter_mut().find(|j| j.join_type == JoinType::Left)
-                    {
-                        let existing = join.on.take();
-                        join.on = Some(match existing {
-                            Some(on) => on.and(pred.clone()),
-                            None => pred.clone(),
-                        });
-                        select.where_clause = None;
-                        break;
-                    }
-                }
+        let target = select.where_clause.as_ref().and_then(|pred| {
+            if pred.contains_aggregate() || pred.contains_subquery() {
+                return None;
             }
+            select.from.iter().enumerate().find_map(|(t, twj)| {
+                let j = twj
+                    .joins
+                    .iter()
+                    .position(|j| j.join_type == JoinType::Left)?;
+                Some((t, j))
+            })
+        });
+        if let Some((t, j)) = target {
+            let select = select.to_mut();
+            let pred = select.where_clause.take().expect("a WHERE to push down");
+            let join = &mut select.from[t].joins[j];
+            join.on = Some(match join.on.take() {
+                Some(on) => on.and(pred),
+                None => pred,
+            });
         }
     }
 
     // Injected fault (Listing 3): move the ON term of an outer join into the
     // WHERE clause, as SQLite's query flattener once did.
-    if faults.has(Fault::BadJoinFlattening) {
+    if faults.has(Fault::BadJoinFlattening)
+        && select.from.iter().any(|twj| {
+            twj.joins
+                .iter()
+                .any(|j| j.join_type.is_outer() && j.on.is_some())
+        })
+    {
+        let select = select.to_mut();
         for twj in &mut select.from {
             for join in &mut twj.joins {
                 if join.join_type.is_outer() {
@@ -118,27 +122,31 @@ fn apply_structural_faults(config: &EngineConfig, select: &mut Select) {
 
     // Injected fault: drop DISTINCT when an equality on some column is
     // present in the WHERE clause (pretending uniqueness).
-    if faults.has(Fault::BadDistinctElimination) && select.distinct {
-        if let Some(w) = &select.where_clause {
-            if contains_equality_on_column(w) {
-                select.distinct = false;
-            }
-        }
+    if faults.has(Fault::BadDistinctElimination)
+        && select.distinct
+        && select
+            .where_clause
+            .as_ref()
+            .is_some_and(contains_equality_on_column)
+    {
+        select.to_mut().distinct = false;
     }
 
     // Injected fault: HAVING without aggregates is evaluated as a WHERE
     // filter (before grouping).
-    if faults.has(Fault::BadHavingPushdown) {
-        if let Some(h) = &select.having {
-            if !h.contains_aggregate() {
-                let h = select.having.take().unwrap();
-                let existing = select.where_clause.take();
-                select.where_clause = Some(match existing {
-                    Some(w) => w.and(h),
-                    None => h,
-                });
-            }
-        }
+    if faults.has(Fault::BadHavingPushdown)
+        && select
+            .having
+            .as_ref()
+            .is_some_and(|h| !h.contains_aggregate())
+    {
+        let select = select.to_mut();
+        let h = select.having.take().expect("a HAVING to push down");
+        let existing = select.where_clause.take();
+        select.where_clause = Some(match existing {
+            Some(w) => w.and(h),
+            None => h,
+        });
     }
 }
 
@@ -160,64 +168,82 @@ fn contains_equality_on_column(expr: &Expr) -> bool {
 /// Rewrites a filter predicate: correct simplifications plus any enabled
 /// faulty rewrites.
 pub fn rewrite_predicate(db: &Database, expr: Expr) -> Expr {
+    rewrite(db, &expr).unwrap_or(expr)
+}
+
+/// [`rewrite_predicate`] by reference: the rewritten predicate, or `None`
+/// when no rewrite changes it.
+fn rewrite(db: &Database, expr: &Expr) -> Option<Expr> {
     let rewritten = rewrite_expr(db, expr);
     // One evaluator for the whole fold: the previous code built a fresh
     // `Evaluator` per foldable binary node, which showed up in profiles once
     // per-row evaluation was compiled away.
     let evaluator = Evaluator::new(db, ExecutionMode::Optimized);
-    constant_fold(db, &evaluator, rewritten)
+    let source = rewritten.as_ref().unwrap_or(expr);
+    constant_fold(db, &evaluator, source).or(rewritten)
 }
 
-fn rewrite_expr(db: &Database, expr: Expr) -> Expr {
+/// Applies `rule` bottom-up: children first, then the node, rebuilt where a
+/// child changed. `None` when nothing changed, so an untouched tree is
+/// never copied.
+fn rewrite_bottom_up(expr: &Expr, rule: &mut impl FnMut(&Expr) -> Option<Expr>) -> Option<Expr> {
+    match map_children(expr, &mut |child| rewrite_bottom_up(child, rule)) {
+        Some(rebuilt) => Some(rule(&rebuilt).unwrap_or(rebuilt)),
+        None => rule(expr),
+    }
+}
+
+fn rewrite_expr(db: &Database, expr: &Expr) -> Option<Expr> {
+    rewrite_bottom_up(expr, &mut |node| rewrite_node(db, node))
+}
+
+/// One node's rewrite, given its already-rewritten children: the
+/// replacement, or `None` to keep the node.
+fn rewrite_node(db: &Database, expr: &Expr) -> Option<Expr> {
     let faults = &db.config.faults;
-    // Rewrite children first (bottom-up).
-    let expr = map_children(expr, &mut |child| rewrite_expr(db, child));
     match expr {
-        // Double negation elimination (correct).
         Expr::Unary {
             op: UnaryOp::Not,
             expr: inner,
-        } => match *inner {
+        } => match inner.as_ref() {
+            // Double negation elimination (correct).
             Expr::Unary {
                 op: UnaryOp::Not,
                 expr: inner2,
-            } => *inner2,
+            } => Some((**inner2).clone()),
             // Injected fault: NOT (a = b) → a IS DISTINCT FROM b, which is
             // wrong when exactly one operand is NULL.
             Expr::Binary {
                 left,
                 op: BinaryOp::Eq,
                 right,
-            } if faults.has(Fault::BadNotElimination) => Expr::Binary {
-                left,
+            } if faults.has(Fault::BadNotElimination) => Some(Expr::Binary {
+                left: left.clone(),
                 op: BinaryOp::IsDistinctFrom,
-                right,
-            },
+                right: right.clone(),
+            }),
             // Injected fault: NOT (a < b) → a > b, dropping the equal case.
             Expr::Binary {
                 left,
                 op: BinaryOp::Lt,
                 right,
-            } if faults.has(Fault::BadRangeNegation) => Expr::Binary {
-                left,
+            } if faults.has(Fault::BadRangeNegation) => Some(Expr::Binary {
+                left: left.clone(),
                 op: BinaryOp::Gt,
-                right,
-            },
-            other => Expr::Unary {
-                op: UnaryOp::Not,
-                expr: Box::new(other),
-            },
+                right: right.clone(),
+            }),
+            _ => None,
         },
         // Injected fault: a <=> b → a = b (drops null-safety).
         Expr::Binary {
             left,
             op: BinaryOp::NullSafeEq,
             right,
-        } if faults.has(Fault::BadNullsafeEqRewrite) => Expr::Binary {
-            left,
+        } if faults.has(Fault::BadNullsafeEqRewrite) => Some(Expr::Binary {
+            left: left.clone(),
             op: BinaryOp::Eq,
-            right,
-        },
+            right: right.clone(),
+        }),
         // Injected fault: IN-list rewriting that silently drops NULL
         // elements.
         Expr::InList {
@@ -225,19 +251,20 @@ fn rewrite_expr(db: &Database, expr: Expr) -> Expr {
             list,
             negated,
         } if faults.has(Fault::BadInListRewrite) => {
-            let filtered: Vec<Expr> = list
-                .into_iter()
-                .filter(|e| !matches!(e, Expr::Literal(Value::Null)))
-                .collect();
-            if filtered.is_empty() {
-                Expr::Literal(Value::Boolean(negated))
+            let is_null = |e: &Expr| matches!(e, Expr::Literal(Value::Null));
+            if !list.is_empty() && !list.iter().any(is_null) {
+                return None;
+            }
+            let filtered: Vec<Expr> = list.iter().filter(|e| !is_null(e)).cloned().collect();
+            Some(if filtered.is_empty() {
+                Expr::Literal(Value::Boolean(*negated))
             } else {
                 Expr::InList {
-                    expr,
+                    expr: expr.clone(),
                     list: filtered,
-                    negated,
+                    negated: *negated,
                 }
-            }
+            })
         }
         // Injected fault: BETWEEN with literal bounds in the wrong order is
         // rewritten with the bounds swapped (should be an empty range).
@@ -246,37 +273,30 @@ fn rewrite_expr(db: &Database, expr: Expr) -> Expr {
             low,
             high,
             negated,
-        } if faults.has(Fault::BadBetweenRewrite) => {
-            if let (Expr::Literal(l), Expr::Literal(h)) = (low.as_ref(), high.as_ref()) {
-                if l.total_cmp(h) == std::cmp::Ordering::Greater {
-                    return Expr::Between {
-                        expr,
-                        low: high,
-                        high: low,
-                        negated,
-                    };
-                }
+        } if faults.has(Fault::BadBetweenRewrite) => match (low.as_ref(), high.as_ref()) {
+            (Expr::Literal(l), Expr::Literal(h))
+                if l.total_cmp(h) == std::cmp::Ordering::Greater =>
+            {
+                Some(Expr::Between {
+                    expr: expr.clone(),
+                    low: high.clone(),
+                    high: low.clone(),
+                    negated: *negated,
+                })
             }
-            Expr::Between {
-                expr,
-                low,
-                high,
-                negated,
-            }
-        }
+            _ => None,
+        },
         // Injected fault: `col IS NULL` folded to FALSE for NOT NULL columns
         // (wrong in the presence of outer joins).
-        Expr::IsNull { expr, negated } => {
-            if faults.has(Fault::BadNotnullIsnullFolding) {
-                if let Expr::Column(col) = expr.as_ref() {
-                    if column_is_not_null(db, col) {
-                        return Expr::Literal(Value::Boolean(negated));
-                    }
+        Expr::IsNull { expr, negated } if faults.has(Fault::BadNotnullIsnullFolding) => {
+            match expr.as_ref() {
+                Expr::Column(col) if column_is_not_null(db, col) => {
+                    Some(Expr::Literal(Value::Boolean(*negated)))
                 }
+                _ => None,
             }
-            Expr::IsNull { expr, negated }
         }
-        other => other,
+        _ => None,
     }
 }
 
@@ -295,156 +315,211 @@ fn column_is_not_null(db: &Database, col: &sql_ast::ColumnRef) -> bool {
 }
 
 /// Folds literal-only subexpressions to literals. Correct except where the
-/// constant-folding faults are enabled.
-fn constant_fold(db: &Database, evaluator: &Evaluator<'_>, expr: Expr) -> Expr {
+/// constant-folding faults are enabled. `None` when nothing folds.
+fn constant_fold(db: &Database, evaluator: &Evaluator<'_>, expr: &Expr) -> Option<Expr> {
+    rewrite_bottom_up(expr, &mut |node| fold_node(db, evaluator, node))
+}
+
+fn fold_node(db: &Database, evaluator: &Evaluator<'_>, expr: &Expr) -> Option<Expr> {
     let faults = &db.config.faults;
-    let expr = map_children(expr, &mut |child| constant_fold(db, evaluator, child));
-    match &expr {
+    match expr {
         Expr::Binary { left, op, right } => {
-            if let (Expr::Literal(lv), Expr::Literal(rv)) = (left.as_ref(), right.as_ref()) {
-                // Injected fault: constant folding treats the text '0'/'1'
-                // as numbers even under strict typing.
-                if faults.has(Fault::BadConstantFoldingText)
-                    && matches!(lv, Value::Text(_)) != matches!(rv, Value::Text(_))
-                    && op.is_comparison()
-                {
-                    let a = lv.coerce_f64().unwrap_or(0.0);
-                    let b = rv.coerce_f64().unwrap_or(0.0);
-                    let out = match op {
-                        BinaryOp::Eq => a == b,
-                        BinaryOp::Neq | BinaryOp::NeqLtGt => a != b,
-                        BinaryOp::Lt => a < b,
-                        BinaryOp::Le => a <= b,
-                        BinaryOp::Gt => a > b,
-                        BinaryOp::Ge => a >= b,
-                        _ => return expr,
-                    };
-                    return Expr::Literal(Value::Boolean(out));
-                }
-                if let Ok(v) = evaluator.apply_binary(*op, lv, rv) {
-                    return Expr::Literal(v);
-                }
+            let (Expr::Literal(lv), Expr::Literal(rv)) = (left.as_ref(), right.as_ref()) else {
+                return None;
+            };
+            // Injected fault: constant folding treats the text '0'/'1' as
+            // numbers even under strict typing.
+            if faults.has(Fault::BadConstantFoldingText)
+                && matches!(lv, Value::Text(_)) != matches!(rv, Value::Text(_))
+                && op.is_comparison()
+            {
+                let a = lv.coerce_f64().unwrap_or(0.0);
+                let b = rv.coerce_f64().unwrap_or(0.0);
+                let out = match op {
+                    BinaryOp::Eq => a == b,
+                    BinaryOp::Neq | BinaryOp::NeqLtGt => a != b,
+                    BinaryOp::Lt => a < b,
+                    BinaryOp::Le => a <= b,
+                    BinaryOp::Gt => a > b,
+                    BinaryOp::Ge => a >= b,
+                    _ => return None,
+                };
+                return Some(Expr::Literal(Value::Boolean(out)));
             }
-            expr
+            evaluator.apply_binary(*op, lv, rv).ok().map(Expr::Literal)
         }
+        // Injected fault: a first branch whose condition coerces to a
+        // non-zero literal is folded away — wrong when the condition is
+        // genuinely NULL at runtime (e.g. references a column).
         Expr::Case {
             operand: None,
             branches,
-            else_expr,
-        } if faults.has(Fault::BadCaseFolding) => {
-            // Injected fault: a first branch whose condition coerces to a
-            // non-zero literal is folded away — wrong when the condition is
-            // genuinely NULL at runtime (e.g. references a column).
-            if let Some(first) = branches.first() {
-                if let Expr::Literal(v) = &first.when {
-                    if v.coerce_f64().unwrap_or(0.0) != 0.0 || v.is_null() {
-                        return first.then.clone();
-                    }
-                }
-                let _ = else_expr;
+            ..
+        } if faults.has(Fault::BadCaseFolding) => match &branches.first()?.when {
+            Expr::Literal(v) if v.coerce_f64().unwrap_or(0.0) != 0.0 || v.is_null() => {
+                Some(branches[0].then.clone())
             }
-            expr
-        }
-        _ => expr,
+            _ => None,
+        },
+        _ => None,
     }
 }
 
-/// Applies `f` to every immediate child expression, rebuilding the node.
-fn map_children(expr: Expr, f: &mut impl FnMut(Expr) -> Expr) -> Expr {
+/// Rewrites every immediate child expression with `f` and, when any child
+/// changed, rebuilds the node around the new children (cloning the
+/// unchanged ones). `None` when no child changed. Subqueries are left
+/// alone: they are optimized when they are executed.
+fn map_children(expr: &Expr, f: &mut impl FnMut(&Expr) -> Option<Expr>) -> Option<Expr> {
+    // The rewritten form of a boxed child, or `None` when it is unchanged.
+    fn child(e: &Expr, f: &mut impl FnMut(&Expr) -> Option<Expr>) -> Option<Box<Expr>> {
+        f(e).map(Box::new)
+    }
+    fn pick(new: Option<Box<Expr>>, old: &Expr) -> Box<Expr> {
+        new.unwrap_or_else(|| Box::new(old.clone()))
+    }
+    // The rewritten list, or `None` when no element changed.
+    fn list(items: &[Expr], f: &mut impl FnMut(&Expr) -> Option<Expr>) -> Option<Vec<Expr>> {
+        let mut out: Option<Vec<Expr>> = None;
+        for (i, item) in items.iter().enumerate() {
+            if let Some(new) = f(item) {
+                out.get_or_insert_with(|| items[..i].to_vec()).push(new);
+            } else if let Some(out) = &mut out {
+                out.push(item.clone());
+            }
+        }
+        out
+    }
     match expr {
-        Expr::Literal(_) | Expr::Column(_) | Expr::ScalarSubquery(_) | Expr::Exists { .. } => expr,
-        Expr::Unary { op, expr } => Expr::Unary {
-            op,
-            expr: Box::new(f(*expr)),
-        },
-        Expr::Binary { left, op, right } => Expr::Binary {
-            left: Box::new(f(*left)),
-            op,
-            right: Box::new(f(*right)),
-        },
-        Expr::Function { func, args } => Expr::Function {
-            func,
-            args: args.into_iter().map(f).collect(),
-        },
+        Expr::Literal(_) | Expr::Column(_) | Expr::ScalarSubquery(_) | Expr::Exists { .. } => None,
+        Expr::Unary { op, expr } => Some(Expr::Unary {
+            op: *op,
+            expr: child(expr, f)?,
+        }),
+        Expr::Binary { left, op, right } => {
+            let (l, r) = (child(left, f), child(right, f));
+            if l.is_none() && r.is_none() {
+                return None;
+            }
+            Some(Expr::Binary {
+                left: pick(l, left),
+                op: *op,
+                right: pick(r, right),
+            })
+        }
+        Expr::Function { func, args } => Some(Expr::Function {
+            func: *func,
+            args: list(args, f)?,
+        }),
         Expr::Aggregate {
             func,
             arg,
             distinct,
-        } => Expr::Aggregate {
-            func,
-            arg: arg.map(|a| Box::new(f(*a))),
-            distinct,
-        },
+        } => Some(Expr::Aggregate {
+            func: *func,
+            arg: Some(child(arg.as_ref()?, f)?),
+            distinct: *distinct,
+        }),
         Expr::Case {
             operand,
             branches,
             else_expr,
-        } => Expr::Case {
-            operand: operand.map(|o| Box::new(f(*o))),
-            branches: branches
-                .into_iter()
-                .map(|b| sql_ast::CaseBranch {
-                    when: f(b.when),
-                    then: f(b.then),
-                })
-                .collect(),
-            else_expr: else_expr.map(|e| Box::new(f(*e))),
-        },
-        Expr::Cast { expr, data_type } => Expr::Cast {
-            expr: Box::new(f(*expr)),
-            data_type,
-        },
+        } => {
+            let new_operand = operand.as_ref().and_then(|o| child(o, f));
+            let mut new_branches: Option<Vec<sql_ast::CaseBranch>> = None;
+            for (i, b) in branches.iter().enumerate() {
+                let (when, then) = (f(&b.when), f(&b.then));
+                if when.is_none() && then.is_none() && new_branches.is_none() {
+                    continue;
+                }
+                let out = new_branches.get_or_insert_with(|| branches[..i].to_vec());
+                out.push(sql_ast::CaseBranch {
+                    when: when.unwrap_or_else(|| b.when.clone()),
+                    then: then.unwrap_or_else(|| b.then.clone()),
+                });
+            }
+            let new_else = else_expr.as_ref().and_then(|e| child(e, f));
+            if new_operand.is_none() && new_branches.is_none() && new_else.is_none() {
+                return None;
+            }
+            Some(Expr::Case {
+                operand: new_operand.or_else(|| operand.clone()),
+                branches: new_branches.unwrap_or_else(|| branches.clone()),
+                else_expr: new_else.or_else(|| else_expr.clone()),
+            })
+        }
+        Expr::Cast { expr, data_type } => Some(Expr::Cast {
+            expr: child(expr, f)?,
+            data_type: *data_type,
+        }),
         Expr::Between {
             expr,
             low,
             high,
             negated,
-        } => Expr::Between {
-            expr: Box::new(f(*expr)),
-            low: Box::new(f(*low)),
-            high: Box::new(f(*high)),
-            negated,
-        },
+        } => {
+            let (e, l, h) = (child(expr, f), child(low, f), child(high, f));
+            if e.is_none() && l.is_none() && h.is_none() {
+                return None;
+            }
+            Some(Expr::Between {
+                expr: pick(e, expr),
+                low: pick(l, low),
+                high: pick(h, high),
+                negated: *negated,
+            })
+        }
         Expr::InList {
             expr,
-            list,
+            list: items,
             negated,
-        } => Expr::InList {
-            expr: Box::new(f(*expr)),
-            list: list.into_iter().map(f).collect(),
-            negated,
-        },
+        } => {
+            let (e, l) = (child(expr, f), list(items, f));
+            if e.is_none() && l.is_none() {
+                return None;
+            }
+            Some(Expr::InList {
+                expr: pick(e, expr),
+                list: l.unwrap_or_else(|| items.clone()),
+                negated: *negated,
+            })
+        }
         Expr::InSubquery {
             expr,
             subquery,
             negated,
-        } => Expr::InSubquery {
-            expr: Box::new(f(*expr)),
-            subquery,
-            negated,
-        },
-        Expr::IsNull { expr, negated } => Expr::IsNull {
-            expr: Box::new(f(*expr)),
-            negated,
-        },
+        } => Some(Expr::InSubquery {
+            expr: child(expr, f)?,
+            subquery: subquery.clone(),
+            negated: *negated,
+        }),
+        Expr::IsNull { expr, negated } => Some(Expr::IsNull {
+            expr: child(expr, f)?,
+            negated: *negated,
+        }),
         Expr::IsBool {
             expr,
             target,
             negated,
-        } => Expr::IsBool {
-            expr: Box::new(f(*expr)),
-            target,
-            negated,
-        },
+        } => Some(Expr::IsBool {
+            expr: child(expr, f)?,
+            target: *target,
+            negated: *negated,
+        }),
         Expr::Like {
             expr,
             pattern,
             negated,
-        } => Expr::Like {
-            expr: Box::new(f(*expr)),
-            pattern: Box::new(f(*pattern)),
-            negated,
-        },
+        } => {
+            let (e, p) = (child(expr, f), child(pattern, f));
+            if e.is_none() && p.is_none() {
+                return None;
+            }
+            Some(Expr::Like {
+                expr: pick(e, expr),
+                pattern: pick(p, pattern),
+                negated: *negated,
+            })
+        }
     }
 }
 
@@ -540,6 +615,42 @@ mod tests {
             optimize_select(&db, &select),
             std::borrow::Cow::Borrowed(_)
         ));
+    }
+
+    #[test]
+    fn a_query_no_rewrite_changes_is_borrowed() {
+        // Every structural fault is armed, but none applies: no outer
+        // join, no DISTINCT and no HAVING.
+        let db = db_with(&[
+            Fault::BadPredicatePushdown,
+            Fault::BadJoinFlattening,
+            Fault::BadDistinctElimination,
+            Fault::BadHavingPushdown,
+            Fault::BadNotElimination,
+        ]);
+        let select = match parse_statement(
+            "SELECT t0.c0 FROM t0 JOIN t1 ON t0.c0 < t1.c0 WHERE NOT (t0.c0 > 1) AND t1.c0 IN (1, 2)",
+        )
+        .unwrap()
+        {
+            sql_ast::Statement::Select(s) => *s,
+            _ => unreachable!(),
+        };
+        assert!(matches!(
+            optimize_select(&db, &select),
+            std::borrow::Cow::Borrowed(_)
+        ));
+        // A rewrite that changes one predicate copies the query once.
+        let changed = match parse_statement("SELECT c0 FROM t0 WHERE NOT (NOT (c0 = 1))").unwrap() {
+            sql_ast::Statement::Select(s) => *s,
+            _ => unreachable!(),
+        };
+        let optimized = optimize_select(&db_with(&[]), &changed);
+        assert!(matches!(optimized, std::borrow::Cow::Owned(_)));
+        assert_eq!(
+            optimized.where_clause.as_ref().unwrap().to_string(),
+            "(c0 = 1)"
+        );
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //!
 //! * **Begin-time snapshot reads** — `BEGIN` snapshots the committed state
 //!   into a private workspace. With copy-on-write storage (see
-//!   [`crate::storage`]) the snapshot is **O(tables)**: one shared version
-//!   pointer per table, never a row copy. Every statement of the
+//!   [`crate::storage`]) the snapshot is a pointer bump per map, never a
+//!   key or row copy. Every statement of the
 //!   transaction executes against that workspace (its own writes included),
 //!   so concurrent commits by other sessions are invisible until the next
 //!   transaction; the first mutation of a table inside the transaction
@@ -523,10 +523,9 @@ impl EngineCore {
         }
         self.committed
             .record_coverage(|cov| cov.statement(StatementKind::Begin));
-        // O(tables): the snapshot shares every table's current version
-        // (one Arc bump per table), never row data. The workspace's CoW
-        // counter starts from zero so the per-transaction clone count can
-        // be merged back on close.
+        // The snapshot shares the committed maps (one Arc bump each), never
+        // keys or row data. The workspace's CoW counter starts from zero so
+        // the per-transaction clone count can be merged back on close.
         let workspace = self.committed.clone();
         workspace.reset_cow_clones();
         self.cow.txn_begins += 1;
@@ -899,13 +898,13 @@ impl Engine {
 
 impl Clone for Engine {
     /// Clones the committed state and bookkeeping into an independent core.
-    /// With CoW storage this **shares** every committed table version (one
-    /// `Arc` bump per table) instead of deep-copying rows; the first write
+    /// With CoW storage this **shares** the committed table maps (one `Arc`
+    /// bump each) instead of deep-copying rows; the first write
     /// on either side detaches its copy, so mutations never leak between a
     /// clone and the original. Open transactions are **not** carried over
     /// (their session handles would dangle); clones serve fleet setup and
     /// ground-truth bisection, which always start from a quiescent engine —
-    /// both now cost O(tables) instead of O(rows).
+    /// both cost O(tables) for the commit-clock map instead of O(rows).
     fn clone(&self) -> Engine {
         let core = self.core.borrow();
         Engine {

@@ -1,13 +1,16 @@
 //! Row storage, table statistics and the [`Database`] instance type.
 //!
 //! Storage is **copy-on-write versioned**: each table's rows live behind an
-//! `Arc<Vec<Row>>` and its statistics behind an `Arc<TableStats>`. Cloning a
-//! [`Database`] — which is how a session snapshot, a transaction frame or an
-//! [`crate::Engine`] clone is taken — therefore copies *pointers*, one per
-//! table, never row data. The first mutation of a table through
-//! [`Database::rows_mut`] triggers the one deep clone ([`Arc::make_mut`])
-//! that detaches the mutated version from every snapshot still holding the
-//! old `Arc`; unwritten tables are shared for the lifetime of the snapshot.
+//! `Arc<Vec<Row>>` and its statistics behind an `Arc<TableStats>`, and each
+//! of the two table maps sits behind one more `Arc` (a `TableMap`). Cloning
+//! a [`Database`] — which is how a session snapshot, a transaction frame or
+//! an [`crate::Engine`] clone is taken — therefore copies one pointer per
+//! map, never a key or row data; the first write through a shared map
+//! copies its keys and one pointer per table. The first mutation of a
+//! table through [`Database::rows_mut`] triggers the one deep clone
+//! ([`Arc::make_mut`]) that detaches the mutated version from every
+//! snapshot still holding the old `Arc`; unwritten tables are shared for
+//! the lifetime of the snapshot.
 //! [`Database::cow_clones`] counts those detach events, which is how the
 //! campaign reports CoW effectiveness (tables snapshotted vs. tables
 //! actually cloned).
@@ -75,6 +78,65 @@ pub struct TableStats {
     pub columns: Vec<ColumnStats>,
 }
 
+/// A table-keyed map whose clones share one `Arc`. Cloning it — for a
+/// session workspace, a transaction frame or a checkpoint — is a pointer
+/// bump; the first write through a shared clone detaches the map (its keys
+/// and one version pointer per table) exactly once. An empty map holds no
+/// `Arc`, so a fresh database allocates nothing for it.
+#[derive(Debug)]
+pub(crate) struct TableMap<V>(Option<Arc<BTreeMap<String, V>>>);
+
+impl<V> Default for TableMap<V> {
+    fn default() -> TableMap<V> {
+        TableMap(None)
+    }
+}
+
+impl<V> Clone for TableMap<V> {
+    fn clone(&self) -> TableMap<V> {
+        TableMap(self.0.clone())
+    }
+}
+
+impl<V: Clone> TableMap<V> {
+    pub(crate) fn get(&self, table: &str) -> Option<&V> {
+        self.0.as_deref()?.get(table)
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.0.as_deref().map_or(0, BTreeMap::len)
+    }
+
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&String, &V)> {
+        self.0.iter().flat_map(|map| map.iter())
+    }
+
+    pub(crate) fn keys(&self) -> impl Iterator<Item = &String> {
+        self.iter().map(|(table, _)| table)
+    }
+
+    /// The map, detached from every other clone.
+    fn make_mut(&mut self) -> &mut BTreeMap<String, V> {
+        Arc::make_mut(self.0.get_or_insert_with(Arc::default))
+    }
+
+    pub(crate) fn get_mut(&mut self, table: &str) -> Option<&mut V> {
+        self.get(table)?;
+        self.make_mut().get_mut(table)
+    }
+
+    pub(crate) fn insert(&mut self, table: String, value: V) {
+        self.make_mut().insert(table, value);
+    }
+
+    /// Removes `table`, detaching the map only when it holds the table.
+    pub(crate) fn remove(&mut self, table: &str) {
+        if self.get(table).is_some() {
+            self.make_mut().remove(table);
+        }
+    }
+}
+
 /// An in-memory database instance: catalog, row storage, statistics,
 /// execution configuration and coverage accounting.
 ///
@@ -95,8 +157,8 @@ pub struct Database {
     pub catalog: Catalog,
     /// Execution behaviour (typing discipline, injected faults).
     pub config: EngineConfig,
-    pub(crate) data: BTreeMap<String, Arc<Vec<Row>>>,
-    pub(crate) stats: BTreeMap<String, Arc<TableStats>>,
+    pub(crate) data: TableMap<Arc<Vec<Row>>>,
+    pub(crate) stats: TableMap<Arc<TableStats>>,
     /// Open-transaction state: empty in autocommit, one frame per
     /// `BEGIN`/`SAVEPOINT` otherwise (see [`crate::txn`]).
     pub(crate) txn: crate::txn::TxnStack,
@@ -189,7 +251,7 @@ impl Database {
 
     /// Total number of stored rows across all tables.
     pub fn total_rows(&self) -> usize {
-        self.data.values().map(|rows| rows.len()).sum()
+        self.data.iter().map(|(_, rows)| rows.len()).sum()
     }
 
     /// Number of copy-on-write detaches this instance has performed: the

@@ -7,8 +7,8 @@
 //!   frame on top of it.
 //! * Each frame is a snapshot of the database's catalog, rows and
 //!   statistics as of frame open. With copy-on-write storage (see
-//!   [`crate::storage`]) that is one shared version pointer per table, never
-//!   a row copy: a frame still holds the version its tables had at open, so
+//!   [`crate::storage`]) that is one pointer bump per map, never a key or
+//!   row copy: a frame still holds the version its tables had at open, so
 //!   the first write under it detaches the written table exactly once, and
 //!   tables the transaction never writes are never copied.
 //! * `ROLLBACK TO <name>` drops the frames above the savepoint and restores
@@ -33,8 +33,7 @@
 use crate::catalog::{lowercase_key, Catalog};
 use crate::error::{EngineError, EngineResult};
 use crate::faults::Fault;
-use crate::storage::{Database, Row, TableStats};
-use std::collections::BTreeMap;
+use crate::storage::{Database, Row, TableMap, TableStats};
 use std::sync::Arc;
 
 /// One transaction frame — the `BEGIN` frame or a savepoint frame — and
@@ -45,8 +44,8 @@ struct TxnFrame {
     /// otherwise.
     savepoint: Option<String>,
     catalog: Catalog,
-    data: BTreeMap<String, Arc<Vec<Row>>>,
-    stats: BTreeMap<String, Arc<TableStats>>,
+    data: TableMap<Arc<Vec<Row>>>,
+    stats: TableMap<Arc<TableStats>>,
 }
 
 /// The transaction state of a [`Database`]: empty in autocommit, one frame
@@ -155,8 +154,8 @@ impl Database {
         Ok(())
     }
 
-    /// Pushes a frame holding the current state: one shared version pointer
-    /// per table.
+    /// Pushes a frame holding the current state: one pointer bump for the
+    /// catalog and each table map.
     fn open_frame(&mut self, savepoint: Option<String>) {
         self.txn.frames.push(TxnFrame {
             savepoint,

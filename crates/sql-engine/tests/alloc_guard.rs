@@ -18,11 +18,20 @@
 //!   rows instead of evaluating a value per row);
 //! * coverage accounting never allocates: a fresh database, a fresh
 //!   engine and a `BEGIN`…`ROLLBACK` churn cost the same whether or not
-//!   they record new coverage points.
+//!   they record new coverage points;
+//! * a transaction frame is a pointer bump: `BEGIN`…`ROLLBACK` costs the
+//!   same over three tables as over one;
+//! * `ANALYZE` allocates the same at any table size (distinct values are
+//!   counted by dedup identity, not by key strings);
+//! * the SELECT path copies only what a query returns: optimizing a query
+//!   that no rewrite changes allocates nothing, a query over a view does
+//!   not copy the view's definition, and a join that projects one column
+//!   allocates per output row, not per joined value.
 
 use sql_ast::Statement;
-use sql_engine::{Database, Engine, EngineConfig};
+use sql_engine::{optimize_select, Database, Engine, EngineConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::borrow::Cow;
 use std::cell::Cell;
 
 struct CountingAllocator;
@@ -262,5 +271,160 @@ fn a_fresh_engine_and_a_begin_rollback_churn_allocate_nothing_for_coverage() {
     assert_eq!(
         cold, warm,
         "BEGIN…ROLLBACK allocated {cold} times recording new coverage points, {warm} without"
+    );
+}
+
+/// Allocations of `BEGIN; SAVEPOINT s0; ROLLBACK TO s0; ROLLBACK` over
+/// `tables` tables, one of them analyzed.
+fn frame_churn_allocations(tables: usize) -> u64 {
+    let mut db = Database::new(EngineConfig::dynamic());
+    for t in 0..tables {
+        db.execute_sql(&format!("CREATE TABLE t{t} (c0 INTEGER, c1 TEXT)"))
+            .unwrap();
+        db.execute_sql(&format!(
+            "INSERT INTO t{t} (c0, c1) VALUES (1, 'a'), (2, 'b')"
+        ))
+        .unwrap();
+    }
+    db.execute_sql("ANALYZE t0").unwrap();
+    let churn = [
+        parse("BEGIN"),
+        parse("SAVEPOINT s0"),
+        parse("ROLLBACK TO s0"),
+        parse("ROLLBACK"),
+    ];
+    // Warm up: the first transaction records its coverage points.
+    for stmt in &churn {
+        db.execute(stmt).unwrap();
+    }
+    allocations_during(|| {
+        for stmt in &churn {
+            db.execute(stmt).unwrap();
+        }
+    })
+}
+
+#[test]
+fn a_transaction_frame_allocates_the_same_over_any_number_of_tables() {
+    let one = frame_churn_allocations(1);
+    let three = frame_churn_allocations(3);
+    assert_eq!(
+        one, three,
+        "BEGIN…ROLLBACK allocated {one} times over one table and {three} over three"
+    );
+}
+
+fn analyze_allocations(rows: usize) -> u64 {
+    let mut db = product_tables(rows);
+    db.execute_sql("INSERT INTO t0 (c0, c1) VALUES (NULL, 1)")
+        .unwrap();
+    let analyze = parse("ANALYZE t0");
+    // Warm up: the first ANALYZE creates the statistics entry.
+    db.execute(&analyze).unwrap();
+    allocations_during(|| {
+        db.execute(&analyze).unwrap();
+    })
+}
+
+#[test]
+fn analyze_allocates_the_same_at_any_table_size() {
+    let small = analyze_allocations(8);
+    let large = analyze_allocations(512);
+    assert_eq!(
+        small, large,
+        "ANALYZE allocated {small} times over 8 rows and {large} over 512"
+    );
+}
+
+fn select(sql: &str) -> sql_ast::Select {
+    match parse(sql) {
+        Statement::Select(select) => *select,
+        other => panic!("not a query: {other}"),
+    }
+}
+
+#[test]
+fn optimizing_a_query_no_rewrite_changes_allocates_nothing() {
+    let db = product_tables(2);
+    let query = select(
+        "SELECT t0.c0, t1.c1 FROM t0 LEFT JOIN t1 ON t0.c0 = t1.c0 + 1 \
+         WHERE t0.c1 > 2 AND NOT (t1.c0 IS NULL) GROUP BY t0.c0, t1.c1 HAVING COUNT(*) > 0",
+    );
+    let mut optimized = None;
+    let allocations = allocations_during(|| optimized = Some(optimize_select(&db, &query)));
+    assert_eq!(
+        allocations, 0,
+        "optimize_select allocated {allocations} times"
+    );
+    assert!(matches!(optimized, Some(Cow::Borrowed(_))));
+}
+
+/// Allocations of `SELECT * FROM v0` where the view's predicate is
+/// `terms` copies of `c0 >= 0` joined by AND.
+fn view_query_allocations(terms: usize) -> u64 {
+    let mut db = product_tables(4);
+    let pred = vec!["c0 >= 0"; terms].join(" AND ");
+    db.execute_sql(&format!("CREATE VIEW v0 AS SELECT c0 FROM t0 WHERE {pred}"))
+        .unwrap();
+    let query = parse("SELECT * FROM v0");
+    // Warm up: the first run compiles and caches the view's predicate.
+    db.execute(&query).unwrap();
+    allocations_during(|| {
+        db.execute(&query).unwrap();
+    })
+}
+
+#[test]
+fn a_query_over_a_view_does_not_copy_the_views_definition() {
+    let short = view_query_allocations(1);
+    let long = view_query_allocations(16);
+    assert_eq!(
+        short, long,
+        "SELECT over a view allocated {short} times with a 1-term predicate and {long} with 16 terms"
+    );
+}
+
+/// Allocations of a join that projects one TEXT column out of two tables
+/// of 8 rows and `columns` TEXT columns each.
+fn one_column_join_allocations(columns: usize) -> u64 {
+    let mut db = Database::new(EngineConfig::dynamic());
+    let names: Vec<String> = (0..columns).map(|i| format!("c{i}")).collect();
+    let values: Vec<String> = (0..8)
+        .map(|r| {
+            let row: Vec<String> = (0..columns).map(|i| format!("'r{r}v{i}'")).collect();
+            format!("({})", row.join(", "))
+        })
+        .collect();
+    for table in ["t0", "t1"] {
+        let defs: Vec<String> = names.iter().map(|c| format!("{c} TEXT")).collect();
+        db.execute_sql(&format!("CREATE TABLE {table} ({})", defs.join(", ")))
+            .unwrap();
+        db.execute_sql(&format!(
+            "INSERT INTO {table} ({}) VALUES {}",
+            names.join(", "),
+            values.join(", ")
+        ))
+        .unwrap();
+    }
+    let query = parse("SELECT t0.c0 FROM t0 CROSS JOIN t1");
+    db.execute(&query).unwrap();
+    allocations_during(|| {
+        db.execute(&query).unwrap();
+    })
+}
+
+#[test]
+fn a_join_that_projects_one_column_allocates_per_output_row() {
+    let narrow = one_column_join_allocations(1);
+    let wide = one_column_join_allocations(8);
+    // 64 output rows: each is one row vector and one copied string,
+    // whatever the width of the joined rows.
+    assert_eq!(
+        narrow, wide,
+        "a one-column join allocated {narrow} times over 1-column tables and {wide} over 8-column tables"
+    );
+    assert!(
+        narrow <= 2 * 64 + 16,
+        "a one-column join with 64 output rows allocated {narrow} times"
     );
 }

@@ -1,11 +1,14 @@
-//! The SELECT path's row handling: WHERE fused into the last step of FROM,
-//! and DISTINCT / set operations keyed by each value's dedup identity.
+//! The SELECT path's row handling: joined rows borrowed part by part and
+//! filtered in place, and DISTINCT / set operations keyed by each value's
+//! dedup identity.
 //!
-//! The fused filter must give the rows and the error text of filtering the
-//! fully joined relation: a join-condition error anywhere in the step wins
-//! over a WHERE error, NULL-padded outer-join rows are filtered like any
-//! other, only the last step of a longer FROM is fused, and a correlated
-//! subquery reads the right half of a split join row.
+//! A joined row is one borrowed part per FROM item, and WHERE keeps the
+//! survivors of the whole FROM. That must give the rows and the error text
+//! of filtering one concatenated copy of each joined row: a join-condition
+//! error anywhere in FROM wins over a WHERE error, NULL-padded outer-join
+//! parts read as NULL wherever they sit, and a correlated subquery reads
+//! every part. The tables of pinned outcomes below were recorded from the
+//! engine that concatenated its joined rows.
 
 use sql_ast::Value;
 use sql_engine::{Database, EngineConfig, ExecutionMode};
@@ -53,6 +56,61 @@ fn error(db: &mut Database, sql: &str) -> String {
     let reference = db.query(&select, ExecutionMode::Reference).unwrap_err();
     assert_eq!(optimized, reference, "paths disagree on {sql}");
     optimized.message
+}
+
+/// `t0`, `t1` and `t2` sharing a column `c0`, and a view `v0` over `t0`.
+fn three_tables(config: EngineConfig) -> Database {
+    let mut db = Database::new(config);
+    run_script(
+        &mut db,
+        "
+        CREATE TABLE t0 (c0 INTEGER PRIMARY KEY, c1 TEXT, c2 BOOLEAN);
+        CREATE TABLE t1 (c0 INTEGER, c3 INTEGER);
+        CREATE TABLE t2 (c0 INTEGER, c4 TEXT);
+        INSERT INTO t0 (c0, c1, c2) VALUES (1, 'alpha', TRUE), (2, 'beta', FALSE), (3, NULL, TRUE);
+        INSERT INTO t1 (c0, c3) VALUES (1, 10), (1, 20), (3, 30), (NULL, 40);
+        INSERT INTO t2 (c0, c4) VALUES (2, 'x'), (3, 'y'), (5, 'z');
+        CREATE VIEW v0 (k, label) AS SELECT c0, c1 FROM t0 WHERE c0 > 1;
+        ",
+    );
+    db
+}
+
+/// `sql`'s outcome on both execution paths, which must agree: its rows,
+/// `; `-separated with `|` between values, or `error: ` and its message.
+fn outcome(db: &Database, sql: &str) -> String {
+    let select = match parse_statements(sql).unwrap().remove(0) {
+        sql_ast::Statement::Select(select) => select,
+        other => panic!("not a query: {other}"),
+    };
+    let show = |mode| match db.query(&select, mode) {
+        Ok(rs) => rs
+            .rows
+            .iter()
+            .map(|row| {
+                row.iter()
+                    .map(Value::to_string)
+                    .collect::<Vec<_>>()
+                    .join("|")
+            })
+            .collect::<Vec<_>>()
+            .join("; "),
+        Err(err) => format!("error: {}", err.message),
+    };
+    let optimized = show(ExecutionMode::Optimized);
+    assert_eq!(
+        optimized,
+        show(ExecutionMode::Reference),
+        "paths disagree on {sql}"
+    );
+    optimized
+}
+
+/// Checks each `(sql, pinned outcome)` pair.
+fn check(db: &Database, cases: &[(&str, &str)]) {
+    for (sql, expected) in cases {
+        assert_eq!(outcome(db, sql), *expected, "{sql}");
+    }
 }
 
 fn int(i: i64) -> Value {
@@ -278,5 +336,290 @@ fn count_distinct_keys_values_by_their_dedup_identity() {
             "SELECT COUNT(DISTINCT (SELECT c0 FROM t0)) FROM t0"
         ),
         "scalar subquery returned more than one row"
+    );
+}
+
+/// Three-item comma products: every part of a row read in place, rows in nested-loop order.
+#[test]
+fn comma_products_of_three_tables_keep_nested_loop_order() {
+    check(
+        &three_tables(EngineConfig::dynamic()),
+        &[
+        (
+            "SELECT * FROM t0, t1, t2 WHERE t1.c3 < 25 AND t2.c0 < 4",
+            "1|'alpha'|TRUE|1|10|2|'x'; 1|'alpha'|TRUE|1|10|3|'y'; 1|'alpha'|TRUE|1|20|2|'x'; 1|'alpha'|TRUE|1|20|3|'y'; 2|'beta'|FALSE|1|10|2|'x'; 2|'beta'|FALSE|1|10|3|'y'; 2|'beta'|FALSE|1|20|2|'x'; 2|'beta'|FALSE|1|20|3|'y'; 3|NULL|TRUE|1|10|2|'x'; 3|NULL|TRUE|1|10|3|'y'; 3|NULL|TRUE|1|20|2|'x'; 3|NULL|TRUE|1|20|3|'y'",
+        ),
+        (
+            "SELECT t2.c4, t1.c3, t0.c1 FROM t2, t0, t1 WHERE t0.c0 = t2.c0 OR t1.c0 IS NULL",
+            "'x'|40|'alpha'; 'x'|10|'beta'; 'x'|20|'beta'; 'x'|30|'beta'; 'x'|40|'beta'; 'x'|40|NULL; 'y'|40|'alpha'; 'y'|40|'beta'; 'y'|10|NULL; 'y'|20|NULL; 'y'|30|NULL; 'y'|40|NULL; 'z'|40|'alpha'; 'z'|40|'beta'; 'z'|40|NULL",
+        ),
+        (
+            "SELECT COUNT(*), SUM(t1.c3) FROM t0, t1, t2",
+            "36|900",
+        ),
+        (
+            "SELECT * FROM t2 AS a, t2 AS b, t2 AS c WHERE a.c0 < b.c0 AND b.c0 < c.c0",
+            "2|'x'|3|'y'|5|'z'",
+        ),
+        ],
+    );
+}
+
+/// LEFT, RIGHT and FULL joins in a chain, with the NULL-padded part first, in the middle or last.
+#[test]
+fn join_chains_pad_their_first_middle_and_last_parts() {
+    check(
+        &three_tables(EngineConfig::dynamic()),
+        &[
+        (
+            "SELECT * FROM t0 JOIN t1 ON t0.c0 = t1.c0 LEFT JOIN t2 ON t2.c0 = t0.c0",
+            "1|'alpha'|TRUE|1|10|NULL|NULL; 1|'alpha'|TRUE|1|20|NULL|NULL; 3|NULL|TRUE|3|30|3|'y'",
+        ),
+        (
+            "SELECT * FROM t0 RIGHT JOIN t1 ON t0.c0 = t1.c0 JOIN t2 ON t2.c0 + 1 > t1.c3 / 10",
+            "1|'alpha'|TRUE|1|10|2|'x'; 1|'alpha'|TRUE|1|10|3|'y'; 1|'alpha'|TRUE|1|10|5|'z'; 1|'alpha'|TRUE|1|20|2|'x'; 1|'alpha'|TRUE|1|20|3|'y'; 1|'alpha'|TRUE|1|20|5|'z'; 3|NULL|TRUE|3|30|3|'y'; 3|NULL|TRUE|3|30|5|'z'; NULL|NULL|NULL|NULL|40|5|'z'",
+        ),
+        (
+            "SELECT * FROM t0 LEFT JOIN t1 ON t0.c0 = t1.c0 JOIN t2 ON t2.c0 >= t0.c0",
+            "1|'alpha'|TRUE|1|10|2|'x'; 1|'alpha'|TRUE|1|10|3|'y'; 1|'alpha'|TRUE|1|10|5|'z'; 1|'alpha'|TRUE|1|20|2|'x'; 1|'alpha'|TRUE|1|20|3|'y'; 1|'alpha'|TRUE|1|20|5|'z'; 2|'beta'|FALSE|NULL|NULL|2|'x'; 2|'beta'|FALSE|NULL|NULL|3|'y'; 2|'beta'|FALSE|NULL|NULL|5|'z'; 3|NULL|TRUE|3|30|3|'y'; 3|NULL|TRUE|3|30|5|'z'",
+        ),
+        (
+            "SELECT t0.c0, t1.c3, t2.c4 FROM t0 FULL JOIN t1 ON t0.c0 = t1.c0 FULL JOIN t2 ON t2.c0 = t0.c0",
+            "1|10|NULL; 1|20|NULL; 2|NULL|'x'; 3|30|'y'; NULL|40|NULL; NULL|NULL|'z'",
+        ),
+        (
+            "SELECT t0.c0, t1.c3, t2.c4 FROM t2 RIGHT JOIN t0 ON t2.c0 = t0.c0 RIGHT JOIN t1 ON t1.c0 = t0.c0",
+            "1|10|NULL; 1|20|NULL; 3|30|'y'; NULL|40|NULL",
+        ),
+        (
+            "SELECT * FROM t1 LEFT JOIN t0 ON t0.c0 = t1.c0 LEFT JOIN t2 ON t2.c0 = t0.c0 WHERE t2.c4 IS NULL",
+            "1|10|1|'alpha'|TRUE|NULL|NULL; 1|20|1|'alpha'|TRUE|NULL|NULL; NULL|40|NULL|NULL|NULL|NULL|NULL",
+        ),
+        (
+            "SELECT t1.c3, t2.c4 FROM t0 FULL JOIN t2 ON t0.c0 = t2.c0, t1 WHERE t1.c3 = 40 OR t1.c0 = t2.c0",
+            "40|NULL; 40|'x'; 30|'y'; 40|'y'; 40|'z'",
+        ),
+        ],
+    );
+}
+
+/// NATURAL joins, chained and against a view.
+#[test]
+fn natural_joins_match_every_shared_column() {
+    check(
+        &three_tables(EngineConfig::dynamic()),
+        &[
+            (
+                "SELECT * FROM t0 NATURAL JOIN t1",
+                "1|'alpha'|TRUE|1|10; 1|'alpha'|TRUE|1|20; 3|NULL|TRUE|3|30",
+            ),
+            ("SELECT * FROM t1 NATURAL JOIN t2", "3|30|3|'y'"),
+            (
+                "SELECT * FROM t0 NATURAL JOIN t1 NATURAL JOIN t2",
+                "3|NULL|TRUE|3|30|3|'y'",
+            ),
+            (
+                "SELECT * FROM t1 AS a NATURAL JOIN t1 AS b",
+                "1|10|1|10; 1|20|1|20; 3|30|3|30",
+            ),
+            ("SELECT COUNT(*) FROM t2 NATURAL JOIN v0", "6"),
+        ],
+    );
+}
+
+/// Views and derived tables as join parts, padded and unpadded.
+#[test]
+fn views_and_derived_tables_join_like_tables() {
+    check(
+        &three_tables(EngineConfig::dynamic()),
+        &[
+        (
+            "SELECT * FROM v0 JOIN t1 ON v0.k = t1.c0",
+            "3|NULL|3|30",
+        ),
+        (
+            "SELECT * FROM t1 LEFT JOIN v0 ON v0.k = t1.c0",
+            "1|10|NULL|NULL; 1|20|NULL|NULL; 3|30|3|NULL; NULL|40|NULL|NULL",
+        ),
+        (
+            "SELECT * FROM t0 JOIN v0 ON v0.k = t0.c0 FULL JOIN t2 ON t2.c4 = 'z' AND t2.c0 = v0.k",
+            "2|'beta'|FALSE|2|'beta'|NULL|NULL; 3|NULL|TRUE|3|NULL|NULL|NULL; NULL|NULL|NULL|NULL|NULL|2|'x'; NULL|NULL|NULL|NULL|NULL|3|'y'; NULL|NULL|NULL|NULL|NULL|5|'z'",
+        ),
+        (
+            "SELECT v0.label, d.n FROM v0, (SELECT c3 / 10 AS n FROM t1) AS d WHERE v0.k = d.n",
+            "'beta'|2; NULL|3",
+        ),
+        (
+            "SELECT * FROM (SELECT c0, c4 FROM t2 WHERE c0 > 2) AS d FULL JOIN v0 ON d.c0 = v0.k",
+            "3|'y'|3|NULL; 5|'z'|NULL|NULL; NULL|NULL|2|'beta'",
+        ),
+        (
+            "SELECT d.x, e.y FROM (SELECT c0 AS x FROM t0) AS d, (SELECT c3 AS y FROM t1 WHERE c3 > 15) AS e, v0 WHERE v0.k = d.x",
+            "2|20; 2|30; 2|40; 3|20; 3|30; 3|40",
+        ),
+        (
+            "SELECT * FROM v0 AS a, v0 AS b",
+            "2|'beta'|2|'beta'; 2|'beta'|3|NULL; 3|NULL|2|'beta'; 3|NULL|3|NULL",
+        ),
+        ],
+    );
+}
+
+/// Correlated subqueries that read each part of a joined row, padded parts included.
+#[test]
+fn correlated_subqueries_read_each_part_of_a_joined_row() {
+    check(
+        &three_tables(EngineConfig::dynamic()),
+        &[
+        (
+            "SELECT t0.c0, t1.c3, t2.c4 FROM t0, t1, t2 WHERE (SELECT COUNT(*) FROM t1 AS u WHERE u.c0 = t0.c0 AND u.c3 <= t1.c3 AND t2.c0 > u.c0) > 1",
+            "1|20|'x'; 1|20|'y'; 1|20|'z'; 1|30|'x'; 1|30|'y'; 1|30|'z'; 1|40|'x'; 1|40|'y'; 1|40|'z'",
+        ),
+        (
+            "SELECT t0.c0, (SELECT MAX(u.c3) FROM t1 AS u WHERE u.c0 = t2.c0) FROM t0 JOIN t2 ON t0.c0 = t2.c0",
+            "2|NULL; 3|30",
+        ),
+        (
+            "SELECT t1.c3, (SELECT COUNT(*) FROM t2 AS u WHERE u.c0 = t0.c0) FROM t1 LEFT JOIN t0 ON t0.c0 = t1.c0",
+            "10|0; 20|0; 30|1; 40|0",
+        ),
+        (
+            "SELECT t0.c0, t2.c4 FROM t0, t2 WHERE EXISTS (SELECT 1 FROM t1 WHERE t1.c0 = t0.c0 AND t1.c3 > t2.c0 * 5)",
+            "1|'x'; 1|'y'; 3|'x'; 3|'y'; 3|'z'",
+        ),
+        (
+            "SELECT v0.k FROM v0, t1 WHERE t1.c3 = (SELECT MIN(u.c3) FROM t1 AS u WHERE u.c0 + 0 = v0.k)",
+            "3",
+        ),
+        ],
+    );
+}
+
+/// GROUP BY and aggregates over joined rows, including an empty group's representative.
+#[test]
+fn aggregates_group_joined_rows() {
+    check(
+        &three_tables(EngineConfig::dynamic()),
+        &[
+        (
+            "SELECT t0.c0, COUNT(*), SUM(t1.c3), MAX(t2.c4) FROM t0 LEFT JOIN t1 ON t0.c0 = t1.c0 LEFT JOIN t2 ON t2.c0 = t0.c0 GROUP BY t0.c0 ORDER BY t0.c0",
+            "1|2|30|NULL; 2|1|NULL|'x'; 3|1|30|'y'",
+        ),
+        (
+            "SELECT t2.c4, COUNT(t1.c3), AVG(t1.c3) FROM t1, t2 WHERE t1.c0 IS NOT NULL GROUP BY t2.c4 HAVING COUNT(*) > 1 ORDER BY 1 DESC",
+            "'z'|3|20.0; 'y'|3|20.0; 'x'|3|20.0",
+        ),
+        (
+            "SELECT COUNT(*), t0.c1, MIN(t1.c3) FROM t0, t1 WHERE t0.c0 > 100",
+            "0|NULL|NULL",
+        ),
+        (
+            "SELECT t1.c0, COUNT(DISTINCT t0.c2), TOTAL(t1.c3) FROM t0 FULL JOIN t1 ON t0.c0 = t1.c0 GROUP BY t1.c0",
+            "NULL|1|40.0; 1|1|30.0; 3|1|30.0",
+        ),
+        (
+            "SELECT v0.label, COUNT(*) FROM v0, t1, (SELECT c0 FROM t2) AS d GROUP BY v0.label",
+            "NULL|12; 'beta'|12",
+        ),
+        ],
+    );
+}
+
+/// DISTINCT, ORDER BY, LIMIT and a set operation over projected join rows.
+#[test]
+fn distinct_order_and_limit_apply_to_projected_join_rows() {
+    check(
+        &three_tables(EngineConfig::dynamic()),
+        &[
+        (
+            "SELECT DISTINCT t0.c2, t1.c0 FROM t0, t1 ORDER BY 1, 2 LIMIT 4 OFFSET 1",
+            "FALSE|1; FALSE|3; TRUE|NULL; TRUE|1",
+        ),
+        (
+            "SELECT DISTINCT * FROM t1 AS a JOIN t1 AS b ON a.c0 = b.c0",
+            "1|10|1|10; 1|10|1|20; 1|20|1|10; 1|20|1|20; 3|30|3|30",
+        ),
+        (
+            "SELECT t0.c1, t2.c4 FROM t0 LEFT JOIN t2 ON t2.c0 = t0.c0 ORDER BY t2.c4 DESC, t0.c0 LIMIT 2",
+            "NULL|'y'; 'beta'|'x'",
+        ),
+        (
+            "SELECT t1.c3 FROM t0, t1 WHERE t0.c0 = 1 ORDER BY t0.c1, t1.c3 DESC LIMIT 3",
+            "40; 30; 20",
+        ),
+        (
+            "SELECT t0.c0 FROM t0, t2 UNION SELECT t1.c0 FROM t1, t2 ORDER BY 1",
+            "1; 2; 3; NULL",
+        ),
+        ],
+    );
+}
+
+/// Every join condition of FROM is decided before WHERE sees a row: an ON error on a later pair or in a later item wins over an earlier WHERE error.
+#[test]
+fn join_condition_errors_win_over_where_errors() {
+    check(
+        &three_tables(EngineConfig::strict()),
+        &[
+        (
+            "SELECT * FROM t0 JOIN t1 ON t1.c0 = t0.c0 JOIN t2 ON t2.c0 = t0.c0 OR t2.c4 = t0.c0 WHERE t0.c1 + 1 > 0",
+            "error: cannot compare TEXT with INTEGER",
+        ),
+        (
+            "SELECT * FROM t0 JOIN t1 ON t1.c0 = t0.c0 JOIN t2 ON t2.c0 > t0.c0 WHERE t0.c1 + 1 > 0",
+            "error: expected a numeric value, got TEXT",
+        ),
+        (
+            "SELECT * FROM t0 LEFT JOIN t1 ON t1.c3 = t0.c1, t2 WHERE t2.c4 > 1",
+            "error: cannot compare INTEGER with TEXT",
+        ),
+        (
+            "SELECT * FROM t0, t2 JOIN t1 ON t1.c3 > t2.c4 WHERE t0.c1 > 1",
+            "error: cannot compare INTEGER with TEXT",
+        ),
+        (
+            "SELECT * FROM t2 JOIN t0 ON t0.c0 = t2.c0 WHERE t0.c1 > 1",
+            "error: cannot compare TEXT with INTEGER",
+        ),
+        (
+            "SELECT COUNT(*) FROM t0 JOIN t1 ON t1.c0 = t0.c0 WHERE t0.c1 + 1 > 0",
+            "error: expected a numeric value, got TEXT",
+        ),
+        ],
+    );
+}
+
+/// An outer join pads a part wider than the engine's shared NULL row from
+/// a NULL row of its own.
+#[test]
+fn a_padded_part_of_any_width_reads_null() {
+    let mut db = Database::new(EngineConfig::dynamic());
+    let columns: Vec<String> = (0..40).map(|i| format!("c{i} INTEGER")).collect();
+    run_script(
+        &mut db,
+        &format!(
+            "CREATE TABLE w ({});
+             CREATE TABLE t (c0 INTEGER);
+             INSERT INTO t (c0) VALUES (1), (2);
+             INSERT INTO w (c0, c39) VALUES (2, 39);",
+            columns.join(", ")
+        ),
+    );
+    check(
+        &db,
+        &[
+            (
+                "SELECT t.c0, w.c0, w.c39 FROM t LEFT JOIN w ON w.c0 = t.c0",
+                "1|NULL|NULL; 2|2|39",
+            ),
+            (
+                "SELECT w.c39, t.c0 FROM w RIGHT JOIN t ON w.c0 = t.c0 WHERE w.c39 IS NULL",
+                "NULL|1",
+            ),
+            (
+                "SELECT COUNT(*), COUNT(w.c39) FROM t FULL JOIN w ON FALSE",
+                "3|1",
+            ),
+        ],
     );
 }
