@@ -7,6 +7,7 @@
 //! nanoseconds per iteration over a fixed wall-clock budget.
 
 use dbms_sim::preset_by_name;
+use sql_ast::{AggregateFunction, BinaryOp, ScalarFunction};
 use sqlancer_core::{
     check_tlp, AdaptiveGenerator, BugPrioritizer, DbmsConnection, Feature, FeatureKind, FeatureSet,
     FeatureStats, GeneratorConfig, StatsConfig, TextOnlyConnection,
@@ -57,14 +58,14 @@ fn bench_generation() {
 fn bench_feedback() {
     let features: FeatureSet = ["OP_EQ", "FN_SIN", "JOIN_LEFT", "CLAUSE_WHERE"]
         .iter()
-        .map(|n| Feature::new(*n))
+        .map(|n| Feature::from_name(n).unwrap())
         .collect();
     let mut stats = FeatureStats::new();
     let config = StatsConfig::default();
     bench("feedback/record_and_query_posterior", || {
         stats.record(&features, FeatureKind::Query, true);
         std::hint::black_box(stats.is_unsupported(
-            &Feature::new("FN_SIN"),
+            Feature::function(ScalarFunction::Sin),
             FeatureKind::Query,
             &config,
         ));
@@ -104,12 +105,11 @@ fn bench_prioritizer() {
     let sets: Vec<FeatureSet> = (0..200)
         .map(|i| {
             [
-                format!("F{}", i % 17),
-                format!("G{}", i % 5),
-                "OP_EQ".to_string(),
+                Feature::function(ScalarFunction::ALL[i % 17]),
+                Feature::aggregate(AggregateFunction::ALL[i % 5]),
+                Feature::binary_op(BinaryOp::Eq),
             ]
-            .iter()
-            .map(|n| Feature::new(n.clone()))
+            .into_iter()
             .collect()
         })
         .collect();

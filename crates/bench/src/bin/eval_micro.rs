@@ -13,6 +13,12 @@
 //! allocations per `optimize_select` call. A counting global allocator
 //! counts this thread's allocations.
 //!
+//! The third section times the "generate" stage's per-case feature work
+//! on the same seeded generator: generating a case (the four oracles'
+//! shapes in rotation), recording its outcome in the support model, and
+//! observing it in the coverage atlas — nanoseconds and allocations per
+//! case for each. It prints only; no figure here is gated.
+//!
 //! Run with `cargo run --release -p bench --bin eval_micro`.
 
 use sql_ast::{Expr, Select, SelectItem};
@@ -20,7 +26,10 @@ use sql_engine::{
     compile_expr, optimize_select, Database, EngineConfig, EvalStrategy, Evaluator, ExecutionMode,
     RelationBinding, Scope,
 };
-use sqlancer_core::{AdaptiveGenerator, GeneratorConfig};
+use sqlancer_core::trace::TraceVerdict;
+use sqlancer_core::{
+    AdaptiveGenerator, CampaignCoverage, FeatureKind, FeatureSet, GeneratorConfig, OracleKind,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::time::{Duration, Instant};
@@ -81,6 +90,7 @@ fn bench(name: &str, mut f: impl FnMut()) {
 fn main() {
     evaluators();
     query_path();
+    generate_stage();
 }
 
 fn evaluators() {
@@ -159,7 +169,9 @@ fn from_arity(select: &Select) -> usize {
     select.from.iter().map(|twj| 1 + twj.joins.len()).sum()
 }
 
-fn query_path() {
+/// A `sqlite`-preset database and the seeded generator that built its
+/// schema.
+fn seeded_database() -> (Database, AdaptiveGenerator) {
     let preset = dbms_sim::preset_by_name("sqlite").expect("the sqlite preset");
     let mut db = Database::new(EngineConfig {
         typing: preset.profile.typing,
@@ -173,6 +185,11 @@ fn query_path() {
             generator.apply_success(&generated.statement);
         }
     }
+    (db, generator)
+}
+
+fn query_path() {
+    let (db, mut generator) = seeded_database();
     // The mix, by FROM arity: each query as TLP sends it (`SELECT *`, no
     // WHERE) and its three partitions.
     let mut by_arity: [Vec<Select>; 3] = Default::default();
@@ -240,4 +257,79 @@ fn query_path() {
         "{:<48} {per_call:>28.2} allocs/call",
         format!("optimize_select ({} queries)", all.len())
     );
+}
+
+/// Cases the generate section records and observes per pass.
+const STAGE_CASES: usize = 1024;
+
+/// The oracles in campaign rotation.
+const ORACLES: [OracleKind; 4] = [
+    OracleKind::Tlp,
+    OracleKind::NoRec,
+    OracleKind::Rollback,
+    OracleKind::Isolation,
+];
+
+/// Generates the `index`-th case of the rotation, falling back to a
+/// query as the campaign does, and returns its features.
+fn generate_case(generator: &mut AdaptiveGenerator, index: usize) -> FeatureSet {
+    match ORACLES[index % ORACLES.len()] {
+        OracleKind::Rollback => generator.generate_txn_session().map(|case| case.features),
+        OracleKind::Isolation => generator.generate_schedule().map(|case| case.features),
+        _ => None,
+    }
+    .or_else(|| generator.generate_query().map(|query| query.features))
+    .expect("the seeded schema has a table")
+}
+
+/// Runs `pass` (which handles `cases` cases) for a fixed budget after one
+/// warm-up pass, and prints nanoseconds and allocations per case.
+fn per_case(name: &str, cases: usize, mut pass: impl FnMut()) {
+    pass();
+    let before = allocations();
+    pass();
+    let allocs = (allocations() - before) as f64 / cases as f64;
+    let budget = Duration::from_millis(300);
+    let start = Instant::now();
+    let mut passes = 0u64;
+    while start.elapsed() < budget {
+        pass();
+        passes += 1;
+    }
+    let nanos = start.elapsed().as_nanos() as f64 / (passes * cases as u64) as f64;
+    println!("{name:<48} {nanos:>10.1} ns/case {allocs:>9.1} allocs/case");
+}
+
+fn generate_stage() {
+    let (_, mut generator) = seeded_database();
+    // Record every warm-up case so the depth schedule reaches its cap.
+    let mut features = Vec::with_capacity(STAGE_CASES);
+    for index in 0..STAGE_CASES {
+        let case = generate_case(&mut generator, index);
+        generator.record_outcome(&case, FeatureKind::Query, index % 4 != 0);
+        features.push(case);
+    }
+    println!();
+    let mut next = 0usize;
+    let mut stage = generator.clone();
+    per_case("generate/case (four oracles in rotation)", 64, || {
+        for _ in 0..64 {
+            std::hint::black_box(generate_case(&mut stage, next));
+            next += 1;
+        }
+    });
+    per_case("generate/record_outcome", STAGE_CASES, || {
+        for (index, case) in features.iter().enumerate() {
+            generator.record_outcome(case, FeatureKind::Query, index % 4 != 0);
+        }
+    });
+    let verdicts = [TraceVerdict::Pass, TraceVerdict::Invalid, TraceVerdict::Bug];
+    let mut atlas = CampaignCoverage::default();
+    per_case("generate/observe_case", STAGE_CASES, || {
+        atlas.begin_database();
+        for (index, case) in features.iter().enumerate() {
+            let (oracle, verdict) = (ORACLES[index % 4], verdicts[index % 3]);
+            atlas.observe_case(oracle, verdict, case, index as u64);
+        }
+    });
 }

@@ -40,8 +40,8 @@ fn venn(label: &str, generator: &BTreeSet<String>, a: &BTreeSet<String>, b: &BTr
 }
 
 fn main() {
-    let universe: BTreeSet<String> = sqlancer_core::feature_universe()
-        .into_iter()
+    let universe: BTreeSet<String> = sqlancer_core::FeatureSet::universe()
+        .iter()
         .map(|f| f.name().to_string())
         .collect();
     let sqlite = preset_by_name("sqlite")

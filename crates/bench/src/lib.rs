@@ -7,7 +7,7 @@
 
 use dbms_sim::{DialectPreset, SimulatedDbms};
 use sqlancer_core::{
-    AdaptiveGenerator, Campaign, CampaignConfig, CampaignReport, DbmsConnection, Feature,
+    AdaptiveGenerator, Campaign, CampaignConfig, CampaignReport, DbmsConnection, FeatureSet,
     GeneratorConfig, OracleKind,
 };
 use std::collections::BTreeSet;
@@ -73,11 +73,9 @@ pub fn experiment_campaign_config(seed: u64, queries: usize, arm: GeneratorArm) 
 pub fn campaign_for(preset: &DialectPreset, config: CampaignConfig, arm: GeneratorArm) -> Campaign {
     match arm {
         GeneratorArm::PerfectKnowledge => {
-            let supported: BTreeSet<Feature> = preset
-                .profile
-                .supported_universe()
-                .into_iter()
-                .map(Feature::new)
+            let supported: FeatureSet = FeatureSet::universe()
+                .iter()
+                .filter(|feature| preset.profile.supports(feature.name()))
                 .collect();
             let generator =
                 AdaptiveGenerator::with_knowledge(config.seed, config.generator.clone(), supported);

@@ -39,9 +39,7 @@
 //! cases), but it is deliberately excluded from the rendered report: it
 //! is positional state, not an invariant aggregate.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt::Write as _;
-use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::dbms::EngineCoverage;
 use crate::feature::{Feature, FeatureSet};
@@ -55,43 +53,72 @@ use crate::trace::TraceVerdict;
 /// decay of discovery is visible without storing per-case data.
 pub const SATURATION_WINDOW: u64 = 32;
 
-/// FNV-1a hasher for the per-database seen map. Two things matter on
-/// this path: speed on short feature names (std's SipHash costs more
-/// than the whole probe should) and a fixed key (SipHash is randomly
-/// seeded per process; results would still be deterministic, but a
-/// fixed hasher keeps even the map's internal behaviour reproducible).
-#[derive(Clone)]
-pub struct FnvHasher(u64);
+const ORACLE_COUNT: usize = 4;
 
-impl Default for FnvHasher {
-    fn default() -> FnvHasher {
-        FnvHasher(0xcbf2_9ce4_8422_2325)
+/// The oracles in name order: the order per-oracle tables encode and
+/// render in.
+const ORACLES_BY_NAME: [OracleKind; ORACLE_COUNT] = [
+    OracleKind::Isolation,
+    OracleKind::NoRec,
+    OracleKind::Rollback,
+    OracleKind::Tlp,
+];
+
+/// The verdicts in name order.
+const VERDICTS_BY_NAME: [TraceVerdict; 5] = [
+    TraceVerdict::Bug,
+    TraceVerdict::InfraFailed,
+    TraceVerdict::Invalid,
+    TraceVerdict::Panicked,
+    TraceVerdict::Pass,
+];
+
+/// The verdict with name `name`.
+fn verdict_named(name: &str) -> Result<TraceVerdict, String> {
+    VERDICTS_BY_NAME
+        .into_iter()
+        .find(|verdict| verdict.name() == name)
+        .ok_or_else(|| format!("unknown verdict '{name}'"))
+}
+
+/// The oracle with name `name`.
+fn oracle_named(name: &str) -> Result<OracleKind, String> {
+    OracleKind::decode(&Json::Str(name.to_string()))
+}
+
+/// Per-verdict case tallies, one slot per [`TraceVerdict`]; a slot is
+/// empty until its first case (only filled slots encode).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct VerdictCounts([Option<u64>; 5]);
+
+impl VerdictCounts {
+    /// Cases with this verdict.
+    pub fn get(&self, verdict: TraceVerdict) -> u64 {
+        self.0[verdict as usize].unwrap_or(0)
+    }
+
+    fn add(&mut self, verdict: TraceVerdict, count: u64) {
+        *self.0[verdict as usize].get_or_insert(0) += count;
     }
 }
 
-impl Hasher for FnvHasher {
-    fn finish(&self) -> u64 {
-        self.0
+/// Tallies travel as `{verdict:count}` in name order.
+impl Codec for VerdictCounts {
+    fn encode(&self) -> Json {
+        let filled = VERDICTS_BY_NAME
+            .into_iter()
+            .filter_map(|verdict| Some((verdict.name(), self.0[verdict as usize]?.into())));
+        Json::obj(filled)
     }
 
-    fn write(&mut self, bytes: &[u8]) {
-        for &byte in bytes {
-            self.0 ^= u64::from(byte);
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
+    fn decode(json: &Json) -> Result<VerdictCounts, String> {
+        let mut counts = VerdictCounts::default();
+        for (name, count) in json.as_obj()? {
+            let verdict = verdict_named(name)?;
+            counts.0[verdict as usize] =
+                Some(u64::decode(count).map_err(|err| format!("{name}: {err}"))?);
         }
-    }
-}
-
-/// The per-database novelty map: feature → oracle-membership bitmask.
-pub type SeenMap = HashMap<Feature, u8, BuildHasherDefault<FnvHasher>>;
-
-/// The oracle's bit in a [`CampaignCoverage::seen`] mask.
-pub fn oracle_bit(oracle: OracleKind) -> u8 {
-    match oracle {
-        OracleKind::Tlp => 1 << 0,
-        OracleKind::NoRec => 1 << 1,
-        OracleKind::Rollback => 1 << 2,
-        OracleKind::Isolation => 1 << 3,
+        Ok(counts)
     }
 }
 
@@ -101,9 +128,8 @@ pub fn oracle_bit(oracle: OracleKind) -> u8 {
 pub struct OracleCoverage {
     /// Cases observed for this oracle.
     pub cases: u64,
-    /// Verdict name (`pass`, `invalid`, `bug`, `infra_failed`,
-    /// `panicked`) → count.
-    pub verdicts: BTreeMap<String, u64>,
+    /// Cases per verdict.
+    pub verdicts: VerdictCounts,
     /// Union of the feature sets of every observed case.
     pub features: FeatureSet,
 }
@@ -112,14 +138,121 @@ impl OracleCoverage {
     /// Accumulates another oracle's coverage (summation + union).
     pub fn merge(&mut self, other: &OracleCoverage) {
         self.cases += other.cases;
-        for (verdict, count) in &other.verdicts {
-            *self.verdicts.entry(verdict.clone()).or_default() += count;
+        for verdict in VERDICTS_BY_NAME {
+            if let Some(count) = other.verdicts.0[verdict as usize] {
+                self.verdicts.add(verdict, count);
+            }
         }
         self.features.extend(&other.features);
     }
 }
 
 json_record!(struct OracleCoverage { cases, verdicts, features });
+
+/// The coverage of each oracle that has observed a case, one slot per
+/// [`OracleKind`].
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct OracleTable([Option<OracleCoverage>; ORACLE_COUNT]);
+
+impl OracleTable {
+    /// The coverage of `oracle`, if it observed a case.
+    pub fn get(&self, oracle: OracleKind) -> Option<&OracleCoverage> {
+        self.0[oracle as usize].as_ref()
+    }
+
+    fn entry(&mut self, oracle: OracleKind) -> &mut OracleCoverage {
+        self.0[oracle as usize].get_or_insert_with(OracleCoverage::default)
+    }
+
+    /// The observed oracles' coverage, in oracle-name order.
+    pub fn iter(&self) -> impl Iterator<Item = (OracleKind, &OracleCoverage)> {
+        ORACLES_BY_NAME
+            .into_iter()
+            .filter_map(|oracle| Some((oracle, self.get(oracle)?)))
+    }
+
+    /// Whether no oracle observed a case.
+    pub fn is_empty(&self) -> bool {
+        self.0.iter().all(Option::is_none)
+    }
+}
+
+/// The table travels as `{oracle:coverage}` in name order.
+impl Codec for OracleTable {
+    fn encode(&self) -> Json {
+        Json::obj(
+            self.iter()
+                .map(|(oracle, coverage)| (oracle.name(), coverage.encode())),
+        )
+    }
+
+    fn decode(json: &Json) -> Result<OracleTable, String> {
+        let mut table = OracleTable::default();
+        for (name, coverage) in json.as_obj()? {
+            let oracle = oracle_named(name)?;
+            table.0[oracle as usize] =
+                Some(OracleCoverage::decode(coverage).map_err(|err| format!("{name}: {err}"))?);
+        }
+        Ok(table)
+    }
+}
+
+/// The per-database novelty state: for each oracle, the features its
+/// cases exercised in the current database. A feature is novel when no
+/// oracle's set holds it yet.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct SeenFeatures([FeatureSet; ORACLE_COUNT]);
+
+impl SeenFeatures {
+    /// Every feature seen in the current database, by any oracle.
+    pub fn any(&self) -> FeatureSet {
+        let mut any = self.0[0].clone();
+        for seen in &self.0[1..] {
+            any.extend(seen);
+        }
+        any
+    }
+
+    fn clear(&mut self) {
+        *self = SeenFeatures::default();
+    }
+}
+
+/// The seen state travels as `{feature:mask}` in name order, where bit
+/// `k` of the mask is the oracle with declaration index `k` — so equal
+/// states write equal bytes.
+impl Codec for SeenFeatures {
+    fn encode(&self) -> Json {
+        let mask = |feature: Feature| {
+            (0..ORACLE_COUNT)
+                .filter(|&oracle| self.0[oracle].contains(feature))
+                .fold(0u8, |mask, oracle| mask | 1 << oracle)
+        };
+        Json::Obj(
+            self.any()
+                .iter()
+                .map(|feature| (feature.name().to_string(), mask(feature).encode()))
+                .collect(),
+        )
+    }
+
+    fn decode(json: &Json) -> Result<SeenFeatures, String> {
+        let mut seen = SeenFeatures::default();
+        for (name, mask) in json.as_obj()? {
+            let feature = Feature::decode(&Json::Str(name.clone()))?;
+            let mask = u8::decode(mask).map_err(|err| format!("{name}: {err}"))?;
+            if mask >> ORACLE_COUNT != 0 {
+                return Err(format!("{name}: mask {mask} names no oracle"));
+            }
+            for (oracle, set) in seen.0.iter_mut().enumerate() {
+                if mask & 1 << oracle != 0 {
+                    set.insert(feature);
+                }
+            }
+        }
+        Ok(seen)
+    }
+}
 
 /// The windowed saturation curve: how much *new* feature coverage each
 /// window of cases discovered, and how dry the tail of the campaign ran.
@@ -173,39 +306,23 @@ json_record!(struct SaturationCurve {
     windows, window_cases, gaps
 });
 
-/// The seen map travels sorted by feature, so equal maps write equal bytes.
-impl Codec for SeenMap {
-    fn encode(&self) -> Json {
-        let sorted: BTreeMap<Feature, u8> = self.iter().map(|(f, m)| (f.clone(), *m)).collect();
-        sorted.encode()
-    }
-
-    fn decode(json: &Json) -> Result<SeenMap, String> {
-        BTreeMap::<Feature, u8>::decode(json).map(|seen| seen.into_iter().collect())
-    }
-}
-
 /// The coverage atlas of one campaign (or a merged fleet of shards):
 /// per-oracle feature coverage, the engine-plane point union, and the
 /// saturation curve. Lives inside `CampaignReport`, so checkpoints carry
 /// it and the partitioned runner merges it shard-wise.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CampaignCoverage {
-    /// Oracle name (`TLP`, `NoREC`, …) → its coverage.
-    pub oracles: BTreeMap<String, OracleCoverage>,
+    /// Each oracle's coverage.
+    pub oracles: OracleTable,
     /// Engine-side coverage points reached by any execution (union over
     /// pool slots, polls and shards).
     pub engine: EngineCoverage,
     /// The windowed saturation curve.
     pub saturation: SaturationCurve,
-    /// Working state: features already seen in the **current database**
-    /// (resets at every database boundary), each mapped to a bitmask of
-    /// the oracles (see [`oracle_bit`]) whose per-oracle feature set is
-    /// already known to contain it. The mask is a lookup-avoidance hint:
-    /// the hot path pays one hashed probe per feature instead of an
-    /// ordered-set walk here plus one in the oracle's set. Checkpointed
-    /// (sorted at serialisation time), not rendered.
-    pub seen: SeenMap,
+    /// Working state: the features each oracle's cases exercised in the
+    /// **current database** (resets at every database boundary).
+    /// Checkpointed, not rendered.
+    pub seen: SeenFeatures,
     /// Working state: consecutive non-novel cases in the current
     /// database. Checkpointed, not rendered.
     pub dry_run: u64,
@@ -245,47 +362,14 @@ impl CampaignCoverage {
         features: &FeatureSet,
         case_index: u64,
     ) {
-        // Allocation-light on the hot path: the map keys exist after the
-        // first case of each oracle/verdict, and feature inserts only
-        // clone on first sight.
-        if !self.oracles.contains_key(oracle.name()) {
-            self.oracles
-                .insert(oracle.name().to_string(), OracleCoverage::default());
-        }
-        let entry = self.oracles.get_mut(oracle.name()).expect("inserted above");
+        // Allocation-free: the tallies are arrays and the feature sets
+        // bitsets.
+        let novel = features.difference(&self.seen.any()).len() as u64;
+        self.seen.0[oracle as usize].extend(features);
+        let entry = self.oracles.entry(oracle);
         entry.cases += 1;
-        if !entry.verdicts.contains_key(verdict.name()) {
-            entry.verdicts.insert(verdict.name().to_string(), 0);
-        }
-        *entry
-            .verdicts
-            .get_mut(verdict.name())
-            .expect("inserted above") += 1;
-        let bit = oracle_bit(oracle);
-        let mut novel = 0u64;
-        for feature in features.iter() {
-            match self.seen.get_mut(feature) {
-                Some(mask) => {
-                    // Steady state: one map probe. The oracle-set union
-                    // only runs the first time this oracle meets the
-                    // feature in this database; afterwards the mask bit
-                    // short-circuits it.
-                    if *mask & bit == 0 {
-                        if !entry.features.contains(feature) {
-                            entry.features.insert(feature.clone());
-                        }
-                        *mask |= bit;
-                    }
-                }
-                None => {
-                    self.seen.insert(feature.clone(), bit);
-                    novel += 1;
-                    if !entry.features.contains(feature) {
-                        entry.features.insert(feature.clone());
-                    }
-                }
-            }
-        }
+        entry.verdicts.add(verdict, 1);
+        entry.features.extend(features);
         let window = (case_index / SATURATION_WINDOW) as usize;
         if self.saturation.windows.len() <= window {
             self.saturation.windows.resize(window + 1, 0);
@@ -313,29 +397,25 @@ impl CampaignCoverage {
     /// Accumulates another atlas (shard merge): pure summation/union/max
     /// everywhere, so merge order cannot matter.
     pub fn merge(&mut self, other: &CampaignCoverage) {
-        for (oracle, coverage) in &other.oracles {
-            self.oracles
-                .entry(oracle.clone())
-                .or_default()
-                .merge(coverage);
+        for (oracle, coverage) in other.oracles.iter() {
+            self.oracles.entry(oracle).merge(coverage);
         }
         self.engine.merge(&other.engine);
         self.saturation.merge(&other.saturation);
         // Working state: meaningful only while a single campaign is
         // running; merged atlases are final, but carry the union/sum so
-        // merge stays lossless. Masks OR together: a set bit is a claim
-        // the oracle's set contains the feature, which unions preserve.
-        for (feature, mask) in &other.seen {
-            *self.seen.entry(feature.clone()).or_insert(0) |= mask;
+        // merge stays lossless.
+        for (mine, theirs) in self.seen.0.iter_mut().zip(&other.seen.0) {
+            mine.extend(theirs);
         }
         self.dry_run += other.dry_run;
     }
 
     /// Distinct grammar features reached across all oracles.
     pub fn distinct_features(&self) -> usize {
-        let mut union: BTreeSet<&Feature> = BTreeSet::new();
-        for coverage in self.oracles.values() {
-            union.extend(coverage.features.iter());
+        let mut union = FeatureSet::new();
+        for (_, coverage) in self.oracles.iter() {
+            union.extend(&coverage.features);
         }
         union.len()
     }
@@ -343,12 +423,8 @@ impl CampaignCoverage {
     /// The features of `universe` no oracle's case has exercised yet in
     /// the current database — the cold set the coverage-directed mode
     /// boosts.
-    pub fn cold_features(&self, universe: &[Feature]) -> BTreeSet<Feature> {
-        universe
-            .iter()
-            .filter(|feature| !self.seen.contains_key(feature))
-            .cloned()
-            .collect()
+    pub fn cold_features(&self, universe: &FeatureSet) -> FeatureSet {
+        universe.difference(&self.seen.any())
     }
 
     /// `true` when nothing was observed (fresh campaign or a backend
@@ -363,16 +439,27 @@ impl CampaignCoverage {
     /// determinism contract.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        for (oracle, coverage) in &self.oracles {
+        for (oracle, coverage) in self.oracles.iter() {
             let _ = write!(
                 out,
-                "oracle {oracle} cases {} features {}",
+                "oracle {} cases {} features {}",
+                oracle.name(),
                 coverage.cases,
                 coverage.features.len()
             );
-            for verdict in ["pass", "invalid", "bug", "infra_failed", "panicked"] {
-                let count = coverage.verdicts.get(verdict).copied().unwrap_or(0);
-                let _ = write!(out, " {verdict} {count}");
+            for verdict in [
+                TraceVerdict::Pass,
+                TraceVerdict::Invalid,
+                TraceVerdict::Bug,
+                TraceVerdict::InfraFailed,
+                TraceVerdict::Panicked,
+            ] {
+                let _ = write!(
+                    out,
+                    " {} {}",
+                    verdict.name(),
+                    coverage.verdicts.get(verdict)
+                );
             }
             out.push('\n');
             out.push_str("  features");
@@ -450,7 +537,10 @@ mod tests {
     use crate::json::validate_jsonl;
 
     fn features(names: &[&str]) -> FeatureSet {
-        names.iter().map(|name| Feature::new(*name)).collect()
+        names
+            .iter()
+            .map(|name| Feature::from_name(name).unwrap())
+            .collect()
     }
 
     #[test]
@@ -460,23 +550,34 @@ mod tests {
         atlas.observe_case(
             OracleKind::Tlp,
             TraceVerdict::Pass,
-            &features(&["A", "B"]),
+            &features(&["OP_EQ", "FN_ABS"]),
             0,
         );
-        atlas.observe_case(OracleKind::Tlp, TraceVerdict::Invalid, &features(&["A"]), 1);
+        atlas.observe_case(
+            OracleKind::Tlp,
+            TraceVerdict::Invalid,
+            &features(&["OP_EQ"]),
+            1,
+        );
         assert_eq!(atlas.saturation.novel_features, 2);
         assert_eq!(atlas.dry_run, 1);
         // A new database makes old features novel again.
         atlas.begin_database();
-        atlas.observe_case(OracleKind::NoRec, TraceVerdict::Pass, &features(&["A"]), 0);
+        atlas.observe_case(
+            OracleKind::NoRec,
+            TraceVerdict::Pass,
+            &features(&["OP_EQ"]),
+            0,
+        );
         assert_eq!(atlas.saturation.novel_features, 3);
         assert_eq!(atlas.saturation.trailing_dry_cases, 1);
         atlas.finish();
         assert_eq!(atlas.saturation.windows[0], 3);
         assert_eq!(atlas.saturation.window_cases[0], 3);
-        assert_eq!(atlas.oracles["TLP"].cases, 2);
-        assert_eq!(atlas.oracles["TLP"].verdicts["pass"], 1);
-        assert_eq!(atlas.oracles["NoREC"].cases, 1);
+        let tlp = atlas.oracles.get(OracleKind::Tlp).unwrap();
+        assert_eq!(tlp.cases, 2);
+        assert_eq!(tlp.verdicts.get(TraceVerdict::Pass), 1);
+        assert_eq!(atlas.oracles.get(OracleKind::NoRec).unwrap().cases, 1);
     }
 
     #[test]
@@ -489,7 +590,10 @@ mod tests {
         let mut shard_b = CampaignCoverage::default();
         serial.begin_database();
         shard_a.begin_database();
-        for (case, set) in [&["A", "B"][..], &["B"], &["C"]].iter().enumerate() {
+        for (case, set) in [&["OP_EQ", "FN_ABS"][..], &["FN_ABS"], &["JOIN_LEFT"]]
+            .iter()
+            .enumerate()
+        {
             serial.observe_case(
                 OracleKind::Tlp,
                 TraceVerdict::Pass,
@@ -505,7 +609,10 @@ mod tests {
         }
         serial.begin_database();
         shard_b.begin_database();
-        for (case, set) in [&["A"][..], &["D", "E"]].iter().enumerate() {
+        for (case, set) in [&["OP_EQ"][..], &["AGG_SUM", "CLAUSE_CASE"]]
+            .iter()
+            .enumerate()
+        {
             serial.observe_case(
                 OracleKind::Tlp,
                 TraceVerdict::Bug,
@@ -534,6 +641,40 @@ mod tests {
     }
 
     #[test]
+    fn the_checkpoint_object_round_trips_and_rejects_unknown_names() {
+        let mut atlas = CampaignCoverage::default();
+        atlas.begin_database();
+        atlas.observe_case(
+            OracleKind::Tlp,
+            TraceVerdict::Pass,
+            &features(&["OP_EQ"]),
+            0,
+        );
+        atlas.observe_case(
+            OracleKind::Isolation,
+            TraceVerdict::Bug,
+            &features(&["OP_EQ", "FN_ABS"]),
+            1,
+        );
+        let json = atlas.encode();
+        assert_eq!(
+            json.field("seen").unwrap().to_string(),
+            r#"{"FN_ABS":8,"OP_EQ":9}"#
+        );
+        assert_eq!(
+            json.field("oracles").unwrap().as_obj().unwrap()[0].0,
+            "ISOLATION"
+        );
+        assert_eq!(CampaignCoverage::decode(&json).unwrap(), atlas);
+        let text = json.to_string();
+        for (from, to) in [("FN_ABS", "FN_WARP"), ("\"pass\"", "\"maybe\"")] {
+            let bad = crate::json::parse(&text.replace(from, to)).unwrap();
+            let err = CampaignCoverage::decode(&bad).unwrap_err();
+            assert!(err.contains(&to.replace('"', "")), "{err}");
+        }
+    }
+
+    #[test]
     fn engine_union_absorbs_duplicates() {
         let mut atlas = CampaignCoverage::default();
         let mut coverage = EngineCoverage::default();
@@ -546,14 +687,19 @@ mod tests {
 
     #[test]
     fn cold_features_shrink_as_coverage_grows() {
-        let universe = vec![Feature::new("A"), Feature::new("B"), Feature::new("C")];
+        let universe = features(&["OP_EQ", "FN_ABS", "JOIN_LEFT"]);
         let mut atlas = CampaignCoverage::default();
         atlas.begin_database();
         assert_eq!(atlas.cold_features(&universe).len(), 3);
-        atlas.observe_case(OracleKind::Tlp, TraceVerdict::Pass, &features(&["B"]), 0);
+        atlas.observe_case(
+            OracleKind::Tlp,
+            TraceVerdict::Pass,
+            &features(&["FN_ABS"]),
+            0,
+        );
         let cold = atlas.cold_features(&universe);
         assert_eq!(cold.len(), 2);
-        assert!(!cold.contains(&Feature::new("B")));
+        assert!(!cold.contains(Feature::from_name("FN_ABS").unwrap()));
     }
 
     #[test]
@@ -563,7 +709,7 @@ mod tests {
         atlas.observe_case(
             OracleKind::Tlp,
             TraceVerdict::Pass,
-            &features(&["A\"quote", "B"]),
+            &features(&["OP_EQ", "FN_ABS"]),
             0,
         );
         let mut coverage = EngineCoverage::default();

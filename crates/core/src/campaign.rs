@@ -7,6 +7,7 @@
 //! against each DBMS.
 
 use crate::dbms::{setup_sql, DbmsConnection, StorageMetrics};
+use crate::feature::FeatureSet;
 use crate::generator::{AdaptiveGenerator, GeneratorConfig};
 use crate::json::json_record;
 use crate::oracle::{BugReport, OracleKind, OracleOutcome};
@@ -568,13 +569,6 @@ impl Campaign {
         let mut storage_baseline = read_storage(conn, supervisor, start_db).unwrap_or_default();
         let quirks = conn.quirks();
         let mut quarantined = false;
-        // The cold-feature pool for coverage-directed generation, computed
-        // once (the universe enumeration allocates >100 features).
-        let feature_pool = if self.config.coverage_directed {
-            crate::feature::feature_universe()
-        } else {
-            Vec::new()
-        };
 
         'campaign: for db in start_db..self.config.databases {
             // Phase 1: build the database state (skipped when resuming
@@ -654,7 +648,7 @@ impl Campaign {
                 // boosts derive from it (seed-stable, no wall clock).
                 let case_seed = derive_case_seed(self.config.seed, db as u64, case_index);
                 if self.config.coverage_directed {
-                    let cold = report.coverage.cold_features(&feature_pool);
+                    let cold = report.coverage.cold_features(&FeatureSet::universe());
                     let boost = 2 + (splitmix64(case_seed) % 3) as usize;
                     self.generator.set_coverage_direction(cold, boost);
                 }
@@ -719,56 +713,53 @@ impl Campaign {
                     quarantined = true;
                     break 'campaign;
                 }
-                let supervision = supervisor.config().clone();
-                if supervision.checkpoint_every > 0
-                    && cases_done.is_multiple_of(supervision.checkpoint_every)
+                // Read by value per case; the path is borrowed only when a
+                // checkpoint is due.
+                let checkpoint_every = supervisor.config().checkpoint_every;
+                if checkpoint_every > 0
+                    && cases_done.is_multiple_of(checkpoint_every)
+                    && supervisor.config().checkpoint_path.is_some()
                 {
-                    if let Some(path) = &supervision.checkpoint_path {
-                        self.settle_storage(
-                            conn,
-                            supervisor,
-                            db,
-                            &mut storage_baseline,
-                            &mut accum,
-                        );
-                        // Fold the backend's engine coverage into the atlas
-                        // before snapshotting: the checkpoint must carry
-                        // every point reached so far, or a resumed run
-                        // (whose fresh connection re-reaches only the
-                        // replayed setup's points) would under-report.
-                        // Reported sets are monotone, so the union is
-                        // idempotent across polls.
-                        if let Some(coverage) = conn.engine_coverage() {
-                            report.coverage.absorb_engine(&coverage);
-                        }
-                        let checkpoint = self.make_checkpoint(
-                            &report,
-                            supervisor,
-                            db,
-                            case_no + 1,
-                            oracle_index,
-                            &setup_log,
-                            accum,
-                            conn.resilience_checkpoint(),
-                        );
-                        // A failed checkpoint write costs resumability, not
-                        // correctness: the campaign continues and the
-                        // previous checkpoint (if any) stays valid thanks to
-                        // the atomic temp-file+rename protocol.
+                    self.settle_storage(conn, supervisor, db, &mut storage_baseline, &mut accum);
+                    // Fold the backend's engine coverage into the atlas
+                    // before snapshotting: the checkpoint must carry
+                    // every point reached so far, or a resumed run
+                    // (whose fresh connection re-reaches only the
+                    // replayed setup's points) would under-report.
+                    // Reported sets are monotone, so the union is
+                    // idempotent across polls.
+                    if let Some(coverage) = conn.engine_coverage() {
+                        report.coverage.absorb_engine(&coverage);
+                    }
+                    let checkpoint = self.make_checkpoint(
+                        &report,
+                        supervisor,
+                        db,
+                        case_no + 1,
+                        oracle_index,
+                        &setup_log,
+                        accum,
+                        conn.resilience_checkpoint(),
+                    );
+                    // A failed checkpoint write costs resumability, not
+                    // correctness: the campaign continues and the
+                    // previous checkpoint (if any) stays valid thanks to
+                    // the atomic temp-file+rename protocol.
+                    if let Some(path) = &supervisor.config().checkpoint_path {
                         let _ = save_checkpoint(&checkpoint, path);
-                        // The flight recorder flushes alongside the
-                        // checkpoint, so post-mortem forensics survive the
-                        // same crashes resume does. The atlas travels the
-                        // same path: its JSONL snapshot lands in the flushed
-                        // file.
-                        if let Some(sink) = &trace {
-                            let mut sink = sink.borrow_mut();
-                            sink.coverage(&report.dbms_name, &report.coverage);
-                            sink.flush(FlushReason::Checkpoint);
-                        }
+                    }
+                    // The flight recorder flushes alongside the
+                    // checkpoint, so post-mortem forensics survive the
+                    // same crashes resume does. The atlas travels the
+                    // same path: its JSONL snapshot lands in the flushed
+                    // file.
+                    if let Some(sink) = &trace {
+                        let mut sink = sink.borrow_mut();
+                        sink.coverage(&report.dbms_name, &report.coverage);
+                        sink.flush(FlushReason::Checkpoint);
                     }
                 }
-                if let Some(budget) = supervision.stop_after_cases {
+                if let Some(budget) = supervisor.config().stop_after_cases {
                     if cases_done >= budget {
                         // Simulated kill: return the in-flight state as-is,
                         // with no finalisation and no extra checkpoint —

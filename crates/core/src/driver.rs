@@ -36,17 +36,16 @@
 //! onto a freshly reset connection, so they contribute no storage-counter
 //! drift and no verdict-relevant state differences.
 
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use crate::dbms::{
     replay_setup, DbmsConnection, DialectQuirks, QueryResult, SetupStatement, StateCheckpoint,
     StatementOutcome, StorageMetrics,
 };
-use crate::feature::Feature;
+use crate::feature::{Feature, FeatureSet};
 use crate::json::{self, json_record, Codec, Json};
 use crate::supervisor::INFRA_MARKER;
-use sql_ast::Statement;
+use sql_ast::{Statement, StatementKind};
 
 /// Static feature report for one backend, returned by [`Driver::capability`].
 ///
@@ -117,20 +116,24 @@ impl Capability {
     /// backend, derived from the capability flags. These seed the
     /// generator's capability suppression set; learned suppression handles
     /// the rest of the dialect.
-    pub fn unsupported_statement_features(&self) -> BTreeSet<Feature> {
-        let mut out = BTreeSet::new();
+    pub fn unsupported_statement_features(&self) -> FeatureSet {
+        let mut out = FeatureSet::new();
         if !self.transactions {
-            for name in ["STMT_BEGIN", "STMT_COMMIT", "STMT_ROLLBACK"] {
-                out.insert(Feature::statement(name));
+            for kind in [
+                StatementKind::Begin,
+                StatementKind::Commit,
+                StatementKind::Rollback,
+            ] {
+                out.insert(Feature::statement(kind));
             }
         }
         if !self.savepoints {
-            for name in [
-                "STMT_SAVEPOINT",
-                "STMT_ROLLBACK_TO",
-                "STMT_RELEASE_SAVEPOINT",
+            for kind in [
+                StatementKind::Savepoint,
+                StatementKind::RollbackTo,
+                StatementKind::ReleaseSavepoint,
             ] {
-                out.insert(Feature::statement(name));
+                out.insert(Feature::statement(kind));
             }
         }
         out
@@ -1059,17 +1062,17 @@ mod tests {
             ..Capability::default()
         };
         let features = cap.unsupported_statement_features();
-        for name in [
-            "STMT_BEGIN",
-            "STMT_COMMIT",
-            "STMT_ROLLBACK",
-            "STMT_SAVEPOINT",
-            "STMT_ROLLBACK_TO",
-            "STMT_RELEASE_SAVEPOINT",
+        for kind in [
+            StatementKind::Begin,
+            StatementKind::Commit,
+            StatementKind::Rollback,
+            StatementKind::Savepoint,
+            StatementKind::RollbackTo,
+            StatementKind::ReleaseSavepoint,
         ] {
             assert!(
-                features.contains(&Feature::statement(name)),
-                "missing {name}"
+                features.contains(Feature::statement(kind)),
+                "missing {kind:?}"
             );
         }
     }

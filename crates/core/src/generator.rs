@@ -15,7 +15,7 @@
 //!   feature set up front, standing in for the hand-written, DBMS-specific
 //!   generators of *SQLancer*.
 
-use crate::feature::{Feature, FeatureSet};
+use crate::feature::{Feature, FeatureSet, Keyword};
 use crate::oracle::{Schedule, SessionScript};
 use crate::reducer::{ScheduleCase, TxnCase};
 use crate::schema::{ModelTable, SchemaModel};
@@ -26,10 +26,62 @@ use rand::{Rng, SeedableRng};
 use sql_ast::{
     AggregateFunction, BeginMode, BinaryOp, CaseBranch, ColumnConstraint, ColumnDef, CreateIndex,
     CreateTable, CreateView, DataType, Expr, Insert, Join, JoinType, OrderByItem, ScalarFunction,
-    Select, SelectItem, SortOrder, Statement, TableConstraint, TableFactor, TableWithJoins,
-    UnaryOp,
+    Select, SelectItem, SortOrder, Statement, StatementKind, TableConstraint, TableFactor,
+    TableWithJoins, UnaryOp,
 };
-use std::collections::BTreeSet;
+
+/// A static pick table over `$items`, each paired with its feature.
+macro_rules! option_table {
+    ($name:ident: [$ty:ty; $len:expr] = $items:expr, $feature:path) => {
+        const $name: [($ty, Feature); $len] = {
+            let items = $items;
+            let mut table = [(items[0], $feature(items[0])); $len];
+            let mut i = 1;
+            while i < $len {
+                table[i] = (items[i], $feature(items[i]));
+                i += 1;
+            }
+            table
+        };
+    };
+}
+
+/// The database-construction draw: three tickets for `INSERT`, one each
+/// for `CREATE INDEX`, `ANALYZE` and, last, `CREATE VIEW`.
+const DDL_OPTIONS: [(u8, Feature); 6] = [
+    (0, Feature::statement(StatementKind::Insert)),
+    (0, Feature::statement(StatementKind::Insert)),
+    (0, Feature::statement(StatementKind::Insert)),
+    (1, Feature::statement(StatementKind::CreateIndex)),
+    (3, Feature::statement(StatementKind::Analyze)),
+    (2, Feature::statement(StatementKind::CreateView)),
+];
+
+/// The value-producing binary operators: arithmetic, bitwise, then `||`.
+const VALUE_OPS: [BinaryOp; 11] = {
+    let mut ops = [BinaryOp::Concat; 11];
+    let mut i = 0;
+    while i < 5 {
+        ops[i] = BinaryOp::ARITHMETIC[i];
+        ops[5 + i] = BinaryOp::BITWISE[i];
+        i += 1;
+    }
+    ops
+};
+
+option_table!(TYPE_OPTIONS: [DataType; 3] = DataType::COLUMN_TYPES, Feature::data_type);
+option_table!(JOIN_OPTIONS: [JoinType; 6] = JoinType::ALL, Feature::join);
+option_table!(LOGICAL_OPTIONS: [BinaryOp; 2] = BinaryOp::LOGICAL, Feature::binary_op);
+option_table!(COMPARISON_OPTIONS: [BinaryOp; 10] = BinaryOp::COMPARISONS, Feature::binary_op);
+option_table!(VALUE_OP_OPTIONS: [BinaryOp; 11] = VALUE_OPS, Feature::binary_op);
+option_table!(
+    UNARY_OPTIONS: [UnaryOp; 3] = [UnaryOp::Neg, UnaryOp::Plus, UnaryOp::BitNot],
+    Feature::unary_op
+);
+option_table!(
+    FUNCTION_OPTIONS: [ScalarFunction; ScalarFunction::ALL.len()] = ScalarFunction::ALL,
+    Feature::function
+);
 
 /// Tuning knobs of the generator.
 #[derive(Debug, Clone, PartialEq)]
@@ -111,14 +163,20 @@ pub struct AdaptiveGenerator {
     /// Validity-feedback statistics.
     pub stats: FeatureStats,
     config: GeneratorConfig,
-    suppressed_query: BTreeSet<Feature>,
-    suppressed_ddl: BTreeSet<Feature>,
-    known_supported: Option<BTreeSet<Feature>>,
+    suppressed_query: FeatureSet,
+    suppressed_ddl: FeatureSet,
+    known_supported: Option<FeatureSet>,
     /// Features the backend's [`Capability`] report rules out up front
     /// (e.g. a driver without transactions). Unlike the learned suppression
     /// tables this set is configuration, not state: it is not checkpointed
     /// and is re-applied from the driver on resume.
-    capability_suppressed: BTreeSet<Feature>,
+    capability_suppressed: FeatureSet,
+    /// What [`AdaptiveGenerator::should_generate`] tests, per category:
+    /// the capability set plus, by mode, the complement of the known set,
+    /// nothing (random) or the learned suppression table. Derived from the
+    /// four fields above whenever one of them changes.
+    denied_query: FeatureSet,
+    denied_ddl: FeatureSet,
     /// Whether the backend can open concurrent sessions; when `false`,
     /// schedule generation degrades to `None` (the campaign falls back to
     /// a single-query oracle) instead of burning invalid cases.
@@ -128,14 +186,8 @@ pub struct AdaptiveGenerator {
     /// cold options count `1 + boost` — instead of uniformly. Like
     /// capability suppression this is per-case configuration, not
     /// checkpointed state: the campaign derives it from the atlas and the
-    /// case seed before every case and clears it after. A hash set, not a
-    /// tree: the pick path probes it once per candidate option, and only
-    /// membership is ever observed (iteration order never matters, so the
-    /// hasher cannot leak into the campaign's determinism contract).
-    coverage_direction: Option<(std::collections::HashSet<Feature>, usize)>,
-    /// Reusable weight buffer for the directed draw (pick is the
-    /// generator's hottest loop; no per-pick allocation).
-    direction_scratch: Vec<usize>,
+    /// case seed before every case and clears it after.
+    coverage_direction: Option<(FeatureSet, usize)>,
     recorded: u64,
     current_depth: usize,
 }
@@ -147,13 +199,14 @@ impl AdaptiveGenerator {
             rng: StdRng::seed_from_u64(seed),
             schema: SchemaModel::new(),
             stats: FeatureStats::new(),
-            suppressed_query: BTreeSet::new(),
-            suppressed_ddl: BTreeSet::new(),
+            suppressed_query: FeatureSet::new(),
+            suppressed_ddl: FeatureSet::new(),
             known_supported: None,
-            capability_suppressed: BTreeSet::new(),
+            capability_suppressed: FeatureSet::new(),
+            denied_query: FeatureSet::new(),
+            denied_ddl: FeatureSet::new(),
             multi_session: true,
             coverage_direction: None,
-            direction_scratch: Vec::new(),
             recorded: 0,
             current_depth: 1,
             config,
@@ -166,11 +219,12 @@ impl AdaptiveGenerator {
     pub fn with_knowledge(
         seed: u64,
         config: GeneratorConfig,
-        supported: BTreeSet<Feature>,
+        supported: FeatureSet,
     ) -> AdaptiveGenerator {
         let mut generator = AdaptiveGenerator::new(seed, config);
         generator.known_supported = Some(supported);
         generator.current_depth = generator.config.max_expr_depth;
+        generator.refresh_denied();
         generator
     }
 
@@ -188,6 +242,7 @@ impl AdaptiveGenerator {
     pub fn apply_capability(&mut self, capability: &crate::driver::Capability) {
         self.capability_suppressed = capability.unsupported_statement_features();
         self.multi_session = capability.multi_session;
+        self.refresh_denied();
     }
 
     /// Steers the next statement toward `cold` features: every cold option
@@ -195,8 +250,8 @@ impl AdaptiveGenerator {
     /// instead of one. The campaign sets this right before generating a
     /// case (boost derived from the case seed, so directed runs are as
     /// reproducible as uniform ones) and clears it right after.
-    pub fn set_coverage_direction(&mut self, cold: BTreeSet<Feature>, boost: usize) {
-        self.coverage_direction = Some((cold.into_iter().collect(), boost));
+    pub fn set_coverage_direction(&mut self, cold: FeatureSet, boost: usize) {
+        self.coverage_direction = Some((cold, boost));
     }
 
     /// Returns picks to uniform draws (see
@@ -216,12 +271,12 @@ impl AdaptiveGenerator {
     }
 
     /// Features currently suppressed for query generation.
-    pub fn suppressed_query_features(&self) -> &BTreeSet<Feature> {
+    pub fn suppressed_query_features(&self) -> &FeatureSet {
         &self.suppressed_query
     }
 
     /// Features currently suppressed for DDL/DML generation.
-    pub fn suppressed_ddl_features(&self) -> &BTreeSet<Feature> {
+    pub fn suppressed_ddl_features(&self) -> &FeatureSet {
         &self.suppressed_ddl
     }
 
@@ -248,32 +303,47 @@ impl AdaptiveGenerator {
         rng_state: u64,
         recorded: u64,
         current_depth: usize,
-        suppressed_query: BTreeSet<Feature>,
-        suppressed_ddl: BTreeSet<Feature>,
+        suppressed_query: FeatureSet,
+        suppressed_ddl: FeatureSet,
     ) {
         self.rng = StdRng::seed_from_u64(rng_state);
         self.recorded = recorded;
         self.current_depth = current_depth;
         self.suppressed_query = suppressed_query;
         self.suppressed_ddl = suppressed_ddl;
+        self.refresh_denied();
     }
 
     /// Whether a feature may currently be generated (the paper's
-    /// `shouldGenerate`, Listing 4).
-    pub fn should_generate(&self, feature: &Feature, kind: FeatureKind) -> bool {
-        if self.capability_suppressed.contains(feature) {
-            return false;
-        }
-        if let Some(known) = &self.known_supported {
-            return known.contains(feature);
-        }
-        if !self.config.feedback_enabled {
-            return true;
-        }
+    /// `shouldGenerate`, Listing 4): a capability rules it out first; a
+    /// perfect-knowledge generator then allows only known features, a
+    /// random one everything, and an adaptive one what is not suppressed.
+    #[inline]
+    pub fn should_generate(&self, feature: Feature, kind: FeatureKind) -> bool {
+        !self.denied(kind).contains(feature)
+    }
+
+    fn denied(&self, kind: FeatureKind) -> &FeatureSet {
         match kind {
-            FeatureKind::Query => !self.suppressed_query.contains(feature),
-            FeatureKind::DdlDml => !self.suppressed_ddl.contains(feature),
+            FeatureKind::Query => &self.denied_query,
+            FeatureKind::DdlDml => &self.denied_ddl,
         }
+    }
+
+    /// Rebuilds the per-category denied sets from the capability set, the
+    /// known set, the mode and the suppression tables.
+    fn refresh_denied(&mut self) {
+        let denied = |suppressed: &FeatureSet| {
+            let mut denied = match &self.known_supported {
+                Some(known) => known.complement(),
+                None if self.config.feedback_enabled => suppressed.clone(),
+                None => FeatureSet::new(),
+            };
+            denied.extend(&self.capability_suppressed);
+            denied
+        };
+        self.denied_query = denied(&self.suppressed_query);
+        self.denied_ddl = denied(&self.suppressed_ddl);
     }
 
     /// Records the execution outcome of a generated statement and updates
@@ -299,14 +369,11 @@ impl AdaptiveGenerator {
     pub fn refresh_suppression(&mut self) {
         self.suppressed_query = self
             .stats
-            .unsupported_features(FeatureKind::Query, &self.config.stats)
-            .into_iter()
-            .collect();
+            .unsupported_features(FeatureKind::Query, &self.config.stats);
         self.suppressed_ddl = self
             .stats
-            .unsupported_features(FeatureKind::DdlDml, &self.config.stats)
-            .into_iter()
-            .collect();
+            .unsupported_features(FeatureKind::DdlDml, &self.config.stats);
+        self.refresh_denied();
     }
 
     /// Informs the schema model that a statement succeeded.
@@ -321,35 +388,36 @@ impl AdaptiveGenerator {
 
     // ------------------------------------------------------- choices ----
 
-    fn pick<'a, T>(
+    /// Draws one allowed option uniformly — or weighted toward cold
+    /// features while a coverage direction is set — with one `gen_range`
+    /// over the allowed options, so the RNG stream does not depend on which
+    /// option wins. `None` when every option is denied.
+    fn pick<T: Copy>(
         &mut self,
-        options: &'a [(T, Feature)],
+        options: &[(T, Feature)],
         kind: FeatureKind,
-    ) -> Option<&'a (T, Feature)> {
-        let allowed: Vec<&(T, Feature)> = options
-            .iter()
-            .filter(|(_, f)| self.should_generate(f, kind))
-            .collect();
-        if allowed.is_empty() {
+    ) -> Option<(T, Feature)> {
+        // Borrow the field, not `self`, so the draw can borrow the RNG.
+        let denied = match kind {
+            FeatureKind::Query => &self.denied_query,
+            FeatureKind::DdlDml => &self.denied_ddl,
+        };
+        let mut allowed = options.iter().filter(|(_, f)| !denied.contains(*f));
+        let count = allowed.clone().count();
+        if count == 0 {
             return None;
         }
         if let Some((cold, boost)) = &self.coverage_direction {
             if !cold.is_empty() {
                 // Coverage-directed draw: cold features carry `1 + boost`
-                // tickets each, weighed in a single pass into the reusable
-                // scratch buffer. One gen_range call per pick keeps the
-                // RNG stream seed-stable regardless of which option wins.
-                self.direction_scratch.clear();
-                let mut total = 0usize;
-                for option in &allowed {
-                    let w = 1 + if cold.contains(&option.1) { *boost } else { 0 };
-                    total += w;
-                    self.direction_scratch.push(w);
-                }
+                // tickets each.
+                let weight = |feature: Feature| 1 + if cold.contains(feature) { *boost } else { 0 };
+                let total: usize = allowed.clone().map(|(_, f)| weight(*f)).sum();
                 let mut ticket = self.rng.gen_range(0..total);
-                for (index, w) in self.direction_scratch.iter().enumerate() {
-                    if ticket < *w {
-                        return Some(allowed[index]);
+                for option in allowed {
+                    let w = weight(option.1);
+                    if ticket < w {
+                        return Some(*option);
                     }
                     ticket -= w;
                 }
@@ -359,8 +427,8 @@ impl AdaptiveGenerator {
             // weighted draw is exactly the uniform draw below — same RNG
             // consumption, same winner — so fall through to the fast path.
         }
-        let idx = self.rng.gen_range(0..allowed.len());
-        Some(allowed[idx])
+        let index = self.rng.gen_range(0..count);
+        allowed.nth(index).copied()
     }
 
     fn bool_with(&mut self, p: f64) -> bool {
@@ -372,25 +440,16 @@ impl AdaptiveGenerator {
     /// Generates the next database-construction statement: tables first,
     /// then a mix of inserts, indexes, views and `ANALYZE`.
     pub fn generate_ddl_statement(&mut self) -> GeneratedStatement {
-        let base_tables = self.schema.base_tables().len();
+        let base_tables = self.schema.base_table_count();
         let views = self.schema.tables().len() - base_tables;
         if base_tables < self.config.max_tables {
             return self.generate_create_table();
         }
-        let mut options: Vec<(u8, Feature)> = vec![
-            (0, Feature::statement("STMT_INSERT")),
-            (0, Feature::statement("STMT_INSERT")),
-            (0, Feature::statement("STMT_INSERT")),
-            (1, Feature::statement("STMT_CREATE_INDEX")),
-            (3, Feature::statement("STMT_ANALYZE")),
-        ];
-        if views < self.config.max_views {
-            options.push((2, Feature::statement("STMT_CREATE_VIEW")));
-        }
+        // CREATE VIEW is the last option, offered while views are missing.
+        let offered = DDL_OPTIONS.len() - usize::from(views >= self.config.max_views);
         let choice = self
-            .pick(&options, FeatureKind::DdlDml)
-            .map(|(c, _)| *c)
-            .unwrap_or(0);
+            .pick(&DDL_OPTIONS[..offered], FeatureKind::DdlDml)
+            .map_or(0, |(c, _)| c);
         match choice {
             1 => self.generate_create_index(),
             2 => self.generate_create_view(),
@@ -401,43 +460,38 @@ impl AdaptiveGenerator {
 
     fn generate_create_table(&mut self) -> GeneratedStatement {
         let mut features = FeatureSet::new();
-        features.insert(Feature::statement("STMT_CREATE_TABLE"));
+        features.insert(Feature::statement(StatementKind::CreateTable));
         let name = self.schema.free_name("t");
         let n_columns = self.rng.gen_range(1..=4usize);
         let mut columns = Vec::new();
         let mut constraints = Vec::new();
         for i in 0..n_columns {
-            let type_options: Vec<(DataType, Feature)> = DataType::COLUMN_TYPES
-                .iter()
-                .map(|&ty| (ty, Feature::data_type(ty)))
-                .collect();
             let (data_type, feature) = self
-                .pick(&type_options, FeatureKind::DdlDml)
-                .cloned()
-                .unwrap_or((DataType::Integer, Feature::data_type(DataType::Integer)));
+                .pick(&TYPE_OPTIONS, FeatureKind::DdlDml)
+                .unwrap_or(TYPE_OPTIONS[0]);
             features.insert(feature);
             let mut def = ColumnDef::new(format!("c{i}"), data_type);
             if self.bool_with(0.2)
-                && self.should_generate(&Feature::keyword("NOT_NULL"), FeatureKind::DdlDml)
+                && self.should_generate(Feature::keyword(Keyword::NotNull), FeatureKind::DdlDml)
             {
                 def.constraints.push(ColumnConstraint::NotNull);
-                features.insert(Feature::keyword("NOT_NULL"));
+                features.insert(Feature::keyword(Keyword::NotNull));
             }
             if self.bool_with(0.1)
-                && self.should_generate(&Feature::keyword("DEFAULT"), FeatureKind::DdlDml)
+                && self.should_generate(Feature::keyword(Keyword::Default), FeatureKind::DdlDml)
             {
                 def.constraints
                     .push(ColumnConstraint::Default(self.literal_of(data_type)));
-                features.insert(Feature::keyword("DEFAULT"));
+                features.insert(Feature::keyword(Keyword::Default));
             }
             columns.push(def);
         }
         if self.bool_with(0.5)
-            && self.should_generate(&Feature::keyword("PRIMARY_KEY"), FeatureKind::DdlDml)
+            && self.should_generate(Feature::keyword(Keyword::PrimaryKey), FeatureKind::DdlDml)
         {
             let pk_col = columns[self.rng.gen_range(0..columns.len())].name.clone();
             constraints.push(TableConstraint::PrimaryKey(vec![pk_col]));
-            features.insert(Feature::keyword("PRIMARY_KEY"));
+            features.insert(Feature::keyword(Keyword::PrimaryKey));
         }
         let statement = Statement::CreateTable(CreateTable {
             name,
@@ -450,7 +504,7 @@ impl AdaptiveGenerator {
 
     fn generate_create_index(&mut self) -> GeneratedStatement {
         let mut features = FeatureSet::new();
-        features.insert(Feature::statement("STMT_CREATE_INDEX"));
+        features.insert(Feature::statement(StatementKind::CreateIndex));
         let Some(table) = self
             .schema
             .random_base_table(&mut self.rng.clone())
@@ -464,14 +518,14 @@ impl AdaptiveGenerator {
         cols.shuffle(&mut self.rng);
         cols.truncate(n);
         let unique = self.bool_with(0.3)
-            && self.should_generate(&Feature::keyword("UNIQUE_INDEX"), FeatureKind::DdlDml);
+            && self.should_generate(Feature::keyword(Keyword::UniqueIndex), FeatureKind::DdlDml);
         if unique {
-            features.insert(Feature::keyword("UNIQUE_INDEX"));
+            features.insert(Feature::keyword(Keyword::UniqueIndex));
         }
         let where_clause = if self.bool_with(0.2)
-            && self.should_generate(&Feature::keyword("PARTIAL_INDEX"), FeatureKind::DdlDml)
+            && self.should_generate(Feature::keyword(Keyword::PartialIndex), FeatureKind::DdlDml)
         {
-            features.insert(Feature::keyword("PARTIAL_INDEX"));
+            features.insert(Feature::keyword(Keyword::PartialIndex));
             let (pred, pred_features) = self.generate_predicate(std::slice::from_ref(&table), 2);
             features.extend(&pred_features);
             Some(pred)
@@ -490,7 +544,7 @@ impl AdaptiveGenerator {
 
     fn generate_create_view(&mut self) -> GeneratedStatement {
         let mut features = FeatureSet::new();
-        features.insert(Feature::statement("STMT_CREATE_VIEW"));
+        features.insert(Feature::statement(StatementKind::CreateView));
         let Some(table) = self
             .schema
             .random_base_table(&mut self.rng.clone())
@@ -510,7 +564,7 @@ impl AdaptiveGenerator {
         if self.bool_with(0.4) {
             let (pred, pred_features) = self.generate_predicate(std::slice::from_ref(&table), 2);
             features.extend(&pred_features);
-            features.insert(Feature::clause("WHERE"));
+            features.insert(Feature::keyword(Keyword::Where));
             query.where_clause = Some(pred);
         }
         let columns = (0..n_proj).map(|i| format!("c{i}")).collect();
@@ -524,7 +578,7 @@ impl AdaptiveGenerator {
 
     fn generate_insert(&mut self) -> GeneratedStatement {
         let mut features = FeatureSet::new();
-        features.insert(Feature::statement("STMT_INSERT"));
+        features.insert(Feature::statement(StatementKind::Insert));
         let Some(table) = self
             .schema
             .random_base_table(&mut self.rng.clone())
@@ -541,12 +595,14 @@ impl AdaptiveGenerator {
                 let value = if self.bool_with(0.1) && !col.not_null {
                     Expr::null()
                 } else if self.bool_with(0.12)
-                    && self
-                        .should_generate(&Feature::property("IMPLICIT_CAST"), FeatureKind::DdlDml)
+                    && self.should_generate(
+                        Feature::keyword(Keyword::ImplicitCast),
+                        FeatureKind::DdlDml,
+                    )
                 {
                     // Deliberately ill-typed literal: learns the abstract
                     // implicit-cast property of the dialect.
-                    features.insert(Feature::property("IMPLICIT_CAST"));
+                    features.insert(Feature::keyword(Keyword::ImplicitCast));
                     let other = match col.data_type {
                         DataType::Integer => DataType::Text,
                         _ => DataType::Integer,
@@ -560,9 +616,9 @@ impl AdaptiveGenerator {
             values.push(row);
         }
         let or_ignore = self.bool_with(0.25)
-            && self.should_generate(&Feature::keyword("OR_IGNORE"), FeatureKind::DdlDml);
+            && self.should_generate(Feature::keyword(Keyword::OrIgnore), FeatureKind::DdlDml);
         if or_ignore {
-            features.insert(Feature::keyword("OR_IGNORE"));
+            features.insert(Feature::keyword(Keyword::OrIgnore));
         }
         let statement = Statement::Insert(Insert {
             table: table.name.clone(),
@@ -575,7 +631,7 @@ impl AdaptiveGenerator {
 
     fn generate_analyze(&mut self) -> GeneratedStatement {
         let mut features = FeatureSet::new();
-        features.insert(Feature::statement("STMT_ANALYZE"));
+        features.insert(Feature::statement(StatementKind::Analyze));
         let table = self
             .schema
             .random_base_table(&mut self.rng.clone())
@@ -608,8 +664,12 @@ impl AdaptiveGenerator {
     /// single-query oracle. The case's setup is left empty for the campaign
     /// to fill in if it keeps the case.
     pub fn generate_txn_session(&mut self) -> Option<TxnCase> {
-        for name in ["STMT_BEGIN", "STMT_ROLLBACK", "STMT_COMMIT"] {
-            if !self.should_generate(&Feature::statement(name), FeatureKind::Query) {
+        for kind in [
+            StatementKind::Begin,
+            StatementKind::Rollback,
+            StatementKind::Commit,
+        ] {
+            if !self.should_generate(Feature::statement(kind), FeatureKind::Query) {
                 return None;
             }
         }
@@ -622,20 +682,26 @@ impl AdaptiveGenerator {
         // test case's feature set even though the generator does not emit
         // them itself: a dialect rejecting BEGIN fails the whole session,
         // and that evidence must land on the right features.
-        features.insert(Feature::statement("STMT_BEGIN"));
-        features.insert(Feature::statement("STMT_COMMIT"));
-        features.insert(Feature::statement("STMT_ROLLBACK"));
+        features.insert(Feature::statement(StatementKind::Begin));
+        features.insert(Feature::statement(StatementKind::Commit));
+        features.insert(Feature::statement(StatementKind::Rollback));
         let mut statements = Vec::new();
         for _ in 0..self.rng.gen_range(1..=2usize) {
             let stmt = self.generate_mutation(&table, &mut features);
             statements.push(stmt);
         }
         if self.bool_with(0.5)
-            && self.should_generate(&Feature::statement("STMT_SAVEPOINT"), FeatureKind::Query)
-            && self.should_generate(&Feature::statement("STMT_ROLLBACK_TO"), FeatureKind::Query)
+            && self.should_generate(
+                Feature::statement(StatementKind::Savepoint),
+                FeatureKind::Query,
+            )
+            && self.should_generate(
+                Feature::statement(StatementKind::RollbackTo),
+                FeatureKind::Query,
+            )
         {
-            features.insert(Feature::statement("STMT_SAVEPOINT"));
-            features.insert(Feature::statement("STMT_ROLLBACK_TO"));
+            features.insert(Feature::statement(StatementKind::Savepoint));
+            features.insert(Feature::statement(StatementKind::RollbackTo));
             statements.push(Statement::Savepoint("sp1".into()));
             for _ in 0..self.rng.gen_range(1..=2usize) {
                 let stmt = self.generate_mutation(&table, &mut features);
@@ -650,11 +716,11 @@ impl AdaptiveGenerator {
             // path, learnable per dialect like the rest of txn control.
             if self.bool_with(0.35)
                 && self.should_generate(
-                    &Feature::statement("STMT_RELEASE_SAVEPOINT"),
+                    Feature::statement(StatementKind::ReleaseSavepoint),
                     FeatureKind::Query,
                 )
             {
-                features.insert(Feature::statement("STMT_RELEASE_SAVEPOINT"));
+                features.insert(Feature::statement(StatementKind::ReleaseSavepoint));
                 statements.push(Statement::ReleaseSavepoint("sp1".into()));
             }
         }
@@ -687,8 +753,12 @@ impl AdaptiveGenerator {
         if !self.multi_session {
             return None;
         }
-        for name in ["STMT_BEGIN", "STMT_COMMIT", "STMT_ROLLBACK"] {
-            if !self.should_generate(&Feature::statement(name), FeatureKind::Query) {
+        for kind in [
+            StatementKind::Begin,
+            StatementKind::Commit,
+            StatementKind::Rollback,
+        ] {
+            if !self.should_generate(Feature::statement(kind), FeatureKind::Query) {
                 return None;
             }
         }
@@ -706,9 +776,9 @@ impl AdaptiveGenerator {
                 .clone()
         };
         let mut features = FeatureSet::new();
-        features.insert(Feature::statement("STMT_BEGIN"));
-        features.insert(Feature::statement("STMT_COMMIT"));
-        features.insert(Feature::statement("STMT_ROLLBACK"));
+        features.insert(Feature::statement(StatementKind::Begin));
+        features.insert(Feature::statement(StatementKind::Commit));
+        features.insert(Feature::statement(StatementKind::Rollback));
 
         // Session 1: plain writer on `table_b`.
         let mut body1 = Vec::new();
@@ -720,7 +790,7 @@ impl AdaptiveGenerator {
         // inserts around the other session's steps so visibility faults
         // (dirty read, non-repeatable read) leave a committed trace.
         let observing = self.bool_with(0.65)
-            && self.should_generate(&Feature::clause("SUBQUERY"), FeatureKind::Query);
+            && self.should_generate(Feature::keyword(Keyword::Subquery), FeatureKind::Query);
         let mut body0 = Vec::new();
         if observing {
             body0.push(self.generate_observer_insert(&table_a, &table_b.name, &mut features));
@@ -806,8 +876,8 @@ impl AdaptiveGenerator {
         observed: &str,
         features: &mut FeatureSet,
     ) -> Statement {
-        features.insert(Feature::statement("STMT_INSERT"));
-        features.insert(Feature::clause("SUBQUERY"));
+        features.insert(Feature::statement(StatementKind::Insert));
+        features.insert(Feature::keyword(Keyword::Subquery));
         features.insert(Feature::aggregate(AggregateFunction::Count));
         let count = Expr::ScalarSubquery(Box::new(Select {
             projections: vec![SelectItem::expr(Expr::Aggregate {
@@ -846,7 +916,7 @@ impl AdaptiveGenerator {
                     if col.data_type == DataType::Integer {
                         count.clone()
                     } else {
-                        features.insert(Feature::new("OP_CAST"));
+                        features.insert(Feature::keyword(Keyword::Cast));
                         Expr::Cast {
                             expr: Box::new(count.clone()),
                             data_type: col.data_type,
@@ -871,10 +941,12 @@ impl AdaptiveGenerator {
     fn generate_mutation(&mut self, table: &ModelTable, features: &mut FeatureSet) -> Statement {
         let choice = self.rng.gen_range(0..5u8);
         match choice {
-            0 if self.should_generate(&Feature::statement("STMT_UPDATE"), FeatureKind::Query)
-                && !table.columns.is_empty() =>
+            0 if self.should_generate(
+                Feature::statement(StatementKind::Update),
+                FeatureKind::Query,
+            ) && !table.columns.is_empty() =>
             {
-                features.insert(Feature::statement("STMT_UPDATE"));
+                features.insert(Feature::statement(StatementKind::Update));
                 let col = &table.columns[self.rng.gen_range(0..table.columns.len())];
                 let value = self.literal_of(col.data_type);
                 let (pred, pred_features) = self.generate_predicate(std::slice::from_ref(table), 2);
@@ -885,8 +957,12 @@ impl AdaptiveGenerator {
                     where_clause: Some(pred),
                 })
             }
-            1 if self.should_generate(&Feature::statement("STMT_DELETE"), FeatureKind::Query) => {
-                features.insert(Feature::statement("STMT_DELETE"));
+            1 if self.should_generate(
+                Feature::statement(StatementKind::Delete),
+                FeatureKind::Query,
+            ) =>
+            {
+                features.insert(Feature::statement(StatementKind::Delete));
                 let where_clause = if self.bool_with(0.8) {
                     let (pred, pred_features) =
                         self.generate_predicate(std::slice::from_ref(table), 2);
@@ -901,7 +977,7 @@ impl AdaptiveGenerator {
                 })
             }
             _ => {
-                features.insert(Feature::statement("STMT_INSERT"));
+                features.insert(Feature::statement(StatementKind::Insert));
                 let mut values = Vec::new();
                 for _ in 0..self.rng.gen_range(1..=2usize) {
                     let row: Vec<Expr> = table
@@ -933,7 +1009,7 @@ impl AdaptiveGenerator {
     /// predicate so the oracles can transform it.
     pub fn generate_query(&mut self) -> Option<GeneratedQuery> {
         let mut features = FeatureSet::new();
-        features.insert(Feature::statement("STMT_SELECT"));
+        features.insert(Feature::statement(StatementKind::Select));
         // Only the (up to three) tables actually referenced are cloned out
         // of the schema model — copying the whole model per query dominated
         // generation cost as schemas grew.
@@ -946,13 +1022,7 @@ impl AdaptiveGenerator {
         let mut in_scope = vec![self.schema.tables()[first_index].clone()];
         let mut from = TableWithJoins::table(in_scope[0].name.clone());
         if table_count > 1 && self.bool_with(0.45) {
-            let join_options: Vec<(JoinType, Feature)> = JoinType::ALL
-                .iter()
-                .map(|&j| (j, Feature::join(j)))
-                .collect();
-            if let Some((join_type, feature)) =
-                self.pick(&join_options, FeatureKind::Query).cloned()
-            {
+            if let Some((join_type, feature)) = self.pick(&JOIN_OPTIONS, FeatureKind::Query) {
                 features.insert(feature);
                 let second_index = self.rng.gen_range(0..table_count);
                 in_scope.push(self.schema.tables()[second_index].clone());
@@ -973,9 +1043,9 @@ impl AdaptiveGenerator {
         // Optional derived-table subquery as an extra FROM item.
         let mut from_items = vec![from];
         if self.bool_with(0.15)
-            && self.should_generate(&Feature::clause("SUBQUERY"), FeatureKind::Query)
+            && self.should_generate(Feature::keyword(Keyword::Subquery), FeatureKind::Query)
         {
-            features.insert(Feature::clause("SUBQUERY"));
+            features.insert(Feature::keyword(Keyword::Subquery));
             let inner_index = self.rng.gen_range(0..table_count);
             let inner_table = self.schema.tables()[inner_index].clone();
             let (inner_expr, inner_features) =
@@ -1023,7 +1093,7 @@ impl AdaptiveGenerator {
         let depth = self.current_depth;
         let (predicate, pred_features) = self.generate_predicate(&in_scope, depth);
         features.extend(&pred_features);
-        features.insert(Feature::clause("WHERE"));
+        features.insert(Feature::keyword(Keyword::Where));
 
         let mut select = Select {
             projections,
@@ -1032,15 +1102,15 @@ impl AdaptiveGenerator {
             ..Select::new()
         };
         if self.bool_with(0.12)
-            && self.should_generate(&Feature::clause("DISTINCT"), FeatureKind::Query)
+            && self.should_generate(Feature::keyword(Keyword::Distinct), FeatureKind::Query)
         {
-            features.insert(Feature::clause("DISTINCT"));
+            features.insert(Feature::keyword(Keyword::Distinct));
             select.distinct = true;
         }
         if self.bool_with(0.15)
-            && self.should_generate(&Feature::clause("ORDER_BY"), FeatureKind::Query)
+            && self.should_generate(Feature::keyword(Keyword::OrderBy), FeatureKind::Query)
         {
-            features.insert(Feature::clause("ORDER_BY"));
+            features.insert(Feature::keyword(Keyword::OrderBy));
             if let Some(table) = in_scope.first() {
                 if let Some(col) = table.columns.first() {
                     select.order_by.push(OrderByItem {
@@ -1055,9 +1125,9 @@ impl AdaptiveGenerator {
             }
         }
         if self.bool_with(0.1)
-            && self.should_generate(&Feature::clause("LIMIT"), FeatureKind::Query)
+            && self.should_generate(Feature::keyword(Keyword::Limit), FeatureKind::Query)
         {
-            features.insert(Feature::clause("LIMIT"));
+            features.insert(Feature::keyword(Keyword::Limit));
             select.limit = Some(self.rng.gen_range(1..=10));
         }
         Some(GeneratedQuery {
@@ -1099,11 +1169,7 @@ impl AdaptiveGenerator {
         match self.rng.gen_range(0..10) {
             0 | 1 => {
                 // Logical connective.
-                let ops = [
-                    (BinaryOp::And, Feature::binary_op(BinaryOp::And)),
-                    (BinaryOp::Or, Feature::binary_op(BinaryOp::Or)),
-                ];
-                match self.pick(&ops, FeatureKind::Query).cloned() {
+                match self.pick(&LOGICAL_OPTIONS, FeatureKind::Query) {
                     Some((op, feature)) => {
                         features.insert(feature);
                         let left = self.gen_bool_expr(tables, depth - 1, features);
@@ -1114,7 +1180,7 @@ impl AdaptiveGenerator {
                 }
             }
             2 | 7 => {
-                if self.should_generate(&Feature::unary_op(UnaryOp::Not), FeatureKind::Query) {
+                if self.should_generate(Feature::unary_op(UnaryOp::Not), FeatureKind::Query) {
                     features.insert(Feature::unary_op(UnaryOp::Not));
                     self.gen_bool_expr(tables, depth - 1, features).not()
                 } else {
@@ -1183,11 +1249,7 @@ impl AdaptiveGenerator {
         depth: usize,
         features: &mut FeatureSet,
     ) -> Expr {
-        let comparison_ops: Vec<(BinaryOp, Feature)> = BinaryOp::COMPARISONS
-            .iter()
-            .map(|&op| (op, Feature::binary_op(op)))
-            .collect();
-        let Some((op, feature)) = self.pick(&comparison_ops, FeatureKind::Query).cloned() else {
+        let Some((op, feature)) = self.pick(&COMPARISON_OPTIONS, FeatureKind::Query) else {
             // Everything suppressed: fall back to a literal truth value.
             return Expr::boolean(true);
         };
@@ -1209,13 +1271,7 @@ impl AdaptiveGenerator {
         match self.rng.gen_range(0..10) {
             0..=2 => {
                 // Arithmetic / bitwise / concat binary expression.
-                let mut ops: Vec<(BinaryOp, Feature)> = BinaryOp::ARITHMETIC
-                    .iter()
-                    .chain(BinaryOp::BITWISE.iter())
-                    .map(|&op| (op, Feature::binary_op(op)))
-                    .collect();
-                ops.push((BinaryOp::Concat, Feature::binary_op(BinaryOp::Concat)));
-                match self.pick(&ops, FeatureKind::Query).cloned() {
+                match self.pick(&VALUE_OP_OPTIONS, FeatureKind::Query) {
                     Some((op, feature)) => {
                         features.insert(feature);
                         let left = self.gen_value_expr(tables, depth - 1, features);
@@ -1228,11 +1284,7 @@ impl AdaptiveGenerator {
             3 | 4 => self.gen_function_call(tables, depth, features),
             5 => {
                 // Unary.
-                let ops: Vec<(UnaryOp, Feature)> = [UnaryOp::Neg, UnaryOp::Plus, UnaryOp::BitNot]
-                    .iter()
-                    .map(|&op| (op, Feature::unary_op(op)))
-                    .collect();
-                match self.pick(&ops, FeatureKind::Query).cloned() {
+                match self.pick(&UNARY_OPTIONS, FeatureKind::Query) {
                     Some((op, feature)) => {
                         features.insert(feature);
                         Expr::Unary {
@@ -1245,10 +1297,10 @@ impl AdaptiveGenerator {
             }
             6 => {
                 // CASE.
-                if !self.should_generate(&Feature::clause("CASE"), FeatureKind::Query) {
+                if !self.should_generate(Feature::keyword(Keyword::Case), FeatureKind::Query) {
                     return self.gen_leaf(tables, features);
                 }
-                features.insert(Feature::clause("CASE"));
+                features.insert(Feature::keyword(Keyword::Case));
                 let with_operand = self.bool_with(0.5);
                 let operand = with_operand
                     .then(|| Box::new(self.gen_value_expr(tables, depth - 1, features)));
@@ -1285,12 +1337,7 @@ impl AdaptiveGenerator {
         depth: usize,
         features: &mut FeatureSet,
     ) -> Expr {
-        let function_options: Vec<(ScalarFunction, Feature)> = ScalarFunction::ALL
-            .iter()
-            .map(|&f| (f, Feature::function(f)))
-            .collect();
-        let Some((func, feature)) = self.pick(&function_options, FeatureKind::Query).cloned()
-        else {
+        let Some((func, feature)) = self.pick(&FUNCTION_OPTIONS, FeatureKind::Query) else {
             return self.gen_leaf(tables, features);
         };
         features.insert(feature);
@@ -1313,7 +1360,7 @@ impl AdaptiveGenerator {
             if let Some(ty) = arg_type {
                 if ty != DataType::Null {
                     let composite = Feature::function_arg_type(func, i, ty);
-                    if self.should_generate(&composite, FeatureKind::Query) {
+                    if self.should_generate(composite, FeatureKind::Query) {
                         features.insert(composite);
                     } else {
                         // The learned profile says this argument type fails
@@ -1322,7 +1369,7 @@ impl AdaptiveGenerator {
                         let replacement = DataType::COLUMN_TYPES.iter().copied().find(|&t| {
                             t != ty
                                 && self.should_generate(
-                                    &Feature::function_arg_type(func, i, t),
+                                    Feature::function_arg_type(func, i, t),
                                     FeatureKind::Query,
                                 )
                         });
@@ -1395,7 +1442,7 @@ mod tests {
         assert!(matches!(first.statement, Statement::CreateTable(_)));
         assert!(first
             .features
-            .contains(&Feature::statement("STMT_CREATE_TABLE")));
+            .contains(Feature::statement(StatementKind::CreateTable)));
         // Until tables exist, the generator keeps proposing CREATE TABLE.
         let second = generator.generate_ddl_statement();
         assert!(matches!(second.statement, Statement::CreateTable(_)));
@@ -1428,7 +1475,7 @@ mod tests {
         for _ in 0..50 {
             let query = generator.generate_query().unwrap();
             assert!(query.select.where_clause.is_some());
-            assert!(query.features.contains(&Feature::clause("WHERE")));
+            assert!(query.features.contains(Feature::keyword(Keyword::Where)));
         }
     }
 
@@ -1437,19 +1484,19 @@ mod tests {
         let mut generator = generator_with_schema(true);
         // Report the null-safe operator as always failing.
         let feature = Feature::binary_op(BinaryOp::NullSafeEq);
-        let features: FeatureSet = [feature.clone()].into_iter().collect();
+        let features: FeatureSet = [feature].into_iter().collect();
         for _ in 0..500 {
             generator.record_outcome(&features, FeatureKind::Query, false);
         }
         generator.refresh_suppression();
-        assert!(!generator.should_generate(&feature, FeatureKind::Query));
+        assert!(!generator.should_generate(feature, FeatureKind::Query));
         // Other comparison operators remain available.
-        assert!(generator.should_generate(&Feature::binary_op(BinaryOp::Eq), FeatureKind::Query));
+        assert!(generator.should_generate(Feature::binary_op(BinaryOp::Eq), FeatureKind::Query));
         // Generated queries no longer contain the suppressed operator.
         for _ in 0..100 {
             let query = generator.generate_query().unwrap();
             assert!(
-                !query.features.contains(&feature),
+                !query.features.contains(feature),
                 "suppressed feature still generated: {}",
                 query.select
             );
@@ -1460,18 +1507,18 @@ mod tests {
     fn random_mode_ignores_feedback() {
         let mut generator = generator_with_schema(false);
         let feature = Feature::binary_op(BinaryOp::NullSafeEq);
-        let features: FeatureSet = [feature.clone()].into_iter().collect();
+        let features: FeatureSet = [feature].into_iter().collect();
         for _ in 0..500 {
             generator.record_outcome(&features, FeatureKind::Query, false);
         }
-        assert!(generator.should_generate(&feature, FeatureKind::Query));
+        assert!(generator.should_generate(feature, FeatureKind::Query));
     }
 
     #[test]
     fn perfect_knowledge_only_generates_known_features() {
-        let supported: BTreeSet<Feature> = [
-            Feature::statement("STMT_SELECT"),
-            Feature::clause("WHERE"),
+        let supported: FeatureSet = [
+            Feature::statement(StatementKind::Select),
+            Feature::keyword(Keyword::Where),
             Feature::binary_op(BinaryOp::Eq),
             Feature::binary_op(BinaryOp::And),
         ]

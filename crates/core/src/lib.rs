@@ -64,7 +64,7 @@ pub use driver::{
     Capability, Driver, Pool, ResilienceEvent, BREAKER_BACKOFF_BASE, BREAKER_SLOTS,
     BREAKER_THRESHOLD,
 };
-pub use feature::{feature_universe, Feature, FeatureSet};
+pub use feature::{Feature, FeatureSet, Keyword};
 pub use generator::{AdaptiveGenerator, GeneratedQuery, GeneratedStatement, GeneratorConfig};
 pub use hist::Log2Histogram;
 pub use json::{validate_jsonl, Json};

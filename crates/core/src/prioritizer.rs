@@ -109,7 +109,10 @@ mod tests {
     use crate::feature::Feature;
 
     fn set(names: &[&str]) -> FeatureSet {
-        names.iter().map(|n| Feature::new(*n)).collect()
+        names
+            .iter()
+            .map(|n| Feature::from_name(n).unwrap())
+            .collect()
     }
 
     #[test]
@@ -142,11 +145,11 @@ mod tests {
     #[test]
     fn subset_rule_keeps_fewer_than_exact_rule() {
         let cases = [
-            set(&["A", "B"]),
-            set(&["A", "B", "C"]),
-            set(&["A", "B", "D"]),
-            set(&["A", "B"]),
-            set(&["E"]),
+            set(&["OP_EQ", "FN_ABS"]),
+            set(&["OP_EQ", "FN_ABS", "JOIN_LEFT"]),
+            set(&["OP_EQ", "FN_ABS", "AGG_SUM"]),
+            set(&["OP_EQ", "FN_ABS"]),
+            set(&["CLAUSE_CASE"]),
         ];
         let mut subset = BugPrioritizer::new();
         let mut exact = BugPrioritizer::exact_match_only();
@@ -164,9 +167,12 @@ mod tests {
         let mut subset = BugPrioritizer::new();
         let mut exact = BugPrioritizer::exact_match_only();
         for p in [&mut subset, &mut exact] {
-            assert_eq!(p.classify(&set(&["X", "Y"])), PriorityDecision::New);
             assert_eq!(
-                p.classify(&set(&["X", "Y"])),
+                p.classify(&set(&["OP_LT", "FN_SIN"])),
+                PriorityDecision::New
+            );
+            assert_eq!(
+                p.classify(&set(&["OP_LT", "FN_SIN"])),
                 PriorityDecision::PotentialDuplicate
             );
         }
@@ -180,7 +186,7 @@ mod tests {
             PriorityDecision::New
         );
         assert_eq!(
-            prioritizer.classify(&set(&["ANYTHING"])),
+            prioritizer.classify(&set(&["STMT_SELECT"])),
             PriorityDecision::PotentialDuplicate
         );
     }

@@ -57,9 +57,12 @@ mod tests {
     #[test]
     fn profile_round_trips() {
         let mut stats = FeatureStats::new();
-        let features: FeatureSet = [Feature::new("OP_EQ"), Feature::new("FN_SIN")]
-            .into_iter()
-            .collect();
+        let features: FeatureSet = [
+            Feature::from_name("OP_EQ").unwrap(),
+            Feature::from_name("FN_SIN").unwrap(),
+        ]
+        .into_iter()
+        .collect();
         for i in 0..50 {
             stats.record(&features, FeatureKind::Query, i % 3 != 0);
         }
@@ -68,12 +71,12 @@ mod tests {
         let loaded = profile_from_string(&text).unwrap();
         assert_eq!(profile_to_string(&loaded), text);
         assert_eq!(
-            loaded.counts(&Feature::new("OP_EQ"), FeatureKind::Query),
-            stats.counts(&Feature::new("OP_EQ"), FeatureKind::Query)
+            loaded.counts(Feature::from_name("OP_EQ").unwrap(), FeatureKind::Query),
+            stats.counts(Feature::from_name("OP_EQ").unwrap(), FeatureKind::Query)
         );
         assert_eq!(
-            loaded.counts(&Feature::new("FN_SIN"), FeatureKind::DdlDml),
-            stats.counts(&Feature::new("FN_SIN"), FeatureKind::DdlDml)
+            loaded.counts(Feature::from_name("FN_SIN").unwrap(), FeatureKind::DdlDml),
+            stats.counts(Feature::from_name("FN_SIN").unwrap(), FeatureKind::DdlDml)
         );
     }
 
@@ -85,10 +88,13 @@ mod tests {
             (ok.replace("[2,1,0]", "[2,1]"), "arity"),
             (ok.replace("[2,1,0]", r#"["two",1,0]"#), "not a number"),
             (ok.replace("[2,1,0]", "[1,2,0]"), "successes > attempts"),
+            (ok.replace("OP_EQ", "OP_WARP"), "unknown feature"),
             (ok.replace("profile", "stats"), "not a profile"),
             ("# sqlancer++ learned profile v1\n".to_string(), "v1 text"),
         ] {
             assert!(profile_from_string(&bad).is_err(), "{why}");
         }
+        let err = profile_from_string(&ok.replace("OP_EQ", "OP_WARP")).unwrap_err();
+        assert!(err.contains("OP_WARP"), "{err}");
     }
 }

@@ -39,12 +39,11 @@
 
 use crate::campaign::CampaignReport;
 use crate::dbms::StorageMetrics;
-use crate::feature::{Feature, FeatureSet};
+use crate::feature::FeatureSet;
 use crate::json::{self, json_record, Codec, Json};
 use crate::schema::SchemaModel;
 use crate::stats::FeatureStats;
 use sql_ast::{fnv1a64, Statement};
-use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use std::path::Path;
 
@@ -77,9 +76,9 @@ pub struct CampaignCheckpoint {
     pub stats: FeatureStats,
     /// The suppressed query features, verbatim (suppression only refreshes
     /// at update-interval boundaries, so it is state, not derived data).
-    pub suppressed_query: BTreeSet<Feature>,
+    pub suppressed_query: FeatureSet,
     /// The suppressed DDL/DML features, verbatim.
-    pub suppressed_ddl: BTreeSet<Feature>,
+    pub suppressed_ddl: FeatureSet,
     /// The prioritizer's kept feature sets, in insertion order. Its
     /// statistics are the report's `prioritized_bugs`/`deduplicated_bugs`.
     pub kept_sets: Vec<FeatureSet>,
@@ -265,6 +264,7 @@ fn report_from_records(records: &[Json]) -> Result<CampaignReport, String> {
 mod tests {
     use super::*;
     use crate::campaign::CampaignReport;
+    use crate::feature::Feature;
     use crate::oracle::{BugReport, OracleKind, Schedule, SessionScript};
     use crate::reducer::{ReducibleCase, ScheduleCase, TxnCase};
     use crate::stats::FeatureKind;
@@ -273,7 +273,10 @@ mod tests {
     use sql_parser::parse_statement;
 
     fn feature_set(names: &[&str]) -> FeatureSet {
-        names.iter().map(|n| Feature::new(n.to_string())).collect()
+        names
+            .iter()
+            .map(|n| Feature::from_name(n).unwrap())
+            .collect()
     }
 
     fn sample_checkpoint() -> CampaignCheckpoint {
@@ -345,7 +348,7 @@ mod tests {
                 parse_statement("SAVEPOINT sp1").unwrap(),
                 parse_statement("ROLLBACK TO sp1").unwrap(),
             ],
-            features: feature_set(&["TXN_SAVEPOINT"]),
+            features: feature_set(&["STMT_SAVEPOINT"]),
         });
         report.coverage.begin_database();
         report.coverage.observe_case(
@@ -384,7 +387,7 @@ mod tests {
                 ],
                 interleaving: vec![0, 1, 0, 1, 0, 1],
             },
-            features: feature_set(&["ISO_SCHEDULE"]),
+            features: feature_set(&["STMT_BEGIN"]),
         });
 
         CampaignCheckpoint {
@@ -397,8 +400,8 @@ mod tests {
             current_depth: 4,
             schema,
             stats,
-            suppressed_query: [Feature::new("OP_NULLSAFE_EQ")].into(),
-            suppressed_ddl: [Feature::new("TYPE_BOOLEAN")].into(),
+            suppressed_query: feature_set(&["OP_NULLSAFE_EQ"]),
+            suppressed_ddl: feature_set(&["TYPE_BOOLEAN"]),
             kept_sets: vec![feature_set(&["OP_EQ"]), FeatureSet::new()],
             setup_log: [
                 "CREATE TABLE t0 (c0 INTEGER, c1 TEXT)",

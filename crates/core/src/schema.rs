@@ -128,8 +128,18 @@ impl SchemaModel {
 
     /// Picks a random base table (insertable).
     pub fn random_base_table<R: Rng>(&self, rng: &mut R) -> Option<&ModelTable> {
-        let bases = self.base_tables();
-        bases.choose(rng).copied()
+        // The draw `choose` makes over `base_tables()`, without collecting.
+        let count = self.base_table_count();
+        if count == 0 {
+            return None;
+        }
+        let index = rng.gen_range(0..count);
+        self.tables.iter().filter(|t| !t.is_view).nth(index)
+    }
+
+    /// The number of base tables (no views).
+    pub fn base_table_count(&self) -> usize {
+        self.tables.iter().filter(|t| !t.is_view).count()
     }
 
     /// Applies a *successfully executed* statement to the model. This is the

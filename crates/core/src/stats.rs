@@ -12,7 +12,7 @@
 
 use crate::feature::{Feature, FeatureSet};
 use crate::json::{json_record, Codec, Json};
-use std::collections::BTreeMap;
+use std::fmt;
 
 /// Tuning knobs of the feedback mechanism.
 #[derive(Debug, Clone, PartialEq)]
@@ -83,30 +83,109 @@ pub enum FeatureKind {
 // Counts travel as `[attempts, successes, consecutive_failures]`.
 json_record!(struct FeatureCounts [attempts, successes, consecutive_failures]);
 
-/// Aggregated validity feedback across all features.
+/// One category's counts: a slot per vocabulary entry, plus the entries
+/// observed so far (what encodes, merges and is judged — an entry decoded
+/// with zero attempts is still observed).
+#[derive(Clone)]
+struct CountTable {
+    counts: Box<[FeatureCounts]>,
+    observed: FeatureSet,
+}
+
+impl Default for CountTable {
+    fn default() -> CountTable {
+        CountTable {
+            counts: vec![FeatureCounts::default(); Feature::COUNT].into_boxed_slice(),
+            observed: FeatureSet::new(),
+        }
+    }
+}
+
+impl CountTable {
+    fn get(&self, feature: Feature) -> FeatureCounts {
+        self.counts[feature.index()]
+    }
+
+    fn entry(&mut self, feature: Feature) -> &mut FeatureCounts {
+        self.observed.insert(feature);
+        &mut self.counts[feature.index()]
+    }
+
+    /// The observed entries in name order.
+    fn iter(&self) -> impl Iterator<Item = (Feature, &FeatureCounts)> {
+        self.observed
+            .iter()
+            .map(|feature| (feature, &self.counts[feature.index()]))
+    }
+
+    fn merge(&mut self, other: &CountTable) {
+        for feature in other.observed.ids() {
+            let counts = other.get(feature);
+            let entry = self.entry(feature);
+            entry.attempts += counts.attempts;
+            entry.successes += counts.successes;
+            entry.consecutive_failures = counts.consecutive_failures;
+        }
+    }
+}
+
+/// A table travels as `{feature:counts}` in name order.
+impl Codec for CountTable {
+    fn encode(&self) -> Json {
+        Json::Obj(
+            self.iter()
+                .map(|(feature, counts)| (feature.name().to_string(), counts.encode()))
+                .collect(),
+        )
+    }
+
+    fn decode(json: &Json) -> Result<CountTable, String> {
+        let mut table = CountTable::default();
+        for (name, counts) in json.as_obj()? {
+            let feature =
+                Feature::from_name(name).ok_or_else(|| format!("unknown Feature '{name}'"))?;
+            *table.entry(feature) =
+                FeatureCounts::decode(counts).map_err(|err| format!("{name}: {err}"))?;
+        }
+        Ok(table)
+    }
+}
+
+impl fmt::Debug for CountTable {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
+}
+
+/// Aggregated validity feedback across all features: one count table per
+/// category, indexed by feature id, so recording an outcome never
+/// allocates.
 #[derive(Debug, Clone, Default)]
 pub struct FeatureStats {
-    query: BTreeMap<Feature, FeatureCounts>,
-    ddl: BTreeMap<Feature, FeatureCounts>,
+    query: CountTable,
+    ddl: CountTable,
 }
 
 /// The learned profile's one encoding, shared by profile files and
 /// checkpoints: `{"query":{feature:counts},"ddl":{..}}`. The decoder
-/// rejects counts with more successes than attempts.
+/// rejects unknown feature names and counts with more successes than
+/// attempts.
 impl Codec for FeatureStats {
     fn encode(&self) -> Json {
         Json::obj([("query", self.query.encode()), ("ddl", self.ddl.encode())])
     }
 
     fn decode(json: &Json) -> Result<FeatureStats, String> {
-        let query = BTreeMap::decode(json.field("query")?)?;
-        let ddl = BTreeMap::decode(json.field("ddl")?)?;
-        let stats = FeatureStats { query, ddl };
-        let mut counts = stats.query.iter().chain(&stats.ddl);
-        if let Some((feature, _)) = counts.find(|(_, c)| c.successes > c.attempts) {
+        let query = CountTable::decode(json.field("query")?)?;
+        let ddl = CountTable::decode(json.field("ddl")?)?;
+        let overcounted = query
+            .iter()
+            .chain(ddl.iter())
+            .find(|(_, c)| c.successes > c.attempts);
+        if let Some((feature, _)) = overcounted {
             return Err(format!("{feature}: successes exceed attempts"));
         }
-        Ok(stats)
+        Ok(FeatureStats { query, ddl })
     }
 }
 
@@ -116,15 +195,22 @@ impl FeatureStats {
         FeatureStats::default()
     }
 
+    fn table(&self, kind: FeatureKind) -> &CountTable {
+        match kind {
+            FeatureKind::Query => &self.query,
+            FeatureKind::DdlDml => &self.ddl,
+        }
+    }
+
     /// Records the outcome of one statement execution for every feature in
     /// its feature set.
     pub fn record(&mut self, features: &FeatureSet, kind: FeatureKind, success: bool) {
-        let map = match kind {
+        let table = match kind {
             FeatureKind::Query => &mut self.query,
             FeatureKind::DdlDml => &mut self.ddl,
         };
-        for feature in features.iter() {
-            let counts = map.entry(feature.clone()).or_default();
+        for feature in features.ids() {
+            let counts = table.entry(feature);
             counts.attempts += 1;
             if success {
                 counts.successes += 1;
@@ -136,12 +222,8 @@ impl FeatureStats {
     }
 
     /// The counts recorded for a feature in the given category.
-    pub fn counts(&self, feature: &Feature, kind: FeatureKind) -> FeatureCounts {
-        let map = match kind {
-            FeatureKind::Query => &self.query,
-            FeatureKind::DdlDml => &self.ddl,
-        };
-        map.get(feature).copied().unwrap_or_default()
+    pub fn counts(&self, feature: Feature, kind: FeatureKind) -> FeatureCounts {
+        self.table(kind).get(feature)
     }
 
     /// Decides whether a feature is unsupported under the configured rules
@@ -149,7 +231,7 @@ impl FeatureStats {
     /// DDL/DML).
     pub fn is_unsupported(
         &self,
-        feature: &Feature,
+        feature: Feature,
         kind: FeatureKind,
         config: &StatsConfig,
     ) -> bool {
@@ -158,38 +240,38 @@ impl FeatureStats {
             FeatureKind::DdlDml => counts.consecutive_failures >= config.ddl_failure_limit,
             FeatureKind::Query => {
                 counts.attempts >= config.min_attempts
+                    && counts.posterior_mean() <= posterior_mean_bound(config)
                     && counts.posterior_mass_below(config.query_threshold) >= config.credible_mass
             }
         }
     }
 
     /// All features currently considered unsupported in a category.
-    pub fn unsupported_features(&self, kind: FeatureKind, config: &StatsConfig) -> Vec<Feature> {
-        let map = match kind {
-            FeatureKind::Query => &self.query,
-            FeatureKind::DdlDml => &self.ddl,
-        };
-        map.keys()
-            .filter(|f| self.is_unsupported(f, kind, config))
-            .cloned()
+    pub fn unsupported_features(&self, kind: FeatureKind, config: &StatsConfig) -> FeatureSet {
+        self.table(kind)
+            .observed
+            .ids()
+            .filter(|&feature| self.is_unsupported(feature, kind, config))
             .collect()
     }
 
     /// Total attempts and successes across all query features (used for the
     /// validity-rate metrics of Table 4).
     pub fn query_totals(&self) -> (u64, u64) {
-        let attempts = self.query.values().map(|c| c.attempts).sum();
-        let successes = self.query.values().map(|c| c.successes).sum();
+        let attempts = self.query.counts.iter().map(|c| c.attempts).sum();
+        let successes = self.query.counts.iter().map(|c| c.successes).sum();
         (attempts, successes)
     }
 
-    /// Iterates over all query-feature counts (for persistence).
-    pub fn iter_query(&self) -> impl Iterator<Item = (&Feature, &FeatureCounts)> {
+    /// Iterates over all query-feature counts in name order (for
+    /// persistence).
+    pub fn iter_query(&self) -> impl Iterator<Item = (Feature, &FeatureCounts)> {
         self.query.iter()
     }
 
-    /// Iterates over all DDL/DML-feature counts (for persistence).
-    pub fn iter_ddl(&self) -> impl Iterator<Item = (&Feature, &FeatureCounts)> {
+    /// Iterates over all DDL/DML-feature counts in name order (for
+    /// persistence).
+    pub fn iter_ddl(&self) -> impl Iterator<Item = (Feature, &FeatureCounts)> {
         self.ddl.iter()
     }
 
@@ -201,19 +283,20 @@ impl FeatureStats {
     /// per-database learned profiles together in database order, keeping
     /// the merged result independent of worker scheduling.
     pub fn merge(&mut self, other: &FeatureStats) {
-        for (feature, counts) in &other.query {
-            let entry = self.query.entry(feature.clone()).or_default();
-            entry.attempts += counts.attempts;
-            entry.successes += counts.successes;
-            entry.consecutive_failures = counts.consecutive_failures;
-        }
-        for (feature, counts) in &other.ddl {
-            let entry = self.ddl.entry(feature.clone()).or_default();
-            entry.attempts += counts.attempts;
-            entry.successes += counts.successes;
-            entry.consecutive_failures = counts.consecutive_failures;
-        }
+        self.query.merge(&other.query);
+        self.ddl.merge(&other.ddl);
     }
+}
+
+/// The largest posterior mean a query feature judged unsupported can have.
+///
+/// With `m` the posterior mass below `p`, the mean is at most
+/// `p·m + (1 − m)` (mass below `p` contributes under `p`, the rest at most
+/// 1), which falls as `m` grows; so `m ≥ c` forces the mean to at most
+/// `p·c + (1 − c)`. A mean above this bound decides "supported" without
+/// evaluating the incomplete beta.
+fn posterior_mean_bound(config: &StatsConfig) -> f64 {
+    config.query_threshold * config.credible_mass + (1.0 - config.credible_mass)
 }
 
 /// Natural log of the gamma function (Lanczos approximation).
@@ -315,8 +398,12 @@ pub fn regularized_incomplete_beta(x: f64, a: f64, b: f64) -> f64 {
 mod tests {
     use super::*;
 
+    fn named(name: &str) -> Feature {
+        Feature::from_name(name).unwrap()
+    }
+
     fn feature_set(names: &[&str]) -> FeatureSet {
-        names.iter().map(|n| Feature::new(*n)).collect()
+        names.iter().map(|n| named(n)).collect()
     }
 
     #[test]
@@ -345,7 +432,7 @@ mod tests {
             stats.record(&features, FeatureKind::Query, false);
         }
         let config = StatsConfig::default();
-        assert!(stats.is_unsupported(&Feature::new("OP_NULLSAFE_EQ"), FeatureKind::Query, &config));
+        assert!(stats.is_unsupported(named("OP_NULLSAFE_EQ"), FeatureKind::Query, &config));
     }
 
     #[test]
@@ -356,8 +443,8 @@ mod tests {
             stats.record(&features, FeatureKind::Query, i % 2 == 0);
         }
         let config = StatsConfig::default();
-        assert!(!stats.is_unsupported(&Feature::new("OP_EQ"), FeatureKind::Query, &config));
-        let counts = stats.counts(&Feature::new("OP_EQ"), FeatureKind::Query);
+        assert!(!stats.is_unsupported(named("OP_EQ"), FeatureKind::Query, &config));
+        let counts = stats.counts(named("OP_EQ"), FeatureKind::Query);
         assert!((counts.posterior_mean() - 0.5).abs() < 0.05);
     }
 
@@ -369,7 +456,7 @@ mod tests {
             stats.record(&features, FeatureKind::Query, false);
         }
         assert!(!stats.is_unsupported(
-            &Feature::new("FN_SIN"),
+            named("FN_SIN"),
             FeatureKind::Query,
             &StatsConfig::default()
         ));
@@ -383,24 +470,61 @@ mod tests {
         for _ in 0..9 {
             stats.record(&features, FeatureKind::DdlDml, false);
         }
-        assert!(!stats.is_unsupported(
-            &Feature::new("STMT_CREATE_INDEX"),
-            FeatureKind::DdlDml,
-            &config
-        ));
+        assert!(!stats.is_unsupported(named("STMT_CREATE_INDEX"), FeatureKind::DdlDml, &config));
         stats.record(&features, FeatureKind::DdlDml, false);
-        assert!(stats.is_unsupported(
-            &Feature::new("STMT_CREATE_INDEX"),
-            FeatureKind::DdlDml,
-            &config
-        ));
+        assert!(stats.is_unsupported(named("STMT_CREATE_INDEX"), FeatureKind::DdlDml, &config));
         // One success resets the run.
         stats.record(&features, FeatureKind::DdlDml, true);
-        assert!(!stats.is_unsupported(
-            &Feature::new("STMT_CREATE_INDEX"),
-            FeatureKind::DdlDml,
-            &config
-        ));
+        assert!(!stats.is_unsupported(named("STMT_CREATE_INDEX"), FeatureKind::DdlDml, &config));
+    }
+
+    /// The posterior-mean prefilter never changes a verdict: every count
+    /// pair up to 2000 attempts is judged as the bare incomplete-beta test
+    /// judges it, under the default and a looser configuration.
+    #[test]
+    fn posterior_mean_prefilter_keeps_every_verdict() {
+        let loose = StatsConfig {
+            query_threshold: 0.05,
+            min_attempts: 30,
+            ..StatsConfig::default()
+        };
+        for config in [StatsConfig::default(), loose] {
+            let mut skipped = 0u64;
+            for attempts in 0..=2000u64 {
+                for successes in 0..=attempts {
+                    let counts = FeatureCounts {
+                        attempts,
+                        successes,
+                        consecutive_failures: 0,
+                    };
+                    let old = counts.attempts >= config.min_attempts
+                        && counts.posterior_mass_below(config.query_threshold)
+                            >= config.credible_mass;
+                    let filtered = counts.posterior_mean() > posterior_mean_bound(&config);
+                    skipped += u64::from(filtered);
+                    let new = counts.attempts >= config.min_attempts
+                        && !filtered
+                        && counts.posterior_mass_below(config.query_threshold)
+                            >= config.credible_mass;
+                    assert_eq!(new, old, "{attempts} attempts, {successes} successes");
+                }
+            }
+            assert!(skipped > 1_000_000, "the prefilter decided only {skipped}");
+        }
+    }
+
+    #[test]
+    fn an_entry_with_zero_attempts_still_encodes() {
+        let json = crate::json::parse(r#"{"query":{"OP_EQ":[0,0,0]},"ddl":{}}"#).unwrap();
+        let stats = FeatureStats::decode(&json).unwrap();
+        assert_eq!(stats.encode(), json);
+    }
+
+    #[test]
+    fn an_unknown_feature_name_is_rejected_by_name() {
+        let json = crate::json::parse(r#"{"query":{"OP_WARP":[1,1,0]},"ddl":{}}"#).unwrap();
+        let err = FeatureStats::decode(&json).unwrap_err();
+        assert!(err.contains("OP_WARP"), "{err}");
     }
 
     #[test]

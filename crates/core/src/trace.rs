@@ -594,6 +594,9 @@ pub struct FlightRecorder {
     ring: VecDeque<CaseRecord>,
     pinned: Vec<CaseRecord>,
     current: Option<CaseRecord>,
+    /// The event buffer of the last ring-evicted record, emptied, for the
+    /// next case to reuse.
+    spare: Vec<TraceEvent>,
 }
 
 impl FlightRecorder {
@@ -614,12 +617,14 @@ impl FlightRecorder {
         } = event.kind
         {
             self.seal();
+            let mut events = std::mem::take(&mut self.spare);
+            events.push(event.clone());
             self.current = Some(CaseRecord {
                 database,
                 case_index,
                 case_seed: event.case_seed,
                 oracle,
-                events: vec![event.clone()],
+                events,
             });
             return;
         }
@@ -643,7 +648,10 @@ impl FlightRecorder {
         } else {
             self.ring.push_back(record);
             while self.ring.len() > self.capacity {
-                self.ring.pop_front();
+                if let Some(evicted) = self.ring.pop_front() {
+                    self.spare = evicted.events;
+                    self.spare.clear();
+                }
             }
         }
     }
@@ -870,11 +878,14 @@ impl Tracer {
         Some(out)
     }
 
+    /// The current dialect's trace. Looked up before inserting, so the
+    /// per-event path does not clone the dialect name.
     fn dialect_trace(&mut self) -> &mut DialectTrace {
-        self.summary
-            .dialects
-            .entry(self.dialect.clone())
-            .or_default()
+        let dialects = &mut self.summary.dialects;
+        if !dialects.contains_key(&self.dialect) {
+            dialects.insert(self.dialect.clone(), DialectTrace::default());
+        }
+        dialects.get_mut(&self.dialect).expect("inserted above")
     }
 
     fn maybe_report_progress(&mut self) {

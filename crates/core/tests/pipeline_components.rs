@@ -116,13 +116,13 @@ fn learned_profile_survives_persistence_and_keeps_decisions() {
     }
     let text = profile_to_string(&generator.stats);
     let restored = profile_from_string(&text).unwrap();
-    let feature = Feature::new("OP_NULLSAFE_EQ");
+    let feature = Feature::from_name("OP_NULLSAFE_EQ").unwrap();
     let config = generator.config().stats.clone();
     assert_eq!(
-        restored.is_unsupported(&feature, FeatureKind::Query, &config),
+        restored.is_unsupported(feature, FeatureKind::Query, &config),
         generator
             .stats
-            .is_unsupported(&feature, FeatureKind::Query, &config),
+            .is_unsupported(feature, FeatureKind::Query, &config),
         "persistence must preserve the unsupported decision"
     );
 }
@@ -135,8 +135,8 @@ fn prioritizer_and_oracles_compose_over_a_stream_of_reports() {
     let mut kept = 0;
     for i in 0..200 {
         let set: FeatureSet = [
-            Feature::new("OP_NEQ"),
-            Feature::new(format!("FN_{}", ["NULLIF", "COALESCE", "ABS"][i % 3])),
+            Feature::from_name("OP_NEQ").unwrap(),
+            Feature::from_name(["FN_NULLIF", "FN_COALESCE", "FN_ABS"][i % 3]).unwrap(),
         ]
         .into_iter()
         .collect();

@@ -6,7 +6,18 @@
 //! *other* bug (internal error / crash) — the two classes Table 2 of the
 //! paper distinguishes.
 
+use sql_ast::{
+    AggregateFunction, BinaryOp, DataType, JoinType, ScalarFunction, StatementKind, UnaryOp,
+};
 use sql_engine::{Fault, FaultConfig};
+use sqlancer_core::{Feature, Keyword};
+
+/// A `'static` trigger list built from vocabulary ids at compile time.
+macro_rules! features {
+    ($($feature:expr),* $(,)?) => {
+        const { &[$($feature),*] }
+    };
+}
 
 /// One injectable bug, keyed by the fault that enables it: an engine
 /// [`Fault`] in [`catalog`], an infrastructure fault id in
@@ -19,8 +30,8 @@ pub struct InjectedBug<F = Fault> {
     pub fault: F,
     /// Whether this is a logic bug (vs. an internal-error/crash bug).
     pub is_logic: bool,
-    /// Canonical names of the SQL features involved in triggering it.
-    pub features: &'static [&'static str],
+    /// The SQL features involved in triggering it.
+    pub features: &'static [Feature],
     /// One-line description.
     pub description: &'static str,
 }
@@ -32,112 +43,141 @@ pub fn catalog() -> Vec<InjectedBug> {
             id: "BUG-NOT-NULL-SEMANTICS",
             fault: Fault::BadNotElimination,
             is_logic: true,
-            features: &["OP_NOT", "OP_EQ"],
+            features: features![Feature::unary_op(UnaryOp::Not), Feature::binary_op(BinaryOp::Eq)],
             description: "NOT (a = b) rewritten to IS DISTINCT FROM, changing NULL semantics",
         },
         InjectedBug {
             id: "BUG-RANGE-NEGATION",
             fault: Fault::BadRangeNegation,
             is_logic: true,
-            features: &["OP_NOT", "OP_LT"],
+            features: features![Feature::unary_op(UnaryOp::Not), Feature::binary_op(BinaryOp::Lt)],
             description: "NOT (a < b) rewritten to a > b, dropping equality",
         },
         InjectedBug {
             id: "BUG-PREDICATE-PUSHDOWN",
             fault: Fault::BadPredicatePushdown,
             is_logic: true,
-            features: &["JOIN_LEFT", "CLAUSE_WHERE"],
+            features: features![Feature::join(JoinType::Left), Feature::keyword(Keyword::Where)],
             description: "WHERE predicate pushed into LEFT JOIN ON clause",
         },
         InjectedBug {
             id: "BUG-JOIN-FLATTENING",
             fault: Fault::BadJoinFlattening,
             is_logic: true,
-            features: &["JOIN_RIGHT", "JOIN_LEFT", "CLAUSE_WHERE"],
+            features: features![
+                Feature::join(JoinType::Right),
+                Feature::join(JoinType::Left),
+                Feature::keyword(Keyword::Where),
+            ],
             description: "outer-join ON term flattened into WHERE (SQLite Listing 3)",
         },
         InjectedBug {
             id: "BUG-CONST-FOLD-TEXT",
             fault: Fault::BadConstantFoldingText,
             is_logic: true,
-            features: &["TYPE_TEXT", "OP_EQ"],
+            features: features![
+                Feature::data_type(DataType::Text),
+                Feature::binary_op(BinaryOp::Eq),
+            ],
             description: "constant folding coerces text literals numerically",
         },
         InjectedBug {
             id: "BUG-NOTNULL-ISNULL-FOLD",
             fault: Fault::BadNotnullIsnullFolding,
             is_logic: true,
-            features: &["OP_IS_NULL", "KW_NOT_NULL"],
+            features: features![
+                Feature::keyword(Keyword::IsNull),
+                Feature::keyword(Keyword::NotNull),
+            ],
             description: "IS NULL on NOT NULL columns folded to FALSE despite outer joins",
         },
         InjectedBug {
             id: "BUG-IN-LIST-NULL",
             fault: Fault::BadInListRewrite,
             is_logic: true,
-            features: &["OP_IN"],
+            features: features![Feature::keyword(Keyword::In)],
             description: "IN-list rewrite drops NULL elements",
         },
         InjectedBug {
             id: "BUG-BETWEEN-SWAP",
             fault: Fault::BadBetweenRewrite,
             is_logic: true,
-            features: &["OP_BETWEEN"],
+            features: features![Feature::keyword(Keyword::Between)],
             description: "BETWEEN with reversed literal bounds gets its bounds swapped",
         },
         InjectedBug {
             id: "BUG-DISTINCT-ELIM",
             fault: Fault::BadDistinctElimination,
             is_logic: true,
-            features: &["CLAUSE_DISTINCT", "OP_EQ"],
+            features: features![
+                Feature::keyword(Keyword::Distinct),
+                Feature::binary_op(BinaryOp::Eq),
+            ],
             description: "DISTINCT dropped when an equality predicate is present",
         },
         InjectedBug {
             id: "BUG-NULLSAFE-EQ",
             fault: Fault::BadNullsafeEqRewrite,
             is_logic: true,
-            features: &["OP_NULLSAFE_EQ"],
+            features: features![Feature::binary_op(BinaryOp::NullSafeEq)],
             description: "<=> rewritten to plain equality",
         },
         InjectedBug {
             id: "BUG-CASE-FOLD",
             fault: Fault::BadCaseFolding,
             is_logic: true,
-            features: &["CLAUSE_CASE"],
+            features: features![Feature::keyword(Keyword::Case)],
             description: "CASE folded on a constant-true first branch",
         },
         InjectedBug {
             id: "BUG-INDEX-COERCION",
             fault: Fault::BadIndexLookupCoercion,
             is_logic: true,
-            features: &["STMT_CREATE_INDEX", "OP_EQ"],
+            features: features![
+                Feature::statement(StatementKind::CreateIndex),
+                Feature::binary_op(BinaryOp::Eq),
+            ],
             description: "index lookup skips text-to-numeric coercion",
         },
         InjectedBug {
             id: "BUG-UNIQUE-INDEX-SHORTCUT",
             fault: Fault::BadUniqueIndexShortcut,
             is_logic: true,
-            features: &["STMT_CREATE_INDEX", "KW_UNIQUE_INDEX", "OP_EQ"],
+            features: features![
+                Feature::statement(StatementKind::CreateIndex),
+                Feature::keyword(Keyword::UniqueIndex),
+                Feature::binary_op(BinaryOp::Eq),
+            ],
             description: "unique-index lookup stops at the first match",
         },
         InjectedBug {
             id: "BUG-PARTIAL-INDEX",
             fault: Fault::BadPartialIndexScan,
             is_logic: true,
-            features: &["STMT_CREATE_INDEX", "KW_PARTIAL_INDEX"],
+            features: features![
+                Feature::statement(StatementKind::CreateIndex),
+                Feature::keyword(Keyword::PartialIndex),
+            ],
             description: "partial index used without checking its predicate",
         },
         InjectedBug {
             id: "BUG-STALE-COUNT",
             fault: Fault::BadStaleCountStatistics,
             is_logic: true,
-            features: &["STMT_ANALYZE", "AGG_COUNT"],
+            features: features![
+                Feature::statement(StatementKind::Analyze),
+                Feature::aggregate(AggregateFunction::Count),
+            ],
             description: "COUNT(*) answered from stale ANALYZE statistics",
         },
         InjectedBug {
             id: "BUG-REPLACE-AFFINITY",
             fault: Fault::BadReplaceTypeAffinity,
             is_logic: true,
-            features: &["FN_REPLACE", "OP_EQ"],
+            features: features![
+                Feature::function(ScalarFunction::Replace),
+                Feature::binary_op(BinaryOp::Eq),
+            ],
             description:
                 "REPLACE returns a non-text intermediate (SQLite Listing 2, hidden ten years)",
         },
@@ -145,84 +185,99 @@ pub fn catalog() -> Vec<InjectedBug> {
             id: "BUG-BITWISE-INVERSION",
             fault: Fault::BadBitwiseInversion,
             is_logic: true,
-            features: &["OP_BITNOT"],
+            features: features![Feature::unary_op(UnaryOp::BitNot)],
             description: "bitwise inversion mishandles negative operands (TiDB ~ bug)",
         },
         InjectedBug {
             id: "BUG-NULLIF-NULL",
             fault: Fault::BadNullifNullHandling,
             is_logic: true,
-            features: &["FN_NULLIF"],
+            features: features![Feature::function(ScalarFunction::Nullif)],
             description: "NULLIF returns NULL when its second argument is NULL",
         },
         InjectedBug {
             id: "BUG-COLLATION-COMPARE",
             fault: Fault::BadCollationComparison,
             is_logic: true,
-            features: &["TYPE_TEXT", "OP_EQ"],
+            features: features![
+                Feature::data_type(DataType::Text),
+                Feature::binary_op(BinaryOp::Eq),
+            ],
             description: "optimized text comparison is case-insensitive",
         },
         InjectedBug {
             id: "BUG-LIKE-UNDERSCORE",
             fault: Fault::BadLikeUnderscore,
             is_logic: true,
-            features: &["OP_LIKE"],
+            features: features![Feature::keyword(Keyword::Like)],
             description: "LIKE treats _ as a literal in the optimized path",
         },
         InjectedBug {
             id: "BUG-INTEGER-DIVISION",
             fault: Fault::BadIntegerDivision,
             is_logic: true,
-            features: &["OP_DIV"],
+            features: features![Feature::binary_op(BinaryOp::Div)],
             description: "integer division rounds instead of truncating",
         },
         InjectedBug {
             id: "BUG-TEXT-COERCION-SIGN",
             fault: Fault::BadTextCoercionSign,
             is_logic: true,
-            features: &["TYPE_TEXT", "OP_LT"],
+            features: features![
+                Feature::data_type(DataType::Text),
+                Feature::binary_op(BinaryOp::Lt),
+            ],
             description: "text-to-number coercion ignores a leading minus sign",
         },
         InjectedBug {
             id: "BUG-SUM-EMPTY-GROUP",
             fault: Fault::BadSumEmptyGroup,
             is_logic: true,
-            features: &["AGG_SUM"],
+            features: features![Feature::aggregate(AggregateFunction::Sum)],
             description: "SUM over an empty group returns 0 instead of NULL",
         },
         InjectedBug {
             id: "BUG-COUNT-NULLS",
             fault: Fault::BadCountNulls,
             is_logic: true,
-            features: &["AGG_COUNT"],
+            features: features![Feature::aggregate(AggregateFunction::Count)],
             description: "COUNT(col) counts NULLs",
         },
         InjectedBug {
             id: "BUG-VIEW-PREDICATE",
             fault: Fault::BadViewPredicateDrop,
             is_logic: true,
-            features: &["STMT_CREATE_VIEW", "CLAUSE_WHERE"],
+            features: features![
+                Feature::statement(StatementKind::CreateView),
+                Feature::keyword(Keyword::Where),
+            ],
             description: "view expansion drops the view's WHERE predicate",
         },
         InjectedBug {
             id: "BUG-GROUPBY-COLLATION",
             fault: Fault::BadGroupByCollation,
             is_logic: true,
-            features: &["CLAUSE_GROUP_BY", "TYPE_TEXT"],
+            features: features![
+                Feature::keyword(Keyword::GroupBy),
+                Feature::data_type(DataType::Text),
+            ],
             description: "GROUP BY on text keys groups case-insensitively",
         },
         InjectedBug {
             id: "BUG-HAVING-PUSHDOWN",
             fault: Fault::BadHavingPushdown,
             is_logic: true,
-            features: &["CLAUSE_HAVING"],
+            features: features![Feature::keyword(Keyword::Having)],
             description: "HAVING without aggregates evaluated before grouping",
         },
         InjectedBug {
             id: "BUG-LOST-ROLLBACK",
             fault: Fault::TxnLostRollback,
             is_logic: true,
-            features: &["STMT_BEGIN", "STMT_ROLLBACK"],
+            features: features![
+                Feature::statement(StatementKind::Begin),
+                Feature::statement(StatementKind::Rollback),
+            ],
             description:
                 "ROLLBACK discards the undo log, leaving the transaction's writes in place",
         },
@@ -230,7 +285,10 @@ pub fn catalog() -> Vec<InjectedBug> {
             id: "BUG-PHANTOM-COMMIT",
             fault: Fault::TxnPhantomCommit,
             is_logic: true,
-            features: &["STMT_BEGIN", "STMT_COMMIT"],
+            features: features![
+                Feature::statement(StatementKind::Begin),
+                Feature::statement(StatementKind::Commit),
+            ],
             description:
                 "COMMIT applies the undo log, silently discarding the transaction's writes",
         },
@@ -238,7 +296,10 @@ pub fn catalog() -> Vec<InjectedBug> {
             id: "BUG-SAVEPOINT-COLLAPSE",
             fault: Fault::TxnSavepointCollapse,
             is_logic: true,
-            features: &["STMT_SAVEPOINT", "STMT_ROLLBACK_TO"],
+            features: features![
+                Feature::statement(StatementKind::Savepoint),
+                Feature::statement(StatementKind::RollbackTo),
+            ],
             description:
                 "ROLLBACK TO SAVEPOINT rewinds to transaction start, collapsing the savepoint stack",
         },
@@ -246,7 +307,10 @@ pub fn catalog() -> Vec<InjectedBug> {
             id: "BUG-DIRTY-READ",
             fault: Fault::IsoDirtyRead,
             is_logic: true,
-            features: &["STMT_BEGIN", "STMT_COMMIT"],
+            features: features![
+                Feature::statement(StatementKind::Begin),
+                Feature::statement(StatementKind::Commit),
+            ],
             description:
                 "a transaction's begin-time snapshot includes other sessions' uncommitted writes",
         },
@@ -254,7 +318,10 @@ pub fn catalog() -> Vec<InjectedBug> {
             id: "BUG-LOST-UPDATE",
             fault: Fault::IsoLostUpdate,
             is_logic: true,
-            features: &["STMT_BEGIN", "STMT_COMMIT"],
+            features: features![
+                Feature::statement(StatementKind::Begin),
+                Feature::statement(StatementKind::Commit),
+            ],
             description:
                 "COMMIT skips first-committer-wins validation, clobbering concurrent committed writes",
         },
@@ -262,7 +329,10 @@ pub fn catalog() -> Vec<InjectedBug> {
             id: "BUG-NONREPEATABLE-READ",
             fault: Fault::IsoNonrepeatableRead,
             is_logic: true,
-            features: &["STMT_BEGIN", "STMT_COMMIT"],
+            features: features![
+                Feature::statement(StatementKind::Begin),
+                Feature::statement(StatementKind::Commit),
+            ],
             description:
                 "in-transaction reads of unwritten tables see the latest committed state, not the snapshot",
         },
@@ -270,14 +340,14 @@ pub fn catalog() -> Vec<InjectedBug> {
             id: "BUG-DEEP-EXPR-CRASH",
             fault: Fault::CrashOnDeepExpressions,
             is_logic: false,
-            features: &["CLAUSE_WHERE"],
+            features: features![Feature::keyword(Keyword::Where)],
             description: "internal error on deeply nested expressions",
         },
         InjectedBug {
             id: "BUG-MANY-JOINS-OOM",
             fault: Fault::CrashOnManyJoins,
             is_logic: false,
-            features: &["JOIN_INNER", "JOIN_LEFT"],
+            features: features![Feature::join(JoinType::Inner), Feature::join(JoinType::Left)],
             description: "out-of-memory style internal error on three-way joins",
         },
     ]
@@ -390,6 +460,19 @@ mod tests {
             Fault::BadBitwiseInversion,
         ]));
         assert_eq!(found.len(), 2);
+    }
+
+    #[test]
+    fn triggers_render_their_canonical_names() {
+        let rendered = |id: &str| {
+            let bug = catalog().into_iter().find(|b| b.id == id).unwrap();
+            bug.features.iter().map(|f| f.name()).collect::<Vec<_>>()
+        };
+        assert_eq!(rendered("BUG-NOT-NULL-SEMANTICS"), ["OP_NOT", "OP_EQ"]);
+        assert_eq!(
+            rendered("BUG-SAVEPOINT-COLLAPSE"),
+            ["STMT_SAVEPOINT", "STMT_ROLLBACK_TO"]
+        );
     }
 
     #[test]

@@ -6,11 +6,9 @@
 //! producing exactly the "syntax/semantic error" feedback that the adaptive
 //! generator learns from (challenge C1 of the paper).
 
-use sql_ast::{
-    AggregateFunction, BinaryOp, DataType, Expr, JoinType, ScalarFunction, Select, SelectItem,
-    Statement, StatementKind, TableFactor, UnaryOp,
-};
+use sql_ast::{DataType, Expr, Select, SelectItem, Statement, StatementKind, TableFactor};
 use sql_engine::TypingMode;
+use sqlancer_core::{Feature, FeatureSet, Keyword};
 use std::collections::BTreeSet;
 
 /// The feature-support matrix and behavioural quirks of one dialect.
@@ -24,9 +22,9 @@ pub struct DialectProfile {
     /// this dialect does **not** accept. Only [`DialectProfile::without`]
     /// adds to it, so `gate` always mirrors it.
     unsupported: BTreeSet<String>,
-    /// The members of `unsupported` that the feature walker can emit, as
-    /// bits over [`FEATURE_NAMES`]: what statement gating tests.
-    gate: FeatureBits,
+    /// The members of `unsupported` in the feature vocabulary: what
+    /// statement gating tests.
+    gate: FeatureSet,
     /// Inserted rows are only visible after `REFRESH TABLE` (CrateDB-like).
     pub requires_refresh: bool,
     /// DML must be followed by `COMMIT` (autocommit-off JDBC style).
@@ -41,7 +39,7 @@ impl DialectProfile {
             name: name.into(),
             typing,
             unsupported: BTreeSet::new(),
-            gate: FeatureBits::default(),
+            gate: FeatureSet::new(),
             requires_refresh: false,
             requires_commit: false,
         }
@@ -50,8 +48,8 @@ impl DialectProfile {
     /// Marks a list of canonical feature names as unsupported.
     pub fn without(mut self, features: &[&str]) -> DialectProfile {
         for f in features {
-            if let Some(id) = FeatureId::named(f) {
-                self.gate.insert(id);
+            if let Some(feature) = Feature::from_name(f) {
+                self.gate.insert(feature);
             }
             self.unsupported.insert((*f).to_string());
         }
@@ -71,10 +69,11 @@ impl DialectProfile {
     /// All canonical features of the generator universe this dialect
     /// supports (used by the perfect-knowledge baseline and Figure 7).
     pub fn supported_universe(&self) -> BTreeSet<String> {
-        sqlancer_core::feature_universe()
-            .into_iter()
-            .map(|f| f.name().to_string())
+        FeatureSet::universe()
+            .iter()
+            .map(Feature::name)
             .filter(|f| self.supports(f))
+            .map(str::to_string)
             .collect()
     }
 
@@ -112,8 +111,8 @@ impl DialectProfile {
     /// in `found`.
     fn gate_visitor<'a>(
         &'a self,
-        found: &'a mut Option<FeatureId>,
-    ) -> impl FnMut(FeatureId) -> bool + 'a {
+        found: &'a mut Option<Feature>,
+    ) -> impl FnMut(Feature) -> bool + 'a {
         move |feature| {
             if self.gate.contains(feature) {
                 *found = Some(feature);
@@ -147,179 +146,28 @@ pub fn collect_statement_features(stmt: &Statement) -> Vec<String> {
     out
 }
 
-macro_rules! keywords {
-    ($($variant:ident => $name:literal,)+) => {
-        /// A feature the walker names by a fixed keyword rather than by an
-        /// AST vocabulary.
-        #[derive(Debug, Clone, Copy)]
-        enum Keyword {
-            $($variant,)+
-        }
-
-        const KEYWORD_NAMES: [&str; [$($name),+].len()] = [$($name),+];
-    };
-}
-
-keywords! {
-    PrimaryKey => "KW_PRIMARY_KEY",
-    NotNull => "KW_NOT_NULL",
-    Unique => "KW_UNIQUE",
-    Default => "KW_DEFAULT",
-    UniqueIndex => "KW_UNIQUE_INDEX",
-    PartialIndex => "KW_PARTIAL_INDEX",
-    OrIgnore => "KW_OR_IGNORE",
-    Distinct => "CLAUSE_DISTINCT",
-    Where => "CLAUSE_WHERE",
-    GroupBy => "CLAUSE_GROUP_BY",
-    Having => "CLAUSE_HAVING",
-    OrderBy => "CLAUSE_ORDER_BY",
-    Limit => "CLAUSE_LIMIT",
-    Offset => "CLAUSE_OFFSET",
-    SetOperation => "CLAUSE_SET_OPERATION",
-    Subquery => "CLAUSE_SUBQUERY",
-    Case => "CLAUSE_CASE",
-    Cast => "OP_CAST",
-    Between => "OP_BETWEEN",
-    In => "OP_IN",
-    IsNull => "OP_IS_NULL",
-    IsBool => "OP_IS_BOOL",
-    Like => "OP_LIKE",
-}
-
-// The ranges of `FEATURE_NAMES`, one per closed vocabulary.
-const STATEMENTS: usize = 0;
-const TYPES: usize = STATEMENTS + StatementKind::ALL.len();
-/// `DataType::ALL` plus `Null`, which is declared last.
-const JOINS: usize = TYPES + DataType::ALL.len() + 1;
-const UNARIES: usize = JOINS + JoinType::ALL.len();
-const BINARIES: usize = UNARIES + UnaryOp::ALL.len();
-const FUNCTIONS: usize = BINARIES + BinaryOp::ALL.len();
-const AGGREGATES: usize = FUNCTIONS + ScalarFunction::ALL.len();
-const KEYWORDS: usize = AGGREGATES + AggregateFunction::ALL.len();
-const FEATURE_COUNT: usize = KEYWORDS + KEYWORD_NAMES.len();
-
-/// Every canonical feature name the walker emits, indexed by [`FeatureId`].
-static FEATURE_NAMES: [&str; FEATURE_COUNT] = {
-    let mut names = [""; FEATURE_COUNT];
-    let mut i = 0;
-    while i < FEATURE_COUNT {
-        names[i] = if i < TYPES {
-            StatementKind::ALL[i - STATEMENTS].feature_name()
-        } else if i < JOINS - 1 {
-            DataType::ALL[i - TYPES].feature_name()
-        } else if i < JOINS {
-            DataType::Null.feature_name()
-        } else if i < UNARIES {
-            JoinType::ALL[i - JOINS].feature_name()
-        } else if i < BINARIES {
-            UnaryOp::ALL[i - UNARIES].feature_name()
-        } else if i < FUNCTIONS {
-            BinaryOp::ALL[i - BINARIES].feature_name()
-        } else if i < AGGREGATES {
-            ScalarFunction::ALL[i - FUNCTIONS].feature_name()
-        } else if i < KEYWORDS {
-            AggregateFunction::ALL[i - AGGREGATES].feature_name()
-        } else {
-            KEYWORD_NAMES[i - KEYWORDS]
-        };
-        i += 1;
-    }
-    names
-};
-
-/// A feature the dialect gate can reject: its index in [`FEATURE_NAMES`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct FeatureId(u16);
-
-impl FeatureId {
-    fn statement(kind: StatementKind) -> FeatureId {
-        FeatureId((STATEMENTS + kind as usize) as u16)
-    }
-
-    fn data_type(ty: DataType) -> FeatureId {
-        FeatureId((TYPES + ty as usize) as u16)
-    }
-
-    fn join(join: JoinType) -> FeatureId {
-        FeatureId((JOINS + join as usize) as u16)
-    }
-
-    fn unary(op: UnaryOp) -> FeatureId {
-        FeatureId((UNARIES + op as usize) as u16)
-    }
-
-    fn binary(op: BinaryOp) -> FeatureId {
-        FeatureId((BINARIES + op as usize) as u16)
-    }
-
-    fn function(func: ScalarFunction) -> FeatureId {
-        FeatureId((FUNCTIONS + func as usize) as u16)
-    }
-
-    fn aggregate(func: AggregateFunction) -> FeatureId {
-        FeatureId((AGGREGATES + func as usize) as u16)
-    }
-
-    fn keyword(keyword: Keyword) -> FeatureId {
-        FeatureId((KEYWORDS + keyword as usize) as u16)
-    }
-
-    /// The feature with canonical name `name`, if the walker can emit it.
-    fn named(name: &str) -> Option<FeatureId> {
-        FEATURE_NAMES
-            .iter()
-            .position(|n| *n == name)
-            .map(|i| FeatureId(i as u16))
-    }
-
-    fn name(self) -> &'static str {
-        FEATURE_NAMES[self.0 as usize]
-    }
-}
-
-/// A set of [`FeatureId`]s, one bit each.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct FeatureBits([u64; FEATURE_COUNT.div_ceil(64)]);
-
-impl FeatureBits {
-    fn insert(&mut self, id: FeatureId) {
-        self.0[usize::from(id.0 / 64)] |= 1 << (id.0 % 64);
-    }
-
-    #[inline]
-    fn contains(&self, id: FeatureId) -> bool {
-        self.0[usize::from(id.0 / 64)] & (1 << (id.0 % 64)) != 0
-    }
-
-    fn is_empty(&self) -> bool {
-        self.0.iter().all(|word| *word == 0)
-    }
-}
-
 /// Walks every feature of a statement in collection order,
 /// calling `f` for each; `f` returns `false` to stop the walk early. The
 /// walker returns `false` when the walk was stopped.
-fn walk_statement_features(stmt: &Statement, f: &mut impl FnMut(FeatureId) -> bool) -> bool {
-    if !f(FeatureId::statement(stmt.kind())) {
+fn walk_statement_features(stmt: &Statement, f: &mut impl FnMut(Feature) -> bool) -> bool {
+    if !f(Feature::statement(stmt.kind())) {
         return false;
     }
     match stmt {
         Statement::CreateTable(create) => {
             for col in &create.columns {
-                if !f(FeatureId::data_type(col.data_type)) {
+                if !f(Feature::data_type(col.data_type)) {
                     return false;
                 }
                 for c in &col.constraints {
                     let ok = match c {
                         sql_ast::ColumnConstraint::PrimaryKey => {
-                            f(FeatureId::keyword(Keyword::PrimaryKey))
+                            f(Feature::keyword(Keyword::PrimaryKey))
                         }
-                        sql_ast::ColumnConstraint::NotNull => {
-                            f(FeatureId::keyword(Keyword::NotNull))
-                        }
-                        sql_ast::ColumnConstraint::Unique => f(FeatureId::keyword(Keyword::Unique)),
+                        sql_ast::ColumnConstraint::NotNull => f(Feature::keyword(Keyword::NotNull)),
+                        sql_ast::ColumnConstraint::Unique => f(Feature::keyword(Keyword::Unique)),
                         sql_ast::ColumnConstraint::Default(e) => {
-                            f(FeatureId::keyword(Keyword::Default)) && walk_expr_features(e, f)
+                            f(Feature::keyword(Keyword::Default)) && walk_expr_features(e, f)
                         }
                     };
                     if !ok {
@@ -330,9 +178,9 @@ fn walk_statement_features(stmt: &Statement, f: &mut impl FnMut(FeatureId) -> bo
             for c in &create.constraints {
                 let ok = match c {
                     sql_ast::TableConstraint::PrimaryKey(_) => {
-                        f(FeatureId::keyword(Keyword::PrimaryKey))
+                        f(Feature::keyword(Keyword::PrimaryKey))
                     }
-                    sql_ast::TableConstraint::Unique(_) => f(FeatureId::keyword(Keyword::Unique)),
+                    sql_ast::TableConstraint::Unique(_) => f(Feature::keyword(Keyword::Unique)),
                 };
                 if !ok {
                     return false;
@@ -341,17 +189,17 @@ fn walk_statement_features(stmt: &Statement, f: &mut impl FnMut(FeatureId) -> bo
             true
         }
         Statement::CreateIndex(create) => {
-            if create.unique && !f(FeatureId::keyword(Keyword::UniqueIndex)) {
+            if create.unique && !f(Feature::keyword(Keyword::UniqueIndex)) {
                 return false;
             }
             match &create.where_clause {
-                Some(w) => f(FeatureId::keyword(Keyword::PartialIndex)) && walk_expr_features(w, f),
+                Some(w) => f(Feature::keyword(Keyword::PartialIndex)) && walk_expr_features(w, f),
                 None => true,
             }
         }
         Statement::CreateView(create) => walk_select_features(&create.query, f),
         Statement::Insert(insert) => {
-            if insert.or_ignore && !f(FeatureId::keyword(Keyword::OrIgnore)) {
+            if insert.or_ignore && !f(Feature::keyword(Keyword::OrIgnore)) {
                 return false;
             }
             for row in &insert.values {
@@ -385,12 +233,12 @@ fn walk_statement_features(stmt: &Statement, f: &mut impl FnMut(FeatureId) -> bo
 
 /// Walks the features of a bare query: `STMT_SELECT` plus the select
 /// features, in the statement walk's order.
-fn walk_query_features(select: &Select, f: &mut impl FnMut(FeatureId) -> bool) -> bool {
-    f(FeatureId::statement(StatementKind::Select)) && walk_select_features(select, f)
+fn walk_query_features(select: &Select, f: &mut impl FnMut(Feature) -> bool) -> bool {
+    f(Feature::statement(StatementKind::Select)) && walk_select_features(select, f)
 }
 
-fn walk_select_features(select: &Select, f: &mut impl FnMut(FeatureId) -> bool) -> bool {
-    if select.distinct && !f(FeatureId::keyword(Keyword::Distinct)) {
+fn walk_select_features(select: &Select, f: &mut impl FnMut(Feature) -> bool) -> bool {
+    if select.distinct && !f(Feature::keyword(Keyword::Distinct)) {
         return false;
     }
     for item in &select.projections {
@@ -405,7 +253,7 @@ fn walk_select_features(select: &Select, f: &mut impl FnMut(FeatureId) -> bool) 
             return false;
         }
         for join in &twj.joins {
-            if !f(FeatureId::join(join.join_type)) || !walk_factor_features(&join.relation, f) {
+            if !f(Feature::join(join.join_type)) || !walk_factor_features(&join.relation, f) {
                 return false;
             }
             if let Some(on) = &join.on {
@@ -416,12 +264,12 @@ fn walk_select_features(select: &Select, f: &mut impl FnMut(FeatureId) -> bool) 
         }
     }
     if let Some(w) = &select.where_clause {
-        if !f(FeatureId::keyword(Keyword::Where)) || !walk_expr_features(w, f) {
+        if !f(Feature::keyword(Keyword::Where)) || !walk_expr_features(w, f) {
             return false;
         }
     }
     if !select.group_by.is_empty() {
-        if !f(FeatureId::keyword(Keyword::GroupBy)) {
+        if !f(Feature::keyword(Keyword::GroupBy)) {
             return false;
         }
         for g in &select.group_by {
@@ -431,12 +279,12 @@ fn walk_select_features(select: &Select, f: &mut impl FnMut(FeatureId) -> bool) 
         }
     }
     if let Some(h) = &select.having {
-        if !f(FeatureId::keyword(Keyword::Having)) || !walk_expr_features(h, f) {
+        if !f(Feature::keyword(Keyword::Having)) || !walk_expr_features(h, f) {
             return false;
         }
     }
     if !select.order_by.is_empty() {
-        if !f(FeatureId::keyword(Keyword::OrderBy)) {
+        if !f(Feature::keyword(Keyword::OrderBy)) {
             return false;
         }
         for o in &select.order_by {
@@ -445,52 +293,52 @@ fn walk_select_features(select: &Select, f: &mut impl FnMut(FeatureId) -> bool) 
             }
         }
     }
-    if select.limit.is_some() && !f(FeatureId::keyword(Keyword::Limit)) {
+    if select.limit.is_some() && !f(Feature::keyword(Keyword::Limit)) {
         return false;
     }
-    if select.offset.is_some() && !f(FeatureId::keyword(Keyword::Offset)) {
+    if select.offset.is_some() && !f(Feature::keyword(Keyword::Offset)) {
         return false;
     }
     match &select.set_op {
         Some(set_op) => {
-            f(FeatureId::keyword(Keyword::SetOperation)) && walk_select_features(&set_op.right, f)
+            f(Feature::keyword(Keyword::SetOperation)) && walk_select_features(&set_op.right, f)
         }
         None => true,
     }
 }
 
-fn walk_factor_features(factor: &TableFactor, f: &mut impl FnMut(FeatureId) -> bool) -> bool {
+fn walk_factor_features(factor: &TableFactor, f: &mut impl FnMut(Feature) -> bool) -> bool {
     match factor {
         TableFactor::Derived { subquery, .. } => {
-            f(FeatureId::keyword(Keyword::Subquery)) && walk_select_features(subquery, f)
+            f(Feature::keyword(Keyword::Subquery)) && walk_select_features(subquery, f)
         }
         _ => true,
     }
 }
 
-fn walk_expr_features(expr: &Expr, f: &mut impl FnMut(FeatureId) -> bool) -> bool {
+fn walk_expr_features(expr: &Expr, f: &mut impl FnMut(Feature) -> bool) -> bool {
     let ok = match expr {
         Expr::Literal(v) => {
             let ty = v.data_type();
-            ty == DataType::Null || f(FeatureId::data_type(ty))
+            ty == DataType::Null || f(Feature::data_type(ty))
         }
-        Expr::Unary { op, .. } => f(FeatureId::unary(*op)),
-        Expr::Binary { op, .. } => f(FeatureId::binary(*op)),
-        Expr::Function { func, .. } => f(FeatureId::function(*func)),
-        Expr::Aggregate { func, .. } => f(FeatureId::aggregate(*func)),
-        Expr::Case { .. } => f(FeatureId::keyword(Keyword::Case)),
+        Expr::Unary { op, .. } => f(Feature::unary_op(*op)),
+        Expr::Binary { op, .. } => f(Feature::binary_op(*op)),
+        Expr::Function { func, .. } => f(Feature::function(*func)),
+        Expr::Aggregate { func, .. } => f(Feature::aggregate(*func)),
+        Expr::Case { .. } => f(Feature::keyword(Keyword::Case)),
         Expr::Cast { data_type, .. } => {
-            f(FeatureId::keyword(Keyword::Cast)) && f(FeatureId::data_type(*data_type))
+            f(Feature::keyword(Keyword::Cast)) && f(Feature::data_type(*data_type))
         }
-        Expr::Between { .. } => f(FeatureId::keyword(Keyword::Between)),
-        Expr::InList { .. } => f(FeatureId::keyword(Keyword::In)),
+        Expr::Between { .. } => f(Feature::keyword(Keyword::Between)),
+        Expr::InList { .. } => f(Feature::keyword(Keyword::In)),
         Expr::InSubquery { .. } => {
-            f(FeatureId::keyword(Keyword::In)) && f(FeatureId::keyword(Keyword::Subquery))
+            f(Feature::keyword(Keyword::In)) && f(Feature::keyword(Keyword::Subquery))
         }
-        Expr::Exists { .. } | Expr::ScalarSubquery(_) => f(FeatureId::keyword(Keyword::Subquery)),
-        Expr::IsNull { .. } => f(FeatureId::keyword(Keyword::IsNull)),
-        Expr::IsBool { .. } => f(FeatureId::keyword(Keyword::IsBool)),
-        Expr::Like { .. } => f(FeatureId::keyword(Keyword::Like)),
+        Expr::Exists { .. } | Expr::ScalarSubquery(_) => f(Feature::keyword(Keyword::Subquery)),
+        Expr::IsNull { .. } => f(Feature::keyword(Keyword::IsNull)),
+        Expr::IsBool { .. } => f(Feature::keyword(Keyword::IsBool)),
+        Expr::Like { .. } => f(Feature::keyword(Keyword::Like)),
         Expr::Column(_) => true,
     };
     if !ok {
@@ -567,54 +415,11 @@ mod tests {
     }
 
     #[test]
-    fn each_feature_id_names_its_feature() {
-        let mut expected = Vec::new();
-        let mut ids = Vec::new();
-        for kind in StatementKind::ALL {
-            expected.push(kind.feature_name());
-            ids.push(FeatureId::statement(kind));
-        }
-        for ty in DataType::ALL.into_iter().chain([DataType::Null]) {
-            expected.push(ty.feature_name());
-            ids.push(FeatureId::data_type(ty));
-        }
-        for join in JoinType::ALL {
-            expected.push(join.feature_name());
-            ids.push(FeatureId::join(join));
-        }
-        for op in UnaryOp::ALL {
-            expected.push(op.feature_name());
-            ids.push(FeatureId::unary(op));
-        }
-        for op in BinaryOp::ALL {
-            expected.push(op.feature_name());
-            ids.push(FeatureId::binary(op));
-        }
-        for func in ScalarFunction::ALL {
-            expected.push(func.feature_name());
-            ids.push(FeatureId::function(func));
-        }
-        for func in AggregateFunction::ALL {
-            expected.push(func.feature_name());
-            ids.push(FeatureId::aggregate(func));
-        }
-        let names: Vec<_> = ids.iter().map(|id| id.name()).collect();
-        assert_eq!(names, expected);
-        assert_eq!(&FEATURE_NAMES[..KEYWORDS], &expected[..]);
-        assert_eq!(FeatureId::keyword(Keyword::Like).name(), "OP_LIKE");
-        let unique: BTreeSet<_> = FEATURE_NAMES.iter().collect();
-        assert_eq!(unique.len(), FEATURE_COUNT, "a feature is named twice");
-        for (i, name) in FEATURE_NAMES.iter().enumerate() {
-            assert_eq!(FeatureId::named(name), Some(FeatureId(i as u16)));
-        }
-    }
-
-    #[test]
     fn names_the_walker_never_emits_are_unsupported_but_not_gated() {
         let profile = DialectProfile::permissive("p", TypingMode::Dynamic)
             .without(&["KW_NOT_A_FEATURE", "OP_LIKE"]);
         assert!(!profile.supports("KW_NOT_A_FEATURE"));
-        assert!(profile.gate.contains(FeatureId::keyword(Keyword::Like)));
+        assert!(profile.gate.contains(Feature::keyword(Keyword::Like)));
         let query = parse_statement("SELECT * FROM t0 WHERE c0 LIKE 'a'").unwrap();
         assert_eq!(profile.first_unsupported(&query), Some("OP_LIKE".into()));
         let other = parse_statement("SELECT * FROM t0 WHERE c0 = 1").unwrap();

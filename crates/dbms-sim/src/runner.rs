@@ -552,11 +552,11 @@ mod tests {
         assert_eq!(s.schedule_cases, p.schedule_cases);
         let serial_profile: Vec<_> = serial.profiles[0]
             .iter_query()
-            .map(|(f, c)| (f.clone(), *c))
+            .map(|(f, c)| (f, *c))
             .collect();
         let parallel_profile: Vec<_> = parallel.profiles[0]
             .iter_query()
-            .map(|(f, c)| (f.clone(), *c))
+            .map(|(f, c)| (f, *c))
             .collect();
         assert_eq!(serial_profile, parallel_profile);
         // The invariant the merge-time prioritizer must preserve.

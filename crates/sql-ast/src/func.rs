@@ -7,6 +7,7 @@
 //! (`dbms-sim`), which is exactly what makes functions interesting *features*
 //! for the adaptive generator.
 
+use crate::DataType;
 use std::fmt;
 
 /// Category of a scalar function; used both to organise generation and as a
@@ -21,6 +22,22 @@ pub enum FunctionCategory {
     Conditional,
     /// Type/introspection functions (`TYPEOF`, ...).
     Type,
+}
+
+/// The sixteen `FN_<NAME>_ARG<i>_<TYPE>` names of one function, argument
+/// position major, types in [`DataType::ALL`] order.
+macro_rules! arg_type_feature_names {
+    ($name:literal) => {
+        arg_type_feature_names!(@args $name [1 2 3 4])
+    };
+    (@args $name:literal [$($i:literal)+]) => {
+        [$(
+            concat!("FN_", $name, "_ARG", $i, "_INTEGER"),
+            concat!("FN_", $name, "_ARG", $i, "_REAL"),
+            concat!("FN_", $name, "_ARG", $i, "_TEXT"),
+            concat!("FN_", $name, "_ARG", $i, "_BOOLEAN"),
+        )+]
+    };
 }
 
 macro_rules! scalar_functions {
@@ -40,6 +57,9 @@ macro_rules! scalar_functions {
                 $(ScalarFunction::$variant,)+
             ];
 
+            /// The largest [`ScalarFunction::max_args`] of any function.
+            pub const MAX_ARGS: usize = 4;
+
             /// The SQL name of the function.
             pub const fn name(self) -> &'static str {
                 match self {
@@ -55,6 +75,18 @@ macro_rules! scalar_functions {
                 match self {
                     $(ScalarFunction::$variant => concat!("FN_", $name),)+
                 }
+            }
+
+            /// Composite feature name of an argument position and type,
+            /// `FN_<NAME>_ARG<i + 1>_<TYPE>` (the paper's `SIN1INT`):
+            /// `arg_index < MAX_ARGS` and `ty` one of [`DataType::ALL`].
+            pub const fn arg_type_feature_name(self, arg_index: usize, ty: DataType) -> &'static str {
+                assert!(arg_index < Self::MAX_ARGS, "argument index out of range");
+                assert!(!matches!(ty, DataType::Null), "NULL has no argument-type feature");
+                let names: [&'static str; Self::MAX_ARGS * DataType::ALL.len()] = match self {
+                    $(ScalarFunction::$variant => arg_type_feature_names!($name),)+
+                };
+                names[arg_index * DataType::ALL.len() + ty as usize]
             }
 
             /// Minimum number of arguments.
@@ -261,7 +293,23 @@ mod tests {
     fn arities_are_consistent() {
         for f in ScalarFunction::ALL {
             assert!(f.min_args() <= f.max_args(), "{f:?}");
-            assert!(f.max_args() <= 4, "{f:?}");
+            assert!(f.max_args() <= ScalarFunction::MAX_ARGS, "{f:?}");
+        }
+    }
+
+    #[test]
+    fn arg_type_feature_names_spell_position_and_type() {
+        assert_eq!(
+            ScalarFunction::Sin.arg_type_feature_name(0, DataType::Integer),
+            "FN_SIN_ARG1_INTEGER"
+        );
+        for f in ScalarFunction::ALL {
+            for arg in 0..ScalarFunction::MAX_ARGS {
+                for ty in DataType::ALL {
+                    let name = format!("{}_ARG{}_{}", f.feature_name(), arg + 1, ty.sql_keyword());
+                    assert_eq!(f.arg_type_feature_name(arg, ty), name);
+                }
+            }
         }
     }
 

@@ -13,16 +13,18 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sqlancerpp::ast::{row_fingerprint, BinaryOp, Expr, TruthValue, Value};
+use sqlancerpp::core::json::{self, Json};
 use sqlancerpp::core::{
-    checkpoint_from_string, checkpoint_to_string, regularized_incomplete_beta,
+    checkpoint_from_string, checkpoint_to_string, profile_to_string, regularized_incomplete_beta,
     silence_infra_panics, validate_jsonl, AdaptiveGenerator, BugPrioritizer, Campaign,
-    CampaignConfig, Feature, FeatureSet, GeneratorConfig, OracleKind, PriorityDecision,
-    SupervisorConfig, TraceHandle, Tracer,
+    CampaignConfig, Feature, FeatureKind, FeatureSet, GeneratorConfig, OracleKind,
+    PriorityDecision, SupervisorConfig, TraceHandle, Tracer,
 };
 use sqlancerpp::engine::{Database, EngineConfig, Evaluator, ExecutionMode, Scope};
 use sqlancerpp::parser::{parse_expression, parse_statement, parse_statements, tokenize};
 use sqlancerpp::sim::{preset_by_name, ExecutionPath, FaultyConfig};
 use std::cell::RefCell;
+use std::collections::BTreeSet;
 use std::rc::Rc;
 
 fn arb_value(rng: &mut StdRng) -> Value {
@@ -229,15 +231,10 @@ fn prioritizer_subset_rule_is_monotone() {
     let mut rng = StdRng::seed_from_u64(0x9817);
     for _ in 0..128 {
         let n = rng.gen_range(1..6usize);
-        let base: FeatureSet = (0..n)
-            .map(|_| {
-                let c = (b'A' + rng.gen_range(0..6u8)) as char;
-                Feature::new(c.to_string())
-            })
-            .collect();
-        let extra = (b'G' + rng.gen_range(0..5u8)) as char;
+        let feature = |index: usize| Feature::all().nth(index).unwrap();
+        let base: FeatureSet = (0..n).map(|_| feature(rng.gen_range(0..6))).collect();
         let mut superset = base.clone();
-        superset.insert(Feature::new(extra.to_string()));
+        superset.insert(feature(rng.gen_range(6..11)));
         let mut prioritizer = BugPrioritizer::new();
         assert_eq!(prioritizer.classify(&base), PriorityDecision::New);
         assert_eq!(
@@ -248,6 +245,49 @@ fn prioritizer_subset_rule_is_monotone() {
             prioritizer.classify(&superset),
             PriorityDecision::PotentialDuplicate
         );
+    }
+}
+
+/// The bitset `FeatureSet` behaves as a set of names: on random sets over
+/// the whole vocabulary, insert, extend, subset, equality, iteration order
+/// and `Display` agree with a `BTreeSet<String>` reference.
+#[test]
+fn feature_set_matches_a_name_set_reference() {
+    let mut rng = StdRng::seed_from_u64(0xfea7);
+    let vocabulary: Vec<Feature> = Feature::all().collect();
+    let arb_set = |rng: &mut StdRng| {
+        // Small pools make overlaps, subsets and equal sets common.
+        let pool = rng.gen_range(1..=vocabulary.len());
+        let mut set = FeatureSet::new();
+        let mut names = BTreeSet::new();
+        for _ in 0..rng.gen_range(0..12usize) {
+            let feature = vocabulary[rng.gen_range(0..pool.min(16))];
+            set.insert(feature);
+            names.insert(feature.name().to_string());
+        }
+        (set, names)
+    };
+    for _ in 0..2000 {
+        let (mut a, mut a_names) = arb_set(&mut rng);
+        let (b, b_names) = arb_set(&mut rng);
+        let names = |set: &FeatureSet| set.iter().map(|f| f.name().to_string()).collect::<Vec<_>>();
+        assert_eq!(names(&a), a_names.iter().cloned().collect::<Vec<_>>());
+        assert_eq!(a.len(), a_names.len());
+        assert_eq!(a.is_empty(), a_names.is_empty());
+        assert_eq!(a == b, a_names == b_names);
+        assert_eq!(a.is_subset_of(&b), a_names.is_subset(&b_names));
+        let display = format!(
+            "{{{}}}",
+            a_names.iter().cloned().collect::<Vec<_>>().join(", ")
+        );
+        assert_eq!(a.to_string(), display);
+        for feature in &vocabulary[..16] {
+            assert_eq!(a.contains(*feature), a_names.contains(feature.name()));
+        }
+        a.extend(&b);
+        a_names.extend(b_names.iter().cloned());
+        assert_eq!(names(&a), a_names.iter().cloned().collect::<Vec<_>>());
+        assert!(b.is_subset_of(&a));
     }
 }
 
@@ -305,9 +345,9 @@ fn generated_queries_round_trip_to_a_fixpoint() {
 
 /// A real checkpoint and flight-recorder JSONL document, from a traced
 /// fault-storm campaign that checkpoints every 10 cases.
-fn real_checkpoint_and_jsonl() -> (String, String) {
+fn real_checkpoint_and_jsonl(tag: &str) -> (String, String) {
     silence_infra_panics();
-    let dir = std::env::temp_dir().join(format!("sqlancerpp-mutation-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("sqlancerpp-{tag}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let (checkpoint, jsonl) = (dir.join("campaign.ckpt"), dir.join("recorder.jsonl"));
     let tracer = Rc::new(RefCell::new(
@@ -364,7 +404,7 @@ fn mutate(rng: &mut StdRng, text: &str) -> String {
 /// succeeds re-encodes to the exact original text.
 #[test]
 fn owned_decoders_survive_seeded_mutation() {
-    let (checkpoint, jsonl) = real_checkpoint_and_jsonl();
+    let (checkpoint, jsonl) = real_checkpoint_and_jsonl("mutation");
     let loaded = checkpoint_from_string(&checkpoint).expect("the real checkpoint loads");
     assert_eq!(checkpoint_to_string(&loaded), checkpoint);
     assert!(validate_jsonl(&jsonl).expect("the real JSONL validates") > 2);
@@ -379,6 +419,104 @@ fn owned_decoders_survive_seeded_mutation() {
             );
         }
         let _ = validate_jsonl(&mutate(&mut rng, &jsonl));
+    }
+}
+
+/// Adds every feature-shaped name in `json` to `out`: strings and object
+/// keys, outside the engine coverage planes (whose points are not
+/// features).
+fn collect_feature_names(json: &Json, out: &mut BTreeSet<String>) {
+    const PREFIXES: [&str; 9] = [
+        "STMT_", "TYPE_", "JOIN_", "OP_", "FN_", "AGG_", "KW_", "CLAUSE_", "PROP_",
+    ];
+    let feature_shaped = |s: &str| {
+        PREFIXES.iter().any(|prefix| s.starts_with(prefix))
+            && s.bytes()
+                .all(|b| b.is_ascii_uppercase() || b.is_ascii_digit() || b == b'_')
+    };
+    match json {
+        Json::Str(s) if feature_shaped(s) => {
+            out.insert(s.clone());
+        }
+        Json::Arr(items) => items
+            .iter()
+            .for_each(|item| collect_feature_names(item, out)),
+        Json::Obj(fields) => {
+            for (key, value) in fields.iter().filter(|(key, _)| key != "engine") {
+                if feature_shaped(key) {
+                    out.insert(key.clone());
+                }
+                collect_feature_names(value, out);
+            }
+        }
+        _ => {}
+    }
+}
+
+/// Every feature name on the wire resolves in the vocabulary — the names a
+/// real checkpoint carries (learned counts, suppression tables, kept sets,
+/// bug reports, the atlas) and its learned profile — and every feature the
+/// generator records, in every mode, is a vocabulary id whose name resolves
+/// back to it. The four expression forms the generator does not record
+/// stay unrecorded.
+#[test]
+fn feature_names_on_the_wire_and_from_the_generator_resolve() {
+    let (checkpoint, _) = real_checkpoint_and_jsonl("vocabulary");
+    let loaded = checkpoint_from_string(&checkpoint).expect("the real checkpoint loads");
+    let profile = profile_to_string(&loaded.stats);
+    let mut names = BTreeSet::new();
+    for line in checkpoint.lines().chain(profile.lines()) {
+        collect_feature_names(&json::parse(line).unwrap(), &mut names);
+    }
+    assert!(names.len() > 40, "only {} names: {names:?}", names.len());
+    for name in &names {
+        assert!(
+            Feature::from_name(name).is_some(),
+            "{name} does not resolve"
+        );
+    }
+
+    let unrecorded = ["OP_IN", "OP_BETWEEN", "OP_LIKE", "OP_IS_NULL"]
+        .map(|name| Feature::from_name(name).unwrap());
+    for seed in 0..8u64 {
+        let generators = [
+            AdaptiveGenerator::new(seed, GeneratorConfig::default()),
+            AdaptiveGenerator::new(seed, GeneratorConfig::random_baseline()),
+            AdaptiveGenerator::with_knowledge(
+                seed,
+                GeneratorConfig::default(),
+                FeatureSet::universe(),
+            ),
+        ];
+        for mut generator in generators {
+            let mut recorded = Vec::new();
+            for _ in 0..20 {
+                let stmt = generator.generate_ddl_statement();
+                generator.apply_success(&stmt.statement);
+                recorded.push(stmt.features);
+            }
+            for _ in 0..30 {
+                if let Some(query) = generator.generate_query() {
+                    generator.record_outcome(&query.features, FeatureKind::Query, true);
+                    recorded.push(query.features);
+                }
+                if let Some(case) = generator.generate_txn_session() {
+                    recorded.push(case.features);
+                }
+                if let Some(case) = generator.generate_schedule() {
+                    recorded.push(case.features);
+                }
+            }
+            for features in &recorded {
+                for feature in features.iter() {
+                    assert_eq!(Feature::from_name(feature.name()), Some(feature));
+                }
+                assert!(
+                    unrecorded.iter().all(|f| !features.contains(*f)),
+                    "{features}"
+                );
+            }
+        }
     }
 }
 
