@@ -36,14 +36,17 @@ cargo build --release --offline --manifest-path benchmark/Cargo.toml
 echo "==> cargo test -q"
 cargo test --workspace -q
 
-echo "==> self-asserting examples"
-# These examples assert their own contracts: serial == sharded trace
-# summaries and atlases, pool-size invariance of the report, a fault
-# bisection that must attribute every incident to its injected kind, and
-# rollback and isolation hunts whose kept cases must be reduced and bisect
-# to each dialect's injected bug. A failed assert exits non-zero. Together
-# they run in well under a second.
-EXAMPLES=(coverage_hunt fault_storm flaky_hunt trace_hunt txn_hunt isolation_hunt)
+echo "==> examples"
+# Every example runs and must exit 0. Six assert their own contracts:
+# serial == sharded trace summaries and atlases, pool-size invariance of
+# the report, a fault bisection that must attribute every incident to its
+# injected kind, and rollback and isolation hunts whose kept cases must be
+# reduced and bisect to each dialect's injected bug. A failed assert exits
+# non-zero. The other five drive the public API end to end (sqlite_hunt
+# skips itself when no sqlite3 binary is installed). Together they run in
+# well under a second.
+EXAMPLES=(coverage_hunt fault_storm flaky_hunt trace_hunt txn_hunt isolation_hunt
+    quickstart bug_hunt_campaign cross_dialect_study adaptive_learning sqlite_hunt)
 cargo build --release "${EXAMPLES[@]/#/--example=}"
 for example in "${EXAMPLES[@]}"; do
     echo "--> $example"

@@ -84,7 +84,6 @@ fn bench_oracle() {
             &query.select,
             &query.predicate,
             &query.features,
-            &[] as &[String],
         ));
     });
     let mut text_dbms = TextOnlyConnection::new(preset_by_name("sqlite").unwrap().instantiate());
@@ -96,7 +95,6 @@ fn bench_oracle() {
             &query.select,
             &query.predicate,
             &query.features,
-            &[] as &[String],
         ));
     });
 }

@@ -3,32 +3,25 @@
 //! (SQLite-like and strictly-typed PostgreSQL-like).
 
 use dbms_sim::preset_by_name;
-use std::collections::BTreeSet;
+use sqlancer_core::FeatureSet;
 
-fn filtered(set: &BTreeSet<String>, prefix: &str) -> BTreeSet<String> {
+fn filtered(set: &FeatureSet, prefix: &str) -> FeatureSet {
     set.iter()
-        .filter(|f| f.starts_with(prefix))
-        .cloned()
+        .filter(|f| f.name().starts_with(prefix))
         .collect()
 }
 
-fn venn(label: &str, generator: &BTreeSet<String>, a: &BTreeSet<String>, b: &BTreeSet<String>) {
-    let only_gen = generator
-        .iter()
-        .filter(|f| !a.contains(*f) && !b.contains(*f))
-        .count();
-    let gen_and_a = generator
-        .iter()
-        .filter(|f| a.contains(*f) && !b.contains(*f))
-        .count();
-    let gen_and_b = generator
-        .iter()
-        .filter(|f| !a.contains(*f) && b.contains(*f))
-        .count();
-    let all_three = generator
-        .iter()
-        .filter(|f| a.contains(*f) && b.contains(*f))
-        .count();
+fn venn(label: &str, generator: &FeatureSet, a: &FeatureSet, b: &FeatureSet) {
+    let count = |in_a: bool, in_b: bool| {
+        generator
+            .iter()
+            .filter(|&f| a.contains(f) == in_a && b.contains(f) == in_b)
+            .count()
+    };
+    let only_gen = count(false, false);
+    let gen_and_a = count(true, false);
+    let gen_and_b = count(false, true);
+    let all_three = count(true, true);
     println!("## {label}");
     println!("| region | count |");
     println!("|---|---|");
@@ -40,10 +33,7 @@ fn venn(label: &str, generator: &BTreeSet<String>, a: &BTreeSet<String>, b: &BTr
 }
 
 fn main() {
-    let universe: BTreeSet<String> = sqlancer_core::FeatureSet::universe()
-        .iter()
-        .map(|f| f.name().to_string())
-        .collect();
+    let universe = FeatureSet::universe();
     let sqlite = preset_by_name("sqlite")
         .unwrap()
         .profile

@@ -7,8 +7,8 @@
 
 use dbms_sim::{DialectPreset, SimulatedDbms};
 use sqlancer_core::{
-    AdaptiveGenerator, Campaign, CampaignConfig, CampaignReport, DbmsConnection, FeatureSet,
-    GeneratorConfig, OracleKind,
+    AdaptiveGenerator, Campaign, CampaignConfig, CampaignReport, DbmsConnection, GeneratorConfig,
+    OracleKind,
 };
 use std::collections::BTreeSet;
 
@@ -73,10 +73,7 @@ pub fn experiment_campaign_config(seed: u64, queries: usize, arm: GeneratorArm) 
 pub fn campaign_for(preset: &DialectPreset, config: CampaignConfig, arm: GeneratorArm) -> Campaign {
     match arm {
         GeneratorArm::PerfectKnowledge => {
-            let supported: FeatureSet = FeatureSet::universe()
-                .iter()
-                .filter(|feature| preset.profile.supports(feature.name()))
-                .collect();
+            let supported = preset.profile.supported_universe();
             let generator =
                 AdaptiveGenerator::with_knowledge(config.seed, config.generator.clone(), supported);
             Campaign::with_generator(config, generator)

@@ -6,7 +6,7 @@
 //! test cases, and (6) reports metrics — the same pipeline the paper runs
 //! against each DBMS.
 
-use crate::dbms::{setup_sql, DbmsConnection, StorageMetrics};
+use crate::dbms::{DbmsConnection, StorageMetrics};
 use crate::feature::FeatureSet;
 use crate::generator::{AdaptiveGenerator, GeneratorConfig};
 use crate::json::json_record;
@@ -860,11 +860,12 @@ impl Campaign {
     /// Runs one generated case under supervision and gives it the
     /// treatment every case gets, whichever oracle checks it: the atlas and
     /// the validity series observe it, the generator learns from its
-    /// outcome, and a detected bug goes to the prioritizer (traced). A kept
-    /// bug gets its setup rendered and is reduced when configured — its
-    /// report re-rendered from the reduced case and the campaign's database
-    /// state rebuilt, since reduction leaves the DBMS at a reduced setup —
-    /// and recorded. `slot` is the case's database, position in it and
+    /// outcome, and a detected bug goes to the prioritizer (traced). Only a
+    /// kept bug gets a copy of the setup log. It is reduced when configured
+    /// — its report's queries re-rendered from the reduced case and the
+    /// campaign's database state rebuilt, since reduction leaves the DBMS
+    /// at a reduced setup — and its report takes the case's setup before
+    /// both are recorded. `slot` is the case's database, position in it and
     /// seed. Returns the campaign's case count after the case.
     fn run_case<C: OracleCase>(
         &mut self,
@@ -932,7 +933,7 @@ impl Campaign {
         if !kept {
             return cases_done;
         }
-        *case.setup_mut() = setup_sql(setup_log);
+        *case.setup_mut() = setup_log.to_vec();
         if self.config.reduce_bugs {
             let statements_before = case.statement_count();
             case = BugReducer::new(conn, self.config.max_reduction_checks)
@@ -946,10 +947,10 @@ impl Campaign {
                     statements_after: case.statement_count(),
                 },
             );
-            bug.setup = case.setup().to_vec();
             bug.queries = case.replay_queries();
             supervisor.recover(conn, setup_log);
         }
+        bug.setup = case.setup().to_vec();
         report.reports.push(*bug);
         case.record(report);
         cases_done
@@ -989,9 +990,9 @@ pub fn replay_validity(conn: &mut dyn DbmsConnection, case: &ReducibleCase) -> f
     conn.reset();
     let mut total = 0usize;
     let mut ok = 0usize;
-    for sql in &case.setup {
+    for stmt in &case.setup {
         total += 1;
-        if conn.execute(sql).is_success() {
+        if conn.execute_ast(stmt).is_success() {
             ok += 1;
         }
     }
@@ -1132,7 +1133,9 @@ mod tests {
     #[test]
     fn replay_validity_counts_successful_statements() {
         let case = ReducibleCase {
-            setup: vec!["CREATE TABLE t0 (c0 INT)".into(), "SELECT 1 <=> 1".into()],
+            setup: ["CREATE TABLE t0 (c0 INT)", "SELECT 1 <=> 1"]
+                .map(|sql| sql_parser::parse_statement(sql).unwrap())
+                .to_vec(),
             query: sql_ast::Select::from_table(
                 "t0",
                 vec![sql_ast::SelectItem::expr(sql_ast::Expr::column("c0"))],

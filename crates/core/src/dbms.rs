@@ -292,7 +292,7 @@ pub trait DbmsConnection {
     /// Oracles use this as a fast path for their reset-to-setup-state
     /// bookkeeping: the simulated fleet backs it with an O(tables)
     /// copy-on-write engine clone, while wire-protocol backends fall back
-    /// to the setup replay ([`replay_setup`]) — the testing contract itself
+    /// to the setup replay (`replay_setup`) — the testing contract itself
     /// never depends on checkpoints, and a restored state is observably
     /// identical to a replayed one.
     fn checkpoint(&mut self) -> Option<StateCheckpoint> {
@@ -388,51 +388,30 @@ pub trait DbmsConnection {
 /// One entry of a setup log: a statement that built the database state and
 /// can be replayed to rebuild it.
 ///
-/// Campaigns keep their setup logs typed ([`Statement`]): a rebuild hands
-/// the backend the AST it already executed once, so backends with the AST
-/// fast path skip the render → lex → parse round trip, and text-only
-/// backends receive exactly the rendering they received the first time.
-/// Text entries (`String`) serve the places where SQL has left the
-/// program: bug reports, the reducer's input and hand-written scripts.
-pub trait SetupStatement {
-    /// Executes the entry on `conn`: typed entries take the AST fast path,
-    /// text entries the text path.
+/// Setup logs are typed ([`Statement`]) wherever the program holds them:
+/// the campaign's log, kept cases, bug reports and the reducer's
+/// candidates. A rebuild hands the backend the AST it already executed
+/// once, so backends with the AST fast path skip the render → lex → parse
+/// round trip, and text-only backends receive, through the default
+/// [`DbmsConnection::execute_ast`], exactly the rendering they received
+/// the first time. The pool's sync log also keeps statements that arrived
+/// as text, and replays those as text.
+pub(crate) trait SetupStatement {
+    /// Executes the entry on `conn` through the entry point it arrived by.
     fn replay_on(&self, conn: &mut dyn DbmsConnection) -> StatementOutcome;
-
-    /// The entry's SQL text.
-    fn sql(&self) -> String;
 }
 
 impl SetupStatement for Statement {
     fn replay_on(&self, conn: &mut dyn DbmsConnection) -> StatementOutcome {
         conn.execute_ast(self)
     }
-
-    fn sql(&self) -> String {
-        self.to_string()
-    }
-}
-
-impl SetupStatement for String {
-    fn replay_on(&self, conn: &mut dyn DbmsConnection) -> StatementOutcome {
-        conn.execute(self)
-    }
-
-    fn sql(&self) -> String {
-        self.clone()
-    }
-}
-
-/// Renders a setup log to SQL text, the form it takes in bug reports and
-/// reducer input.
-pub fn setup_sql<S: SetupStatement>(setup: &[S]) -> Vec<String> {
-    setup.iter().map(SetupStatement::sql).collect()
 }
 
 /// Rebuilds the database state a setup log describes: reset, then replay
 /// every entry in order. This is the one replay helper behind every
 /// rebuild (oracle setup capture, supervisor recovery, pool re-sync,
-/// resume and post-reduction rebuilds), and it applies one rule.
+/// resume and post-reduction rebuilds, and the replays of a kept case that
+/// reduction and ground-truth bisection run), and it applies one rule.
 ///
 /// Ordinary replay failures are tolerated: they mirror the original
 /// outcomes, which the log recorded too. An *infrastructure* failure
@@ -443,7 +422,7 @@ pub fn setup_sql<S: SetupStatement>(setup: &[S]) -> Vec<String> {
 /// # Errors
 ///
 /// Returns the marked failure message; the connection is then half-built.
-pub fn replay_setup<S: SetupStatement>(
+pub(crate) fn replay_setup<S: SetupStatement>(
     conn: &mut dyn DbmsConnection,
     setup: &[S],
 ) -> Result<(), String> {

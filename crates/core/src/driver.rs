@@ -29,7 +29,7 @@
 //! typed [`Statement`] it was handed (or the SQL text, for statements that
 //! arrived as text); when a case checks out a slot that has not observed
 //! the latest log, the slot is first re-synced by reset + replay through
-//! [`replay_setup`], the helper every rebuild uses. Typed entries replay
+//! `replay_setup`, the helper every rebuild uses. Typed entries replay
 //! through [`DbmsConnection::execute_ast`], so a backend with the AST fast
 //! path never re-parses them and a text-only backend receives exactly the
 //! SQL it received the first time. Re-syncs only ever replay setup DDL/DML
@@ -405,13 +405,6 @@ impl SetupStatement for SyncEntry {
         match self {
             SyncEntry::Typed(stmt) => conn.execute_ast(stmt),
             SyncEntry::Text(sql) => conn.execute(sql),
-        }
-    }
-
-    fn sql(&self) -> String {
-        match self {
-            SyncEntry::Typed(stmt) => stmt.to_string(),
-            SyncEntry::Text(sql) => sql.clone(),
         }
     }
 }

@@ -56,9 +56,8 @@ pub use campaign::{
     CampaignMetrics, CampaignReport,
 };
 pub use dbms::{
-    replay_setup, setup_sql, DbmsConnection, DialectQuirks, EngineCoverage, QueryResult,
-    SetupStatement, StateCheckpoint, StatementOutcome, StorageMetrics, TextOnlyConnection,
-    SERIALIZATION_FAILURE_MARKER,
+    DbmsConnection, DialectQuirks, EngineCoverage, QueryResult, StateCheckpoint, StatementOutcome,
+    StorageMetrics, TextOnlyConnection, SERIALIZATION_FAILURE_MARKER,
 };
 pub use driver::{
     Capability, Driver, Pool, ResilienceEvent, BREAKER_BACKOFF_BASE, BREAKER_SLOTS,

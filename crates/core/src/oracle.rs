@@ -15,9 +15,7 @@
 //! Everything is measured through ordinary `SELECT *` probes so the
 //! SQL-text-only contract is preserved.
 
-use crate::dbms::{
-    replay_setup, setup_sql, DbmsConnection, SetupStatement, SERIALIZATION_FAILURE_MARKER,
-};
+use crate::dbms::{replay_setup, DbmsConnection, SERIALIZATION_FAILURE_MARKER};
 use crate::feature::FeatureSet;
 use crate::json::{json_name, json_record};
 use sql_ast::{BeginMode, Expr, Select, SelectItem, Statement, TableWithJoins, Value};
@@ -78,8 +76,10 @@ pub struct BugReport {
     pub oracle: OracleKind,
     /// What went wrong, in one line.
     pub description: String,
-    /// The SQL statements that built the database state.
-    pub setup: Vec<String>,
+    /// The statements that built the database state. Oracles leave it
+    /// empty; the campaign fills it in from the kept (and possibly
+    /// reduced) case, so a deduplicated bug never copies its setup.
+    pub setup: Vec<Statement>,
     /// The queries whose results disagreed.
     pub queries: Vec<String>,
     /// The feature set of the bug-inducing test case (used by the
@@ -128,12 +128,11 @@ fn normalized_base(query: &Select) -> Select {
 /// Applies the TLP oracle: `Q` without a predicate must return the same
 /// multiset of rows as the union of `Q WHERE p`, `Q WHERE NOT p` and
 /// `Q WHERE p IS NULL`.
-pub fn check_tlp<S: SetupStatement>(
+pub fn check_tlp(
     conn: &mut dyn DbmsConnection,
     query: &Select,
     predicate: &Expr,
     features: &FeatureSet,
-    setup: &[S],
 ) -> OracleOutcome {
     if query.is_aggregate() {
         return OracleOutcome::Invalid("TLP base oracle skips aggregate queries".into());
@@ -180,7 +179,7 @@ pub fn check_tlp<S: SetupStatement>(
                 fingerprints[0].len(),
                 partitioned.len()
             ),
-            setup: setup_sql(setup),
+            setup: Vec::new(),
             queries: {
                 // Cold path: rebuild and render the four variants.
                 let variants = [
@@ -206,12 +205,11 @@ pub fn check_tlp<S: SetupStatement>(
 /// `SELECT * FROM ... WHERE p` (optimizable) must equal the number of rows
 /// for which the unoptimizable rewrite `SELECT (p IS TRUE) FROM ...`
 /// evaluates the predicate to true.
-pub fn check_norec<S: SetupStatement>(
+pub fn check_norec(
     conn: &mut dyn DbmsConnection,
     query: &Select,
     predicate: &Expr,
     features: &FeatureSet,
-    setup: &[S],
 ) -> OracleOutcome {
     if query.is_aggregate() {
         return OracleOutcome::Invalid("NoREC skips aggregate queries".into());
@@ -254,7 +252,7 @@ pub fn check_norec<S: SetupStatement>(
             description: format!(
                 "NoREC mismatch: optimized query returned {optimized_rows} rows, non-optimizable rewrite counted {reference_rows}"
             ),
-            setup: setup_sql(setup),
+            setup: Vec::new(),
             queries: {
                 // Cold path: rebuild and render both arms.
                 let reference_sql = work.to_string();
@@ -339,17 +337,20 @@ fn run_session_statement(conn: &mut dyn DbmsConnection, stmt: &Statement) -> Res
 /// fleet — and only falls back to the O(rows) setup replay when the
 /// backend has no snapshot facility. Restored and replayed states are
 /// observably identical, so verdicts never depend on which path ran.
-struct SetupState<'a, S> {
-    setup: &'a [S],
+struct SetupState<'a> {
+    setup: &'a [Statement],
     checkpoint: Option<crate::dbms::StateCheckpoint>,
 }
 
-impl<'a, S: SetupStatement> SetupState<'a, S> {
+impl<'a> SetupState<'a> {
     /// Errors carry the infrastructure marker: the capture rebuild ran with
     /// the case's faults armed, and a fault that hit a replay statement must
     /// become an incident, not a checkpointed half-built state (see
     /// [`replay_setup`]).
-    fn capture(conn: &mut dyn DbmsConnection, setup: &'a [S]) -> Result<SetupState<'a, S>, String> {
+    fn capture(
+        conn: &mut dyn DbmsConnection,
+        setup: &'a [Statement],
+    ) -> Result<SetupState<'a>, String> {
         replay_setup(conn, setup)?;
         Ok(SetupState {
             setup,
@@ -382,12 +383,12 @@ impl<'a, S: SetupStatement> SetupState<'a, S> {
 /// Fingerprints are the oracles' usual order-insensitive 128-bit row-hash
 /// multisets, obtained through plain `SELECT *` probes — the platform never
 /// reads engine state directly, preserving the SQL-text-only contract.
-pub fn check_rollback<S: SetupStatement>(
+pub fn check_rollback(
     conn: &mut dyn DbmsConnection,
     table: &str,
     session: &[Statement],
     features: &FeatureSet,
-    setup: &[S],
+    setup: &[Statement],
 ) -> OracleOutcome {
     // Capture the setup state once; the arms and the exit path below
     // restore it (checkpoint-restore when the backend supports it, setup
@@ -407,14 +408,13 @@ pub fn check_rollback<S: SetupStatement>(
     }
 }
 
-fn check_rollback_arms<S: SetupStatement>(
+fn check_rollback_arms(
     conn: &mut dyn DbmsConnection,
     table: &str,
     session: &[Statement],
     features: &FeatureSet,
-    state: &SetupState<'_, S>,
+    state: &SetupState<'_>,
 ) -> OracleOutcome {
-    let setup = state.setup;
     let Some(reference) = net_effect(session) else {
         return OracleOutcome::Invalid("malformed transactional session".into());
     };
@@ -463,7 +463,7 @@ fn check_rollback_arms<S: SetupStatement>(
                 base.len(),
                 rolled_back.len()
             ),
-            setup: setup_sql(setup),
+            setup: Vec::new(),
             queries: render_session(table, session, Statement::Rollback),
             features: features.clone(),
         }));
@@ -491,7 +491,7 @@ fn check_rollback_arms<S: SetupStatement>(
                 committed.len(),
                 auto_commit.len()
             ),
-            setup: setup_sql(setup),
+            setup: Vec::new(),
             queries: render_session(table, session, Statement::Commit),
             features: features.clone(),
         }));
@@ -501,7 +501,7 @@ fn check_rollback_arms<S: SetupStatement>(
 
 /// Cold path: renders the bracketed session (plus the probe) for a bug
 /// report.
-fn render_session(table: &str, session: &[Statement], closer: Statement) -> Vec<String> {
+pub(crate) fn render_session(table: &str, session: &[Statement], closer: Statement) -> Vec<String> {
     let mut out = Vec::with_capacity(session.len() + 3);
     out.push(Statement::begin().to_string());
     out.extend(session.iter().map(Statement::to_string));
@@ -677,11 +677,11 @@ fn probe_tables(
 /// emits (only session 0 reads tables it does not write), so every flag is
 /// a genuine isolation violation — dirty read, lost update, non-repeatable
 /// read, or a transaction fault leaking across the schedule.
-pub fn check_isolation<S: SetupStatement>(
+pub fn check_isolation(
     conn: &mut dyn DbmsConnection,
     schedule: &Schedule,
     features: &FeatureSet,
-    setup: &[S],
+    setup: &[Statement],
 ) -> CaseVerdict {
     // Capture the setup state once; the serial arms and the exit path
     // restore it (checkpoint-restore when the backend supports it, setup
@@ -699,13 +699,12 @@ pub fn check_isolation<S: SetupStatement>(
     }
 }
 
-fn check_isolation_arms<S: SetupStatement>(
+fn check_isolation_arms(
     conn: &mut dyn DbmsConnection,
     schedule: &Schedule,
     features: &FeatureSet,
-    state: &SetupState<'_, S>,
+    state: &SetupState<'_>,
 ) -> CaseVerdict {
-    let setup = state.setup;
     if !schedule.is_well_formed() {
         return CaseVerdict::invalid("malformed schedule interleaving", 0);
     }
@@ -826,7 +825,7 @@ fn check_isolation_arms<S: SetupStatement>(
                 schedule.tables.join(", "),
                 order_names.join(", "),
             ),
-            setup: setup_sql(setup),
+            setup: Vec::new(),
             queries: schedule.replay_script(),
             features: features.clone(),
         })),
@@ -913,7 +912,7 @@ mod tests {
                 vec![vec![Value::Integer(2)]],
             )
             .with("SELECT c0 FROM t0 WHERE ((c0 = 1) IS NULL)", vec![]);
-        let outcome = check_tlp(&mut mock, &query, &predicate, &features, &[] as &[String]);
+        let outcome = check_tlp(&mut mock, &query, &predicate, &features);
         assert_eq!(outcome, OracleOutcome::Passed);
     }
 
@@ -933,7 +932,7 @@ mod tests {
             )
             .with("SELECT c0 FROM t0 WHERE (NOT (c0 = 1))", vec![])
             .with("SELECT c0 FROM t0 WHERE ((c0 = 1) IS NULL)", vec![]);
-        let outcome = check_tlp(&mut mock, &query, &predicate, &features, &[] as &[String]);
+        let outcome = check_tlp(&mut mock, &query, &predicate, &features);
         assert!(outcome.is_bug());
         if let OracleOutcome::Bug(report) = outcome {
             assert_eq!(report.oracle, OracleKind::Tlp);
@@ -947,7 +946,7 @@ mod tests {
         let mut mock = MockDbms::new()
             .with("SELECT c0 FROM t0", vec![])
             .with_error("SELECT c0 FROM t0 WHERE (c0 = 1)", "syntax error");
-        let outcome = check_tlp(&mut mock, &query, &predicate, &features, &[] as &[String]);
+        let outcome = check_tlp(&mut mock, &query, &predicate, &features);
         assert_eq!(outcome, OracleOutcome::Invalid("syntax error".into()));
         assert!(!outcome.is_valid());
     }
@@ -965,7 +964,7 @@ mod tests {
                 vec![vec![Value::Boolean(true)], vec![Value::Boolean(false)]],
             );
         assert_eq!(
-            check_norec(&mut mock, &query, &predicate, &features, &[] as &[String]),
+            check_norec(&mut mock, &query, &predicate, &features),
             OracleOutcome::Passed
         );
         let mut buggy = MockDbms::new()
@@ -974,7 +973,7 @@ mod tests {
                 "SELECT ((c0 = 1) IS TRUE) AS norec FROM t0",
                 vec![vec![Value::Boolean(true)]],
             );
-        assert!(check_norec(&mut buggy, &query, &predicate, &features, &[] as &[String]).is_bug());
+        assert!(check_norec(&mut buggy, &query, &predicate, &features).is_bug());
     }
 
     #[test]
@@ -1041,9 +1040,7 @@ mod tests {
             distinct: false,
         })];
         let mut mock = MockDbms::new();
-        assert!(!check_tlp(&mut mock, &query, &predicate, &features, &[] as &[String]).is_valid());
-        assert!(
-            !check_norec(&mut mock, &query, &predicate, &features, &[] as &[String]).is_valid()
-        );
+        assert!(!check_tlp(&mut mock, &query, &predicate, &features).is_valid());
+        assert!(!check_norec(&mut mock, &query, &predicate, &features).is_valid());
     }
 }

@@ -8,6 +8,13 @@
 //! ground-truth bisection all re-run a case through [`OracleCase::check`]
 //! or [`OracleCase::replay`].
 //!
+//! A case's setup is typed, like the campaign's setup log it is copied
+//! from: the campaign copies the log into a case only when the
+//! prioritizer keeps it, and every replay hands the backend those
+//! statements through [`DbmsConnection::execute_ast`]. Setup SQL text is
+//! produced only where a case leaves the program: its JSON encoding
+//! (reports and checkpoints) and text-only backends.
+//!
 //! Before a bug-inducing test case is handed to a human (or counted in the
 //! experiments), SQLancer++ reduces it ([`BugReducer::reduce`]): statements
 //! that are not needed to reproduce the discrepancy are removed, and the
@@ -32,12 +39,12 @@
 //!   subsequence of the original interleaving.
 
 use crate::campaign::CampaignReport;
-use crate::dbms::{DbmsConnection, SetupStatement};
+use crate::dbms::{replay_setup, DbmsConnection};
 use crate::feature::FeatureSet;
 use crate::json::{json_name, json_record};
 use crate::oracle::{
-    check_isolation, check_norec, check_rollback, check_tlp, CaseVerdict, OracleKind,
-    OracleOutcome, Schedule,
+    check_isolation, check_norec, check_rollback, check_tlp, render_session, CaseVerdict,
+    OracleKind, OracleOutcome, Schedule,
 };
 use sql_ast::{Expr, Select, Statement};
 
@@ -46,17 +53,17 @@ use sql_ast::{Expr, Select, Statement};
 /// reduce it, record it, bisect it.
 ///
 /// The campaign builds each case at generation with an empty setup, checks
-/// it against its typed setup log, and fills in the rendered setup only
-/// when the prioritizer keeps it.
+/// it against its setup log, and copies the log into the case (and its bug
+/// report) only when the prioritizer keeps it.
 pub trait OracleCase: Clone {
     /// The oracle that checks the case.
     fn oracle(&self) -> OracleKind;
     /// The feature set recorded at generation time.
     fn features(&self) -> &FeatureSet;
-    /// The SQL statements that build the case's database state.
-    fn setup(&self) -> &[String];
+    /// The statements that build the case's database state.
+    fn setup(&self) -> &[Statement];
     /// The setup, for the reducer to drop statements from.
-    fn setup_mut(&mut self) -> &mut Vec<String>;
+    fn setup_mut(&mut self) -> &mut Vec<Statement>;
     /// The size of the case's own body: predicate AST nodes, or session
     /// statements (the `predicate_nodes_*` fields of [`ReductionStats`]).
     fn body_size(&self) -> usize;
@@ -67,7 +74,7 @@ pub trait OracleCase: Clone {
     /// Runs the case's oracle against `setup`. The single-query oracles
     /// expect the connection to hold `setup`'s state already; the stateful
     /// ones rebuild it themselves and restore it before returning.
-    fn check<S: SetupStatement>(&self, conn: &mut dyn DbmsConnection, setup: &[S]) -> CaseVerdict;
+    fn check(&self, conn: &mut dyn DbmsConnection, setup: &[Statement]) -> CaseVerdict;
     /// Rebuilds the case's own setup and re-runs its oracle: the one replay
     /// behind reduction and ground-truth bisection.
     fn replay(&self, conn: &mut dyn DbmsConnection) -> OracleOutcome {
@@ -87,8 +94,8 @@ pub trait OracleCase: Clone {
 /// plus the query and predicate the oracle flagged.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReducibleCase {
-    /// SQL statements that build the database state.
-    pub setup: Vec<String>,
+    /// The statements that build the database state.
+    pub setup: Vec<Statement>,
     /// The flagged query (its `where_clause` holds the predicate).
     pub query: Select,
     /// The predicate the oracle transformed.
@@ -113,10 +120,10 @@ impl OracleCase for ReducibleCase {
     fn features(&self) -> &FeatureSet {
         &self.features
     }
-    fn setup(&self) -> &[String] {
+    fn setup(&self) -> &[Statement] {
         &self.setup
     }
-    fn setup_mut(&mut self) -> &mut Vec<String> {
+    fn setup_mut(&mut self) -> &mut Vec<Statement> {
         &mut self.setup
     }
     fn body_size(&self) -> usize {
@@ -128,23 +135,25 @@ impl OracleCase for ReducibleCase {
     }
     /// NoREC checks a case tagged with it; TLP checks every other query
     /// case (the campaign's stateful slots fall back to TLP queries).
-    fn check<S: SetupStatement>(&self, conn: &mut dyn DbmsConnection, setup: &[S]) -> CaseVerdict {
+    /// The single-query oracles read the connection's state as it is, so
+    /// `setup` is not replayed here.
+    fn check(&self, conn: &mut dyn DbmsConnection, _setup: &[Statement]) -> CaseVerdict {
         let (query, predicate, features) = (&self.query, &self.predicate, &self.features);
         CaseVerdict::from(match self.oracle {
-            OracleKind::NoRec => check_norec(conn, query, predicate, features, setup),
-            _ => check_tlp(conn, query, predicate, features, setup),
+            OracleKind::NoRec => check_norec(conn, query, predicate, features),
+            _ => check_tlp(conn, query, predicate, features),
         })
     }
     /// The single-query oracles read the connection's state as it is, so
-    /// the replay rebuilds it first, statement by statement.
+    /// the replay rebuilds it first. Failed setup statements are tolerated
+    /// (the remaining ones may still reproduce the bug), but an
+    /// infrastructure failure leaves a half-built state no verdict may be
+    /// taken on: the replay is then invalid.
     fn replay(&self, conn: &mut dyn DbmsConnection) -> OracleOutcome {
-        conn.reset();
-        for sql in &self.setup {
-            // Failed setup statements are tolerated: the remaining ones may
-            // still reproduce the bug.
-            let _ = conn.execute(sql);
+        match replay_setup(conn, &self.setup) {
+            Ok(()) => self.check(conn, &self.setup).outcome,
+            Err(message) => OracleOutcome::Invalid(message),
         }
-        self.check(conn, &self.setup).outcome
     }
     /// Replaces the predicate with each of its children (transitively)
     /// while the bug still reproduces.
@@ -180,8 +189,8 @@ impl OracleCase for ReducibleCase {
 /// bracketing on every re-validation).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TxnCase {
-    /// SQL statements that build the database state.
-    pub setup: Vec<String>,
+    /// The statements that build the database state.
+    pub setup: Vec<Statement>,
     /// The table the session mutates (and the oracle fingerprints).
     pub table: String,
     /// The session body: DML and `SAVEPOINT`/`ROLLBACK TO` statements.
@@ -201,14 +210,12 @@ impl TxnCase {
     /// fingerprint the oracle compares. This is what a bug report's
     /// `queries` carry so a human can reproduce the discrepancy verbatim.
     pub fn replay_script(&self) -> Vec<String> {
-        let probe = format!("SELECT * FROM {}", self.table);
-        let mut out = Vec::with_capacity(2 * (self.statements.len() + 3));
-        for closer in [Statement::Rollback, Statement::Commit] {
-            out.push(Statement::begin().to_string());
-            out.extend(self.statements.iter().map(Statement::to_string));
-            out.push(closer.to_string());
-            out.push(probe.clone());
-        }
+        let mut out = render_session(&self.table, &self.statements, Statement::Rollback);
+        out.extend(render_session(
+            &self.table,
+            &self.statements,
+            Statement::Commit,
+        ));
         out
     }
 }
@@ -220,16 +227,16 @@ impl OracleCase for TxnCase {
     fn features(&self) -> &FeatureSet {
         &self.features
     }
-    fn setup(&self) -> &[String] {
+    fn setup(&self) -> &[Statement] {
         &self.setup
     }
-    fn setup_mut(&mut self) -> &mut Vec<String> {
+    fn setup_mut(&mut self) -> &mut Vec<Statement> {
         &mut self.setup
     }
     fn body_size(&self) -> usize {
         self.statements.len()
     }
-    fn check<S: SetupStatement>(&self, conn: &mut dyn DbmsConnection, setup: &[S]) -> CaseVerdict {
+    fn check(&self, conn: &mut dyn DbmsConnection, setup: &[Statement]) -> CaseVerdict {
         CaseVerdict::from(check_rollback(
             conn,
             &self.table,
@@ -304,8 +311,8 @@ fn savepoints_consistent(statements: &[Statement]) -> bool {
 /// explicit interleaving on every re-validation).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScheduleCase {
-    /// SQL statements that build the database state.
-    pub setup: Vec<String>,
+    /// The statements that build the database state.
+    pub setup: Vec<Statement>,
     /// The concurrent schedule: session scripts plus the interleaving.
     pub schedule: Schedule,
     /// The feature set recorded at generation time (transaction-control
@@ -323,10 +330,10 @@ impl OracleCase for ScheduleCase {
     fn features(&self) -> &FeatureSet {
         &self.features
     }
-    fn setup(&self) -> &[String] {
+    fn setup(&self) -> &[Statement] {
         &self.setup
     }
-    fn setup_mut(&mut self) -> &mut Vec<String> {
+    fn setup_mut(&mut self) -> &mut Vec<Statement> {
         &mut self.setup
     }
     fn body_size(&self) -> usize {
@@ -336,7 +343,7 @@ impl OracleCase for ScheduleCase {
             .map(|session| session.statements.len())
             .sum()
     }
-    fn check<S: SetupStatement>(&self, conn: &mut dyn DbmsConnection, setup: &[S]) -> CaseVerdict {
+    fn check(&self, conn: &mut dyn DbmsConnection, setup: &[Statement]) -> CaseVerdict {
         check_isolation(conn, &self.schedule, &self.features, setup)
     }
     /// Drops each session's body statements, last to first, session by
@@ -498,8 +505,13 @@ mod tests {
         fn reset(&mut self) {}
     }
 
-    #[test]
-    fn reducer_strips_setup_and_shrinks_predicate() {
+    fn parse(sql: &str) -> Statement {
+        sql_parser::parse_statement(sql).expect("test setup parses")
+    }
+
+    /// A three-statement setup and a NULLIF predicate [`TokenBugDbms`]
+    /// flags.
+    fn nullif_case() -> ReducibleCase {
         let predicate = Expr::Function {
             func: sql_ast::ScalarFunction::Nullif,
             args: vec![Expr::integer(2), Expr::column("c0")],
@@ -512,17 +524,22 @@ mod tests {
             where_clause: Some(predicate.clone()),
             ..Select::new()
         };
-        let case = ReducibleCase {
+        ReducibleCase {
             setup: vec![
-                "CREATE TABLE t0 (c0 INT)".into(),
-                "CREATE TABLE t_unused (c0 INT)".into(),
-                "INSERT INTO t0 (c0) VALUES (1)".into(),
+                parse("CREATE TABLE t0 (c0 INT)"),
+                parse("CREATE TABLE t_unused (c0 INT)"),
+                parse("INSERT INTO t0 (c0) VALUES (1)"),
             ],
             query,
             predicate,
             oracle: OracleKind::Tlp,
             features: FeatureSet::new(),
-        };
+        }
+    }
+
+    #[test]
+    fn reducer_strips_setup_and_shrinks_predicate() {
+        let case = nullif_case();
         let mut conn = TokenBugDbms;
         let mut reducer = BugReducer::new(&mut conn, 200);
         let (reduced, stats) = reducer.reduce(&case);
@@ -538,7 +555,7 @@ mod tests {
     fn reducer_respects_check_budget() {
         let case = ReducibleCase {
             setup: (0..50)
-                .map(|i| format!("CREATE TABLE t{i} (c0 INT)"))
+                .map(|i| parse(&format!("CREATE TABLE t{i} (c0 INT)")))
                 .collect(),
             query: Select {
                 projections: vec![SelectItem::expr(Expr::column("c0"))],
@@ -554,5 +571,41 @@ mod tests {
         let mut reducer = BugReducer::new(&mut conn, 10);
         let (_, stats) = reducer.reduce(&case);
         assert!(stats.checks <= 10);
+    }
+
+    /// [`TokenBugDbms`] with one setup statement garbled in transit.
+    struct GarblingDbms;
+
+    impl DbmsConnection for GarblingDbms {
+        fn name(&self) -> &str {
+            "garbling"
+        }
+        fn execute(&mut self, sql: &str) -> StatementOutcome {
+            if sql.starts_with("INSERT") {
+                StatementOutcome::Failure(format!(
+                    "{} result checksum mismatch",
+                    crate::INFRA_MARKER
+                ))
+            } else {
+                StatementOutcome::Success
+            }
+        }
+        fn query(&mut self, sql: &str) -> Result<QueryResult, String> {
+            TokenBugDbms.query(sql)
+        }
+        fn reset(&mut self) {}
+    }
+
+    #[test]
+    fn query_case_replay_takes_no_verdict_on_a_half_built_state() {
+        let case = nullif_case();
+        // Intact, the replay reports the TLP mismatch...
+        assert!(case.replay(&mut TokenBugDbms).is_bug());
+        // ...but a garbled setup statement leaves the state half-built, and
+        // the mismatch must not count as a reproduction.
+        let OracleOutcome::Invalid(message) = case.replay(&mut GarblingDbms) else {
+            panic!("a verdict was taken on a half-built state");
+        };
+        assert!(message.contains(crate::INFRA_MARKER), "{message}");
     }
 }

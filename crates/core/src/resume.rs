@@ -303,6 +303,7 @@ mod tests {
             ..Select::new()
         };
         let predicate = Expr::column("c0").eq(Expr::integer(1));
+        let create = parse_statement("CREATE TABLE t0 (c0 INTEGER)").unwrap();
 
         let mut report = CampaignReport {
             dbms_name: "simdb (mariadb)".to_string(),
@@ -329,19 +330,19 @@ mod tests {
         report.reports.push(BugReport {
             oracle: OracleKind::Tlp,
             description: "TLP mismatch: base 2 rows, partitions 1".to_string(),
-            setup: vec!["CREATE TABLE t0 (c0 INTEGER)".to_string()],
+            setup: vec![create.clone()],
             queries: vec!["SELECT c0 FROM t0".to_string()],
             features: feature_set(&["OP_EQ"]),
         });
         report.prioritized_cases.push(ReducibleCase {
-            setup: vec!["CREATE TABLE t0 (c0 INTEGER)".to_string()],
+            setup: vec![create.clone()],
             query: select,
             predicate,
             oracle: OracleKind::Tlp,
             features: feature_set(&["OP_EQ"]),
         });
         report.txn_cases.push(TxnCase {
-            setup: vec!["CREATE TABLE t0 (c0 INTEGER)".to_string()],
+            setup: vec![create.clone()],
             table: "t0".to_string(),
             statements: vec![
                 parse_statement("INSERT INTO t0 (c0) VALUES (1)").unwrap(),
@@ -368,7 +369,7 @@ mod tests {
         engine.record("statements", "STMT_SELECT");
         report.coverage.absorb_engine(&engine);
         report.schedule_cases.push(ScheduleCase {
-            setup: vec!["CREATE TABLE t0 (c0 INTEGER)".to_string()],
+            setup: vec![create.clone()],
             schedule: Schedule {
                 tables: vec!["t0".to_string()],
                 sessions: vec![

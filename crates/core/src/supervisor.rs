@@ -679,7 +679,7 @@ impl Supervisor {
     }
 
     /// Rebuilds the backend state from the setup log: safe mode (no fault
-    /// arming), then [`replay_setup`]. Used after every failed attempt and
+    /// arming), then the setup replay (`replay_setup`). Used after every failed attempt and
     /// for the campaign's resume and post-reduction rebuilds, so a
     /// recovered backend is observably identical to one that never failed.
     /// A replay cut short by an infrastructure failure leaves the

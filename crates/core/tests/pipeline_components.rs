@@ -66,13 +66,7 @@ fn generator_oracle_loop_learns_rejected_functions() {
         let Some(query) = generator.generate_query() else {
             break;
         };
-        let outcome = check_tlp(
-            &mut dbms,
-            &query.select,
-            &query.predicate,
-            &query.features,
-            &[] as &[String],
-        );
+        let outcome = check_tlp(&mut dbms, &query.select, &query.predicate, &query.features);
         generator.record_outcome(&query.features, FeatureKind::Query, outcome.is_valid());
     }
     generator.refresh_suppression();
@@ -105,13 +99,7 @@ fn learned_profile_survives_persistence_and_keeps_decisions() {
         let Some(query) = generator.generate_query() else {
             break;
         };
-        let outcome = check_norec(
-            &mut dbms,
-            &query.select,
-            &query.predicate,
-            &query.features,
-            &[] as &[String],
-        );
+        let outcome = check_norec(&mut dbms, &query.select, &query.predicate, &query.features);
         generator.record_outcome(&query.features, FeatureKind::Query, outcome.is_valid());
     }
     let text = profile_to_string(&generator.stats);
@@ -151,14 +139,16 @@ fn prioritizer_and_oracles_compose_over_a_stream_of_reports() {
 
 #[test]
 fn reducible_case_round_trips_through_sql_text() {
-    // The setup + query of a reducible case must be valid SQL text that
-    // parses back — bug reports are handed to humans as plain SQL.
+    // The setup + query of a reducible case must render to valid SQL text
+    // that parses back — bug reports are handed to humans as plain SQL.
     let predicate = Expr::column("c0").eq(Expr::integer(1));
     let case = ReducibleCase {
-        setup: vec![
-            "CREATE TABLE t0 (c0 INTEGER)".to_string(),
-            "INSERT INTO t0 (c0) VALUES (1), (NULL)".to_string(),
-        ],
+        setup: [
+            "CREATE TABLE t0 (c0 INTEGER)",
+            "INSERT INTO t0 (c0) VALUES (1), (NULL)",
+        ]
+        .map(|sql| sql_parser::parse_statement(sql).unwrap())
+        .to_vec(),
         query: Select {
             projections: vec![SelectItem::expr(Expr::column("c0"))],
             from: vec![TableWithJoins::table("t0")],
@@ -169,16 +159,17 @@ fn reducible_case_round_trips_through_sql_text() {
         oracle: OracleKind::Tlp,
         features: FeatureSet::new(),
     };
-    for sql in case
-        .setup
-        .iter()
-        .chain(std::iter::once(&case.query.to_string()))
-    {
-        assert!(
-            sql_parser::parse_statement(sql).is_ok(),
-            "unparseable: {sql}"
+    for stmt in &case.setup {
+        assert_eq!(
+            sql_parser::parse_statement(&stmt.to_string()).as_ref(),
+            Ok(stmt)
         );
     }
+    let sql = case.query.to_string();
+    assert!(
+        sql_parser::parse_statement(&sql).is_ok(),
+        "unparseable: {sql}"
+    );
     assert_eq!(
         case.query.where_clause.as_ref().map(|w| w.to_string()),
         Some("(c0 = 1)".to_string())

@@ -425,8 +425,8 @@ mod tests {
         let predicate = Expr::qualified_column("t0", "c0").eq(Expr::integer(1));
         let case = ReducibleCase {
             setup: vec![
-                "CREATE TABLE t0 (c0 INTEGER)".to_string(),
-                "INSERT INTO t0 (c0) VALUES (1), (NULL)".to_string(),
+                parse("CREATE TABLE t0 (c0 INTEGER)").unwrap(),
+                parse("INSERT INTO t0 (c0) VALUES (1), (NULL)").unwrap(),
             ],
             query: Select {
                 projections: vec![SelectItem::Wildcard],
@@ -446,7 +446,7 @@ mod tests {
     fn fault_free_dbms_has_no_ground_truth_bugs() {
         let dbms = permissive_with(&[]);
         let case = ReducibleCase {
-            setup: vec!["CREATE TABLE t0 (c0 INTEGER)".to_string()],
+            setup: vec![parse("CREATE TABLE t0 (c0 INTEGER)").unwrap()],
             query: Select {
                 projections: vec![SelectItem::Wildcard],
                 from: vec![TableWithJoins::table("t0")],

@@ -709,8 +709,9 @@ mod tests {
         let config = FaultyConfig::default().arm(InfraFaultKind::Garble);
         // Six setup statements cover the whole trigger range (1..=6): any
         // planned garble lands inside the capture rebuild.
-        let setup: Vec<String> = std::iter::once("CREATE TABLE t0 (c0 INTEGER)".to_string())
+        let setup: Vec<Statement> = std::iter::once("CREATE TABLE t0 (c0 INTEGER)".to_string())
             .chain((0..5).map(|v| format!("INSERT INTO t0 (c0) VALUES ({v})")))
+            .map(|sql| sql_parser::parse_statement(&sql).unwrap())
             .collect();
         let seed = seed_with_plan(&config, InfraFaultKind::Garble);
         let mut conn = crate::preset_by_name("sqlite")
@@ -719,8 +720,8 @@ mod tests {
             .instantiate_for_path(crate::runner::ExecutionPath::Ast);
         // Campaign phase 1: build the state in safe mode.
         conn.begin_case(0);
-        for sql in &setup {
-            assert!(conn.execute(sql).is_success());
+        for stmt in &setup {
+            assert!(conn.execute_ast(stmt).is_success());
         }
         let session = vec![Statement::Insert(sql_ast::Insert {
             table: "t0".into(),
@@ -745,8 +746,8 @@ mod tests {
         // cleared) completes cleanly on an uncorrupted state.
         conn.begin_case(0);
         conn.reset();
-        for sql in &setup {
-            assert!(conn.execute(sql).is_success());
+        for stmt in &setup {
+            assert!(conn.execute_ast(stmt).is_success());
         }
         conn.begin_case(seed);
         let retry = check_rollback(&mut *conn, "t0", &session, &features, &setup);

@@ -66,15 +66,11 @@ impl DialectProfile {
         !self.unsupported.contains(feature)
     }
 
-    /// All canonical features of the generator universe this dialect
-    /// supports (used by the perfect-knowledge baseline and Figure 7).
-    pub fn supported_universe(&self) -> BTreeSet<String> {
-        FeatureSet::universe()
-            .iter()
-            .map(Feature::name)
-            .filter(|f| self.supports(f))
-            .map(str::to_string)
-            .collect()
+    /// All features of the generator universe this dialect supports: the
+    /// universe minus the gate (used by the perfect-knowledge baseline and
+    /// Figures 1 and 7).
+    pub fn supported_universe(&self) -> FeatureSet {
+        FeatureSet::universe().difference(&self.gate)
     }
 
     /// Checks a parsed statement against the profile. Returns the name of

@@ -25,14 +25,12 @@ fn main() {
     let mut generator = AdaptiveGenerator::new(7, config);
 
     // Build a database state, learning from DDL feedback along the way.
-    let mut setup = Vec::new();
     for _ in 0..16 {
         let stmt = generator.generate_ddl_statement();
         let sql = stmt.statement.to_string();
         let ok = dbms.execute(&sql).is_success();
         if ok {
             generator.apply_success(&stmt.statement);
-            setup.push(sql);
         }
         generator.record_outcome(&stmt.features, FeatureKind::DdlDml, ok);
     }
@@ -45,13 +43,7 @@ fn main() {
             let Some(query) = generator.generate_query() else {
                 break;
             };
-            let outcome = check_tlp(
-                &mut dbms,
-                &query.select,
-                &query.predicate,
-                &query.features,
-                &setup,
-            );
+            let outcome = check_tlp(&mut dbms, &query.select, &query.predicate, &query.features);
             attempted += 1;
             if outcome.is_valid() {
                 valid += 1;

@@ -169,35 +169,11 @@ fn oracle_checks_are_deterministic_for_a_fixed_state() {
         let Some(query) = generator.generate_query() else {
             break;
         };
-        let a = check_tlp(
-            &mut dbms,
-            &query.select,
-            &query.predicate,
-            &query.features,
-            &[] as &[String],
-        );
-        let b = check_tlp(
-            &mut dbms,
-            &query.select,
-            &query.predicate,
-            &query.features,
-            &[] as &[String],
-        );
+        let a = check_tlp(&mut dbms, &query.select, &query.predicate, &query.features);
+        let b = check_tlp(&mut dbms, &query.select, &query.predicate, &query.features);
         assert_eq!(a, b);
-        let c = check_norec(
-            &mut dbms,
-            &query.select,
-            &query.predicate,
-            &query.features,
-            &[] as &[String],
-        );
-        let d = check_norec(
-            &mut dbms,
-            &query.select,
-            &query.predicate,
-            &query.features,
-            &[] as &[String],
-        );
+        let c = check_norec(&mut dbms, &query.select, &query.predicate, &query.features);
+        let d = check_norec(&mut dbms, &query.select, &query.predicate, &query.features);
         assert_eq!(c, d);
         generator.record_outcome(&query.features, FeatureKind::Query, a.is_valid());
     }

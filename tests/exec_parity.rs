@@ -81,7 +81,6 @@ fn oracle_verdicts_identical_per_query() {
         let mut ast_conn: SimulatedDbms = preset.instantiate();
         let mut text_conn = TextOnlyConnection::new(preset.instantiate());
         let mut generator = AdaptiveGenerator::new(77, GeneratorConfig::default());
-        let mut setup: Vec<String> = Vec::new();
         for _ in 0..10 {
             let stmt = generator.generate_ddl_statement();
             let a = ast_conn.execute_ast(&stmt.statement);
@@ -89,7 +88,6 @@ fn oracle_verdicts_identical_per_query() {
             assert_eq!(a, t, "DDL outcome diverges on {}", preset.profile.name);
             if a.is_success() {
                 generator.apply_success(&stmt.statement);
-                setup.push(stmt.statement.to_string());
             }
         }
         for i in 0..25 {
@@ -103,14 +101,12 @@ fn oracle_verdicts_identical_per_query() {
                         &query.select,
                         &query.predicate,
                         &query.features,
-                        &setup,
                     ),
                     check_tlp(
                         &mut text_conn,
                         &query.select,
                         &query.predicate,
                         &query.features,
-                        &setup,
                     ),
                 )
             } else {
@@ -120,14 +116,12 @@ fn oracle_verdicts_identical_per_query() {
                         &query.select,
                         &query.predicate,
                         &query.features,
-                        &setup,
                     ),
                     check_norec(
                         &mut text_conn,
                         &query.select,
                         &query.predicate,
                         &query.features,
-                        &setup,
                     ),
                 )
             };

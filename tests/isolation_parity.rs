@@ -52,10 +52,10 @@ fn isolation_campaign_config(seed: u64) -> CampaignConfig {
 /// Each is deterministic: the interleaving is an explicit step list, so the
 /// same schedule replays identically forever.
 fn crafted_schedule(fault: Fault) -> ScheduleCase {
-    let two_tables = vec![
-        "CREATE TABLE t0 (c0 INTEGER)".to_string(),
-        "CREATE TABLE t1 (c0 INTEGER)".to_string(),
-    ];
+    let two_tables = stmts(&[
+        "CREATE TABLE t0 (c0 INTEGER)",
+        "CREATE TABLE t1 (c0 INTEGER)",
+    ]);
     let observer = "INSERT INTO t0 (c0) VALUES ((SELECT COUNT(*) FROM t1))";
     let (setup, sessions, interleaving, tables) = match fault {
         // Session 1 writes t1 uncommitted; session 0 begins (dirty
@@ -83,7 +83,7 @@ fn crafted_schedule(fault: Fault) -> ScheduleCase {
         // first-committer-wins aborts the second, the fault lets it clobber
         // the first committer's row.
         Fault::IsoLostUpdate => (
-            vec!["CREATE TABLE t0 (c0 INTEGER)".to_string()],
+            stmts(&["CREATE TABLE t0 (c0 INTEGER)"]),
             vec![
                 SessionScript {
                     begin: BeginMode::Plain,
@@ -151,8 +151,8 @@ fn crafted_schedules_detect_each_isolation_fault() {
         assert!(case.schedule.is_well_formed(), "{fault:?}: malformed");
         let mut dbms = preset_by_name(dialect).unwrap().instantiate();
         dbms.reset();
-        for sql in &case.setup {
-            assert!(dbms.execute(sql).is_success());
+        for stmt in &case.setup {
+            assert!(dbms.execute_ast(stmt).is_success());
         }
         let verdict = check_isolation(&mut dbms, &case.schedule, &case.features, &case.setup);
         assert!(
@@ -169,8 +169,8 @@ fn crafted_schedules_detect_each_isolation_fault() {
         // isolation or transaction fault).
         let mut clean = preset_by_name("sqlite").unwrap().instantiate();
         clean.reset();
-        for sql in &case.setup {
-            assert!(clean.execute(sql).is_success());
+        for stmt in &case.setup {
+            assert!(clean.execute_ast(stmt).is_success());
         }
         let verdict = check_isolation(&mut clean, &case.schedule, &case.features, &case.setup);
         assert!(
@@ -194,8 +194,8 @@ fn crafted_schedules_detect_each_isolation_fault() {
     let case = crafted_schedule(Fault::IsoLostUpdate);
     let mut clean = preset_by_name("sqlite").unwrap().instantiate();
     clean.reset();
-    for sql in &case.setup {
-        assert!(clean.execute(sql).is_success());
+    for stmt in &case.setup {
+        assert!(clean.execute_ast(stmt).is_success());
     }
     let verdict = check_isolation(&mut clean, &case.schedule, &case.features, &case.setup);
     assert_eq!(
@@ -213,11 +213,11 @@ fn crafted_schedules_detect_each_isolation_fault() {
     }
     update_case
         .setup
-        .push("INSERT INTO t0 (c0) VALUES (1)".into());
+        .extend(stmts(&["INSERT INTO t0 (c0) VALUES (1)"]));
     let mut clean = preset_by_name("sqlite").unwrap().instantiate();
     clean.reset();
-    for sql in &update_case.setup {
-        assert!(clean.execute(sql).is_success());
+    for stmt in &update_case.setup {
+        assert!(clean.execute_ast(stmt).is_success());
     }
     let verdict = check_isolation(
         &mut clean,
@@ -435,8 +435,10 @@ fn partitioned_campaigns_are_identical_and_still_detect_bugs() {
 fn schedule_reduction_preserves_bracketing_and_order() {
     let mut case = crafted_schedule(Fault::IsoLostUpdate);
     // Pad with reducible noise: an unused setup table and extra mutations.
-    case.setup.push("CREATE TABLE unused (c0 INTEGER)".into());
-    case.setup.push("INSERT INTO t0 (c0) VALUES (1)".into());
+    case.setup.extend(stmts(&[
+        "CREATE TABLE unused (c0 INTEGER)",
+        "INSERT INTO t0 (c0) VALUES (1)",
+    ]));
     for session in 0..2 {
         case.schedule.sessions[session]
             .statements

@@ -375,9 +375,9 @@ fn txn_reduction_preserves_savepoint_pairing() {
     );
     let case = TxnCase {
         setup: vec![
-            "CREATE TABLE t0 (c0 INTEGER)".to_string(),
-            "CREATE TABLE unused (c0 INTEGER)".to_string(),
-            "INSERT INTO t0 (c0) VALUES (1)".to_string(),
+            parse_statement("CREATE TABLE t0 (c0 INTEGER)").unwrap(),
+            parse_statement("CREATE TABLE unused (c0 INTEGER)").unwrap(),
+            parse_statement("INSERT INTO t0 (c0) VALUES (1)").unwrap(),
         ],
         table: "t0".to_string(),
         statements: vec![

@@ -1,13 +1,13 @@
 //! Typed setup replay: every state rebuild (pool re-sync, supervisor
-//! recovery, oracle setup capture) hands the backend the typed statement
-//! the campaign already holds, so an AST-capable backend never re-parses
-//! setup SQL — and a text-only backend still receives exactly the SQL text
-//! the statements render to.
+//! recovery, oracle setup capture, the reducer's candidate replays) hands
+//! the backend the typed statement the campaign already holds, so an
+//! AST-capable backend never re-parses setup SQL — and a text-only backend
+//! still receives exactly the SQL text the statements render to.
 
 use sqlancerpp::core::{
     render_report, silence_infra_panics, BackendEvent, Campaign, CampaignConfig, CampaignReport,
-    Capability, DbmsConnection, DialectQuirks, Driver, EngineCoverage, OracleKind, Pool,
-    QueryResult, ResilienceEvent, StateCheckpoint, StatementOutcome, StorageMetrics,
+    Capability, DbmsConnection, DialectQuirks, Driver, EngineCoverage, OracleCase, OracleKind,
+    Pool, QueryResult, ResilienceEvent, StateCheckpoint, StatementOutcome, StorageMetrics,
     SupervisorConfig, TextOnlyConnection,
 };
 use sqlancerpp::sim::{preset_by_name, ExecutionPath, FaultyConfig};
@@ -145,12 +145,13 @@ impl Driver for RecordingDriver {
 
 /// A storm campaign over a pool of 2: infra faults force supervisor
 /// recoveries, two slots force re-syncs, the rollback oracle rebuilds its
-/// setup state in every case. Reduction is off: the reducer's input is SQL
-/// text by design.
-fn run(text_only: bool) -> (CampaignReport, Traffic, u64) {
+/// setup state in every case, and with `reduce` every kept case is reduced
+/// by replaying candidates. monetdb's injected logic and rollback bugs
+/// give the campaign both query and transactional cases to keep.
+fn run(text_only: bool, reduce: bool) -> (CampaignReport, Traffic, u64) {
     silence_infra_panics();
-    let preset = preset_by_name("sqlite")
-        .expect("sqlite preset exists")
+    let preset = preset_by_name("monetdb")
+        .expect("monetdb preset exists")
         .with_infra_faults(FaultyConfig::storm());
     let traffic = Arc::new(Mutex::new(Traffic::default()));
     let driver = Arc::new(RecordingDriver {
@@ -162,13 +163,13 @@ fn run(text_only: bool) -> (CampaignReport, Traffic, u64) {
         .seed(0x7E9D)
         .databases(3)
         .ddl_per_database(10)
-        .queries_per_database(30)
+        .queries_per_database(60)
         .oracles(vec![
             OracleKind::Tlp,
             OracleKind::NoRec,
             OracleKind::Rollback,
         ])
-        .reduce_bugs(false)
+        .reduce_bugs(reduce)
         .build();
     let mut pool = Pool::new(driver, 2).expect("pool connects");
     let report = Campaign::new(config).run_pooled(&mut pool, &SupervisorConfig::default());
@@ -185,9 +186,16 @@ fn run(text_only: bool) -> (CampaignReport, Traffic, u64) {
     (report, traffic, resyncs)
 }
 
+/// Setup plus body statements of every kept case.
+fn kept_statements(report: &CampaignReport) -> Vec<usize> {
+    let queries = report.prioritized_cases.iter().map(|c| c.statement_count());
+    let txns = report.txn_cases.iter().map(|c| c.statement_count());
+    queries.chain(txns).collect()
+}
+
 #[test]
 fn rebuilds_replay_typed_statements_and_text_backends_see_the_same_sql() {
-    let (ast_report, ast, resyncs) = run(false);
+    let (ast_report, ast, resyncs) = run(false, true);
     // Every rebuild path ran...
     assert!(resyncs > 0, "the pool must re-sync stale slots");
     assert!(
@@ -198,13 +206,30 @@ fn rebuilds_replay_typed_statements_and_text_backends_see_the_same_sql() {
         ast.in_case_resets > 0,
         "the rollback oracle rebuilds in-case"
     );
-    // ...and none of them handed the AST-capable backend SQL text.
+    // ...reduction among them: the kept cases shrank...
+    let (unreduced, _, _) = run(false, false);
+    let (before, after) = (kept_statements(&unreduced), kept_statements(&ast_report));
+    assert!(!after.is_empty(), "the campaign must keep a case to reduce");
+    assert_eq!(after.len(), before.len(), "reduction changed what was kept");
+    assert!(
+        after.iter().sum::<usize>() < before.iter().sum::<usize>(),
+        "no kept case was reduced: {before:?} -> {after:?}"
+    );
+    // ...and still bisect, through typed replay, to injected bugs.
+    let dbms = preset_by_name("monetdb").unwrap().instantiate();
+    for case in &ast_report.prioritized_cases {
+        assert!(!dbms.ground_truth_bugs(case).is_empty(), "{case:?}");
+    }
+    for case in &ast_report.txn_cases {
+        assert!(!dbms.ground_truth_txn_bugs(case).is_empty(), "{case:?}");
+    }
+    // None of the rebuilds handed the AST-capable backend SQL text.
     assert_eq!(ast.text_executes, 0, "a rebuild re-sent SQL text");
     assert!(ast.ast_executes > 0);
 
     // The same campaign through a text-only wire contract: the backend
     // receives the rendering of every typed statement, in the same order.
-    let (text_report, text, _) = run(true);
+    let (text_report, text, _) = run(true, true);
     assert_eq!(text.ast_executes, 0);
     assert_eq!(text.text_executes, ast.ast_executes);
     assert_eq!(text.sql.len(), ast.sql.len());
